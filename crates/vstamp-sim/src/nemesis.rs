@@ -342,6 +342,11 @@ fn pump(
             let delay = dice.roll(config.max_delay.as_millis().max(1) as u64);
             thread::sleep(Duration::from_millis(delay));
         }
+        // A pump parked in `read()` when the partition began wakes up with
+        // a whole frame in hand: the cut applies to it too.
+        if shutdown.load(Ordering::SeqCst) || blocked.load(Ordering::SeqCst) {
+            break;
+        }
         let copies = if dice.chance(config.duplicate_per_mille) { 2 } else { 1 };
         for _ in 0..copies {
             if to.write_all(&prefix).is_err() || to.write_all(&body).is_err() {
@@ -381,6 +386,8 @@ fn read_fully(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+
     use super::*;
 
     #[test]
@@ -406,36 +413,58 @@ mod tests {
 
     #[test]
     fn proxy_forwards_frames_and_partitions_on_demand() {
+        // The backend echoes 9-byte frames (4-byte prefix + 5 payload) and
+        // counts every one that reaches it.
         let backend = TcpListener::bind("127.0.0.1:0").expect("bind backend");
         let backend_addr = backend.local_addr().expect("addr").to_string();
-        thread::spawn(move || {
-            for stream in backend.incoming().flatten() {
-                thread::spawn(move || {
-                    let mut stream = stream;
-                    let mut buffer = [0u8; 9];
-                    while stream.read_exact(&mut buffer).is_ok() {
-                        // Echo the 5-byte frame (4-byte prefix + 1 payload).
-                        if stream.write_all(&buffer).is_err() {
-                            return;
+        let delivered = Arc::new(AtomicUsize::new(0));
+        {
+            let delivered = Arc::clone(&delivered);
+            thread::spawn(move || {
+                for stream in backend.incoming().flatten() {
+                    let delivered = Arc::clone(&delivered);
+                    thread::spawn(move || {
+                        let mut stream = stream;
+                        let mut buffer = [0u8; 9];
+                        while stream.read_exact(&mut buffer).is_ok() {
+                            delivered.fetch_add(1, Ordering::SeqCst);
+                            if stream.write_all(&buffer).is_err() {
+                                return;
+                            }
                         }
-                    }
-                });
-            }
-        });
+                    });
+                }
+            });
+        }
         let proxy = Proxy::start(NemesisConfig::faithful(), 5).expect("proxy");
         proxy.set_target(backend_addr);
-        let mut client = TcpStream::connect(proxy.listen_addr()).expect("dial proxy");
-        client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
         let frame = [5u8, 0, 0, 0, b'a', b'b', b'c', b'd', b'e'];
-        client.write_all(&frame).expect("send");
         let mut echoed = [0u8; 9];
-        client.read_exact(&mut echoed).expect("echo");
-        assert_eq!(echoed, frame);
+        for round in 1..=10 {
+            // Healed: a fresh connection forwards both ways. Both pumps
+            // are then parked in `read()` — the state that used to leak
+            // one frame per direction into every partition.
+            proxy.set_blocked(false);
+            let mut client = TcpStream::connect(proxy.listen_addr()).expect("dial proxy");
+            client.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            client.write_all(&frame).expect("send");
+            client.read_exact(&mut echoed).expect("echo");
+            assert_eq!(echoed, frame);
+            assert_eq!(delivered.load(Ordering::SeqCst), round);
 
-        proxy.set_blocked(true);
-        client.set_read_timeout(Some(Duration::from_millis(500))).expect("timeout");
-        let dead = client.write_all(&frame).is_err() || client.read_exact(&mut echoed).is_err();
-        assert!(dead, "blocked proxy must sever the connection");
+            // Cut: the frame may still be accepted by the local socket, but
+            // the read must end by the proxy severing the connection (not
+            // by the 30 s timeout), and the pump severs only after it
+            // decided not to forward — so the count below is final.
+            proxy.set_blocked(true);
+            let _ = client.write_all(&frame);
+            let error = client.read_exact(&mut echoed).expect_err("blocked proxy must sever");
+            assert!(
+                !matches!(error.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                "the proxy never severed the connection: {error}"
+            );
+            assert_eq!(delivered.load(Ordering::SeqCst), round, "a frame leaked into the cut");
+        }
         proxy.stop();
     }
 }

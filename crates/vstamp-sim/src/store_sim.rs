@@ -74,9 +74,6 @@ pub struct StoreSimSpec {
     /// and pushes missing versions back to lagging replicas, giving
     /// monotonic reads across replica switches mid-partition.
     pub read_repair: bool,
-    /// Disables batched delta application (the pre-batching reference
-    /// path: one lock acquisition and context rebuild per key delta).
-    pub unbatched_apply: bool,
 }
 
 impl StoreSimSpec {
@@ -98,7 +95,6 @@ impl StoreSimSpec {
             full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
-            unbatched_apply: false,
         }
     }
 
@@ -139,14 +135,6 @@ impl StoreSimSpec {
         self
     }
 
-    /// The same spec with batched delta application disabled (per-key
-    /// reference apply path).
-    #[must_use]
-    pub fn with_unbatched_apply(mut self) -> Self {
-        self.unbatched_apply = true;
-        self
-    }
-
     /// The cluster wiring this spec asks for.
     fn cluster_config(&self) -> ClusterConfig {
         let mut config = ClusterConfig::new(self.replicas, self.shards);
@@ -158,9 +146,6 @@ impl StoreSimSpec {
         }
         if self.read_repair {
             config = config.with_read_repair();
-        }
-        if self.unbatched_apply {
-            config = config.without_batched_apply();
         }
         config
     }
@@ -186,7 +171,6 @@ impl StoreSimSpec {
             full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
-            unbatched_apply: false,
         }
     }
 
@@ -208,7 +192,6 @@ impl StoreSimSpec {
             full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
-            unbatched_apply: false,
         }
     }
 
@@ -240,7 +223,6 @@ impl StoreSimSpec {
             full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
-            unbatched_apply: false,
         }
     }
 }
@@ -1028,11 +1010,6 @@ mod tests {
                 report.converged
             );
         }
-        let unbatched = run_store_sim(
-            VstampBackend::gc(),
-            &StoreSimSpec::churn(4, 12, 7).with_unbatched_apply(),
-        );
-        assert!(unbatched.is_exact());
     }
 
     /// Drives one partition/heal trace and returns, per monotonic-reads

@@ -1,15 +1,37 @@
 //! The replicated store cluster: N replicas, each a sharded data plane,
 //! plus the cluster-shared clock plane (per-key coordination state of the
-//! backend), the synchronous anti-entropy exchange, the channel-driven
-//! gossip runner and quiescent-point compaction.
+//! backend), the pull-exchange engine and quiescent-point compaction.
+//!
+//! # The exchange engine
+//!
+//! Anti-entropy is one protocol, written once: Probe → Ack | Miss →
+//! Digest → Delta → bounded NAK rounds. Every step is a request/reply
+//! pair, so the engine is two functions and a closure:
+//!
+//! * [`Cluster::pull`] is the requester. It builds each request
+//!   [`Envelope`], hands it to the caller's `request` closure — the whole
+//!   transport — and applies what comes back.
+//! * [`Cluster::serve`] is the responder: one request envelope in, one
+//!   reply envelope out.
+//!
+//! [`Cluster::anti_entropy`] is `pull` whose closure calls `serve` on
+//! another replica of the same process; a [`Node`](crate::Node) passes a
+//! closure that writes the envelope to a TCP link. Both ends decode
+//! whatever arrives defensively: an undecodable or out-of-order frame
+//! fails the exchange (`Err` / `None`), it never panics, and because every
+//! version merge is idempotent a failed exchange cannot damage the store —
+//! the next pull simply starts over. One thing is *not* idempotent: a Delta
+//! reply carries a fork half of the responder's element, good for one
+//! join. A transport must not hand `pull` a Delta from an earlier exchange;
+//! nothing on the wire lets the engine tell (ROADMAP item 1c).
 //!
 //! # Concurrency
 //!
 //! Every lock is per shard. An operation touching a key takes at most two
 //! locks, always in the same order — the clock-plane shard first, then one
-//! data-plane shard — so client traffic, concurrent exchanges and gossip
-//! workers never deadlock. Reads (`get`, digest building) take only a data
-//! shard read lock.
+//! data-plane shard — so client traffic and concurrent exchanges never
+//! deadlock. Reads (`get`, digest building) take only a data shard read
+//! lock.
 //!
 //! # Coordination caveat
 //!
@@ -21,9 +43,8 @@
 //! as the `FrontierGc` mirror does in `vstamp-core` (see its module docs).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vstamp_core::Relation;
@@ -48,19 +69,21 @@ struct KeyPlane<B: StoreBackend> {
     unclaimed: Vec<Option<B::Element>>,
 }
 
-/// Base wait for one gossip pull's reply; each retry attempt waits one
-/// multiple longer (200 ms, 400 ms, …) — backoff without a timer wheel.
-const GOSSIP_PULL_TIMEOUT: Duration = Duration::from_millis(200);
+/// Bound on NAK rounds within one pull. A refetch ships full frames, which
+/// cannot miss, so an honest responder needs one round; the bound stops a
+/// peer that keeps answering NAKs with delta frames.
+const MAX_NAK_ROUNDS: usize = 3;
 
-/// How many times one gossip pull (re)sends its opening probe/digest
-/// before the round is abandoned.
-const GOSSIP_PULL_ATTEMPTS: usize = 3;
+pub(crate) fn invalid(context: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, context)
+}
 
-/// Hard deadline for one pull exchange, retries included. A stalled
-/// responder costs at most this much wall-clock per round.
-const GOSSIP_EXCHANGE_TIMEOUT: Duration = Duration::from_millis(1500);
-
-/// Volume and coverage counters of one anti-entropy exchange.
+/// Volume and coverage counters of one anti-entropy exchange — or of one
+/// side's half of it: [`Cluster::pull`] returns what the requester sent and
+/// observed (probe, digest, NAKs, the probe outcome), [`Cluster::serve`]
+/// what the responder sent (probe answer, deltas, refetches), and
+/// [`Cluster::anti_entropy`] the sum of the two. Every byte is counted
+/// once, by its sender.
 ///
 /// Byte counts are end-to-end: payload plus the serialized envelope
 /// header ([`envelope_len`]), so the `wire` benchmark curves reflect what
@@ -101,15 +124,46 @@ pub struct ExchangeStats {
     pub root_matches: usize,
 }
 
-/// Cumulative wire counters of a whole cluster: every synchronous
-/// exchange and every gossip message since construction (or the last
-/// snapshot diff the caller keeps). Counted once, at the sending side,
-/// envelope included.
+impl ExchangeStats {
+    /// Adds the other half of an exchange.
+    fn absorb(&mut self, other: &ExchangeStats) {
+        self.digest_keys += other.digest_keys;
+        self.keys_shipped += other.keys_shipped;
+        self.digest_bytes += other.digest_bytes;
+        self.delta_bytes += other.delta_bytes;
+        self.delta_frames += other.delta_frames;
+        self.full_frames += other.full_frames;
+        self.nak_refetches += other.nak_refetches;
+        self.wire_bytes_saved += other.wire_bytes_saved;
+        self.frame_bytes += other.frame_bytes;
+        self.delta_frame_bytes += other.delta_frame_bytes;
+        self.versions_skipped += other.versions_skipped;
+        self.root_probes += other.root_probes;
+        self.root_matches += other.root_matches;
+    }
+
+    /// Counts one encoded delta payload sent by `sender`.
+    fn add_delta_payload(&mut self, sender: usize, payload: &[u8], frames: DeltaEncodeStats) {
+        self.delta_bytes += envelope_len(sender, payload.len());
+        self.delta_frames += frames.delta_frames;
+        self.full_frames += frames.full_frames;
+        self.wire_bytes_saved += frames.bytes_saved;
+        self.frame_bytes += frames.frame_bytes;
+        self.delta_frame_bytes += frames.delta_frame_bytes;
+    }
+}
+
+/// Cumulative wire counters of one cluster since construction (snapshot
+/// and diff for per-epoch curves): every [`Cluster::pull`] and
+/// [`Cluster::serve`] records its half of the exchange here, so each byte
+/// is counted once, at the sending side, envelope included. A
+/// [`Node`](crate::Node) pulls and serves, so its counters hold what *it*
+/// put on the wire.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
-    /// Pull exchanges initiated (digests sent).
+    /// Pull exchanges initiated.
     pub exchanges: usize,
-    /// Digest bytes sent, envelopes included.
+    /// Probe, probe-answer and digest bytes sent, envelopes included.
     pub digest_bytes: usize,
     /// Delta-direction bytes sent (deltas, NAKs, refetches), envelopes
     /// included.
@@ -133,62 +187,25 @@ pub struct GossipStats {
     pub root_probes: usize,
     /// Probes that hit: converged peers that exchanged nothing further.
     pub root_matches: usize,
-    /// Delta exchanges applied through the per-shard batched path
-    /// ([`Cluster::apply_delta_batch`]). Always counted, profiling on or
+    /// Non-empty delta payloads applied through
+    /// [`Cluster::apply_delta_batch`]. Always counted, profiling on or
     /// off — the latency driver gates on it being nonzero.
     pub batched_applies: usize,
-    /// Gossip pulls re-sent after a reply timed out (bounded retries with
-    /// a widening wait; see [`Cluster::run_gossip`]).
-    pub pull_retries: usize,
 }
 
-/// Atomic backing store of [`GossipStats`], shared by the synchronous
-/// exchange path and the gossip workers.
-#[derive(Debug, Default)]
-struct WireCounters {
-    exchanges: AtomicUsize,
-    digest_bytes: AtomicUsize,
-    delta_bytes: AtomicUsize,
-    delta_frames: AtomicUsize,
-    full_frames: AtomicUsize,
-    nak_refetches: AtomicUsize,
-    wire_bytes_saved: AtomicUsize,
-    frame_bytes: AtomicUsize,
-    delta_frame_bytes: AtomicUsize,
-    versions_skipped: AtomicUsize,
-    root_probes: AtomicUsize,
-    root_matches: AtomicUsize,
-    batched_applies: AtomicUsize,
-    pull_retries: AtomicUsize,
-}
-
-impl WireCounters {
-    fn snapshot(&self) -> GossipStats {
-        GossipStats {
-            exchanges: self.exchanges.load(Ordering::Relaxed),
-            digest_bytes: self.digest_bytes.load(Ordering::Relaxed),
-            delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
-            delta_frames: self.delta_frames.load(Ordering::Relaxed),
-            full_frames: self.full_frames.load(Ordering::Relaxed),
-            nak_refetches: self.nak_refetches.load(Ordering::Relaxed),
-            wire_bytes_saved: self.wire_bytes_saved.load(Ordering::Relaxed),
-            frame_bytes: self.frame_bytes.load(Ordering::Relaxed),
-            delta_frame_bytes: self.delta_frame_bytes.load(Ordering::Relaxed),
-            versions_skipped: self.versions_skipped.load(Ordering::Relaxed),
-            root_probes: self.root_probes.load(Ordering::Relaxed),
-            root_matches: self.root_matches.load(Ordering::Relaxed),
-            batched_applies: self.batched_applies.load(Ordering::Relaxed),
-            pull_retries: self.pull_retries.load(Ordering::Relaxed),
-        }
-    }
-
-    fn record_delta_payload(&self, bytes: usize, stats: DeltaEncodeStats) {
-        self.delta_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.delta_frames.fetch_add(stats.delta_frames, Ordering::Relaxed);
-        self.full_frames.fetch_add(stats.full_frames, Ordering::Relaxed);
-        self.wire_bytes_saved.fetch_add(stats.bytes_saved, Ordering::Relaxed);
-        self.frame_bytes.fetch_add(stats.frame_bytes, Ordering::Relaxed);
-        self.delta_frame_bytes.fetch_add(stats.delta_frame_bytes, Ordering::Relaxed);
+impl GossipStats {
+    fn record(&mut self, stats: &ExchangeStats) {
+        self.digest_bytes += stats.digest_bytes;
+        self.delta_bytes += stats.delta_bytes;
+        self.delta_frames += stats.delta_frames;
+        self.full_frames += stats.full_frames;
+        self.nak_refetches += stats.nak_refetches;
+        self.wire_bytes_saved += stats.wire_bytes_saved;
+        self.frame_bytes += stats.frame_bytes;
+        self.delta_frame_bytes += stats.delta_frame_bytes;
+        self.versions_skipped += stats.versions_skipped;
+        self.root_probes += stats.root_probes;
+        self.root_matches += stats.root_matches;
     }
 }
 
@@ -250,12 +267,6 @@ pub struct ClusterConfig {
     /// delta frame misses and takes the NAK/refetch fallback — a
     /// correctness-stress knob, never on by default.
     pub perturb_fingerprints: bool,
-    /// Apply incoming delta exchanges through
-    /// [`Cluster::apply_delta_batch`]: one lock acquisition per shard and
-    /// one sibling-cache rebuild per key per exchange, instead of one of
-    /// each per key/version. Default on; off reproduces the per-key
-    /// reference path for A/B profiling.
-    pub batched_apply: bool,
     /// Read repair on [`Cluster::get`]: a read consults every replica,
     /// serves the merged sibling set, and pushes versions a lagging
     /// replica is missing back into it — monotonic reads across replica
@@ -279,7 +290,6 @@ impl ClusterConfig {
             shards,
             delta_frames: true,
             perturb_fingerprints: false,
-            batched_apply: true,
             read_repair: false,
         }
     }
@@ -296,15 +306,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_perturbed_fingerprints(mut self) -> Self {
         self.perturb_fingerprints = true;
-        self
-    }
-
-    /// Disables the per-shard batched delta application: exchanges take
-    /// the per-key reference path (one lock pair and one cache rebuild
-    /// per key/version) — the "before" side of the batching A/B.
-    #[must_use]
-    pub fn without_batched_apply(mut self) -> Self {
-        self.batched_apply = false;
         self
     }
 
@@ -333,9 +334,8 @@ pub struct Cluster<B: StoreBackend> {
     shards: ShardIndexer,
     profile: Arc<StoreProfile>,
     policy: DeltaPolicy,
-    batched_apply: bool,
     read_repair: bool,
-    wire: WireCounters,
+    wire: Mutex<GossipStats>,
 }
 
 /// Infers which of the responder's sibling versions the requester already
@@ -386,9 +386,8 @@ impl<B: StoreBackend> Cluster<B> {
             shards,
             profile: Arc::new(StoreProfile::default()),
             policy: config.policy(),
-            batched_apply: config.batched_apply,
             read_repair: config.read_repair,
-            wire: WireCounters::default(),
+            wire: Mutex::new(GossipStats::default()),
         }
     }
 
@@ -396,7 +395,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// get per-epoch bytes-on-wire curves.
     #[must_use]
     pub fn gossip_stats(&self) -> GossipStats {
-        self.wire.snapshot()
+        *self.wire.lock()
     }
 
     /// Switches on wall-clock attribution (GC / join / relation / codec /
@@ -554,26 +553,6 @@ impl<B: StoreBackend> Cluster<B> {
             for evicted in &outcome.evicted {
                 self.backend.release_clock(&mut entry.state, evicted.clock());
             }
-        }
-    }
-
-    /// The pre-snapshot reference read path: materializes the live values
-    /// and clones the context *while holding the shard read lock*. Kept so
-    /// the `store-read` criterion group can A/B the snapshot path against
-    /// it; serving code should use [`Cluster::get`].
-    #[must_use]
-    pub fn get_materialized(&self, replica: usize, key: &str) -> (Vec<Value>, Option<B::Clock>) {
-        let shard = self.replicas[replica].shard(self.shards.index(key)).read();
-        match shard.get(key).and_then(|data| data.siblings.snapshot()) {
-            Some(snapshot) => (
-                snapshot
-                    .versions()
-                    .iter()
-                    .filter_map(|version| version.version().value.clone())
-                    .collect(),
-                Some(snapshot.context().clone()),
-            ),
-            None => (Vec::new(), None),
         }
     }
 
@@ -842,8 +821,11 @@ impl<B: StoreBackend> Cluster<B> {
         deltas
     }
 
-    /// Applies a delta at the requester: element `join` (with the
-    /// backend's merge-time GC) plus sibling merges. Delta-frame versions
+    /// Applies a delta at the requester, one lock pair and one sibling-cache
+    /// upkeep per key/version — the per-key reference that
+    /// [`Cluster::apply_delta_batch`] (what exchanges use) is tested and
+    /// benchmarked against. Element `join` (with the backend's merge-time
+    /// GC) plus sibling merges. Delta-frame versions
     /// whose context fingerprint matches the local sibling set are
     /// reconstructed as `context ⊔ dot`; the rest are **missed** — the
     /// returned keys need a NAK/full-frame refetch round.
@@ -876,16 +858,14 @@ impl<B: StoreBackend> Cluster<B> {
     /// exactly once, and the k-way context rebuild runs **at most** once
     /// (only when an eviction invalidated the incrementally-maintained
     /// context — see `SiblingSet::finish_deferred`) — the amortized-GC
-    /// design of PR 4 extended across the whole exchange. Gossip workers
-    /// and the synchronous exchange route through this unless
-    /// [`ClusterConfig::without_batched_apply`] selected the reference
-    /// path.
+    /// design of PR 4 extended across the whole exchange. This is the apply
+    /// path of [`Cluster::pull`], in process and on a node alike.
     pub fn apply_delta_batch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         if deltas.is_empty() {
             return misses;
         }
-        self.wire.batched_applies.fetch_add(1, Ordering::Relaxed);
+        self.wire.lock().batched_applies += 1;
         self.profile.count(&self.profile.batched_exchanges);
         let mut grouped: Vec<(usize, WireKeyDelta<B>)> =
             deltas.into_iter().map(|delta| (self.shards.index(&delta.key), delta)).collect();
@@ -911,15 +891,6 @@ impl<B: StoreBackend> Cluster<B> {
             }
         }
         misses
-    }
-
-    /// Routes one exchange's deltas through the configured apply path.
-    fn apply_delta_dispatch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
-        if self.batched_apply {
-            self.apply_delta_batch(requester, deltas)
-        } else {
-            self.apply_delta(requester, deltas)
-        }
     }
 
     /// Applies one key's wire delta under already-held shard locks: element
@@ -1028,306 +999,155 @@ impl<B: StoreBackend> Cluster<B> {
         key_missed.then_some(key)
     }
 
-    /// One pull-based anti-entropy exchange: `requester` sends its digest,
-    /// `responder` answers with adaptively-framed deltas, `requester`
-    /// absorbs them, and any fingerprint misses are refetched as full
-    /// frames in an inline NAK round. All messages round-trip through the
-    /// wire codec, exactly as they do in gossip mode; byte counts include
-    /// the serialized envelope headers.
-    pub fn anti_entropy(&self, requester: usize, responder: usize) -> ExchangeStats {
-        // The adaptive wire opens with an 8-byte digest-root probe; a hit
-        // means the peers are already converged and the exchange is two
-        // tiny messages instead of a digest and a delta. The perturb knob
-        // forces misses so benches and tests exercise the fallback.
-        let mut probe_bytes = 0;
-        let mut probes = 0;
-        if self.policy.delta_frames {
-            let mut root = self.digest_root(requester);
-            if self.policy.perturb_fingerprints {
-                root ^= PERTURB_MASK;
-            }
-            let probe_payload = encode_probe(root);
-            let probed = decode_probe(&probe_payload).expect("locally-encoded probe decodes");
-            probe_bytes = envelope_len(requester, probe_payload.len()) + envelope_len(responder, 0);
-            probes = 1;
-            self.wire.root_probes.fetch_add(1, Ordering::Relaxed);
-            if probed == self.digest_root(responder) {
-                self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-                self.wire.digest_bytes.fetch_add(probe_bytes, Ordering::Relaxed);
-                self.wire.root_matches.fetch_add(1, Ordering::Relaxed);
-                return ExchangeStats {
-                    digest_bytes: probe_bytes,
-                    root_probes: 1,
-                    root_matches: 1,
-                    ..ExchangeStats::default()
-                };
-            }
-        }
-        let digest = self.build_digest(requester);
-        let enabled = self.profile.is_enabled();
-        let (digest_payload, decoded_digest) = {
-            let _timer = enabled.then(|| self.profile.time(&self.profile.codec));
-            let bytes = encode_digest(&digest);
-            let decoded = decode_digest(&bytes).expect("locally-encoded digest decodes");
-            (bytes, decoded)
-        };
-        let (deltas, versions_skipped) = self.respond_delta(responder, &decoded_digest);
-        let (delta_payload, encode_stats, decoded_deltas) = {
-            let _timer = enabled.then(|| self.profile.time(&self.profile.codec));
-            let (bytes, encode_stats) = encode_delta(&self.backend, &deltas, self.policy);
-            let decoded =
-                decode_delta(&self.backend, &bytes).expect("locally-encoded delta decodes");
-            (bytes, encode_stats, decoded)
-        };
-        let mut stats = ExchangeStats {
-            digest_keys: digest.len(),
-            keys_shipped: decoded_deltas.len(),
-            digest_bytes: probe_bytes + envelope_len(requester, digest_payload.len()),
-            delta_bytes: envelope_len(responder, delta_payload.len()),
-            delta_frames: encode_stats.delta_frames,
-            full_frames: encode_stats.full_frames,
-            nak_refetches: 0,
-            wire_bytes_saved: encode_stats.bytes_saved,
-            frame_bytes: encode_stats.frame_bytes,
-            delta_frame_bytes: encode_stats.delta_frame_bytes,
-            versions_skipped,
-            root_probes: probes,
-            root_matches: 0,
-        };
-        let misses = self.apply_delta_dispatch(requester, decoded_deltas);
-        if !misses.is_empty() {
-            // Fingerprint misses: NAK the keys and refetch them as full
-            // frames, which cannot miss — one bounded extra round.
-            let nak_payload = encode_nak(&misses);
-            let refetch = self.respond_nak(responder, &misses);
-            let (refetch_payload, refetch_stats) =
-                encode_delta(&self.backend, &refetch, DeltaPolicy::FULL_ONLY);
-            let decoded = decode_delta(&self.backend, &refetch_payload)
-                .expect("locally-encoded refetch decodes");
-            let leftover = self.apply_delta_dispatch(requester, decoded);
-            debug_assert!(leftover.is_empty(), "full frames cannot miss");
-            stats.nak_refetches = misses.len();
-            stats.delta_bytes += envelope_len(requester, nak_payload.len())
-                + envelope_len(responder, refetch_payload.len());
-            stats.full_frames += refetch_stats.full_frames;
-            stats.frame_bytes += refetch_stats.frame_bytes;
-        }
-        self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-        self.wire.digest_bytes.fetch_add(stats.digest_bytes, Ordering::Relaxed);
-        self.wire.delta_bytes.fetch_add(stats.delta_bytes, Ordering::Relaxed);
-        self.wire.delta_frames.fetch_add(stats.delta_frames, Ordering::Relaxed);
-        self.wire.full_frames.fetch_add(stats.full_frames, Ordering::Relaxed);
-        self.wire.nak_refetches.fetch_add(stats.nak_refetches, Ordering::Relaxed);
-        self.wire.wire_bytes_saved.fetch_add(stats.wire_bytes_saved, Ordering::Relaxed);
-        self.wire.frame_bytes.fetch_add(stats.frame_bytes, Ordering::Relaxed);
-        self.wire.delta_frame_bytes.fetch_add(stats.delta_frame_bytes, Ordering::Relaxed);
-        self.wire.versions_skipped.fetch_add(stats.versions_skipped, Ordering::Relaxed);
-        stats
-    }
-
-    /// Runs channel-driven gossip: one worker thread per replica, each
-    /// initiating `rounds` pull exchanges with round-robin peers and
-    /// serving incoming digests, all traffic flowing as encoded
-    /// [`Envelope`]s over `crossbeam` channels.
-    pub fn run_gossip(&self, rounds: usize) {
-        let n = self.replicas.len();
-        if n < 2 || rounds == 0 {
-            return;
-        }
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| crossbeam::channel::unbounded::<Envelope>()).unzip();
-        let finished = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for (index, receiver) in receivers.into_iter().enumerate() {
-                let senders = senders.clone();
-                let finished = &finished;
-                scope.spawn(move |_| {
-                    self.gossip_worker(index, rounds, &senders, receiver, finished, n);
-                });
-            }
-            // The parent scope's sender clones drop here; workers detect
-            // completion through the `finished` counter.
-            drop(senders);
-        })
-        .expect("gossip workers do not panic");
-    }
-
-    fn gossip_worker(
+    /// The requester half of one pull exchange, over any transport: opens
+    /// with the 8-byte digest-root probe (a hit ends the exchange in two
+    /// tiny messages), otherwise sends the digest, applies the
+    /// adaptively-framed delta through [`Cluster::apply_delta_batch`], and
+    /// refetches fingerprint misses as full frames in at most
+    /// `MAX_NAK_ROUNDS` NAK rounds. `request` carries one envelope to the
+    /// peer and returns its reply — [`Cluster::serve`] on another replica,
+    /// or a socket round trip.
+    ///
+    /// Returns the requester's half of the exchange's [`ExchangeStats`]
+    /// (also recorded into [`Cluster::gossip_stats`], failed exchanges
+    /// included — what was sent was sent).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `request` fails with, or `InvalidData` when a reply is of
+    /// the wrong kind or does not decode. Every merge is idempotent, so a
+    /// failed exchange leaves the store valid and the next pull starts
+    /// over.
+    pub fn pull(
         &self,
-        index: usize,
-        rounds: usize,
-        senders: &[crossbeam::channel::Sender<Envelope>],
-        receiver: crossbeam::channel::Receiver<Envelope>,
-        finished: &AtomicUsize,
-        n: usize,
-    ) {
-        let serve = |envelope: Envelope| match envelope.kind {
-            MessageKind::Probe => {
-                let root = decode_probe(&envelope.payload).expect("peer probes decode");
-                let matched = root == self.digest_root(index);
-                let kind = if matched {
-                    self.wire.root_matches.fetch_add(1, Ordering::Relaxed);
-                    MessageKind::Ack
-                } else {
-                    MessageKind::Miss
-                };
-                self.wire.digest_bytes.fetch_add(envelope_len(index, 0), Ordering::Relaxed);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind,
-                    payload: Vec::new(),
-                });
+        replica: usize,
+        request: impl FnMut(Envelope) -> io::Result<Envelope>,
+    ) -> io::Result<ExchangeStats> {
+        let mut stats = ExchangeStats::default();
+        let outcome = self.pull_rounds(replica, request, &mut stats);
+        let mut wire = self.wire.lock();
+        wire.exchanges += 1;
+        wire.record(&stats);
+        outcome.map(|()| stats)
+    }
+
+    fn pull_rounds(
+        &self,
+        replica: usize,
+        mut request: impl FnMut(Envelope) -> io::Result<Envelope>,
+        stats: &mut ExchangeStats,
+    ) -> io::Result<()> {
+        let mut send = |kind: MessageKind, payload: Vec<u8>, sent: &mut usize| {
+            *sent += envelope_len(replica, payload.len());
+            request(Envelope { from: replica, kind, payload })
+        };
+        if self.policy.delta_frames {
+            // The perturb knob forces misses so benches and tests exercise
+            // the fallback.
+            let mask = if self.policy.perturb_fingerprints { PERTURB_MASK } else { 0 };
+            let probe = encode_probe(self.digest_root(replica) ^ mask);
+            stats.root_probes = 1;
+            match send(MessageKind::Probe, probe, &mut stats.digest_bytes)?.kind {
+                MessageKind::Ack => {
+                    stats.root_matches = 1;
+                    return Ok(());
+                }
+                MessageKind::Miss => {}
+                _ => return Err(invalid("probe reply was neither Ack nor Miss")),
             }
-            // A hit needs nothing further; a late miss (after this worker
-            // timed out of its wait) is answered with a fresh digest — the
-            // peer serves it like any other and the pull completes.
-            MessageKind::Ack => {}
-            MessageKind::Miss => {
-                let digest = encode_digest(&self.build_digest(index));
-                self.wire
-                    .digest_bytes
-                    .fetch_add(envelope_len(index, digest.len()), Ordering::Relaxed);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Digest,
-                    payload: digest,
-                });
+        }
+        let digest = self.build_digest(replica);
+        stats.digest_keys = digest.len();
+        let payload = {
+            let _timer = self.profile.time(&self.profile.codec);
+            encode_digest(&digest)
+        };
+        let mut reply = send(MessageKind::Digest, payload, &mut stats.digest_bytes)?;
+        let mut nak_rounds = 0;
+        loop {
+            if reply.kind != MessageKind::Delta {
+                return Err(invalid("digest or NAK reply was not a Delta"));
+            }
+            let deltas = {
+                let _timer = self.profile.time(&self.profile.codec);
+                decode_delta(&self.backend, &reply.payload)
+            }
+            .map_err(|_| invalid("delta payload did not decode"))?;
+            let misses = self.apply_delta_batch(replica, deltas);
+            if misses.is_empty() {
+                return Ok(());
+            }
+            if nak_rounds == MAX_NAK_ROUNDS {
+                return Err(invalid("peer kept answering NAKs with frames that miss"));
+            }
+            nak_rounds += 1;
+            stats.nak_refetches += misses.len();
+            reply = send(MessageKind::Nak, encode_nak(&misses), &mut stats.delta_bytes)?;
+        }
+    }
+
+    /// The responder half of the exchange: answers one Probe, Digest or
+    /// NAK envelope addressed to `replica` with the reply envelope and the
+    /// responder's half of the [`ExchangeStats`] (also recorded into
+    /// [`Cluster::gossip_stats`]). `None` — and nothing else happens — for
+    /// any other kind and for a payload that does not decode: the caller
+    /// drops the frame or the connection.
+    pub fn serve(&self, replica: usize, request: &Envelope) -> Option<(Envelope, ExchangeStats)> {
+        let mut stats = ExchangeStats::default();
+        let (kind, payload) = match request.kind {
+            MessageKind::Probe => {
+                let root = decode_probe(&request.payload).ok()?;
+                stats.digest_bytes = envelope_len(replica, 0);
+                let hit = root == self.digest_root(replica);
+                (if hit { MessageKind::Ack } else { MessageKind::Miss }, Vec::new())
             }
             MessageKind::Digest => {
-                let digest = decode_digest(&envelope.payload).expect("peer digests decode");
-                let (deltas, versions_skipped) = self.respond_delta(index, &digest);
-                let (payload, encode_stats) = encode_delta(&self.backend, &deltas, self.policy);
-                self.wire.record_delta_payload(envelope_len(index, payload.len()), encode_stats);
-                self.wire.versions_skipped.fetch_add(versions_skipped, Ordering::Relaxed);
-                // A send only fails when the peer already exited its drain
-                // loop; the forked element then stays pinned (conservative
-                // evidence, never unsound).
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Delta,
-                    payload,
-                });
-            }
-            MessageKind::Delta => {
-                let deltas =
-                    decode_delta(&self.backend, &envelope.payload).expect("peer deltas decode");
-                let misses = self.apply_delta_dispatch(index, deltas);
-                if !misses.is_empty() {
-                    let payload = encode_nak(&misses);
-                    self.wire
-                        .delta_bytes
-                        .fetch_add(envelope_len(index, payload.len()), Ordering::Relaxed);
-                    self.wire.nak_refetches.fetch_add(misses.len(), Ordering::Relaxed);
-                    let _ = senders[envelope.from].send(Envelope {
-                        from: index,
-                        kind: MessageKind::Nak,
-                        payload,
-                    });
+                let digest = {
+                    let _timer = self.profile.time(&self.profile.codec);
+                    decode_digest(&request.payload)
                 }
+                .ok()?;
+                let (deltas, skipped) = self.respond_delta(replica, &digest);
+                let _timer = self.profile.time(&self.profile.codec);
+                let (payload, frames) = encode_delta(&self.backend, &deltas, self.policy);
+                stats.keys_shipped = deltas.len();
+                stats.versions_skipped = skipped;
+                stats.add_delta_payload(replica, &payload, frames);
+                (MessageKind::Delta, payload)
             }
             MessageKind::Nak => {
-                let keys = decode_nak(&envelope.payload).expect("peer NAKs decode");
-                let refetch = self.respond_nak(index, &keys);
-                let (payload, encode_stats) =
+                let keys = decode_nak(&request.payload).ok()?;
+                let refetch = self.respond_nak(replica, &keys);
+                let (payload, frames) =
                     encode_delta(&self.backend, &refetch, DeltaPolicy::FULL_ONLY);
-                self.wire.record_delta_payload(envelope_len(index, payload.len()), encode_stats);
-                let _ = senders[envelope.from].send(Envelope {
-                    from: index,
-                    kind: MessageKind::Delta,
-                    payload,
-                });
+                stats.add_delta_payload(replica, &payload, frames);
+                (MessageKind::Delta, payload)
             }
-            // Node-serving kinds (join/get/put/status) belong to the TCP
-            // transport; they never ride the in-process mesh.
-            _ => {}
+            _ => return None,
         };
-        'rounds: for round in 0..rounds {
-            let peer = (index + 1 + round % (n - 1)) % n;
-            self.wire.exchanges.fetch_add(1, Ordering::Relaxed);
-            let opening = if self.policy.delta_frames {
-                let mut root = self.digest_root(index);
-                if self.policy.perturb_fingerprints {
-                    root ^= PERTURB_MASK;
-                }
-                self.wire.root_probes.fetch_add(1, Ordering::Relaxed);
-                Envelope { from: index, kind: MessageKind::Probe, payload: encode_probe(root) }
-            } else {
-                let digest = encode_digest(&self.build_digest(index));
-                Envelope { from: index, kind: MessageKind::Digest, payload: digest }
-            };
-            // Bounded pull: (re)send the opening up to GOSSIP_PULL_ATTEMPTS
-            // times with a widening per-attempt wait, all under one
-            // exchange-level deadline — a lost reply or a stalled responder
-            // costs this round, never the worker.
-            let deadline = Instant::now() + GOSSIP_EXCHANGE_TIMEOUT;
-            'attempts: for attempt in 0..GOSSIP_PULL_ATTEMPTS {
-                if attempt > 0 {
-                    self.wire.pull_retries.fetch_add(1, Ordering::Relaxed);
-                }
-                self.wire
-                    .digest_bytes
-                    .fetch_add(envelope_len(index, opening.payload.len()), Ordering::Relaxed);
-                if senders[peer].send(opening.clone()).is_err() {
-                    break 'rounds;
-                }
-                // Wait for this pull to finish — an Ack (converged, nothing
-                // to exchange) or our delta — serving whatever else arrives
-                // meanwhile. A Miss is ours to answer with the full digest.
-                let attempt_wait = GOSSIP_PULL_TIMEOUT * (attempt as u32 + 1);
-                let attempt_deadline = deadline.min(Instant::now() + attempt_wait);
-                loop {
-                    let wait = attempt_deadline.saturating_duration_since(Instant::now());
-                    match receiver.recv_timeout(wait) {
-                        Ok(envelope) => {
-                            let done =
-                                matches!(envelope.kind, MessageKind::Delta | MessageKind::Ack);
-                            if envelope.kind == MessageKind::Miss {
-                                let digest = encode_digest(&self.build_digest(index));
-                                self.wire.digest_bytes.fetch_add(
-                                    envelope_len(index, digest.len()),
-                                    Ordering::Relaxed,
-                                );
-                                let _ = senders[envelope.from].send(Envelope {
-                                    from: index,
-                                    kind: MessageKind::Digest,
-                                    payload: digest,
-                                });
-                            } else {
-                                serve(envelope);
-                            }
-                            if done {
-                                continue 'rounds;
-                            }
-                        }
-                        // Transport gone: the run is over, exit cleanly.
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break 'rounds,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                // Exchange deadline hit: abandon this pull
-                                // (the next round's probe restarts it).
-                                continue 'rounds;
-                            }
-                            continue 'attempts;
-                        }
-                    }
-                }
-            }
-        }
-        finished.fetch_add(1, Ordering::AcqRel);
-        // Keep serving peers until every worker is done and our queue has
-        // drained — or the transport is closed under us: a disconnected
-        // channel must terminate the worker cleanly, not park it.
-        loop {
-            match receiver.recv_timeout(Duration::from_millis(20)) {
-                Ok(envelope) => serve(envelope),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    if finished.load(Ordering::Acquire) == n {
-                        return;
-                    }
-                }
-            }
-        }
+        self.wire.lock().record(&stats);
+        Some((Envelope { from: replica, kind, payload }, stats))
+    }
+
+    /// One pull exchange between two replicas of this cluster:
+    /// [`Cluster::pull`] at `requester` with [`Cluster::serve`] at
+    /// `responder` as its transport. Every message round-trips through the
+    /// wire codec exactly as it does between nodes, and the returned stats
+    /// are the two halves summed — byte counts include the serialized
+    /// envelope headers.
+    pub fn anti_entropy(&self, requester: usize, responder: usize) -> ExchangeStats {
+        let mut served = ExchangeStats::default();
+        let pulled = self.pull(requester, |request| {
+            let (reply, half) = self
+                .serve(responder, &request)
+                .ok_or_else(|| invalid("responder refused a locally-encoded request"))?;
+            served.absorb(&half);
+            Ok(reply)
+        });
+        debug_assert!(pulled.is_ok(), "in-process exchange failed: {pulled:?}");
+        let mut stats = pulled.unwrap_or_default();
+        stats.absorb(&served);
+        stats
     }
 
     /// Whether every replica holds the identical sibling set for every key
@@ -1551,11 +1371,6 @@ mod tests {
         assert_eq!(held.versions().len(), 1);
         let after = cluster.get(0, "k");
         assert_eq!(after.values(), vec![b"v2".to_vec()]);
-        // The reference (materializing) path agrees with the snapshot path.
-        let (values, context) = cluster.get_materialized(0, "k");
-        assert_eq!(values, after.values());
-        assert_eq!(context.as_ref(), after.context());
-        assert_eq!(cluster.get_materialized(0, "missing"), (Vec::new(), None));
         // Absent keys stay snapshot-free; tombstoned keys keep a context.
         assert!(cluster.get(0, "missing").snapshot().is_none());
         cluster.delete(0, "k", after.context());
@@ -1691,22 +1506,6 @@ mod tests {
     }
 
     #[test]
-    fn gossip_mode_converges_like_direct_exchanges() {
-        let cluster = Cluster::new(VstampBackend::gc(), 4, 4);
-        for i in 0..20 {
-            cluster.put(i % 4, &format!("key-{i}"), vec![i as u8], None);
-        }
-        cluster.run_gossip(6);
-        full_sweep(&cluster);
-        assert!(cluster.converged());
-        for i in 0..20 {
-            for replica in 0..4 {
-                assert_eq!(cluster.get(replica, &format!("key-{i}")).values(), vec![vec![i as u8]]);
-            }
-        }
-    }
-
-    #[test]
     fn dynamic_vv_backend_supports_the_same_protocol() {
         let cluster = Cluster::new(DynamicVvBackend::new(), 3, 2);
         cluster.put(0, "k", b"a".to_vec(), None);
@@ -1803,28 +1602,48 @@ mod tests {
         assert!(perturbed.delta_bytes > adaptive.delta_bytes, "misses cost an extra round");
     }
 
+    /// One pull exchange written out step by step over the public
+    /// responder functions, applying through the per-key reference path.
+    fn per_key_exchange<B: StoreBackend>(cluster: &Cluster<B>, requester: usize, responder: usize) {
+        let (deltas, _) = cluster.respond_delta(responder, &cluster.build_digest(requester));
+        let (payload, _) = encode_delta(cluster.backend(), &deltas, DeltaPolicy::ADAPTIVE);
+        let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
+        let misses = cluster.apply_delta(requester, decoded);
+        let refetch = cluster.respond_nak(responder, &misses);
+        let (payload, _) = encode_delta(cluster.backend(), &refetch, DeltaPolicy::FULL_ONLY);
+        let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
+        assert!(cluster.apply_delta(requester, decoded).is_empty(), "full frames cannot miss");
+    }
+
     #[test]
     fn batched_and_per_key_apply_converge_identically() {
-        // Same write pattern through both apply paths: the batched path
-        // must land every replica on the exact per-key reference state.
-        let run = |config: ClusterConfig| {
-            let cluster = Cluster::with_config(VstampBackend::gc(), config);
+        // Same write pattern, exchanged by the engine (batched apply) and
+        // by hand through the per-key reference: the batched path must
+        // land every replica on the exact reference state.
+        let run = |exchange: fn(&Cluster<VstampBackend>, usize, usize)| {
+            let cluster = Cluster::new(VstampBackend::gc(), 3, 4);
             for round in 0u8..6 {
                 for replica in 0..3 {
                     let key = format!("k{}", (round as usize + replica) % 5);
                     let read = cluster.get(replica, &key);
                     cluster.put(replica, &key, vec![round, replica as u8], read.context());
                 }
-                cluster.anti_entropy(round as usize % 3, (round as usize + 1) % 3);
+                exchange(&cluster, round as usize % 3, (round as usize + 1) % 3);
             }
-            full_sweep(&cluster);
+            for _ in 0..3 {
+                for (requester, responder) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+                    exchange(&cluster, requester, responder);
+                }
+            }
             assert!(cluster.converged());
             (cluster.sibling_snapshot(0), cluster.gossip_stats())
         };
-        let (batched, batched_stats) = run(ClusterConfig::new(3, 4));
-        let (reference, reference_stats) = run(ClusterConfig::new(3, 4).without_batched_apply());
+        let (batched, batched_stats) = run(|cluster, a, b| {
+            cluster.anti_entropy(a, b);
+        });
+        let (reference, reference_stats) = run(per_key_exchange);
         assert_eq!(batched, reference, "batched apply must not change the merged state");
-        assert!(batched_stats.batched_applies > 0, "default config routes through the batch path");
+        assert!(batched_stats.batched_applies > 0, "exchanges route through the batch path");
         assert_eq!(reference_stats.batched_applies, 0, "reference path must not batch");
     }
 

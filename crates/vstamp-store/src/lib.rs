@@ -23,10 +23,11 @@
 //! Replication traffic flows through the codec seam of
 //! [`vstamp_core::codec`]: digests and missing-key deltas are
 //! length-prefixed frames, clocks and elements ride the byte-aligned
-//! varint codec (decoding straight into packed tag arrays), and the same
-//! encoded messages serve both the synchronous
-//! [`Cluster::anti_entropy`] exchange and the `crossbeam`-channel gossip
-//! workers of [`Cluster::run_gossip`].
+//! varint codec (decoding straight into packed tag arrays). The exchange
+//! protocol itself is written once, as a requester and a responder over a
+//! request closure — [`Cluster::pull`] and [`Cluster::serve`] — with two
+//! transports: [`Cluster::anti_entropy`] calls one from the other inside a
+//! process, and a [`Node`] carries the same envelopes over TCP.
 //!
 //! The `vstamp-sim` crate drives clusters of both backends through
 //! partition/heal and churn workloads against a causal oracle (lost

@@ -1,13 +1,16 @@
 //! A real serving process: one OS process, one TCP listener, one
 //! single-replica store, gossiping with peers over loopback TCP.
 //!
-//! This module promotes the in-process gossip mesh of
-//! [`Cluster::run_gossip`](crate::Cluster::run_gossip) to actual sockets.
 //! Each [`Node`] owns a `Cluster<VstampBackend>` with exactly one replica
-//! and drives the same Probe → Digest → Delta → NAK anti-entropy protocol
-//! — the identical [`MessageKind`] frames, now length-prefixed onto TCP by
-//! the [`transport`](crate::transport) module — against peers discovered
-//! through the replicated member table.
+//! and is the socket transport of the store's one exchange engine: the
+//! gossip loop calls [`Cluster::pull`] with a closure that round-trips each
+//! envelope over a [`PeerLink`], and the server side hands every Probe,
+//! Digest and NAK frame to [`Cluster::serve`]. The protocol, the batched
+//! apply and the wire counters ([`Cluster::gossip_stats`]) are therefore
+//! exactly those of the in-process [`Cluster::anti_entropy`]; this module
+//! adds only what a process needs on top — framing by the
+//! [`transport`](crate::transport) module, membership, failure detection
+//! and the client operations.
 //!
 //! ## Identity discipline
 //!
@@ -66,15 +69,12 @@ use vstamp_core::codec::{read_frame, read_varint, write_frame, write_varint};
 use vstamp_core::{retire_identity, DecodeError, PackedName, VersionStamp};
 
 use crate::backend::{StoreBackend, VstampBackend};
-use crate::cluster::Cluster;
+use crate::cluster::{invalid, Cluster};
 use crate::failure::{PhiAccrual, PhiConfig};
 use crate::membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
 use crate::store::Value;
 use crate::transport::{recv_envelope, send_envelope, PeerLink, TransportConfig};
-use crate::wire::{
-    decode_delta, decode_digest, decode_nak, decode_probe, encode_delta, encode_digest, encode_nak,
-    encode_probe, DeltaPolicy, Envelope, MessageKind,
-};
+use crate::wire::{Envelope, MessageKind};
 
 /// Tuning of one [`Node`].
 #[derive(Debug, Clone)]
@@ -95,8 +95,6 @@ pub struct NodeConfig {
     pub phi: PhiConfig,
     /// How long a peer must *stay* suspected before it is evicted.
     pub eviction_grace: Duration,
-    /// Bound on NAK re-request rounds within one gossip exchange.
-    pub nak_retries: usize,
     /// Seed for peer selection and reconnect jitter.
     pub seed: u64,
 }
@@ -111,7 +109,6 @@ impl Default for NodeConfig {
             transport: TransportConfig::default(),
             phi: PhiConfig::default(),
             eviction_grace: Duration::from_millis(1500),
-            nak_retries: 3,
             seed: 0,
         }
     }
@@ -223,10 +220,6 @@ impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Node").field("addr", &self.inner.addr).finish_non_exhaustive()
     }
-}
-
-fn invalid(context: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, context)
 }
 
 fn port_of(addr: &str) -> u16 {
@@ -514,10 +507,17 @@ impl NodeInner {
         }
     }
 
-    /// Records an inbound envelope from `addr` as a heartbeat.
+    /// Records a frame from `addr` as a heartbeat — if `addr` is an active
+    /// member. The address of an inbound frame is whatever the peer wrote
+    /// into it, so anything else is ignored: detector state is bounded by
+    /// the member table (members never heard from get their prior in
+    /// [`NodeInner::sweep_failures`]).
     fn feed_heartbeat(&self, addr: &str) {
         let now = self.now_ms();
         let mut state = self.state.lock();
+        if !state.table.entry(addr).is_some_and(|entry| entry.status == MemberStatus::Active) {
+            return;
+        }
         let phi = self.config.phi;
         state
             .detectors
@@ -582,7 +582,12 @@ impl NodeInner {
                 let link = links.entry(peer.clone()).or_insert_with(|| {
                     PeerLink::new(peer.clone(), self.config.transport, splitmix(&mut rng))
                 });
-                if self.exchange(link).is_ok() {
+                // Peers read the sender's port out of `from` (the
+                // heartbeat source); the engine knows only replica 0.
+                let from = self.port as usize;
+                let pulled =
+                    self.cluster.pull(0, |request| link.request(&Envelope { from, ..request }));
+                if pulled.is_ok() {
                     self.feed_heartbeat(&peer);
                 }
             }
@@ -595,51 +600,6 @@ impl NodeInner {
             });
             self.sweep_failures();
         }
-    }
-
-    /// One pull exchange: Probe → (Ack | Miss → Digest → Delta → apply →
-    /// bounded NAK rounds). Any decode mismatch fails the exchange (the
-    /// link reconnects with backoff); every merge is idempotent, so a
-    /// duplicated or replayed frame can confuse one exchange but never
-    /// the store.
-    fn exchange(&self, link: &mut PeerLink) -> io::Result<()> {
-        let from = self.port as usize;
-        let probe = Envelope {
-            kind: MessageKind::Probe,
-            from,
-            payload: encode_probe(self.cluster.digest_root(0)),
-        };
-        let reply = link.request(&probe)?;
-        match reply.kind {
-            MessageKind::Ack => return Ok(()),
-            MessageKind::Miss => {}
-            _ => return Err(invalid("probe reply was neither Ack nor Miss")),
-        }
-        let digest = Envelope {
-            kind: MessageKind::Digest,
-            from,
-            payload: encode_digest(&self.cluster.build_digest(0)),
-        };
-        let reply = link.request(&digest)?;
-        if reply.kind != MessageKind::Delta {
-            return Err(invalid("digest reply was not a Delta"));
-        }
-        let deltas = decode_delta(self.cluster.backend(), &reply.payload)
-            .map_err(|_| invalid("delta frame did not decode"))?;
-        let mut misses = self.cluster.apply_delta(0, deltas);
-        let mut attempt = 0;
-        while !misses.is_empty() && attempt < self.config.nak_retries {
-            attempt += 1;
-            let nak = Envelope { kind: MessageKind::Nak, from, payload: encode_nak(&misses) };
-            let reply = link.request(&nak)?;
-            if reply.kind != MessageKind::Delta {
-                return Err(invalid("NAK reply was not a Delta"));
-            }
-            let deltas = decode_delta(self.cluster.backend(), &reply.payload)
-                .map_err(|_| invalid("NAK delta frame did not decode"))?;
-            misses = self.cluster.apply_delta(0, deltas);
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -695,27 +655,9 @@ impl NodeInner {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
-            MessageKind::Probe => {
-                let theirs = decode_probe(&request.payload).ok()?;
-                if theirs == self.cluster.digest_root(0) {
-                    Some(reply(MessageKind::Ack, Vec::new()))
-                } else {
-                    Some(reply(MessageKind::Miss, Vec::new()))
-                }
-            }
-            MessageKind::Digest => {
-                let entries = decode_digest(&request.payload).ok()?;
-                let (deltas, _skipped) = self.cluster.respond_delta(0, &entries);
-                let (payload, _stats) =
-                    encode_delta(self.cluster.backend(), &deltas, DeltaPolicy::ADAPTIVE);
-                Some(reply(MessageKind::Delta, payload))
-            }
-            MessageKind::Nak => {
-                let keys = decode_nak(&request.payload).ok()?;
-                let deltas = self.cluster.respond_nak(0, &keys);
-                let (payload, _stats) =
-                    encode_delta(self.cluster.backend(), &deltas, DeltaPolicy::FULL_ONLY);
-                Some(reply(MessageKind::Delta, payload))
+            MessageKind::Probe | MessageKind::Digest | MessageKind::Nak => {
+                let (reply, _) = self.cluster.serve(0, &request)?;
+                Some(Envelope { from, ..reply })
             }
             MessageKind::Join => {
                 let mut input = request.payload.as_slice();
@@ -938,19 +880,64 @@ mod tests {
         assert_eq!(values, vec![b"hello".to_vec()]);
         client.put("greeting", b"hello world".to_vec(), context.as_ref()).expect("put 2");
 
+        // A write at each node must reach the other one.
         let mut joined_client = NodeClient::connect(joiner.addr(), TransportConfig::default(), 8);
+        joined_client.put("reply", b"hi".to_vec(), None).expect("joiner put");
         let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            let (values, _) = joined_client.get("greeting").expect("joiner get");
-            if values == vec![b"hello world".to_vec()] {
-                break;
+        for (reader, key, want) in [
+            (&mut joined_client, "greeting", b"hello world".to_vec()),
+            (&mut client, "reply", b"hi".to_vec()),
+        ] {
+            loop {
+                let (values, _) = reader.get(key).expect("get");
+                if values == vec![want.clone()] {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{key} never converged: {values:?}");
+                thread::sleep(Duration::from_millis(20));
             }
-            assert!(Instant::now() < deadline, "joiner never converged: {values:?}");
-            thread::sleep(Duration::from_millis(20));
         }
         let status = joined_client.status().expect("status");
         assert_eq!(status.active_members, 2);
+        // A node runs the store's one exchange engine, so it batches and
+        // counts like the in-process cluster. Once the roots agree, each
+        // side's next pull (one gossip interval away) is a probe hit.
+        loop {
+            let stats = [&bootstrap, &joiner].map(|node| node.cluster().gossip_stats());
+            if stats.iter().all(|stats| stats.root_matches > 0) {
+                for stats in stats {
+                    assert!(stats.exchanges > 0 && stats.batched_applies > 0, "{stats:?}");
+                    assert!(stats.delta_bytes > 0 && stats.digest_bytes > 0, "{stats:?}");
+                }
+                break;
+            }
+            assert!(Instant::now() < deadline, "no probe ever hit: {stats:?}");
+            thread::sleep(Duration::from_millis(20));
+        }
         joiner.shutdown();
         bootstrap.shutdown();
+    }
+
+    #[test]
+    fn bogus_sender_fields_do_not_grow_detector_state() {
+        let node = Node::bootstrap(quick_config(3)).expect("bootstrap");
+        let mut stream = TcpStream::connect(node.addr()).expect("dial");
+        stream.set_nodelay(true).expect("nodelay");
+        // `from` is whatever the peer wrote: 10 000 distinct values, none
+        // of them a member's port (ephemeral ports start far above).
+        for from in 1..=10_000 {
+            let request = Envelope { kind: MessageKind::Status, from, payload: Vec::new() };
+            send_envelope(&mut stream, &request).expect("send");
+            assert_eq!(recv_envelope(&mut stream).expect("reply").kind, MessageKind::StatusOk);
+        }
+        let state = node.inner.state.lock();
+        assert!(
+            state.detectors.len() <= state.table.len(),
+            "{} detectors for {} members",
+            state.detectors.len(),
+            state.table.len()
+        );
+        drop(state);
+        node.shutdown();
     }
 }

@@ -38,7 +38,7 @@ impl SectionCounter {
 }
 
 /// The profiling sink of one cluster. All counters are atomics so probe
-/// sites work from `&self` on every store path, including gossip workers.
+/// sites work from `&self` on every store path.
 #[derive(Debug, Default)]
 pub struct StoreProfile {
     enabled: AtomicBool,
@@ -72,8 +72,7 @@ impl StoreProfile {
 
     /// Bumps an event counter when profiling is on. Event counters track
     /// *how often* a structural event happens (context rebuilds, watermark
-    /// checks, batched exchanges) rather than where time goes — the
-    /// batched-vs-per-key apply comparison is counted in these.
+    /// checks, batched exchanges) rather than where time goes.
     pub(crate) fn count(&self, counter: &AtomicU64) {
         if self.is_enabled() {
             counter.fetch_add(1, Ordering::Relaxed);

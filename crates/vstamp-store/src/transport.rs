@@ -1,5 +1,5 @@
-//! Loopback TCP transport: the length-prefixed codec frames, promoted from
-//! in-process channels to real sockets.
+//! Loopback TCP transport: the exchange engine's envelopes as
+//! length-prefixed codec frames on real sockets.
 //!
 //! One wire unit is a `u32`-length-prefixed [`encode_envelope`] buffer —
 //! byte-for-byte the serialized form [`envelope_len`](crate::envelope_len)

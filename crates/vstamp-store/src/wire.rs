@@ -25,8 +25,9 @@
 //!    correctness never depends on the fingerprint, only the fast path.
 //!
 //! All message payloads are self-contained byte buffers, so the same
-//! encoding serves the synchronous exchange API and the channel-driven
-//! gossip workers. Byte accounting is envelope-inclusive via
+//! encoding serves the in-process exchange and the TCP nodes (one engine,
+//! [`Cluster::pull`](crate::Cluster::pull) and
+//! [`Cluster::serve`](crate::Cluster::serve), drives both). Byte accounting is envelope-inclusive via
 //! [`envelope_len`] — the honest end-to-end cost of a message, not just
 //! its payload.
 //!
@@ -256,8 +257,8 @@ pub struct Envelope {
 }
 
 /// End-to-end wire size of one message: kind byte, varint sender index,
-/// varint-framed payload. The in-process channels ship [`Envelope`]
-/// structs directly, but every byte count the store reports uses this
+/// varint-framed payload. The in-process exchange hands [`Envelope`]
+/// structs over directly, but every byte count the store reports uses this
 /// serialized form so the `wire` curves are honest about header overhead.
 #[must_use]
 pub fn envelope_len(from: usize, payload_len: usize) -> usize {
