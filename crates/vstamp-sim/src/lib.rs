@@ -23,9 +23,7 @@
 //! * [`nemesis`] — socket-level fault injection for the real-TCP cluster:
 //!   frame-parsing proxies that drop/delay/duplicate frames or black-hole
 //!   a node's inbound side, plus a seeded fault plan (used by the
-//!   `cluster_harness` binary against multi-process clusters);
-//! * [`viz`] — Graphviz (DOT) export of evolution DAGs, for rendering the
-//!   reproduction's counterparts of the paper's figures.
+//!   `cluster_harness` binary against multi-process clusters).
 //!
 //! ```
 //! use vstamp_sim::workload::{generate, WorkloadSpec};
@@ -47,7 +45,6 @@ pub mod oracle;
 pub mod runner;
 pub mod scenario;
 pub mod store_sim;
-pub mod viz;
 pub mod workload;
 
 pub use metrics::{

@@ -4,15 +4,36 @@
 //!
 //! # The exchange engine
 //!
-//! Anti-entropy is one protocol, written once: Probe → Ack | Miss →
-//! Digest → Delta → bounded NAK rounds. Every step is a request/reply
-//! pair, so the engine is two functions and a closure:
+//! Anti-entropy is one protocol, written once: Probe → Ack | Offer → Want
+//! → Delta → bounded NAK rounds. Every step is a request/reply pair, so
+//! the engine is two functions and a closure:
 //!
 //! * [`Cluster::pull`] is the requester. It builds each request
 //!   [`Envelope`], hands it to the caller's `request` closure — the whole
 //!   transport — and applies what comes back.
 //! * [`Cluster::serve`] is the responder: one request envelope in, one
-//!   reply envelope out.
+//!   reply envelope out. It keeps nothing about who asked.
+//!
+//! Neither end recomputes what a round needs. The data plane maintains,
+//! where a key is mutated, an order-insensitive **root** over every
+//! `(key, fingerprint)` and a per-replica **change sequence** with an
+//! index of each key's latest change (see [`crate::store`]). The Probe
+//! carries the requester's root and its [`PullCursor`] for this responder;
+//! equal roots end the exchange in ~16 bytes, otherwise the Offer lists
+//! the digest lines of the keys the responder changed after the cursor —
+//! all of them at cursor 0, which is first contact, a restarted peer and a
+//! late joiner alike — and the requester Wants the ones it lacks or holds
+//! under another fingerprint. Keys only the *requester* changed are never
+//! listed, so nothing is shipped back to the side that is ahead.
+//!
+//! The cursor is the one piece of state between pulls, and the requester
+//! owns it: it moves to the Offer's `upto` only when that pull proved it
+//! holds everything up to there — the Offer answered the cursor that was
+//! sent (or started from 0) under the instance the cursor was taken from,
+//! `upto` was read before the responder listed its changes, the Delta
+//! covered every wanted key, and no fingerprint miss was left open. Any
+//! other outcome leaves it where it was (an unknown instance resets it to
+//! 0), so a lost, cut or replayed message costs a repeat, never a skip.
 //!
 //! [`Cluster::anti_entropy`] is `pull` whose closure calls `serve` on
 //! another replica of the same process; a [`Node`](crate::Node) passes a
@@ -23,15 +44,19 @@
 //! the next pull simply starts over. One thing is *not* idempotent: a Delta
 //! reply carries a fork half of the responder's element, good for one
 //! join. A transport must not hand `pull` a Delta from an earlier exchange;
-//! nothing on the wire lets the engine tell (ROADMAP item 1c).
+//! nothing on the wire lets the engine tell (ROADMAP item 2a).
+//!
+//! The full-frame baseline ([`ClusterConfig::without_delta_frames`]) keeps
+//! the older opening instead: no probe, the requester sends a Digest of
+//! every key it holds and the responder answers with the Delta.
 //!
 //! # Concurrency
 //!
 //! Every lock is per shard. An operation touching a key takes at most two
 //! locks, always in the same order — the clock-plane shard first, then one
 //! data-plane shard — so client traffic and concurrent exchanges never
-//! deadlock. Reads (`get`, digest building) take only a data shard read
-//! lock.
+//! deadlock. Reads (`get`, the root, listing changes) take only a data
+//! shard read lock.
 //!
 //! # Coordination caveat
 //!
@@ -42,7 +67,8 @@
 //! identifier service); the in-process plane stands in for both, exactly
 //! as the `FrontierGc` mirror does in `vstamp-core` (see its module docs).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::sync::Arc;
 
@@ -52,13 +78,14 @@ use vstamp_core::Relation;
 use crate::backend::StoreBackend;
 use crate::profile::{ProfileSnapshot, StoreProfile};
 use crate::store::{
-    fnv1a, fnv1a_extend, DataPlane, DeltaOrigin, GetResult, Key, KeyData, ShardIndexer,
-    StoredVersion, Value, Version,
+    DataPlane, DeltaOrigin, GetResult, Key, KeyData, Shard, ShardIndexer, StoredVersion, Value,
+    Version,
 };
 use crate::wire::{
-    decode_delta, decode_digest, decode_nak, decode_probe, encode_delta, encode_digest, encode_nak,
-    encode_probe, envelope_len, rebuild_wire_version, DeltaEncodeStats, DeltaPolicy, DigestEntry,
-    Envelope, KeyDelta, MessageKind, WireKeyDelta, WireVersion, PERTURB_MASK,
+    decode_delta, decode_digest, decode_nak, decode_offer, decode_probe, decode_want, encode_delta,
+    encode_digest, encode_nak, encode_offer, encode_probe, encode_want, envelope_len,
+    rebuild_wire_version, DeltaEncodeStats, DeltaPolicy, DigestEntry, Envelope, KeyDelta,
+    MessageKind, Offer, WireKeyDelta, WireVersion, PERTURB_MASK,
 };
 
 /// Per-key entry of the clock plane: the backend's coordination state plus
@@ -78,23 +105,39 @@ pub(crate) fn invalid(context: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, context)
 }
 
+/// How far into one responder's change sequence a requester has provably
+/// pulled: the state a link keeps between [`Cluster::pull`]s so the next
+/// one is offered only what changed since. It belongs to the requester and
+/// to one link — the responder keeps nothing per peer — and it is not an
+/// identity: it names no replica, orders no events and is never compared
+/// across links. `Default` is "never pulled", which makes the next exchange
+/// a full one; dropping a cursor is always safe.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PullCursor {
+    /// The responder incarnation `seq` counts in.
+    peer_instance: u64,
+    /// Every change the responder numbered at or below this is held here.
+    seq: u64,
+}
+
 /// Volume and coverage counters of one anti-entropy exchange — or of one
 /// side's half of it: [`Cluster::pull`] returns what the requester sent and
-/// observed (probe, digest, NAKs, the probe outcome), [`Cluster::serve`]
-/// what the responder sent (probe answer, deltas, refetches), and
-/// [`Cluster::anti_entropy`] the sum of the two. Every byte is counted
-/// once, by its sender.
+/// observed (probe, want or digest, NAKs, the probe outcome),
+/// [`Cluster::serve`] what the responder sent (probe answer, deltas,
+/// refetches), and [`Cluster::anti_entropy`] the sum of the two. Every byte
+/// is counted once, by its sender.
 ///
 /// Byte counts are end-to-end: payload plus the serialized envelope
 /// header ([`envelope_len`]), so the `wire` benchmark curves reflect what
 /// a real transport would carry, not just encoded bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
-    /// Keys listed in the requester's digest.
+    /// Keys listed in the requester's digest (full-frame baseline only).
     pub digest_keys: usize,
     /// Keys the responder shipped (fingerprint mismatch or missing).
     pub keys_shipped: usize,
-    /// Bytes of the digest message, envelope included.
+    /// Bytes of everything that is not a delta — probe, probe answer
+    /// (ack or offer), want, digest — envelopes included.
     pub digest_bytes: usize,
     /// Bytes of the delta direction, envelope included: the delta
     /// response plus any NAK and full-frame refetch round.
@@ -120,8 +163,15 @@ pub struct ExchangeStats {
     /// Whether this exchange opened with an O(1) digest-root probe.
     pub root_probes: usize,
     /// Whether that probe hit — the peers were already converged and the
-    /// whole digest/delta flow was skipped.
+    /// whole offer/delta flow was skipped.
     pub root_matches: usize,
+    /// Digest lines the responder listed in its offer.
+    pub offered_keys: usize,
+    /// Offered keys the requester asked for.
+    pub wanted_keys: usize,
+    /// Whether the requester was offered everything from sequence 0: first
+    /// contact, a restarted responder, or a cursor it had to drop.
+    pub cursor_resets: usize,
 }
 
 impl ExchangeStats {
@@ -140,6 +190,9 @@ impl ExchangeStats {
         self.versions_skipped += other.versions_skipped;
         self.root_probes += other.root_probes;
         self.root_matches += other.root_matches;
+        self.offered_keys += other.offered_keys;
+        self.wanted_keys += other.wanted_keys;
+        self.cursor_resets += other.cursor_resets;
     }
 
     /// Counts one encoded delta payload sent by `sender`.
@@ -163,7 +216,8 @@ impl ExchangeStats {
 pub struct GossipStats {
     /// Pull exchanges initiated.
     pub exchanges: usize,
-    /// Probe, probe-answer and digest bytes sent, envelopes included.
+    /// Probe, probe-answer (ack or offer), want and digest bytes sent,
+    /// envelopes included.
     pub digest_bytes: usize,
     /// Delta-direction bytes sent (deltas, NAKs, refetches), envelopes
     /// included.
@@ -187,6 +241,13 @@ pub struct GossipStats {
     pub root_probes: usize,
     /// Probes that hit: converged peers that exchanged nothing further.
     pub root_matches: usize,
+    /// Digest lines listed in the offers this cluster served.
+    pub offered_keys: usize,
+    /// Offered keys this cluster asked for.
+    pub wanted_keys: usize,
+    /// Pulls of this cluster that were offered everything from sequence 0.
+    /// Steady state adds none: one per link, plus one per peer restart.
+    pub cursor_resets: usize,
     /// Non-empty delta payloads applied through
     /// [`Cluster::apply_delta_batch`]. Always counted, profiling on or
     /// off — the latency driver gates on it being nonzero.
@@ -206,6 +267,9 @@ impl GossipStats {
         self.versions_skipped += stats.versions_skipped;
         self.root_probes += stats.root_probes;
         self.root_matches += stats.root_matches;
+        self.offered_keys += stats.offered_keys;
+        self.wanted_keys += stats.wanted_keys;
+        self.cursor_resets += stats.cursor_resets;
     }
 }
 
@@ -336,6 +400,15 @@ pub struct Cluster<B: StoreBackend> {
     policy: DeltaPolicy,
     read_repair: bool,
     wire: Mutex<GossipStats>,
+    /// [`Cluster::anti_entropy`]'s cursor per ordered (requester,
+    /// responder) pair, at `requester * replicas + responder`.
+    cursors: Vec<Mutex<PullCursor>>,
+}
+
+/// A fresh store-incarnation id from the standard library's per-process
+/// random source. The value is only ever compared for equality.
+fn fresh_instance() -> u64 {
+    std::collections::hash_map::RandomState::new().build_hasher().finish()
 }
 
 /// Infers which of the responder's sibling versions the requester already
@@ -381,13 +454,16 @@ impl<B: StoreBackend> Cluster<B> {
         let shards = ShardIndexer::new(config.shards);
         Cluster {
             backend,
-            replicas: (0..replicas).map(|_| DataPlane::new(shards.count())).collect(),
+            replicas: (0..replicas)
+                .map(|_| DataPlane::new(shards.count(), fresh_instance()))
+                .collect(),
             plane: (0..shards.count()).map(|_| Mutex::new(HashMap::new())).collect(),
             shards,
             profile: Arc::new(StoreProfile::default()),
             policy: config.policy(),
             read_repair: config.read_repair,
             wire: Mutex::new(GossipStats::default()),
+            cursors: (0..replicas * replicas).map(|_| Mutex::new(PullCursor::default())).collect(),
         }
     }
 
@@ -543,17 +619,18 @@ impl<B: StoreBackend> Cluster<B> {
                 entry.unclaimed[replica].take().expect("initial element claimed exactly once");
             shard.insert(key.to_owned(), KeyData::new(&self.backend, claimed));
         }
-        let data = shard.get_mut(key).expect("inserted above");
-        for incoming in versions {
-            let clock = incoming.clock().clone();
-            let outcome = data.siblings.merge_version(&self.backend, incoming, false);
-            if outcome.stored {
-                self.backend.retain_clock(&mut entry.state, &clock);
+        shard.edit(key, |data| {
+            for incoming in versions {
+                let clock = incoming.clock().clone();
+                let outcome = data.siblings.merge_version(&self.backend, incoming, false);
+                if outcome.stored {
+                    self.backend.retain_clock(&mut entry.state, &clock);
+                }
+                for evicted in &outcome.evicted {
+                    self.backend.release_clock(&mut entry.state, evicted.clock());
+                }
             }
-            for evicted in &outcome.evicted {
-                self.backend.release_clock(&mut entry.state, evicted.clock());
-            }
-        }
+        });
     }
 
     /// Causal write at one replica. The new version's clock dominates
@@ -604,44 +681,53 @@ impl<B: StoreBackend> Cluster<B> {
                 entry.unclaimed[replica].take().expect("initial element claimed exactly once");
             shard.insert(key.to_owned(), KeyData::new(&self.backend, element));
         }
-        let data = shard.get_mut(key).expect("inserted above");
-        let (advanced, clock, dot) = {
-            let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
-            self.backend.write(&mut entry.state, data.element(), context)
-        };
-        data.set_element(&self.backend, advanced);
-        // Memoized-order fast path: a context that equals the sibling
-        // set's cached context supersedes every sibling without a single
-        // relation check (the fresh dot makes each domination strict).
-        // Exactly these writes are delta-eligible: the mint-time context
-        // is the set itself, whose identity the O(1)-maintained sibling
-        // hash pins — record `(dot, hash)` as the version's origin so
-        // anti-entropy can ship it as dot + fingerprint.
-        let matched = data.siblings.matches_context(context);
-        let origin = (matched && self.policy.delta_frames).then(|| {
-            let mut dot_bytes = Vec::new();
-            self.backend.encode_clock(&dot, &mut dot_bytes);
-            DeltaOrigin { dot_bytes: dot_bytes.into(), ctx_fp: data.siblings.versions_hash() }
-        });
-        let incoming = StoredVersion::new_with_origin(
-            &self.backend,
-            Version { clock: clock.clone(), value },
-            origin,
-        );
-        let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
-        let (stored, evicted) = if matched {
-            (true, data.siblings.replace_all(&self.backend, incoming))
-        } else {
-            let outcome = data.siblings.merge_version(&self.backend, incoming, true);
-            (outcome.stored, outcome.evicted)
-        };
-        if stored {
-            self.backend.retain_clock(&mut entry.state, &clock);
-        }
-        for evicted in &evicted {
-            self.backend.release_clock(&mut entry.state, evicted.clock());
-        }
-        clock
+        shard
+            .edit(key, |data| {
+                let (advanced, clock, dot) = {
+                    let _timer =
+                        self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
+                    self.backend.write(&mut entry.state, data.element(), context)
+                };
+                data.set_element(&self.backend, advanced);
+                // Memoized-order fast path: a context that equals the
+                // sibling set's cached context supersedes every sibling
+                // without a single relation check (the fresh dot makes each
+                // domination strict). Exactly these writes are
+                // delta-eligible: the mint-time context is the set itself,
+                // whose identity the O(1)-maintained sibling hash pins —
+                // record `(dot, hash)` as the version's origin so
+                // anti-entropy can ship it as dot + fingerprint.
+                let matched = data.siblings.matches_context(context);
+                let origin = (matched && self.policy.delta_frames).then(|| {
+                    let mut dot_bytes = Vec::new();
+                    self.backend.encode_clock(&dot, &mut dot_bytes);
+                    DeltaOrigin {
+                        dot_bytes: dot_bytes.into(),
+                        ctx_fp: data.siblings.versions_hash(),
+                    }
+                });
+                let incoming = StoredVersion::new_with_origin(
+                    &self.backend,
+                    Version { clock: clock.clone(), value },
+                    origin,
+                );
+                let _timer =
+                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
+                let (stored, evicted) = if matched {
+                    (true, data.siblings.replace_all(&self.backend, incoming))
+                } else {
+                    let outcome = data.siblings.merge_version(&self.backend, incoming, true);
+                    (outcome.stored, outcome.evicted)
+                };
+                if stored {
+                    self.backend.retain_clock(&mut entry.state, &clock);
+                }
+                for evicted in &evicted {
+                    self.backend.release_clock(&mut entry.state, evicted.clock());
+                }
+                clock
+            })
+            .expect("inserted above")
     }
 
     /// Whether `key`'s universe exists anywhere in the cluster's clock
@@ -675,49 +761,28 @@ impl<B: StoreBackend> Cluster<B> {
         true
     }
 
-    /// The digest of one replica's whole data plane. Fingerprints read the
-    /// sibling sets' cached hashes — nothing is encoded here.
+    /// The digest of one replica's whole data plane, sorted by key: every
+    /// key "changed since 0", read off the fingerprints the shards maintain
+    /// — nothing is hashed or encoded here.
     #[must_use]
     pub fn build_digest(&self, replica: usize) -> Vec<DigestEntry> {
-        let mut entries = Vec::new();
-        for shard_index in 0..self.shards.count() {
-            let shard = self.replicas[replica].shard(shard_index).read();
-            for (key, data) in shard.iter() {
-                entries.push(DigestEntry {
-                    key: key.clone(),
-                    fingerprint: data.fingerprint(),
-                    ctx_fp: data.siblings.versions_hash(),
-                });
-            }
-        }
+        let mut entries = self.replicas[replica].changed_since(0);
         entries.sort_by(|a, b| a.key.cmp(&b.key));
         entries
     }
 
-    /// An O(1)-sized root fingerprint of one replica's whole digest: FNV
-    /// over the sorted `(key, fingerprint)` lines. Equal roots mean equal
-    /// digests mean nothing to exchange — the adaptive wire opens every
-    /// exchange with this 8-byte probe and skips the digest/delta flow
-    /// entirely on a hit. Correctness never depends on it: a miss (or a
-    /// 64-bit collision, the same trust model as the per-key fingerprint
-    /// skip) just falls back to the full digest round.
+    /// An O(1)-sized root fingerprint of one replica's whole digest: the
+    /// order-insensitive sum of one mixed term per `(key, fingerprint)`,
+    /// which each shard keeps current where a key is mutated — reading it
+    /// is one addition per shard, whatever the key count. Equal roots mean
+    /// equal digests mean nothing to exchange — the adaptive wire opens
+    /// every exchange with this 8-byte probe and skips the offer/delta flow
+    /// entirely on a hit. Correctness never depends on it: a miss just
+    /// runs the exchange, and a 64-bit collision is the same trust model as
+    /// the per-key fingerprint skip.
     #[must_use]
     pub fn digest_root(&self, replica: usize) -> u64 {
-        let mut lines: Vec<(Key, u64)> = Vec::new();
-        for shard_index in 0..self.shards.count() {
-            let shard = self.replicas[replica].shard(shard_index).read();
-            for (key, data) in shard.iter() {
-                lines.push((key.clone(), data.fingerprint()));
-            }
-        }
-        lines.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut root = fnv1a(b"digest-root");
-        for (key, fingerprint) in &lines {
-            root = fnv1a_extend(root, &(key.len() as u64).to_le_bytes());
-            root = fnv1a_extend(root, key.as_bytes());
-            root = fnv1a_extend(root, &fingerprint.to_le_bytes());
-        }
-        root
+        self.replicas[replica].root()
     }
 
     /// Builds the responder's delta for a requester digest: every key the
@@ -783,27 +848,51 @@ impl<B: StoreBackend> Cluster<B> {
             (self.plane[shard_index].lock(), self.replicas[responder].shard(shard_index).write())
         };
         let entry = plane.get_mut(key)?;
-        let data = shard.get_mut(key)?;
-        let (kept, shipped) = {
-            let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
-            self.backend.detach(&mut entry.state, data.element())
-        };
-        data.set_element(&self.backend, kept);
-        let known = if self.policy.delta_frames {
-            let hashes: Vec<u64> = data.siblings.iter().map(StoredVersion::content_hash).collect();
-            known_subset(&hashes, assumed_fp)
-        } else {
-            0
-        };
-        let versions: Vec<_> = data
-            .siblings
-            .iter()
-            .enumerate()
-            .filter(|(index, _)| known & (1 << index) == 0)
-            .map(|(_, version)| version.clone())
+        shard.edit(key, |data| {
+            let (kept, shipped) = {
+                let _timer =
+                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
+                self.backend.detach(&mut entry.state, data.element())
+            };
+            data.set_element(&self.backend, kept);
+            let known = if self.policy.delta_frames {
+                let hashes: Vec<u64> =
+                    data.siblings.iter().map(StoredVersion::content_hash).collect();
+                known_subset(&hashes, assumed_fp)
+            } else {
+                0
+            };
+            let versions: Vec<_> = data
+                .siblings
+                .iter()
+                .enumerate()
+                .filter(|(index, _)| known & (1 << index) == 0)
+                .map(|(_, version)| version.clone())
+                .collect();
+            let skipped = known.count_ones() as usize;
+            (KeyDelta { key: key.clone(), element: shipped, versions, assumed_fp }, skipped)
+        })
+    }
+
+    /// Ships exactly the named keys, each against the requester's
+    /// sibling-set hash for it; returns the deltas (sorted by key) and the
+    /// number of versions the subset-sum dedup left out.
+    fn ship_keys<'k>(
+        &self,
+        responder: usize,
+        wanted: impl Iterator<Item = (&'k Key, u64)>,
+    ) -> (Vec<KeyDelta<B>>, usize) {
+        let mut skipped = 0;
+        let mut deltas: Vec<KeyDelta<B>> = wanted
+            .filter_map(|(key, assumed_fp)| {
+                let (delta, skips) =
+                    self.ship_key(responder, self.shards.index(key), key, assumed_fp)?;
+                skipped += skips;
+                Some(delta)
+            })
             .collect();
-        let skipped = known.count_ones() as usize;
-        Some((KeyDelta { key: key.clone(), element: shipped, versions, assumed_fp }, skipped))
+        deltas.sort_by(|a, b| a.key.cmp(&b.key));
+        (deltas, skipped)
     }
 
     /// Builds the full-frames refetch for a NAK: the responder re-ships
@@ -811,14 +900,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// refetch is encoded with [`DeltaPolicy::FULL_ONLY`]).
     #[must_use]
     pub fn respond_nak(&self, responder: usize, keys: &[Key]) -> Vec<KeyDelta<B>> {
-        let mut deltas: Vec<KeyDelta<B>> = keys
-            .iter()
-            .filter_map(|key| {
-                self.ship_key(responder, self.shards.index(key), key, 0).map(|(delta, _)| delta)
-            })
-            .collect();
-        deltas.sort_by(|a, b| a.key.cmp(&b.key));
-        deltas
+        self.ship_keys(responder, keys.iter().map(|key| (key, 0))).0
     }
 
     /// Applies a delta at the requester, one lock pair and one sibling-cache
@@ -905,7 +987,7 @@ impl<B: StoreBackend> Cluster<B> {
         &self,
         requester: usize,
         plane: &mut HashMap<Key, KeyPlane<B>>,
-        shard: &mut HashMap<Key, KeyData<B>>,
+        shard: &mut Shard<B>,
         delta: WireKeyDelta<B>,
         batched: bool,
     ) -> Option<Key> {
@@ -933,80 +1015,92 @@ impl<B: StoreBackend> Cluster<B> {
                 entry.unclaimed[requester].take().expect("initial element claimed exactly once");
             shard.insert(key.clone(), KeyData::new(&self.backend, claimed));
         }
-        let data = shard.get_mut(&key).expect("inserted above");
-        // An adopted element was consumed as the local element; there is
-        // nothing separate to absorb.
-        if !adopted {
-            let absorbed = {
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
-                self.backend.absorb(&mut entry.state, data.element(), &element)
-            };
-            data.set_element(&self.backend, absorbed);
-        }
-        let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
-        // Every delta frame of this batch was minted against one
-        // sibling-set state, so the base context and its hash are
-        // captured once, *before* any merge of the batch mutates the
-        // set — merges of earlier versions must not invalidate the
-        // reconstruction base of later ones.
-        let base_fp = data.siblings.versions_hash();
-        let base_ctx = versions
-            .iter()
-            .any(|version| matches!(version, WireVersion::Delta { .. }))
-            .then(|| data.siblings.context().cloned())
-            .flatten();
-        let mut key_missed = false;
-        let mut mutated = false;
-        for version in versions {
-            let incoming = match version {
-                WireVersion::Full(stored) => stored,
-                WireVersion::Delta { dot, dot_bytes, ctx_fp, value } => {
-                    if ctx_fp != base_fp {
-                        key_missed = true;
-                        continue;
-                    }
-                    rebuild_wire_version(
-                        &self.backend,
-                        base_ctx.as_ref(),
-                        &dot,
-                        dot_bytes,
-                        ctx_fp,
-                        value,
-                    )
+        let key_missed = shard
+            .edit(&key, |data| {
+                // An adopted element was consumed as the local element;
+                // there is nothing separate to absorb.
+                if !adopted {
+                    let absorbed = {
+                        let _timer = self
+                            .profile
+                            .is_enabled()
+                            .then(|| self.profile.time(&self.profile.join));
+                        self.backend.absorb(&mut entry.state, data.element(), &element)
+                    };
+                    data.set_element(&self.backend, absorbed);
                 }
-            };
-            let clock = incoming.clock().clone();
-            let outcome = if batched {
-                data.siblings.merge_version_deferred(&self.backend, incoming)
-            } else {
-                data.siblings.merge_version(&self.backend, incoming, false)
-            };
-            if outcome.ctx_rebuilt {
-                self.profile.count(&self.profile.ctx_rebuilds);
-            }
-            mutated |= outcome.stored || !outcome.evicted.is_empty();
-            if outcome.stored {
-                self.backend.retain_clock(&mut entry.state, &clock);
-            }
-            for evicted in &outcome.evicted {
-                self.backend.release_clock(&mut entry.state, evicted.clock());
-            }
-        }
-        if batched && mutated && data.siblings.finish_deferred(&self.backend) {
-            self.profile.count(&self.profile.ctx_rebuilds);
-        }
+                let _timer =
+                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
+                // Every delta frame of this batch was minted against one
+                // sibling-set state, so the base context and its hash are
+                // captured once, *before* any merge of the batch mutates
+                // the set — merges of earlier versions must not invalidate
+                // the reconstruction base of later ones.
+                let base_fp = data.siblings.versions_hash();
+                let base_ctx = versions
+                    .iter()
+                    .any(|version| matches!(version, WireVersion::Delta { .. }))
+                    .then(|| data.siblings.context().cloned())
+                    .flatten();
+                let mut key_missed = false;
+                let mut mutated = false;
+                for version in versions {
+                    let incoming = match version {
+                        WireVersion::Full(stored) => stored,
+                        WireVersion::Delta { dot, dot_bytes, ctx_fp, value } => {
+                            if ctx_fp != base_fp {
+                                key_missed = true;
+                                continue;
+                            }
+                            rebuild_wire_version(
+                                &self.backend,
+                                base_ctx.as_ref(),
+                                &dot,
+                                dot_bytes,
+                                ctx_fp,
+                                value,
+                            )
+                        }
+                    };
+                    let clock = incoming.clock().clone();
+                    let outcome = if batched {
+                        data.siblings.merge_version_deferred(&self.backend, incoming)
+                    } else {
+                        data.siblings.merge_version(&self.backend, incoming, false)
+                    };
+                    if outcome.ctx_rebuilt {
+                        self.profile.count(&self.profile.ctx_rebuilds);
+                    }
+                    mutated |= outcome.stored || !outcome.evicted.is_empty();
+                    if outcome.stored {
+                        self.backend.retain_clock(&mut entry.state, &clock);
+                    }
+                    for evicted in &outcome.evicted {
+                        self.backend.release_clock(&mut entry.state, evicted.clock());
+                    }
+                }
+                if batched && mutated && data.siblings.finish_deferred(&self.backend) {
+                    self.profile.count(&self.profile.ctx_rebuilds);
+                }
+                key_missed
+            })
+            .expect("inserted above");
         key_missed.then_some(key)
     }
 
     /// The requester half of one pull exchange, over any transport: opens
-    /// with the 8-byte digest-root probe (a hit ends the exchange in two
-    /// tiny messages), otherwise sends the digest, applies the
-    /// adaptively-framed delta through [`Cluster::apply_delta_batch`], and
-    /// refetches fingerprint misses as full frames in at most
-    /// `MAX_NAK_ROUNDS` NAK rounds. `request` carries one envelope to the
-    /// peer and returns its reply — [`Cluster::serve`] on another replica,
-    /// or a socket round trip.
+    /// with the probe — digest root plus `cursor` — which a converged peer
+    /// answers in two tiny messages; otherwise picks what it lacks from
+    /// the offer, applies the adaptively-framed delta through
+    /// [`Cluster::apply_delta_batch`], and refetches fingerprint misses as
+    /// full frames in at most `MAX_NAK_ROUNDS` NAK rounds. `request`
+    /// carries one envelope to the peer and returns its reply —
+    /// [`Cluster::serve`] on another replica, or a socket round trip.
+    ///
+    /// `cursor` is this link's memory of the peer (see [`PullCursor`]):
+    /// pass the same one to every pull from the same peer, a
+    /// `PullCursor::default()` the first time. It advances only when the
+    /// exchange proved everything up to the new position arrived.
     ///
     /// Returns the requester's half of the exchange's [`ExchangeStats`]
     /// (also recorded into [`Cluster::gossip_stats`], failed exchanges
@@ -1017,14 +1111,15 @@ impl<B: StoreBackend> Cluster<B> {
     /// Whatever `request` fails with, or `InvalidData` when a reply is of
     /// the wrong kind or does not decode. Every merge is idempotent, so a
     /// failed exchange leaves the store valid and the next pull starts
-    /// over.
+    /// over from the unmoved cursor.
     pub fn pull(
         &self,
         replica: usize,
+        cursor: &mut PullCursor,
         request: impl FnMut(Envelope) -> io::Result<Envelope>,
     ) -> io::Result<ExchangeStats> {
         let mut stats = ExchangeStats::default();
-        let outcome = self.pull_rounds(replica, request, &mut stats);
+        let outcome = self.pull_rounds(replica, cursor, request, &mut stats);
         let mut wire = self.wire.lock();
         wire.exchanges += 1;
         wire.record(&stats);
@@ -1034,6 +1129,7 @@ impl<B: StoreBackend> Cluster<B> {
     fn pull_rounds(
         &self,
         replica: usize,
+        cursor: &mut PullCursor,
         mut request: impl FnMut(Envelope) -> io::Result<Envelope>,
         stats: &mut ExchangeStats,
     ) -> io::Result<()> {
@@ -1041,54 +1137,106 @@ impl<B: StoreBackend> Cluster<B> {
             *sent += envelope_len(replica, payload.len());
             request(Envelope { from: replica, kind, payload })
         };
-        if self.policy.delta_frames {
+        // What the cursor moves to once this exchange has proved it, and
+        // the wanted keys that proof is still waiting for.
+        let mut proven: Option<PullCursor> = None;
+        let mut outstanding: HashSet<Key> = HashSet::new();
+        let mut reply = if self.policy.delta_frames {
             // The perturb knob forces misses so benches and tests exercise
             // the fallback.
             let mask = if self.policy.perturb_fingerprints { PERTURB_MASK } else { 0 };
-            let probe = encode_probe(self.digest_root(replica) ^ mask);
+            let probe = encode_probe(self.digest_root(replica) ^ mask, cursor.seq);
             stats.root_probes = 1;
-            match send(MessageKind::Probe, probe, &mut stats.digest_bytes)?.kind {
+            let reply = send(MessageKind::Probe, probe, &mut stats.digest_bytes)?;
+            let offer = match reply.kind {
                 MessageKind::Ack => {
                     stats.root_matches = 1;
                     return Ok(());
                 }
-                MessageKind::Miss => {}
-                _ => return Err(invalid("probe reply was neither Ack nor Miss")),
+                MessageKind::Offer => decode_offer(&reply.payload)
+                    .map_err(|_| invalid("offer payload did not decode"))?,
+                _ => return Err(invalid("probe reply was neither Ack nor Offer")),
+            };
+            if offer.since == 0 {
+                stats.cursor_resets = 1;
             }
-        }
-        let digest = self.build_digest(replica);
-        stats.digest_keys = digest.len();
-        let payload = {
-            let _timer = self.profile.time(&self.profile.codec);
-            encode_digest(&digest)
+            if offer.since == 0
+                || (offer.since == cursor.seq && offer.instance == cursor.peer_instance)
+            {
+                proven = Some(PullCursor { peer_instance: offer.instance, seq: offer.upto });
+            } else if offer.instance != cursor.peer_instance {
+                // The peer is not the incarnation this cursor counted in.
+                *cursor = PullCursor::default();
+            }
+            let wanted = self.pick_wanted(replica, &offer.lines);
+            if !wanted.is_empty() {
+                stats.wanted_keys = wanted.len();
+                let want = encode_want(&wanted);
+                outstanding.extend(wanted.into_iter().map(|(key, _)| key));
+                Some(send(MessageKind::Want, want, &mut stats.digest_bytes)?)
+            } else {
+                None
+            }
+        } else {
+            let digest = self.build_digest(replica);
+            stats.digest_keys = digest.len();
+            let payload = {
+                let _timer = self.profile.time(&self.profile.codec);
+                encode_digest(&digest)
+            };
+            Some(send(MessageKind::Digest, payload, &mut stats.digest_bytes)?)
         };
-        let mut reply = send(MessageKind::Digest, payload, &mut stats.digest_bytes)?;
         let mut nak_rounds = 0;
-        loop {
-            if reply.kind != MessageKind::Delta {
-                return Err(invalid("digest or NAK reply was not a Delta"));
+        while let Some(delta) = reply.take() {
+            if delta.kind != MessageKind::Delta {
+                return Err(invalid("want, digest or NAK reply was not a Delta"));
             }
             let deltas = {
                 let _timer = self.profile.time(&self.profile.codec);
-                decode_delta(&self.backend, &reply.payload)
+                decode_delta(&self.backend, &delta.payload)
             }
             .map_err(|_| invalid("delta payload did not decode"))?;
+            for delta in &deltas {
+                outstanding.remove(&delta.key);
+            }
             let misses = self.apply_delta_batch(replica, deltas);
             if misses.is_empty() {
-                return Ok(());
+                break;
             }
             if nak_rounds == MAX_NAK_ROUNDS {
                 return Err(invalid("peer kept answering NAKs with frames that miss"));
             }
             nak_rounds += 1;
             stats.nak_refetches += misses.len();
-            reply = send(MessageKind::Nak, encode_nak(&misses), &mut stats.delta_bytes)?;
+            let nak = encode_nak(&misses);
+            outstanding.extend(misses);
+            reply = Some(send(MessageKind::Nak, nak, &mut stats.delta_bytes)?);
         }
+        if let Some(proven) = proven.filter(|_| outstanding.is_empty()) {
+            *cursor = proven;
+        }
+        Ok(())
     }
 
-    /// The responder half of the exchange: answers one Probe, Digest or
-    /// NAK envelope addressed to `replica` with the reply envelope and the
-    /// responder's half of the [`ExchangeStats`] (also recorded into
+    /// The offered keys this replica lacks or holds under another
+    /// fingerprint, each with its own sibling-set hash (`0` when lacking).
+    fn pick_wanted(&self, replica: usize, offered: &[DigestEntry]) -> Vec<(Key, u64)> {
+        offered
+            .iter()
+            .filter_map(|line| {
+                let shard = self.replicas[replica].shard(self.shards.index(&line.key)).read();
+                match shard.get(&line.key) {
+                    Some(data) if data.fingerprint() == line.fingerprint => None,
+                    Some(data) => Some((line.key.clone(), data.siblings.versions_hash())),
+                    None => Some((line.key.clone(), 0)),
+                }
+            })
+            .collect()
+    }
+
+    /// The responder half of the exchange: answers one Probe, Want, Digest
+    /// or NAK envelope addressed to `replica` with the reply envelope and
+    /// the responder's half of the [`ExchangeStats`] (also recorded into
     /// [`Cluster::gossip_stats`]). `None` — and nothing else happens — for
     /// any other kind and for a payload that does not decode: the caller
     /// drops the frame or the connection.
@@ -1096,18 +1244,39 @@ impl<B: StoreBackend> Cluster<B> {
         let mut stats = ExchangeStats::default();
         let (kind, payload) = match request.kind {
             MessageKind::Probe => {
-                let root = decode_probe(&request.payload).ok()?;
-                stats.digest_bytes = envelope_len(replica, 0);
-                let hit = root == self.digest_root(replica);
-                (if hit { MessageKind::Ack } else { MessageKind::Miss }, Vec::new())
+                let (root, since) = decode_probe(&request.payload).ok()?;
+                let plane = &self.replicas[replica];
+                let (kind, payload) = if root == plane.root() {
+                    (MessageKind::Ack, Vec::new())
+                } else {
+                    // Read before the shards are: see `DataPlane::changed_since`.
+                    let upto = plane.seq();
+                    // A cursor beyond this store's sequence counted in an
+                    // earlier incarnation: list everything.
+                    let since = if since > upto { 0 } else { since };
+                    let lines = plane.changed_since(since);
+                    stats.offered_keys = lines.len();
+                    let offer = Offer { instance: plane.instance(), since, upto, lines };
+                    (MessageKind::Offer, encode_offer(&offer))
+                };
+                stats.digest_bytes = envelope_len(replica, payload.len());
+                (kind, payload)
             }
-            MessageKind::Digest => {
-                let digest = {
-                    let _timer = self.profile.time(&self.profile.codec);
-                    decode_digest(&request.payload)
-                }
-                .ok()?;
-                let (deltas, skipped) = self.respond_delta(replica, &digest);
+            MessageKind::Want | MessageKind::Digest => {
+                // What to ship is named by the requester (Want) or worked
+                // out from everything it holds (Digest); the reply is the
+                // same Delta.
+                let (deltas, skipped) = if request.kind == MessageKind::Want {
+                    let wanted = decode_want(&request.payload).ok()?;
+                    self.ship_keys(replica, wanted.iter().map(|(key, ctx_fp)| (key, *ctx_fp)))
+                } else {
+                    let digest = {
+                        let _timer = self.profile.time(&self.profile.codec);
+                        decode_digest(&request.payload)
+                    }
+                    .ok()?;
+                    self.respond_delta(replica, &digest)
+                };
                 let _timer = self.profile.time(&self.profile.codec);
                 let (payload, frames) = encode_delta(&self.backend, &deltas, self.policy);
                 stats.keys_shipped = deltas.len();
@@ -1131,13 +1300,14 @@ impl<B: StoreBackend> Cluster<B> {
 
     /// One pull exchange between two replicas of this cluster:
     /// [`Cluster::pull`] at `requester` with [`Cluster::serve`] at
-    /// `responder` as its transport. Every message round-trips through the
-    /// wire codec exactly as it does between nodes, and the returned stats
-    /// are the two halves summed — byte counts include the serialized
-    /// envelope headers.
+    /// `responder` as its transport, under the cluster's own cursor for
+    /// that ordered pair. Every message round-trips through the wire codec
+    /// exactly as it does between nodes, and the returned stats are the two
+    /// halves summed — byte counts include the serialized envelope headers.
     pub fn anti_entropy(&self, requester: usize, responder: usize) -> ExchangeStats {
         let mut served = ExchangeStats::default();
-        let pulled = self.pull(requester, |request| {
+        let mut cursor = self.cursors[requester * self.replicas.len() + responder].lock();
+        let pulled = self.pull(requester, &mut cursor, |request| {
             let (reply, half) = self
                 .serve(responder, &request)
                 .ok_or_else(|| invalid("responder refused a locally-encoded request"))?;
@@ -1192,14 +1362,13 @@ impl<B: StoreBackend> Cluster<B> {
                 let entry = plane.get_mut(&key).expect("listed key");
                 // Forced GC pass: clear any deferred collapse debt.
                 for replica in &self.replicas {
-                    let mut shard = replica.shard(shard_index).write();
-                    if let Some(data) = shard.get_mut(&key) {
-                        if let Some(flushed) =
-                            self.backend.flush_gc(&mut entry.state, data.element())
-                        {
-                            data.set_element(&self.backend, flushed);
-                            stats.elements_flushed += 1;
-                        }
+                    let flushed = replica.shard(shard_index).write().edit(&key, |data| {
+                        let flushed = self.backend.flush_gc(&mut entry.state, data.element())?;
+                        data.set_element(&self.backend, flushed);
+                        Some(())
+                    });
+                    if flushed.flatten().is_some() {
+                        stats.elements_flushed += 1;
                     }
                 }
                 // Gather every replica's element and its single version.
@@ -1249,10 +1418,14 @@ impl<B: StoreBackend> Cluster<B> {
                     std::slice::from_ref(versions[0].clock()),
                 ) {
                     for (replica, fresh) in self.replicas.iter().zip(fresh_elements) {
-                        let mut shard = replica.shard(shard_index).write();
-                        let data = shard.get_mut(&key).expect("eligibility checked");
-                        data.set_element(&self.backend, fresh);
-                        data.siblings.remint(&self.backend, fresh_clock.clone());
+                        replica
+                            .shard(shard_index)
+                            .write()
+                            .edit(&key, |data| {
+                                data.set_element(&self.backend, fresh);
+                                data.siblings.remint(&self.backend, fresh_clock.clone());
+                            })
+                            .expect("eligibility checked");
                     }
                     stats.keys_recycled += 1;
                 }
@@ -1311,6 +1484,8 @@ impl<B: StoreBackend> Cluster<B> {
 mod tests {
     use super::*;
     use crate::backend::{DynamicVvBackend, GcWatermarks, VstampBackend};
+    use crate::store::{fnv1a, fnv1a_extend, root_term};
+    use proptest::prelude::*;
 
     fn full_sweep<B: StoreBackend>(cluster: &Cluster<B>) {
         let n = cluster.replica_count();
@@ -1602,17 +1777,34 @@ mod tests {
         assert!(perturbed.delta_bytes > adaptive.delta_bytes, "misses cost an extra round");
     }
 
-    /// One pull exchange written out step by step over the public
-    /// responder functions, applying through the per-key reference path.
+    /// One adaptive pull exchange written out step by step against
+    /// [`Cluster::serve`], applying through the per-key reference path.
+    /// In process nothing is lost, so the pair's cursor always advances.
     fn per_key_exchange<B: StoreBackend>(cluster: &Cluster<B>, requester: usize, responder: usize) {
-        let (deltas, _) = cluster.respond_delta(responder, &cluster.build_digest(requester));
-        let (payload, _) = encode_delta(cluster.backend(), &deltas, DeltaPolicy::ADAPTIVE);
-        let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
-        let misses = cluster.apply_delta(requester, decoded);
-        let refetch = cluster.respond_nak(responder, &misses);
-        let (payload, _) = encode_delta(cluster.backend(), &refetch, DeltaPolicy::FULL_ONLY);
-        let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
-        assert!(cluster.apply_delta(requester, decoded).is_empty(), "full frames cannot miss");
+        let ask = |kind: MessageKind, payload: Vec<u8>| {
+            let request = Envelope { from: requester, kind, payload };
+            cluster.serve(responder, &request).expect("honest request").0
+        };
+        let apply = |reply: Envelope| {
+            let decoded = decode_delta(cluster.backend(), &reply.payload).expect("decodes");
+            cluster.apply_delta(requester, decoded)
+        };
+        let mut cursor = cluster.cursors[requester * cluster.replica_count() + responder].lock();
+        let reply =
+            ask(MessageKind::Probe, encode_probe(cluster.digest_root(requester), cursor.seq));
+        if reply.kind == MessageKind::Ack {
+            return;
+        }
+        let offer = decode_offer(&reply.payload).expect("decodes");
+        let wanted = cluster.pick_wanted(requester, &offer.lines);
+        if !wanted.is_empty() {
+            let misses = apply(ask(MessageKind::Want, encode_want(&wanted)));
+            if !misses.is_empty() {
+                let refetch = apply(ask(MessageKind::Nak, encode_nak(&misses)));
+                assert!(refetch.is_empty(), "full frames cannot miss");
+            }
+        }
+        *cursor = PullCursor { peer_instance: offer.instance, seq: offer.upto };
     }
 
     #[test]
@@ -1715,5 +1907,209 @@ mod tests {
             "stamp metadata exploded: {} bits",
             metrics.max_key_metadata_bits
         );
+    }
+
+    /// The root as it was computed before the shards maintained it: clone
+    /// every key, sort, hash the lines. Kept as the reference the
+    /// maintained root must agree with on *which replicas are equal*.
+    fn sorted_lines_root<B: StoreBackend>(cluster: &Cluster<B>, replica: usize) -> u64 {
+        let mut lines: Vec<(Key, u64)> = Vec::new();
+        for shard_index in 0..cluster.shards.count() {
+            let shard = cluster.replicas[replica].shard(shard_index).read();
+            for (key, data) in shard.iter() {
+                lines.push((key.clone(), data.fingerprint()));
+            }
+        }
+        lines.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut root = fnv1a(b"digest-root");
+        for (key, fingerprint) in &lines {
+            root = fnv1a_extend(root, &(key.len() as u64).to_le_bytes());
+            root = fnv1a_extend(root, key.as_bytes());
+            root = fnv1a_extend(root, &fingerprint.to_le_bytes());
+        }
+        root
+    }
+
+    /// Holds the maintained root and change index of every replica against
+    /// what a walk over the keys computes from scratch.
+    fn assert_maintained_state_is_exact<B: StoreBackend>(cluster: &Cluster<B>, step: usize) {
+        for replica in 0..cluster.replica_count() {
+            let mut expected_root = 0u64;
+            let mut expected_lines = Vec::new();
+            for shard_index in 0..cluster.shards.count() {
+                let shard = cluster.replicas[replica].shard(shard_index).read();
+                for (key, data) in shard.iter() {
+                    let fingerprint = data.fingerprint();
+                    expected_root =
+                        expected_root.wrapping_add(root_term(fnv1a(key.as_bytes()), fingerprint));
+                    expected_lines.push(DigestEntry {
+                        key: key.clone(),
+                        fingerprint,
+                        ctx_fp: data.siblings.versions_hash(),
+                    });
+                }
+            }
+            expected_lines.sort_by(|a, b| a.key.cmp(&b.key));
+            assert_eq!(
+                cluster.digest_root(replica),
+                expected_root,
+                "step {step}, replica {replica}"
+            );
+            assert_eq!(
+                cluster.build_digest(replica),
+                expected_lines,
+                "step {step}: changes since 0 at replica {replica} are not the keys it holds"
+            );
+        }
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            assert_eq!(
+                cluster.digest_root(a) == cluster.digest_root(b),
+                sorted_lines_root(cluster, a) == sorted_lines_root(cluster, b),
+                "step {step}: replicas {a} and {b}"
+            );
+        }
+    }
+
+    /// One step of the maintained-state property: `((what, causal), a, b,
+    /// key)`.
+    type Step = ((u8, bool), usize, usize, usize);
+
+    fn run_maintained_state_steps<B: StoreBackend>(backend: B, steps: &[Step]) {
+        let mut cluster = Cluster::new(backend, 3, 4);
+        for (step, &((what, causal), a, b, key)) in steps.iter().enumerate() {
+            let name = format!("k{key}");
+            match what {
+                0..=2 => {
+                    let read = cluster.get(a, &name);
+                    cluster.put(a, &name, vec![step as u8], read.context().filter(|_| causal));
+                }
+                3 => {
+                    let read = cluster.get(a, &name);
+                    cluster.delete(a, &name, read.context().filter(|_| causal));
+                }
+                4 | 5 if a != b => {
+                    cluster.anti_entropy(a, b);
+                }
+                6 if a != b => {
+                    // The hand-walked full-digest exchange the benchmark
+                    // times, applied per key.
+                    let (deltas, _) = cluster.respond_delta(b, &cluster.build_digest(a));
+                    let (payload, _) =
+                        encode_delta(cluster.backend(), &deltas, DeltaPolicy::ADAPTIVE);
+                    let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
+                    let misses = cluster.apply_delta(a, decoded);
+                    let refetch = cluster.respond_nak(b, &misses);
+                    let (payload, _) =
+                        encode_delta(cluster.backend(), &refetch, DeltaPolicy::FULL_ONLY);
+                    let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
+                    assert!(cluster.apply_delta_batch(a, decoded).is_empty());
+                }
+                7 => {
+                    cluster.compact();
+                }
+                _ => {}
+            }
+            assert_maintained_state_is_exact(&cluster, step);
+        }
+        full_sweep(&cluster);
+        cluster.compact();
+        assert_maintained_state_is_exact(&cluster, steps.len());
+        assert!(cluster.converged());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever mutates a key — writes, deletes, exchanges through the
+        /// engine or by hand, compaction — the root and the change index
+        /// the shards maintain equal a from-scratch recomputation.
+        #[test]
+        fn maintained_root_and_change_index_match_a_recomputation(
+            steps in prop::collection::vec(
+                ((0u8..8, any::<bool>()), 0usize..3, 0usize..3, 0usize..6),
+                1..48,
+            ),
+        ) {
+            run_maintained_state_steps(VstampBackend::gc(), &steps);
+            run_maintained_state_steps(DynamicVvBackend::new(), &steps);
+        }
+    }
+
+    #[test]
+    fn an_offer_lists_every_change_at_or_below_its_upto() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+
+        const WRITERS: usize = 2;
+        const WRITES: usize = 1500;
+        let cluster = Cluster::new(VstampBackend::gc(), 2, 4);
+        // Writers and puller start together and meet once more half way,
+        // so offers are made before, between and after writes whatever the
+        // scheduler does.
+        let meet = Barrier::new(WRITERS + 1);
+        let finished = AtomicUsize::new(0);
+        // Every offer replica 0 made while it was being written to: the
+        // position it was asked from, its `upto`, the keys it listed.
+        let mut offers: Vec<(u64, u64, HashSet<Key>)> = Vec::new();
+        std::thread::scope(|scope| {
+            for writer in 0..WRITERS {
+                let (cluster, meet, finished) = (&cluster, &meet, &finished);
+                scope.spawn(move || {
+                    meet.wait();
+                    for write in 0..WRITES {
+                        if write == WRITES / 2 {
+                            meet.wait();
+                        }
+                        cluster.put(0, &format!("w{writer}-{write}"), vec![1], None);
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            meet.wait();
+            let mut since = 0;
+            for pull in 0.. {
+                if pull == 1 {
+                    meet.wait();
+                }
+                let last = finished.load(Ordering::SeqCst) == WRITERS;
+                let probe = Envelope {
+                    from: 1,
+                    kind: MessageKind::Probe,
+                    payload: encode_probe(cluster.digest_root(1), since),
+                };
+                let (reply, _) = cluster.serve(0, &probe).expect("honest probe");
+                if reply.kind == MessageKind::Offer {
+                    let offer = decode_offer(&reply.payload).expect("decodes");
+                    assert_eq!(offer.since, since);
+                    offers.push((
+                        since,
+                        offer.upto,
+                        offer.lines.into_iter().map(|line| line.key).collect(),
+                    ));
+                    since = offer.upto;
+                }
+                if last {
+                    break;
+                }
+            }
+        });
+        assert!(offers.len() >= 2, "one offer half way, one at the end");
+        // Each key was written once, so the number it ended up under is the
+        // number of its one visible change.
+        for writer in 0..WRITERS {
+            for write in 0..WRITES {
+                let key = format!("w{writer}-{write}");
+                let shard = cluster.replicas[0].shard(cluster.shards.index(&key)).read();
+                let seq = shard.seq_of(&key).expect("written");
+                for (since, upto, listed) in &offers {
+                    assert!(
+                        !(*since < seq && seq <= *upto) || listed.contains(&key),
+                        "{key} changed at {seq}, inside ({since}, {upto}], and was not offered"
+                    );
+                }
+            }
+        }
+        let (_, last_upto, _) = offers.last().expect("non-empty");
+        assert_eq!(*last_upto, cluster.replicas[0].seq(), "the last offer saw everything");
     }
 }

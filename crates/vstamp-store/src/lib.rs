@@ -70,7 +70,7 @@ pub mod wire;
 
 pub use backend::{DvvClock, DynamicVvBackend, GcWatermarks, StoreBackend, VstampBackend};
 pub use cluster::{
-    Cluster, ClusterConfig, CompactionStats, ExchangeStats, GossipStats, StoreMetrics,
+    Cluster, ClusterConfig, CompactionStats, ExchangeStats, GossipStats, PullCursor, StoreMetrics,
 };
 pub use failure::{PhiAccrual, PhiConfig};
 pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
@@ -80,7 +80,7 @@ pub use store::{DeltaOrigin, GetResult, Key, KeySnapshot, StoredVersion, Value, 
 pub use transport::{recv_envelope, send_envelope, Backoff, PeerLink, TransportConfig};
 pub use wire::{
     decode_envelope, encode_envelope, envelope_len, DeltaEncodeStats, DeltaPolicy, DigestEntry,
-    Envelope, KeyDelta, MessageKind, WireKeyDelta, WireVersion,
+    Envelope, KeyDelta, MessageKind, Offer, WireKeyDelta, WireVersion,
 };
 
 #[cfg(test)]

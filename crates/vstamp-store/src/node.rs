@@ -4,8 +4,9 @@
 //! Each [`Node`] owns a `Cluster<VstampBackend>` with exactly one replica
 //! and is the socket transport of the store's one exchange engine: the
 //! gossip loop calls [`Cluster::pull`] with a closure that round-trips each
-//! envelope over a [`PeerLink`], and the server side hands every Probe,
-//! Digest and NAK frame to [`Cluster::serve`]. The protocol, the batched
+//! envelope over a [`PeerLink`] — whose [`PullCursor`] lives and dies with
+//! the link — and the server side hands every Probe, Want and NAK frame to
+//! [`Cluster::serve`]. The protocol, the batched
 //! apply and the wire counters ([`Cluster::gossip_stats`]) are therefore
 //! exactly those of the in-process [`Cluster::anti_entropy`]; this module
 //! adds only what a process needs on top — framing by the
@@ -69,7 +70,7 @@ use vstamp_core::codec::{read_frame, read_varint, write_frame, write_varint};
 use vstamp_core::{retire_identity, DecodeError, PackedName, VersionStamp};
 
 use crate::backend::{StoreBackend, VstampBackend};
-use crate::cluster::{invalid, Cluster};
+use crate::cluster::{invalid, Cluster, PullCursor};
 use crate::failure::{PhiAccrual, PhiConfig};
 use crate::membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
 use crate::store::Value;
@@ -386,11 +387,13 @@ impl NodeInner {
     }
 
     fn status(&self) -> NodeStatus {
+        // Shard locks are not taken under the state lock.
+        let digest_root = self.cluster.digest_root(0);
         let state = self.state.lock();
         let active = state.table.entries().filter(|e| e.status == MemberStatus::Active).count();
         NodeStatus {
             addr: self.addr.clone(),
-            digest_root: self.cluster.digest_root(0),
+            digest_root,
             active_members: active,
             evicted_members: state.table.len() - active,
             id_strings: state.identity.string_count(),
@@ -573,20 +576,24 @@ impl NodeInner {
 
     fn gossip_loop(self: Arc<Self>) {
         let mut rng = self.config.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut links: HashMap<String, PeerLink> = HashMap::new();
+        // A link and how far this node has pulled from the peer behind it.
+        let mut links: HashMap<String, (PeerLink, PullCursor)> = HashMap::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             thread::sleep(self.config.gossip_interval);
             self.sync_membership();
             let peers = self.state.lock().table.live_peers(&self.addr);
             if let Some(peer) = pick(&peers, &mut rng) {
-                let link = links.entry(peer.clone()).or_insert_with(|| {
-                    PeerLink::new(peer.clone(), self.config.transport, splitmix(&mut rng))
+                let (link, cursor) = links.entry(peer.clone()).or_insert_with(|| {
+                    let link =
+                        PeerLink::new(peer.clone(), self.config.transport, splitmix(&mut rng));
+                    (link, PullCursor::default())
                 });
                 // Peers read the sender's port out of `from` (the
                 // heartbeat source); the engine knows only replica 0.
                 let from = self.port as usize;
-                let pulled =
-                    self.cluster.pull(0, |request| link.request(&Envelope { from, ..request }));
+                let pulled = self
+                    .cluster
+                    .pull(0, cursor, |request| link.request(&Envelope { from, ..request }));
                 if pulled.is_ok() {
                     self.feed_heartbeat(&peer);
                 }
@@ -655,7 +662,7 @@ impl NodeInner {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
-            MessageKind::Probe | MessageKind::Digest | MessageKind::Nak => {
+            MessageKind::Probe | MessageKind::Want | MessageKind::Digest | MessageKind::Nak => {
                 let (reply, _) = self.cluster.serve(0, &request)?;
                 Some(Envelope { from, ..reply })
             }
@@ -913,6 +920,26 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "no probe ever hit: {stats:?}");
             thread::sleep(Duration::from_millis(20));
+        }
+        // Each link has pulled by now, so its cursor stands somewhere: a
+        // later write is offered from there (`wanted_keys` grows at the
+        // node that lacks it) and never again from zero.
+        let before = [&bootstrap, &joiner].map(|node| node.cluster().gossip_stats());
+        client.put("later", b"on".to_vec(), None).expect("steady-state put");
+        loop {
+            let (values, _) = joined_client.get("later").expect("get");
+            if values == vec![b"on".to_vec()] {
+                break;
+            }
+            assert!(Instant::now() < deadline, "later never converged: {values:?}");
+            thread::sleep(Duration::from_millis(20));
+        }
+        let after = [&bootstrap, &joiner].map(|node| node.cluster().gossip_stats());
+        assert!(after[1].wanted_keys > before[1].wanted_keys, "{before:?} -> {after:?}");
+        assert!(after[0].offered_keys > before[0].offered_keys, "{before:?} -> {after:?}");
+        for (before, after) in before.iter().zip(&after) {
+            assert!(before.cursor_resets >= 1, "a link's first pull starts from zero: {before:?}");
+            assert_eq!(after.cursor_resets, before.cursor_resets, "{before:?} -> {after:?}");
         }
         joiner.shutdown();
         bootstrap.shutdown();

@@ -35,14 +35,32 @@
 //!   rebuilt once per mutation, so a causal `get` under concurrency is one
 //!   `Arc` clone under a briefly-held shard read lock — contention-free
 //!   against writers on other keys of the shard and copy-free always.
+//!
+//! # Maintained convergence state
+//!
+//! A shard hands out `&mut` access to a key only through its one mutation
+//! helper (`Shard::edit`), which compares the key's fingerprint before and
+//! after the mutation. When it moved, the same critical section updates the
+//! two things a gossip round asks for, so neither is ever recomputed:
+//!
+//! * the shard's **root** — a wrapping sum of one mixed term per
+//!   `(key, fingerprint)`, order-insensitive by construction; a replica's
+//!   digest root is the sum of its shard roots;
+//! * the key's **change sequence number** — drawn from a per-replica
+//!   monotone counter under the shard write lock — and the shard's
+//!   `seq → digest line` index, which holds every key exactly once, in
+//!   the order of its latest change. "What changed after `since`" is a
+//!   walk back from the newest end of that index.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use vstamp_core::Relation;
 
 use crate::backend::StoreBackend;
+use crate::wire::DigestEntry;
 
 /// Key type of the store.
 pub type Key = String;
@@ -657,21 +675,272 @@ impl<B: StoreBackend> KeyData<B> {
     }
 }
 
+/// A key's state plus what the shard maintains about it: the fingerprint
+/// its root term was built from and its place in the change order.
+#[derive(Debug)]
+struct Tracked<B: StoreBackend> {
+    data: KeyData<B>,
+    fingerprint: u64,
+    /// This key's link in the shard's [`ChangeOrder`].
+    slot: u32,
+}
+
+/// One key's term of a shard root. The sum over keys must not cancel when
+/// two keys trade fingerprints or one fingerprint moves by what another
+/// moved back, so the pair is hashed together and run through the
+/// splitmix64 finalizer before it is added.
+pub(crate) fn root_term(key_hash: u64, fingerprint: u64) -> u64 {
+    let mut z = fnv1a_extend(key_hash, &fingerprint.to_le_bytes());
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// "No link": the end of the change order in either direction.
+const NIL: u32 = u32::MAX;
+
+/// One key in a [`ChangeOrder`].
+#[derive(Debug)]
+struct Link {
+    /// The neighbour that changed just before this key, or [`NIL`].
+    older: u32,
+    /// The neighbour that changed just after, or [`NIL`].
+    newer: u32,
+    /// The sequence number of the key's latest change.
+    seq: u64,
+    /// The key's digest line as of that change.
+    line: DigestEntry,
+}
+
+/// The `seq → digest line` index of a shard: every key exactly once, in
+/// the order of its latest change. Sequence numbers only grow, so a changed
+/// key always moves to the newest end — a doubly-linked list over a slab
+/// does that in O(1) with no allocation, where an ordered map paid a cold
+/// tree walk per write. "Changed after `since`" walks back from the newest
+/// end and stops at the first link that is old enough.
+#[derive(Debug)]
+struct ChangeOrder {
+    links: Vec<Link>,
+    newest: u32,
+    /// Slots of removed keys, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+impl ChangeOrder {
+    fn new() -> Self {
+        ChangeOrder { links: Vec::new(), newest: NIL, free: Vec::new() }
+    }
+
+    /// Appends a key that just changed for the first time.
+    fn push(&mut self, seq: u64, line: DigestEntry) -> u32 {
+        let link = Link { older: self.newest, newer: NIL, seq, line };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.links[slot as usize] = link;
+                slot
+            }
+            None => {
+                self.links.push(link);
+                u32::try_from(self.links.len() - 1).expect("fewer than 2^32 keys per shard")
+            }
+        };
+        if let Some(previous) = self.links.get_mut(self.newest as usize) {
+            previous.newer = slot;
+        }
+        self.newest = slot;
+        slot
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Link { older, newer, .. } = self.links[slot as usize];
+        if let Some(link) = self.links.get_mut(older as usize) {
+            link.newer = newer;
+        }
+        match self.links.get_mut(newer as usize) {
+            Some(link) => link.older = older,
+            None => self.newest = older,
+        }
+    }
+
+    /// Records that the key at `slot` changed again: new numbers, newest
+    /// place.
+    fn touch(&mut self, slot: u32, seq: u64, fingerprint: u64, ctx_fp: u64) {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.links[self.newest as usize].newer = slot;
+            let newest = std::mem::replace(&mut self.newest, slot);
+            let link = &mut self.links[slot as usize];
+            (link.older, link.newer) = (newest, NIL);
+        }
+        let link = &mut self.links[slot as usize];
+        (link.seq, link.line.fingerprint, link.line.ctx_fp) = (seq, fingerprint, ctx_fp);
+    }
+
+    fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.links[slot as usize].line.key = Key::new();
+        self.free.push(slot);
+    }
+
+    /// The links whose latest change is after `since`, newest first.
+    fn after(&self, since: u64) -> impl Iterator<Item = &Link> {
+        std::iter::successors(self.links.get(self.newest as usize), |link| {
+            self.links.get(link.older as usize)
+        })
+        .take_while(move |link| link.seq > since)
+    }
+}
+
+/// The next change sequence number. Called only with the shard write lock
+/// held, which is what lets a reader that loaded the counter and *then* took
+/// the shard lock see every change up to the loaded value.
+fn next_seq(seqs: &AtomicU64) -> u64 {
+    seqs.fetch_add(1, Ordering::SeqCst) + 1
+}
+
+/// One independently-locked partition of a replica's keys, with the
+/// maintained convergence state of the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct Shard<B: StoreBackend> {
+    keys: HashMap<Key, Tracked<B>>,
+    /// Wrapping sum of [`root_term`] over `keys`.
+    root: u64,
+    changes: ChangeOrder,
+    /// The replica's change counter, shared by its shards.
+    seqs: Arc<AtomicU64>,
+}
+
+impl<B: StoreBackend> Shard<B> {
+    fn new(seqs: Arc<AtomicU64>) -> Self {
+        Shard { keys: HashMap::new(), root: 0, changes: ChangeOrder::new(), seqs }
+    }
+
+    pub(crate) fn get(&self, key: &str) -> Option<&KeyData<B>> {
+        self.keys.get(key).map(|tracked| &tracked.data)
+    }
+
+    pub(crate) fn contains_key(&self, key: &str) -> bool {
+        self.keys.contains_key(key)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Key, &KeyData<B>)> {
+        self.keys.iter().map(|(key, tracked)| (key, &tracked.data))
+    }
+
+    /// Adds a key the shard does not hold yet. A key with no versions
+    /// still has a fingerprint (its element's knowledge), so it counts
+    /// into the root and the change order from here on.
+    pub(crate) fn insert(&mut self, key: Key, data: KeyData<B>) {
+        debug_assert!(!self.keys.contains_key(&key), "insert is for absent keys");
+        let fingerprint = data.fingerprint();
+        self.root = self.root.wrapping_add(root_term(fnv1a(key.as_bytes()), fingerprint));
+        let line =
+            DigestEntry { key: key.clone(), fingerprint, ctx_fp: data.siblings.versions_hash() };
+        let slot = self.changes.push(next_seq(&self.seqs), line);
+        self.keys.insert(key, Tracked { data, fingerprint, slot });
+    }
+
+    /// The one way to mutate a stored key: runs `edit` on it and, when the
+    /// key's fingerprint moved, swaps its root term and moves it to the
+    /// newest end of the change order under a fresh sequence number.
+    /// `None` when the shard lacks the key.
+    pub(crate) fn edit<R>(
+        &mut self,
+        key: &str,
+        edit: impl FnOnce(&mut KeyData<B>) -> R,
+    ) -> Option<R> {
+        let tracked = self.keys.get_mut(key)?;
+        let result = edit(&mut tracked.data);
+        let fingerprint = tracked.data.fingerprint();
+        if fingerprint != tracked.fingerprint {
+            let key_hash = fnv1a(key.as_bytes());
+            self.root = self
+                .root
+                .wrapping_sub(root_term(key_hash, tracked.fingerprint))
+                .wrapping_add(root_term(key_hash, fingerprint));
+            tracked.fingerprint = fingerprint;
+            let ctx_fp = tracked.data.siblings.versions_hash();
+            self.changes.touch(tracked.slot, next_seq(&self.seqs), fingerprint, ctx_fp);
+        }
+        Some(result)
+    }
+
+    /// Drops a key (compaction of a settled tombstone).
+    pub(crate) fn remove(&mut self, key: &str) {
+        if let Some(tracked) = self.keys.remove(key) {
+            self.root =
+                self.root.wrapping_sub(root_term(fnv1a(key.as_bytes()), tracked.fingerprint));
+            self.changes.remove(tracked.slot);
+        }
+    }
+
+    /// Digest lines of the keys whose latest change is after `since`,
+    /// newest first; `since == 0` lists every key.
+    fn changed_since(&self, since: u64) -> impl Iterator<Item = DigestEntry> + '_ {
+        self.changes.after(since).map(|link| link.line.clone())
+    }
+
+    /// The sequence number of `key`'s latest change.
+    #[cfg(test)]
+    pub(crate) fn seq_of(&self, key: &str) -> Option<u64> {
+        self.keys.get(key).map(|tracked| self.changes.links[tracked.slot as usize].seq)
+    }
+}
+
 /// One replica's data plane: hash-partitioned shards, each an
-/// independently-locked map. Client gets take a shard read lock; writes and
-/// anti-entropy merges take the write lock of a single shard.
+/// independently-locked [`Shard`]. Client gets take a shard read lock;
+/// writes and anti-entropy merges take the write lock of a single shard.
 #[derive(Debug)]
 pub(crate) struct DataPlane<B: StoreBackend> {
-    shards: Vec<RwLock<HashMap<Key, KeyData<B>>>>,
+    shards: Vec<RwLock<Shard<B>>>,
+    seqs: Arc<AtomicU64>,
+    instance: u64,
 }
 
 impl<B: StoreBackend> DataPlane<B> {
-    pub(crate) fn new(shard_count: usize) -> Self {
-        DataPlane { shards: (0..shard_count.max(1)).map(|_| RwLock::new(HashMap::new())).collect() }
+    /// An empty plane. `instance` names this incarnation of the replica to
+    /// peers that remember how far into its change sequence they pulled.
+    pub(crate) fn new(shard_count: usize, instance: u64) -> Self {
+        let seqs = Arc::new(AtomicU64::new(0));
+        DataPlane {
+            shards: (0..shard_count.max(1))
+                .map(|_| RwLock::new(Shard::new(Arc::clone(&seqs))))
+                .collect(),
+            seqs,
+            instance,
+        }
     }
 
-    pub(crate) fn shard(&self, index: usize) -> &RwLock<HashMap<Key, KeyData<B>>> {
+    pub(crate) fn shard(&self, index: usize) -> &RwLock<Shard<B>> {
         &self.shards[index]
+    }
+
+    pub(crate) fn instance(&self) -> u64 {
+        self.instance
+    }
+
+    /// The order-insensitive root over every `(key, fingerprint)` of the
+    /// replica: the sum of the shard roots.
+    pub(crate) fn root(&self) -> u64 {
+        self.shards.iter().fold(0, |root, shard| root.wrapping_add(shard.read().root))
+    }
+
+    /// The latest change sequence number handed out.
+    pub(crate) fn seq(&self) -> u64 {
+        self.seqs.load(Ordering::SeqCst)
+    }
+
+    /// Digest lines of every key changed after `since`. A caller that
+    /// wants a high-water mark to go with them reads [`DataPlane::seq`]
+    /// *first*: a change numbered at or below that mark was numbered under
+    /// its shard's write lock, so the scan — which takes each shard lock
+    /// afterwards — finds it (or a later change of the same key).
+    pub(crate) fn changed_since(&self, since: u64) -> Vec<DigestEntry> {
+        let mut lines = Vec::new();
+        for shard in &self.shards {
+            lines.extend(shard.read().changed_since(since));
+        }
+        lines
     }
 }
 

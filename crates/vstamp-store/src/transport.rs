@@ -22,6 +22,11 @@ use crate::wire::{decode_envelope, encode_envelope, Envelope};
 /// treated as a protocol error rather than an allocation request.
 const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// How much [`recv_envelope`] grows its buffer by at a time: a length
+/// prefix is a claim, and memory is committed only as the bytes behind it
+/// arrive.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Timeouts of the TCP transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
@@ -73,8 +78,13 @@ pub fn recv_envelope<R: Read>(reader: &mut R) -> io::Result<Envelope> {
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
     }
-    let mut bytes = vec![0u8; len as usize];
-    reader.read_exact(&mut bytes)?;
+    let len = len as usize;
+    let mut bytes = Vec::new();
+    while bytes.len() < len {
+        let filled = bytes.len();
+        bytes.resize(len.min(filled + READ_CHUNK), 0);
+        reader.read_exact(&mut bytes[filled..])?;
+    }
     decode_envelope(&bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad envelope: {e:?}")))
 }
@@ -299,6 +309,49 @@ mod tests {
         bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         let err = recv_envelope(&mut bytes.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Yields `bytes`, then EOF, and remembers the largest buffer it was
+    /// ever asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_commits_one_chunk() {
+        // The largest legal claim and nothing behind it.
+        let prefix = MAX_FRAME_LEN.to_le_bytes();
+        let mut reader = Recording { bytes: &prefix, largest_request: 0 };
+        let err = recv_envelope(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            reader.largest_request <= READ_CHUNK,
+            "asked for {} bytes on the strength of a 4-byte prefix",
+            reader.largest_request
+        );
+
+        // A frame of several chunks still arrives whole.
+        let envelope = Envelope {
+            from: 7,
+            kind: MessageKind::Delta,
+            payload: vec![0xAB; 3 * READ_CHUNK + 17],
+        };
+        let mut framed = Vec::new();
+        send_envelope(&mut framed, &envelope).unwrap();
+        let mut reader = Recording { bytes: &framed, largest_request: 0 };
+        assert_eq!(recv_envelope(&mut reader).unwrap(), envelope);
+        assert!(reader.largest_request <= READ_CHUNK);
+        // And one cut short fails as before.
+        let mut reader = Recording { bytes: &framed[..framed.len() - 1], largest_request: 0 };
+        assert_eq!(recv_envelope(&mut reader).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     proptest! {

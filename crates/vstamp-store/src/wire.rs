@@ -1,28 +1,35 @@
-//! Anti-entropy wire protocol: digest, delta and NAK messages, chunked
-//! into the length-prefixed frames of [`vstamp_core::codec`].
+//! Anti-entropy wire protocol: probe, offer, want, delta and NAK messages,
+//! chunked into the length-prefixed frames of [`vstamp_core::codec`].
 //!
 //! The exchange is pull-based and batched:
 //!
-//! 1. the requester sends a **digest** — one `(key, fingerprint, ctx_fp)`
-//!    triple per key it holds, where the fingerprint hashes the sibling
+//! 1. the requester sends a **probe** — its digest root and how far into
+//!    the responder's change sequence its last proven pull reached;
+//! 2. the responder answers **ack** when the roots match, otherwise an
+//!    **offer** — one digest line `(key, fingerprint, ctx_fp)` per key it
+//!    changed after that point, where the fingerprint hashes the sibling
 //!    clock set and the element's knowledge, and `ctx_fp` is the sibling
-//!    set's own order-independent hash (the context fingerprint delta
-//!    frames are gated on);
-//! 2. the responder answers with a **delta** — for every key whose
-//!    fingerprint differs (or which the requester lacks), the responder's
-//!    freshly-forked element plus its full sibling set. Each version rides
-//!    either a *full* clock frame (the canonical encoding) or, when the
-//!    version's mint-time context fingerprint equals the requester's
-//!    `ctx_fp`, a *delta* frame: just the minting dot plus that
-//!    fingerprint ([`DeltaFrame`]);
-//! 3. the requester absorbs the delta: element `join` plus sibling merge.
+//!    set's own order-independent hash;
+//! 3. the requester answers with a **want** — the offered keys it lacks or
+//!    holds under another fingerprint, each with its own `ctx_fp` (the
+//!    context fingerprint delta frames are gated on);
+//! 4. the responder ships a **delta** — for every wanted key its
+//!    freshly-forked element plus the sibling versions the requester does
+//!    not provably hold. Each version rides either a *full* clock frame
+//!    (the canonical encoding) or, when the version's mint-time context
+//!    fingerprint equals the requester's `ctx_fp`, a *delta* frame: just
+//!    the minting dot plus that fingerprint ([`DeltaFrame`]);
+//! 5. the requester absorbs the delta: element `join` plus sibling merge.
 //!    A delta frame whose fingerprint still matches the local sibling set
 //!    reconstructs its clock as `context ⊔ dot` — one join instead of a
-//!    full clock on the wire. A mismatch (the set changed between digest
-//!    and apply, or a deliberately perturbed fingerprint) marks the key
+//!    full clock on the wire. A mismatch (the set changed between want and
+//!    apply, or a deliberately perturbed fingerprint) marks the key
 //!    **missed**;
-//! 4. missed keys go back in a **NAK**, answered with full frames only —
+//! 6. missed keys go back in a **NAK**, answered with full frames only —
 //!    correctness never depends on the fingerprint, only the fast path.
+//!
+//! The full-frame baseline ([`DeltaPolicy::FULL_ONLY`]) replaces steps 1–3
+//! with one requester-sent **digest** of every key it holds.
 //!
 //! All message payloads are self-contained byte buffers, so the same
 //! encoding serves the in-process exchange and the TCP nodes (one engine,
@@ -48,8 +55,8 @@ use vstamp_core::DecodeError;
 use crate::backend::StoreBackend;
 use crate::store::{DeltaOrigin, Key, StoredVersion, Value, Version};
 
-/// One digest line: a key and the fingerprints of the requester's state
-/// for it.
+/// One digest line: a key and the fingerprints of the sender's state for
+/// it — the requester's in a digest, the responder's in an offer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestEntry {
     /// The key.
@@ -58,11 +65,12 @@ pub struct DigestEntry {
     /// fingerprints mean the exchange can skip the key.
     pub fingerprint: u64,
     /// The sibling set's order-independent hash on its own — the wrapping
-    /// sum of the requester's per-version content hashes. The responder
-    /// gates delta frames on it (a version whose mint-time context hash
-    /// equals this can ship as dot + fingerprint) and runs subset-sum
-    /// over its own versions' hashes against it to infer which versions
-    /// the requester already holds, skipping those.
+    /// sum of the sender's per-version content hashes. Given the
+    /// requester's (in a digest or a want), the responder gates delta
+    /// frames on it (a version whose mint-time context hash equals this can
+    /// ship as dot + fingerprint) and runs subset-sum over its own
+    /// versions' hashes against it to infer which versions the requester
+    /// already holds, skipping those.
     pub ctx_fp: u64,
 }
 
@@ -76,9 +84,9 @@ pub struct KeyDelta<B: StoreBackend> {
     pub element: B::Element,
     /// The responder's full sibling set for the key (shared, not copied).
     pub versions: Vec<StoredVersion<B>>,
-    /// The requester's context fingerprint from its digest (`0`, the
-    /// empty-set hash, when the requester lacks the key) — the gate for
-    /// shipping a version as a delta frame.
+    /// The requester's context fingerprint from its want or digest (`0`,
+    /// the empty-set hash, when the requester lacks the key) — the gate
+    /// for shipping a version as a delta frame.
     pub assumed_fp: u64,
 }
 
@@ -159,21 +167,34 @@ impl<B: StoreBackend> PartialEq for WireKeyDelta<B> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
     /// An O(1) convergence probe (payload: the requester's digest root —
-    /// a hash over its sorted per-key fingerprints). Answered with
-    /// [`MessageKind::Ack`] when the responder's root matches (nothing to
-    /// exchange) or [`MessageKind::Miss`] when it does not.
+    /// the order-insensitive sum over its per-key fingerprints — and the
+    /// sequence number its pull cursor for this responder stands at, `0`
+    /// on first contact). Answered with [`MessageKind::Ack`] when the
+    /// responder's root matches (nothing to exchange) or
+    /// [`MessageKind::Offer`] when it does not.
     Probe,
     /// A probe hit: the peers' digest roots match, the exchange is over.
     Ack,
-    /// A probe miss: the requester should follow up with its full digest.
-    Miss,
-    /// A digest request (payload: encoded digest entries).
+    /// A probe miss (payload: an encoded [`Offer`]): the responder's
+    /// instance, the cursor position it served from, its change sequence
+    /// number from before it looked, and one digest line per key changed
+    /// in between. The requester follows up with [`MessageKind::Want`], or
+    /// with nothing when it already holds every offered state.
+    Offer,
+    /// A full digest request (payload: encoded digest entries) — the
+    /// full-frame baseline's opening message; the adaptive exchange never
+    /// sends it. Answered with [`MessageKind::Delta`].
     Digest,
     /// A delta response (payload: encoded key deltas).
     Delta,
     /// A fingerprint-miss report (payload: encoded key list); answered
     /// with a full-frames-only delta.
     Nak,
+    /// The requester's pick from an offer (payload: `(key, ctx_fp)` per
+    /// offered key it lacks or holds under another fingerprint, `ctx_fp`
+    /// being its own sibling-set hash, `0` for a key it lacks). Answered
+    /// with [`MessageKind::Delta`].
+    Want,
     /// A membership join request (payload: the joiner's advertised
     /// address). Answered with [`MessageKind::JoinAck`] carrying a forked
     /// half of the sponsor's membership stamp — decentralized creation.
@@ -207,7 +228,7 @@ impl MessageKind {
         match self {
             MessageKind::Probe => 0,
             MessageKind::Ack => 1,
-            MessageKind::Miss => 2,
+            MessageKind::Offer => 2,
             MessageKind::Digest => 3,
             MessageKind::Delta => 4,
             MessageKind::Nak => 5,
@@ -219,6 +240,7 @@ impl MessageKind {
             MessageKind::PutOk => 11,
             MessageKind::Status => 12,
             MessageKind::StatusOk => 13,
+            MessageKind::Want => 14,
         }
     }
 
@@ -228,7 +250,7 @@ impl MessageKind {
         Some(match tag {
             0 => MessageKind::Probe,
             1 => MessageKind::Ack,
-            2 => MessageKind::Miss,
+            2 => MessageKind::Offer,
             3 => MessageKind::Digest,
             4 => MessageKind::Delta,
             5 => MessageKind::Nak,
@@ -240,6 +262,7 @@ impl MessageKind {
             11 => MessageKind::PutOk,
             12 => MessageKind::Status,
             13 => MessageKind::StatusOk,
+            14 => MessageKind::Want,
             _ => return None,
         })
     }
@@ -345,21 +368,118 @@ pub struct DeltaEncodeStats {
     pub delta_frame_bytes: usize,
 }
 
-/// Encodes a digest-root probe payload: the 8-byte root fingerprint.
-#[must_use]
-pub fn encode_probe(root: u64) -> Vec<u8> {
-    root.to_le_bytes().to_vec()
+/// Splits a length-prefixed UTF-8 key off the front of `input`.
+fn read_key(input: &mut &[u8]) -> Result<Key, DecodeError> {
+    String::from_utf8(read_frame(input)?.to_vec())
+        .map_err(|_| DecodeError::Malformed("key is not valid UTF-8"))
 }
 
-/// Decodes a digest-root probe payload.
+/// Splits a fixed-width little-endian `u64` off the front of `input`.
+fn read_u64(input: &mut &[u8]) -> Result<u64, DecodeError> {
+    if input.len() < 8 {
+        return Err(DecodeError::UnexpectedEnd);
+    }
+    let (bytes, rest) = input.split_at(8);
+    *input = rest;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("split_at(8) yields 8")))
+}
+
+/// Encodes a probe payload: the 8-byte root fingerprint, then the
+/// requester's cursor position in the responder's change sequence.
+#[must_use]
+pub fn encode_probe(root: u64, since: u64) -> Vec<u8> {
+    let mut out = root.to_le_bytes().to_vec();
+    write_varint(&mut out, since);
+    out
+}
+
+/// Decodes a probe payload into `(root, since)`.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] unless the payload is exactly 8 bytes.
-pub fn decode_probe(bytes: &[u8]) -> Result<u64, DecodeError> {
-    let root: [u8; 8] =
-        bytes.try_into().map_err(|_| DecodeError::Malformed("probe is not 8 bytes"))?;
-    Ok(u64::from_le_bytes(root))
+/// Returns a [`DecodeError`] on truncated input or trailing bytes.
+pub fn decode_probe(bytes: &[u8]) -> Result<(u64, u64), DecodeError> {
+    let mut input = bytes;
+    let root = read_u64(&mut input)?;
+    let since = read_varint(&mut input)?;
+    if !input.is_empty() {
+        return Err(DecodeError::TrailingData);
+    }
+    Ok((root, since))
+}
+
+/// The answer to a probe whose root missed: what the responder changed
+/// after the requester's cursor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Offer {
+    /// Names this incarnation of the responder's store. Drawn at random
+    /// when the store is built and fixed-width on the wire, so no byte
+    /// count depends on its value.
+    pub instance: u64,
+    /// The cursor position the lines were listed from: the probe's, or `0`
+    /// when the responder's sequence has not reached that far (it
+    /// restarted) and it listed every key instead.
+    pub since: u64,
+    /// The responder's change sequence number, read before it listed the
+    /// lines: no change numbered `since < n <= upto` is missing from them.
+    pub upto: u64,
+    /// One digest line per listed key, the responder's state of it.
+    pub lines: Vec<DigestEntry>,
+}
+
+/// Encodes an offer payload.
+#[must_use]
+pub fn encode_offer(offer: &Offer) -> Vec<u8> {
+    let mut out = offer.instance.to_le_bytes().to_vec();
+    write_varint(&mut out, offer.since);
+    write_varint(&mut out, offer.upto);
+    out.extend_from_slice(&encode_digest(&offer.lines));
+    out
+}
+
+/// Decodes an offer payload.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncated or malformed input.
+pub fn decode_offer(bytes: &[u8]) -> Result<Offer, DecodeError> {
+    let mut input = bytes;
+    let instance = read_u64(&mut input)?;
+    let since = read_varint(&mut input)?;
+    let upto = read_varint(&mut input)?;
+    Ok(Offer { instance, since, upto, lines: decode_digest(input)? })
+}
+
+/// Encodes a want payload: each wanted key with the requester's sibling-set
+/// hash for it.
+#[must_use]
+pub fn encode_want(wanted: &[(Key, u64)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_varint(&mut out, wanted.len() as u64);
+    for (key, ctx_fp) in wanted {
+        write_frame(&mut out, key.as_bytes());
+        out.extend_from_slice(&ctx_fp.to_le_bytes());
+    }
+    out
+}
+
+/// Decodes a want payload.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncated or malformed input.
+pub fn decode_want(bytes: &[u8]) -> Result<Vec<(Key, u64)>, DecodeError> {
+    let mut input = bytes;
+    let count = read_varint(&mut input)?;
+    let mut wanted = Vec::with_capacity(count.min(1 << 16) as usize);
+    for _ in 0..count {
+        let key = read_key(&mut input)?;
+        wanted.push((key, read_u64(&mut input)?));
+    }
+    if !input.is_empty() {
+        return Err(DecodeError::TrailingData);
+    }
+    Ok(wanted)
 }
 
 /// Encodes a digest message payload.
@@ -385,16 +505,9 @@ pub fn decode_digest(bytes: &[u8]) -> Result<Vec<DigestEntry>, DecodeError> {
     let count = read_varint(&mut input)?;
     let mut entries = Vec::with_capacity(count.min(1 << 16) as usize);
     for _ in 0..count {
-        let key_bytes = read_frame(&mut input)?;
-        let key = String::from_utf8(key_bytes.to_vec())
-            .map_err(|_| DecodeError::Malformed("key is not valid UTF-8"))?;
+        let key = read_key(&mut input)?;
         let fingerprint = read_varint(&mut input)?;
-        if input.len() < 8 {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        let (fp_bytes, rest) = input.split_at(8);
-        input = rest;
-        let ctx_fp = u64::from_le_bytes(fp_bytes.try_into().expect("split_at(8) yields 8"));
+        let ctx_fp = read_u64(&mut input)?;
         entries.push(DigestEntry { key, fingerprint, ctx_fp });
     }
     if !input.is_empty() {
@@ -424,11 +537,7 @@ pub fn decode_nak(bytes: &[u8]) -> Result<Vec<Key>, DecodeError> {
     let count = read_varint(&mut input)?;
     let mut keys = Vec::with_capacity(count.min(1 << 16) as usize);
     for _ in 0..count {
-        let key_bytes = read_frame(&mut input)?;
-        keys.push(
-            String::from_utf8(key_bytes.to_vec())
-                .map_err(|_| DecodeError::Malformed("key is not valid UTF-8"))?,
-        );
+        keys.push(read_key(&mut input)?);
     }
     if !input.is_empty() {
         return Err(DecodeError::TrailingData);
@@ -515,9 +624,7 @@ pub fn decode_delta<B: StoreBackend>(
     let count = read_varint(&mut input)?;
     let mut deltas = Vec::with_capacity(count.min(1 << 16) as usize);
     for _ in 0..count {
-        let key_bytes = read_frame(&mut input)?;
-        let key = String::from_utf8(key_bytes.to_vec())
-            .map_err(|_| DecodeError::Malformed("key is not valid UTF-8"))?;
+        let key = read_key(&mut input)?;
         let element = backend.decode_element(read_frame(&mut input)?)?;
         let version_count = read_varint(&mut input)?;
         let mut versions = Vec::with_capacity(version_count.min(1 << 16) as usize);
@@ -607,10 +714,11 @@ mod tests {
         let kinds = [
             MessageKind::Probe,
             MessageKind::Ack,
-            MessageKind::Miss,
+            MessageKind::Offer,
             MessageKind::Digest,
             MessageKind::Delta,
             MessageKind::Nak,
+            MessageKind::Want,
             MessageKind::Join,
             MessageKind::JoinAck,
             MessageKind::Get,
@@ -631,13 +739,50 @@ mod tests {
             assert_eq!(decoded.payload, envelope.payload);
             assert!(decode_envelope(&bytes[..bytes.len() - 1]).is_err());
         }
-        assert_eq!(MessageKind::from_tag(14), None);
+        assert_eq!(MessageKind::from_tag(15), None);
         assert!(decode_envelope(&[]).is_err());
         assert!(decode_envelope(&[200, 0, 0]).is_err(), "unknown tag must be rejected");
         let mut trailing =
             encode_envelope(&Envelope { from: 0, kind: MessageKind::Ack, payload: Vec::new() });
         trailing.push(0);
         assert_eq!(decode_envelope(&trailing), Err(DecodeError::TrailingData));
+    }
+
+    #[test]
+    fn probe_offer_and_want_roundtrip_and_reject_short_input() {
+        let probe = encode_probe(0xFEED_F00D, 300);
+        assert_eq!(probe.len(), 10, "8-byte root plus a 2-byte varint cursor");
+        assert_eq!(decode_probe(&probe).unwrap(), (0xFEED_F00D, 300));
+        assert!(decode_probe(&probe[..9]).is_err());
+        assert!(decode_probe(&probe[..7]).is_err());
+
+        let offer = Offer {
+            instance: u64::MAX - 5,
+            since: 17,
+            upto: 1 << 40,
+            lines: vec![
+                DigestEntry { key: "a".into(), fingerprint: 1, ctx_fp: 2 },
+                DigestEntry { key: "π".into(), fingerprint: u64::MAX, ctx_fp: 0 },
+            ],
+        };
+        let bytes = encode_offer(&offer);
+        assert_eq!(decode_offer(&bytes).unwrap(), offer);
+        // The instance is fixed-width: its value never moves a byte count.
+        let small = Offer { instance: 1, ..offer.clone() };
+        assert_eq!(encode_offer(&small).len(), bytes.len());
+        for cut in 0..bytes.len() {
+            assert!(decode_offer(&bytes[..cut]).is_err(), "truncation at {cut} must not decode");
+        }
+
+        let wanted: Vec<(Key, u64)> = vec![("a".into(), 7), (String::new(), u64::MAX)];
+        let bytes = encode_want(&wanted);
+        assert_eq!(decode_want(&bytes).unwrap(), wanted);
+        for cut in 0..bytes.len() {
+            assert!(decode_want(&bytes[..cut]).is_err(), "truncation at {cut} must not decode");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(decode_want(&trailing), Err(DecodeError::TrailingData));
     }
 
     #[test]

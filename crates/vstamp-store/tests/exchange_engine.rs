@@ -9,9 +9,12 @@ use std::io;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vstamp_store::wire::{
+    decode_offer, decode_probe, decode_want, encode_offer, encode_probe, encode_want,
+};
 use vstamp_store::{
-    Cluster, ClusterConfig, DynamicVvBackend, Envelope, ExchangeStats, MessageKind, StoreBackend,
-    VstampBackend,
+    Cluster, ClusterConfig, DynamicVvBackend, Envelope, ExchangeStats, MessageKind, PullCursor,
+    StoreBackend, VstampBackend,
 };
 
 const REPLICAS: usize = 3;
@@ -106,12 +109,28 @@ fn visible<B: StoreBackend>(cluster: &Cluster<B>, replica: usize, key: usize) ->
     ids
 }
 
+/// One pull over a transport that delivers everything, `serve` at
+/// `responder` on the other end.
+fn clean_pull<B: StoreBackend>(
+    cluster: &Cluster<B>,
+    requester: usize,
+    responder: usize,
+    cursor: &mut PullCursor,
+) -> ExchangeStats {
+    cluster
+        .pull(requester, cursor, |request| {
+            Ok(cluster.serve(responder, &request).expect("honest request").0)
+        })
+        .expect("honest transport")
+}
+
 /// One pull whose transport misbehaves on roughly every third message.
 ///
 /// Corruption is confined to what a decoder can catch or the protocol
 /// absorbs: a reply is truncated (never decodes), a request is truncated
-/// or bit-flipped (it names other keys or fingerprints, or does not
-/// decode — then the responder drops it, as a node drops the connection).
+/// or bit-flipped (a Probe then carries another root or cursor position,
+/// a Want names other keys or fingerprints, or neither decodes — then the
+/// responder drops it, as a node drops the connection).
 ///
 /// A replay hands back the previous reply *of this exchange*. A delta from
 /// an earlier exchange is a different matter, and out of this engine's
@@ -120,16 +139,18 @@ fn visible<B: StoreBackend>(cluster: &Cluster<B>, replica: usize, key: usize) ->
 /// somebody else, it grants identity twice and a later write is lost
 /// (6 of this plan's 240 seeds, 101 the first, when the replayed reply is
 /// kept across pulls of one pair). Closing that takes an exchange nonce
-/// on the wire — ROADMAP item 1c.
+/// on the wire — ROADMAP item 2a. A replayed *Offer* is no such hole: its
+/// lines are stale but its `upto` was true when it was sent.
 fn faulty_pull<B: StoreBackend>(
     cluster: &Cluster<B>,
     requester: usize,
     responder: usize,
+    cursor: &mut PullCursor,
     rng: &mut StdRng,
 ) -> io::Result<ExchangeStats> {
     let lost = || io::Error::new(io::ErrorKind::ConnectionReset, "scripted fault");
     let mut replayed: Option<Envelope> = None;
-    cluster.pull(requester, |mut request| {
+    cluster.pull(requester, cursor, |mut request| {
         let fault = rng.gen_range(0..18u32);
         match fault {
             0 => return Err(lost()),
@@ -150,10 +171,11 @@ fn faulty_pull<B: StoreBackend>(
                 let kinds = [
                     MessageKind::Probe,
                     MessageKind::Ack,
-                    MessageKind::Miss,
+                    MessageKind::Offer,
                     MessageKind::Digest,
                     MessageKind::Delta,
                     MessageKind::Nak,
+                    MessageKind::Want,
                     MessageKind::PutOk,
                 ];
                 reply.kind = kinds[rng.gen_range(0..kinds.len())];
@@ -179,6 +201,10 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
     let mut rng = StdRng::seed_from_u64(seed);
     let mut oracle = Oracle::default();
     let (mut failed, mut completed) = (0, 0);
+    // One cursor per (requester, responder) link, kept across the faulty
+    // pulls *and* the clean sweeps: a cursor that a fault moved past a
+    // change nobody delivered would keep that change hidden for good.
+    let mut cursors = [[PullCursor::default(); REPLICAS]; REPLICAS];
     for _ in 0..40 {
         for _ in 0..1 + rng.gen_range(0..4u32) {
             let (replica, key) = (rng.gen_range(0..REPLICAS), rng.gen_range(0..KEYS));
@@ -187,7 +213,8 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
         }
         let requester = rng.gen_range(0..REPLICAS);
         let responder = (requester + 1 + rng.gen_range(0..REPLICAS - 1)) % REPLICAS;
-        match faulty_pull(&cluster, requester, responder, &mut rng) {
+        let cursor = &mut cursors[requester][responder];
+        match faulty_pull(&cluster, requester, responder, cursor, &mut rng) {
             Ok(_) => completed += 1,
             Err(_) => failed += 1,
         }
@@ -200,9 +227,11 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
             break;
         }
         assert!(sweep < 8, "seed {seed}: no common digest root after {sweep} clean sweeps");
-        for requester in 0..REPLICAS {
-            for responder in (0..REPLICAS).filter(|&responder| responder != requester) {
-                cluster.anti_entropy(requester, responder);
+        for (requester, links) in cursors.iter_mut().enumerate() {
+            for (responder, cursor) in links.iter_mut().enumerate() {
+                if responder != requester {
+                    clean_pull(&cluster, requester, responder, cursor);
+                }
             }
         }
     }
@@ -228,7 +257,7 @@ fn scripted_transport_faults_never_panic_or_corrupt_and_heal() {
         // peer's sibling set. Stamps compare exactly whatever subset they
         // see; a version vector takes "dot n+1 of this id" to cover dot n,
         // so a later causal write silently supersedes the sibling that
-        // never arrived (1 of 200 perturbed seeds) — ROADMAP item 1e.
+        // never arrived (1 of 200 perturbed seeds) — ROADMAP item 2c.
         let (f, c) = if seed % 2 == 0 {
             run_fault_seed(VstampBackend::gc(), config, seed)
         } else {
@@ -255,7 +284,7 @@ fn corrupted_delta_replies_fail_the_pull_without_a_panic() {
             let read = cluster.get(1, &key);
             cluster.put(1, &key, id.to_le_bytes().to_vec(), read.context());
         }
-        let _ = cluster.pull(0, |request| {
+        let _ = cluster.pull(0, &mut PullCursor::default(), |request| {
             let (mut reply, _) = cluster.serve(1, &request).expect("honest request");
             if !reply.payload.is_empty() {
                 for _ in 0..1 + rng.gen_range(0..3u32) {
@@ -269,20 +298,22 @@ fn corrupted_delta_replies_fail_the_pull_without_a_panic() {
 }
 
 /// Two clusters with the same history, one exchanged by `anti_entropy`,
-/// the other by `pull` over a closure that keeps every `serve` half.
-/// Returns the whole exchange's stats.
+/// the other by `pull` over a closure that keeps every `serve` half — both
+/// under a cursor that has not pulled yet. Returns the whole exchange's
+/// stats.
 fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> ExchangeStats {
     // Replica 1 trails replica 0 by one version of a hot key whose clock
     // grows with every write — where delta frames pay.
     let build = || {
         let cluster = Cluster::with_config(DynamicVvBackend::new(), config);
+        let mut cursor = PullCursor::default();
         for round in 0..12u8 {
-            cluster.anti_entropy(1, 0);
+            clean_pull(&cluster, 1, 0, &mut cursor);
             let read = cluster.get(0, "hot");
             cluster.put(0, "hot", vec![round], read.context());
         }
         if settled {
-            cluster.anti_entropy(1, 0);
+            clean_pull(&cluster, 1, 0, &mut cursor);
         }
         cluster
     };
@@ -290,14 +321,14 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
     let total = whole.anti_entropy(1, 0);
     let mut served = Vec::new();
     let pulled = halves
-        .pull(1, |request| {
+        .pull(1, &mut PullCursor::default(), |request| {
             let (reply, half) = halves.serve(0, &request).expect("honest request");
             served.push(half);
             Ok(reply)
         })
         .expect("honest transport");
     type Field = fn(&ExchangeStats) -> usize;
-    let fields: [(&str, Field); 13] = [
+    let fields: [(&str, Field); 16] = [
         ("digest_keys", |s| s.digest_keys),
         ("keys_shipped", |s| s.keys_shipped),
         ("digest_bytes", |s| s.digest_bytes),
@@ -311,6 +342,9 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
         ("versions_skipped", |s| s.versions_skipped),
         ("root_probes", |s| s.root_probes),
         ("root_matches", |s| s.root_matches),
+        ("offered_keys", |s| s.offered_keys),
+        ("wanted_keys", |s| s.wanted_keys),
+        ("cursor_resets", |s| s.cursor_resets),
     ];
     for (name, field) in fields {
         let halves_sum = field(&pulled) + served.iter().map(field).sum::<usize>();
@@ -324,15 +358,197 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
 #[test]
 fn anti_entropy_stats_are_the_pull_and_serve_halves_summed() {
     let config = ClusterConfig::new(2, 4);
-    // The shapes really differ: a probe hit, a digest round with delta
-    // frames, the same plus a NAK round, and no probe at all.
+    // The shapes really differ: a probe hit, an offer/want round with delta
+    // frames, the same plus a NAK round, and the digest opening with no
+    // probe at all.
     let hit = assert_halves_sum(config, true, "hit");
     assert_eq!((hit.root_matches, hit.keys_shipped, hit.delta_bytes), (1, 0, 0));
+    assert_eq!((hit.offered_keys, hit.cursor_resets), (0, 0), "an Ack offers nothing");
     let miss = assert_halves_sum(config, false, "miss");
     assert_eq!((miss.root_probes, miss.root_matches, miss.nak_refetches), (1, 0, 0));
+    assert_eq!((miss.offered_keys, miss.wanted_keys, miss.cursor_resets), (1, 1, 1));
     assert!(miss.delta_frames > 0 && miss.keys_shipped > 0, "{miss:?}");
     let nak = assert_halves_sum(config.with_perturbed_fingerprints(), false, "perturbed");
     assert!(nak.nak_refetches > 0 && nak.delta_bytes > miss.delta_bytes, "{nak:?}");
     let full = assert_halves_sum(config.without_delta_frames(), false, "full frames");
-    assert_eq!((full.root_probes, full.delta_frames), (0, 0));
+    assert_eq!((full.root_probes, full.delta_frames, full.offered_keys), (0, 0, 0));
+    assert!(full.digest_keys > 0, "{full:?}");
+}
+
+/// `keys` keys written at replica 0 of a 2-replica store, pulled by
+/// replica 1 and back, so both cursors stand at a converged state.
+fn settled_pair(keys: usize) -> Cluster<VstampBackend> {
+    let cluster = Cluster::new(VstampBackend::gc(), 2, 4);
+    for key in 0..keys {
+        cluster.put(0, &format!("key-{key}"), vec![0], None);
+    }
+    cluster.anti_entropy(1, 0);
+    cluster.anti_entropy(0, 1);
+    assert_eq!(cluster.digest_root(0), cluster.digest_root(1));
+    cluster
+}
+
+fn rewrite<B: StoreBackend>(cluster: &Cluster<B>, replica: usize, key: usize, value: u8) {
+    let name = format!("key-{key}");
+    let read = cluster.get(replica, &name);
+    cluster.put(replica, &name, vec![value], read.context());
+}
+
+#[test]
+fn exchange_bytes_follow_the_dirty_keys_not_the_store() {
+    const KEYS: usize = 4096;
+    let cluster = settled_pair(KEYS);
+    for (round, dirty) in [1usize, 16, 256].into_iter().enumerate() {
+        for key in 0..dirty {
+            rewrite(&cluster, 0, key * (KEYS / dirty), round as u8 + 1);
+        }
+        let stats = cluster.anti_entropy(1, 0);
+        assert!(
+            stats.digest_bytes <= 64 + 64 * dirty,
+            "{dirty} dirty keys of {KEYS} cost {} non-delta bytes",
+            stats.digest_bytes
+        );
+        assert_eq!((stats.offered_keys, stats.wanted_keys), (dirty, dirty), "{stats:?}");
+        assert!(stats.keys_shipped <= dirty && stats.keys_shipped > 0, "{stats:?}");
+        assert_eq!(stats.cursor_resets, 0, "{stats:?}");
+        assert_eq!(cluster.digest_root(0), cluster.digest_root(1), "one pull heals {dirty}");
+
+        let converged = cluster.anti_entropy(1, 0);
+        assert_eq!(converged.root_matches, 1);
+        assert!(converged.digest_bytes + converged.delta_bytes <= 20, "{converged:?}");
+        // The responder's side of the pair saw those keys change too (it
+        // lent identity with each one): let it catch up before the next k.
+        cluster.anti_entropy(0, 1);
+    }
+    // Keys dirty only at the requester: the responder changed nothing, so
+    // it offers nothing and nothing comes back to the side that is ahead.
+    for key in 0..16 {
+        rewrite(&cluster, 1, key * 7, 9);
+    }
+    let ahead = cluster.anti_entropy(1, 0);
+    assert_eq!((ahead.root_matches, ahead.offered_keys, ahead.keys_shipped), (0, 0, 0));
+    assert_eq!(ahead.delta_bytes, 0, "{ahead:?}");
+    assert!(ahead.digest_bytes <= 64, "{ahead:?}");
+    assert_eq!(cluster.anti_entropy(0, 1).keys_shipped, 16);
+    assert_eq!(cluster.digest_root(0), cluster.digest_root(1));
+}
+
+#[test]
+fn a_cursor_moves_only_on_proof() {
+    let cluster = settled_pair(32);
+    let mut cursor = PullCursor::default();
+    rewrite(&cluster, 0, 0, 1);
+    clean_pull(&cluster, 1, 0, &mut cursor);
+    let mut settled = cursor;
+    assert_ne!(settled, PullCursor::default(), "a completed pull advances");
+    let tamper = |cursor: &mut PullCursor, edit: &mut dyn FnMut(&mut Envelope, bool)| {
+        cluster.pull(1, cursor, |mut request| {
+            edit(&mut request, true);
+            let (mut reply, _) = cluster.serve(0, &request).ok_or(io::ErrorKind::InvalidData)?;
+            edit(&mut reply, false);
+            Ok(reply)
+        })
+    };
+
+    // The Probe's cursor position flipped on the way: the responder lists
+    // from somewhere else and says so.
+    rewrite(&cluster, 0, 3, 1);
+    let flipped_probe = tamper(&mut cursor, &mut |envelope, _| {
+        if envelope.kind == MessageKind::Probe {
+            let (root, since) = decode_probe(&envelope.payload).expect("own probe");
+            envelope.payload = encode_probe(root, since ^ 1);
+        }
+    });
+    assert!(flipped_probe.is_ok(), "{flipped_probe:?}");
+    assert_eq!(cursor, settled, "an offer for another position proves nothing");
+
+    // The Offer's echo flipped on the way back.
+    rewrite(&cluster, 0, 4, 1);
+    let flipped_offer = tamper(&mut cursor, &mut |envelope, _| {
+        if envelope.kind == MessageKind::Offer {
+            let mut offer = decode_offer(&envelope.payload).expect("own offer");
+            offer.since ^= 2;
+            envelope.payload = encode_offer(&offer);
+        }
+    });
+    assert!(flipped_offer.is_ok(), "{flipped_offer:?}");
+    assert_eq!(cursor, settled);
+
+    // A Delta that does not cover what was wanted: one wanted key never
+    // reaches the responder.
+    rewrite(&cluster, 0, 5, 1);
+    rewrite(&cluster, 0, 6, 1);
+    let short_delta = tamper(&mut cursor, &mut |envelope, _| {
+        if envelope.kind == MessageKind::Want {
+            let mut wanted = decode_want(&envelope.payload).expect("own want");
+            assert_eq!(wanted.len(), 2);
+            wanted.pop();
+            envelope.payload = encode_want(&wanted);
+        }
+    });
+    assert_eq!(short_delta.expect("the pull itself completes").keys_shipped, 0);
+    assert_eq!(cursor, settled, "a key is still owed");
+    assert_ne!(cluster.digest_root(0), cluster.digest_root(1));
+
+    // A Delta that fails half way leaves it, too.
+    let cut = tamper(&mut cursor, &mut |envelope, _| {
+        if envelope.kind == MessageKind::Delta {
+            envelope.payload.truncate(envelope.payload.len() / 2);
+        }
+    });
+    assert!(cut.is_err());
+    assert_eq!(cursor, settled);
+
+    // Nothing was skipped: the unmoved cursor is offered all four keys
+    // again and still lacks the one that was dropped.
+    let healed = clean_pull(&cluster, 1, 0, &mut cursor);
+    assert_eq!((healed.wanted_keys, healed.cursor_resets), (1, 0), "{healed:?}");
+    assert_ne!(cursor, settled);
+    assert_eq!(cluster.digest_root(0), cluster.digest_root(1));
+    settled = cursor;
+    assert_eq!(clean_pull(&cluster, 1, 0, &mut cursor).root_matches, 1);
+    assert_eq!(cursor, settled, "an Ack carries no position");
+}
+
+#[test]
+fn a_restarted_responder_is_pulled_from_scratch() {
+    // Two single-replica stores, the node topology: `a` pulls from `b`.
+    let store = || Cluster::new(VstampBackend::gc(), 1, 4);
+    let pull = |from: &Cluster<VstampBackend>, to: &Cluster<VstampBackend>, cursor: &mut _| {
+        to.pull(0, cursor, |request| Ok(from.serve(0, &request).expect("honest request").0))
+            .expect("honest transport")
+    };
+    for later_writes in [3usize, 40] {
+        let (a, b) = (store(), store());
+        for key in 0..20 {
+            b.put(0, &format!("old-{key}"), vec![1], None);
+        }
+        let mut cursor = PullCursor::default();
+        assert_eq!(pull(&b, &a, &mut cursor).cursor_resets, 1, "first contact");
+        assert_eq!(a.digest_root(0), b.digest_root(0));
+        b.put(0, "old-0", vec![2], None);
+        assert_eq!(pull(&b, &a, &mut cursor).cursor_resets, 0, "steady state");
+
+        // `b` is replaced by a store that remembers nothing: a new
+        // instance whose sequence restarts, below or beyond the cursor.
+        let b = store();
+        for key in 0..later_writes {
+            b.put(0, &format!("new-{key}"), vec![3], None);
+        }
+        let first = pull(&b, &a, &mut cursor);
+        if first.cursor_resets == 0 {
+            // The new sequence had already passed the old position: the
+            // offer names an instance the cursor does not know, which
+            // drops the cursor; the next pull starts over.
+            assert_eq!(cursor, PullCursor::default());
+            assert_eq!(pull(&b, &a, &mut cursor).cursor_resets, 1);
+        }
+        for key in 0..later_writes {
+            assert_eq!(a.get(0, &format!("new-{key}")).values(), vec![vec![3]]);
+        }
+        assert_eq!(pull(&b, &a, &mut cursor).cursor_resets, 0, "the new cursor holds");
+        // And the restarted store gets back what only `a` still has.
+        pull(&a, &b, &mut PullCursor::default());
+        assert_eq!(a.digest_root(0), b.digest_root(0), "{later_writes} writes after the restart");
+    }
 }
