@@ -17,8 +17,7 @@
 //! | E9 simplification | `cargo run -p vstamp-bench --bin simplification`, `cargo bench -p vstamp-bench --bench simplify` |
 //! | E10 ITC comparison | `cargo run -p vstamp-bench --bin itc_comparison` |
 //! | repr ablation | `cargo bench -p vstamp-bench --bench repr` |
-//! | store backends | `cargo run -p vstamp-bench --bin bench_store_json` (`--profile` for the section breakdown), `cargo bench -p vstamp-bench --bench store` |
-//! | open-loop tail latency | `cargo run -p vstamp-bench --bin bench_latency_json` (`--smoke` for the CI grid; see [`latency`]) |
+//! | store backends | `cargo bench -p vstamp-bench --bench store` |
 //!
 //! The library part holds the small amount of shared code the binaries use
 //! (deterministic seeds and table formatting), so their output is stable
@@ -26,8 +25,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod latency;
 
 use vstamp_core::{Configuration, Mechanism, Trace};
 
@@ -85,17 +82,6 @@ pub fn smoke_mode() -> bool {
     std::env::var("VSTAMP_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The ~230-operation partition/heal fragmentation-wall trace from the
-/// ROADMAP: five islands of four replicas, three epochs of island-local
-/// sync with heals in between (233 operations at the default seed). Under
-/// eager reduction its identities fragment into the 10⁴–10⁵-string range;
-/// the `bench_gc_json` report records the before/after curve and the
-/// eager-vs-GC peak ratio.
-#[must_use]
-pub fn roadmap_partition_heal_trace(seed: u64) -> Trace {
-    vstamp_sim::workload::generate_partition_heal(5, 4, 3, 50, seed)
-}
-
 /// The first `ops` operations of a trace (used to cap what the
 /// non-reducing mechanism replays).
 #[must_use]
@@ -108,8 +94,8 @@ pub fn truncated(trace: &Trace, ops: usize) -> Trace {
 }
 
 /// A name with `strings` deterministic pseudo-random strings of the given
-/// depth (xorshift-generated, reproducible across runs). Shared by the
-/// `repr` bench and the `bench_repr_json` report binary.
+/// depth (xorshift-generated, reproducible across runs), for the `repr`
+/// bench.
 #[must_use]
 pub fn wide_name(strings: usize, depth: usize, seed: u64) -> vstamp_core::Name {
     use vstamp_core::{Bit, BitString, Name};
@@ -200,13 +186,6 @@ mod tests {
         std::env::set_var("VSTAMP_BENCH_SMOKE", "0");
         assert!(!smoke_mode());
         std::env::remove_var("VSTAMP_BENCH_SMOKE");
-    }
-
-    #[test]
-    fn roadmap_trace_is_deterministic_and_partition_heal_sized() {
-        let trace = roadmap_partition_heal_trace(DEFAULT_SEED);
-        assert_eq!(trace.len(), 233, "the ROADMAP fragmentation-wall trace is ~230 operations");
-        assert_eq!(trace, roadmap_partition_heal_trace(DEFAULT_SEED));
     }
 
     #[test]

@@ -60,9 +60,9 @@
 //! the mechanism (allowed by [`Mechanism`](crate::Mechanism) — baselines
 //! keep global state too), where the paper's mechanism is fully
 //! decentralized. A deployment would piggyback the evidence on its
-//! anti-entropy protocol; the simulator uses the mirror. The payoff,
-//! measured by `bench_gc_json`: the 10⁵-string fragmentation wall becomes a
-//! bounded curve on the same traces.
+//! anti-entropy protocol; the simulator uses the mirror. The payoff: the
+//! 10⁵-string fragmentation wall becomes a bounded curve on the same
+//! traces.
 
 use crate::bitstring::{Bit, BitString};
 use crate::name::Name;

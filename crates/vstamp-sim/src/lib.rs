@@ -12,9 +12,8 @@
 //!   elements and expected relations;
 //! * [`oracle`] — replay-and-compare against the causal-history
 //!   specification (experiments E5/E6);
-//! * [`metrics`] — per-element space accounting and identity-fragmentation
-//!   curves over whole traces (experiments E7/E9/E10 and the identity-GC
-//!   report);
+//! * [`metrics`] — per-element space accounting over whole traces
+//!   (experiments E7/E9/E10);
 //! * [`runner`] — a parallel comparison runner covering every mechanism in
 //!   the workspace;
 //! * [`store_sim`] — the `vstamp-store` scenario: N store replicas under
@@ -47,9 +46,7 @@ pub mod scenario;
 pub mod store_sim;
 pub mod workload;
 
-pub use metrics::{
-    measure_fragmentation, measure_space, ComparisonTable, FragmentationReport, SpaceReport,
-};
+pub use metrics::{measure_space, ComparisonTable, SpaceReport};
 pub use nemesis::{FaultEvent, FaultPlan, NemesisConfig, Proxy};
 pub use oracle::{check_against_oracle, AgreementReport, Disagreement};
 pub use runner::{compare_mechanisms, MechanismSet};

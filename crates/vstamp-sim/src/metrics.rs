@@ -4,7 +4,7 @@
 
 use core::fmt;
 
-use vstamp_core::{Configuration, Mechanism, NameLike, Stamp, StampMechanism, Trace};
+use vstamp_core::{Configuration, Mechanism, Trace};
 
 /// Space statistics of one mechanism over one trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,78 +80,6 @@ pub fn measure_space<M: Mechanism>(mechanism: M, trace: &Trace) -> SpaceReport {
         max_element_bits,
         final_frontier_bits,
         final_mean_element_bits: final_frontier_bits as f64 / final_len as f64,
-    }
-}
-
-/// Identity-fragmentation statistics of one stamp policy over one trace —
-/// the data behind the `bench_gc_json` report and the ROADMAP
-/// fragmentation-wall measurements.
-///
-/// "Identity strings" counts the strings of the *id* component only: that
-/// is the quantity the Section-6 rule and the frontier GC act on, and the
-/// one that explodes (10⁵ strings on a 230-op partition/heal trace under
-/// eager reduction).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FragmentationReport {
-    /// Name of the mechanism measured.
-    pub mechanism: &'static str,
-    /// Number of operations replayed.
-    pub operations: usize,
-    /// Peak total id strings across the frontier, over all steps.
-    pub peak_frontier_id_strings: usize,
-    /// Total id strings across the final frontier.
-    pub final_frontier_id_strings: usize,
-    /// Largest id (in strings) of any single element at any step.
-    pub peak_element_id_strings: usize,
-    /// Sampling stride of `curve` (every `stride` operations, plus the
-    /// final step).
-    pub stride: usize,
-    /// Sampled total-frontier-id-strings curve.
-    pub curve: Vec<usize>,
-}
-
-/// Replays `trace` against a stamp mechanism (any representation, any
-/// reduction policy), recording the identity-fragmentation curve: the total
-/// number of id strings across the frontier, sampled every `stride`
-/// operations.
-pub fn measure_fragmentation<N, P>(
-    mechanism: StampMechanism<N, P>,
-    trace: &Trace,
-    stride: usize,
-) -> FragmentationReport
-where
-    N: NameLike,
-    StampMechanism<N, P>: Mechanism<Element = Stamp<N>>,
-{
-    let stride = stride.max(1);
-    let mut config = Configuration::new(mechanism);
-    let name = config.mechanism().mechanism_name();
-    let mut peak_frontier = 0usize;
-    let mut peak_element = 0usize;
-    let mut final_total = 0usize;
-    let mut curve = Vec::new();
-    for (step, op) in trace.iter().enumerate() {
-        config.apply(*op).expect("trace replays cleanly");
-        let mut total = 0usize;
-        for (_, stamp) in config.iter() {
-            let strings = stamp.id_name().string_count();
-            total += strings;
-            peak_element = peak_element.max(strings);
-        }
-        peak_frontier = peak_frontier.max(total);
-        final_total = total;
-        if step % stride == 0 || step + 1 == trace.len() {
-            curve.push(total);
-        }
-    }
-    FragmentationReport {
-        mechanism: name,
-        operations: trace.len(),
-        peak_frontier_id_strings: peak_frontier,
-        final_frontier_id_strings: final_total,
-        peak_element_id_strings: peak_element,
-        stride,
-        curve,
     }
 }
 
@@ -254,27 +182,6 @@ mod tests {
             stamps.final_mean_element_bits,
             dynamic.final_mean_element_bits
         );
-    }
-
-    #[test]
-    fn fragmentation_report_tracks_gc_vs_eager() {
-        use vstamp_core::VersionStampMechanism;
-        let trace = generate(&WorkloadSpec::new(160, 6, 13).with_mix(OperationMix::churn_heavy()));
-        let eager = measure_fragmentation(VersionStampMechanism::reducing(), &trace, 10);
-        let gc = measure_fragmentation(VersionStampMechanism::frontier_gc(), &trace, 10);
-        assert_eq!(eager.operations, 160);
-        assert_eq!(eager.mechanism, "version-stamps");
-        assert_eq!(gc.mechanism, "version-stamps-gc");
-        assert!(!eager.curve.is_empty());
-        assert_eq!(eager.curve.len(), gc.curve.len());
-        assert_eq!(*eager.curve.last().unwrap(), eager.final_frontier_id_strings);
-        assert!(eager.peak_frontier_id_strings >= eager.final_frontier_id_strings);
-        assert!(eager.peak_element_id_strings <= eager.peak_frontier_id_strings);
-        // GC never fragments more than eager reduction, step for step.
-        for (g, e) in gc.curve.iter().zip(&eager.curve) {
-            assert!(g <= e, "GC curve above eager: {g} > {e}");
-        }
-        assert!(gc.peak_frontier_id_strings <= eager.peak_frontier_id_strings);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! Both backends — version stamps (eager or GC) and the dynamic-VV
 //! baseline — are driven through the identical deterministic schedule, so
-//! the reports are directly comparable (`bench_store_json` records them).
+//! the reports are directly comparable.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -26,9 +26,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vstamp_store::{
-    Cluster, ClusterConfig, GossipStats, ProfileSnapshot, StoreBackend, StoreMetrics,
-};
+use vstamp_store::{Cluster, ClusterConfig, GossipStats, StoreBackend, StoreMetrics};
 
 /// Parameters of a store simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,9 +51,6 @@ pub struct StoreSimSpec {
     pub stale_percent: u32,
     /// Random seed.
     pub seed: u64,
-    /// Enables the cluster's wall-clock section profiling (GC / join /
-    /// relation / codec / lock); the snapshot lands in the report.
-    pub profile: bool,
     /// Client threads driving sessions concurrently over the shared
     /// cluster. `1` (the default) runs the fully deterministic serial
     /// schedule; above that each epoch's sessions and anti-entropy pulls
@@ -63,9 +58,6 @@ pub struct StoreSimSpec {
     /// session stream, and the causal oracle is enforced under the real
     /// interleavings.
     pub threads: usize,
-    /// Disables delta clock frames on the wire (the pre-delta full-frame
-    /// baseline); the oracle gates the run either way.
-    pub full_frames_only: bool,
     /// Deliberately flips every shipped context fingerprint so each delta
     /// frame misses at the receiver and the NAK/full-frame fallback
     /// carries the exchange — the forced-miss correctness drill.
@@ -90,33 +82,16 @@ impl StoreSimSpec {
             delete_percent: 5,
             stale_percent: 20,
             seed,
-            profile: false,
             threads: 1,
-            full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
         }
-    }
-
-    /// The same spec with profiling switched on.
-    #[must_use]
-    pub fn with_profile(mut self) -> Self {
-        self.profile = true;
-        self
     }
 
     /// The same spec driven by `threads` concurrent client threads.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// The same spec with delta clock frames disabled (full-frame
-    /// baseline wire).
-    #[must_use]
-    pub fn with_full_frames_only(mut self) -> Self {
-        self.full_frames_only = true;
         self
     }
 
@@ -138,9 +113,6 @@ impl StoreSimSpec {
     /// The cluster wiring this spec asks for.
     fn cluster_config(&self) -> ClusterConfig {
         let mut config = ClusterConfig::new(self.replicas, self.shards);
-        if self.full_frames_only {
-            config = config.without_delta_frames();
-        }
         if self.perturb_fingerprints {
             config = config.with_perturbed_fingerprints();
         }
@@ -148,60 +120,6 @@ impl StoreSimSpec {
             config = config.with_read_repair();
         }
         config
-    }
-
-    /// The partition/heal scenario at thread-scaling scale: enough keys
-    /// that writers spread across shards and enough sessions per epoch
-    /// that the parallel phase dominates scheduling overhead. The same
-    /// grid is run at every thread count, so ops/s are comparable.
-    #[must_use]
-    pub fn partition_heal_scaling(seed: u64) -> Self {
-        StoreSimSpec {
-            replicas: 8,
-            shards: 16,
-            keys: 48,
-            rounds: 10,
-            ops_per_round: 320,
-            islands: 3,
-            delete_percent: 5,
-            stale_percent: 20,
-            seed,
-            profile: false,
-            threads: 1,
-            full_frames_only: false,
-            perturb_fingerprints: false,
-            read_repair: false,
-        }
-    }
-
-    /// The churn scenario at thread-scaling scale.
-    #[must_use]
-    pub fn churn_scaling(seed: u64) -> Self {
-        StoreSimSpec {
-            replicas: 6,
-            shards: 16,
-            keys: 32,
-            rounds: 10,
-            ops_per_round: 320,
-            islands: 1,
-            delete_percent: 10,
-            stale_percent: 35,
-            seed,
-            profile: false,
-            threads: 1,
-            full_frames_only: false,
-            perturb_fingerprints: false,
-            read_repair: false,
-        }
-    }
-
-    /// A seconds-scale shrink of a scaling grid (CI smoke).
-    #[must_use]
-    pub fn smoke_scaling(mut self) -> Self {
-        self.rounds = 4;
-        self.ops_per_round = 96;
-        self.keys = self.keys.min(16);
-        self
     }
 
     /// The churn scenario: no partitions, constant all-to-all gossip, many
@@ -218,9 +136,7 @@ impl StoreSimSpec {
             delete_percent: 10,
             stale_percent: 35,
             seed,
-            profile: false,
             threads: 1,
-            full_frames_only: false,
             perturb_fingerprints: false,
             read_repair: false,
         }
@@ -250,9 +166,6 @@ pub struct StoreSimReport {
     pub final_metrics: StoreMetrics,
     /// Mean per-`(replica, key)` metadata bits, sampled once per epoch.
     pub metadata_curve: Vec<f64>,
-    /// Wall-clock section breakdown (zeros unless the spec enabled
-    /// profiling).
-    pub profile: ProfileSnapshot,
     /// Bytes-on-wire accounting for the whole run.
     pub wire: WireReport,
 }
@@ -294,53 +207,8 @@ pub struct WireReport {
     pub bytes_per_exchange_curve: Vec<f64>,
     /// Mean payload bytes per exchange across the post-heal converged
     /// epochs: full sweeps run after the cluster has converged, when an
-    /// exchange costs only the protocol's probe of choice — the full
-    /// digest for the PR 5 baseline, the 8-byte root for the adaptive
-    /// wire. The steady-state figure of the bytes-on-wire benchmark.
+    /// exchange costs only the root probe and its ack.
     pub converged_bytes_per_exchange: f64,
-    /// Mean payload bytes per exchange across the post-heal settle
-    /// sweeps — the steady-state figure the delta codec targets.
-    pub settle_bytes_per_exchange: f64,
-}
-
-impl WireReport {
-    /// Mean payload bytes per exchange across the whole run.
-    #[must_use]
-    pub fn mean_bytes_per_exchange(&self) -> f64 {
-        let total = self.digest_bytes + self.delta_bytes;
-        total as f64 / self.exchanges.max(1) as f64
-    }
-
-    /// Mean clock-frame bytes per replicated version — the figure the
-    /// delta codec drives towards O(1).
-    #[must_use]
-    pub fn clock_bytes_per_version(&self) -> f64 {
-        let versions = self.delta_frames + self.full_frames;
-        self.frame_bytes as f64 / versions.max(1) as f64
-    }
-
-    /// Replication-payload bytes per exchange: the delta direction alone,
-    /// excluding the fixed digest probe both wires pay identically.
-    #[must_use]
-    pub fn replication_bytes_per_exchange(&self) -> f64 {
-        self.delta_bytes as f64 / self.exchanges.max(1) as f64
-    }
-
-    /// Versions an exchange's delta brought the requester up to date on:
-    /// the ones actually shipped plus the ones dedup proved it already
-    /// held (the full-frame baseline reships those, so its count is just
-    /// the shipped frames).
-    #[must_use]
-    pub fn versions_delivered(&self) -> usize {
-        self.delta_frames + self.full_frames + self.versions_skipped
-    }
-
-    /// Replication-payload bytes per delivered version — the headline
-    /// figure the adaptive wire drives towards O(1) per version.
-    #[must_use]
-    pub fn bytes_per_delivered_version(&self) -> f64 {
-        self.delta_bytes as f64 / self.versions_delivered().max(1) as f64
-    }
 }
 
 /// Full sweeps run after convergence to measure the steady-state wire.
@@ -359,7 +227,6 @@ fn bytes_per_exchange(before: GossipStats, after: GossipStats) -> f64 {
 fn wire_report(
     totals: GossipStats,
     bytes_per_exchange_curve: Vec<f64>,
-    settle_bytes_per_exchange: f64,
     converged_bytes_per_exchange: f64,
 ) -> WireReport {
     WireReport {
@@ -376,7 +243,6 @@ fn wire_report(
         root_probes: totals.root_probes,
         root_matches: totals.root_matches,
         bytes_per_exchange_curve,
-        settle_bytes_per_exchange,
         converged_bytes_per_exchange,
     }
 }
@@ -398,8 +264,8 @@ impl StoreSimReport {
 /// which is what lets the concurrent driver stripe it (one mutex per key)
 /// without a global serialization point.
 ///
-/// Public as the *oracle sampling hook*: external drivers (the open-loop
-/// latency benchmark) keep one `KeyOracle` per sampled key, record their
+/// Public as the *oracle sampling hook*: external drivers (the repository
+/// benchmark) keep one `KeyOracle` per sampled key, record their
 /// sessions through it, and gate their run on
 /// [`KeyOracle::false_concurrency`] / [`KeyOracle::expected_live`] exactly
 /// as the simulation drivers here do. Values must be
@@ -524,9 +390,6 @@ pub fn run_store_sim<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreS
     let backend_label = backend.label();
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut cluster = Cluster::with_config(backend, spec.cluster_config());
-    if spec.profile {
-        cluster.enable_profiling();
-    }
     let mut oracle = Oracle::default();
     let mut next_id = 1u64;
     let mut sessions = 0usize;
@@ -635,13 +498,10 @@ pub fn run_store_sim<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreS
         }
     }
 
-    let settle_totals = cluster.gossip_stats();
-    let settle_bytes = bytes_per_exchange(wire_mark, settle_totals);
-
     // Converged epochs: anti-entropy keeps running after convergence, and
     // what those idle exchanges cost is the protocol's steady-state wire
-    // overhead — the whole digest for the full-frame baseline, the 8-byte
-    // root probe for the adaptive wire.
+    // overhead — the root probe and its ack.
+    let settle_totals = cluster.gossip_stats();
     for _ in 0..CONVERGED_EPOCH_SWEEPS {
         for a in 0..spec.replicas {
             for b in 0..spec.replicas {
@@ -680,8 +540,7 @@ pub fn run_store_sim<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreS
         keys_recycled: compaction.keys_recycled + compaction.keys_dropped,
         final_metrics: cluster.metrics(),
         metadata_curve,
-        profile: cluster.profile_snapshot(),
-        wire: wire_report(wire_totals, wire_curve, settle_bytes, converged_bytes),
+        wire: wire_report(wire_totals, wire_curve, converged_bytes),
     }
 }
 
@@ -708,15 +567,11 @@ struct ThreadSnapshot<B: StoreBackend> {
 /// its causal record already in place; the stripe mutex provides the
 /// ordering. Schedules are intentionally nondeterministic; the oracle
 /// verdict (no lost updates, no false concurrency, no resurrections,
-/// convergence) must still be exact — this is the concurrency stress the
-/// scaling benchmark gates on.
+/// convergence) must still be exact.
 fn run_store_sim_concurrent<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreSimReport {
     let threads = spec.threads;
     let backend_label = backend.label();
     let mut cluster = Cluster::with_config(backend, spec.cluster_config());
-    if spec.profile {
-        cluster.enable_profiling();
-    }
     let keys: Vec<String> = (0..spec.keys.max(1)).map(|k| format!("key-{k}")).collect();
     let oracle: Vec<Mutex<KeyOracle>> =
         keys.iter().map(|_| Mutex::new(KeyOracle::default())).collect();
@@ -843,7 +698,6 @@ fn run_store_sim_concurrent<B: StoreBackend>(backend: B, spec: &StoreSimSpec) ->
         }
     }
     let settle_totals = cluster.gossip_stats();
-    let settle_bytes = bytes_per_exchange(wire_mark, settle_totals);
     for _ in 0..CONVERGED_EPOCH_SWEEPS {
         for a in 0..spec.replicas {
             for b in 0..spec.replicas {
@@ -878,8 +732,7 @@ fn run_store_sim_concurrent<B: StoreBackend>(backend: B, spec: &StoreSimSpec) ->
         keys_recycled: compaction.keys_recycled + compaction.keys_dropped,
         final_metrics: cluster.metrics(),
         metadata_curve,
-        profile: cluster.profile_snapshot(),
-        wire: wire_report(wire_totals, wire_curve, settle_bytes, converged_bytes),
+        wire: wire_report(wire_totals, wire_curve, converged_bytes),
     }
 }
 
@@ -948,40 +801,46 @@ mod tests {
 
     #[test]
     fn delta_frames_cut_wire_bytes_and_forced_misses_stay_exact() {
-        let spec = StoreSimSpec::churn(4, 12, 7);
-        for backend in ["stamps-gc", "dynamic-vv"] {
-            let run = |spec: &StoreSimSpec| match backend {
-                "stamps-gc" => run_store_sim(VstampBackend::gc(), spec),
-                _ => run_store_sim(DynamicVvBackend::new(), spec),
-            };
-            let adaptive = run(&spec);
-            let full = run(&spec.with_full_frames_only());
-            let perturbed = run(&spec.with_perturbed_fingerprints());
-            for (mode, report) in
-                [("adaptive", &adaptive), ("full-only", &full), ("perturbed", &perturbed)]
-            {
-                assert!(
-                    report.is_exact(),
-                    "{backend}/{mode}: lost={} false_conc={} resurrect={} converged={}",
-                    report.lost_updates,
-                    report.false_concurrency,
-                    report.resurrections,
-                    report.converged
-                );
-            }
-            assert!(adaptive.wire.delta_frames > 0, "{backend}: adaptive run must ship deltas");
-            assert_eq!(full.wire.delta_frames, 0, "{backend}: baseline must not ship deltas");
+        // Every lever of the adaptive wire must be exercised on every
+        // backend and grid: delta frames shipped and cheaper than their
+        // full frames, the root probe hit, known versions skipped; forced
+        // misses fall back through the NAK refetch and never match a probe.
+        const SEED: u64 = 20020310;
+        fn exact<B: StoreBackend>(backend: B, spec: &StoreSimSpec, what: &str) -> WireReport {
+            let report = run_store_sim(backend, spec);
             assert!(
-                adaptive.wire.delta_bytes < full.wire.delta_bytes,
-                "{backend}: adaptive {} bytes vs full-frame {} bytes",
-                adaptive.wire.delta_bytes,
-                full.wire.delta_bytes
+                report.is_exact(),
+                "{what}: lost={} false_conc={} resurrect={} converged={}",
+                report.lost_updates,
+                report.false_concurrency,
+                report.resurrections,
+                report.converged
             );
+            report.wire
+        }
+        fn gate<B: StoreBackend + Clone>(backend: B, spec: &StoreSimSpec) {
+            let label = backend.label();
+            let adaptive = exact(backend.clone(), spec, label);
+            assert!(adaptive.delta_frames > 0, "{label}: adaptive run must ship deltas");
+            assert!(adaptive.wire_bytes_saved > 0, "{label}: delta frames must save bytes");
+            assert!(adaptive.root_matches > 0, "{label}: the root probe never hit");
+            assert!(adaptive.versions_skipped > 0, "{label}: dedup never skipped a version");
+            // 5x under the smallest whole-digest steady state on record
+            // (149 B per converged exchange, CHANGES.md PR 21).
             assert!(
-                perturbed.wire.nak_refetches > 0,
-                "{backend}: perturbed fingerprints must force NAK refetches"
+                adaptive.converged_bytes_per_exchange <= 29.0,
+                "{label}: a converged exchange costs {:.1} B",
+                adaptive.converged_bytes_per_exchange
             );
-            assert_eq!(spec.rounds, adaptive.wire.bytes_per_exchange_curve.len());
+            assert_eq!(spec.rounds, adaptive.bytes_per_exchange_curve.len());
+            let perturbed = exact(backend, &spec.with_perturbed_fingerprints(), label);
+            assert!(perturbed.nak_refetches > 0, "{label}: forced misses must NAK");
+            assert_eq!(perturbed.root_matches, 0, "{label}: a perturbed probe matched");
+        }
+        for spec in [StoreSimSpec::partition_heal(4, 6, SEED), StoreSimSpec::churn(3, 8, SEED)] {
+            gate(VstampBackend::gc(), &spec);
+            gate(VstampBackend::eager(), &spec);
+            gate(DynamicVvBackend::new(), &spec);
         }
     }
 
@@ -1180,17 +1039,5 @@ mod tests {
         assert_eq!(aggressive.clock_bits_total, lazy.clock_bits_total);
         assert_eq!(aggressive.element_bits_total, lazy.element_bits_total);
         assert_eq!(aggressive.mean_key_metadata_bits, lazy.mean_key_metadata_bits);
-    }
-
-    #[test]
-    fn profiled_runs_report_section_breakdown() {
-        let spec = StoreSimSpec::partition_heal(4, 6, 5).with_profile();
-        let report = run_store_sim(VstampBackend::gc(), &spec);
-        assert!(report.is_exact());
-        assert!(report.profile.join.calls > 0);
-        assert!(report.profile.codec.calls > 0);
-        // Unprofiled runs stay at zero.
-        let quiet = run_store_sim(VstampBackend::gc(), &StoreSimSpec::partition_heal(4, 6, 5));
-        assert_eq!(quiet.profile.join.calls, 0);
     }
 }

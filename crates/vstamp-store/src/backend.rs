@@ -27,8 +27,8 @@
 //!   sibling resolution over the dynamic version-vector baseline: every
 //!   incarnation takes a fresh globally-unique identifier from a per-key
 //!   allocator. This is the mechanism the paper positions version stamps
-//!   against; the `bench_store_json` report contrasts the two per-key
-//!   metadata curves.
+//!   against; [`Cluster::metrics`](crate::Cluster::metrics) reports the
+//!   per-key metadata of either.
 //!
 //! Version clocks are *names* (for stamps) or *vectors* (for the baseline):
 //! a written version's clock is the join of the client's read context with
@@ -36,7 +36,6 @@
 //! dominate exactly the versions the client had seen.
 
 use core::fmt;
-use std::sync::Arc;
 
 use vstamp_core::codec::{self, StampCodec, VarintCodec};
 use vstamp_core::gc::{collapse, shrink_to_covers, FrontierEvidence};
@@ -44,8 +43,6 @@ use vstamp_core::{DecodeError, PackedName, Relation, Stamp, VersionStamp};
 
 use vstamp_baselines::{DynamicVersionVectorMechanism, DynamicVvElement, ReplicaId, VersionVector};
 use vstamp_core::Mechanism as _;
-
-use crate::profile::StoreProfile;
 
 /// Per-key causal machinery the store is generic over. See the
 /// [module docs](self) for the two shipped implementations.
@@ -146,10 +143,6 @@ pub trait StoreBackend: Send + Sync + 'static {
     ) -> Option<Self::Element> {
         None
     }
-
-    /// Hands the backend the cluster's profiling sink so backend-internal
-    /// sections (the GC) can be attributed. Default: ignore.
-    fn attach_profile(&mut self, _profile: Arc<StoreProfile>) {}
 
     /// Classifies two version clocks.
     fn relation(&self, left: &Self::Clock, right: &Self::Clock) -> Relation;
@@ -299,11 +292,10 @@ pub struct GcWatermarks {
 impl Default for GcWatermarks {
     /// The store default: collapse every fourth merge, sooner when the
     /// element outgrows 16 wire bits (≈ identity depth 5, which directly
-    /// bounds the depth of freshly-minted dots). Measured on the
-    /// `bench_store_json` grid: per-key metadata lands *below* the
-    /// collapse-every-merge PR 3 numbers — the write-side bits check
-    /// collapses more proactively than absorb-only GC did — at roughly
-    /// double its partition-heal throughput.
+    /// bounds the depth of freshly-minted dots). Per-key metadata lands
+    /// *below* collapse-every-merge on the simulation grids — the
+    /// write-side bits check collapses more proactively than absorb-only
+    /// GC does — at roughly double its partition-heal throughput.
     fn default() -> Self {
         GcWatermarks { merge_interval: 4, element_bits: 16 }
     }
@@ -424,14 +416,13 @@ impl VstampKeyState {
 pub struct VstampBackend<C = VarintCodec> {
     codec: C,
     gc: Option<GcWatermarks>,
-    profile: Option<Arc<StoreProfile>>,
 }
 
 impl VstampBackend<VarintCodec> {
     /// Eager reduction only — the Section-6 mechanism verbatim.
     #[must_use]
     pub fn eager() -> Self {
-        VstampBackend { codec: VarintCodec, gc: None, profile: None }
+        VstampBackend { codec: VarintCodec, gc: None }
     }
 
     /// Eager reduction plus amortized frontier-evidence GC at the default
@@ -444,7 +435,7 @@ impl VstampBackend<VarintCodec> {
     /// Eager reduction plus frontier-evidence GC at explicit watermarks.
     #[must_use]
     pub fn gc_with(watermarks: GcWatermarks) -> Self {
-        VstampBackend { codec: VarintCodec, gc: Some(watermarks), profile: None }
+        VstampBackend { codec: VarintCodec, gc: Some(watermarks) }
     }
 }
 
@@ -453,7 +444,7 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> VstampBackend<C>
     /// [`StampCodec`] implementation frames the replication traffic).
     #[must_use]
     pub fn with_codec(codec: C) -> Self {
-        VstampBackend { codec, gc: Some(GcWatermarks::default()), profile: None }
+        VstampBackend { codec, gc: Some(GcWatermarks::default()) }
     }
 
     /// Runs the evidence-gated collapse on a freshly cover-shrunk element.
@@ -465,7 +456,6 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> VstampBackend<C>
     /// one trie descent per pin and zero set-representation conversions.
     /// Non-carrier shapes fall back to the generic evidence collapse.
     fn collapse_element(&self, state: &mut VstampKeyState, element: &VersionStamp) -> VersionStamp {
-        let _timer = self.profile.as_deref().map(|p| p.time(&p.gc));
         state.merges_since_gc = 0;
         if element.update_name().is_empty() && element.id_name().string_count() == 1 {
             let s = element
@@ -527,10 +517,6 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> StoreBackend for
         }
     }
 
-    fn attach_profile(&mut self, profile: Arc<StoreProfile>) {
-        self.profile = Some(profile);
-    }
-
     fn new_key(&self, replicas: usize) -> (Self::KeyState, Vec<Self::Element>) {
         let elements = fork_tree(replicas);
         let mut state = VstampKeyState::default();
@@ -585,9 +571,6 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> StoreBackend for
         // pinned and never touches unpinned markers' subtrees only when
         // evidence frees them).
         let collapsed;
-        if let Some(p) = self.profile.as_deref() {
-            p.count(&p.gc_checks);
-        }
         let element = if self
             .gc
             .as_ref()
@@ -668,9 +651,6 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> StoreBackend for
             shrink_identity(&local.join(shipped))
         };
         state.merges_since_gc += 1;
-        if let Some(p) = self.profile.as_deref() {
-            p.count(&p.gc_checks);
-        }
         if self.collapse_due(state, &result).is_some() {
             result = self.collapse_element(state, &result);
         }

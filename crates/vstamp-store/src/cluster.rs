@@ -46,10 +46,6 @@
 //! join. A transport must not hand `pull` a Delta from an earlier exchange;
 //! nothing on the wire lets the engine tell (ROADMAP item 2a).
 //!
-//! The full-frame baseline ([`ClusterConfig::without_delta_frames`]) keeps
-//! the older opening instead: no probe, the requester sends a Digest of
-//! every key it holds and the responder answers with the Delta.
-//!
 //! # Concurrency
 //!
 //! Every lock is per shard. An operation touching a key takes at most two
@@ -70,22 +66,22 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::io;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard, RwLockWriteGuard};
 use vstamp_core::Relation;
 
 use crate::backend::StoreBackend;
-use crate::profile::{ProfileSnapshot, StoreProfile};
+#[cfg(test)]
+use crate::store::counted;
 use crate::store::{
     DataPlane, DeltaOrigin, GetResult, Key, KeyData, Shard, ShardIndexer, StoredVersion, Value,
     Version,
 };
 use crate::wire::{
-    decode_delta, decode_digest, decode_nak, decode_offer, decode_probe, decode_want, encode_delta,
-    encode_digest, encode_nak, encode_offer, encode_probe, encode_want, envelope_len,
-    rebuild_wire_version, DeltaEncodeStats, DeltaPolicy, DigestEntry, Envelope, KeyDelta,
-    MessageKind, Offer, WireKeyDelta, WireVersion, PERTURB_MASK,
+    decode_delta, decode_nak, decode_offer, decode_probe, decode_want, encode_delta, encode_nak,
+    encode_offer, encode_probe, encode_want, envelope_len, rebuild_wire_version, DeltaEncodeStats,
+    DeltaPolicy, DigestEntry, Envelope, KeyDelta, MessageKind, Offer, WireKeyDelta, WireVersion,
+    PERTURB_MASK,
 };
 
 /// Per-key entry of the clock plane: the backend's coordination state plus
@@ -95,6 +91,9 @@ struct KeyPlane<B: StoreBackend> {
     state: B::KeyState,
     unclaimed: Vec<Option<B::Element>>,
 }
+
+/// One stripe of the clock plane: the keys of one shard index.
+type PlaneStripe<B> = HashMap<Key, KeyPlane<B>>;
 
 /// Bound on NAK rounds within one pull. A refetch ships full frames, which
 /// cannot miss, so an honest responder needs one round; the bound stops a
@@ -122,7 +121,7 @@ pub struct PullCursor {
 
 /// Volume and coverage counters of one anti-entropy exchange — or of one
 /// side's half of it: [`Cluster::pull`] returns what the requester sent and
-/// observed (probe, want or digest, NAKs, the probe outcome),
+/// observed (probe, want, NAKs, the probe outcome),
 /// [`Cluster::serve`] what the responder sent (probe answer, deltas,
 /// refetches), and [`Cluster::anti_entropy`] the sum of the two. Every byte
 /// is counted once, by its sender.
@@ -132,12 +131,10 @@ pub struct PullCursor {
 /// a real transport would carry, not just encoded bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
-    /// Keys listed in the requester's digest (full-frame baseline only).
-    pub digest_keys: usize,
     /// Keys the responder shipped (fingerprint mismatch or missing).
     pub keys_shipped: usize,
     /// Bytes of everything that is not a delta — probe, probe answer
-    /// (ack or offer), want, digest — envelopes included.
+    /// (ack or offer), want — envelopes included.
     pub digest_bytes: usize,
     /// Bytes of the delta direction, envelope included: the delta
     /// response plus any NAK and full-frame refetch round.
@@ -177,7 +174,6 @@ pub struct ExchangeStats {
 impl ExchangeStats {
     /// Adds the other half of an exchange.
     fn absorb(&mut self, other: &ExchangeStats) {
-        self.digest_keys += other.digest_keys;
         self.keys_shipped += other.keys_shipped;
         self.digest_bytes += other.digest_bytes;
         self.delta_bytes += other.delta_bytes;
@@ -216,8 +212,8 @@ impl ExchangeStats {
 pub struct GossipStats {
     /// Pull exchanges initiated.
     pub exchanges: usize,
-    /// Probe, probe-answer (ack or offer), want and digest bytes sent,
-    /// envelopes included.
+    /// Probe, probe-answer (ack or offer) and want bytes sent, envelopes
+    /// included.
     pub digest_bytes: usize,
     /// Delta-direction bytes sent (deltas, NAKs, refetches), envelopes
     /// included.
@@ -249,8 +245,7 @@ pub struct GossipStats {
     /// Steady state adds none: one per link, plus one per peer restart.
     pub cursor_resets: usize,
     /// Non-empty delta payloads applied through
-    /// [`Cluster::apply_delta_batch`]. Always counted, profiling on or
-    /// off — the latency driver gates on it being nonzero.
+    /// [`Cluster::apply_delta_batch`].
     pub batched_applies: usize,
 }
 
@@ -273,8 +268,8 @@ impl GossipStats {
     }
 }
 
-/// Space metrics of the whole cluster — the per-key metadata curves of
-/// `bench_store_json`.
+/// Space metrics of the whole cluster: what its clocks and elements cost
+/// per key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreMetrics {
     /// Backend label.
@@ -323,10 +318,6 @@ pub struct ClusterConfig {
     /// Number of hash-partitioned shards per replica, also the stripe
     /// count of the cluster-shared clock plane (at least 1).
     pub shards: usize,
-    /// Ship versions as delta frames (dot + context fingerprint) when the
-    /// receiver's digest proves the context is shared. Default on; off
-    /// reproduces the full-frame wire format (the benchmark baseline).
-    pub delta_frames: bool,
     /// Deliberately perturb emitted delta-frame fingerprints so every
     /// delta frame misses and takes the NAK/refetch fallback — a
     /// correctness-stress knob, never on by default.
@@ -345,24 +336,11 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A config with explicit replica and shard counts (delta frames on,
-    /// fingerprints honest).
+    /// A config with explicit replica and shard counts (fingerprints
+    /// honest, no read repair).
     #[must_use]
     pub fn new(replicas: usize, shards: usize) -> Self {
-        ClusterConfig {
-            replicas,
-            shards,
-            delta_frames: true,
-            perturb_fingerprints: false,
-            read_repair: false,
-        }
-    }
-
-    /// Disables delta frames: every version ships its full clock frame.
-    #[must_use]
-    pub fn without_delta_frames(mut self) -> Self {
-        self.delta_frames = false;
-        self
+        ClusterConfig { replicas, shards, perturb_fingerprints: false, read_repair: false }
     }
 
     /// Perturbs every emitted delta-frame fingerprint (forces the
@@ -381,10 +359,7 @@ impl ClusterConfig {
     }
 
     fn policy(&self) -> DeltaPolicy {
-        DeltaPolicy {
-            delta_frames: self.delta_frames,
-            perturb_fingerprints: self.perturb_fingerprints,
-        }
+        DeltaPolicy { perturb_fingerprints: self.perturb_fingerprints, ..DeltaPolicy::ADAPTIVE }
     }
 }
 
@@ -394,9 +369,8 @@ impl ClusterConfig {
 pub struct Cluster<B: StoreBackend> {
     backend: B,
     replicas: Vec<DataPlane<B>>,
-    plane: Vec<Mutex<HashMap<Key, KeyPlane<B>>>>,
+    plane: Vec<Mutex<PlaneStripe<B>>>,
     shards: ShardIndexer,
-    profile: Arc<StoreProfile>,
     policy: DeltaPolicy,
     read_repair: bool,
     wire: Mutex<GossipStats>,
@@ -459,7 +433,6 @@ impl<B: StoreBackend> Cluster<B> {
                 .collect(),
             plane: (0..shards.count()).map(|_| Mutex::new(HashMap::new())).collect(),
             shards,
-            profile: Arc::new(StoreProfile::default()),
             policy: config.policy(),
             read_repair: config.read_repair,
             wire: Mutex::new(GossipStats::default()),
@@ -472,22 +445,6 @@ impl<B: StoreBackend> Cluster<B> {
     #[must_use]
     pub fn gossip_stats(&self) -> GossipStats {
         *self.wire.lock()
-    }
-
-    /// Switches on wall-clock attribution (GC / join / relation / codec /
-    /// lock sections) for this cluster and its backend. Off by default;
-    /// when off every probe is a single relaxed load.
-    pub fn enable_profiling(&mut self) {
-        self.profile.enable();
-        let profile = Arc::clone(&self.profile);
-        self.backend.attach_profile(profile);
-    }
-
-    /// The accumulated profile (all zeros unless
-    /// [`Cluster::enable_profiling`] was called).
-    #[must_use]
-    pub fn profile_snapshot(&self) -> ProfileSnapshot {
-        self.profile.snapshot()
     }
 
     /// The backend in force.
@@ -598,6 +555,18 @@ impl<B: StoreBackend> Cluster<B> {
         GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
     }
 
+    /// The two locks of every mutation, in the one order the module docs
+    /// fix: the clock-plane stripe, then `replica`'s data shard.
+    fn lock_pair(
+        &self,
+        replica: usize,
+        shard_index: usize,
+    ) -> (MutexGuard<'_, PlaneStripe<B>>, RwLockWriteGuard<'_, Shard<B>>) {
+        #[cfg(test)]
+        counted::LOCK_PAIRS.with(|pairs| pairs.set(pairs.get() + 1));
+        (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
+    }
+
     /// Pushes read-repair versions into one replica: the apply-side merge
     /// path minus the element absorb (repair moves versions, not identity
     /// knowledge — fingerprints still differ afterwards, and anti-entropy
@@ -609,10 +578,7 @@ impl<B: StoreBackend> Cluster<B> {
         key: &str,
         versions: Vec<StoredVersion<B>>,
     ) {
-        let (mut plane, mut shard) = {
-            let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
-        };
+        let (mut plane, mut shard) = self.lock_pair(replica, shard_index);
         let Some(entry) = plane.get_mut(key) else { return };
         if !shard.contains_key(key) {
             let claimed =
@@ -662,10 +628,7 @@ impl<B: StoreBackend> Cluster<B> {
         context: Option<&B::Clock>,
     ) -> B::Clock {
         let shard_index = self.shards.index(key);
-        let (mut plane, mut shard) = {
-            let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
-        };
+        let (mut plane, mut shard) = self.lock_pair(replica, shard_index);
         // The common case is an already-known key: probe before allocating
         // an owned copy for the map entry.
         if !plane.contains_key(key) {
@@ -683,11 +646,8 @@ impl<B: StoreBackend> Cluster<B> {
         }
         shard
             .edit(key, |data| {
-                let (advanced, clock, dot) = {
-                    let _timer =
-                        self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
-                    self.backend.write(&mut entry.state, data.element(), context)
-                };
+                let (advanced, clock, dot) =
+                    self.backend.write(&mut entry.state, data.element(), context);
                 data.set_element(&self.backend, advanced);
                 // Memoized-order fast path: a context that equals the
                 // sibling set's cached context supersedes every sibling
@@ -698,7 +658,7 @@ impl<B: StoreBackend> Cluster<B> {
                 // record `(dot, hash)` as the version's origin so
                 // anti-entropy can ship it as dot + fingerprint.
                 let matched = data.siblings.matches_context(context);
-                let origin = (matched && self.policy.delta_frames).then(|| {
+                let origin = matched.then(|| {
                     let mut dot_bytes = Vec::new();
                     self.backend.encode_clock(&dot, &mut dot_bytes);
                     DeltaOrigin {
@@ -711,8 +671,6 @@ impl<B: StoreBackend> Cluster<B> {
                     Version { clock: clock.clone(), value },
                     origin,
                 );
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
                 let (stored, evicted) = if matched {
                     (true, data.siblings.replace_all(&self.backend, incoming))
                 } else {
@@ -834,8 +792,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// Which versions those are is inferred from `assumed_fp` alone (see
     /// [`known_subset`]), so dedup costs zero extra digest bytes. Returns
     /// the delta plus the number of versions skipped that way. The element
-    /// always ships (fingerprint mismatches can be element-only), and the
-    /// full-frame baseline ships whole sibling sets — the PR 5 wire.
+    /// always ships (fingerprint mismatches can be element-only).
     fn ship_key(
         &self,
         responder: usize,
@@ -843,25 +800,13 @@ impl<B: StoreBackend> Cluster<B> {
         key: &Key,
         assumed_fp: u64,
     ) -> Option<(KeyDelta<B>, usize)> {
-        let (mut plane, mut shard) = {
-            let _timer = self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-            (self.plane[shard_index].lock(), self.replicas[responder].shard(shard_index).write())
-        };
+        let (mut plane, mut shard) = self.lock_pair(responder, shard_index);
         let entry = plane.get_mut(key)?;
         shard.edit(key, |data| {
-            let (kept, shipped) = {
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.join));
-                self.backend.detach(&mut entry.state, data.element())
-            };
+            let (kept, shipped) = self.backend.detach(&mut entry.state, data.element());
             data.set_element(&self.backend, kept);
-            let known = if self.policy.delta_frames {
-                let hashes: Vec<u64> =
-                    data.siblings.iter().map(StoredVersion::content_hash).collect();
-                known_subset(&hashes, assumed_fp)
-            } else {
-                0
-            };
+            let hashes: Vec<u64> = data.siblings.iter().map(StoredVersion::content_hash).collect();
+            let known = known_subset(&hashes, assumed_fp);
             let versions: Vec<_> = data
                 .siblings
                 .iter()
@@ -915,14 +860,7 @@ impl<B: StoreBackend> Cluster<B> {
         let mut misses = Vec::new();
         for delta in deltas {
             let shard_index = self.shards.index(&delta.key);
-            let (mut plane, mut shard) = {
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-                (
-                    self.plane[shard_index].lock(),
-                    self.replicas[requester].shard(shard_index).write(),
-                )
-            };
+            let (mut plane, mut shard) = self.lock_pair(requester, shard_index);
             if let Some(miss) =
                 self.apply_key_delta(requester, &mut plane, &mut shard, delta, false)
             {
@@ -948,20 +886,12 @@ impl<B: StoreBackend> Cluster<B> {
             return misses;
         }
         self.wire.lock().batched_applies += 1;
-        self.profile.count(&self.profile.batched_exchanges);
         let mut grouped: Vec<(usize, WireKeyDelta<B>)> =
             deltas.into_iter().map(|delta| (self.shards.index(&delta.key), delta)).collect();
         grouped.sort_by_key(|(shard_index, _)| *shard_index);
         let mut grouped = grouped.into_iter().peekable();
         while let Some(&(shard_index, _)) = grouped.peek() {
-            let (mut plane, mut shard) = {
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.lock));
-                (
-                    self.plane[shard_index].lock(),
-                    self.replicas[requester].shard(shard_index).write(),
-                )
-            };
+            let (mut plane, mut shard) = self.lock_pair(requester, shard_index);
             while let Some((_, delta)) =
                 grouped.next_if(|&(next_shard, _)| next_shard == shard_index)
             {
@@ -986,7 +916,7 @@ impl<B: StoreBackend> Cluster<B> {
     fn apply_key_delta(
         &self,
         requester: usize,
-        plane: &mut HashMap<Key, KeyPlane<B>>,
+        plane: &mut PlaneStripe<B>,
         shard: &mut Shard<B>,
         delta: WireKeyDelta<B>,
         batched: bool,
@@ -1020,17 +950,9 @@ impl<B: StoreBackend> Cluster<B> {
                 // An adopted element was consumed as the local element;
                 // there is nothing separate to absorb.
                 if !adopted {
-                    let absorbed = {
-                        let _timer = self
-                            .profile
-                            .is_enabled()
-                            .then(|| self.profile.time(&self.profile.join));
-                        self.backend.absorb(&mut entry.state, data.element(), &element)
-                    };
+                    let absorbed = self.backend.absorb(&mut entry.state, data.element(), &element);
                     data.set_element(&self.backend, absorbed);
                 }
-                let _timer =
-                    self.profile.is_enabled().then(|| self.profile.time(&self.profile.relation));
                 // Every delta frame of this batch was minted against one
                 // sibling-set state, so the base context and its hash are
                 // captured once, *before* any merge of the batch mutates
@@ -1068,9 +990,6 @@ impl<B: StoreBackend> Cluster<B> {
                     } else {
                         data.siblings.merge_version(&self.backend, incoming, false)
                     };
-                    if outcome.ctx_rebuilt {
-                        self.profile.count(&self.profile.ctx_rebuilds);
-                    }
                     mutated |= outcome.stored || !outcome.evicted.is_empty();
                     if outcome.stored {
                         self.backend.retain_clock(&mut entry.state, &clock);
@@ -1079,8 +998,8 @@ impl<B: StoreBackend> Cluster<B> {
                         self.backend.release_clock(&mut entry.state, evicted.clock());
                     }
                 }
-                if batched && mutated && data.siblings.finish_deferred(&self.backend) {
-                    self.profile.count(&self.profile.ctx_rebuilds);
+                if batched && mutated {
+                    data.siblings.finish_deferred(&self.backend);
                 }
                 key_missed
             })
@@ -1137,65 +1056,50 @@ impl<B: StoreBackend> Cluster<B> {
             *sent += envelope_len(replica, payload.len());
             request(Envelope { from: replica, kind, payload })
         };
-        // What the cursor moves to once this exchange has proved it, and
-        // the wanted keys that proof is still waiting for.
-        let mut proven: Option<PullCursor> = None;
-        let mut outstanding: HashSet<Key> = HashSet::new();
-        let mut reply = if self.policy.delta_frames {
-            // The perturb knob forces misses so benches and tests exercise
-            // the fallback.
-            let mask = if self.policy.perturb_fingerprints { PERTURB_MASK } else { 0 };
-            let probe = encode_probe(self.digest_root(replica) ^ mask, cursor.seq);
-            stats.root_probes = 1;
-            let reply = send(MessageKind::Probe, probe, &mut stats.digest_bytes)?;
-            let offer = match reply.kind {
-                MessageKind::Ack => {
-                    stats.root_matches = 1;
-                    return Ok(());
-                }
-                MessageKind::Offer => decode_offer(&reply.payload)
-                    .map_err(|_| invalid("offer payload did not decode"))?,
-                _ => return Err(invalid("probe reply was neither Ack nor Offer")),
-            };
-            if offer.since == 0 {
-                stats.cursor_resets = 1;
+        // The perturb knob forces misses so benches and tests exercise the
+        // fallback.
+        let mask = if self.policy.perturb_fingerprints { PERTURB_MASK } else { 0 };
+        let probe = encode_probe(self.digest_root(replica) ^ mask, cursor.seq);
+        stats.root_probes = 1;
+        let reply = send(MessageKind::Probe, probe, &mut stats.digest_bytes)?;
+        let offer = match reply.kind {
+            MessageKind::Ack => {
+                stats.root_matches = 1;
+                return Ok(());
             }
-            if offer.since == 0
-                || (offer.since == cursor.seq && offer.instance == cursor.peer_instance)
-            {
-                proven = Some(PullCursor { peer_instance: offer.instance, seq: offer.upto });
-            } else if offer.instance != cursor.peer_instance {
-                // The peer is not the incarnation this cursor counted in.
-                *cursor = PullCursor::default();
+            MessageKind::Offer => {
+                decode_offer(&reply.payload).map_err(|_| invalid("offer payload did not decode"))?
             }
-            let wanted = self.pick_wanted(replica, &offer.lines);
-            if !wanted.is_empty() {
-                stats.wanted_keys = wanted.len();
-                let want = encode_want(&wanted);
-                outstanding.extend(wanted.into_iter().map(|(key, _)| key));
-                Some(send(MessageKind::Want, want, &mut stats.digest_bytes)?)
-            } else {
-                None
-            }
-        } else {
-            let digest = self.build_digest(replica);
-            stats.digest_keys = digest.len();
-            let payload = {
-                let _timer = self.profile.time(&self.profile.codec);
-                encode_digest(&digest)
-            };
-            Some(send(MessageKind::Digest, payload, &mut stats.digest_bytes)?)
+            _ => return Err(invalid("probe reply was neither Ack nor Offer")),
         };
+        if offer.since == 0 {
+            stats.cursor_resets = 1;
+        }
+        // What the cursor moves to once this exchange has proved it.
+        let mut proven = None;
+        if offer.since == 0 || (offer.since == cursor.seq && offer.instance == cursor.peer_instance)
+        {
+            proven = Some(PullCursor { peer_instance: offer.instance, seq: offer.upto });
+        } else if offer.instance != cursor.peer_instance {
+            // The peer is not the incarnation this cursor counted in.
+            *cursor = PullCursor::default();
+        }
+        let wanted = self.pick_wanted(replica, &offer.lines);
+        stats.wanted_keys = wanted.len();
+        let mut reply = if wanted.is_empty() {
+            None
+        } else {
+            Some(send(MessageKind::Want, encode_want(&wanted), &mut stats.digest_bytes)?)
+        };
+        // The wanted keys that proof is still waiting for.
+        let mut outstanding: HashSet<Key> = wanted.into_iter().map(|(key, _)| key).collect();
         let mut nak_rounds = 0;
         while let Some(delta) = reply.take() {
             if delta.kind != MessageKind::Delta {
-                return Err(invalid("want, digest or NAK reply was not a Delta"));
+                return Err(invalid("want or NAK reply was not a Delta"));
             }
-            let deltas = {
-                let _timer = self.profile.time(&self.profile.codec);
-                decode_delta(&self.backend, &delta.payload)
-            }
-            .map_err(|_| invalid("delta payload did not decode"))?;
+            let deltas = decode_delta(&self.backend, &delta.payload)
+                .map_err(|_| invalid("delta payload did not decode"))?;
             for delta in &deltas {
                 outstanding.remove(&delta.key);
             }
@@ -1234,8 +1138,8 @@ impl<B: StoreBackend> Cluster<B> {
             .collect()
     }
 
-    /// The responder half of the exchange: answers one Probe, Want, Digest
-    /// or NAK envelope addressed to `replica` with the reply envelope and
+    /// The responder half of the exchange: answers one Probe, Want or NAK
+    /// envelope addressed to `replica` with the reply envelope and
     /// the responder's half of the [`ExchangeStats`] (also recorded into
     /// [`Cluster::gossip_stats`]). `None` — and nothing else happens — for
     /// any other kind and for a payload that does not decode: the caller
@@ -1262,22 +1166,10 @@ impl<B: StoreBackend> Cluster<B> {
                 stats.digest_bytes = envelope_len(replica, payload.len());
                 (kind, payload)
             }
-            MessageKind::Want | MessageKind::Digest => {
-                // What to ship is named by the requester (Want) or worked
-                // out from everything it holds (Digest); the reply is the
-                // same Delta.
-                let (deltas, skipped) = if request.kind == MessageKind::Want {
-                    let wanted = decode_want(&request.payload).ok()?;
-                    self.ship_keys(replica, wanted.iter().map(|(key, ctx_fp)| (key, *ctx_fp)))
-                } else {
-                    let digest = {
-                        let _timer = self.profile.time(&self.profile.codec);
-                        decode_digest(&request.payload)
-                    }
-                    .ok()?;
-                    self.respond_delta(replica, &digest)
-                };
-                let _timer = self.profile.time(&self.profile.codec);
+            MessageKind::Want => {
+                let wanted = decode_want(&request.payload).ok()?;
+                let (deltas, skipped) =
+                    self.ship_keys(replica, wanted.iter().map(|(key, ctx_fp)| (key, *ctx_fp)));
                 let (payload, frames) = encode_delta(&self.backend, &deltas, self.policy);
                 stats.keys_shipped = deltas.len();
                 stats.versions_skipped = skipped;
@@ -1486,6 +1378,7 @@ mod tests {
     use crate::backend::{DynamicVvBackend, GcWatermarks, VstampBackend};
     use crate::store::{fnv1a, fnv1a_extend, root_term};
     use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn full_sweep<B: StoreBackend>(cluster: &Cluster<B>) {
         let n = cluster.replica_count();
@@ -1660,27 +1553,6 @@ mod tests {
     }
 
     #[test]
-    fn profiling_sections_accumulate_when_enabled() {
-        let mut cluster = Cluster::new(VstampBackend::gc(), 2, 2);
-        cluster.enable_profiling();
-        for i in 0..8u8 {
-            let read = cluster.get(i as usize % 2, "p");
-            cluster.put(i as usize % 2, "p", vec![i], read.context());
-        }
-        cluster.anti_entropy(0, 1);
-        cluster.anti_entropy(1, 0);
-        let snapshot = cluster.profile_snapshot();
-        assert!(snapshot.join.calls > 0);
-        assert!(snapshot.relation.calls > 0);
-        assert!(snapshot.codec.calls > 0);
-        assert!(snapshot.lock.calls > 0);
-        // An unprofiled cluster stays at zero.
-        let quiet = Cluster::new(VstampBackend::gc(), 2, 2);
-        quiet.put(0, "q", b"v".to_vec(), None);
-        assert_eq!(quiet.profile_snapshot().join.calls, 0);
-    }
-
-    #[test]
     fn dynamic_vv_backend_supports_the_same_protocol() {
         let cluster = Cluster::new(DynamicVvBackend::new(), 3, 2);
         cluster.put(0, "k", b"a".to_vec(), None);
@@ -1757,17 +1629,8 @@ mod tests {
         };
         let adaptive = run(ClusterConfig::new(2, 4));
         assert!(adaptive.delta_frames > 0, "one-behind pulls must ship delta frames");
-        assert!(adaptive.wire_bytes_saved > 0);
+        assert!(adaptive.wire_bytes_saved > 0, "delta frames must undercut their full frames");
         assert_eq!(adaptive.nak_refetches, 0, "serial exchanges never miss");
-
-        let full = run(ClusterConfig::new(2, 4).without_delta_frames());
-        assert_eq!(full.delta_frames, 0);
-        assert!(
-            adaptive.delta_bytes < full.delta_bytes,
-            "adaptive wire must be smaller: {} vs {}",
-            adaptive.delta_bytes,
-            full.delta_bytes
-        );
 
         // Perturbed fingerprints force every delta frame to miss: the
         // NAK/full-frame fallback carries the exchange and the cluster
@@ -1841,26 +1704,29 @@ mod tests {
 
     #[test]
     fn apply_delta_batch_counts_one_lock_section_per_shard() {
-        let mut cluster = Cluster::with_config(VstampBackend::gc(), ClusterConfig::new(2, 4));
+        let cluster = Cluster::with_config(VstampBackend::gc(), ClusterConfig::new(2, 4));
         for key in ["a", "b", "c", "d", "e", "f"] {
             cluster.put(0, key, key.as_bytes().to_vec(), None);
         }
-        cluster.enable_profiling();
         let digest = cluster.build_digest(1);
         let (deltas, _) = cluster.respond_delta(0, &digest);
         let shards_touched: std::collections::HashSet<usize> =
             deltas.iter().map(|delta| cluster.shards.index(&delta.key)).collect();
         let (payload, _) = encode_delta(cluster.backend(), &deltas, DeltaPolicy::FULL_ONLY);
         let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
-        let before = cluster.profile_snapshot();
+        // Counted on this test's thread only: nothing else runs on it
+        // between the two readings.
+        let read = || (counted::LOCK_PAIRS.with(Cell::get), counted::CTX_REBUILDS.with(Cell::get));
+        let (locks_before, rebuilds_before) = read();
+        let batches_before = cluster.gossip_stats().batched_applies;
         let misses = cluster.apply_delta_batch(1, decoded);
         assert!(misses.is_empty());
-        let after = cluster.profile_snapshot();
-        // One lock section per touched shard — not one per key — plus at
+        let (locks_after, rebuilds_after) = read();
+        // One lock pair per touched shard — not one per key — plus at
         // most one context rebuild per key.
-        assert_eq!(after.lock.calls - before.lock.calls, shards_touched.len() as u64);
-        assert!(after.ctx_rebuilds - before.ctx_rebuilds <= deltas.len() as u64);
-        assert_eq!(after.batched_exchanges - before.batched_exchanges, 1);
+        assert_eq!(locks_after - locks_before, shards_touched.len() as u64);
+        assert!(rebuilds_after - rebuilds_before <= deltas.len() as u64);
+        assert_eq!(cluster.gossip_stats().batched_applies - batches_before, 1);
         assert_eq!(cluster.get(1, "a").values(), vec![b"a".to_vec()]);
     }
 

@@ -31,8 +31,8 @@
 //!
 //! The `vstamp-sim` crate drives clusters of both backends through
 //! partition/heal and churn workloads against a causal oracle (lost
-//! updates, false concurrency); `bench_store_json` in `vstamp-bench`
-//! records throughput and the per-key metadata curves.
+//! updates, false concurrency); the benchmark package under `benchmark/`
+//! measures throughput, latency, wire bytes and per-key metadata.
 //!
 //! ## Quick start
 //!
@@ -63,7 +63,6 @@ pub mod cluster;
 pub mod failure;
 pub mod membership;
 pub mod node;
-pub mod profile;
 pub mod store;
 pub mod transport;
 pub mod wire;
@@ -75,7 +74,6 @@ pub use cluster::{
 pub use failure::{PhiAccrual, PhiConfig};
 pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
 pub use node::{Node, NodeClient, NodeConfig, NodeStatus};
-pub use profile::{ProfileSnapshot, SectionSnapshot, StoreProfile};
 pub use store::{DeltaOrigin, GetResult, Key, KeySnapshot, StoredVersion, Value, Version};
 pub use transport::{recv_envelope, send_envelope, Backoff, PeerLink, TransportConfig};
 pub use wire::{

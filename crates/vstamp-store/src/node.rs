@@ -468,21 +468,19 @@ impl NodeInner {
             return;
         }
         let read = self.cluster.get(0, MEMBERS_KEY);
-        let values = read.values();
+        let siblings: Vec<MemberTable> =
+            read.iter_values().filter_map(|value| MemberTable::decode(value).ok()).collect();
         let mut state = self.state.lock();
         let mut merged = state.table.clone();
-        for value in &values {
-            if let Ok(decoded) = MemberTable::decode(value) {
-                merged.merge(&decoded);
-            }
+        for sibling in &siblings {
+            merged.merge(sibling);
         }
         // Settled once some replicated sibling already carries the full
         // merged table. Writing to *collapse* equal-content siblings would
         // ping-pong forever (every collapse write races the peer's and
         // spawns fresh siblings); leaving them is harmless — readers merge
         // all siblings, and the version set itself converges.
-        let settled =
-            values.iter().any(|value| MemberTable::decode(value).ok().as_ref() == Some(&merged));
+        let settled = siblings.contains(&merged);
         let newly_evicted = merged.evicted().len() > state.table.evicted().len();
         state.table = merged;
         if !settled {
@@ -662,7 +660,7 @@ impl NodeInner {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
-            MessageKind::Probe | MessageKind::Want | MessageKind::Digest | MessageKind::Nak => {
+            MessageKind::Probe | MessageKind::Want | MessageKind::Nak => {
                 let (reply, _) = self.cluster.serve(0, &request)?;
                 Some(Envelope { from, ..reply })
             }

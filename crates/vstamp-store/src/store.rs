@@ -62,6 +62,21 @@ use vstamp_core::Relation;
 use crate::backend::StoreBackend;
 use crate::wire::DigestEntry;
 
+/// Per-thread counts of the two structural costs the batched apply exists
+/// to amortize, so a test can pin how often one call pays them. Test
+/// builds only.
+#[cfg(test)]
+pub(crate) mod counted {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// k-way context rebuilds (`SiblingSet::refresh_context`).
+        pub(crate) static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
+        /// (clock-plane, data-shard) lock pairs a `Cluster` took.
+        pub(crate) static LOCK_PAIRS: Cell<u64> = const { Cell::new(0) };
+    }
+}
+
 /// Key type of the store.
 pub type Key = String;
 
@@ -435,6 +450,8 @@ impl<B: StoreBackend> SiblingSet<B> {
     /// join over the surviving clocks — [`StoreBackend::join_clock_set`]
     /// builds a single output instead of folding pairwise.
     fn refresh_context(&mut self, backend: &B) {
+        #[cfg(test)]
+        counted::CTX_REBUILDS.with(|rebuilds| rebuilds.set(rebuilds.get() + 1));
         self.context = backend.join_clock_set(self.versions.iter().map(StoredVersion::clock));
     }
 
@@ -490,16 +507,13 @@ impl<B: StoreBackend> SiblingSet<B> {
 
     /// Closes a deferred batch: at most one context rebuild (only if an
     /// eviction dirtied the incremental cache) plus exactly one snapshot
-    /// publish, regardless of how many versions the batch merged. Returns
-    /// whether the k-way rebuild ran (the profile's `ctx_rebuilds` unit).
-    pub(crate) fn finish_deferred(&mut self, backend: &B) -> bool {
-        let rebuilt = self.deferred_dirty;
-        if rebuilt {
+    /// publish, regardless of how many versions the batch merged.
+    pub(crate) fn finish_deferred(&mut self, backend: &B) {
+        if self.deferred_dirty {
             self.refresh_context(backend);
             self.deferred_dirty = false;
         }
         self.refresh_snapshot();
-        rebuilt
     }
 
     fn merge_version_inner(
@@ -548,7 +562,6 @@ impl<B: StoreBackend> SiblingSet<B> {
                 Relation::Concurrent => index += 1,
             }
         }
-        let mut ctx_rebuilt = false;
         if deferred {
             if !evicted.is_empty() {
                 self.deferred_dirty = true;
@@ -559,7 +572,6 @@ impl<B: StoreBackend> SiblingSet<B> {
         } else {
             if !evicted.is_empty() {
                 self.refresh_context(backend);
-                ctx_rebuilt = true;
             }
             if store_incoming {
                 self.push(backend, incoming);
@@ -568,7 +580,7 @@ impl<B: StoreBackend> SiblingSet<B> {
                 self.refresh_snapshot();
             }
         }
-        MergeOutcome { stored: store_incoming, evicted, ctx_rebuilt }
+        MergeOutcome { stored: store_incoming, evicted }
     }
 
     /// Resolves an incoming version against the clock-equal stored sibling
@@ -589,7 +601,7 @@ impl<B: StoreBackend> SiblingSet<B> {
                 // backends) dirties it for the finish-time rebuild.
                 self.deferred_dirty |= evicted.clock_bytes != incoming.clock_bytes;
                 self.store_deferred(backend, incoming);
-                return MergeOutcome { stored: true, evicted: vec![evicted], ctx_rebuilt: false };
+                return MergeOutcome { stored: true, evicted: vec![evicted] };
             }
             let refresh = evicted.clock_bytes != incoming.clock_bytes;
             self.push(backend, incoming);
@@ -600,9 +612,9 @@ impl<B: StoreBackend> SiblingSet<B> {
                 self.refresh_context(backend);
             }
             self.refresh_snapshot();
-            MergeOutcome { stored: true, evicted: vec![evicted], ctx_rebuilt: refresh }
+            MergeOutcome { stored: true, evicted: vec![evicted] }
         } else {
-            MergeOutcome { stored: false, evicted: Vec::new(), ctx_rebuilt: false }
+            MergeOutcome { stored: false, evicted: Vec::new() }
         }
     }
 
@@ -638,10 +650,6 @@ pub(crate) struct MergeOutcome<B: StoreBackend> {
     /// Previously-stored versions the merge evicted (their evidence pins
     /// must be released).
     pub evicted: Vec<StoredVersion<B>>,
-    /// Whether this merge rebuilt the cached context (a k-way clock
-    /// join) — the per-version cost the batched apply amortizes, counted
-    /// by the profile's `ctx_rebuilds`.
-    pub ctx_rebuilt: bool,
 }
 
 impl<B: StoreBackend> KeyData<B> {

@@ -28,9 +28,6 @@
 //! 6. missed keys go back in a **NAK**, answered with full frames only —
 //!    correctness never depends on the fingerprint, only the fast path.
 //!
-//! The full-frame baseline ([`DeltaPolicy::FULL_ONLY`]) replaces steps 1–3
-//! with one requester-sent **digest** of every key it holds.
-//!
 //! All message payloads are self-contained byte buffers, so the same
 //! encoding serves the in-process exchange and the TCP nodes (one engine,
 //! [`Cluster::pull`](crate::Cluster::pull) and
@@ -181,10 +178,6 @@ pub enum MessageKind {
     /// in between. The requester follows up with [`MessageKind::Want`], or
     /// with nothing when it already holds every offered state.
     Offer,
-    /// A full digest request (payload: encoded digest entries) — the
-    /// full-frame baseline's opening message; the adaptive exchange never
-    /// sends it. Answered with [`MessageKind::Delta`].
-    Digest,
     /// A delta response (payload: encoded key deltas).
     Delta,
     /// A fingerprint-miss report (payload: encoded key list); answered
@@ -222,14 +215,14 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
-    /// The kind's one-byte wire tag.
+    /// The kind's one-byte wire tag. Tag 3 was the requester-sent whole
+    /// digest; it is retired, not reused.
     #[must_use]
     pub fn tag(self) -> u8 {
         match self {
             MessageKind::Probe => 0,
             MessageKind::Ack => 1,
             MessageKind::Offer => 2,
-            MessageKind::Digest => 3,
             MessageKind::Delta => 4,
             MessageKind::Nak => 5,
             MessageKind::Join => 6,
@@ -251,7 +244,6 @@ impl MessageKind {
             0 => MessageKind::Probe,
             1 => MessageKind::Ack,
             2 => MessageKind::Offer,
-            3 => MessageKind::Digest,
             4 => MessageKind::Delta,
             5 => MessageKind::Nak,
             6 => MessageKind::Join,
@@ -337,8 +329,8 @@ impl DeltaPolicy {
     /// The adaptive default: delta frames on, honest fingerprints.
     pub const ADAPTIVE: DeltaPolicy =
         DeltaPolicy { delta_frames: true, perturb_fingerprints: false };
-    /// Full frames only — the pre-delta wire format, kept as the
-    /// benchmark baseline and the NAK-refetch response policy.
+    /// Full frames only — the NAK-refetch response policy: a full frame
+    /// cannot miss.
     pub const FULL_ONLY: DeltaPolicy =
         DeltaPolicy { delta_frames: false, perturb_fingerprints: false };
 }
@@ -715,7 +707,6 @@ mod tests {
             MessageKind::Probe,
             MessageKind::Ack,
             MessageKind::Offer,
-            MessageKind::Digest,
             MessageKind::Delta,
             MessageKind::Nak,
             MessageKind::Want,
@@ -728,6 +719,7 @@ mod tests {
             MessageKind::Status,
             MessageKind::StatusOk,
         ];
+        assert_eq!(MessageKind::from_tag(3), None, "the retired Digest tag stays unassigned");
         for (i, kind) in kinds.into_iter().enumerate() {
             assert_eq!(MessageKind::from_tag(kind.tag()), Some(kind));
             let envelope = Envelope { from: i * 131, kind, payload: vec![0xAB; i * 37] };

@@ -137,10 +137,10 @@ fn clean_pull<B: StoreBackend>(
 /// hands: it carries a fork half of the responder's identity, and a fork
 /// half is good for one join. Replayed after the requester has forked for
 /// somebody else, it grants identity twice and a later write is lost
-/// (6 of this plan's 240 seeds, 101 the first, when the replayed reply is
-/// kept across pulls of one pair). Closing that takes an exchange nonce
-/// on the wire — ROADMAP item 2a. A replayed *Offer* is no such hole: its
-/// lines are stale but its `upto` was true when it was sent.
+/// (6 of 240 seeds on this driver's plan as of PR 21, when the replayed
+/// reply is kept across pulls of one pair). Closing that takes an exchange
+/// nonce on the wire — ROADMAP item 2a. A replayed *Offer* is no such hole:
+/// its lines are stale but its `upto` was true when it was sent.
 fn faulty_pull<B: StoreBackend>(
     cluster: &Cluster<B>,
     requester: usize,
@@ -172,7 +172,6 @@ fn faulty_pull<B: StoreBackend>(
                     MessageKind::Probe,
                     MessageKind::Ack,
                     MessageKind::Offer,
-                    MessageKind::Digest,
                     MessageKind::Delta,
                     MessageKind::Nak,
                     MessageKind::Want,
@@ -245,10 +244,11 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
 fn scripted_transport_faults_never_panic_or_corrupt_and_heal() {
     let (mut failed, mut completed) = (0, 0);
     for seed in 0..240u64 {
-        let config = match seed % 3 {
-            0 => ClusterConfig::new(REPLICAS, 4),
-            1 => ClusterConfig::new(REPLICAS, 4).with_perturbed_fingerprints(),
-            _ => ClusterConfig::new(REPLICAS, 4).without_delta_frames(),
+        // Honest and forced-miss fingerprints, each under both backends.
+        let config = if seed / 2 % 2 == 0 {
+            ClusterConfig::new(REPLICAS, 4)
+        } else {
+            ClusterConfig::new(REPLICAS, 4).with_perturbed_fingerprints()
         };
         // The version-stamp backend under both reduction policies. The
         // dynamic-VV baseline is left out on purpose: a miss applies a
@@ -328,8 +328,7 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
         })
         .expect("honest transport");
     type Field = fn(&ExchangeStats) -> usize;
-    let fields: [(&str, Field); 16] = [
-        ("digest_keys", |s| s.digest_keys),
+    let fields: [(&str, Field); 15] = [
         ("keys_shipped", |s| s.keys_shipped),
         ("digest_bytes", |s| s.digest_bytes),
         ("delta_bytes", |s| s.delta_bytes),
@@ -359,8 +358,7 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
 fn anti_entropy_stats_are_the_pull_and_serve_halves_summed() {
     let config = ClusterConfig::new(2, 4);
     // The shapes really differ: a probe hit, an offer/want round with delta
-    // frames, the same plus a NAK round, and the digest opening with no
-    // probe at all.
+    // frames, and the same plus a NAK round.
     let hit = assert_halves_sum(config, true, "hit");
     assert_eq!((hit.root_matches, hit.keys_shipped, hit.delta_bytes), (1, 0, 0));
     assert_eq!((hit.offered_keys, hit.cursor_resets), (0, 0), "an Ack offers nothing");
@@ -368,11 +366,9 @@ fn anti_entropy_stats_are_the_pull_and_serve_halves_summed() {
     assert_eq!((miss.root_probes, miss.root_matches, miss.nak_refetches), (1, 0, 0));
     assert_eq!((miss.offered_keys, miss.wanted_keys, miss.cursor_resets), (1, 1, 1));
     assert!(miss.delta_frames > 0 && miss.keys_shipped > 0, "{miss:?}");
+    assert!(miss.wire_bytes_saved > 0, "{miss:?}");
     let nak = assert_halves_sum(config.with_perturbed_fingerprints(), false, "perturbed");
     assert!(nak.nak_refetches > 0 && nak.delta_bytes > miss.delta_bytes, "{nak:?}");
-    let full = assert_halves_sum(config.without_delta_frames(), false, "full frames");
-    assert_eq!((full.root_probes, full.delta_frames, full.offered_keys), (0, 0, 0));
-    assert!(full.digest_keys > 0, "{full:?}");
 }
 
 /// `keys` keys written at replica 0 of a 2-replica store, pulled by

@@ -54,5 +54,5 @@ pub use vstamp_itc::ItcStamp;
 pub use vstamp_panasync::{FileCopy, Reconciliation, Workspace};
 pub use vstamp_store::{
     Cluster, DynamicVvBackend, GcWatermarks, Node, NodeClient, NodeConfig, NodeStatus, PhiConfig,
-    ProfileSnapshot, StoreBackend, StoredVersion, TransportConfig, VstampBackend,
+    StoreBackend, StoredVersion, TransportConfig, VstampBackend,
 };

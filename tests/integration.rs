@@ -153,3 +153,43 @@ fn trace_type_is_usable_from_downstream_code() {
     assert_eq!(config.len(), 1);
     assert_eq!(config.mechanism().mechanism_name(), "version-stamps");
 }
+
+#[test]
+fn every_target_the_docs_name_exists() {
+    // `--bin X`, `--bench X` and `--example X` in the documents people and
+    // CI copy commands from must name a target file that is still there.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ lists")
+        .map(|entry| entry.expect("crates/ entry").path())
+        .collect();
+    let exists = |flag: &str, name: &str| {
+        let file = format!("{name}.rs");
+        match flag {
+            "--bin" => crates.iter().any(|krate| krate.join("src/bin").join(&file).is_file()),
+            "--bench" => {
+                root.join("benches").join(&file).is_file()
+                    || crates.iter().any(|krate| krate.join("benches").join(&file).is_file())
+            }
+            _ => root.join("examples").join(&file).is_file(),
+        }
+    };
+    for doc in [
+        "README.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+        "crates/vstamp-bench/src/lib.rs",
+        "crates/vstamp-sim/src/lib.rs",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for flag in ["--bin", "--bench", "--example"] {
+            for (at, _) in text.match_indices(flag) {
+                let rest = text[at + flag.len()..].strip_prefix([' ', '=']).unwrap_or("");
+                let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'));
+                let name = &rest[..end.unwrap_or(rest.len())];
+                // `--bin <name>` is a placeholder, `--benches` another flag.
+                assert!(name.is_empty() || exists(flag, name), "{doc}: `{flag} {name}` is gone");
+            }
+        }
+    }
+}
