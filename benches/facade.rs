@@ -4,7 +4,7 @@
 //! would consume it. The full experiment harness lives in `vstamp-bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vstamp::{core::encode, VersionStamp};
+use vstamp::{BitTrieCodec, PackedName, StampCodec, VersionStamp};
 
 fn bench_facade_roundtrip(c: &mut Criterion) {
     c.bench_function("facade/fork-update-compare-join", |b| {
@@ -23,8 +23,8 @@ fn bench_facade_roundtrip(c: &mut Criterion) {
     let stamp = a.update().join_non_reducing(&b);
     c.bench_function("facade/encode-decode", |bench| {
         bench.iter(|| {
-            let bytes = encode::encode_stamp(&stamp);
-            encode::decode_stamp(&bytes).expect("valid encoding")
+            let bytes = BitTrieCodec.encode_stamp(&stamp);
+            StampCodec::<PackedName>::decode_stamp(&BitTrieCodec, &bytes).expect("valid encoding")
         })
     });
 }

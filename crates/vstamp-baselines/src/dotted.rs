@@ -18,7 +18,6 @@ use crate::version_vector::VersionVector;
 
 /// A write event identifier: one `(replica, counter)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dot {
     /// The replica that performed the write.
     pub replica: ReplicaId,
@@ -47,7 +46,6 @@ impl fmt::Display for Dot {
 /// assert_eq!(a.relation(&b), Relation::Dominates);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DottedVersionVector {
     vector: VersionVector,
     dot: Option<Dot>,
@@ -128,7 +126,6 @@ impl fmt::Display for DottedVersionVector {
 /// One frontier element of the dotted mechanism: the replica identity plus
 /// its dotted vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DottedElement {
     /// The replica identifier this element writes under.
     pub replica: ReplicaId,
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -264,7 +261,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut dotted = Configuration::new(DottedMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         dotted.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         for (a, b, relation) in stamps.pairwise_relations() {

@@ -22,7 +22,6 @@ use crate::version_vector::VersionVector;
 /// One frontier element of the dynamic version-vector mechanism: the
 /// incarnation's identifier plus its vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DynamicVvElement {
     /// Identifier of this incarnation of the replica.
     pub incarnation: ReplicaId,
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -194,7 +193,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut dvv = Configuration::new(DynamicVersionVectorMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         dvv.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         for (a, b, relation) in stamps.pairwise_relations() {

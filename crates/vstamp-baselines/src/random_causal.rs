@@ -19,7 +19,6 @@ use vstamp_core::{Mechanism, Relation};
 
 /// The set of random update-event identifiers known to one element.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomIdHistory {
     events: BTreeSet<u128>,
 }
@@ -205,7 +204,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -216,7 +215,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut random = Configuration::new(RandomIdCausalMechanism::with_seed(42));
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         random.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         for (a, b, relation) in stamps.pairwise_relations() {

@@ -20,7 +20,6 @@ use core::fmt;
 /// assert_eq!(a.to_string(), "r0");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicaId(u64);
 
 impl ReplicaId {

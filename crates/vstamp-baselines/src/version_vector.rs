@@ -36,7 +36,6 @@ use crate::replica::{ReplicaAllocator, ReplicaId};
 /// assert_eq!(vv_a.relation(&vv_b), vstamp_core::Relation::Equal);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VersionVector {
     counters: BTreeMap<ReplicaId, u64>,
 }
@@ -162,7 +161,6 @@ impl FromIterator<(ReplicaId, u64)> for VersionVector {
 /// One frontier element tracked by a version-vector mechanism: the replica's
 /// identity plus its vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VvElement {
     /// The replica identifier this element updates under.
     pub replica: ReplicaId,
@@ -375,7 +373,7 @@ mod tests {
 
     #[test]
     fn mechanism_agrees_with_stamps_on_a_trace() {
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -387,7 +385,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut vv = Configuration::new(FixedVersionVectorMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         vv.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();
         assert_eq!(vv.ids(), stamps.ids());

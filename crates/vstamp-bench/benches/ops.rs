@@ -1,10 +1,9 @@
 //! Experiment E8 — latency of the primitive stamp operations (update, fork,
-//! join, compare, reduce, encode) as a function of stamp size, for the
-//! boxed-trie and packed representations, plus a deep-fork-chain scenario
-//! (identities at fork-depth ≥ 64) where the two diverge the most.
+//! join, compare, reduce, encode) as a function of stamp size, plus a
+//! deep-fork-chain scenario (identities at fork-depth ≥ 64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use vstamp_core::{encode, NameLike, PackedStamp, Reduction, Stamp, VersionStamp};
+use vstamp_core::{BitTrieCodec, PackedName, Reduction, StampCodec, VersionStamp};
 
 /// Builds a stamp whose identity has roughly `width` strings by forking
 /// repeatedly without joining, and touching some updates along the way.
@@ -55,44 +54,15 @@ fn bench_primitive_ops(c: &mut Criterion) {
             b.iter(|| s.reduce())
         });
         group.bench_with_input(BenchmarkId::new("encode", width), &stamp, |b, s| {
-            b.iter(|| encode::encode_stamp(s))
+            b.iter(|| BitTrieCodec.encode_stamp(s))
         });
-        let bytes = encode::encode_stamp(&stamp);
+        let bytes = BitTrieCodec.encode_stamp(&stamp);
         group.bench_with_input(BenchmarkId::new("decode", width), &bytes, |b, bytes| {
-            b.iter(|| encode::decode_stamp(bytes).expect("valid encoding"))
+            b.iter(|| {
+                StampCodec::<PackedName>::decode_stamp(&BitTrieCodec, bytes)
+                    .expect("valid encoding")
+            })
         });
-
-        // The same operations on the packed representation.
-        let packed = stamp.to_packed_stamp();
-        let (pleft, pright) = (left.to_packed_stamp(), right.to_packed_stamp());
-        group.bench_with_input(BenchmarkId::new("packed-update", width), &packed, |b, s| {
-            b.iter(|| s.update())
-        });
-        group.bench_with_input(BenchmarkId::new("packed-fork", width), &packed, |b, s| {
-            b.iter(|| s.fork())
-        });
-        group.bench_with_input(
-            BenchmarkId::new("packed-join-reducing", width),
-            &(pleft.clone(), pright.clone()),
-            |b, (l, r)| b.iter(|| l.join(r)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("packed-compare", width),
-            &(pleft.clone(), pright.clone()),
-            |b, (l, r)| b.iter(|| l.relation(r)),
-        );
-        group.bench_with_input(BenchmarkId::new("packed-reduce", width), &packed, |b, s| {
-            b.iter(|| s.reduce())
-        });
-        group.bench_with_input(BenchmarkId::new("packed-encode", width), &packed, |b, s| {
-            b.iter(|| encode::encode_packed_stamp(s))
-        });
-        let packed_bytes = encode::encode_packed_stamp(&packed);
-        group.bench_with_input(
-            BenchmarkId::new("packed-decode", width),
-            &packed_bytes,
-            |b, bytes| b.iter(|| encode::decode_packed_stamp(bytes).expect("valid encoding")),
-        );
     }
     group.finish();
 }
@@ -100,8 +70,8 @@ fn bench_primitive_ops(c: &mut Criterion) {
 /// Builds a stamp at the bottom of a fork chain `depth` levels deep: every
 /// level forks and keeps the left replica, with updates along the way so
 /// the update component tracks the identity.
-fn deep_fork_stamp<N: NameLike>(depth: usize) -> Stamp<N> {
-    let mut stamp = Stamp::<N>::seed();
+fn deep_fork_stamp(depth: usize) -> VersionStamp {
+    let mut stamp = VersionStamp::seed();
     for level in 0..depth {
         let (left, _abandoned) = stamp.fork();
         stamp = if level % 8 == 0 { left.update() } else { left };
@@ -112,38 +82,19 @@ fn deep_fork_stamp<N: NameLike>(depth: usize) -> Stamp<N> {
 fn bench_deep_fork_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("deep-fork-stamps");
     for depth in [64usize, 128, 256] {
-        let tree: VersionStamp = deep_fork_stamp(depth);
-        let packed: PackedStamp = deep_fork_stamp(depth);
-        let (tl, tr) = tree.fork();
-        let (pl, pr) = packed.fork();
-        let (tl, pl) = (tl.update(), pl.update());
+        let stamp = deep_fork_stamp(depth);
+        let (left, right) = stamp.fork();
+        let left = left.update();
 
         group.bench_with_input(
-            BenchmarkId::new("tree-join", depth),
-            &(tl.clone(), tr.clone()),
+            BenchmarkId::new("join", depth),
+            &(left.clone(), right.clone()),
             |b, (l, r)| b.iter(|| l.join(r)),
         );
-        group.bench_with_input(
-            BenchmarkId::new("packed-join", depth),
-            &(pl.clone(), pr.clone()),
-            |b, (l, r)| b.iter(|| l.join(r)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("tree-compare", depth),
-            &(tl.clone(), tr.clone()),
-            |b, (l, r)| b.iter(|| l.relation(r)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("packed-compare", depth),
-            &(pl.clone(), pr.clone()),
-            |b, (l, r)| b.iter(|| l.relation(r)),
-        );
-        group.bench_with_input(BenchmarkId::new("tree-fork", depth), &tree, |b, s| {
-            b.iter(|| s.fork())
+        group.bench_with_input(BenchmarkId::new("compare", depth), &(left, right), |b, (l, r)| {
+            b.iter(|| l.relation(r))
         });
-        group.bench_with_input(BenchmarkId::new("packed-fork", depth), &packed, |b, s| {
-            b.iter(|| s.fork())
-        });
+        group.bench_with_input(BenchmarkId::new("fork", depth), &stamp, |b, s| b.iter(|| s.fork()));
     }
     group.finish();
 }

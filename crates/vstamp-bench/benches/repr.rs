@@ -1,30 +1,23 @@
-//! Ablation — the three name representations (literal antichain set, boxed
-//! trie, flat packed tag array) compared on the order test, the join, the
-//! fork construction and the conversions, over wide names and over deep
-//! fork-chain names (depth ≥ 64), where pointer chasing hurts most.
+//! Ablation — the two name representations (literal antichain set, flat
+//! packed tag array) compared on the order test, the join, the fork
+//! construction and the conversions, over wide names and over deep
+//! fork-chain names (depth ≥ 64).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vstamp_bench::{deep_chain_pair, wide_name};
-use vstamp_core::{Bit, NameTree, PackedName};
+use vstamp_core::{Bit, PackedName};
 
 fn bench_wide_names(c: &mut Criterion) {
     let mut group = c.benchmark_group("name-representation");
     for strings in [4usize, 16, 64, 256] {
         let a = wide_name(strings, 14, 0x2545_F491_4F6C_DD1D);
         let b = wide_name(strings, 14, 0x9E37_79B9_7F4A_7C15);
-        let ta = NameTree::from_name(&a);
-        let tb = NameTree::from_name(&b);
         let pa = PackedName::from_name(&a);
         let pb = PackedName::from_name(&b);
 
         group.bench_with_input(
             BenchmarkId::new("set-leq", strings),
             &(a.clone(), b.clone()),
-            |bench, (a, b)| bench.iter(|| a.leq(b)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("tree-leq", strings),
-            &(ta.clone(), tb.clone()),
             |bench, (a, b)| bench.iter(|| a.leq(b)),
         );
         group.bench_with_input(
@@ -38,11 +31,6 @@ fn bench_wide_names(c: &mut Criterion) {
             |bench, (a, b)| bench.iter(|| a.join(b)),
         );
         group.bench_with_input(
-            BenchmarkId::new("tree-join", strings),
-            &(ta.clone(), tb.clone()),
-            |bench, (a, b)| bench.iter(|| a.join(b)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("packed-join", strings),
             &(pa.clone(), pb.clone()),
             |bench, (a, b)| bench.iter(|| a.join(b)),
@@ -50,20 +38,11 @@ fn bench_wide_names(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("set-append", strings), &a, |bench, a| {
             bench.iter(|| a.append(Bit::Zero))
         });
-        group.bench_with_input(BenchmarkId::new("tree-append", strings), &ta, |bench, a| {
-            bench.iter(|| a.append(Bit::Zero))
-        });
         group.bench_with_input(BenchmarkId::new("packed-append", strings), &pa, |bench, a| {
             bench.iter(|| a.append(Bit::Zero))
         });
-        group.bench_with_input(BenchmarkId::new("set-to-tree", strings), &a, |bench, a| {
-            bench.iter(|| NameTree::from_name(a))
-        });
         group.bench_with_input(BenchmarkId::new("set-to-packed", strings), &a, |bench, a| {
             bench.iter(|| PackedName::from_name(a))
-        });
-        group.bench_with_input(BenchmarkId::new("tree-to-set", strings), &ta, |bench, a| {
-            bench.iter(|| a.to_name())
         });
         group.bench_with_input(BenchmarkId::new("packed-to-set", strings), &pa, |bench, a| {
             bench.iter(|| a.to_name())
@@ -74,27 +53,19 @@ fn bench_wide_names(c: &mut Criterion) {
 
 /// The deep-fork-chain scenario: two replicas that forked `depth` times and
 /// then diverged, so their identities are single deep strings plus a bushy
-/// shared spine. Joins and order tests at depth ≥ 64 are where the boxed
-/// trie pays one pointer chase (and one allocation, for join) per level.
+/// shared spine: joins, order tests and the Section-6 reduction at
+/// depth ≥ 64.
 fn bench_deep_chains(c: &mut Criterion) {
     let mut group = c.benchmark_group("deep-fork-chain");
     for depth in [64usize, 128, 256] {
         let (a, b) = deep_chain_pair(depth);
-        let ta = NameTree::from_name(&a);
-        let tb = NameTree::from_name(&b);
         let pa = PackedName::from_name(&a);
         let pb = PackedName::from_name(&b);
-        let joined_tree = ta.join(&tb);
         let joined_packed = pa.join(&pb);
 
         group.bench_with_input(
             BenchmarkId::new("set-leq", depth),
             &(a.clone(), b.clone()),
-            |bench, (a, b)| bench.iter(|| a.leq(b)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("tree-leq", depth),
-            &(ta.clone(), joined_tree.clone()),
             |bench, (a, b)| bench.iter(|| a.leq(b)),
         );
         group.bench_with_input(
@@ -108,26 +79,13 @@ fn bench_deep_chains(c: &mut Criterion) {
             |bench, (a, b)| bench.iter(|| a.join(b)),
         );
         group.bench_with_input(
-            BenchmarkId::new("tree-join", depth),
-            &(ta.clone(), tb.clone()),
-            |bench, (a, b)| bench.iter(|| a.join(b)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("packed-join", depth),
             &(pa.clone(), pb.clone()),
             |bench, (a, b)| bench.iter(|| a.join(b)),
         );
-        group.bench_with_input(BenchmarkId::new("tree-append", depth), &ta, |bench, a| {
-            bench.iter(|| a.append(Bit::One))
-        });
         group.bench_with_input(BenchmarkId::new("packed-append", depth), &pa, |bench, a| {
             bench.iter(|| a.append(Bit::One))
         });
-        group.bench_with_input(
-            BenchmarkId::new("tree-reduce", depth),
-            &(joined_tree.clone(), joined_tree.clone()),
-            |bench, (u, i)| bench.iter(|| NameTree::reduce_pair(u, i)),
-        );
         group.bench_with_input(
             BenchmarkId::new("packed-reduce", depth),
             &(joined_packed.clone(), joined_packed.clone()),
@@ -139,36 +97,22 @@ fn bench_deep_chains(c: &mut Criterion) {
 
 /// Wide frontier at fork-depth 64: identities carrying thousands of
 /// depth-64 strings, the sizes long partition/heal workloads actually
-/// produce (the sim probes reach 10⁵ strings). Here the boxed trie's
-/// ~24 bytes per node blow the cache while the 2-bit tag array stays
-/// resident — the headline regime of this ablation.
+/// produce (the sim probes reach 10⁵ strings), where the 2-bit tag array
+/// still stays cache-resident.
 fn bench_deep_frontier(c: &mut Criterion) {
     let mut group = c.benchmark_group("deep-frontier");
     group.sample_size(11);
     for strings in [1024usize, 4096] {
         let a = wide_name(strings, 64, 0x2545_F491_4F6C_DD1D);
         let b = wide_name(strings, 64, 0x9E37_79B9_7F4A_7C15);
-        let ta = NameTree::from_name(&a);
-        let tb = NameTree::from_name(&b);
         let pa = PackedName::from_name(&a);
         let pb = PackedName::from_name(&b);
-        let joined_tree = ta.join(&tb);
         let joined_packed = pa.join(&pb);
 
-        group.bench_with_input(
-            BenchmarkId::new("tree-leq", strings),
-            &(ta.clone(), joined_tree),
-            |bench, (a, j)| bench.iter(|| a.leq(j)),
-        );
         group.bench_with_input(
             BenchmarkId::new("packed-leq", strings),
             &(pa.clone(), joined_packed),
             |bench, (a, j)| bench.iter(|| a.leq(j)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("tree-join", strings),
-            &(ta, tb),
-            |bench, (a, b)| bench.iter(|| a.join(b)),
         );
         group.bench_with_input(
             BenchmarkId::new("packed-join", strings),

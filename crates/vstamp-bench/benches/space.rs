@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vstamp_baselines::{DynamicVersionVectorMechanism, FixedVersionVectorMechanism};
-use vstamp_core::TreeStampMechanism;
+use vstamp_core::VersionStampMechanism;
 use vstamp_itc::ItcMechanism;
 use vstamp_sim::metrics::measure_space;
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
@@ -19,7 +19,7 @@ fn bench_space_measurement(c: &mut Criterion) {
                 .with_mix(OperationMix::churn_heavy()),
         );
         group.bench_with_input(BenchmarkId::new("version-stamps", max_replicas), &trace, |b, t| {
-            b.iter(|| measure_space(TreeStampMechanism::reducing(), t))
+            b.iter(|| measure_space(VersionStampMechanism::reducing(), t))
         });
         // Short prefix only: non-reducing identities grow exponentially
         // with sync cycles.
@@ -30,12 +30,7 @@ fn bench_space_measurement(c: &mut Criterion) {
                 max_replicas,
             ),
             &nonreducing_prefix,
-            |b, t| b.iter(|| measure_space(TreeStampMechanism::non_reducing(), t)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("version-stamps-packed", max_replicas),
-            &trace,
-            |b, t| b.iter(|| measure_space(vstamp_core::PackedStampMechanism::reducing(), t)),
+            |b, t| b.iter(|| measure_space(VersionStampMechanism::non_reducing(), t)),
         );
         group.bench_with_input(
             BenchmarkId::new("version-vectors", max_replicas),

@@ -7,7 +7,7 @@ use vstamp_baselines::{
     RandomIdCausalMechanism, VectorClockMechanism,
 };
 use vstamp_bench::{header, seed_from_args, truncated, NON_REDUCING_OPS};
-use vstamp_core::{Name, PackedName, StampMechanism, TreeStampMechanism};
+use vstamp_core::{SetStampMechanism, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 use vstamp_sim::oracle::check_against_oracle;
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
@@ -59,10 +59,9 @@ fn main() {
         }};
     }
 
-    report!(TreeStampMechanism::reducing(), &traces);
-    report!(TreeStampMechanism::non_reducing(), &prefixes);
-    report!(StampMechanism::<Name>::reducing(), &traces);
-    report!(StampMechanism::<PackedName>::reducing(), &traces);
+    report!(VersionStampMechanism::reducing(), &traces);
+    report!(VersionStampMechanism::non_reducing(), &prefixes);
+    report!(SetStampMechanism::reducing(), &traces);
     report!(FixedVersionVectorMechanism::new(), &traces);
     report!(DynamicVersionVectorMechanism::new(), &traces);
     report!(VectorClockMechanism::new(), &traces);
@@ -70,6 +69,6 @@ fn main() {
     report!(RandomIdCausalMechanism::with_seed(seed), &traces);
     report!(ItcMechanism::new(), &traces);
 
-    println!("\nRESULT: version stamps (both variants, all three representations) reproduce the");
+    println!("\nRESULT: version stamps (both variants, both representations) reproduce the");
     println!("causal-history frontier order exactly, with no global identifiers or counters.");
 }

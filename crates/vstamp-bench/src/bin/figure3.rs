@@ -5,7 +5,7 @@
 
 use vstamp_baselines::FixedVersionVectorMechanism;
 use vstamp_bench::header;
-use vstamp_core::TreeStampMechanism;
+use vstamp_core::VersionStampMechanism;
 use vstamp_sim::oracle::check_against_oracle;
 use vstamp_sim::scenario::figure3;
 use vstamp_sim::workload::generate_fixed_population;
@@ -16,7 +16,7 @@ fn main() {
     println!("figure trace: {} operations", scenario.trace.len());
 
     let vv = check_against_oracle(FixedVersionVectorMechanism::new(), &scenario.trace);
-    let stamps = check_against_oracle(TreeStampMechanism::reducing(), &scenario.trace);
+    let stamps = check_against_oracle(VersionStampMechanism::reducing(), &scenario.trace);
     println!(
         "  version vectors vs causal histories: {}/{} comparisons agree",
         vv.comparisons - vv.disagreements.len(),
@@ -32,7 +32,7 @@ fn main() {
     for replicas in [2usize, 3, 5, 8] {
         let trace = generate_fixed_population(replicas, 30, vstamp_bench::DEFAULT_SEED);
         let vv = check_against_oracle(FixedVersionVectorMechanism::new(), &trace);
-        let stamps = check_against_oracle(TreeStampMechanism::reducing(), &trace);
+        let stamps = check_against_oracle(VersionStampMechanism::reducing(), &trace);
         println!(
             "  {replicas} replicas: version vectors exact = {}, version stamps exact = {} ({} comparisons)",
             vv.is_exact(),

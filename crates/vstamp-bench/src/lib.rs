@@ -157,7 +157,7 @@ pub fn render_final_relations<M: Mechanism>(mechanism: M, trace: &Trace) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
     use vstamp_sim::figure1;
 
     #[test]
@@ -191,9 +191,9 @@ mod tests {
     #[test]
     fn final_relations_render_deterministically() {
         let scenario = figure1();
-        let lines = render_final_relations(TreeStampMechanism::reducing(), &scenario.trace);
+        let lines = render_final_relations(VersionStampMechanism::reducing(), &scenario.trace);
         assert_eq!(lines.len(), 3);
-        let again = render_final_relations(TreeStampMechanism::reducing(), &scenario.trace);
+        let again = render_final_relations(VersionStampMechanism::reducing(), &scenario.trace);
         assert_eq!(lines, again);
         assert!(lines.iter().any(|l| l.contains("equivalent")));
     }

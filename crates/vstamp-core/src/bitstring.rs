@@ -42,7 +42,6 @@ use core::str::FromStr;
 /// assert_eq!(u8::from(Bit::One), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Bit {
     /// The digit `0`, taken by the "left" descendant of a fork.
     Zero,
@@ -140,7 +139,6 @@ impl fmt::Display for Bit {
 /// # Ok::<(), vstamp_core::ParseBitStringError>(())
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitString {
     /// Packed bits, most significant bit of byte 0 first.
     bytes: Vec<u8>,
@@ -791,14 +789,5 @@ mod tests {
     fn bit_size_matches_len() {
         assert_eq!(bs("ε").bit_size(), 0);
         assert_eq!(bs("0101").bit_size(), 4);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let s = bs("011010");
-        let json = serde_json::to_string(&s).unwrap();
-        let back: BitString = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -37,7 +37,6 @@ use crate::relation::Relation;
 /// role of the paper's omniscient observer. The decentralized mechanism
 /// (version stamps) never sees these values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventId(u64);
 
 impl EventId {
@@ -62,7 +61,6 @@ impl fmt::Display for EventId {
 
 /// The set of update events known to one element — `C(a)` in the paper.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CausalHistory {
     events: BTreeSet<EventId>,
 }
@@ -348,14 +346,5 @@ mod tests {
         let e = EventId::new(42);
         assert_eq!(e.raw(), 42);
         assert_eq!(e.to_string(), "e42");
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let h = CausalHistory::from_events([EventId::new(1), EventId::new(9)]);
-        let json = serde_json::to_string(&h).unwrap();
-        let back: CausalHistory = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
     }
 }

@@ -1,21 +1,19 @@
 //! The codec seam: pluggable wire formats for names and stamps.
 //!
-//! [`encode`](crate::encode) hard-codes the paper's bit-level trie format
-//! against concrete representations. This module extracts the format choice
-//! into a trait, [`StampCodec`], generic over the name representation
-//! ([`NameLike`]), with two shipped implementations:
+//! The format choice is a trait, [`StampCodec`], generic over the name
+//! representation ([`NameLike`]), with two shipped implementations:
 //!
 //! * [`BitTrieCodec`] — the paper's bit-packed trie format (`Empty ↦ 0`,
-//!   `Elem ↦ 10`, `Node ↦ 11`), byte-for-byte identical to the historical
-//!   [`encode`](crate::encode) functions. This is the space-optimal format
-//!   the E7/E9 experiments measure; it is **not** byte-aligned, so a stamp
-//!   cannot be sliced into its components without bit arithmetic.
+//!   `Elem ↦ 10`, `Node ↦ 11`, most significant bit first, final byte
+//!   zero-padded). This is the space-optimal format the E7/E9 experiments
+//!   measure; it is **not** byte-aligned, so a stamp cannot be sliced into
+//!   its components without bit arithmetic.
 //! * [`VarintCodec`] — a byte-aligned frame format: an LEB128 varint tag
 //!   count followed by the preorder trie tags packed four-per-byte. The
 //!   payload layout is exactly the in-memory tag array of
 //!   [`PackedName`](crate::PackedName), so decoding into the workspace's
 //!   default representation is a validated memcpy — no bit reader, no
-//!   `NameTree` round-trip. This is the format replication traffic uses
+//!   trie rebuild. This is the format replication traffic uses
 //!   (see [`write_frame`]/[`read_frame`] for message framing and the
 //!   `vstamp-store` anti-entropy protocol built on them).
 //!
@@ -43,7 +41,6 @@
 //! ```
 
 use crate::bitstring::Bit;
-use crate::encode::{BitReader, BitWriter};
 use crate::error::DecodeError;
 use crate::name_like::NameLike;
 use crate::stamp::Stamp;
@@ -98,11 +95,67 @@ pub trait StampCodec<N: NameLike> {
     }
 }
 
-/// The paper's bit-packed trie format (see [`crate::encode`]): one bit per
-/// `Empty`, two per `Elem`/`Node`, stamps as the concatenated update and id
-/// streams, final byte zero-padded.
+/// The paper's bit-packed trie format: one bit per `Empty` (`0`), two per
+/// `Elem` (`10`) and `Node` (`11`), most significant bit first, stamps as
+/// the concatenated update and id streams, final byte zero-padded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitTrieCodec;
+
+/// Append-only, most-significant-bit-first bit buffer.
+#[derive(Default)]
+struct BitWriter {
+    bytes: Vec<u8>,
+    bit_len: usize,
+}
+
+impl BitWriter {
+    fn push(&mut self, bit: Bit) {
+        if self.bit_len % 8 == 0 {
+            self.bytes.push(0);
+        }
+        if bit.is_one() {
+            let idx = self.bit_len / 8;
+            self.bytes[idx] |= 1 << (7 - (self.bit_len % 8));
+        }
+        self.bit_len += 1;
+    }
+}
+
+/// Most-significant-bit-first reader over packed bytes.
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    position: usize,
+}
+
+impl<'a> BitReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        BitReader { bytes, position: 0 }
+    }
+
+    fn read(&mut self) -> Result<Bit, DecodeError> {
+        let byte_index = self.position / 8;
+        if byte_index >= self.bytes.len() {
+            return Err(DecodeError::UnexpectedEnd);
+        }
+        let bit = (self.bytes[byte_index] >> (7 - (self.position % 8))) & 1;
+        self.position += 1;
+        Ok(Bit::from(bit == 1))
+    }
+
+    /// Checks that only zero padding (less than one byte) remains.
+    fn finish(mut self) -> Result<(), DecodeError> {
+        let consumed_bytes = self.position.div_ceil(8);
+        if self.bytes.len() > consumed_bytes {
+            return Err(DecodeError::TrailingData);
+        }
+        while self.position % 8 != 0 {
+            if self.read()? == Bit::One {
+                return Err(DecodeError::TrailingData);
+            }
+        }
+        Ok(())
+    }
+}
 
 fn write_tags_as_bits<N: NameLike>(name: &N, writer: &mut BitWriter) {
     name.visit_tags(&mut |tag| match tag {
@@ -149,9 +202,9 @@ impl<N: NameLike> StampCodec<N> for BitTrieCodec {
     }
 
     fn encode_name_into(&self, name: &N, out: &mut Vec<u8>) {
-        let mut writer = BitWriter::new();
+        let mut writer = BitWriter::default();
         write_tags_as_bits(name, &mut writer);
-        out.extend_from_slice(&writer.into_bytes());
+        out.extend_from_slice(&writer.bytes);
     }
 
     fn decode_name(&self, bytes: &[u8]) -> Result<N, DecodeError> {
@@ -162,10 +215,10 @@ impl<N: NameLike> StampCodec<N> for BitTrieCodec {
     }
 
     fn encode_stamp_into(&self, stamp: &Stamp<N>, out: &mut Vec<u8>) {
-        let mut writer = BitWriter::new();
+        let mut writer = BitWriter::default();
         write_tags_as_bits(stamp.update_name(), &mut writer);
         write_tags_as_bits(stamp.id_name(), &mut writer);
-        out.extend_from_slice(&writer.into_bytes());
+        out.extend_from_slice(&writer.bytes);
     }
 
     fn decode_stamp(&self, bytes: &[u8]) -> Result<Stamp<N>, DecodeError> {
@@ -417,8 +470,7 @@ mod tests {
     use super::*;
     use crate::name::Name;
     use crate::packed::PackedName;
-    use crate::stamp::{SetStamp, TreeStamp, VersionStamp};
-    use crate::tree::NameTree;
+    use crate::stamp::{SetStamp, VersionStamp};
 
     const SAMPLES: &[&str] = &[
         "{}",
@@ -445,27 +497,49 @@ mod tests {
     #[test]
     fn both_codecs_roundtrip_every_representation() {
         roundtrip_names::<Name, _>(&BitTrieCodec);
-        roundtrip_names::<NameTree, _>(&BitTrieCodec);
         roundtrip_names::<PackedName, _>(&BitTrieCodec);
         roundtrip_names::<Name, _>(&VarintCodec);
-        roundtrip_names::<NameTree, _>(&VarintCodec);
         roundtrip_names::<PackedName, _>(&VarintCodec);
     }
 
+    /// The bit-trie bytes of every `SAMPLES` name, derived by hand from the
+    /// paper's rule: preorder over the trie, `Empty ↦ 0`, `Elem ↦ 10`,
+    /// `Node ↦ 11`, most significant bit first, zero-padded.
+    const GOLDEN_NAMES: &[&[u8]] = &[
+        &[0x00],             // 0
+        &[0x80],             // 10
+        &[0xE0],             // 11 10 0
+        &[0xD0],             // 11 0 10
+        &[0xE8],             // 11 10 10
+        &[0xF5, 0x00],       // 11 11 0 10 10
+        &[0xFB, 0x40],       // 11 11 10 11 0 10 0
+        &[0xFE, 0x6A],       // 11 11 11 10 0 11 0 10 10
+        &[0xFA, 0xE8],       // 11 11 10 10 11 10 10
+        &[0xFB, 0xBA, 0x80], // 11 11 10 11 10 11 10 10 10
+    ];
+
     #[test]
     fn bit_trie_codec_matches_the_historical_encoding() {
-        for lit in SAMPLES {
+        for (lit, golden) in SAMPLES.iter().zip(GOLDEN_NAMES) {
             let name: Name = lit.parse().unwrap();
             let packed = PackedName::from_name(&name);
-            let tree = NameTree::from_name(&name);
-            let expected = crate::encode::encode_tree(&tree);
-            assert_eq!(StampCodec::<PackedName>::encode_name(&BitTrieCodec, &packed), expected);
-            assert_eq!(StampCodec::<NameTree>::encode_name(&BitTrieCodec, &tree), expected);
-            assert_eq!(StampCodec::<Name>::encode_name(&BitTrieCodec, &name), expected);
+            assert_eq!(&StampCodec::<PackedName>::encode_name(&BitTrieCodec, &packed), golden);
+            assert_eq!(&StampCodec::<Name>::encode_name(&BitTrieCodec, &name), golden, "{lit}");
+            assert_eq!(StampCodec::<PackedName>::decode_name(&BitTrieCodec, golden), Ok(packed));
         }
-        let (a, b) = VersionStamp::seed().fork();
-        let stamp = a.update().join_non_reducing(&b);
-        assert_eq!(BitTrieCodec.encode_stamp(&stamp), crate::encode::encode_stamp(&stamp));
+        let seed = VersionStamp::seed();
+        let (a, b) = seed.fork();
+        let joined = a.update().join_non_reducing(&b);
+        for (stamp, golden) in [
+            (&seed, &[0xA0][..]),            // [{ε} | {ε}]: 10 10
+            (&a, &[0xB8]),                   // [{ε} | {0}]: 10 11 10 0
+            (&b, &[0xB4]),                   // [{ε} | {1}]: 10 11 0 10
+            (&joined, &[0xE7, 0x40]),        // [{0} | {0, 1}]: 11 10 0 11 10 10
+            (&a.update().join(&b), &[0xA0]), // reduces back to the seed
+        ] {
+            assert_eq!(BitTrieCodec.encode_stamp(stamp), golden, "{stamp}");
+            assert_eq!(&BitTrieCodec.decode_stamp(golden).unwrap(), stamp);
+        }
     }
 
     #[test]
@@ -479,8 +553,6 @@ mod tests {
             assert_eq!(BitTrieCodec.decode_stamp(&bits).unwrap(), stamp);
             let frames = VarintCodec.encode_stamp(&stamp);
             assert_eq!(VarintCodec.decode_stamp(&frames).unwrap(), stamp);
-            let tree: TreeStamp = stamp.clone().into();
-            assert_eq!(VarintCodec.decode_stamp(&VarintCodec.encode_stamp(&tree)).unwrap(), tree);
             let set: SetStamp = stamp.clone().into();
             assert_eq!(BitTrieCodec.decode_stamp(&BitTrieCodec.encode_stamp(&set)).unwrap(), set);
         }
@@ -574,6 +646,18 @@ mod tests {
             StampCodec::<PackedName>::decode_stamp(&VarintCodec, &bytes),
             Err(DecodeError::Malformed(_))
         ));
+        // The same pair in bit-trie form: 11 10 10 then 11 10 0.
+        assert!(matches!(
+            StampCodec::<PackedName>::decode_stamp(&BitTrieCodec, &[0xEB, 0x80]),
+            Err(DecodeError::Malformed(_))
+        ));
+        // Bit-trie framing: a Node with two Empty children (11 0 0), a set
+        // padding bit after `{ε}`, a whole trailing byte, and no input.
+        let decode = |bytes: &[u8]| StampCodec::<PackedName>::decode_name(&BitTrieCodec, bytes);
+        assert!(matches!(decode(&[0xC0]), Err(DecodeError::Malformed(_))));
+        assert_eq!(decode(&[0x81]), Err(DecodeError::TrailingData));
+        assert_eq!(decode(&[0xE8, 0x00]), Err(DecodeError::TrailingData));
+        assert_eq!(decode(&[]), Err(DecodeError::UnexpectedEnd));
     }
 
     #[test]

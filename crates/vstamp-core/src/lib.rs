@@ -41,7 +41,6 @@
 //! |--------|---------------|----------|
 //! | [`bitstring`] | §4 | binary strings under the prefix order |
 //! | [`name`] | §4 (Def. 4.1) | names: finite antichains, `⊑`, `⊔` |
-//! | [`tree`] | §4/§6 | boxed binary-trie representation of names |
 //! | [`packed`] | §4/§6 | flat preorder tag-array representation (hot paths) |
 //! | [`stamp`] | §4 (Def. 4.3), §6 | version stamps and their operations |
 //! | [`simplify`] | §6 | the rewriting rule, normal forms, confluence helpers |
@@ -51,8 +50,7 @@
 //! | [`mechanism`], [`config`] | §2/§4 | the transition system and the mechanism seam |
 //! | [`invariants`] | §4 (I1–I3) | executable invariants and the frontier auditor |
 //! | [`relation`] | §2 | equivalent / obsolete / concurrent classification |
-//! | [`encode`] | — | the paper's compact bit encoding and the space metric |
-//! | [`codec`] | — | the codec seam: bit-trie + byte-aligned varint wire formats, framing |
+//! | [`codec`] | §4/§6 | the paper's bit-trie encoding + the byte-aligned varint wire format, framing |
 //!
 //! The companion crates build on this one: `vstamp-baselines` (version
 //! vectors, vector clocks, dotted version vectors), `vstamp-itc` (Interval
@@ -77,7 +75,6 @@ pub mod bitstring;
 pub mod causal;
 pub mod codec;
 pub mod config;
-pub mod encode;
 pub mod error;
 pub mod gc;
 pub mod invariants;
@@ -89,7 +86,6 @@ pub mod policy;
 pub mod relation;
 pub mod simplify;
 pub mod stamp;
-pub mod tree;
 
 pub use bitstring::{Bit, BitString, ParseBitStringError, PrefixOrdering};
 pub use causal::{CausalHistory, CausalMechanism, EventId};
@@ -99,16 +95,14 @@ pub use error::{ConfigError, DecodeError, StampError};
 pub use gc::{retire_identity, FrontierEvidence, FrontierGc};
 pub use invariants::{audit_configuration, audit_frontier, InvariantReport, Violation};
 pub use mechanism::{
-    GcStampMechanism, Mechanism, PackedStampMechanism, SetStampMechanism, StampMechanism,
-    TreeStampMechanism, VersionStampMechanism,
+    GcStampMechanism, Mechanism, SetStampMechanism, StampMechanism, VersionStampMechanism,
 };
 pub use name::{Name, ParseNameError};
 pub use name_like::NameLike;
 pub use packed::PackedName;
 pub use policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 pub use relation::Relation;
-pub use stamp::{PackedStamp, Reduction, SetStamp, Stamp, TreeStamp, VersionStamp};
-pub use tree::NameTree;
+pub use stamp::{Reduction, SetStamp, Stamp, VersionStamp};
 
 #[cfg(test)]
 mod tests {
@@ -119,12 +113,9 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BitString>();
         assert_send_sync::<Name>();
-        assert_send_sync::<NameTree>();
         assert_send_sync::<PackedName>();
         assert_send_sync::<VersionStamp>();
         assert_send_sync::<SetStamp>();
-        assert_send_sync::<TreeStamp>();
-        assert_send_sync::<PackedStamp>();
         assert_send_sync::<VersionStampMechanism>();
         assert_send_sync::<GcStampMechanism>();
         assert_send_sync::<CausalHistory>();

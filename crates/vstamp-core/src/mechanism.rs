@@ -20,7 +20,6 @@ use crate::packed::PackedName;
 use crate::policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 use crate::relation::Relation;
 use crate::stamp::{Reduction, Stamp};
-use crate::tree::NameTree;
 
 /// A causality-tracking mechanism driven by fork/join/update transitions.
 ///
@@ -176,18 +175,14 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
     type Element = Stamp<N>;
 
     fn mechanism_name(&self) -> &'static str {
-        // The default representation (packed) keeps the historical
-        // unsuffixed names; the others are labelled so ablation tables stay
+        // The default representation (packed) keeps the unsuffixed names;
+        // the set-backed specification is labelled so reports stay
         // unambiguous.
         match (N::REPR_NAME, self.policy.policy_name()) {
             ("packed", "eager") => "version-stamps",
             ("packed", "none") => "version-stamps-nonreducing",
             ("packed", "deferred") => "version-stamps-deferred",
             ("packed", "frontier-gc") => "version-stamps-gc",
-            ("tree", "eager") => "version-stamps-tree",
-            ("tree", "none") => "version-stamps-tree-nonreducing",
-            ("tree", "deferred") => "version-stamps-tree-deferred",
-            ("tree", "frontier-gc") => "version-stamps-tree-gc",
             ("set", "eager") => "version-stamps-set",
             ("set", "none") => "version-stamps-set-nonreducing",
             ("set", "deferred") => "version-stamps-set-deferred",
@@ -223,9 +218,8 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
     }
 
     fn size_bits(&self, element: &Self::Element) -> usize {
-        // Computed directly on the backing representation: the old
-        // round-trip through `to_tree_stamp()` rebuilt both tries on every
-        // sample and dominated the space experiments.
+        // Computed directly on the backing representation: no trie is
+        // built per sample.
         element.encoded_bits()
     }
 }
@@ -234,18 +228,9 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
 /// eager reduction — the workspace default.
 pub type VersionStampMechanism = StampMechanism<PackedName, Eager>;
 
-/// Version-stamp mechanism over the boxed trie representation; kept as a
-/// comparison point for the `repr` ablation (see [`crate::tree`] for the
-/// deprecation note).
-pub type TreeStampMechanism = StampMechanism<NameTree, Eager>;
-
-/// Version-stamp mechanism over the literal antichain representation; used
-/// by the `repr` ablation.
+/// Version-stamp mechanism over the literal antichain representation, the
+/// executable specification the reference checks run against.
 pub type SetStampMechanism = StampMechanism<Name, Eager>;
-
-/// Version-stamp mechanism over the flat tag-array representation (same as
-/// [`VersionStampMechanism`]; kept for ablation-table symmetry).
-pub type PackedStampMechanism = StampMechanism<PackedName, Eager>;
 
 /// The default mechanism with the frontier-evidence GC policy.
 pub type GcStampMechanism = StampMechanism<PackedName, crate::gc::FrontierGc<PackedName>>;
@@ -256,12 +241,9 @@ mod tests {
 
     #[test]
     fn stamp_mechanism_constructors() {
-        let reducing: TreeStampMechanism = StampMechanism::reducing();
-        assert_eq!(reducing.mechanism_name(), "version-stamps-tree");
-        assert_eq!(ReductionPolicy::<NameTree>::policy_name(reducing.policy()), "eager");
-
-        let non_reducing = TreeStampMechanism::non_reducing();
-        assert_eq!(non_reducing.mechanism_name(), "version-stamps-tree-nonreducing");
+        let reducing: SetStampMechanism = StampMechanism::reducing();
+        assert_eq!(reducing.mechanism_name(), "version-stamps-set");
+        assert_eq!(ReductionPolicy::<Name>::policy_name(reducing.policy()), "eager");
 
         let packed: VersionStampMechanism = StampMechanism::reducing();
         assert_eq!(packed.mechanism_name(), "version-stamps");
@@ -276,15 +258,12 @@ mod tests {
             SetStampMechanism::non_reducing().mechanism_name(),
             "version-stamps-set-nonreducing"
         );
-        assert_eq!(
-            TreeStampMechanism::deferred(4).mechanism_name(),
-            "version-stamps-tree-deferred"
-        );
+        assert_eq!(SetStampMechanism::deferred(4).mechanism_name(), "version-stamps-set-deferred");
         assert_eq!(SetStampMechanism::frontier_gc().mechanism_name(), "version-stamps-set-gc");
 
-        let explicit = TreeStampMechanism::with_reduction(Reduction::Reducing);
+        let explicit = SetStampMechanism::with_reduction(Reduction::Reducing);
         assert_eq!(explicit.reduction(), Reduction::Reducing);
-        assert_eq!(explicit.mechanism_name(), "version-stamps-tree");
+        assert_eq!(explicit.mechanism_name(), "version-stamps-set");
         let flag = VersionStampMechanism::with_reduction(Reduction::NonReducing);
         assert_eq!(flag.reduction(), Reduction::NonReducing);
         assert_eq!(flag.mechanism_name(), "version-stamps-nonreducing");

@@ -46,13 +46,12 @@ use crate::relation::Relation;
 ///
 /// The representation is the literal one from the paper: an explicit set of
 /// strings, kept in antichain normal form (no element is a prefix of
-/// another). The isomorphic packed representation is [`crate::NameTree`].
+/// another). The isomorphic packed representation is [`crate::PackedName`].
 ///
 /// Constructing a `Name` through any of its public constructors always yields
 /// an antichain: dominated strings are discarded eagerly, so e.g.
 /// `{0, 01}` collapses to `{01}` (the maximal elements of the down-set).
 #[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Name {
     strings: BTreeSet<BitString>,
 }
@@ -738,14 +737,5 @@ mod tests {
         assert_eq!(n.depth(), 3);
         assert_eq!(Name::epsilon().bit_size(), 0);
         assert_eq!(Name::epsilon().depth(), 0);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let n = name("{000, 011, 1}");
-        let json = serde_json::to_string(&n).unwrap();
-        let back: Name = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
     }
 }

@@ -1,17 +1,16 @@
-//! Abstraction over the three name representations.
+//! Abstraction over the two name representations.
 //!
 //! The paper defines names abstractly (Definition 4.1); this crate ships
-//! three concrete representations — the literal antichain set [`Name`], the
-//! boxed trie [`NameTree`] and the flat tag array [`PackedName`] — and the
-//! stamp machinery is generic over them through [`NameLike`]. The `repr`
-//! ablation bench compares the three.
+//! two concrete representations — the literal antichain set [`Name`], the
+//! executable specification, and the flat preorder tag array
+//! [`PackedName`], the production form — and the stamp machinery is generic
+//! over them through [`NameLike`].
 
 use crate::bitstring::Bit;
 use crate::error::DecodeError;
 use crate::name::Name;
 use crate::packed::PackedName;
 use crate::relation::Relation;
-use crate::tree::NameTree;
 
 mod private {
     /// Seals [`super::NameLike`]: the stamp algebra is only meaningful for
@@ -19,18 +18,16 @@ mod private {
     /// crates cannot add their own.
     pub trait Sealed {}
     impl Sealed for crate::name::Name {}
-    impl Sealed for crate::tree::NameTree {}
     impl Sealed for crate::packed::PackedName {}
 }
 
 /// Operations a name representation must provide to back a
 /// [`Stamp`](crate::Stamp).
 ///
-/// This trait is sealed: it is implemented exactly for [`Name`],
-/// [`NameTree`] and [`PackedName`], the three representations shipped by
-/// this crate.
+/// This trait is sealed: it is implemented exactly for [`Name`] and
+/// [`PackedName`], the two representations shipped by this crate.
 pub trait NameLike: Clone + Eq + core::fmt::Debug + core::fmt::Display + private::Sealed {
-    /// Short identifier of the representation (`set`, `tree`, `packed`),
+    /// Short identifier of the representation (`set`, `packed`),
     /// used to label mechanisms and benchmark rows.
     const REPR_NAME: &'static str;
 
@@ -223,7 +220,10 @@ impl NameLike for Name {
     }
 
     fn encoded_bits(&self) -> usize {
-        crate::encode::encoded_name_bits(self)
+        // `Empty ↦ 0` is one bit, `Elem ↦ 10` and `Node ↦ 11` are two.
+        let mut bits = 0usize;
+        self.visit_tags(&mut |tag| bits += if tag == 0 { 1 } else { 2 });
+        bits
     }
 
     fn depth(&self) -> usize {
@@ -275,89 +275,6 @@ impl NameLike for Name {
 
     fn from_packed_tags(bytes: &[u8], tag_count: usize) -> Result<Self, DecodeError> {
         Ok(PackedName::from_packed_tags(bytes, tag_count)?.to_name())
-    }
-}
-
-impl NameLike for NameTree {
-    const REPR_NAME: &'static str = "tree";
-
-    fn empty() -> Self {
-        NameTree::empty()
-    }
-
-    fn epsilon() -> Self {
-        NameTree::epsilon()
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        NameTree::leq(self, other)
-    }
-
-    fn join(&self, other: &Self) -> Self {
-        NameTree::join(self, other)
-    }
-
-    fn append(&self, bit: Bit) -> Self {
-        NameTree::append(self, bit)
-    }
-
-    fn is_empty(&self) -> bool {
-        NameTree::is_empty(self)
-    }
-
-    fn is_epsilon(&self) -> bool {
-        NameTree::is_epsilon(self)
-    }
-
-    fn string_count(&self) -> usize {
-        NameTree::string_count(self)
-    }
-
-    fn bit_size(&self) -> usize {
-        NameTree::bit_size(self)
-    }
-
-    fn encoded_bits(&self) -> usize {
-        crate::encode::encoded_tree_bits(self)
-    }
-
-    fn depth(&self) -> usize {
-        NameTree::depth(self)
-    }
-
-    fn to_name(&self) -> Name {
-        NameTree::to_name(self)
-    }
-
-    fn from_name(name: &Name) -> Self {
-        NameTree::from_name(name)
-    }
-
-    fn reduce_pair(update: &Self, id: &Self) -> (Self, Self) {
-        NameTree::reduce_pair(update, id)
-    }
-
-    fn tag_count(&self) -> usize {
-        NameTree::node_count(self)
-    }
-
-    fn visit_tags(&self, visit: &mut dyn FnMut(u8)) {
-        let mut stack: Vec<&NameTree> = vec![self];
-        while let Some(tree) = stack.pop() {
-            match tree {
-                NameTree::Empty => visit(0),
-                NameTree::Elem => visit(1),
-                NameTree::Node(zero, one) => {
-                    visit(2);
-                    stack.push(one);
-                    stack.push(zero);
-                }
-            }
-        }
-    }
-
-    fn from_packed_tags(bytes: &[u8], tag_count: usize) -> Result<Self, DecodeError> {
-        Ok(NameTree::from_name(&PackedName::from_packed_tags(bytes, tag_count)?.to_name()))
     }
 }
 
@@ -488,16 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn set_and_tree_representations_agree() {
-        check_agreement::<Name, NameTree>();
-    }
-
-    #[test]
-    fn tree_and_packed_representations_agree() {
-        check_agreement::<NameTree, PackedName>();
-    }
-
-    #[test]
     fn set_and_packed_representations_agree() {
         check_agreement::<Name, PackedName>();
     }
@@ -507,13 +414,7 @@ mod tests {
         let n = <Name as NameLike>::epsilon();
         assert!(n.is_epsilon());
         assert_eq!(<Name as NameLike>::empty().string_count(), 0);
-    }
-
-    #[test]
-    fn trait_impl_delegates_for_tree() {
-        let n = <NameTree as NameLike>::epsilon();
-        assert!(n.is_epsilon());
-        assert_eq!(<NameTree as NameLike>::empty().bit_size(), 0);
+        assert_eq!(<Name as NameLike>::empty().bit_size(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Flat, cache-friendly encoding of names: the third representation.
+//! Flat, cache-friendly encoding of names: the production representation.
 //!
-//! [`PackedName`] stores the same canonical binary trie as
-//! [`NameTree`](crate::NameTree), but as a **preorder array of 2-bit node
+//! [`PackedName`] stores the canonical binary trie of a name (the paper's
+//! §4/§6 encoding of an antichain) as a **preorder array of 2-bit node
 //! tags** (`Empty` / `Elem` / `Node`) packed four to a byte, held inline for
-//! up to [`INLINE_TAGS`] nodes and spilling to the heap beyond. Where the
+//! up to [`INLINE_TAGS`] nodes and spilling to the heap beyond. Where a
 //! boxed trie chases two pointers per interior node and allocates on every
 //! construction, the packed form is a handful of contiguous bytes:
 //!
@@ -12,15 +12,16 @@
 //!   allocation (a single output buffer per constructed value);
 //! * `string_count` and `bit_size` are **cached** and O(1);
 //! * `node_count` is the tag count, O(1);
-//! * the wire encoding of [`encode`](crate::encode) maps 1:1 onto the tag
-//!   array (`Empty ↦ 0`, `Elem ↦ 10`, `Node ↦ 11`), so encode/decode are
-//!   single passes.
+//! * the wire encodings of [`codec`](crate::codec) map 1:1 onto the tag
+//!   array (`Empty ↦ 0`, `Elem ↦ 10`, `Node ↦ 11` for
+//!   [`BitTrieCodec`](crate::BitTrieCodec), the array itself for
+//!   [`VarintCodec`](crate::VarintCodec)), so encode/decode are single
+//!   passes.
 //!
-//! The representation is proptest-equivalent to [`Name`] and
-//! `NameTree` (see `tests/repr_equivalence.rs`) and slots into the stamp
-//! machinery through [`NameLike`](crate::NameLike) as
-//! [`PackedStamp`](crate::PackedStamp) /
-//! [`PackedStampMechanism`](crate::PackedStampMechanism).
+//! The representation is proptest-equivalent to [`Name`] (see
+//! `tests/repr_equivalence.rs`) and slots into the stamp machinery through
+//! [`NameLike`](crate::NameLike) as [`VersionStamp`](crate::VersionStamp) /
+//! [`VersionStampMechanism`](crate::VersionStampMechanism).
 //!
 //! # Examples
 //!
@@ -1657,7 +1658,7 @@ impl FromStr for PackedName {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::NameTree;
+    use crate::name_like::NameLike;
 
     fn name(s: &str) -> Name {
         s.parse().expect("valid name literal")
@@ -1696,29 +1697,24 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_tree_on_all_operations() {
+    fn agrees_with_name_on_all_operations() {
         for a in SAMPLES {
             for b in SAMPLES {
                 let (na, nb) = (name(a), name(b));
-                let (ta, tb) = (NameTree::from_name(&na), NameTree::from_name(&nb));
                 let (pa, pb) = (PackedName::from_name(&na), PackedName::from_name(&nb));
-                assert_eq!(pa.leq(&pb), ta.leq(&tb), "leq mismatch {a} vs {b}");
-                assert_eq!(pa.lt(&pb), ta.lt(&tb), "lt mismatch {a} vs {b}");
-                assert_eq!(pa.relation(&pb), ta.relation(&tb));
-                assert_eq!(
-                    pa.join(&pb).to_name(),
-                    ta.join(&tb).to_name(),
-                    "join mismatch {a} ⊔ {b}"
-                );
+                assert_eq!(pa.leq(&pb), na.leq(&nb), "leq mismatch {a} vs {b}");
+                assert_eq!(pa.lt(&pb), na.lt(&nb), "lt mismatch {a} vs {b}");
+                assert_eq!(pa.relation(&pb), na.relation(&nb));
+                assert_eq!(pa.join(&pb).to_name(), na.join(&nb), "join mismatch {a} ⊔ {b}");
             }
         }
     }
 
     #[test]
-    fn append_matches_tree_append() {
+    fn append_matches_name_append() {
         for a in SAMPLES {
             for bit in [Bit::Zero, Bit::One] {
-                let expected = NameTree::from_name(&name(a)).append(bit).to_name();
+                let expected = name(a).append(bit);
                 assert_eq!(packed(a).append(bit).to_name(), expected, "append mismatch {a}·{bit}");
             }
         }
@@ -1772,11 +1768,7 @@ mod tests {
             assert_eq!(p.string_count(), n.len(), "string_count mismatch for {a}");
             assert_eq!(p.bit_size(), n.bit_size(), "bit_size mismatch for {a}");
             assert_eq!(p.depth(), n.depth(), "depth mismatch for {a}");
-            assert_eq!(
-                p.node_count(),
-                NameTree::from_name(&n).node_count(),
-                "node_count mismatch for {a}"
-            );
+            assert_eq!(p.node_count(), NameLike::tag_count(&n), "node_count mismatch for {a}");
         }
     }
 
@@ -1799,16 +1791,20 @@ mod tests {
     }
 
     #[test]
-    fn reduce_pair_matches_tree_reduction() {
+    fn reduce_pair_matches_name_reduction() {
         for u in SAMPLES {
             for i in SAMPLES {
-                let (tu, ti) = NameTree::reduce_pair(
-                    &NameTree::from_name(&name(u)),
-                    &NameTree::from_name(&name(i)),
-                );
+                // The rule is defined on reachable stamps (I1: u ⊑ i).
+                if !packed(u).leq(&packed(i)) {
+                    continue;
+                }
                 let (pu, pi) = PackedName::reduce_pair(&packed(u), &packed(i));
-                assert_eq!(pu.to_name(), tu.to_name(), "reduce update mismatch ({u}, {i})");
-                assert_eq!(pi.to_name(), ti.to_name(), "reduce id mismatch ({u}, {i})");
+                let (nu, ni) = crate::simplify::reduce_name_pair(&name(u), &name(i));
+                assert_eq!(pu.to_name(), nu, "reduce update mismatch ({u}, {i})");
+                assert_eq!(pi.to_name(), ni, "reduce id mismatch ({u}, {i})");
+                assert!(pu.leq(&packed(u)) && pi.leq(&packed(i)), "reduce grew ({u}, {i})");
+                assert!(pu.leq(&pi), "I1 broken by reduce of ({u}, {i})");
+                assert_eq!(PackedName::reduce_pair(&pu, &pi), (pu, pi), "not idempotent");
             }
         }
     }

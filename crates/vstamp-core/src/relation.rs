@@ -29,7 +29,6 @@ use core::fmt;
 /// assert_eq!(a1.relation(&b1), Relation::Concurrent);    // mutually inconsistent
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Relation {
     /// Both elements have seen exactly the same updates ("equivalent").
     Equal,

@@ -53,7 +53,6 @@ use crate::name::Name;
 use crate::name_like::NameLike;
 use crate::packed::PackedName;
 use crate::relation::Relation;
-use crate::tree::NameTree;
 
 /// Whether joins apply the simplification rule of Section 6.
 ///
@@ -62,7 +61,6 @@ use crate::tree::NameTree;
 /// and the frontier order (Section 6). The evaluation (experiment E9)
 /// measures how much space the rule saves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Reduction {
     /// Simplify after every join (the practical mechanism).
     #[default]
@@ -92,9 +90,8 @@ impl fmt::Display for Reduction {
 ///
 /// Use the [`VersionStamp`] alias (packed tag array, the workspace default)
 /// unless you specifically want the literal antichain representation
-/// ([`SetStamp`]) or the boxed trie ([`TreeStamp`]).
+/// ([`SetStamp`]), the executable specification.
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stamp<N = PackedName> {
     update: N,
     id: N,
@@ -108,17 +105,6 @@ pub type VersionStamp = Stamp<PackedName>;
 /// Version stamp backed by the literal antichain-of-strings representation
 /// of the paper; used by the model-level tests and the `repr` ablation.
 pub type SetStamp = Stamp<Name>;
-
-/// Version stamp backed by the boxed binary-trie representation.
-///
-/// Historical default up to the packed-name flip; kept as a comparison
-/// representation for the `repr` ablation and structure-sharing workloads.
-/// New code should prefer [`VersionStamp`].
-pub type TreeStamp = Stamp<NameTree>;
-
-/// Version stamp backed by the flat preorder tag array (same as
-/// [`VersionStamp`]; kept for ablation-table symmetry).
-pub type PackedStamp = Stamp<PackedName>;
 
 impl<N: NameLike> Stamp<N> {
     /// The stamp of the initial element of a system: `({ε}, {ε})`
@@ -367,18 +353,9 @@ impl<N: NameLike> Stamp<N> {
         Stamp { update: self.update.to_name(), id: self.id.to_name() }
     }
 
-    /// Converts to the boxed trie representation.
-    #[must_use]
-    pub fn to_tree_stamp(&self) -> TreeStamp {
-        Stamp {
-            update: NameTree::from_name(&self.update.to_name()),
-            id: NameTree::from_name(&self.id.to_name()),
-        }
-    }
-
     /// Converts to the flat tag-array representation.
     #[must_use]
-    pub fn to_packed_stamp(&self) -> PackedStamp {
+    pub fn to_packed_stamp(&self) -> VersionStamp {
         Stamp {
             update: PackedName::from_name(&self.update.to_name()),
             id: PackedName::from_name(&self.id.to_name()),
@@ -413,39 +390,15 @@ impl<N: NameLike> fmt::Debug for Stamp<N> {
     }
 }
 
-impl From<SetStamp> for TreeStamp {
-    fn from(stamp: SetStamp) -> Self {
-        stamp.to_tree_stamp()
-    }
-}
-
-impl From<TreeStamp> for SetStamp {
-    fn from(stamp: TreeStamp) -> Self {
-        stamp.to_set_stamp()
-    }
-}
-
-impl From<SetStamp> for PackedStamp {
+impl From<SetStamp> for VersionStamp {
     fn from(stamp: SetStamp) -> Self {
         stamp.to_packed_stamp()
     }
 }
 
-impl From<TreeStamp> for PackedStamp {
-    fn from(stamp: TreeStamp) -> Self {
-        stamp.to_packed_stamp()
-    }
-}
-
-impl From<PackedStamp> for SetStamp {
-    fn from(stamp: PackedStamp) -> Self {
+impl From<VersionStamp> for SetStamp {
+    fn from(stamp: VersionStamp) -> Self {
         stamp.to_set_stamp()
-    }
-}
-
-impl From<PackedStamp> for TreeStamp {
-    fn from(stamp: PackedStamp) -> Self {
-        stamp.to_tree_stamp()
     }
 }
 
@@ -599,11 +552,9 @@ mod tests {
         assert_eq!(packed_a.bit_size(), a.bit_size());
         assert_eq!(packed_a.string_count(), a.string_count());
         assert_eq!(packed_a.depth(), a.depth());
-        let tree_a: TreeStamp = a.clone().into();
-        let round: PackedStamp = tree_a.clone().into();
-        assert_eq!(round, packed_a);
-        let tree_back: TreeStamp = round.into();
-        assert_eq!(tree_back, tree_a);
+        assert_eq!(packed_a.encoded_bits(), a.encoded_bits());
+        assert_eq!(a.to_packed_stamp(), packed_a);
+        assert_eq!(packed_a.to_packed_stamp(), packed_a);
     }
 
     #[test]
@@ -648,15 +599,5 @@ mod tests {
         assert_eq!(Reduction::Reducing.to_string(), "reducing");
         assert_eq!(Reduction::NonReducing.to_string(), "non-reducing");
         assert!(Reduction::default().is_reducing());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let (a, b) = VersionStamp::seed().fork();
-        let stamp = a.update().join_non_reducing(&b);
-        let json = serde_json::to_string(&stamp).unwrap();
-        let back: VersionStamp = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stamp);
     }
 }

@@ -61,12 +61,12 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The set-based and tree-based reductions compute the same normal form.
+    /// The set-based and packed reductions compute the same normal form.
     #[test]
     fn reductions_agree_across_representations(stamp in stamp_strategy()) {
         let set_reduced = stamp.reduce();
-        let tree_reduced = stamp.to_tree_stamp().reduce();
-        prop_assert_eq!(tree_reduced.to_set_stamp(), set_reduced);
+        let packed_reduced = stamp.to_packed_stamp().reduce();
+        prop_assert_eq!(packed_reduced.to_set_stamp(), set_reduced);
     }
 
     /// Reduction terminates at a normal form, is idempotent, and the number

@@ -10,7 +10,6 @@ use core::fmt;
 
 /// An ITC event tree.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EventTree {
     /// The whole subinterval has observed this many events.
     Leaf(u64),

@@ -12,7 +12,6 @@ use core::fmt;
 
 /// An ITC identity tree.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IdTree {
     /// This whole subtree of the interval is not owned.
     Zero,

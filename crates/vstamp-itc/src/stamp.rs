@@ -32,7 +32,6 @@ use crate::id::IdTree;
 /// assert_eq!(merged.relation(&a), Relation::Dominates);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ItcStamp {
     id: IdTree,
     event: EventTree,
@@ -379,7 +378,7 @@ mod tests {
     #[test]
     fn mechanism_agrees_with_stamps_and_causal_histories() {
         use vstamp_core::causal::CausalMechanism;
-        use vstamp_core::{Configuration, ElementId, Operation, Trace, TreeStampMechanism};
+        use vstamp_core::{Configuration, ElementId, Operation, Trace, VersionStampMechanism};
         let trace: Trace = [
             Operation::Fork(ElementId::new(0)),
             Operation::Update(ElementId::new(1)),
@@ -393,7 +392,7 @@ mod tests {
         .into_iter()
         .collect();
         let mut itc = Configuration::new(ItcMechanism::new());
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         let mut causal = Configuration::new(CausalMechanism::new());
         itc.apply_trace(&trace).unwrap();
         stamps.apply_trace(&trace).unwrap();

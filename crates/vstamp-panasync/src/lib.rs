@@ -42,7 +42,6 @@ use vstamp_core::{Relation, VersionStamp};
 /// One replica ("copy") of a file: its name, its content and the version
 /// stamp tracking which writes it has seen.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FileCopy {
     name: String,
     content: String,

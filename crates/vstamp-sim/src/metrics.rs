@@ -128,13 +128,13 @@ mod tests {
     use super::*;
     use crate::workload::{generate, OperationMix, WorkloadSpec};
     use vstamp_baselines::{DynamicVersionVectorMechanism, FixedVersionVectorMechanism};
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
     use vstamp_itc::ItcMechanism;
 
     #[test]
     fn measure_space_reports_sensible_numbers() {
         let trace = generate(&WorkloadSpec::new(200, 8, 1).with_mix(OperationMix::balanced()));
-        let report = measure_space(TreeStampMechanism::reducing(), &trace);
+        let report = measure_space(VersionStampMechanism::reducing(), &trace);
         assert_eq!(report.operations, 200);
         assert!(report.max_frontier >= 1 && report.max_frontier <= 9);
         assert!(report.mean_element_bits > 0.0);
@@ -151,8 +151,8 @@ mod tests {
         for seed in 0..2 {
             let trace =
                 generate(&WorkloadSpec::new(40, 6, seed).with_mix(OperationMix::sync_heavy()));
-            let reducing = measure_space(TreeStampMechanism::reducing(), &trace);
-            let non_reducing = measure_space(TreeStampMechanism::non_reducing(), &trace);
+            let reducing = measure_space(VersionStampMechanism::reducing(), &trace);
+            let non_reducing = measure_space(VersionStampMechanism::non_reducing(), &trace);
             assert!(
                 reducing.mean_element_bits <= non_reducing.mean_element_bits + 1e-9,
                 "seed {seed}: reducing {} > non-reducing {}",
@@ -174,7 +174,7 @@ mod tests {
         // identities have not hit a pathological fragmentation burst (at
         // ~800 churn operations some seeds do — see ROADMAP).
         let trace = generate(&WorkloadSpec::new(600, 8, 13).with_mix(OperationMix::churn_heavy()));
-        let stamps = measure_space(TreeStampMechanism::reducing(), &trace);
+        let stamps = measure_space(VersionStampMechanism::reducing(), &trace);
         let dynamic = measure_space(DynamicVersionVectorMechanism::new(), &trace);
         assert!(
             stamps.final_mean_element_bits < dynamic.final_mean_element_bits,

@@ -14,7 +14,7 @@ use vstamp_baselines::{
     RandomIdCausalMechanism, VectorClockMechanism,
 };
 use vstamp_core::causal::CausalMechanism;
-use vstamp_core::{SetStampMechanism, Trace, TreeStampMechanism, VersionStampMechanism};
+use vstamp_core::{SetStampMechanism, Trace, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 
 use crate::metrics::{measure_space, ComparisonTable, SpaceReport};
@@ -24,8 +24,8 @@ use crate::metrics::{measure_space, ComparisonTable, SpaceReport};
 pub enum MechanismSet {
     /// Version stamps only (reducing and non-reducing) — the E9 ablation.
     StampsOnly,
-    /// The three name representations (set / boxed tree / packed tags),
-    /// all reducing — the `repr` ablation.
+    /// The two name representations (set specification / packed tags),
+    /// both reducing.
     Representations,
     /// The reduction-policy ablation over the default representation:
     /// eager (Section 6), deferred/batched, and frontier-evidence GC.
@@ -56,8 +56,6 @@ fn measurement_jobs(
         MechanismSet::Representations => {
             let t = trace.clone();
             jobs.push(Box::new(move || measure_space(SetStampMechanism::reducing(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(TreeStampMechanism::reducing(), &t)));
         }
         MechanismSet::Policies => {
             let t = trace.clone();
@@ -149,16 +147,14 @@ mod tests {
     fn representation_comparison_agrees_on_sizes() {
         let trace = generate(&WorkloadSpec::new(150, 8, 6).with_mix(OperationMix::churn_heavy()));
         let table = compare_mechanisms(MechanismSet::Representations, &trace);
-        assert_eq!(table.rows().len(), 3);
+        assert_eq!(table.rows().len(), 2);
         let packed = table.row("version-stamps").expect("packed (default) row");
         let set = table.row("version-stamps-set").expect("set row");
-        let tree = table.row("version-stamps-tree").expect("tree row");
-        // The three representations encode the same names, so every space
+        // Both representations encode the same names, so every space
         // statistic must agree bit-for-bit.
         assert_eq!(packed.mean_element_bits, set.mean_element_bits);
-        assert_eq!(packed.mean_element_bits, tree.mean_element_bits);
-        assert_eq!(packed.max_element_bits, tree.max_element_bits);
-        assert_eq!(packed.final_frontier_bits, tree.final_frontier_bits);
+        assert_eq!(packed.max_element_bits, set.max_element_bits);
+        assert_eq!(packed.final_frontier_bits, set.final_frontier_bits);
     }
 
     #[test]

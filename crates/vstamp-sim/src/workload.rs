@@ -13,7 +13,6 @@ use vstamp_core::{Configuration, ElementId, Operation, Relation, Trace};
 
 /// How the generator chooses the next operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OperationMix {
     /// Relative weight of `update` operations.
     pub update: u32,
@@ -61,7 +60,6 @@ impl Default for OperationMix {
 
 /// Parameters of a random workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadSpec {
     /// Number of operations to generate.
     pub operations: usize,
@@ -319,7 +317,7 @@ pub fn frontier_stats(trace: &Trace) -> FrontierStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstamp_core::TreeStampMechanism;
+    use vstamp_core::VersionStampMechanism;
 
     #[test]
     fn operation_mix_presets() {
@@ -343,7 +341,7 @@ mod tests {
         let spec = WorkloadSpec::new(300, 10, 7).with_mix(OperationMix::churn_heavy());
         let trace = generate(&spec);
         assert_eq!(trace.len(), 300);
-        let mut stamps = Configuration::new(TreeStampMechanism::reducing());
+        let mut stamps = Configuration::new(VersionStampMechanism::reducing());
         stamps.apply_trace(&trace).expect("replay against stamps");
         let mut causal = Configuration::new(vstamp_core::CausalMechanism::new());
         causal.apply_trace(&trace).expect("replay against causal histories");

@@ -44,10 +44,9 @@ pub use vstamp_store as store;
 pub use vstamp_baselines::{DottedVersionVector, ReplicaId, VectorClock, VersionVector};
 pub use vstamp_core::{
     Bit, BitString, CausalHistory, Configuration, Deferred, Eager, ElementId, FrontierEvidence,
-    FrontierGc, GcStampMechanism, Mechanism, Name, NameTree, NoReduce, Operation, PackedName,
-    PackedStamp, PackedStampMechanism, Reduction, ReductionPolicy, Relation, SetStamp,
-    SetStampMechanism, Stamp, StampMechanism, Trace, TreeStamp, TreeStampMechanism, VersionStamp,
-    VersionStampMechanism,
+    FrontierGc, GcStampMechanism, Mechanism, Name, NoReduce, Operation, PackedName, Reduction,
+    ReductionPolicy, Relation, SetStamp, SetStampMechanism, Stamp, StampMechanism, Trace,
+    VersionStamp, VersionStampMechanism,
 };
 pub use vstamp_core::{BitTrieCodec, StampCodec, VarintCodec};
 pub use vstamp_itc::ItcStamp;

@@ -9,7 +9,9 @@ use vstamp::{
     Workspace,
 };
 use vstamp_baselines::{DynamicVersionVectorMechanism, FixedVersionVectorMechanism};
-use vstamp_core::{audit_configuration, causal::CausalMechanism, encode, VersionStampMechanism};
+use vstamp_core::{
+    audit_configuration, causal::CausalMechanism, BitTrieCodec, StampCodec, VersionStampMechanism,
+};
 use vstamp_itc::ItcMechanism;
 
 #[test]
@@ -77,8 +79,8 @@ fn stamps_survive_the_wire_between_replicas() {
     let decoded: Vec<(ElementId, VersionStamp)> = config
         .iter()
         .map(|(id, stamp)| {
-            let bytes = encode::encode_stamp(stamp);
-            (id, encode::decode_stamp(&bytes).expect("round trip"))
+            let bytes = BitTrieCodec.encode_stamp(stamp);
+            (id, BitTrieCodec.decode_stamp(&bytes).expect("round trip"))
         })
         .collect();
     for (i, (id_a, stamp_a)) in decoded.iter().enumerate() {
