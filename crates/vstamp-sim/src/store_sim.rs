@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vstamp_store::{Cluster, ClusterConfig, GossipStats, StoreBackend, StoreMetrics};
+use vstamp_store::{Cluster, ClusterConfig, ExchangeStats, StoreBackend, StoreMetrics};
 
 /// Parameters of a store simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,10 +62,6 @@ pub struct StoreSimSpec {
     /// frame misses at the receiver and the NAK/full-frame fallback
     /// carries the exchange — the forced-miss correctness drill.
     pub perturb_fingerprints: bool,
-    /// Enables read repair: every `get` merges all replicas' sibling sets
-    /// and pushes missing versions back to lagging replicas, giving
-    /// monotonic reads across replica switches mid-partition.
-    pub read_repair: bool,
 }
 
 impl StoreSimSpec {
@@ -84,7 +80,6 @@ impl StoreSimSpec {
             seed,
             threads: 1,
             perturb_fingerprints: false,
-            read_repair: false,
         }
     }
 
@@ -103,21 +98,11 @@ impl StoreSimSpec {
         self
     }
 
-    /// The same spec with read repair switched on at every `get`.
-    #[must_use]
-    pub fn with_read_repair(mut self) -> Self {
-        self.read_repair = true;
-        self
-    }
-
     /// The cluster wiring this spec asks for.
     fn cluster_config(&self) -> ClusterConfig {
         let mut config = ClusterConfig::new(self.replicas, self.shards);
         if self.perturb_fingerprints {
             config = config.with_perturbed_fingerprints();
-        }
-        if self.read_repair {
-            config = config.with_read_repair();
         }
         config
     }
@@ -138,7 +123,6 @@ impl StoreSimSpec {
             seed,
             threads: 1,
             perturb_fingerprints: false,
-            read_repair: false,
         }
     }
 }
@@ -170,38 +154,14 @@ pub struct StoreSimReport {
     pub wire: WireReport,
 }
 
-/// Bytes-on-wire accounting of one run: cumulative totals plus the
-/// per-epoch bytes-per-exchange curve the benchmark plots. All byte
+/// Bytes-on-wire accounting of one run: the cluster's cumulative
+/// exchange counters plus the per-epoch bytes-per-exchange curve. All byte
 /// counts are envelope-inclusive (kind byte, sender id, length prefix).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireReport {
-    /// Anti-entropy exchanges performed (epochs plus settle sweeps).
-    pub exchanges: usize,
-    /// Digest payload bytes shipped, envelopes included.
-    pub digest_bytes: usize,
-    /// Delta payload bytes shipped (including NAKs and full-frame
-    /// refetches after fingerprint misses), envelopes included.
-    pub delta_bytes: usize,
-    /// Versions shipped as delta frames (dot + fingerprint).
-    pub delta_frames: usize,
-    /// Versions shipped as full clock frames.
-    pub full_frames: usize,
-    /// Keys refetched as full frames after a fingerprint miss.
-    pub nak_refetches: usize,
-    /// Bytes the delta frames saved against full-frame encodings of the
-    /// same versions.
-    pub wire_bytes_saved: usize,
-    /// Total bytes of the clock frames shipped (full and delta).
-    pub frame_bytes: usize,
-    /// The delta frames' share of `frame_bytes`.
-    pub delta_frame_bytes: usize,
-    /// Versions never shipped because the requester's digest proved it
-    /// already held them.
-    pub versions_skipped: usize,
-    /// Exchanges opened with an O(1) digest-root probe.
-    pub root_probes: usize,
-    /// Probes that hit: converged peers that exchanged only the probe.
-    pub root_matches: usize,
+    /// [`Cluster::gossip_stats`] at the end of the run (epochs plus settle
+    /// sweeps); `root_probes` counts the exchanges.
+    pub totals: ExchangeStats,
     /// Mean payload bytes (digest + delta) per exchange, one entry per
     /// epoch.
     pub bytes_per_exchange_curve: Vec<f64>,
@@ -215,36 +175,11 @@ pub struct WireReport {
 const CONVERGED_EPOCH_SWEEPS: usize = 4;
 
 /// Mean payload bytes per exchange between two cumulative snapshots.
-fn bytes_per_exchange(before: GossipStats, after: GossipStats) -> f64 {
+fn bytes_per_exchange(before: ExchangeStats, after: ExchangeStats) -> f64 {
     let bytes = (after.digest_bytes + after.delta_bytes)
         .saturating_sub(before.digest_bytes + before.delta_bytes);
-    let exchanges = after.exchanges.saturating_sub(before.exchanges);
+    let exchanges = after.root_probes.saturating_sub(before.root_probes);
     bytes as f64 / exchanges.max(1) as f64
-}
-
-/// Folds the final cumulative gossip counters and the sampled curve into
-/// the report's [`WireReport`].
-fn wire_report(
-    totals: GossipStats,
-    bytes_per_exchange_curve: Vec<f64>,
-    converged_bytes_per_exchange: f64,
-) -> WireReport {
-    WireReport {
-        exchanges: totals.exchanges,
-        digest_bytes: totals.digest_bytes,
-        delta_bytes: totals.delta_bytes,
-        delta_frames: totals.delta_frames,
-        full_frames: totals.full_frames,
-        nak_refetches: totals.nak_refetches,
-        wire_bytes_saved: totals.wire_bytes_saved,
-        frame_bytes: totals.frame_bytes,
-        delta_frame_bytes: totals.delta_frame_bytes,
-        versions_skipped: totals.versions_skipped,
-        root_probes: totals.root_probes,
-        root_matches: totals.root_matches,
-        bytes_per_exchange_curve,
-        converged_bytes_per_exchange,
-    }
 }
 
 impl StoreSimReport {
@@ -528,7 +463,6 @@ pub fn run_store_sim<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreS
         resurrections += got.difference(&expected).count();
     }
 
-    let wire_totals = cluster.gossip_stats();
     StoreSimReport {
         backend: backend_label,
         sessions,
@@ -540,7 +474,11 @@ pub fn run_store_sim<B: StoreBackend>(backend: B, spec: &StoreSimSpec) -> StoreS
         keys_recycled: compaction.keys_recycled + compaction.keys_dropped,
         final_metrics: cluster.metrics(),
         metadata_curve,
-        wire: wire_report(wire_totals, wire_curve, converged_bytes),
+        wire: WireReport {
+            totals: cluster.gossip_stats(),
+            bytes_per_exchange_curve: wire_curve,
+            converged_bytes_per_exchange: converged_bytes,
+        },
     }
 }
 
@@ -720,7 +658,6 @@ fn run_store_sim_concurrent<B: StoreBackend>(backend: B, spec: &StoreSimSpec) ->
         resurrections += got.difference(&expected).count();
     }
 
-    let wire_totals = cluster.gossip_stats();
     StoreSimReport {
         backend: backend_label,
         sessions: sessions.into_inner(),
@@ -732,7 +669,11 @@ fn run_store_sim_concurrent<B: StoreBackend>(backend: B, spec: &StoreSimSpec) ->
         keys_recycled: compaction.keys_recycled + compaction.keys_dropped,
         final_metrics: cluster.metrics(),
         metadata_curve,
-        wire: wire_report(wire_totals, wire_curve, converged_bytes),
+        wire: WireReport {
+            totals: cluster.gossip_stats(),
+            bytes_per_exchange_curve: wire_curve,
+            converged_bytes_per_exchange: converged_bytes,
+        },
     }
 }
 
@@ -821,10 +762,10 @@ mod tests {
         fn gate<B: StoreBackend + Clone>(backend: B, spec: &StoreSimSpec) {
             let label = backend.label();
             let adaptive = exact(backend.clone(), spec, label);
-            assert!(adaptive.delta_frames > 0, "{label}: adaptive run must ship deltas");
-            assert!(adaptive.wire_bytes_saved > 0, "{label}: delta frames must save bytes");
-            assert!(adaptive.root_matches > 0, "{label}: the root probe never hit");
-            assert!(adaptive.versions_skipped > 0, "{label}: dedup never skipped a version");
+            assert!(adaptive.totals.delta_frames > 0, "{label}: adaptive run must ship deltas");
+            assert!(adaptive.totals.wire_bytes_saved > 0, "{label}: delta frames must save bytes");
+            assert!(adaptive.totals.root_matches > 0, "{label}: the root probe never hit");
+            assert!(adaptive.totals.versions_skipped > 0, "{label}: dedup never skipped a version");
             // 5x under the smallest whole-digest steady state on record
             // (149 B per converged exchange, CHANGES.md PR 21).
             assert!(
@@ -834,8 +775,8 @@ mod tests {
             );
             assert_eq!(spec.rounds, adaptive.bytes_per_exchange_curve.len());
             let perturbed = exact(backend, &spec.with_perturbed_fingerprints(), label);
-            assert!(perturbed.nak_refetches > 0, "{label}: forced misses must NAK");
-            assert_eq!(perturbed.root_matches, 0, "{label}: a perturbed probe matched");
+            assert!(perturbed.totals.nak_refetches > 0, "{label}: forced misses must NAK");
+            assert_eq!(perturbed.totals.root_matches, 0, "{label}: a perturbed probe matched");
         }
         for spec in [StoreSimSpec::partition_heal(4, 6, SEED), StoreSimSpec::churn(3, 8, SEED)] {
             gate(VstampBackend::gc(), &spec);
@@ -850,105 +791,6 @@ mod tests {
         let a = run_store_sim(VstampBackend::gc(), &spec);
         let b = run_store_sim(VstampBackend::gc(), &spec);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn read_repair_specs_stay_exact() {
-        let spec = StoreSimSpec::partition_heal(6, 10, 42).with_read_repair();
-        for report in [
-            run_store_sim(VstampBackend::gc(), &spec),
-            run_store_sim(DynamicVvBackend::new(), &spec),
-        ] {
-            assert!(
-                report.is_exact(),
-                "{}: lost={} false_conc={} resurrect={} converged={}",
-                report.backend,
-                report.lost_updates,
-                report.false_concurrency,
-                report.resurrections,
-                report.converged
-            );
-        }
-    }
-
-    /// Drives one partition/heal trace and returns, per monotonic-reads
-    /// check, `(checks, cross_replica_checks, violations)`: a violation is
-    /// a previously read put id that a later read by the same client (at
-    /// any replica) neither returned nor covered causally.
-    fn monotonic_read_trace(read_repair: bool) -> (usize, usize, usize) {
-        let replicas = 4usize;
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut config = ClusterConfig::new(replicas, 4);
-        if read_repair {
-            config = config.with_read_repair();
-        }
-        let cluster = Cluster::with_config(VstampBackend::gc(), config);
-        let keys: Vec<String> = (0..4).map(|k| format!("key-{k}")).collect();
-        let mut oracle = Oracle::default();
-        let mut next_id = 1u64;
-        // Per client, per key: the put ids and replica of the last read.
-        let clients = 6usize;
-        let mut last_read: Vec<BTreeMap<String, (usize, Vec<u64>)>> =
-            vec![BTreeMap::new(); clients];
-        // Two islands; anti-entropy stays island-local until the heal.
-        let mut island_of: Vec<usize> = (0..replicas).map(|r| r % 2).collect();
-        let rounds = 12usize;
-        let (mut checks, mut cross, mut violations) = (0usize, 0usize, 0usize);
-        for round in 0..rounds {
-            for (client, seen) in last_read.iter_mut().enumerate() {
-                // Clients hop replicas freely: reads cross the partition
-                // even while gossip cannot.
-                let replica = (client + round) % replicas;
-                let key = keys[rng.gen_range(0..keys.len())].clone();
-                let read = cluster.get(replica, &key);
-                let ids: Vec<u64> = read.iter_values().map(decode_id).collect();
-                if let Some((prev_replica, prev_ids)) = seen.get(&key) {
-                    let key_oracle = oracle.by_key.get(&key).expect("key was read before");
-                    for &earlier in prev_ids {
-                        checks += 1;
-                        if prev_replica != &replica {
-                            cross += 1;
-                        }
-                        let still_visible = ids.contains(&earlier)
-                            || ids.iter().any(|&now| key_oracle.covers(now, earlier));
-                        if !still_visible {
-                            violations += 1;
-                        }
-                    }
-                }
-                let id = next_id;
-                next_id += 1;
-                cluster.put(replica, &key, encode_id(id), read.context());
-                oracle.record_write(id, &key, &ids, false);
-                seen.insert(key, (replica, ids));
-            }
-            for a in 0..replicas {
-                for b in 0..replicas {
-                    if a != b && island_of[a] == island_of[b] {
-                        cluster.anti_entropy(a, b);
-                    }
-                }
-            }
-            if round == rounds / 2 {
-                for island in island_of.iter_mut() {
-                    *island = 0;
-                }
-            }
-        }
-        (checks, cross, violations)
-    }
-
-    #[test]
-    fn read_repair_gives_monotonic_reads_across_partition_heal() {
-        // Without repair the trace demonstrably loses monotonicity when a
-        // client's read hops across the partition; with repair every
-        // previously read id stays present-or-covered at every replica.
-        let (checks, cross, violations) = monotonic_read_trace(false);
-        assert!(checks > 0 && cross > 0, "trace must exercise cross-replica reads");
-        assert!(violations > 0, "without read repair the partition must show stale reads");
-        let (checks, cross, violations) = monotonic_read_trace(true);
-        assert!(checks > 0 && cross > 0, "trace must exercise cross-replica reads");
-        assert_eq!(violations, 0, "read repair must make reads monotonic");
     }
 
     #[test]

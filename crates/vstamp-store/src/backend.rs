@@ -411,18 +411,18 @@ impl VstampKeyState {
 
 /// The version-stamp backend; see the [module docs](self). `gc` selects
 /// whether (and how often, via [`GcWatermarks`]) merges apply the
-/// frontier-evidence collapse on top of eager Section-6 reduction.
+/// frontier-evidence collapse on top of eager Section-6 reduction. Clocks
+/// and elements ride the wire in the byte-aligned [`VarintCodec`].
 #[derive(Debug, Clone, Default)]
-pub struct VstampBackend<C = VarintCodec> {
-    codec: C,
+pub struct VstampBackend {
     gc: Option<GcWatermarks>,
 }
 
-impl VstampBackend<VarintCodec> {
+impl VstampBackend {
     /// Eager reduction only — the Section-6 mechanism verbatim.
     #[must_use]
     pub fn eager() -> Self {
-        VstampBackend { codec: VarintCodec, gc: None }
+        VstampBackend { gc: None }
     }
 
     /// Eager reduction plus amortized frontier-evidence GC at the default
@@ -435,16 +435,7 @@ impl VstampBackend<VarintCodec> {
     /// Eager reduction plus frontier-evidence GC at explicit watermarks.
     #[must_use]
     pub fn gc_with(watermarks: GcWatermarks) -> Self {
-        VstampBackend { codec: VarintCodec, gc: Some(watermarks) }
-    }
-}
-
-impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> VstampBackend<C> {
-    /// A GC-enabled backend over an explicit codec (the codec seam: any
-    /// [`StampCodec`] implementation frames the replication traffic).
-    #[must_use]
-    pub fn with_codec(codec: C) -> Self {
-        VstampBackend { codec, gc: Some(GcWatermarks::default()) }
+        VstampBackend { gc: Some(watermarks) }
     }
 
     /// Runs the evidence-gated collapse on a freshly cover-shrunk element.
@@ -504,7 +495,7 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> VstampBackend<C>
     }
 }
 
-impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> StoreBackend for VstampBackend<C> {
+impl StoreBackend for VstampBackend {
     type KeyState = VstampKeyState;
     type Element = VersionStamp;
     type Clock = PackedName;
@@ -728,23 +719,23 @@ impl<C: StampCodec<PackedName> + Clone + Send + Sync + 'static> StoreBackend for
     }
 
     fn encode_clock(&self, clock: &Self::Clock, out: &mut Vec<u8>) {
-        self.codec.encode_name_into(clock, out);
+        VarintCodec.encode_name_into(clock, out);
     }
 
     fn decode_clock(&self, bytes: &[u8]) -> Result<Self::Clock, DecodeError> {
-        self.codec.decode_name(bytes)
+        VarintCodec.decode_name(bytes)
     }
 
     fn encode_element(&self, element: &Self::Element, out: &mut Vec<u8>) {
-        self.codec.encode_stamp_into(element, out);
+        VarintCodec.encode_stamp_into(element, out);
     }
 
     fn encode_element_knowledge(&self, element: &Self::Element, out: &mut Vec<u8>) {
-        self.codec.encode_name_into(element.update_name(), out);
+        VarintCodec.encode_name_into(element.update_name(), out);
     }
 
     fn decode_element(&self, bytes: &[u8]) -> Result<Self::Element, DecodeError> {
-        self.codec.decode_stamp(bytes)
+        VarintCodec.decode_stamp(bytes)
     }
 
     fn clock_bits(&self, clock: &Self::Clock) -> usize {

@@ -46,13 +46,21 @@
 //! join. A transport must not hand `pull` a Delta from an earlier exchange;
 //! nothing on the wire lets the engine tell (ROADMAP item 2a).
 //!
+//! Each end counts its half of an exchange in one [`ExchangeStats`], and
+//! the cluster keeps one running sum of every half it recorded
+//! ([`Cluster::gossip_stats`]).
+//!
 //! # Concurrency
 //!
 //! Every lock is per shard. An operation touching a key takes at most two
 //! locks, always in the same order — the clock-plane shard first, then one
 //! data-plane shard — so client traffic and concurrent exchanges never
 //! deadlock. Reads (`get`, the root, listing changes) take only a data
-//! shard read lock.
+//! shard read lock, and `get` has one path: the key's published snapshot at
+//! the asked replica. Every mutation of a key — write, one key of a delta,
+//! a shipped fork, a compaction step — is one `Shard::edit`, which closes
+//! the key's read cache once before the write lock drops (see
+//! [`crate::store`]).
 //!
 //! # Coordination caveat
 //!
@@ -127,8 +135,8 @@ pub struct PullCursor {
 /// is counted once, by its sender.
 ///
 /// Byte counts are end-to-end: payload plus the serialized envelope
-/// header ([`envelope_len`]), so the `wire` benchmark curves reflect what
-/// a real transport would carry, not just encoded bodies.
+/// header ([`envelope_len`]), so they count what a real transport carries,
+/// not just encoded bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
     /// Keys the responder shipped (fingerprint mismatch or missing).
@@ -157,22 +165,24 @@ pub struct ExchangeStats {
     /// Versions the responder did not ship because the requester's digest
     /// proved it already held them.
     pub versions_skipped: usize,
-    /// Whether this exchange opened with an O(1) digest-root probe.
+    /// Exchanges opened with the O(1) digest-root probe: 1 per pull, so
+    /// in a sum it counts the pulls.
     pub root_probes: usize,
-    /// Whether that probe hit — the peers were already converged and the
-    /// whole offer/delta flow was skipped.
+    /// Probes that hit — the peers were already converged and the whole
+    /// offer/delta flow was skipped.
     pub root_matches: usize,
     /// Digest lines the responder listed in its offer.
     pub offered_keys: usize,
     /// Offered keys the requester asked for.
     pub wanted_keys: usize,
-    /// Whether the requester was offered everything from sequence 0: first
-    /// contact, a restarted responder, or a cursor it had to drop.
+    /// Pulls offered everything from sequence 0: first contact, a
+    /// restarted responder, or a cursor the requester had to drop. Steady
+    /// state adds none: one per link, plus one per peer restart.
     pub cursor_resets: usize,
 }
 
 impl ExchangeStats {
-    /// Adds the other half of an exchange.
+    /// Adds another exchange, or the other half of one.
     fn absorb(&mut self, other: &ExchangeStats) {
         self.keys_shipped += other.keys_shipped;
         self.digest_bytes += other.digest_bytes;
@@ -199,72 +209,6 @@ impl ExchangeStats {
         self.wire_bytes_saved += frames.bytes_saved;
         self.frame_bytes += frames.frame_bytes;
         self.delta_frame_bytes += frames.delta_frame_bytes;
-    }
-}
-
-/// Cumulative wire counters of one cluster since construction (snapshot
-/// and diff for per-epoch curves): every [`Cluster::pull`] and
-/// [`Cluster::serve`] records its half of the exchange here, so each byte
-/// is counted once, at the sending side, envelope included. A
-/// [`Node`](crate::Node) pulls and serves, so its counters hold what *it*
-/// put on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipStats {
-    /// Pull exchanges initiated.
-    pub exchanges: usize,
-    /// Probe, probe-answer (ack or offer) and want bytes sent, envelopes
-    /// included.
-    pub digest_bytes: usize,
-    /// Delta-direction bytes sent (deltas, NAKs, refetches), envelopes
-    /// included.
-    pub delta_bytes: usize,
-    /// Versions shipped as delta frames.
-    pub delta_frames: usize,
-    /// Versions shipped as full clock frames.
-    pub full_frames: usize,
-    /// Keys refetched after a fingerprint miss.
-    pub nak_refetches: usize,
-    /// Bytes saved by delta frames versus their full clock frames.
-    pub wire_bytes_saved: usize,
-    /// Total bytes of the clock frames shipped (full and delta).
-    pub frame_bytes: usize,
-    /// The delta frames' share of `frame_bytes`.
-    pub delta_frame_bytes: usize,
-    /// Versions never shipped because the requester's digest proved it
-    /// already held them.
-    pub versions_skipped: usize,
-    /// Exchanges opened with an O(1) digest-root probe.
-    pub root_probes: usize,
-    /// Probes that hit: converged peers that exchanged nothing further.
-    pub root_matches: usize,
-    /// Digest lines listed in the offers this cluster served.
-    pub offered_keys: usize,
-    /// Offered keys this cluster asked for.
-    pub wanted_keys: usize,
-    /// Pulls of this cluster that were offered everything from sequence 0.
-    /// Steady state adds none: one per link, plus one per peer restart.
-    pub cursor_resets: usize,
-    /// Non-empty delta payloads applied through
-    /// [`Cluster::apply_delta_batch`].
-    pub batched_applies: usize,
-}
-
-impl GossipStats {
-    fn record(&mut self, stats: &ExchangeStats) {
-        self.digest_bytes += stats.digest_bytes;
-        self.delta_bytes += stats.delta_bytes;
-        self.delta_frames += stats.delta_frames;
-        self.full_frames += stats.full_frames;
-        self.nak_refetches += stats.nak_refetches;
-        self.wire_bytes_saved += stats.wire_bytes_saved;
-        self.frame_bytes += stats.frame_bytes;
-        self.delta_frame_bytes += stats.delta_frame_bytes;
-        self.versions_skipped += stats.versions_skipped;
-        self.root_probes += stats.root_probes;
-        self.root_matches += stats.root_matches;
-        self.offered_keys += stats.offered_keys;
-        self.wanted_keys += stats.wanted_keys;
-        self.cursor_resets += stats.cursor_resets;
     }
 }
 
@@ -322,11 +266,6 @@ pub struct ClusterConfig {
     /// delta frame misses and takes the NAK/refetch fallback — a
     /// correctness-stress knob, never on by default.
     pub perturb_fingerprints: bool,
-    /// Read repair on [`Cluster::get`]: a read consults every replica,
-    /// serves the merged sibling set, and pushes versions a lagging
-    /// replica is missing back into it — monotonic reads across replica
-    /// switches at the cost of a cluster-wide read. Default off.
-    pub read_repair: bool,
 }
 
 impl Default for ClusterConfig {
@@ -337,10 +276,10 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// A config with explicit replica and shard counts (fingerprints
-    /// honest, no read repair).
+    /// honest).
     #[must_use]
     pub fn new(replicas: usize, shards: usize) -> Self {
-        ClusterConfig { replicas, shards, perturb_fingerprints: false, read_repair: false }
+        ClusterConfig { replicas, shards, perturb_fingerprints: false }
     }
 
     /// Perturbs every emitted delta-frame fingerprint (forces the
@@ -348,13 +287,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_perturbed_fingerprints(mut self) -> Self {
         self.perturb_fingerprints = true;
-        self
-    }
-
-    /// Enables read repair on [`Cluster::get`].
-    #[must_use]
-    pub fn with_read_repair(mut self) -> Self {
-        self.read_repair = true;
         self
     }
 
@@ -372,8 +304,8 @@ pub struct Cluster<B: StoreBackend> {
     plane: Vec<Mutex<PlaneStripe<B>>>,
     shards: ShardIndexer,
     policy: DeltaPolicy,
-    read_repair: bool,
-    wire: Mutex<GossipStats>,
+    /// Every exchange half this cluster recorded, summed.
+    wire: Mutex<ExchangeStats>,
     /// [`Cluster::anti_entropy`]'s cursor per ordered (requester,
     /// responder) pair, at `requester * replicas + responder`.
     cursors: Vec<Mutex<PullCursor>>,
@@ -434,16 +366,18 @@ impl<B: StoreBackend> Cluster<B> {
             plane: (0..shards.count()).map(|_| Mutex::new(HashMap::new())).collect(),
             shards,
             policy: config.policy(),
-            read_repair: config.read_repair,
-            wire: Mutex::new(GossipStats::default()),
+            wire: Mutex::new(ExchangeStats::default()),
             cursors: (0..replicas * replicas).map(|_| Mutex::new(PullCursor::default())).collect(),
         }
     }
 
-    /// Cumulative wire counters since construction — snapshot and diff to
-    /// get per-epoch bytes-on-wire curves.
+    /// Cumulative wire counters since construction: the sum of the
+    /// [`ExchangeStats`] half every [`Cluster::pull`] and [`Cluster::serve`]
+    /// of this cluster recorded, failed pulls included. A
+    /// [`Node`](crate::Node) pulls and serves, so its counters hold what
+    /// *it* put on the wire. Snapshot and diff for per-epoch curves.
     #[must_use]
-    pub fn gossip_stats(&self) -> GossipStats {
+    pub fn gossip_stats(&self) -> ExchangeStats {
         *self.wire.lock()
     }
 
@@ -477,81 +411,7 @@ impl<B: StoreBackend> Cluster<B> {
     /// and gossip or GC bookkeeping on *other* shards never touches it.
     #[must_use]
     pub fn get(&self, replica: usize, key: &str) -> GetResult<B> {
-        if self.read_repair {
-            return self.get_repaired(replica, key);
-        }
         let shard = self.replicas[replica].shard(self.shards.index(key)).read();
-        GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
-    }
-
-    /// Read-repair read: consults every replica's snapshot, computes the
-    /// merged sibling antichain, pushes versions a lagging replica is
-    /// missing back into it, and serves the queried replica's refreshed
-    /// view. With the flag on, a client that switches replicas between
-    /// reads still observes monotonic reads: whatever one read returned is
-    /// stored (or dominated by something stored) at *every* replica before
-    /// the read returns.
-    fn get_repaired(&self, replica: usize, key: &str) -> GetResult<B> {
-        let shard_index = self.shards.index(key);
-        let snapshots: Vec<_> = (0..self.replicas.len())
-            .map(|r| {
-                let shard = self.replicas[r].shard(shard_index).read();
-                shard.get(key).and_then(|data| data.siblings.snapshot())
-            })
-            .collect();
-        // Merge every replica's versions into one antichain: dominated
-        // versions drop, byte-equal clocks deduplicate (value tie-break,
-        // mirroring the sibling-set merge rule so the repaired sets match
-        // what anti-entropy would converge to).
-        let mut merged: Vec<StoredVersion<B>> = Vec::new();
-        for version in snapshots.iter().flatten().flat_map(|snapshot| snapshot.versions()) {
-            if let Some(index) =
-                merged.iter().position(|held| held.clock_bytes() == version.clock_bytes())
-            {
-                if version.version().value > merged[index].version().value {
-                    merged[index] = version.clone();
-                }
-                continue;
-            }
-            let mut dominated = false;
-            let mut index = 0;
-            while index < merged.len() {
-                match self.backend.relation(merged[index].clock(), version.clock()) {
-                    Relation::Dominated => {
-                        merged.swap_remove(index);
-                    }
-                    Relation::Dominates | Relation::Equal => {
-                        dominated = true;
-                        break;
-                    }
-                    Relation::Concurrent => index += 1,
-                }
-            }
-            if !dominated {
-                merged.push(version.clone());
-            }
-        }
-        if merged.is_empty() {
-            return GetResult::new(None);
-        }
-        for (r, snapshot) in snapshots.iter().enumerate() {
-            let missing: Vec<StoredVersion<B>> = merged
-                .iter()
-                .filter(|version| {
-                    !snapshot.as_ref().is_some_and(|snapshot| {
-                        snapshot
-                            .versions()
-                            .iter()
-                            .any(|held| held.clock_bytes() == version.clock_bytes())
-                    })
-                })
-                .cloned()
-                .collect();
-            if !missing.is_empty() {
-                self.repair_replica(r, shard_index, key, missing);
-            }
-        }
-        let shard = self.replicas[replica].shard(shard_index).read();
         GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
     }
 
@@ -565,38 +425,6 @@ impl<B: StoreBackend> Cluster<B> {
         #[cfg(test)]
         counted::LOCK_PAIRS.with(|pairs| pairs.set(pairs.get() + 1));
         (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
-    }
-
-    /// Pushes read-repair versions into one replica: the apply-side merge
-    /// path minus the element absorb (repair moves versions, not identity
-    /// knowledge — fingerprints still differ afterwards, and anti-entropy
-    /// settles them as usual).
-    fn repair_replica(
-        &self,
-        replica: usize,
-        shard_index: usize,
-        key: &str,
-        versions: Vec<StoredVersion<B>>,
-    ) {
-        let (mut plane, mut shard) = self.lock_pair(replica, shard_index);
-        let Some(entry) = plane.get_mut(key) else { return };
-        if !shard.contains_key(key) {
-            let claimed =
-                entry.unclaimed[replica].take().expect("initial element claimed exactly once");
-            shard.insert(key.to_owned(), KeyData::new(&self.backend, claimed));
-        }
-        shard.edit(key, |data| {
-            for incoming in versions {
-                let clock = incoming.clock().clone();
-                let outcome = data.siblings.merge_version(&self.backend, incoming, false);
-                if outcome.stored {
-                    self.backend.retain_clock(&mut entry.state, &clock);
-                }
-                for evicted in &outcome.evicted {
-                    self.backend.release_clock(&mut entry.state, evicted.clock());
-                }
-            }
-        });
     }
 
     /// Causal write at one replica. The new version's clock dominates
@@ -645,7 +473,7 @@ impl<B: StoreBackend> Cluster<B> {
             shard.insert(key.to_owned(), KeyData::new(&self.backend, element));
         }
         shard
-            .edit(key, |data| {
+            .edit(&self.backend, key, |data| {
                 let (advanced, clock, dot) =
                     self.backend.write(&mut entry.state, data.element(), context);
                 data.set_element(&self.backend, advanced);
@@ -802,7 +630,7 @@ impl<B: StoreBackend> Cluster<B> {
     ) -> Option<(KeyDelta<B>, usize)> {
         let (mut plane, mut shard) = self.lock_pair(responder, shard_index);
         let entry = plane.get_mut(key)?;
-        shard.edit(key, |data| {
+        shard.edit(&self.backend, key, |data| {
             let (kept, shipped) = self.backend.detach(&mut entry.state, data.element());
             data.set_element(&self.backend, kept);
             let hashes: Vec<u64> = data.siblings.iter().map(StoredVersion::content_hash).collect();
@@ -848,22 +676,20 @@ impl<B: StoreBackend> Cluster<B> {
         self.ship_keys(responder, keys.iter().map(|key| (key, 0))).0
     }
 
-    /// Applies a delta at the requester, one lock pair and one sibling-cache
-    /// upkeep per key/version — the per-key reference that
-    /// [`Cluster::apply_delta_batch`] (what exchanges use) is tested and
-    /// benchmarked against. Element `join` (with the backend's merge-time
-    /// GC) plus sibling merges. Delta-frame versions
-    /// whose context fingerprint matches the local sibling set are
-    /// reconstructed as `context ⊔ dot`; the rest are **missed** — the
-    /// returned keys need a NAK/full-frame refetch round.
+    /// Applies a delta at the requester, one lock pair per key — the
+    /// per-key reference that [`Cluster::apply_delta_batch`] (what
+    /// exchanges use) is tested and benchmarked against; the two differ in
+    /// nothing else. Element `join` (with the backend's merge-time GC) plus
+    /// sibling merges. Delta-frame versions whose context fingerprint
+    /// matches the local sibling set are reconstructed as `context ⊔ dot`;
+    /// the rest are **missed** — the returned keys need a NAK/full-frame
+    /// refetch round.
     pub fn apply_delta(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         for delta in deltas {
             let shard_index = self.shards.index(&delta.key);
             let (mut plane, mut shard) = self.lock_pair(requester, shard_index);
-            if let Some(miss) =
-                self.apply_key_delta(requester, &mut plane, &mut shard, delta, false)
-            {
+            if let Some(miss) = self.apply_key_delta(requester, &mut plane, &mut shard, delta) {
                 misses.push(miss);
             }
         }
@@ -871,21 +697,16 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// The batched form of [`Cluster::apply_delta`]: frames are grouped by
-    /// destination shard, the (clock-plane, data-shard) lock pair is taken
-    /// **once per shard** instead of once per key, and each key's sibling
-    /// cache upkeep runs once after all of the key's versions merged
-    /// instead of once per version — the `Arc`-swapped snapshot publishes
-    /// exactly once, and the k-way context rebuild runs **at most** once
-    /// (only when an eviction invalidated the incrementally-maintained
-    /// context — see `SiblingSet::finish_deferred`) — the amortized-GC
-    /// design of PR 4 extended across the whole exchange. This is the apply
+    /// destination shard and the (clock-plane, data-shard) lock pair is
+    /// taken **once per shard** instead of once per key. Each key is one
+    /// `Shard::edit`, so its sibling cache closes once after all of its
+    /// versions merged, as on every other mutation path. This is the apply
     /// path of [`Cluster::pull`], in process and on a node alike.
     pub fn apply_delta_batch(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         if deltas.is_empty() {
             return misses;
         }
-        self.wire.lock().batched_applies += 1;
         let mut grouped: Vec<(usize, WireKeyDelta<B>)> =
             deltas.into_iter().map(|delta| (self.shards.index(&delta.key), delta)).collect();
         grouped.sort_by_key(|(shard_index, _)| *shard_index);
@@ -895,9 +716,7 @@ impl<B: StoreBackend> Cluster<B> {
             while let Some((_, delta)) =
                 grouped.next_if(|&(next_shard, _)| next_shard == shard_index)
             {
-                if let Some(miss) =
-                    self.apply_key_delta(requester, &mut plane, &mut shard, delta, true)
-                {
+                if let Some(miss) = self.apply_key_delta(requester, &mut plane, &mut shard, delta) {
                     misses.push(miss);
                 }
             }
@@ -905,21 +724,16 @@ impl<B: StoreBackend> Cluster<B> {
         misses
     }
 
-    /// Applies one key's wire delta under already-held shard locks: element
-    /// absorb (one watermark-gated collapse check), then every version
-    /// merge. Returns the key on a delta-frame fingerprint miss (it needs
-    /// a NAK/full-frame refetch). `batched` defers the sibling cache
-    /// upkeep to a single close after the last version (one snapshot
-    /// publish, a context rebuild only if an eviction forced one) — sound
-    /// because the reconstruction base is captured before the first merge
-    /// and the shard write lock is held across the whole key.
+    /// Applies one key's wire delta under already-held shard locks, in one
+    /// `Shard::edit`: element absorb (one watermark-gated collapse check),
+    /// then every version merge. Returns the key on a delta-frame
+    /// fingerprint miss (it needs a NAK/full-frame refetch).
     fn apply_key_delta(
         &self,
         requester: usize,
         plane: &mut PlaneStripe<B>,
         shard: &mut Shard<B>,
         delta: WireKeyDelta<B>,
-        batched: bool,
     ) -> Option<Key> {
         let WireKeyDelta { key, element, versions } = delta;
         // A key this cluster has never seen: a multi-process node learning
@@ -946,7 +760,7 @@ impl<B: StoreBackend> Cluster<B> {
             shard.insert(key.clone(), KeyData::new(&self.backend, claimed));
         }
         let key_missed = shard
-            .edit(&key, |data| {
+            .edit(&self.backend, &key, |data| {
                 // An adopted element was consumed as the local element;
                 // there is nothing separate to absorb.
                 if !adopted {
@@ -965,7 +779,6 @@ impl<B: StoreBackend> Cluster<B> {
                     .then(|| data.siblings.context().cloned())
                     .flatten();
                 let mut key_missed = false;
-                let mut mutated = false;
                 for version in versions {
                     let incoming = match version {
                         WireVersion::Full(stored) => stored,
@@ -985,21 +798,13 @@ impl<B: StoreBackend> Cluster<B> {
                         }
                     };
                     let clock = incoming.clock().clone();
-                    let outcome = if batched {
-                        data.siblings.merge_version_deferred(&self.backend, incoming)
-                    } else {
-                        data.siblings.merge_version(&self.backend, incoming, false)
-                    };
-                    mutated |= outcome.stored || !outcome.evicted.is_empty();
+                    let outcome = data.siblings.merge_version(&self.backend, incoming, false);
                     if outcome.stored {
                         self.backend.retain_clock(&mut entry.state, &clock);
                     }
                     for evicted in &outcome.evicted {
                         self.backend.release_clock(&mut entry.state, evicted.clock());
                     }
-                }
-                if batched && mutated {
-                    data.siblings.finish_deferred(&self.backend);
                 }
                 key_missed
             })
@@ -1039,9 +844,7 @@ impl<B: StoreBackend> Cluster<B> {
     ) -> io::Result<ExchangeStats> {
         let mut stats = ExchangeStats::default();
         let outcome = self.pull_rounds(replica, cursor, request, &mut stats);
-        let mut wire = self.wire.lock();
-        wire.exchanges += 1;
-        wire.record(&stats);
+        self.wire.lock().absorb(&stats);
         outcome.map(|()| stats)
     }
 
@@ -1186,7 +989,7 @@ impl<B: StoreBackend> Cluster<B> {
             }
             _ => return None,
         };
-        self.wire.lock().record(&stats);
+        self.wire.lock().absorb(&stats);
         Some((Envelope { from: replica, kind, payload }, stats))
     }
 
@@ -1254,11 +1057,13 @@ impl<B: StoreBackend> Cluster<B> {
                 let entry = plane.get_mut(&key).expect("listed key");
                 // Forced GC pass: clear any deferred collapse debt.
                 for replica in &self.replicas {
-                    let flushed = replica.shard(shard_index).write().edit(&key, |data| {
-                        let flushed = self.backend.flush_gc(&mut entry.state, data.element())?;
-                        data.set_element(&self.backend, flushed);
-                        Some(())
-                    });
+                    let flushed =
+                        replica.shard(shard_index).write().edit(&self.backend, &key, |data| {
+                            let flushed =
+                                self.backend.flush_gc(&mut entry.state, data.element())?;
+                            data.set_element(&self.backend, flushed);
+                            Some(())
+                        });
                     if flushed.flatten().is_some() {
                         stats.elements_flushed += 1;
                     }
@@ -1287,7 +1092,7 @@ impl<B: StoreBackend> Cluster<B> {
                 let same = versions[1..].iter().all(|version| {
                     version.version().value == versions[0].version().value
                         && self.backend.relation(version.clock(), versions[0].clock())
-                            == vstamp_core::Relation::Equal
+                            == Relation::Equal
                 });
                 if !same {
                     continue;
@@ -1313,7 +1118,7 @@ impl<B: StoreBackend> Cluster<B> {
                         replica
                             .shard(shard_index)
                             .write()
-                            .edit(&key, |data| {
+                            .edit(&self.backend, &key, |data| {
                                 data.set_element(&self.backend, fresh);
                                 data.siblings.remint(&self.backend, fresh_clock.clone());
                             })
@@ -1691,15 +1496,13 @@ mod tests {
                 }
             }
             assert!(cluster.converged());
-            (cluster.sibling_snapshot(0), cluster.gossip_stats())
+            cluster.sibling_snapshot(0)
         };
-        let (batched, batched_stats) = run(|cluster, a, b| {
+        let batched = run(|cluster, a, b| {
             cluster.anti_entropy(a, b);
         });
-        let (reference, reference_stats) = run(per_key_exchange);
+        let reference = run(per_key_exchange);
         assert_eq!(batched, reference, "batched apply must not change the merged state");
-        assert!(batched_stats.batched_applies > 0, "exchanges route through the batch path");
-        assert_eq!(reference_stats.batched_applies, 0, "reference path must not batch");
     }
 
     #[test]
@@ -1718,7 +1521,6 @@ mod tests {
         // between the two readings.
         let read = || (counted::LOCK_PAIRS.with(Cell::get), counted::CTX_REBUILDS.with(Cell::get));
         let (locks_before, rebuilds_before) = read();
-        let batches_before = cluster.gossip_stats().batched_applies;
         let misses = cluster.apply_delta_batch(1, decoded);
         assert!(misses.is_empty());
         let (locks_after, rebuilds_after) = read();
@@ -1726,33 +1528,7 @@ mod tests {
         // most one context rebuild per key.
         assert_eq!(locks_after - locks_before, shards_touched.len() as u64);
         assert!(rebuilds_after - rebuilds_before <= deltas.len() as u64);
-        assert_eq!(cluster.gossip_stats().batched_applies - batches_before, 1);
         assert_eq!(cluster.get(1, "a").values(), vec![b"a".to_vec()]);
-    }
-
-    #[test]
-    fn read_repair_pushes_merged_set_to_lagging_replicas() {
-        let cluster =
-            Cluster::with_config(VstampBackend::gc(), ClusterConfig::new(3, 4).with_read_repair());
-        cluster.put(0, "k", b"v0".to_vec(), None);
-        cluster.put(1, "k", b"v1".to_vec(), None);
-        // Replica 2 has never heard of the key; a repaired read serves the
-        // merged siblings and back-fills every replica.
-        let read = cluster.get(2, "k");
-        assert_eq!(read.values().len(), 2, "read must serve the cluster-wide merge");
-        for replica in 0..3 {
-            let shard = cluster.replicas[replica].shard(cluster.shards.index("k")).read();
-            assert_eq!(
-                shard.get("k").map(|data| data.siblings.len()),
-                Some(2),
-                "replica {replica} must hold the merged set after repair"
-            );
-        }
-        // A dominating write then supersedes everywhere it repairs to.
-        let context = read.context().cloned().unwrap();
-        cluster.put(0, "k", b"merged".to_vec(), Some(&context));
-        assert_eq!(cluster.get(1, "k").values(), vec![b"merged".to_vec()]);
-        assert_eq!(cluster.get(2, "k").values(), vec![b"merged".to_vec()]);
     }
 
     #[test]

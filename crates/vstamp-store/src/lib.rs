@@ -69,7 +69,7 @@ pub mod wire;
 
 pub use backend::{DvvClock, DynamicVvBackend, GcWatermarks, StoreBackend, VstampBackend};
 pub use cluster::{
-    Cluster, ClusterConfig, CompactionStats, ExchangeStats, GossipStats, PullCursor, StoreMetrics,
+    Cluster, ClusterConfig, CompactionStats, ExchangeStats, PullCursor, StoreMetrics,
 };
 pub use failure::{PhiAccrual, PhiConfig};
 pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};

@@ -904,14 +904,16 @@ mod tests {
         }
         let status = joined_client.status().expect("status");
         assert_eq!(status.active_members, 2);
-        // A node runs the store's one exchange engine, so it batches and
-        // counts like the in-process cluster. Once the roots agree, each
-        // side's next pull (one gossip interval away) is a probe hit.
+        // A node runs the store's one exchange engine, so it counts like
+        // the in-process cluster. Once the roots agree, each side's next
+        // pull (one gossip interval away) is a probe hit. Each side wrote a
+        // key the other read back, so each shipped frames the other applied.
         loop {
             let stats = [&bootstrap, &joiner].map(|node| node.cluster().gossip_stats());
             if stats.iter().all(|stats| stats.root_matches > 0) {
                 for stats in stats {
-                    assert!(stats.exchanges > 0 && stats.batched_applies > 0, "{stats:?}");
+                    assert!(stats.root_probes > 0, "{stats:?}");
+                    assert!(stats.delta_frames + stats.full_frames > 0, "{stats:?}");
                     assert!(stats.delta_bytes > 0 && stats.digest_bytes > 0, "{stats:?}");
                 }
                 break;

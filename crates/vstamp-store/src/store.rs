@@ -18,7 +18,9 @@
 //!
 //! * the **joined context clock** (what `get` returns and what a follow-up
 //!   `put` carries) is maintained incrementally — one clock join per
-//!   insertion — instead of a fold over the whole set per read;
+//!   insertion — instead of a fold over the whole set per read; an
+//!   eviction cannot be subtracted back out of a join, so it marks the
+//!   context stale for one k-way rebuild when the edit closes;
 //! * each version's **canonical clock bytes** are encoded exactly once;
 //!   digests, deltas and the convergence snapshot borrow them;
 //! * the per-set **order-independent hash** of those bytes is maintained
@@ -31,17 +33,26 @@
 //!   other relations known (`Concurrent`), and a `put` whose context
 //!   equals the cached set context supersedes every sibling with **zero**
 //!   relation checks (its fresh dot makes the domination strict);
-//! * the whole set is published as an **`Arc`-swapped [`KeySnapshot`]**
-//!   rebuilt once per mutation, so a causal `get` under concurrency is one
-//!   `Arc` clone under a briefly-held shard read lock — contention-free
-//!   against writers on other keys of the shard and copy-free always.
+//! * the whole set is published as an **`Arc`-swapped [`KeySnapshot`]**,
+//!   so a causal `get` under concurrency is one `Arc` clone under a
+//!   briefly-held shard read lock — contention-free against writers on
+//!   other keys of the shard and copy-free always.
+//!
+//! # One upkeep point
+//!
+//! A shard hands out `&mut` access to a key only through its one mutation
+//! helper, `Shard::edit`. Sibling merges inside the edit only mark the
+//! cached context and snapshot stale; when the edit returns, the shard
+//! closes the set: at most one k-way context rebuild (only after an
+//! eviction) and at most one snapshot publish (only if the set changed),
+//! however many versions the edit merged. A client write, one key of a
+//! delta, a compaction re-mint — every caller pays the same.
 //!
 //! # Maintained convergence state
 //!
-//! A shard hands out `&mut` access to a key only through its one mutation
-//! helper (`Shard::edit`), which compares the key's fingerprint before and
-//! after the mutation. When it moved, the same critical section updates the
-//! two things a gossip round asks for, so neither is ever recomputed:
+//! `Shard::edit` also compares the key's fingerprint before and after the
+//! mutation. When it moved, the same critical section updates the two
+//! things a gossip round asks for, so neither is ever recomputed:
 //!
 //! * the shard's **root** — a wrapping sum of one mixed term per
 //!   `(key, fingerprint)`, order-insensitive by construction; a replica's
@@ -62,15 +73,15 @@ use vstamp_core::Relation;
 use crate::backend::StoreBackend;
 use crate::wire::DigestEntry;
 
-/// Per-thread counts of the two structural costs the batched apply exists
-/// to amortize, so a test can pin how often one call pays them. Test
+/// Per-thread counts of the two structural costs an edit and a batched
+/// apply amortize, so a test can pin how often one call pays them. Test
 /// builds only.
 #[cfg(test)]
 pub(crate) mod counted {
     use std::cell::Cell;
 
     thread_local! {
-        /// k-way context rebuilds (`SiblingSet::refresh_context`).
+        /// k-way context rebuilds (in `SiblingSet::close`).
         pub(crate) static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
         /// (clock-plane, data-shard) lock pairs a `Cluster` took.
         pub(crate) static LOCK_PAIRS: Cell<u64> = const { Cell::new(0) };
@@ -241,11 +252,11 @@ fn version_hash(clock_bytes: &[u8], value: Option<&[u8]>) -> u64 {
 /// versions (shared `Arc` handles, no copies) plus the set's joined
 /// context clock.
 ///
-/// The sibling set maintains one of these behind an `Arc` and swaps it on
-/// every mutation, so a causal `get` is a single `Arc` clone under a
-/// briefly-held shard read lock — it never takes a write lock, folds a
-/// context, or clones a version, and the view it returns stays coherent
-/// however many writes land afterwards.
+/// The sibling set maintains one of these behind an `Arc` and swaps it at
+/// the close of every edit that changed the set, so a causal `get` is a
+/// single `Arc` clone under a briefly-held shard read lock — it never
+/// takes a write lock, folds a context, or clones a version, and the view
+/// it returns stays coherent however many writes land afterwards.
 #[derive(Debug)]
 pub struct KeySnapshot<B: StoreBackend> {
     versions: Vec<StoredVersion<B>>,
@@ -329,18 +340,21 @@ impl<B: StoreBackend> Clone for GetResult<B> {
 pub(crate) struct SiblingSet<B: StoreBackend> {
     versions: Vec<StoredVersion<B>>,
     /// Cached join of every stored clock; `None` iff the set is empty.
+    /// Exact whenever `context_stale` is clear.
     context: Option<B::Clock>,
     /// Order-independent combination of the version hashes.
     versions_hash: u64,
-    /// The shared read-path view, swapped wholesale after every mutation:
-    /// `get` hands out an `Arc` clone of this and touches nothing else.
+    /// The shared read-path view: `get` hands out an `Arc` clone of this
+    /// and touches nothing else.
     snapshot: Option<Arc<KeySnapshot<B>>>,
-    /// Set when a deferred merge invalidated the cached context (an
-    /// eviction, whose join contribution cannot be subtracted back out);
-    /// [`SiblingSet::finish_deferred`] pays the one k-way rebuild iff this
-    /// is set. Deferred *stores* keep the context exact incrementally, so
-    /// an eviction-free batch closes without any rebuild at all.
-    deferred_dirty: bool,
+    /// Set by an eviction, whose join contribution cannot be subtracted
+    /// back out of `context`; [`SiblingSet::close`] pays the one k-way
+    /// rebuild iff this is set. Stores keep the context exact
+    /// incrementally, so an eviction-free edit closes without a rebuild.
+    context_stale: bool,
+    /// Set by any change to `versions`; [`SiblingSet::close`] publishes
+    /// the one snapshot iff this is set.
+    snapshot_stale: bool,
 }
 
 impl<B: StoreBackend> SiblingSet<B> {
@@ -350,7 +364,8 @@ impl<B: StoreBackend> SiblingSet<B> {
             context: None,
             versions_hash: 0,
             snapshot: None,
-            deferred_dirty: false,
+            context_stale: false,
+            snapshot_stale: false,
         }
     }
 
@@ -359,13 +374,21 @@ impl<B: StoreBackend> SiblingSet<B> {
         self.snapshot.clone()
     }
 
-    /// Rebuilds the read-path snapshot after a mutation: `Arc` bumps of the
-    /// stored versions plus one context clone — the write pays this so
-    /// every read pays nothing.
-    fn refresh_snapshot(&mut self) {
-        self.snapshot = self.context.as_ref().map(|context| {
-            Arc::new(KeySnapshot { versions: self.versions.clone(), context: context.clone() })
-        });
+    /// Closes one `Shard::edit`: the context rebuild if an eviction
+    /// invalidated it, then the snapshot publish if the set changed —
+    /// `Arc` bumps of the stored versions plus one context clone, paid by
+    /// the edit so every read pays nothing.
+    fn close(&mut self, backend: &B) {
+        if std::mem::take(&mut self.context_stale) {
+            #[cfg(test)]
+            counted::CTX_REBUILDS.with(|rebuilds| rebuilds.set(rebuilds.get() + 1));
+            self.context = backend.join_clock_set(self.versions.iter().map(StoredVersion::clock));
+        }
+        if std::mem::take(&mut self.snapshot_stale) {
+            self.snapshot = self.context.as_ref().map(|context| {
+                Arc::new(KeySnapshot { versions: self.versions.clone(), context: context.clone() })
+            });
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -379,15 +402,17 @@ impl<B: StoreBackend> SiblingSet<B> {
     /// The cached causal context of the whole set (tombstones included).
     /// The serving read path reads it off the snapshot; delta-frame
     /// reconstruction reads it here, under the shard lock, as the base
-    /// clock that matching incoming dots join against.
+    /// clock that matching incoming dots join against. Read it before the
+    /// edit's first merge: an eviction leaves it stale until the close.
     pub(crate) fn context(&self) -> Option<&B::Clock> {
+        debug_assert!(!self.context_stale, "context read between an eviction and the close");
         self.context.as_ref()
     }
 
     /// Whether `context` covers exactly this set: the caller read the set
     /// as it stands, so a write carrying it supersedes every sibling.
     pub(crate) fn matches_context(&self, context: Option<&B::Clock>) -> bool {
-        match (context, &self.context) {
+        match (context, self.context()) {
             (Some(provided), Some(cached)) => provided == cached,
             (None, None) => true,
             _ => false,
@@ -416,50 +441,33 @@ impl<B: StoreBackend> SiblingSet<B> {
         self.versions_hash
     }
 
+    /// Stores `incoming`. While the cached context is exact one join
+    /// keeps it exact; once an eviction made it stale there is no point
+    /// joining into a context the close rebuilds anyway.
     fn push(&mut self, backend: &B, incoming: StoredVersion<B>) {
         self.versions_hash = self.versions_hash.wrapping_add(incoming.hash);
-        self.context = Some(match self.context.take() {
-            Some(context) => backend.join_clocks(&context, incoming.clock()),
-            None => incoming.clock().clone(),
-        });
-        self.versions.push(incoming);
-    }
-
-    /// Stores a version during a deferred batch: while the cached context
-    /// is still exact the incremental join keeps it exact (same cost as
-    /// the per-key path), but once an eviction dirtied it there is no
-    /// point joining into a context that [`SiblingSet::finish_deferred`]
-    /// will rebuild anyway — only the O(1) hash is maintained.
-    fn store_deferred(&mut self, backend: &B, incoming: StoredVersion<B>) {
-        if self.deferred_dirty {
-            self.versions_hash = self.versions_hash.wrapping_add(incoming.hash);
-            self.versions.push(incoming);
-        } else {
-            self.push(backend, incoming);
+        if !self.context_stale {
+            self.context = Some(match self.context.take() {
+                Some(context) => backend.join_clocks(&context, incoming.clock()),
+                None => incoming.clock().clone(),
+            });
         }
+        self.versions.push(incoming);
+        self.snapshot_stale = true;
     }
 
     fn remove(&mut self, index: usize) -> StoredVersion<B> {
         let version = self.versions.swap_remove(index);
         self.versions_hash = self.versions_hash.wrapping_sub(version.hash);
+        self.snapshot_stale = true;
         version
     }
 
-    /// Recomputes the cached context after evictions (joins are not
-    /// invertible, so removal cannot update it incrementally). One k-way
-    /// join over the surviving clocks — [`StoreBackend::join_clock_set`]
-    /// builds a single output instead of folding pairwise.
-    fn refresh_context(&mut self, backend: &B) {
-        #[cfg(test)]
-        counted::CTX_REBUILDS.with(|rebuilds| rebuilds.set(rebuilds.get() + 1));
-        self.context = backend.join_clock_set(self.versions.iter().map(StoredVersion::clock));
-    }
-
-    /// Evicts every stored sibling and stores `incoming` — the
-    /// matched-context fast path of a `put`. Sound because every stored
-    /// clock is ≤ the set context the caller proved it read, and the
-    /// incoming clock is that context joined with a *fresh* dot, so the
-    /// domination is strict for every sibling.
+    /// Evicts every stored sibling and stores `incoming`, whose clock is
+    /// then the exact context — the matched-context fast path of a `put`.
+    /// Sound because every stored clock is ≤ the set context the caller
+    /// proved it read, and the incoming clock is that context joined with
+    /// a *fresh* dot, so the domination is strict for every sibling.
     pub(crate) fn replace_all(
         &mut self,
         backend: &B,
@@ -468,8 +476,8 @@ impl<B: StoreBackend> SiblingSet<B> {
         let evicted = std::mem::take(&mut self.versions);
         self.versions_hash = 0;
         self.context = None;
+        self.context_stale = false;
         self.push(backend, incoming);
-        self.refresh_snapshot();
         evicted
     }
 
@@ -485,44 +493,6 @@ impl<B: StoreBackend> SiblingSet<B> {
         incoming: StoredVersion<B>,
         local_write: bool,
     ) -> MergeOutcome<B> {
-        self.merge_version_inner(backend, incoming, local_write, false)
-    }
-
-    /// The batched-exchange merge: identical relation logic to
-    /// [`SiblingSet::merge_version`], but the cache upkeep — the k-way
-    /// context rebuild and the `Arc`-swapped snapshot publish — is
-    /// deferred. The caller merges every version of the key's batch, then
-    /// closes with one [`SiblingSet::finish_deferred`]; between the two
-    /// the cached context and snapshot are stale, so the caller must hold
-    /// the shard write lock throughout and capture any reconstruction
-    /// base *before* the first deferred merge (the batched apply does
-    /// both).
-    pub(crate) fn merge_version_deferred(
-        &mut self,
-        backend: &B,
-        incoming: StoredVersion<B>,
-    ) -> MergeOutcome<B> {
-        self.merge_version_inner(backend, incoming, false, true)
-    }
-
-    /// Closes a deferred batch: at most one context rebuild (only if an
-    /// eviction dirtied the incremental cache) plus exactly one snapshot
-    /// publish, regardless of how many versions the batch merged.
-    pub(crate) fn finish_deferred(&mut self, backend: &B) {
-        if self.deferred_dirty {
-            self.refresh_context(backend);
-            self.deferred_dirty = false;
-        }
-        self.refresh_snapshot();
-    }
-
-    fn merge_version_inner(
-        &mut self,
-        backend: &B,
-        incoming: StoredVersion<B>,
-        local_write: bool,
-        deferred: bool,
-    ) -> MergeOutcome<B> {
         // Memoized fast path: byte-identical clock bytes mean the same
         // causal position (the codec is canonical), and the antichain
         // invariant pins its relation to every *other* sibling at
@@ -530,7 +500,7 @@ impl<B: StoreBackend> SiblingSet<B> {
         if let Some(index) =
             self.versions.iter().position(|v| v.clock_bytes == incoming.clock_bytes)
         {
-            return self.resolve_equal(backend, incoming, index, local_write, deferred);
+            return self.resolve_equal(backend, incoming, index, local_write);
         }
         let mut evicted = Vec::new();
         let mut store_incoming = true;
@@ -541,16 +511,16 @@ impl<B: StoreBackend> SiblingSet<B> {
                 // write: evict it.
                 Relation::Dominated => {
                     evicted.push(self.remove(index));
+                    self.context_stale = true;
                 }
                 Relation::Equal => {
                     // Same causal position reached through different wire
                     // forms (identifier backends): resolve like the
                     // byte-equal fast path. No eviction can have preceded
                     // this (a sibling dominated by `incoming` would be
-                    // comparable with its equal), so the cached context is
-                    // still exact.
+                    // comparable with its equal).
                     debug_assert!(evicted.is_empty(), "antichain rules out prior evictions");
-                    return self.resolve_equal(backend, incoming, index, local_write, deferred);
+                    return self.resolve_equal(backend, incoming, index, local_write);
                 }
                 Relation::Dominates => {
                     // A stored dominator: the antichain invariant rules out
@@ -562,23 +532,8 @@ impl<B: StoreBackend> SiblingSet<B> {
                 Relation::Concurrent => index += 1,
             }
         }
-        if deferred {
-            if !evicted.is_empty() {
-                self.deferred_dirty = true;
-            }
-            if store_incoming {
-                self.store_deferred(backend, incoming);
-            }
-        } else {
-            if !evicted.is_empty() {
-                self.refresh_context(backend);
-            }
-            if store_incoming {
-                self.push(backend, incoming);
-            }
-            if store_incoming || !evicted.is_empty() {
-                self.refresh_snapshot();
-            }
+        if store_incoming {
+            self.push(backend, incoming);
         }
         MergeOutcome { stored: store_incoming, evicted }
     }
@@ -591,27 +546,14 @@ impl<B: StoreBackend> SiblingSet<B> {
         incoming: StoredVersion<B>,
         index: usize,
         local_write: bool,
-        deferred: bool,
     ) -> MergeOutcome<B> {
         if local_write || incoming.version.value > self.versions[index].version.value {
             let evicted = self.remove(index);
-            if deferred {
-                // Byte-identical clocks leave the cached context exact; a
-                // different wire form of an Equal clock (identifier
-                // backends) dirties it for the finish-time rebuild.
-                self.deferred_dirty |= evicted.clock_bytes != incoming.clock_bytes;
-                self.store_deferred(backend, incoming);
-                return MergeOutcome { stored: true, evicted: vec![evicted] };
-            }
-            let refresh = evicted.clock_bytes != incoming.clock_bytes;
-            self.push(backend, incoming);
             // Byte-identical clocks leave the cached context exact; an
             // Equal clock in a different wire form (possible only for
-            // identifier backends) conservatively recomputes it.
-            if refresh {
-                self.refresh_context(backend);
-            }
-            self.refresh_snapshot();
+            // identifier backends) conservatively marks it for a rebuild.
+            self.context_stale |= evicted.clock_bytes != incoming.clock_bytes;
+            self.push(backend, incoming);
             MergeOutcome { stored: true, evicted: vec![evicted] }
         } else {
             MergeOutcome { stored: false, evicted: Vec::new() }
@@ -622,12 +564,10 @@ impl<B: StoreBackend> SiblingSet<B> {
     pub(crate) fn remint(&mut self, backend: &B, fresh_clock: B::Clock) {
         debug_assert_eq!(self.versions.len(), 1, "re-mint requires a settled key");
         let value = self.versions[0].version.value.clone();
-        let fresh = StoredVersion::new(backend, Version { clock: fresh_clock, value });
-        self.versions.clear();
-        self.versions_hash = 0;
-        self.context = None;
-        self.push(backend, fresh);
-        self.refresh_snapshot();
+        self.replace_all(
+            backend,
+            StoredVersion::new(backend, Version { clock: fresh_clock, value }),
+        );
     }
 }
 
@@ -848,17 +788,20 @@ impl<B: StoreBackend> Shard<B> {
         self.keys.insert(key, Tracked { data, fingerprint, slot });
     }
 
-    /// The one way to mutate a stored key: runs `edit` on it and, when the
+    /// The one way to mutate a stored key: runs `edit` on it, closes the
+    /// sibling set's read cache (see the [module docs](self)) and, when the
     /// key's fingerprint moved, swaps its root term and moves it to the
     /// newest end of the change order under a fresh sequence number.
     /// `None` when the shard lacks the key.
     pub(crate) fn edit<R>(
         &mut self,
+        backend: &B,
         key: &str,
         edit: impl FnOnce(&mut KeyData<B>) -> R,
     ) -> Option<R> {
         let tracked = self.keys.get_mut(key)?;
         let result = edit(&mut tracked.data);
+        tracked.data.siblings.close(backend);
         let fingerprint = tracked.data.fingerprint();
         if fingerprint != tracked.fingerprint {
             let key_hash = fnv1a(key.as_bytes());
@@ -1012,7 +955,9 @@ impl ShardIndexer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::VstampBackend;
+    use crate::backend::{DynamicVvBackend, VstampBackend};
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn stored(
         backend: &VstampBackend,
@@ -1086,31 +1031,163 @@ mod tests {
         assert_eq!(data.siblings.live_values(), vec![b"new".to_vec()]);
     }
 
+    fn siblings<B: StoreBackend>(shard: &Shard<B>) -> &SiblingSet<B> {
+        &shard.get("k").expect("inserted").siblings
+    }
+
     #[test]
     fn cached_context_tracks_merges_and_evictions() {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
-        let mut data = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
-        assert!(data.siblings.matches_context(None));
+        let mut shard = Shard::new(Arc::default());
+        shard.insert("k".into(), KeyData::new(&backend, elements[0].clone()));
+        assert!(siblings(&shard).matches_context(None));
         let (_, c0, _) = backend.write(&mut state, &elements[0], None);
         let (_, c1, _) = backend.write(&mut state, &elements[1], None);
-        data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"a")), true);
-        data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"b")), false);
+        shard.edit(&backend, "k", |data| {
+            data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"a")), true);
+            data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"b")), false);
+        });
         // Cached context equals the explicit fold.
         let expected = backend.join_clocks(&c0, &c1);
-        assert_eq!(data.siblings.context(), Some(&expected));
-        assert!(data.siblings.matches_context(Some(&expected)));
-        assert!(!data.siblings.matches_context(Some(&c0)));
+        assert_eq!(siblings(&shard).context(), Some(&expected));
+        assert!(siblings(&shard).matches_context(Some(&expected)));
+        assert!(!siblings(&shard).matches_context(Some(&c0)));
         // The matched-context fast path supersedes everything.
-        let (_, c2, _) = backend.write(&mut state, data.element(), Some(&expected));
-        let evicted = data.siblings.replace_all(&backend, stored(&backend, c2.clone(), Some(b"m")));
-        assert_eq!(evicted.len(), 2);
-        assert_eq!(data.siblings.context(), Some(&c2));
-        assert_eq!(data.siblings.live_values(), vec![b"m".to_vec()]);
-        // Eviction through the slow path refreshes the cache too.
-        let (_, c3, _) = backend.write(&mut state, data.element(), Some(&c2));
-        data.siblings.merge_version(&backend, stored(&backend, c3.clone(), Some(b"n")), false);
-        assert_eq!(data.siblings.context(), Some(&c3));
+        let (element, c2, _) = backend.write(&mut state, &elements[0], Some(&expected));
+        let evicted = shard.edit(&backend, "k", |data| {
+            data.siblings.replace_all(&backend, stored(&backend, c2.clone(), Some(b"m")))
+        });
+        assert_eq!(evicted.map(|evicted| evicted.len()), Some(2));
+        assert_eq!(siblings(&shard).context(), Some(&c2));
+        assert_eq!(siblings(&shard).live_values(), vec![b"m".to_vec()]);
+        // Eviction through the slow path: the edit's close rebuilds the
+        // context once and publishes it.
+        let (_, c3, _) = backend.write(&mut state, &element, Some(&c2));
+        assert_eq!(backend.relation(&c2, &c3), Relation::Dominated);
+        let rebuilds = counted::CTX_REBUILDS.with(Cell::get);
+        shard.edit(&backend, "k", |data| {
+            data.siblings.merge_version(&backend, stored(&backend, c3.clone(), Some(b"n")), false);
+        });
+        assert_eq!(counted::CTX_REBUILDS.with(Cell::get) - rebuilds, 1);
+        assert_eq!(siblings(&shard).context(), Some(&c3));
+        assert_eq!(
+            siblings(&shard).snapshot().map(|snapshot| snapshot.context().clone()),
+            Some(c3)
+        );
+    }
+
+    /// One step of the upkeep property: `(what, replica, pick, value)`.
+    type Step = (u8, usize, usize, u8);
+
+    /// Drives one key of one shard through `steps`, each inside one
+    /// `Shard::edit`, and holds the closed read cache against a
+    /// recomputation after every step.
+    fn run_upkeep_steps<B: StoreBackend>(backend: B, steps: &[Step]) {
+        let (mut state, mut elements) = backend.new_key(3);
+        let mut shard = Shard::new(Arc::default());
+        shard.insert("k".into(), KeyData::new(&backend, elements[0].clone()));
+        // Every version ever written, for stale contexts and re-deliveries.
+        let mut history: Vec<Version<B>> = Vec::new();
+        for (step, &(what, replica, pick, value)) in steps.iter().enumerate() {
+            let current = siblings(&shard).context().cloned();
+            let picked = |len: usize| (len > 0).then(|| pick % len);
+            let (incoming, local_write, replace) = match what {
+                // A fresh write (context = the set as it stands), merged or
+                // through the matched-context fast path; or a stale one.
+                0..=2 => {
+                    let context = match what {
+                        2 => picked(history.len()).map(|index| history[index].clock.clone()),
+                        _ => current,
+                    };
+                    let (advanced, clock, _) =
+                        backend.write(&mut state, &elements[replica], context.as_ref());
+                    elements[replica] = advanced;
+                    let version = Version { clock, value: Some(vec![value]) };
+                    history.push(version.clone());
+                    (version, replica == 0, what == 1)
+                }
+                // A clock-equal merge: a stored clock under another value.
+                3 => {
+                    let versions: Vec<_> = siblings(&shard).iter().cloned().collect();
+                    let Some(index) = picked(versions.len()) else { continue };
+                    let clock = versions[index].clock().clone();
+                    (Version { clock, value: Some(vec![value]) }, false, false)
+                }
+                // A re-delivered old version: dominated by, or equal to,
+                // something stored.
+                _ => {
+                    let Some(index) = picked(history.len()) else { continue };
+                    (history[index].clone(), false, false)
+                }
+            };
+            let rebuilds = counted::CTX_REBUILDS.with(Cell::get);
+            shard.edit(&backend, "k", |data| {
+                let clock = incoming.clock.clone();
+                let incoming = StoredVersion::new(&backend, incoming);
+                let (stored, evicted) = if replace {
+                    (true, data.siblings.replace_all(&backend, incoming))
+                } else {
+                    let outcome = data.siblings.merge_version(&backend, incoming, local_write);
+                    (outcome.stored, outcome.evicted)
+                };
+                if stored {
+                    backend.retain_clock(&mut state, &clock);
+                }
+                for evicted in &evicted {
+                    backend.release_clock(&mut state, evicted.clock());
+                }
+            });
+            assert!(counted::CTX_REBUILDS.with(Cell::get) - rebuilds <= 1, "step {step}");
+
+            let data = shard.get("k").expect("inserted");
+            let versions: Vec<_> = data.siblings.iter().cloned().collect();
+            let snapshot = data.siblings.snapshot().expect("a step stores a version");
+            assert!(snapshot.versions() == versions, "step {step}: snapshot versions");
+            assert_eq!(data.siblings.context(), Some(snapshot.context()), "step {step}: context");
+            // Compared in joined form: a dynamic-VV write clock joined with
+            // itself changes form (its dot folds into the vector), not
+            // meaning.
+            let joined = backend.join_clock_set(versions.iter().map(StoredVersion::clock));
+            let joined = joined.expect("non-empty");
+            assert_eq!(
+                backend.join_clocks(snapshot.context(), snapshot.context()),
+                backend.join_clocks(&joined, &joined),
+                "step {step}: context against the join"
+            );
+            let hash = versions.iter().fold(0u64, |hash, version| {
+                let mut bytes = Vec::new();
+                backend.encode_clock(version.clock(), &mut bytes);
+                hash.wrapping_add(version_hash(&bytes, version.version().value.as_deref()))
+            });
+            let mut knowledge = Vec::new();
+            backend.encode_element_knowledge(data.element(), &mut knowledge);
+            let fingerprint =
+                fnv1a_extend(fnv1a_extend(FNV_OFFSET, &hash.to_le_bytes()), &knowledge);
+            let lines: Vec<DigestEntry> = shard.changed_since(0).collect();
+            assert_eq!(
+                lines,
+                vec![DigestEntry { key: "k".into(), fingerprint, ctx_fp: hash }],
+                "step {step}: change-order line"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever one edit merges — fresh or stale writes, clock-equal
+        /// values, re-delivered old versions, a matched-context
+        /// replacement — its close leaves the published snapshot, the
+        /// cached context and the change-order line equal to a
+        /// recomputation, after at most one context rebuild.
+        #[test]
+        fn one_edit_closes_the_read_cache_exactly(
+            steps in prop::collection::vec((0u8..5, 0usize..3, any::<usize>(), any::<u8>()), 1..40),
+        ) {
+            run_upkeep_steps(VstampBackend::gc(), &steps);
+            run_upkeep_steps(DynamicVvBackend::new(), &steps);
+        }
     }
 
     #[test]

@@ -209,8 +209,8 @@ pub enum MessageKind {
     /// A status probe (empty payload). Answered with
     /// [`MessageKind::StatusOk`].
     Status,
-    /// A status report: digest root, member table, suspects, id-string
-    /// counts.
+    /// A status report: digest root, member counts, membership-id size,
+    /// retirement and eviction counts, member table.
     StatusOk,
 }
 
@@ -274,7 +274,7 @@ pub struct Envelope {
 /// End-to-end wire size of one message: kind byte, varint sender index,
 /// varint-framed payload. The in-process exchange hands [`Envelope`]
 /// structs over directly, but every byte count the store reports uses this
-/// serialized form so the `wire` curves are honest about header overhead.
+/// serialized form, so the counts are honest about header overhead.
 #[must_use]
 pub fn envelope_len(from: usize, payload_len: usize) -> usize {
     1 + varint_len(from as u64) + varint_len(payload_len as u64) + payload_len
