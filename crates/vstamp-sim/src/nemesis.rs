@@ -298,8 +298,10 @@ fn accept_loop(
 }
 
 /// Forwards length-prefixed frames one direction, rolling the dice per
-/// frame. Any I/O error or a partition tears the connection down — the
-/// transport layer on both sides is built to reconnect.
+/// frame. Each copy of a frame, prefix included, goes out in one write —
+/// the segmentation `send_envelope` itself produces. Any I/O error or a
+/// partition tears the connection down — the transport layer on both
+/// sides is built to reconnect.
 fn pump(
     mut from: TcpStream,
     mut to: TcpStream,
@@ -309,30 +311,18 @@ fn pump(
     shutdown: Arc<AtomicBool>,
 ) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut prefix = [0u8; 4];
+    let mut frame = vec![0u8; 4];
     'frames: loop {
         if shutdown.load(Ordering::SeqCst) || blocked.load(Ordering::SeqCst) {
             break;
         }
-        let mut read = 0;
-        while read < prefix.len() {
-            match from.read(&mut prefix[read..]) {
-                Ok(0) => break 'frames,
-                Ok(n) => read += n,
-                Err(error)
-                    if error.kind() == io::ErrorKind::WouldBlock
-                        || error.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if shutdown.load(Ordering::SeqCst) || blocked.load(Ordering::SeqCst) {
-                        break 'frames;
-                    }
-                }
-                Err(_) => break 'frames,
-            }
+        frame.truncate(4);
+        if read_fully(&mut from, &mut frame[..4], &shutdown, &blocked).is_err() {
+            break;
         }
-        let len = u32::from_le_bytes(prefix) as usize;
-        let mut body = vec![0u8; len];
-        if read_fully(&mut from, &mut body, &shutdown, &blocked).is_err() {
+        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+        frame.resize(4 + len, 0);
+        if read_fully(&mut from, &mut frame[4..], &shutdown, &blocked).is_err() {
             break;
         }
         if dice.chance(config.drop_per_mille) {
@@ -349,7 +339,7 @@ fn pump(
         }
         let copies = if dice.chance(config.duplicate_per_mille) { 2 } else { 1 };
         for _ in 0..copies {
-            if to.write_all(&prefix).is_err() || to.write_all(&body).is_err() {
+            if to.write_all(&frame).is_err() {
                 break 'frames;
             }
         }

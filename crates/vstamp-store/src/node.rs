@@ -59,7 +59,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -209,12 +209,19 @@ struct NodeInner {
     epoch: Instant,
 }
 
+/// A node's two long-lived threads, taken and joined by
+/// [`Node::shutdown`].
+struct Workers {
+    acceptor: JoinHandle<()>,
+    gossip: JoinHandle<()>,
+}
+
 /// One cluster member: a TCP listener, a single-replica store, a gossip
 /// loop and a membership stamp. Created by [`Node::bootstrap`] (first
 /// process) or [`Node::join`] (every other process).
 pub struct Node {
     inner: Arc<NodeInner>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Option<Workers>>,
 }
 
 impl std::fmt::Debug for Node {
@@ -238,7 +245,7 @@ impl Node {
     pub fn bootstrap(config: NodeConfig) -> io::Result<Node> {
         let (listener, addr, local_addr) = Node::bind(&config)?;
         let identity = VersionStamp::seed();
-        let node = Node::start(config, listener, addr, local_addr, identity, MemberTable::new())?;
+        let node = Node::start(config, listener, addr, local_addr, identity, MemberTable::new());
         {
             let inner = Arc::clone(&node.inner);
             let mut state = inner.state.lock();
@@ -283,7 +290,7 @@ impl Node {
         let table =
             MemberTable::decode(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
                 .map_err(|_| invalid("JoinAck table did not decode"))?;
-        Node::start(config, listener, addr, local_addr, identity, table)
+        Ok(Node::start(config, listener, addr, local_addr, identity, table))
     }
 
     fn bind(config: &NodeConfig) -> io::Result<(TcpListener, String, String)> {
@@ -300,8 +307,7 @@ impl Node {
         local_addr: String,
         identity: VersionStamp,
         table: MemberTable,
-    ) -> io::Result<Node> {
-        listener.set_nonblocking(true)?;
+    ) -> Node {
         let port = port_of(&addr);
         let cluster = Cluster::new(VstampBackend::gc(), 1, config.shards.max(1));
         let inner = Arc::new(NodeInner {
@@ -323,16 +329,17 @@ impl Node {
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
         });
-        let mut threads = Vec::new();
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(thread::spawn(move || inner.accept_loop(listener)));
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(thread::spawn(move || inner.gossip_loop()));
-        }
-        Ok(Node { inner, threads: Mutex::new(threads) })
+        let workers = Workers {
+            acceptor: thread::spawn({
+                let inner = Arc::clone(&inner);
+                move || inner.accept_loop(listener)
+            }),
+            gossip: thread::spawn({
+                let inner = Arc::clone(&inner);
+                move || inner.gossip_loop()
+            }),
+        };
+        Node { inner, workers: Mutex::new(Some(workers)) }
     }
 
     /// The node's advertised address (what peers and the member table
@@ -367,11 +374,22 @@ impl Node {
     /// Stops the accept and gossip loops and joins them. Connection
     /// handler threads notice the flag within one I/O timeout and exit on
     /// their own.
+    ///
+    /// The acceptor is parked in a blocking `accept`; one connection to
+    /// the bound address (the advertised one may be a proxy) wakes it to
+    /// see the flag. Should that dial fail, the acceptor is left detached
+    /// instead of joined, so shutdown never hangs on it.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
+        let mut workers = self.workers.lock();
+        let Some(Workers { acceptor, gossip }) = workers.take() else { return };
+        let woken = self.inner.local_addr.parse::<SocketAddr>().is_ok_and(|addr| {
+            TcpStream::connect_timeout(&addr, self.inner.config.transport.connect_timeout).is_ok()
+        });
+        if woken {
+            let _ = acceptor.join();
         }
+        let _ = gossip.join();
     }
 }
 
@@ -611,18 +629,16 @@ impl NodeInner {
     // Server side
     // ------------------------------------------------------------------
 
+    /// Blocks in `accept`; [`Node::shutdown`] dials in to wake it.
     fn accept_loop(self: Arc<Self>, listener: TcpListener) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
+        for stream in listener.incoming() {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match stream {
+                Ok(stream) => {
                     let inner = Arc::clone(&self);
                     thread::spawn(move || inner.serve_connection(stream));
-                }
-                Err(error)
-                    if error.kind() == io::ErrorKind::WouldBlock
-                        || error.kind() == io::ErrorKind::TimedOut =>
-                {
-                    thread::sleep(Duration::from_millis(5));
                 }
                 Err(_) => thread::sleep(Duration::from_millis(20)),
             }
@@ -636,6 +652,8 @@ impl NodeInner {
         while !self.shutdown.load(Ordering::SeqCst) {
             let request = match recv_envelope(&mut stream) {
                 Ok(envelope) => envelope,
+                // A timeout between frames: idle, retry. One mid-frame
+                // comes back as `InvalidData` and drops the connection.
                 Err(error)
                     if error.kind() == io::ErrorKind::WouldBlock
                         || error.kind() == io::ErrorKind::TimedOut =>
@@ -943,6 +961,20 @@ mod tests {
         }
         joiner.shutdown();
         bootstrap.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_acceptor_promptly() {
+        let config = quick_config(4);
+        let io_timeout = config.transport.io_timeout;
+        let node = Node::bootstrap(config).expect("bootstrap");
+        let local_addr = node.local_addr().to_owned();
+        let started = Instant::now();
+        node.shutdown();
+        let took = started.elapsed();
+        assert!(took < io_timeout / 4, "shutdown took {took:?} with no connection accepted");
+        // The acceptor was joined, so the listener is closed.
+        assert!(TcpStream::connect(&local_addr).is_err(), "{local_addr} still accepts");
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! Loopback TCP transport: the exchange engine's envelopes as
 //! length-prefixed codec frames on real sockets.
 //!
-//! One wire unit is a `u32`-length-prefixed [`encode_envelope`] buffer —
-//! byte-for-byte the serialized form [`envelope_len`](crate::envelope_len)
-//! has always modeled, so every bytes-on-wire figure the store reports is
-//! now literally what crosses the socket (plus the 4-byte length prefix).
+//! One wire unit is a `u32`-length-prefixed
+//! [`encode_envelope`](crate::encode_envelope) buffer — byte-for-byte the
+//! serialized form [`envelope_len`] has always modeled, so every
+//! bytes-on-wire figure the store reports is now literally what crosses
+//! the socket (plus the 4-byte length prefix).
+//!
+//! One wire unit is also one `write`: [`send_envelope`] encodes the
+//! envelope behind a reserved prefix in a single buffer and hands it to
+//! the socket whole. On a `TCP_NODELAY` socket every write leaves as its
+//! own segment, and the receiver wakes for each one; writing prefix and
+//! body apart would cost every round trip an extra segment and an extra
+//! wake-up in each direction.
 //!
 //! [`PeerLink`] wraps one outbound connection in the failure discipline a
 //! real cluster needs: connect and I/O timeouts on every operation, and
@@ -16,7 +24,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::wire::{decode_envelope, encode_envelope, Envelope};
+use crate::wire::{decode_envelope, envelope_len, write_envelope, Envelope};
 
 /// Upper bound on one frame's payload; a length prefix beyond this is
 /// treated as a protocol error rather than an allocation request.
@@ -46,20 +54,21 @@ impl Default for TransportConfig {
     }
 }
 
-/// Writes one envelope as a length-prefixed frame.
+/// Writes one envelope as a length-prefixed frame, in one `write_all`.
 ///
 /// # Errors
 ///
 /// Propagates socket write errors (timeouts included).
 pub fn send_envelope<W: Write>(writer: &mut W, envelope: &Envelope) -> io::Result<()> {
-    let bytes = encode_envelope(envelope);
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
-    }
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&bytes)?;
+    let mut frame = Vec::with_capacity(4 + envelope_len(envelope.from, envelope.payload.len()));
+    frame.extend_from_slice(&[0; 4]);
+    write_envelope(&mut frame, envelope);
+    let len = u32::try_from(frame.len() - 4)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_LEN)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -67,13 +76,19 @@ pub fn send_envelope<W: Write>(writer: &mut W, envelope: &Envelope) -> io::Resul
 ///
 /// # Errors
 ///
-/// Propagates socket read errors; a length prefix over the frame cap or a
-/// payload that fails [`decode_envelope`] comes back as
-/// [`io::ErrorKind::InvalidData`], and a clean EOF before the prefix as
+/// Propagates socket read errors. A read timeout
+/// ([`io::ErrorKind::WouldBlock`] or [`io::ErrorKind::TimedOut`]) comes back
+/// as such only while no byte of the frame has been consumed — the idle
+/// case, safe to retry on the same stream; once any byte is consumed the
+/// stream sits mid-frame, and a stall there is
+/// [`io::ErrorKind::InvalidData`], so the caller drops the connection
+/// rather than read the frame's middle as a length prefix. A length prefix
+/// over the frame cap or a payload that fails [`decode_envelope`] is
+/// [`io::ErrorKind::InvalidData`] too, and EOF before the frame is whole is
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn recv_envelope<R: Read>(reader: &mut R) -> io::Result<Envelope> {
     let mut prefix = [0u8; 4];
-    reader.read_exact(&mut prefix)?;
+    fill_frame_part(reader, &mut prefix, false)?;
     let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized frame"));
@@ -83,10 +98,36 @@ pub fn recv_envelope<R: Read>(reader: &mut R) -> io::Result<Envelope> {
     while bytes.len() < len {
         let filled = bytes.len();
         bytes.resize(len.min(filled + READ_CHUNK), 0);
-        reader.read_exact(&mut bytes[filled..])?;
+        fill_frame_part(reader, &mut bytes[filled..], true)?;
     }
     decode_envelope(&bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad envelope: {e:?}")))
+}
+
+/// Fills `buf` from `reader` as one part of a frame; `mid_frame` says
+/// whether earlier parts of it were already consumed. A read timeout
+/// passes through unchanged only if no byte of the frame has been
+/// consumed; after that it is a stalled frame ([`recv_envelope`]).
+fn fill_frame_part<R: Read>(reader: &mut R, buf: &mut [u8], mid_frame: bool) -> io::Result<()> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame cut short")),
+            Ok(n) => filled += n,
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+            Err(error)
+                if (mid_frame || filled > 0)
+                    && matches!(
+                        error.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "frame stalled"));
+            }
+            Err(error) => return Err(error),
+        }
+    }
+    Ok(())
 }
 
 /// Capped exponential backoff with deterministic jitter: attempt `k` draws
@@ -254,7 +295,7 @@ impl PeerLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::MessageKind;
+    use crate::wire::{encode_envelope, MessageKind};
     use proptest::prelude::*;
     use std::net::TcpListener;
 
@@ -352,6 +393,79 @@ mod tests {
         // And one cut short fails as before.
         let mut reader = Recording { bytes: &framed[..framed.len() - 1], largest_request: 0 };
         assert_eq!(recv_envelope(&mut reader).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// Accepts every byte and counts the `write` calls that delivered them.
+    #[derive(Default)]
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        let mut get = Vec::new();
+        vstamp_core::codec::write_frame(&mut get, b"key-0000004095");
+        for payload in [Vec::new(), get, vec![0xCD; 3 * READ_CHUNK]] {
+            let envelope = Envelope { from: 40_123, kind: MessageKind::Get, payload };
+            let mut writer = Counting::default();
+            send_envelope(&mut writer, &envelope).unwrap();
+            let frame = writer.bytes;
+            assert_eq!(writer.writes, 1, "writes for a {}-byte frame", frame.len());
+            assert_eq!(frame[4..], encode_envelope(&envelope)[..]);
+            let prefix = u32::from_le_bytes(frame[..4].try_into().unwrap());
+            assert_eq!(prefix as usize, frame.len() - 4);
+        }
+    }
+
+    /// Yields `bytes`, then fails every further read with `stall`.
+    struct Stalling<'a> {
+        bytes: &'a [u8],
+        stall: io::ErrorKind,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.bytes.is_empty() {
+                return Err(self.stall.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_timeout_is_retryable_only_between_frames() {
+        let mut framed = Vec::new();
+        let envelope = Envelope { from: 2, kind: MessageKind::Ack, payload: vec![7; 40] };
+        send_envelope(&mut framed, &envelope).unwrap();
+        for stall in [io::ErrorKind::TimedOut, io::ErrorKind::WouldBlock] {
+            // Idle: nothing of the frame consumed, the caller may retry.
+            let err = recv_envelope(&mut Stalling { bytes: &[], stall }).unwrap_err();
+            assert_eq!(err.kind(), stall);
+            // Half a prefix, and a prefix plus part of the body: retrying
+            // would read the frame's middle as the next length prefix.
+            for consumed in [2, 10] {
+                let mut reader = Stalling { bytes: &framed[..consumed], stall };
+                let err = recv_envelope(&mut reader).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{consumed} bytes, {stall:?}");
+            }
+            // A whole frame followed by a stall still arrives.
+            let mut reader = Stalling { bytes: &framed, stall };
+            assert_eq!(recv_envelope(&mut reader).unwrap(), envelope);
+            assert_eq!(recv_envelope(&mut reader).unwrap_err().kind(), stall);
+        }
     }
 
     proptest! {

@@ -287,10 +287,17 @@ pub fn envelope_len(from: usize, payload_len: usize) -> usize {
 #[must_use]
 pub fn encode_envelope(envelope: &Envelope) -> Vec<u8> {
     let mut out = Vec::with_capacity(envelope_len(envelope.from, envelope.payload.len()));
-    out.push(envelope.kind.tag());
-    write_varint(&mut out, envelope.from as u64);
-    write_frame(&mut out, &envelope.payload);
+    write_envelope(&mut out, envelope);
     out
+}
+
+/// Appends the [`encode_envelope`] form of `envelope` to `out` — the one
+/// envelope encoder, shared with the socket framing, which writes it
+/// behind a reserved length prefix.
+pub(crate) fn write_envelope(out: &mut Vec<u8>, envelope: &Envelope) {
+    out.push(envelope.kind.tag());
+    write_varint(out, envelope.from as u64);
+    write_frame(out, &envelope.payload);
 }
 
 /// Deserializes an envelope produced by [`encode_envelope`].
