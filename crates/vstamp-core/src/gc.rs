@@ -122,25 +122,6 @@ impl FrontierEvidence {
         FrontierEvidence { footprint }
     }
 
-    /// Builds the evidence from per-element footprints kept in the packed
-    /// representation.
-    ///
-    /// The join is the one-pass k-way merge of
-    /// [`PackedName::join_many`](crate::PackedName::join_many) — a single
-    /// output build over all pins instead of a pairwise fold — and the
-    /// single conversion to the set representation happens once per
-    /// *evidence build* instead of once per footprint. This is the path
-    /// `vstamp-store` uses: its per-key pin table stores packed footprints
-    /// (one packed join per element transition), and the amortized GC joins
-    /// them only when a collapse is actually due.
-    pub fn from_packed_footprints<'a, I>(others: I) -> Self
-    where
-        I: IntoIterator<Item = &'a crate::PackedName>,
-    {
-        let joined = crate::PackedName::join_many(others);
-        FrontierEvidence { footprint: joined.to_name() }
-    }
-
     /// Returns `true` when the rest of the frontier blocks a collapse at
     /// `s`: some other element holds a string extending `s`.
     ///
@@ -514,21 +495,6 @@ mod tests {
         roots.sort();
         let expected: Vec<BitString> = vec!["01".parse().unwrap(), "1".parse().unwrap()];
         assert_eq!(roots, expected);
-    }
-
-    #[test]
-    fn packed_footprints_build_the_same_evidence() {
-        use crate::PackedName;
-        let names = [name("{010, 00}"), name("{110}"), name("{}")];
-        let packed: Vec<PackedName> = names.iter().map(PackedName::from_name).collect();
-        assert_eq!(
-            FrontierEvidence::from_packed_footprints(packed.iter()),
-            FrontierEvidence::from_footprints(names.iter())
-        );
-        assert_eq!(
-            FrontierEvidence::from_packed_footprints(std::iter::empty()),
-            FrontierEvidence::empty()
-        );
     }
 
     #[test]

@@ -1191,8 +1191,8 @@ impl PackedName {
     /// that normal form directly: one postorder fullness pass plus one
     /// preorder walk that treats maximal full subtrees as elements, instead
     /// of running the general `reduce_pair` stack machine and then
-    /// searching its output. It is the fused hot path of identity-carrier
-    /// element absorption in `vstamp-store` (`join` + reduce + shrink in a
+    /// searching its output. It is the fused hot path of element (id)
+    /// absorption in `vstamp-store` (`join` + reduce + shrink in a
     /// single scan of the joined tags).
     ///
     /// # Examples

@@ -6,23 +6,26 @@
 //! simulator's comparison tables:
 //!
 //! * [`VstampBackend`] (`version-stamps` / `version-stamps-gc`) — the
-//!   paper's mechanism. Each key is its own stamp universe: replica
-//!   elements are the leaves of a fork tree of the seed, a write is the
-//!   `update` transition, shipping state in anti-entropy is a `fork`
-//!   (sender keeps one half, the other rides the delta) and merging is a
-//!   `join` — the decentralized encoding of gossip in the fork/join/update
-//!   transition system, with **no identifiers and no counters anywhere**.
-//!   With GC enabled, merges apply the PR 2 frontier-evidence collapse
-//!   **amortized behind [`GcWatermarks`]**: every merge still shrinks the
-//!   element to its cover (bounded size), but the evidence-gated collapse
-//!   that re-anchors identity to a shallower subtree runs only when a
-//!   key's merge count or element size crosses its watermark, plus a
-//!   forced pass at the compaction boundary. The evidence pins every live
-//!   element *and* every stored version clock (a stored sibling is a live
+//!   paper's mechanism. Each key is its own identity universe, and a
+//!   replica element is an **id** ([`PackedName`]): the leaves of a fork
+//!   tree of `{ε}` (or of a root id a node cut from its membership stamp).
+//!   A write spends one fork half of the id as the version's dot, shipping
+//!   state in anti-entropy is a `fork` (sender keeps one half, the other
+//!   rides the delta) and merging is a `join` of ids — the decentralized
+//!   encoding of gossip in the fork/join/update transition system, with
+//!   **no identifiers and no counters anywhere**. Causal knowledge lives
+//!   only in the version clocks (context ⊔ dot, as in Dotted Version
+//!   Vectors), so an element never carries an update component. With GC
+//!   enabled, merges apply the frontier-evidence collapse **amortized
+//!   behind [`GcWatermarks`]**: every merge still shrinks the element to
+//!   one string (bounded size), but the evidence-gated collapse that
+//!   re-anchors identity to a shallower subtree runs only when a key's
+//!   merge count or element size crosses its watermark, plus a forced pass
+//!   at the compaction boundary. The evidence pins every live element
+//!   *and* every stored version clock (a stored sibling is a live
 //!   reference to its event markers, so its subtree must not be re-minted
-//!   while it can still be compared); pins are kept in the packed
-//!   representation so maintaining them costs a byte-compare and a packed
-//!   join, not a set conversion.
+//!   while it can still be compared); pins are packed names, so
+//!   maintaining them costs a hash and a byte-compare.
 //! * [`DynamicVvBackend`] (`dynamic-vv`) — dotted-version-vector-style
 //!   sibling resolution over the dynamic version-vector baseline: every
 //!   incarnation takes a fresh globally-unique identifier from a per-key
@@ -32,14 +35,13 @@
 //!
 //! Version clocks are *names* (for stamps) or *vectors* (for the baseline):
 //! a written version's clock is the join of the client's read context with
-//! the writer element's update knowledge, so causal chains across replicas
-//! dominate exactly the versions the client had seen.
+//! the write's dot, so causal chains across replicas dominate exactly the
+//! versions the client had seen.
 
 use core::fmt;
 
 use vstamp_core::codec::{self, StampCodec, VarintCodec};
-use vstamp_core::gc::{collapse, shrink_to_covers, FrontierEvidence};
-use vstamp_core::{DecodeError, PackedName, Relation, Stamp, VersionStamp};
+use vstamp_core::{Bit, BitString, DecodeError, PackedName, Relation};
 
 use vstamp_baselines::{DynamicVersionVectorMechanism, DynamicVvElement, ReplicaId, VersionVector};
 use vstamp_core::Mechanism as _;
@@ -50,7 +52,9 @@ pub trait StoreBackend: Send + Sync + 'static {
     /// Cluster-shared per-key coordination state (GC evidence pins, id
     /// allocators). Lives in the cluster's clock plane, one per key.
     type KeyState: Send + fmt::Debug;
-    /// Per-`(key, replica)` element driving the fork/join/update lifecycle.
+    /// Per-`(key, replica)` element driving the fork/join/update lifecycle:
+    /// the replica's identity in the key's universe (an id for stamps, an
+    /// incarnation plus its vector for the baseline).
     type Element: Clone + PartialEq + Send + Sync + fmt::Debug;
     /// Per-stored-version causal clock.
     type Clock: Clone + PartialEq + Send + Sync + fmt::Debug;
@@ -66,9 +70,9 @@ pub trait StoreBackend: Send + Sync + 'static {
     /// Creates a key universe rooted at a caller-supplied element instead
     /// of the seed — the *decentralized creation* path of multi-process
     /// serving, where a node's first write of a key anchors the key's
-    /// identity space under a fork half of the node's own membership
-    /// stamp, so independent first-writes of the same key at different
-    /// nodes mint disjoint subtrees and later merge as ordinary siblings.
+    /// identity space under an id cut from the node's own membership
+    /// stamp, so first-writes of different keys at different nodes never
+    /// share identity space.
     ///
     /// Returns `None` when the backend cannot root a universe without
     /// coordination (identifier-allocating backends would need their
@@ -94,8 +98,8 @@ pub trait StoreBackend: Send + Sync + 'static {
     }
 
     /// A local write: advances the replica's element and mints the clock of
-    /// the written version from the client's read context plus the
-    /// element's own knowledge. Returns `(element, clock, dot)` — the
+    /// the written version from the client's read context plus a fresh dot
+    /// the element spends. Returns `(element, clock, dot)` — the
     /// advanced element, the minted clock, and the write's *dot* as a
     /// standalone clock, such that
     /// `clock == rebuild_clock(context, dot)`. The dot is what delta
@@ -218,56 +222,21 @@ pub trait StoreBackend: Send + Sync + 'static {
     fn element_bits(&self, element: &Self::Element) -> usize;
 }
 
-/// Builds the balanced fork tree the initial replica elements of a key (or
-/// the quiescent re-mint) are the leaves of. Store elements are pure
-/// *identity carriers*: their update component stays empty — causal
-/// knowledge lives in the version clocks, where eviction can release it —
-/// so Section-6 reduction and the frontier GC are free to collapse and
-/// re-anchor identities the moment no stored clock pins them.
-fn fork_tree(replicas: usize) -> Vec<VersionStamp> {
-    let seed = VersionStamp::from_parts(PackedName::empty(), PackedName::epsilon())
-        .expect("empty update below any id");
-    fork_tree_from(seed, replicas)
-}
-
-/// [`fork_tree`] rooted at an arbitrary stamp: the decentralized-creation
-/// variant, where the root is a fork half of a node's membership identity
-/// rather than the whole universe.
-fn fork_tree_from(seed: VersionStamp, replicas: usize) -> Vec<VersionStamp> {
-    let mut elements = vec![seed];
+/// Builds the balanced fork tree under `root` whose leaves are the initial
+/// replica elements of a key: `{ε}` for a fresh universe or the quiescent
+/// re-mint, an id cut from a node's membership stamp for a rooted key.
+/// Elements are ids only — causal knowledge lives in the version clocks,
+/// where eviction can release it — so Section-6 reduction and the
+/// frontier GC are free to collapse and re-anchor identities the moment
+/// no stored clock pins them.
+fn fork_tree(root: PackedName, replicas: usize) -> Vec<PackedName> {
+    let mut elements = vec![root];
     while elements.len() < replicas.max(1) {
         let victim = elements.remove(0);
-        let (zero, one) = victim.fork();
-        elements.push(zero);
-        elements.push(one);
+        elements.push(victim.append(Bit::Zero));
+        elements.push(victim.append(Bit::One));
     }
     elements
-}
-
-/// The evidence footprint of one stamp, in the packed representation: the
-/// join of its update and id components (for the store's identity-carrier
-/// elements the update is empty, so this is the id itself).
-fn packed_footprint(stamp: &VersionStamp) -> PackedName {
-    if stamp.update_name().is_empty() {
-        stamp.id_name().clone()
-    } else {
-        stamp.update_name().join(stamp.id_name())
-    }
-}
-
-/// Discards surplus identity of an identity-carrier element: the packed
-/// fast path of [`shrink_to_covers`]. With an empty update the cover set is
-/// empty and the shrink keeps exactly the shallowest id string (the seed of
-/// future identity); stamps with a non-empty update take the generic path.
-fn shrink_identity(stamp: &VersionStamp) -> VersionStamp {
-    if !stamp.update_name().is_empty() {
-        return shrink_to_covers(stamp);
-    }
-    if stamp.id_name().string_count() <= 1 {
-        return stamp.clone();
-    }
-    let shallowest = stamp.id_name().shallowest_string().expect("live ids are non-empty");
-    Stamp::from_parts_unchecked(PackedName::empty(), PackedName::singleton(&shallowest))
 }
 
 /// Cost-model knobs of the amortized frontier GC: a key runs the full
@@ -320,14 +289,13 @@ impl GcWatermarks {
 }
 
 /// Per-key coordination state of [`VstampBackend`]: a refcounted multiset
-/// of pinned footprints — one per live element (replica-held or in flight)
-/// and one per stored version clock — which is exactly the frontier
-/// evidence the PR 2 collapse needs. Footprints stay in the packed
-/// representation: pin/unpin is a byte-compare scan, and the set-form
-/// conversion happens once per *collapse*, not once per transition.
+/// of pinned names — the id of every live element (replica-held or in
+/// flight) and every stored version clock — which is exactly the frontier
+/// evidence the collapse needs. Pins stay packed: pin/unpin is a hashed
+/// byte-compare scan, and a collapse descends each pin once.
 #[derive(Debug, Default)]
 pub struct VstampKeyState {
-    /// `(quick_hash, footprint, refcount)` — the hash prefilter turns the
+    /// `(quick_hash, name, refcount)` — the hash prefilter turns the
     /// per-transition scan into 64-bit compares, with the byte-equality
     /// check only on hash hits.
     pins: Vec<(u64, PackedName, u32)>,
@@ -336,8 +304,8 @@ pub struct VstampKeyState {
 }
 
 impl VstampKeyState {
-    /// Pins a footprint by reference; the owned copy is made only when a
-    /// new table entry is actually inserted (refcount bumps are clone-free).
+    /// Pins a name by reference; the owned copy is made only when a new
+    /// table entry is actually inserted (refcount bumps are clone-free).
     fn pin(&mut self, name: &PackedName) {
         let hash = name.quick_hash();
         match self
@@ -347,27 +315,6 @@ impl VstampKeyState {
         {
             Some((_, _, count)) => *count += 1,
             None => self.pins.push((hash, name.clone(), 1)),
-        }
-    }
-
-    /// Pins the footprint of a whole stamp without materialising it: the
-    /// store's identity carriers have empty updates, so the footprint *is*
-    /// the id component.
-    fn pin_stamp(&mut self, stamp: &VersionStamp) {
-        if stamp.update_name().is_empty() {
-            self.pin(stamp.id_name());
-        } else {
-            self.pin(&packed_footprint(stamp));
-        }
-    }
-
-    /// [`VstampKeyState::unpin`] for a whole stamp, clone-free for
-    /// identity carriers.
-    fn unpin_stamp(&mut self, stamp: &VersionStamp) {
-        if stamp.update_name().is_empty() {
-            self.unpin(stamp.id_name());
-        } else {
-            self.unpin(&packed_footprint(stamp));
         }
     }
 
@@ -392,14 +339,6 @@ impl VstampKeyState {
             // bad evidence (mirrors `FrontierGc::is_degraded`).
             None => self.degraded = true,
         }
-    }
-
-    /// Evidence footprint of everything currently pinned. Called with the
-    /// element under collapse *not* pinned, so the pins are exactly the
-    /// rest of the frontier: the other live elements, every in-flight fork
-    /// half, and every stored version clock.
-    fn evidence(&self) -> FrontierEvidence {
-        FrontierEvidence::from_packed_footprints(self.pins.iter().map(|(_, name, _)| name))
     }
 
     /// Whether evidence tracking lost sync and GC is disabled for this key.
@@ -438,66 +377,57 @@ impl VstampBackend {
         VstampBackend { gc: Some(watermarks) }
     }
 
-    /// Runs the evidence-gated collapse on a freshly cover-shrunk element.
+    /// Runs the evidence-gated collapse on a one-string element `{s}`: the
+    /// frontier-evidence collapse of `vstamp_core::gc` reduces, for a
+    /// one-string id, to *truncating `s` at the shallowest prefix no pinned
+    /// name dominates* — one trie descent per pin, no set-form conversion.
     ///
-    /// The store's identity carriers (empty update, single-string id after
-    /// cover shrinking) take a packed-native fast path: for a one-string id
-    /// `{s}`, the generic [`collapse`] reduces to *truncating `s` at the
-    /// shallowest prefix no pinned footprint dominates* — computable with
-    /// one trie descent per pin and zero set-representation conversions.
-    /// Non-carrier shapes fall back to the generic evidence collapse.
-    fn collapse_element(&self, state: &mut VstampKeyState, element: &VersionStamp) -> VersionStamp {
+    /// Every element of a key whose evidence is complete is one string: the
+    /// fork tree, rooting, writes, detaches and absorbs all keep it so.
+    /// Only adopted elements can carry several, and their keys never
+    /// collapse.
+    fn collapse_element(&self, state: &mut VstampKeyState, element: &PackedName) -> PackedName {
+        debug_assert_eq!(element.string_count(), 1, "collapse runs on one-string ids");
         state.merges_since_gc = 0;
-        if element.update_name().is_empty() && element.id_name().string_count() == 1 {
-            let s = element
-                .id_name()
-                .shallowest_string()
-                .expect("live elements own at least one identity string");
-            // Longest prefix of `s` the rest of the frontier still pins;
-            // one deeper is the shallowest legal re-anchor point. Scanned
-            // in reverse: the most recently pinned footprints (the latest
-            // spent dots, which block at depth − 1 until their version is
-            // superseded everywhere) sit at the back, so a futile attempt
-            // — re-anchor point at or below the current depth — is proven
-            // by a single descent instead of a full pin sweep.
-            let mut blocked: Option<usize> = None;
-            for (_, pin, _) in state.pins.iter().rev() {
-                if let Some(len) = pin.dominated_prefix_len(&s) {
-                    blocked = Some(blocked.map_or(len, |b| b.max(len)));
-                    if len + 1 >= s.len() {
-                        break;
-                    }
+        let s = element.shallowest_string().expect("live elements own at least one string");
+        // Longest prefix of `s` the rest of the frontier still pins; one
+        // deeper is the shallowest legal re-anchor point. Scanned in
+        // reverse: the most recently pinned names (the latest spent dots,
+        // which block at depth − 1 until their version is superseded
+        // everywhere) sit at the back, so a futile attempt — re-anchor
+        // point at or below the current depth — is proven by a single
+        // descent instead of a full pin sweep.
+        let mut blocked: Option<usize> = None;
+        for (_, pin, _) in state.pins.iter().rev() {
+            if let Some(len) = pin.dominated_prefix_len(&s) {
+                blocked = Some(blocked.map_or(len, |b| b.max(len)));
+                if len + 1 >= s.len() {
+                    break;
                 }
             }
-            let new_len = blocked.map_or(0, |len| len + 1);
-            if new_len >= s.len() {
-                return element.clone();
-            }
-            let truncated = vstamp_core::BitString::from_bits(s.iter().take(new_len));
-            return Stamp::from_parts_unchecked(
-                PackedName::empty(),
-                PackedName::singleton(&truncated),
-            );
         }
-        let evidence = state.evidence();
-        shrink_identity(&collapse(element, &evidence))
+        let new_len = blocked.map_or(0, |len| len + 1);
+        if new_len >= s.len() {
+            return element.clone();
+        }
+        PackedName::singleton(&BitString::from_bits(s.iter().take(new_len)))
     }
 
     /// Whether the amortized-GC cost model says this key is due a collapse.
-    fn collapse_due(&self, state: &VstampKeyState, element: &VersionStamp) -> Option<()> {
+    fn collapse_due(&self, state: &VstampKeyState, element: &PackedName) -> Option<()> {
         let watermarks = self.gc.as_ref()?;
         if state.degraded {
             return None;
         }
         (state.merges_since_gc >= watermarks.merge_interval
-            || element.id_name().encoded_bits() as u32 >= watermarks.element_bits)
+            || element.encoded_bits() as u32 >= watermarks.element_bits)
             .then_some(())
     }
 }
 
 impl StoreBackend for VstampBackend {
     type KeyState = VstampKeyState;
-    type Element = VersionStamp;
+    type Element = PackedName;
     type Clock = PackedName;
 
     fn label(&self) -> &'static str {
@@ -509,23 +439,24 @@ impl StoreBackend for VstampBackend {
     }
 
     fn new_key(&self, replicas: usize) -> (Self::KeyState, Vec<Self::Element>) {
-        let elements = fork_tree(replicas);
-        let mut state = VstampKeyState::default();
-        for element in &elements {
-            state.pin_stamp(element);
-        }
-        (state, elements)
+        self.new_key_rooted(replicas, &PackedName::epsilon()).expect("{ε} is a live id")
     }
 
+    /// A root with several strings (a lend off a fragmented membership id)
+    /// is shrunk to its shallowest string first, so every element of the
+    /// key is one string from the start. Dropping id strings is sound: an
+    /// id carries no event markers. The empty id owns nothing to mint from
+    /// and roots nothing.
     fn new_key_rooted(
         &self,
         replicas: usize,
         root: &Self::Element,
     ) -> Option<(Self::KeyState, Vec<Self::Element>)> {
-        let elements = fork_tree_from(root.clone(), replicas);
+        let root = PackedName::singleton(&root.shallowest_string()?);
+        let elements = fork_tree(root, replicas);
         let mut state = VstampKeyState::default();
         for element in &elements {
-            state.pin_stamp(element);
+            state.pin(element);
         }
         Some((state, elements))
     }
@@ -543,7 +474,7 @@ impl StoreBackend for VstampBackend {
         // *membership* identity retirement is unaffected (it is gated on
         // member-table evidence, not this pool).
         let mut state = VstampKeyState { degraded: true, ..VstampKeyState::default() };
-        state.pin_stamp(element);
+        state.pin(element);
         Some(state)
     }
 
@@ -562,19 +493,17 @@ impl StoreBackend for VstampBackend {
         // pinned and never touches unpinned markers' subtrees only when
         // evidence frees them).
         let collapsed;
-        let element = if self
-            .gc
-            .as_ref()
-            .is_some_and(|w| element.id_name().encoded_bits() as u32 >= w.element_bits)
-            && !state.degraded
-        {
-            state.unpin_stamp(element);
-            collapsed = self.collapse_element(state, element);
-            state.pin_stamp(&collapsed);
-            &collapsed
-        } else {
-            element
-        };
+        let element =
+            if self.gc.as_ref().is_some_and(|w| element.encoded_bits() as u32 >= w.element_bits)
+                && !state.degraded
+            {
+                state.unpin(element);
+                collapsed = self.collapse_element(state, element);
+                state.pin(&collapsed);
+                &collapsed
+            } else {
+                element
+            };
         // Every write *spends* one fork half of the element's identity on
         // the version: the dot is globally unique (no two writes ever mint
         // the same one, Invariant I2), the version's clock is the client's
@@ -585,14 +514,13 @@ impl StoreBackend for VstampBackend {
         // for DVV's `(replica, counter)` pair): one tag pass builds the
         // kept id and tracks the shallowest string, so the spent full name
         // is never materialised.
-        let (kept_id, marker) = element.id_name().fork_dot();
-        let kept = Stamp::from_parts_unchecked(element.update_name().clone(), kept_id);
+        let (kept, marker) = element.fork_dot();
         let clock = match context {
             Some(context) => context.join(&marker),
             None => marker.clone(),
         };
-        state.unpin_stamp(element);
-        state.pin_stamp(&kept);
+        state.unpin(element);
+        state.pin(&kept);
         (kept, clock, marker)
     }
 
@@ -608,10 +536,10 @@ impl StoreBackend for VstampBackend {
         state: &mut Self::KeyState,
         element: &Self::Element,
     ) -> (Self::Element, Self::Element) {
-        let (kept, shipped) = element.fork();
-        state.unpin_stamp(element);
-        state.pin_stamp(&kept);
-        state.pin_stamp(&shipped);
+        let (kept, shipped) = (element.append(Bit::Zero), element.append(Bit::One));
+        state.unpin(element);
+        state.pin(&kept);
+        state.pin(&shipped);
         (kept, shipped)
     }
 
@@ -621,31 +549,25 @@ impl StoreBackend for VstampBackend {
         local: &Self::Element,
         shipped: &Self::Element,
     ) -> Self::Element {
-        state.unpin_stamp(local);
-        state.unpin_stamp(shipped);
-        // Cover shrinking is unconditionally sound for identity-carrier
-        // elements (empty update): the dropped strings carry no markers,
-        // and every re-minting path is evidence-gated. Without it the
-        // absorbed fork halves accumulate one string per exchange — the
-        // measured fragmentation wall. It runs at *every* merge; only the
-        // evidence-gated collapse below is amortized.
-        let mut result = if local.update_name().is_empty() && shipped.update_name().is_empty() {
-            // Identity carriers take the fused path: join the ids, then
-            // read the shallowest string of the *reduced* join straight
-            // off the joined tags (full sibling subtrees collapse to their
-            // roots) — one linear scan instead of the general reduction
-            // stack machine followed by a shrink pass.
-            let joined = local.id_name().join(shipped.id_name());
-            let s = joined.collapsed_shallowest().expect("joined live ids are non-empty");
-            Stamp::from_parts_unchecked(PackedName::empty(), PackedName::singleton(&s))
-        } else {
-            shrink_identity(&local.join(shipped))
-        };
+        state.unpin(local);
+        state.unpin(shipped);
+        // Join the ids, then keep only the shallowest string of the
+        // *reduced* join, read straight off the joined tags (full sibling
+        // subtrees collapse to their roots) — one linear scan for join,
+        // Section-6 reduction and shrink. Dropping strings is sound for
+        // ids: they carry no markers, and every re-minting path is
+        // evidence-gated. Without the shrink the absorbed fork halves
+        // accumulate one string per exchange — the measured fragmentation
+        // wall. It runs at *every* merge; only the evidence-gated collapse
+        // below is amortized.
+        let joined = local.join(shipped);
+        let s = joined.collapsed_shallowest().expect("joined live ids are non-empty");
+        let mut result = PackedName::singleton(&s);
         state.merges_since_gc += 1;
         if self.collapse_due(state, &result).is_some() {
             result = self.collapse_element(state, &result);
         }
-        state.pin_stamp(&result);
+        state.pin(&result);
         result
     }
 
@@ -657,9 +579,9 @@ impl StoreBackend for VstampBackend {
         if self.gc.is_none() || state.degraded {
             return None;
         }
-        state.unpin_stamp(element);
-        let rewritten = self.collapse_element(state, &shrink_identity(element));
-        state.pin_stamp(&rewritten);
+        state.unpin(element);
+        let rewritten = self.collapse_element(state, element);
+        state.pin(&rewritten);
         (&rewritten != element).then_some(rewritten)
     }
 
@@ -705,11 +627,8 @@ impl StoreBackend for VstampBackend {
         if stored_clocks.len() != 1 {
             return None;
         }
-        let fresh = fork_tree(elements.len());
-        *state = VstampKeyState::default();
-        for element in &fresh {
-            state.pin_stamp(element);
-        }
+        let (fresh_state, fresh) = self.new_key(elements.len());
+        *state = fresh_state;
         let fresh_clock = PackedName::epsilon();
         // One pin per replica storing the surviving version.
         for _ in elements {
@@ -727,15 +646,20 @@ impl StoreBackend for VstampBackend {
     }
 
     fn encode_element(&self, element: &Self::Element, out: &mut Vec<u8>) {
-        VarintCodec.encode_stamp_into(element, out);
+        VarintCodec.encode_name_into(element, out);
     }
 
-    fn encode_element_knowledge(&self, element: &Self::Element, out: &mut Vec<u8>) {
-        VarintCodec.encode_name_into(element.update_name(), out);
-    }
+    /// An id carries no knowledge: nothing to write.
+    fn encode_element_knowledge(&self, _element: &Self::Element, _out: &mut Vec<u8>) {}
 
+    /// Refuses the empty name: an element adopted from a peer must own
+    /// identity, or every dot it mints would be empty and not unique.
     fn decode_element(&self, bytes: &[u8]) -> Result<Self::Element, DecodeError> {
-        VarintCodec.decode_stamp(bytes)
+        let id: PackedName = VarintCodec.decode_name(bytes)?;
+        if id.is_empty() {
+            return Err(DecodeError::Malformed("an element owns at least one id string"));
+        }
+        Ok(id)
     }
 
     fn clock_bits(&self, clock: &Self::Clock) -> usize {
@@ -983,6 +907,7 @@ impl StoreBackend for DynamicVvBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstamp_core::VersionStamp;
 
     #[test]
     fn vstamp_backend_write_chain_dominates_context() {
@@ -1003,7 +928,7 @@ mod tests {
         let (mut state, elements) = backend.new_key(2);
         let (kept, shipped) = backend.detach(&mut state, &elements[1]);
         let merged = backend.absorb(&mut state, &elements[0], &shipped);
-        assert!(merged.validate().is_ok());
+        assert_eq!(merged.string_count(), 1);
         assert!(!state.is_degraded());
         let _ = kept;
     }
@@ -1047,6 +972,41 @@ mod tests {
     }
 
     #[test]
+    fn rooting_key_state_never_collapses_into_a_shipped_half() {
+        // The rooting side of the test above: A roots the key at a fork
+        // half of its membership stamp, ships a half to B and never hears
+        // back. A's pool still pins the shipped half, so no collapse at A
+        // may re-anchor over it. Under the default watermarks A's writes
+        // cross the bits watermark and do collapse. They are blind: a dot
+        // minted over the shipped half would be dominated by B's write.
+        for watermarks in [GcWatermarks::aggressive(), GcWatermarks::default()] {
+            let backend = VstampBackend::gc_with(watermarks);
+            let (_, lend) = VersionStamp::seed().fork();
+            let (mut state_a, elements) =
+                backend.new_key_rooted(1, lend.id_name()).expect("vstamp roots keys");
+            let (element_a, clock_root, _) = backend.write(&mut state_a, &elements[0], None);
+            let (mut element_a, to_b) = backend.detach(&mut state_a, &element_a);
+            let mut state_b = backend.adopt_key(&to_b).expect("vstamp adopts");
+            let (_, clock_b, _) = backend.write(&mut state_b, &to_b, Some(&clock_root));
+            let mut deepest = 0;
+            for _ in 0..24 {
+                let (next_a, clock_a, _) = backend.write(&mut state_a, &element_a, None);
+                assert_eq!(
+                    backend.relation(&clock_b, &clock_a),
+                    Relation::Concurrent,
+                    "{watermarks:?}: a write inside a shipped half must stay concurrent"
+                );
+                element_a = next_a;
+                deepest = deepest.max(element_a.bit_size());
+            }
+            assert!(!state_a.is_degraded());
+            if watermarks == GcWatermarks::default() {
+                assert!(deepest < 16, "the bits watermark never collapsed: depth {deepest}");
+            }
+        }
+    }
+
+    #[test]
     fn amortized_gc_defers_then_collapses_at_the_watermark() {
         // merge_interval 3, element_bits effectively off: the first two
         // absorbs only cover-shrink, the third runs the collapse.
@@ -1058,7 +1018,7 @@ mod tests {
         for _ in 0..6 {
             let (kept, shipped) = backend.detach(&mut state, &local);
             local = backend.absorb(&mut state, &kept, &shipped);
-            depths.push(local.id_name().bit_size());
+            depths.push(local.bit_size());
         }
         assert!(!state.is_degraded());
         // Depth must not grow monotonically: the watermark collapse
@@ -1074,7 +1034,7 @@ mod tests {
         }
         // The deferred run never exceeds the eager run by more than the
         // watermark-worth of uncollapsed forks.
-        assert!(local.id_name().bit_size() <= elocal.id_name().bit_size() + 3 * 2);
+        assert!(local.bit_size() <= elocal.bit_size() + 3 * 2);
     }
 
     #[test]
@@ -1093,9 +1053,9 @@ mod tests {
         for clock in &clocks {
             backend.release_clock(&mut state, clock);
         }
-        let before = element.id_name().bit_size();
+        let before = element.bit_size();
         let flushed = backend.flush_gc(&mut state, &element).expect("lazy key must collapse");
-        assert!(flushed.id_name().bit_size() < before);
+        assert!(flushed.bit_size() < before);
         assert!(!state.is_degraded());
         // Eager backend has no GC to flush.
         let eager = VstampBackend::eager();
@@ -1144,6 +1104,9 @@ mod tests {
         bytes.clear();
         vs.encode_element(&element, &mut bytes);
         assert_eq!(vs.decode_element(&bytes).unwrap(), element);
+        bytes.clear();
+        vs.encode_element(&PackedName::empty(), &mut bytes);
+        assert!(vs.decode_element(&bytes).is_err(), "an element owns identity");
         assert!(vs.clock_bits(&clock) > 0);
         assert!(vs.element_bits(&element) > 0);
 

@@ -524,13 +524,15 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// Creates `key`'s universe rooted at `root` — the decentralized
-    /// creation path. Multi-process nodes call this with a fork half of
-    /// their membership identity before their first write of an unknown
-    /// key, so independent creations of the same key at different nodes
-    /// mint disjoint identity subtrees that later merge as ordinary
-    /// siblings. Returns `false` (leaving the plane untouched) when the
+    /// creation path. Multi-process nodes call this with the id of a fork
+    /// half of their membership stamp before their first write of an
+    /// unknown key. Returns `false` (leaving the plane untouched) when the
     /// key already exists or the backend cannot root universes without
     /// coordination.
+    ///
+    /// Rooting one key at two nodes at once is not safe yet: once the
+    /// roots reach the GC's bits watermark, both first writes can mint the
+    /// same dot and one of them is lost (ROADMAP item 4).
     pub fn create_key_rooted(&self, key: &str, root: &B::Element) -> bool {
         let shard_index = self.shards.index(key);
         let mut plane = self.plane[shard_index].lock();
@@ -1183,7 +1185,10 @@ mod tests {
     use crate::backend::{DynamicVvBackend, GcWatermarks, VstampBackend};
     use crate::store::{fnv1a, fnv1a_extend, root_term};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::cell::Cell;
+    use vstamp_core::{PackedName, VersionStamp};
 
     fn full_sweep<B: StoreBackend>(cluster: &Cluster<B>) {
         let n = cluster.replica_count();
@@ -1753,5 +1758,220 @@ mod tests {
         }
         let (_, last_upto, _) = offers.last().expect("non-empty");
         assert_eq!(*last_upto, cluster.replicas[0].seq(), "the last offer saw everything");
+    }
+
+    /// One exchange between two single-replica stores, the node topology:
+    /// `to` pulls, `from` serves, over a closure instead of a socket.
+    fn node_pull(
+        to: &Cluster<VstampBackend>,
+        from: &Cluster<VstampBackend>,
+        cursor: &mut PullCursor,
+    ) {
+        to.pull(0, cursor, |request| Ok(from.serve(0, &request).expect("honest request").0))
+            .expect("honest transport");
+    }
+
+    /// Every `(key, element)` a single-replica store holds.
+    fn node_elements(node: &Cluster<VstampBackend>) -> Vec<(Key, PackedName)> {
+        let mut elements = Vec::new();
+        for shard_index in 0..node.shards.count() {
+            let shard = node.replicas[0].shard(shard_index).read();
+            elements.extend(shard.iter().map(|(key, data)| (key.clone(), data.element().clone())));
+        }
+        elements
+    }
+
+    #[test]
+    fn node_rooted_keys_keep_every_write_and_one_string_elements() {
+        const NODES: usize = 3;
+        const KEYS: usize = 6;
+
+        /// Per write: the writes its context covered (transitively), and
+        /// the node and key that took it. A write's value is its index.
+        #[derive(Default)]
+        struct Oracle {
+            covers: Vec<HashSet<u32>>,
+            origin: Vec<(usize, usize)>,
+        }
+
+        fn visible(node: &Cluster<VstampBackend>, key: usize) -> Vec<u32> {
+            let read = node.get(0, &format!("k{key}"));
+            let mut ids: Vec<u32> = read
+                .iter_values()
+                .map(|value| u32::from_le_bytes(value.try_into().expect("4-byte ids")))
+                .collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        impl Oracle {
+            fn write(
+                &mut self,
+                node: &Cluster<VstampBackend>,
+                at: usize,
+                key: usize,
+                causal: bool,
+            ) {
+                let id = self.covers.len() as u32;
+                let name = format!("k{key}");
+                let read = node.get(0, &name);
+                let mut covered = HashSet::new();
+                if causal {
+                    for seen in visible(node, key) {
+                        covered.insert(seen);
+                        covered.extend(&self.covers[seen as usize]);
+                    }
+                }
+                node.put(0, &name, id.to_le_bytes().to_vec(), read.context().filter(|_| causal));
+                self.covers.push(covered);
+                self.origin.push((at, key));
+            }
+
+            /// Every element is one id string, no node shows a write next
+            /// to one that covers it or loses a write it took, and once
+            /// `settled`, every node shows exactly the uncovered writes.
+            fn check(&self, nodes: &[Cluster<VstampBackend>], step: usize, settled: bool) {
+                let covered: HashSet<u32> = self.covers.iter().flatten().copied().collect();
+                for (at, node) in nodes.iter().enumerate() {
+                    for (key, id) in node_elements(node) {
+                        assert_eq!(
+                            id.string_count(),
+                            1,
+                            "step {step}: node {at} has {id} at {key}"
+                        );
+                    }
+                    for key in 0..KEYS {
+                        let shown = visible(node, key);
+                        for &a in &shown {
+                            assert!(
+                                shown.iter().all(|b| !self.covers[a as usize].contains(b)),
+                                "step {step}: node {at} shows a write {a} covers, k{key}"
+                            );
+                        }
+                        let writes = (0..self.covers.len() as u32)
+                            .filter(|&id| self.origin[id as usize].1 == key);
+                        for id in writes.clone().filter(|&id| self.origin[id as usize].0 == at) {
+                            let kept = shown.contains(&id)
+                                || shown.iter().any(|&o| self.covers[o as usize].contains(&id));
+                            assert!(kept, "step {step}: node {at} lost its write {id} of k{key}");
+                        }
+                        if settled {
+                            let expected: Vec<u32> =
+                                writes.filter(|id| !covered.contains(id)).collect();
+                            assert_eq!(shown, expected, "settled: node {at}, k{key}");
+                        }
+                    }
+                }
+            }
+        }
+
+        let nodes: Vec<_> = (0..NODES).map(|_| Cluster::new(VstampBackend::gc(), 1, 4)).collect();
+        // Node 0 roots every key from its membership stamp, as
+        // `Node::ensure_key` does. The last two come off a fragmented
+        // stamp, so their lends have two strings.
+        let mut membership = VersionStamp::seed();
+        for key in 0..KEYS {
+            if key == KEYS - 2 {
+                let fragmented = "{00, 1}".parse().expect("a name");
+                membership = VersionStamp::from_parts(PackedName::epsilon(), fragmented)
+                    .expect("{ε} ⊑ {00, 1}");
+            }
+            let (keep, lend) = membership.fork();
+            assert!(nodes[0].create_key_rooted(&format!("k{key}"), lend.id_name()));
+            membership = keep;
+        }
+        let mut oracle = Oracle::default();
+        for key in 0..KEYS {
+            oracle.write(&nodes[0], 0, key, false);
+        }
+        oracle.check(&nodes, 0, false);
+        // Nodes 1 and 2 write a key only once they adopted it: a node that
+        // writes a key it lacks roots it a second time (see
+        // `a_double_rooted_key_keeps_both_first_writes`).
+        let mut cursors = [[PullCursor::default(); NODES]; NODES];
+        let mut rng = StdRng::seed_from_u64(29);
+        for step in 1..=240 {
+            let at = rng.gen_range(0..NODES);
+            let key = rng.gen_range(0..KEYS);
+            if rng.gen_bool(0.5) {
+                if nodes[at].has_key(&format!("k{key}")) {
+                    oracle.write(&nodes[at], at, key, rng.gen_range(0..10u32) < 7);
+                }
+            } else {
+                let from = (at + 1 + rng.gen_range(0..NODES - 1)) % NODES;
+                node_pull(&nodes[at], &nodes[from], &mut cursors[at][from]);
+            }
+            oracle.check(&nodes, step, false);
+        }
+        for sweep in 0.. {
+            let root = nodes[0].digest_root(0);
+            if nodes.iter().all(|node| node.digest_root(0) == root) {
+                break;
+            }
+            assert!(sweep < 8, "no common root after {sweep} sweeps");
+            for (at, links) in cursors.iter_mut().enumerate() {
+                for (from, cursor) in links.iter_mut().enumerate() {
+                    if from != at {
+                        node_pull(&nodes[at], &nodes[from], cursor);
+                    }
+                }
+            }
+        }
+        oracle.check(&nodes, usize::MAX, true);
+        for at in 0..NODES {
+            assert!(oracle.origin.iter().any(|&(node, _)| node == at), "node {at} never wrote");
+        }
+    }
+
+    #[test]
+    fn a_multi_string_foreign_element_is_adopted_then_absorbed_into_one_string() {
+        let node = Cluster::new(VstampBackend::gc(), 1, 4);
+        let delta = |element: &str| {
+            let element = element.parse().expect("a name");
+            let deltas =
+                [KeyDelta { key: "k".into(), element, versions: Vec::new(), assumed_fp: 0 }];
+            let (payload, _) = encode_delta(node.backend(), &deltas, DeltaPolicy::ADAPTIVE);
+            decode_delta(node.backend(), &payload).expect("a two-string id decodes")
+        };
+        assert!(node.apply_delta_batch(0, delta("{001, 11}")).is_empty());
+        assert_eq!(node_elements(&node)[0].1.string_count(), 2, "adopted as shipped");
+        node.put(0, "k", vec![1], None);
+        assert!(node.apply_delta_batch(0, delta("{0001, 101}")).is_empty());
+        assert_eq!(node_elements(&node)[0].1.string_count(), 1, "{:?}", node_elements(&node));
+        assert_eq!(node.get(0, "k").values(), vec![vec![1]]);
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 4: a key rooted at two nodes at once loses a write once its roots \
+                reach the 16-bit GC watermark"]
+    fn a_double_rooted_key_keeps_both_first_writes() {
+        // Two nodes root the same key at once, each from its own half of
+        // the seed, deepened `depth` times as rooting other keys deepens
+        // a membership stamp. At depth 0 (8-bit roots) both first writes
+        // survive. From depth 4 on, the write-side bits watermark collapses
+        // each node's un-shipped root to {ε}, both writes mint the same dot
+        // and the exchange keeps one value.
+        let (left, right) = VersionStamp::seed().fork();
+        for depth in [0usize, 4, 8, 16, 64] {
+            let nodes = [(left.clone(), b"left"), (right.clone(), b"rght")].map(
+                |(mut membership, value)| {
+                    for _ in 0..depth {
+                        membership = membership.fork().0;
+                    }
+                    let node = Cluster::new(VstampBackend::gc(), 1, 4);
+                    assert!(node.create_key_rooted("k", membership.fork().1.id_name()));
+                    node.put(0, "k", value.to_vec(), None);
+                    node
+                },
+            );
+            let mut cursors = [PullCursor::default(); 2];
+            for _ in 0..3 {
+                node_pull(&nodes[0], &nodes[1], &mut cursors[0]);
+                node_pull(&nodes[1], &nodes[0], &mut cursors[1]);
+            }
+            for node in &nodes {
+                assert_eq!(node.get(0, "k").values().len(), 2, "roots {depth} forks deep");
+            }
+        }
     }
 }

@@ -23,10 +23,11 @@
 //!   sponsor **forks its own membership stamp** and hands one half back —
 //!   the paper's decentralized creation. No allocator exists anywhere.
 //! * A key universe root is **never** the membership id itself: first
-//!   touch of a key forks a dedicated half off the membership stamp,
-//!   roots the key's universe there, and records the lent half in the
-//!   member entry's `spent` footprint. Later joiners therefore always
-//!   land *outside* every existing key universe.
+//!   touch of a key forks the membership stamp, keeps one half, and roots
+//!   the key's universe at the *id* of the other — key elements are ids
+//!   cut from the membership stamp, never stamps — and records the lent
+//!   id in the member entry's `spent` footprint. Later joiners therefore
+//!   always land *outside* every existing key universe.
 //! * When the failure detector evicts a member,
 //!   [`vstamp_core::retire_identity`] collapses the
 //!   survivor's membership stamp against the table's evidence: every
@@ -39,13 +40,18 @@
 //!   and overlap between reclaimed membership space and those universes
 //!   is never observed by any comparison.
 //!
-//! One honest limitation, inherent to coordination-free key creation:
-//! rooting the *same key twice* — two nodes concurrently first-touching
-//! a key before either has gossiped it, or a key re-rooted from
-//! reclaimed space before its data arrives — produces two universes for
-//! one key whose dots are not causally related to each other. Workloads
-//! that create keys through any single node and let them replicate
-//! before lending resumes (the harness does) never hit this.
+//! One known defect of coordination-free key creation: rooting the *same
+//! key twice* — two nodes concurrently first-touching a key before either
+//! has gossiped it, or a key re-rooted from reclaimed space before its
+//! data arrives — can lose a write. The two roots are disjoint, but once
+//! a root reaches the GC's 16-bit watermark, the first write collapses the
+//! un-shipped root to `{ε}` at both nodes, both first writes mint the same
+//! dot, and the exchange keeps one value. Each rooted key deepens the
+//! membership stamp by one bit, so a node's lends pass 16 bits after a
+//! handful of keys. Workloads that create each key through one node and
+//! let it replicate before another node writes it (the harness and the
+//! benchmark do) never hit this. ROADMAP item 4 tracks the fix, and
+//! `a_double_rooted_key_keeps_both_first_writes` reproduces the loss.
 //!
 //! ## Failure model
 //!
@@ -67,7 +73,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vstamp_core::codec::{read_frame, read_varint, write_frame, write_varint};
-use vstamp_core::{retire_identity, DecodeError, PackedName, VersionStamp};
+use vstamp_core::{
+    retire_identity, DecodeError, PackedName, StampCodec, VarintCodec, VersionStamp,
+};
 
 use crate::backend::{StoreBackend, VstampBackend};
 use crate::cluster::{invalid, Cluster, PullCursor};
@@ -283,9 +291,8 @@ impl Node {
             }
         };
         let mut input = reply.payload.as_slice();
-        let backend = VstampBackend::gc();
-        let identity = backend
-            .decode_element(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
+        let identity = VarintCodec
+            .decode_stamp(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
             .map_err(|_| invalid("JoinAck identity did not decode"))?;
         let table =
             MemberTable::decode(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
@@ -426,7 +433,7 @@ impl NodeInner {
     /// fresh fork half of the membership stamp.
     fn mint_members_key(&self, state: &mut NodeState) {
         let (keep, lend) = state.identity.fork();
-        if self.cluster.create_key_rooted(MEMBERS_KEY, &lend) {
+        if self.cluster.create_key_rooted(MEMBERS_KEY, lend.id_name()) {
             state.identity = keep;
             state.spent = state.spent.join(lend.id_name());
             self.refresh_own_entry(state);
@@ -446,7 +453,7 @@ impl NodeInner {
             return;
         }
         let (keep, lend) = state.identity.fork();
-        if self.cluster.create_key_rooted(key, &lend) {
+        if self.cluster.create_key_rooted(key, lend.id_name()) {
             state.identity = keep;
             state.spent = state.spent.join(lend.id_name());
             self.refresh_own_entry(&mut state);
@@ -692,9 +699,7 @@ impl NodeInner {
                 state.table.put_entry(MemberEntry::active(joiner, give.id_name().clone()));
                 self.write_members(&mut state);
                 let mut payload = Vec::new();
-                let mut scratch = Vec::new();
-                self.cluster.backend().encode_element(&give, &mut scratch);
-                write_frame(&mut payload, &scratch);
+                write_frame(&mut payload, &VarintCodec.encode_stamp(&give));
                 write_frame(&mut payload, &state.table.encode());
                 Some(reply(MessageKind::JoinAck, payload))
             }

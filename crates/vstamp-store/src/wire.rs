@@ -846,6 +846,20 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_with_an_empty_element_does_not_decode() {
+        // An adopted empty id would mint empty, non-unique dots.
+        let backend = VstampBackend::gc();
+        let deltas = [KeyDelta::<VstampBackend> {
+            key: "k".into(),
+            element: vstamp_core::PackedName::empty(),
+            versions: Vec::new(),
+            assumed_fp: 0,
+        }];
+        let (bytes, _) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
+        assert!(decode_delta(&backend, &bytes).is_err());
+    }
+
+    #[test]
     fn delta_frames_ride_when_fingerprints_match_and_rebuild_byte_equal() {
         for (label, backend) in
             [("stamps-gc", VstampBackend::gc()), ("stamps-eager", VstampBackend::eager())]
