@@ -27,16 +27,11 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vstamp_sim::nemesis::{FaultEvent, FaultPlan, NemesisConfig, Proxy};
+use vstamp_sim::nemesis::{FaultAction, FaultPlan, NemesisConfig, Proxy};
 use vstamp_sim::{decode_id, encode_id, KeyOracle};
 use vstamp_store::{
     MemberStatus, Node, NodeClient, NodeConfig, NodeStatus, PhiConfig, TransportConfig,
 };
-
-/// Writes to a doomed node stop this long before the SIGKILL so its
-/// acked writes replicate out (the store is in-memory; an ack only
-/// outlives the process once gossip has shipped the write).
-const DRAIN: Duration = Duration::from_millis(600);
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -348,35 +343,11 @@ fn run_fault_phase(
 ) -> Option<String> {
     let plan = FaultPlan::generate(knobs.seed, 3);
     eprintln!("fault plan: {:?}", plan.events);
-    // Expand the plan into an ordered action timeline.
-    enum Action {
-        Block(usize),
-        Unblock(usize),
-        Drain(usize),
-        Kill(usize),
-        Restart,
-    }
-    let mut timeline: Vec<(Duration, Action)> = Vec::new();
+    let timeline = plan.timeline();
     let mut dead_advertised = None;
-    let mut last = Duration::ZERO;
-    for event in &plan.events {
-        match *event {
-            FaultEvent::Partition { node, at, duration } => {
-                timeline.push((at, Action::Block(node)));
-                timeline.push((at + duration, Action::Unblock(node)));
-                last = last.max(at + duration);
-            }
-            FaultEvent::CrashRestart { node, at, downtime } => {
-                timeline.push((at.saturating_sub(DRAIN), Action::Drain(node)));
-                timeline.push((at, Action::Kill(node)));
-                timeline.push((at + downtime, Action::Restart));
-                last = last.max(at + downtime);
-            }
-        }
-    }
-    timeline.sort_by_key(|(at, _)| *at);
     // Keep the workload running for a while after the last fault so the
     // healed cluster sees fresh causal traffic.
+    let last = timeline.last().map_or(Duration::ZERO, |(at, _)| *at);
     let phase_end = last + Duration::from_millis(1500);
     let start = Instant::now();
     let mut next = 0;
@@ -385,14 +356,14 @@ fn run_fault_phase(
         let now = start.elapsed();
         while next < timeline.len() && timeline[next].0 <= now {
             match timeline[next].1 {
-                Action::Block(i) => nodes[i].proxy.set_blocked(true),
-                Action::Unblock(i) => nodes[i].proxy.set_blocked(false),
-                Action::Drain(i) => nodes[i].writable = false,
-                Action::Kill(i) => {
+                FaultAction::Block(i) => nodes[i].proxy.set_blocked(true),
+                FaultAction::Unblock(i) => nodes[i].proxy.set_blocked(false),
+                FaultAction::Drain(i) => nodes[i].writable = false,
+                FaultAction::Kill(i) => {
                     dead_advertised = Some(nodes[i].advertised.clone());
                     nodes[i].kill();
                 }
-                Action::Restart => {
+                FaultAction::Restart => {
                     // The replacement is a brand-new member behind a
                     // fresh proxy; it only serves convergence checks, so
                     // it never writes (a re-rooting write before it has

@@ -21,8 +21,10 @@
 //!   the session structure (lost updates, false concurrency);
 //! * [`nemesis`] — socket-level fault injection for the real-TCP cluster:
 //!   frame-parsing proxies that drop/delay/duplicate frames or black-hole
-//!   a node's inbound side, plus a seeded fault plan (used by the
-//!   `cluster_harness` binary against multi-process clusters).
+//!   a node's inbound side, plus a seeded fault plan and its action
+//!   timeline (used by the `cluster_harness` binary against multi-process
+//!   clusters, and by the `node_sim` test against `NodeCore`s under a
+//!   virtual clock).
 //!
 //! ```
 //! use vstamp_sim::workload::{generate, WorkloadSpec};

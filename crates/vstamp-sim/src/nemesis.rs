@@ -96,6 +96,26 @@ pub enum FaultEvent {
     },
 }
 
+/// Writes to a doomed node stop this long before its crash so its acked
+/// writes replicate out (the store is in-memory; an ack only outlives the
+/// process once gossip has shipped the write).
+pub const DRAIN: Duration = Duration::from_millis(600);
+
+/// One step of a [`FaultPlan::timeline`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Black-hole the node's inbound side.
+    Block(usize),
+    /// Heal it.
+    Unblock(usize),
+    /// Stop writing to the node: it crashes [`DRAIN`] later.
+    Drain(usize),
+    /// Crash the node.
+    Kill(usize),
+    /// Start the crashed node's replacement, a new member.
+    Restart,
+}
+
 /// The seeded fault schedule for one harness run.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
@@ -133,6 +153,28 @@ impl FaultPlan {
                 FaultEvent::CrashRestart { node: crashed, at: crash_at, downtime },
             ],
         }
+    }
+
+    /// The plan as actions ordered by their offset from the start of the
+    /// fault phase; the last one ends the last fault.
+    #[must_use]
+    pub fn timeline(&self) -> Vec<(Duration, FaultAction)> {
+        let mut timeline = Vec::new();
+        for event in &self.events {
+            match *event {
+                FaultEvent::Partition { node, at, duration } => {
+                    timeline.push((at, FaultAction::Block(node)));
+                    timeline.push((at + duration, FaultAction::Unblock(node)));
+                }
+                FaultEvent::CrashRestart { node, at, downtime } => {
+                    timeline.push((at.saturating_sub(DRAIN), FaultAction::Drain(node)));
+                    timeline.push((at, FaultAction::Kill(node)));
+                    timeline.push((at + downtime, FaultAction::Restart));
+                }
+            }
+        }
+        timeline.sort_by_key(|(at, _)| *at);
+        timeline
     }
 }
 
@@ -394,6 +436,15 @@ mod tests {
         assert_ne!(partitioned, 0, "bootstrap is never a victim");
         assert_ne!(crashed, 0, "bootstrap is never a victim");
         assert_ne!(partitioned, crashed, "victims must differ");
+        let timeline = a.timeline();
+        assert_eq!(timeline.len(), 5);
+        assert!(timeline.windows(2).all(|pair| pair[0].0 <= pair[1].0), "{timeline:?}");
+        let at = |action| timeline.iter().find(|(_, a)| *a == action).map(|(at, _)| *at);
+        assert_eq!(
+            at(FaultAction::Kill(crashed)),
+            at(FaultAction::Drain(crashed)).map(|t| t + DRAIN)
+        );
+        assert_eq!(timeline.last().map(|(_, action)| *action), Some(FaultAction::Restart));
         assert_ne!(
             FaultPlan::generate(8, 3).events,
             a.events,

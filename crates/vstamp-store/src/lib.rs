@@ -73,7 +73,7 @@ pub use cluster::{
 };
 pub use failure::{PhiAccrual, PhiConfig};
 pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
-pub use node::{Node, NodeClient, NodeConfig, NodeStatus};
+pub use node::{Node, NodeClient, NodeConfig, NodeCore, NodeStatus};
 pub use store::{DeltaOrigin, GetResult, Key, KeySnapshot, StoredVersion, Value, Version};
 pub use transport::{recv_envelope, send_envelope, Backoff, PeerLink, TransportConfig};
 pub use wire::{

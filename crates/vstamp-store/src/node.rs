@@ -1,17 +1,22 @@
 //! A real serving process: one OS process, one TCP listener, one
 //! single-replica store, gossiping with peers over loopback TCP.
 //!
-//! Each [`Node`] owns a `Cluster<VstampBackend>` with exactly one replica
-//! and is the socket transport of the store's one exchange engine: the
-//! gossip loop calls [`Cluster::pull`] with a closure that round-trips each
-//! envelope over a [`PeerLink`] — whose [`PullCursor`] lives and dies with
-//! the link — and the server side hands every Probe, Want and NAK frame to
-//! [`Cluster::serve`]. The protocol, the batched
-//! apply and the wire counters ([`Cluster::gossip_stats`]) are therefore
-//! exactly those of the in-process [`Cluster::anti_entropy`]; this module
-//! adds only what a process needs on top — framing by the
-//! [`transport`](crate::transport) module, membership, failure detection
-//! and the client operations.
+//! A node is two layers. [`NodeCore`] makes every decision and does no
+//! I/O: it learns the time only as a `now_ms` argument and reaches a peer
+//! only through a `dial(peer, envelope) -> reply` closure, so `vstamp-sim`'s
+//! `node_sim` test runs whole clusters of cores under a virtual clock.
+//! [`Node`] is the socket shell: it owns the listener, the threads, one
+//! [`PeerLink`] per peer and the clock, and its loops are `recv → handle →
+//! send` per connection and `sleep → gossip_round`.
+//!
+//! A core owns a `Cluster<VstampBackend>` with one replica. Each gossip
+//! round is a [`Cluster::pull`] from one live peer under that member's
+//! [`PullCursor`], with `dial` as the transport, and the core hands every
+//! Probe, Want and NAK frame it receives to [`Cluster::serve`]: protocol,
+//! batched apply and wire counters ([`Cluster::gossip_stats`]) are those of
+//! the in-process [`Cluster::anti_entropy`]. This module adds membership,
+//! failure detection and the client operations; [`transport`](crate::transport)
+//! frames the envelopes.
 //!
 //! ## Identity discipline
 //!
@@ -27,7 +32,8 @@
 //!   the key's universe at the *id* of the other — key elements are ids
 //!   cut from the membership stamp, never stamps — and records the lent
 //!   id in the member entry's `spent` footprint. Later joiners therefore
-//!   always land *outside* every existing key universe.
+//!   always land *outside* every existing key universe. The member
+//!   register itself is rooted this way at bootstrap.
 //! * When the failure detector evicts a member,
 //!   [`vstamp_core::retire_identity`] collapses the
 //!   survivor's membership stamp against the table's evidence: every
@@ -52,6 +58,15 @@
 //! let it replicate before another node writes it (the harness and the
 //! benchmark do) never hit this. ROADMAP item 4 tracks the fix, and
 //! `a_double_rooted_key_keeps_both_first_writes` reproduces the loss.
+//!
+//! ## The member register has one writer
+//!
+//! The table replicates under the reserved [`MEMBERS_KEY`], which clients
+//! cannot write. Rooting a key, sponsoring a join, evicting a member and
+//! retiring an identity only change the in-memory table and mark the own
+//! entry dirty. [`NodeCore::gossip_round`] alone refreshes the own entry,
+//! writes the register (at most once a round) and decodes it (only when
+//! its snapshot changed or the table is dirty: an idle node decodes none).
 //!
 //! ## Failure model
 //!
@@ -81,8 +96,10 @@ use crate::backend::{StoreBackend, VstampBackend};
 use crate::cluster::{invalid, Cluster, PullCursor};
 use crate::failure::{PhiAccrual, PhiConfig};
 use crate::membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
-use crate::store::Value;
-use crate::transport::{recv_envelope, send_envelope, PeerLink, TransportConfig};
+#[cfg(test)]
+use crate::store::counted;
+use crate::store::{KeySnapshot, Value};
+use crate::transport::{recv_envelope, send_envelope, splitmix64, PeerLink, TransportConfig};
 use crate::wire::{Envelope, MessageKind};
 
 /// Tuning of one [`Node`].
@@ -195,10 +212,13 @@ impl NodeStatus {
 
 /// Mutable node state behind one coarse lock: the membership stamp, the
 /// spent-root footprint, the member table and the failure detectors.
+#[derive(Debug, Default)]
 struct NodeState {
     identity: VersionStamp,
     spent: PackedName,
     table: MemberTable,
+    /// The table is ahead of the register: the next gossip round writes.
+    dirty: bool,
     detectors: HashMap<String, PhiAccrual>,
     suspected_since: HashMap<String, u64>,
     gen: u64,
@@ -206,90 +226,68 @@ struct NodeState {
     evictions: usize,
 }
 
-struct NodeInner {
+/// What only [`NodeCore::gossip_round`] touches — the peer-selection
+/// stream, a pull cursor per active member and the register snapshot the
+/// table last merged or wrote; its lock also keeps rounds from overlapping.
+#[derive(Debug, Default)]
+struct Gossip {
+    rng: u64,
+    cursors: HashMap<String, PullCursor>,
+    register: Option<Arc<KeySnapshot<VstampBackend>>>,
+}
+
+/// Everything one cluster member decides, with no sockets, threads or
+/// clock: time arrives as `now_ms` and peers are reached through a `dial`
+/// closure. [`Node`] runs one behind real sockets.
+#[derive(Debug)]
+pub struct NodeCore {
     config: NodeConfig,
     addr: String,
-    local_addr: String,
     port: u16,
     cluster: Cluster<VstampBackend>,
     state: Mutex<NodeState>,
-    shutdown: AtomicBool,
-    epoch: Instant,
-}
-
-/// A node's two long-lived threads, taken and joined by
-/// [`Node::shutdown`].
-struct Workers {
-    acceptor: JoinHandle<()>,
-    gossip: JoinHandle<()>,
-}
-
-/// One cluster member: a TCP listener, a single-replica store, a gossip
-/// loop and a membership stamp. Created by [`Node::bootstrap`] (first
-/// process) or [`Node::join`] (every other process).
-pub struct Node {
-    inner: Arc<NodeInner>,
-    workers: Mutex<Option<Workers>>,
-}
-
-impl std::fmt::Debug for Node {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node").field("addr", &self.inner.addr).finish_non_exhaustive()
-    }
+    gossip: Mutex<Gossip>,
 }
 
 fn port_of(addr: &str) -> u16 {
     addr.rsplit(':').next().and_then(|p| p.parse().ok()).unwrap_or(0)
 }
 
-impl Node {
-    /// Starts the first member of a fresh cluster: identity is the seed
-    /// stamp, and the member table is created as a stamp-rooted key so
-    /// every later joiner replicates it like ordinary data.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the listener cannot bind.
-    pub fn bootstrap(config: NodeConfig) -> io::Result<Node> {
-        let (listener, addr, local_addr) = Node::bind(&config)?;
+impl NodeCore {
+    /// The first member of a fresh cluster, advertised as `addr`: its
+    /// identity is the seed stamp, and it roots the member register like
+    /// any key, so every later joiner replicates it like ordinary data.
+    #[must_use]
+    pub fn bootstrap(config: NodeConfig, addr: String) -> NodeCore {
         let identity = VersionStamp::seed();
-        let node = Node::start(config, listener, addr, local_addr, identity, MemberTable::new());
-        {
-            let inner = Arc::clone(&node.inner);
-            let mut state = inner.state.lock();
-            let own_id = state.identity.id_name().clone();
-            state.table.put_entry(MemberEntry::active(inner.addr.clone(), own_id));
-            inner.mint_members_key(&mut state);
-        }
-        Ok(node)
+        let mut table = MemberTable::new();
+        table.put_entry(MemberEntry::active(addr.clone(), identity.id_name().clone()));
+        let core = NodeCore::new(config, addr, identity, table);
+        core.ensure_key(MEMBERS_KEY);
+        core
     }
 
-    /// Joins an existing cluster by dialing `sponsor`: the sponsor forks
-    /// its membership stamp and this node adopts the returned half as its
-    /// identity — no allocator, no coordinator. The member table (and all
-    /// data) then arrives through ordinary gossip.
+    /// Joins as `addr` by a [`MessageKind::Join`] to `sponsor` over `dial`:
+    /// the sponsor forks its membership stamp and this core adopts the
+    /// returned half as its identity. The register and all data then
+    /// arrive through ordinary gossip.
     ///
     /// # Errors
     ///
-    /// Fails if the listener cannot bind or the sponsor cannot be
-    /// reached within the transport's dial budget.
-    pub fn join(config: NodeConfig, sponsor: &str) -> io::Result<Node> {
-        let (listener, addr, local_addr) = Node::bind(&config)?;
+    /// Whatever `dial` fails with, or `InvalidData` for a bad `JoinAck`.
+    pub fn join(
+        config: NodeConfig,
+        addr: String,
+        sponsor: &str,
+        mut dial: impl FnMut(&str, Envelope) -> io::Result<Envelope>,
+    ) -> io::Result<NodeCore> {
         let mut payload = Vec::new();
         write_frame(&mut payload, addr.as_bytes());
         let request = Envelope { kind: MessageKind::Join, from: port_of(&addr) as usize, payload };
-        let mut link = PeerLink::new(sponsor.to_owned(), config.transport, config.seed);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let reply = loop {
-            match link.request(&request) {
-                Ok(reply) if reply.kind == MessageKind::JoinAck => break reply,
-                Ok(_) => return Err(invalid("sponsor sent a non-JoinAck reply")),
-                Err(_) if Instant::now() < deadline => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(error) => return Err(error),
-            }
-        };
+        let reply = dial(sponsor, request)?;
+        if reply.kind != MessageKind::JoinAck {
+            return Err(invalid("sponsor sent a non-JoinAck reply"));
+        }
         let mut input = reply.payload.as_slice();
         let identity = VarintCodec
             .decode_stamp(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
@@ -297,121 +295,26 @@ impl Node {
         let table =
             MemberTable::decode(read_frame(&mut input).map_err(|_| invalid("short JoinAck"))?)
                 .map_err(|_| invalid("JoinAck table did not decode"))?;
-        Ok(Node::start(config, listener, addr, local_addr, identity, table))
+        Ok(NodeCore::new(config, addr, identity, table))
     }
 
-    fn bind(config: &NodeConfig) -> io::Result<(TcpListener, String, String)> {
-        let listener = TcpListener::bind(&config.bind_addr)?;
-        let bound = listener.local_addr()?.to_string();
-        let addr = config.advertise_addr.clone().unwrap_or_else(|| bound.clone());
-        Ok((listener, addr, bound))
-    }
-
-    fn start(
-        config: NodeConfig,
-        listener: TcpListener,
-        addr: String,
-        local_addr: String,
-        identity: VersionStamp,
-        table: MemberTable,
-    ) -> Node {
-        let port = port_of(&addr);
-        let cluster = Cluster::new(VstampBackend::gc(), 1, config.shards.max(1));
-        let inner = Arc::new(NodeInner {
+    fn new(config: NodeConfig, addr: String, identity: VersionStamp, table: MemberTable) -> Self {
+        NodeCore {
+            port: port_of(&addr),
+            cluster: Cluster::new(VstampBackend::gc(), 1, config.shards.max(1)),
+            state: Mutex::new(NodeState { identity, table, ..NodeState::default() }),
+            gossip: Mutex::new(Gossip {
+                rng: config.seed ^ 0x9E37_79B9_7F4A_7C15,
+                ..Gossip::default()
+            }),
             config,
             addr,
-            local_addr,
-            port,
-            cluster,
-            state: Mutex::new(NodeState {
-                identity,
-                spent: PackedName::empty(),
-                table,
-                detectors: HashMap::new(),
-                suspected_since: HashMap::new(),
-                gen: 0,
-                retirements: 0,
-                evictions: 0,
-            }),
-            shutdown: AtomicBool::new(false),
-            epoch: Instant::now(),
-        });
-        let workers = Workers {
-            acceptor: thread::spawn({
-                let inner = Arc::clone(&inner);
-                move || inner.accept_loop(listener)
-            }),
-            gossip: thread::spawn({
-                let inner = Arc::clone(&inner);
-                move || inner.gossip_loop()
-            }),
-        };
-        Node { inner, workers: Mutex::new(Some(workers)) }
+        }
     }
 
-    /// The node's advertised address (what peers and the member table
-    /// use).
-    #[must_use]
-    pub fn addr(&self) -> &str {
-        &self.inner.addr
-    }
-
-    /// The listener's actual bound address. Equal to [`Node::addr`]
-    /// unless an `advertise_addr` (say, a fault-injecting proxy) was
-    /// configured — clients that must bypass the advertised path dial
-    /// this one.
-    #[must_use]
-    pub fn local_addr(&self) -> &str {
-        &self.inner.local_addr
-    }
-
-    /// A local status snapshot — same contents a remote
-    /// [`MessageKind::Status`] request returns.
+    /// A status snapshot — what a [`MessageKind::Status`] request returns.
     #[must_use]
     pub fn status(&self) -> NodeStatus {
-        self.inner.status()
-    }
-
-    /// Direct handle to the node's store, for in-process tests.
-    #[must_use]
-    pub fn cluster(&self) -> &Cluster<VstampBackend> {
-        &self.inner.cluster
-    }
-
-    /// Stops the accept and gossip loops and joins them. Connection
-    /// handler threads notice the flag within one I/O timeout and exit on
-    /// their own.
-    ///
-    /// The acceptor is parked in a blocking `accept`; one connection to
-    /// the bound address (the advertised one may be a proxy) wakes it to
-    /// see the flag. Should that dial fail, the acceptor is left detached
-    /// instead of joined, so shutdown never hangs on it.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        let mut workers = self.workers.lock();
-        let Some(Workers { acceptor, gossip }) = workers.take() else { return };
-        let woken = self.inner.local_addr.parse::<SocketAddr>().is_ok_and(|addr| {
-            TcpStream::connect_timeout(&addr, self.inner.config.transport.connect_timeout).is_ok()
-        });
-        if woken {
-            let _ = acceptor.join();
-        }
-        let _ = gossip.join();
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl NodeInner {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    fn status(&self) -> NodeStatus {
         // Shard locks are not taken under the state lock.
         let digest_root = self.cluster.digest_root(0);
         let state = self.state.lock();
@@ -429,117 +332,123 @@ impl NodeInner {
         }
     }
 
-    /// Creates the member-table key, rooted — like every key — at a
-    /// fresh fork half of the membership stamp.
-    fn mint_members_key(&self, state: &mut NodeState) {
-        let (keep, lend) = state.identity.fork();
-        if self.cluster.create_key_rooted(MEMBERS_KEY, lend.id_name()) {
-            state.identity = keep;
-            state.spent = state.spent.join(lend.id_name());
-            self.refresh_own_entry(state);
-            self.write_members(state);
+    /// One gossip round at `now_ms`: sync the table with the register (its
+    /// one writer), pull from one live peer over `dial` under that peer's
+    /// cursor, then sweep for failures.
+    pub fn gossip_round(
+        &self,
+        now_ms: u64,
+        mut dial: impl FnMut(&str, Envelope) -> io::Result<Envelope>,
+    ) {
+        let mut gossip = self.gossip.lock();
+        let Gossip { rng, cursors, register } = &mut *gossip;
+        self.sync_membership(register);
+        let peers = self.state.lock().table.live_peers(&self.addr);
+        cursors.retain(|peer, _| peers.contains(peer));
+        if !peers.is_empty() {
+            let peer = &peers[(splitmix64(rng) % peers.len() as u64) as usize];
+            let cursor = cursors.entry(peer.clone()).or_default();
+            // Peers read the sender's port out of `from` (the heartbeat
+            // source); the engine knows only replica 0.
+            let from = self.port as usize;
+            let pulled =
+                self.cluster.pull(0, cursor, |request| dial(peer, Envelope { from, ..request }));
+            if pulled.is_ok() {
+                self.feed_heartbeat(peer, now_ms);
+            }
         }
+        self.sweep_failures(now_ms);
     }
 
-    /// First local touch of `key`: fork a root off the membership stamp,
-    /// record it as spent, publish the updated entry. No-op if the key
-    /// already exists (locally created or adopted from a peer's delta).
+    /// First local touch of `key`: fork a root off the membership stamp
+    /// and record it as spent. No-op if the key already exists (locally
+    /// created or adopted from a peer's delta).
     fn ensure_key(&self, key: &str) {
-        if key == MEMBERS_KEY || self.cluster.has_key(key) {
-            return;
-        }
-        let mut state = self.state.lock();
         if self.cluster.has_key(key) {
             return;
         }
+        let mut state = self.state.lock();
         let (keep, lend) = state.identity.fork();
         if self.cluster.create_key_rooted(key, lend.id_name()) {
             state.identity = keep;
             state.spent = state.spent.join(lend.id_name());
-            self.refresh_own_entry(&mut state);
-            self.write_members(&mut state);
+            state.dirty = true;
         }
     }
 
     /// Rewrites this node's own table entry from the current identity and
     /// spent footprint, bumping the generation so the rewrite wins merges.
+    /// An eviction mark stays: it is sticky everywhere else too.
     fn refresh_own_entry(&self, state: &mut NodeState) {
         state.gen += 1;
         let entry = MemberEntry {
             addr: self.addr.clone(),
             id: state.identity.id_name().clone(),
             spent: state.spent.clone(),
-            status: MemberStatus::Active,
+            status: state.table.entry(&self.addr).map_or(MemberStatus::Active, |e| e.status),
             gen: state.gen,
         };
         state.table.put_entry(entry);
     }
 
-    /// Publishes the in-memory table into the replicated register, if the
-    /// members key exists locally yet (a joiner adopts it via gossip).
-    fn write_members(&self, state: &mut NodeState) {
-        if !self.cluster.has_key(MEMBERS_KEY) {
+    /// Unless the register is the snapshot `seen` last and the table is
+    /// clean: merges the register's siblings into the table, retires space
+    /// freed by newly seen evictions, and writes the table back if the
+    /// register lacks it.
+    fn sync_membership(&self, seen: &mut Option<Arc<KeySnapshot<VstampBackend>>>) {
+        let read = self.cluster.get(0, MEMBERS_KEY);
+        let fresh = read.snapshot().map(Arc::as_ptr) != seen.as_ref().map(Arc::as_ptr);
+        if !fresh && !self.state.lock().dirty {
             return;
         }
-        let read = self.cluster.get(0, MEMBERS_KEY);
-        self.cluster.put(0, MEMBERS_KEY, state.table.encode(), read.context());
-    }
-
-    /// Folds the replicated register into the in-memory table (resolving
-    /// any siblings by lattice merge), writes back when something new was
-    /// learned, and retires identity space freed by newly seen evictions.
-    fn sync_membership(&self) {
-        if !self.cluster.has_key(MEMBERS_KEY) {
-            return;
-        }
-        let read = self.cluster.get(0, MEMBERS_KEY);
+        *seen = read.snapshot().cloned();
+        #[cfg(test)]
+        counted::REGISTER_DECODES.with(|n| n.set(n.get() + read.live_len() as u64));
         let siblings: Vec<MemberTable> =
             read.iter_values().filter_map(|value| MemberTable::decode(value).ok()).collect();
         let mut state = self.state.lock();
-        let mut merged = state.table.clone();
+        let evicted = state.table.evicted().len();
         for sibling in &siblings {
-            merged.merge(sibling);
+            state.table.merge(sibling);
         }
-        // Settled once some replicated sibling already carries the full
-        // merged table. Writing to *collapse* equal-content siblings would
-        // ping-pong forever (every collapse write races the peer's and
-        // spawns fresh siblings); leaving them is harmless — readers merge
-        // all siblings, and the version set itself converges.
-        let settled = siblings.contains(&merged);
-        let newly_evicted = merged.evicted().len() > state.table.evicted().len();
-        state.table = merged;
-        if !settled {
-            let bytes = state.table.encode();
-            self.cluster.put(0, MEMBERS_KEY, bytes, read.context());
-        }
-        if newly_evicted {
+        if state.table.evicted().len() > evicted {
             // Retirement runs only on eviction events: each pass also
             // reabsorbs the caller's own lent-out key roots, so running
             // it eagerly would churn the member table for no gain.
             self.maybe_retire(&mut state);
         }
+        if std::mem::take(&mut state.dirty) {
+            self.refresh_own_entry(&mut state);
+        }
+        // Settled once some sibling carries the whole table: writing to
+        // *collapse* equal-content siblings would ping-pong forever (each
+        // collapse write races the peer's), and readers merge them anyway.
+        // A joiner that has not adopted the register yet must not write:
+        // its write would root a second register.
+        if siblings.contains(&state.table) || !self.cluster.has_key(MEMBERS_KEY) {
+            return;
+        }
+        self.cluster.put(0, MEMBERS_KEY, state.table.encode(), read.context());
+        *seen = self.cluster.get(0, MEMBERS_KEY).snapshot().cloned();
     }
 
     /// Recomputes the membership stamp against the table's retirement
-    /// evidence; on any shrink, adopts it and republishes the own entry.
+    /// evidence; on any shrink, adopts it and marks the own entry dirty.
     fn maybe_retire(&self, state: &mut NodeState) {
-        let evidence: Vec<_> = state.table.evidence_for(&self.addr).into_iter().collect();
-        let retired = retire_identity(&state.identity, evidence.iter());
+        let retired = retire_identity(&state.identity, &state.table.evidence_for(&self.addr));
         if retired != state.identity {
             state.identity = retired;
             state.retirements += 1;
-            self.refresh_own_entry(state);
-            self.write_members(state);
+            state.dirty = true;
         }
     }
 
-    /// Records a frame from `addr` as a heartbeat — if `addr` is an active
-    /// member. The address of an inbound frame is whatever the peer wrote
-    /// into it, so anything else is ignored: detector state is bounded by
-    /// the member table (members never heard from get their prior in
-    /// [`NodeInner::sweep_failures`]).
-    fn feed_heartbeat(&self, addr: &str) {
-        let now = self.now_ms();
+    /// Records a frame from `addr` at `now_ms` as a heartbeat — if `addr`
+    /// is an active member. The address of an inbound frame is whatever the
+    /// peer wrote into it, so anything else is ignored: detector state is
+    /// bounded by the member table (members never heard from get their
+    /// prior in [`NodeCore::sweep_failures`]).
+    fn feed_heartbeat(&self, addr: &str, now_ms: u64) {
         let mut state = self.state.lock();
         if !state.table.entry(addr).is_some_and(|entry| entry.status == MemberStatus::Active) {
             return;
@@ -549,14 +458,13 @@ impl NodeInner {
             .detectors
             .entry(addr.to_owned())
             .or_insert_with(|| PhiAccrual::new(phi))
-            .heartbeat(now);
+            .heartbeat(now_ms);
     }
 
-    /// Suspicion sweep: seeds a conservative prior for members never
-    /// heard from, evicts anyone suspected beyond the grace period, and
-    /// retires the identity space that frees up.
-    fn sweep_failures(&self) {
-        let now = self.now_ms();
+    /// Suspicion sweep at `now`: seeds a conservative prior for members
+    /// never heard from, evicts anyone suspected beyond the grace period,
+    /// and retires the identity space that frees up.
+    fn sweep_failures(&self, now: u64) {
         let grace = self.config.eviction_grace.as_millis() as u64;
         let prior = (self.config.gossip_interval.as_millis() as u64 * 4).max(1);
         let mut state = self.state.lock();
@@ -588,100 +496,19 @@ impl NodeInner {
             }
         }
         if evicted_any {
-            self.write_members(&mut state);
+            state.dirty = true;
             self.maybe_retire(&mut state);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Gossip (requester side)
-    // ------------------------------------------------------------------
-
-    fn gossip_loop(self: Arc<Self>) {
-        let mut rng = self.config.seed ^ 0x9E37_79B9_7F4A_7C15;
-        // A link and how far this node has pulled from the peer behind it.
-        let mut links: HashMap<String, (PeerLink, PullCursor)> = HashMap::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            thread::sleep(self.config.gossip_interval);
-            self.sync_membership();
-            let peers = self.state.lock().table.live_peers(&self.addr);
-            if let Some(peer) = pick(&peers, &mut rng) {
-                let (link, cursor) = links.entry(peer.clone()).or_insert_with(|| {
-                    let link =
-                        PeerLink::new(peer.clone(), self.config.transport, splitmix(&mut rng));
-                    (link, PullCursor::default())
-                });
-                // Peers read the sender's port out of `from` (the
-                // heartbeat source); the engine knows only replica 0.
-                let from = self.port as usize;
-                let pulled = self
-                    .cluster
-                    .pull(0, cursor, |request| link.request(&Envelope { from, ..request }));
-                if pulled.is_ok() {
-                    self.feed_heartbeat(&peer);
-                }
-            }
-            links.retain(|addr, _| {
-                self.state
-                    .lock()
-                    .table
-                    .entry(addr)
-                    .map_or(true, |e| e.status == MemberStatus::Active)
-            });
-            self.sweep_failures();
+    /// Answers one request received at `now_ms`, a member's (`from` ≠ 0)
+    /// doubling as its heartbeat. `None` drops the connection: a malformed
+    /// request, a response kind, or a client write to [`MEMBERS_KEY`].
+    pub fn handle(&self, request: Envelope, now_ms: u64) -> Option<Envelope> {
+        if request.from != 0 {
+            // Clients send from = 0 and stay out of the failure detector.
+            self.feed_heartbeat(&format!("127.0.0.1:{}", request.from), now_ms);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Server side
-    // ------------------------------------------------------------------
-
-    /// Blocks in `accept`; [`Node::shutdown`] dials in to wake it.
-    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
-        for stream in listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match stream {
-                Ok(stream) => {
-                    let inner = Arc::clone(&self);
-                    thread::spawn(move || inner.serve_connection(stream));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(20)),
-            }
-        }
-    }
-
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.config.transport.io_timeout));
-        let _ = stream.set_write_timeout(Some(self.config.transport.io_timeout));
-        while !self.shutdown.load(Ordering::SeqCst) {
-            let request = match recv_envelope(&mut stream) {
-                Ok(envelope) => envelope,
-                // A timeout between frames: idle, retry. One mid-frame
-                // comes back as `InvalidData` and drops the connection.
-                Err(error)
-                    if error.kind() == io::ErrorKind::WouldBlock
-                        || error.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => return,
-            };
-            if request.from != 0 {
-                // Any member frame doubles as a heartbeat; clients send
-                // from = 0 and stay out of the failure detector.
-                self.feed_heartbeat(&format!("127.0.0.1:{}", request.from));
-            }
-            let Some(reply) = self.handle(request) else { return };
-            if send_envelope(&mut stream, &reply).is_err() {
-                return;
-            }
-        }
-    }
-
-    fn handle(&self, request: Envelope) -> Option<Envelope> {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
@@ -695,9 +522,8 @@ impl NodeInner {
                 let mut state = self.state.lock();
                 let (keep, give) = state.identity.fork();
                 state.identity = keep;
-                self.refresh_own_entry(&mut state);
+                state.dirty = true;
                 state.table.put_entry(MemberEntry::active(joiner, give.id_name().clone()));
-                self.write_members(&mut state);
                 let mut payload = Vec::new();
                 write_frame(&mut payload, &VarintCodec.encode_stamp(&give));
                 write_frame(&mut payload, &state.table.encode());
@@ -727,6 +553,9 @@ impl NodeInner {
             MessageKind::Put => {
                 let mut input = request.payload.as_slice();
                 let key = String::from_utf8(read_frame(&mut input).ok()?.to_vec()).ok()?;
+                if key == MEMBERS_KEY {
+                    return None;
+                }
                 let value = read_frame(&mut input).ok()?.to_vec();
                 let (flag, mut rest) = input.split_first()?;
                 let context = if *flag == 1 {
@@ -750,20 +579,188 @@ impl NodeInner {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One cluster member: a [`NodeCore`] behind a TCP listener, a thread per
+/// connection and a gossip thread. Created by [`Node::bootstrap`] (first
+/// process) or [`Node::join`] (every other process).
+#[derive(Debug)]
+pub struct Node {
+    core: Arc<NodeCore>,
+    local_addr: String,
+    shutdown: Arc<AtomicBool>,
+    /// The acceptor and gossip threads, taken and joined by [`Node::shutdown`].
+    workers: Mutex<Option<(JoinHandle<()>, JoinHandle<()>)>>,
 }
 
-fn pick(peers: &[String], rng: &mut u64) -> Option<String> {
-    if peers.is_empty() {
-        return None;
+impl Node {
+    /// Starts the first member of a fresh cluster ([`NodeCore::bootstrap`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the listener cannot bind.
+    pub fn bootstrap(config: NodeConfig) -> io::Result<Node> {
+        let (listener, addr, local_addr) = Node::bind(&config)?;
+        Ok(Node::start(NodeCore::bootstrap(config, addr), listener, local_addr))
     }
-    let index = (splitmix(rng) % peers.len() as u64) as usize;
-    Some(peers[index].clone())
+
+    /// Joins through `sponsor` ([`NodeCore::join`]), retrying for ten seconds.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the listener cannot bind or the sponsor stays unreachable.
+    pub fn join(config: NodeConfig, sponsor: &str) -> io::Result<Node> {
+        let (listener, addr, local_addr) = Node::bind(&config)?;
+        let mut link = PeerLink::new(sponsor.to_owned(), config.transport, config.seed);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let core = NodeCore::join(config, addr, sponsor, |_, request| loop {
+            match link.request(&request) {
+                Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(20)),
+                outcome => break outcome,
+            }
+        })?;
+        Ok(Node::start(core, listener, local_addr))
+    }
+
+    fn bind(config: &NodeConfig) -> io::Result<(TcpListener, String, String)> {
+        let listener = TcpListener::bind(&config.bind_addr)?;
+        let bound = listener.local_addr()?.to_string();
+        let addr = config.advertise_addr.clone().unwrap_or_else(|| bound.clone());
+        Ok((listener, addr, bound))
+    }
+
+    fn start(core: NodeCore, listener: TcpListener, local_addr: String) -> Node {
+        let core = Arc::new(core);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        // The node's clock: every `now_ms` handed to the core counts from here.
+        let epoch = Instant::now();
+        let (acceptor_core, acceptor_shutdown) = (Arc::clone(&core), Arc::clone(&shutdown));
+        let (gossip_core, gossip_shutdown) = (Arc::clone(&core), Arc::clone(&shutdown));
+        let workers = (
+            thread::spawn(move || accept_loop(&acceptor_core, listener, &acceptor_shutdown, epoch)),
+            thread::spawn(move || gossip_loop(&gossip_core, &gossip_shutdown, epoch)),
+        );
+        Node { core, local_addr, shutdown, workers: Mutex::new(Some(workers)) }
+    }
+
+    /// The node's advertised address (what peers and the member table
+    /// use).
+    #[must_use]
+    pub fn addr(&self) -> &str {
+        &self.core.addr
+    }
+
+    /// The listener's actual bound address. Equal to [`Node::addr`]
+    /// unless an `advertise_addr` (say, a fault-injecting proxy) was
+    /// configured — clients that must bypass the advertised path dial
+    /// this one.
+    #[must_use]
+    pub fn local_addr(&self) -> &str {
+        &self.local_addr
+    }
+
+    /// A local status snapshot — same contents a remote
+    /// [`MessageKind::Status`] request returns.
+    #[must_use]
+    pub fn status(&self) -> NodeStatus {
+        self.core.status()
+    }
+
+    /// Direct handle to the node's store, for in-process tests.
+    #[must_use]
+    pub fn cluster(&self) -> &Cluster<VstampBackend> {
+        &self.core.cluster
+    }
+
+    /// Stops the accept and gossip loops and joins them. Connection
+    /// handler threads notice the flag within one I/O timeout and exit on
+    /// their own.
+    ///
+    /// The acceptor is parked in a blocking `accept`; one connection to
+    /// the bound address (the advertised one may be a proxy) wakes it to
+    /// see the flag. Should that dial fail, the acceptor is left detached
+    /// instead of joined, so shutdown never hangs on it.
+    pub fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let mut workers = self.workers.lock();
+        let Some((acceptor, gossip)) = workers.take() else { return };
+        let woken = self.local_addr.parse::<SocketAddr>().is_ok_and(|addr| {
+            TcpStream::connect_timeout(&addr, self.core.config.transport.connect_timeout).is_ok()
+        });
+        if woken {
+            let _ = acceptor.join();
+        }
+        let _ = gossip.join();
+    }
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// `sleep → gossip_round`, with one [`PeerLink`] per peer ever dialed (at
+/// most one per member-table entry) as the core's `dial`.
+fn gossip_loop(core: &NodeCore, shutdown: &AtomicBool, epoch: Instant) {
+    let config = &core.config;
+    let mut seeds = config.seed;
+    let mut links: HashMap<String, PeerLink> = HashMap::new();
+    while !shutdown.load(Ordering::SeqCst) {
+        thread::sleep(config.gossip_interval);
+        core.gossip_round(epoch.elapsed().as_millis() as u64, |peer, request| {
+            links
+                .entry(peer.to_owned())
+                .or_insert_with(|| PeerLink::new(peer, config.transport, splitmix64(&mut seeds)))
+                .request(&request)
+        });
+    }
+}
+
+/// Blocks in `accept`; [`Node::shutdown`] dials in to wake it.
+fn accept_loop(
+    core: &Arc<NodeCore>,
+    listener: TcpListener,
+    shutdown: &Arc<AtomicBool>,
+    epoch: Instant,
+) {
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
+                let (core, shutdown) = (Arc::clone(core), Arc::clone(shutdown));
+                thread::spawn(move || serve_connection(&core, stream, &shutdown, epoch));
+            }
+            Err(_) => thread::sleep(Duration::from_millis(20)),
+        }
+    }
+}
+
+/// `recv → handle → send` until the peer leaves, a frame stalls or the
+/// core refuses a request.
+fn serve_connection(core: &NodeCore, mut stream: TcpStream, shutdown: &AtomicBool, epoch: Instant) {
+    let io_timeout = Some(core.config.transport.io_timeout);
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(io_timeout);
+    let _ = stream.set_write_timeout(io_timeout);
+    while !shutdown.load(Ordering::SeqCst) {
+        let request = match recv_envelope(&mut stream) {
+            Ok(envelope) => envelope,
+            // A timeout between frames: idle, retry. One mid-frame
+            // comes back as `InvalidData` and drops the connection.
+            Err(error)
+                if error.kind() == io::ErrorKind::WouldBlock
+                    || error.kind() == io::ErrorKind::TimedOut =>
+            {
+                continue;
+            }
+            Err(_) => return,
+        };
+        let Some(reply) = core.handle(request, epoch.elapsed().as_millis() as u64) else { return };
+        if send_envelope(&mut stream, &reply).is_err() {
+            return;
+        }
+    }
 }
 
 /// A causal client for one node: `get` returns the sibling set plus a
@@ -868,6 +865,7 @@ impl NodeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn quick_config(seed: u64) -> NodeConfig {
         NodeConfig {
@@ -877,6 +875,42 @@ mod tests {
             seed,
             ..NodeConfig::default()
         }
+    }
+
+    /// `dial` for cores wired in-process: every request lands in the
+    /// addressed core's `handle` at `now_ms`.
+    fn wired<'a>(
+        cores: &'a [&'a NodeCore],
+        now_ms: u64,
+    ) -> impl FnMut(&str, Envelope) -> io::Result<Envelope> + 'a {
+        move |peer, request| {
+            let core =
+                cores.iter().find(|core| core.addr == peer).ok_or_else(|| invalid("down"))?;
+            core.handle(request, now_ms).ok_or_else(|| invalid("refused"))
+        }
+    }
+
+    /// A client `Put` straight into `core`; whether it was acked.
+    fn put(core: &NodeCore, key: &str, value: &[u8], context: Option<&PackedName>) -> bool {
+        let mut payload = Vec::new();
+        write_frame(&mut payload, key.as_bytes());
+        write_frame(&mut payload, value);
+        payload.push(u8::from(context.is_some()));
+        if let Some(context) = context {
+            let mut clock = Vec::new();
+            core.cluster.backend().encode_clock(context, &mut clock);
+            write_frame(&mut payload, &clock);
+        }
+        core.handle(Envelope { kind: MessageKind::Put, from: 0, payload }, 0)
+            .is_some_and(|reply| reply.kind == MessageKind::PutOk)
+    }
+
+    fn register(core: &NodeCore) -> Option<Arc<KeySnapshot<VstampBackend>>> {
+        core.cluster.get(0, MEMBERS_KEY).snapshot().cloned()
+    }
+
+    fn decodes_and_lock_pairs() -> (u64, u64) {
+        (counted::REGISTER_DECODES.with(Cell::get), counted::LOCK_PAIRS.with(Cell::get))
     }
 
     #[test]
@@ -984,24 +1018,107 @@ mod tests {
 
     #[test]
     fn bogus_sender_fields_do_not_grow_detector_state() {
-        let node = Node::bootstrap(quick_config(3)).expect("bootstrap");
-        let mut stream = TcpStream::connect(node.addr()).expect("dial");
-        stream.set_nodelay(true).expect("nodelay");
+        let core = NodeCore::bootstrap(quick_config(3), "127.0.0.1:40000".into());
         // `from` is whatever the peer wrote: 10 000 distinct values, none
-        // of them a member's port (ephemeral ports start far above).
+        // of them a member's port.
         for from in 1..=10_000 {
             let request = Envelope { kind: MessageKind::Status, from, payload: Vec::new() };
-            send_envelope(&mut stream, &request).expect("send");
-            assert_eq!(recv_envelope(&mut stream).expect("reply").kind, MessageKind::StatusOk);
+            assert_eq!(
+                core.handle(request, from as u64).expect("reply").kind,
+                MessageKind::StatusOk
+            );
         }
-        let state = node.inner.state.lock();
+        let state = core.state.lock();
         assert!(
             state.detectors.len() <= state.table.len(),
             "{} detectors for {} members",
             state.detectors.len(),
             state.table.len()
         );
-        drop(state);
-        node.shutdown();
+    }
+
+    #[test]
+    fn a_client_put_to_the_member_register_is_refused() {
+        let sponsor = NodeCore::bootstrap(quick_config(5), "127.0.0.1:40000".into());
+        sponsor.gossip_round(0, |_, _| Err(invalid("alone")));
+        let joiner = NodeCore::join(
+            quick_config(6),
+            "127.0.0.1:40001".into(),
+            "127.0.0.1:40000",
+            wired(&[&sponsor], 0),
+        )
+        .expect("join");
+        // At a joiner that has not adopted the register, a write would
+        // root a second, {ε}-rooted register universe.
+        assert!(!put(&joiner, MEMBERS_KEY, b"bogus", None));
+        assert!(!joiner.cluster.has_key(MEMBERS_KEY));
+        // At the sponsor, a write carrying the register's own context
+        // would replace the table with client bytes.
+        let before = register(&sponsor).expect("bootstrap wrote the register");
+        assert!(!put(&sponsor, MEMBERS_KEY, b"bogus", Some(before.context())));
+        assert!(Arc::ptr_eq(&before, &register(&sponsor).expect("register")));
+    }
+
+    #[test]
+    fn rooting_keys_between_rounds_writes_the_register_once() {
+        let core = NodeCore::bootstrap(quick_config(7), "127.0.0.1:40000".into());
+        core.gossip_round(0, |_, _| Err(invalid("alone")));
+        let before = register(&core).expect("the first round writes the register");
+        let mut identity = core.state.lock().identity.clone();
+        let mut lends = PackedName::empty();
+        for k in 0..100 {
+            assert!(put(&core, &format!("key-{k}"), b"v", None));
+            let (keep, lend) = identity.fork();
+            lends = lends.join(lend.id_name());
+            identity = keep;
+        }
+        assert!(Arc::ptr_eq(&before, &register(&core).expect("register")), "a key wrote it");
+        let (_, pairs) = decodes_and_lock_pairs();
+        core.gossip_round(1, |_, _| Err(invalid("alone")));
+        let (_, after) = decodes_and_lock_pairs();
+        assert_eq!(after - pairs, 1, "one round, one register write");
+        let status = core.status();
+        let own = status.table.entry("127.0.0.1:40000").expect("own entry");
+        assert_eq!(&own.id, identity.id_name());
+        assert!(lends.leq(&own.spent), "spent {:?} misses lends {lends:?}", own.spent);
+        let read = core.cluster.get(0, MEMBERS_KEY);
+        let published: Vec<_> = read.iter_values().map(MemberTable::decode).collect();
+        assert_eq!(published, vec![Ok(status.table)]);
+    }
+
+    #[test]
+    fn an_idle_converged_core_decodes_nothing_until_a_peer_changes_the_table() {
+        let a = NodeCore::bootstrap(quick_config(8), "127.0.0.1:40000".into());
+        let b = NodeCore::join(
+            quick_config(9),
+            "127.0.0.1:40001".into(),
+            "127.0.0.1:40000",
+            wired(&[&a], 0),
+        )
+        .expect("join");
+        let cores = [&a, &b];
+        let mut now = 0;
+        let mut rounds = |count: usize| {
+            for _ in 0..count {
+                now += 10;
+                for core in cores {
+                    core.gossip_round(now, wired(&cores, now));
+                }
+            }
+        };
+        rounds(50);
+        assert_eq!(a.status().table, b.status().table);
+        assert_eq!(a.status().digest_root, b.status().digest_root);
+        let (decodes, _) = decodes_and_lock_pairs();
+        rounds(20);
+        assert_eq!(decodes_and_lock_pairs().0, decodes, "an idle round decoded the register");
+        // A member change at b — a key b roots — is in b's register write
+        // on b's next round; a pulls it in its round after and merges it in
+        // the one after that.
+        assert!(put(&b, "b-key", b"v", None));
+        rounds(3);
+        let entry = a.status().table.entry("127.0.0.1:40001").cloned().expect("b's entry");
+        assert_eq!(entry.spent, b.state.lock().spent);
+        assert!(decodes_and_lock_pairs().0 > decodes);
     }
 }

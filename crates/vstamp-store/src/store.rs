@@ -73,9 +73,9 @@ use vstamp_core::Relation;
 use crate::backend::StoreBackend;
 use crate::wire::DigestEntry;
 
-/// Per-thread counts of the two structural costs an edit and a batched
-/// apply amortize, so a test can pin how often one call pays them. Test
-/// builds only.
+/// Per-thread counts of the structural costs an edit, a batched apply and
+/// a node's gossip round amortize, so a test can pin how often one call
+/// pays them. Test builds only.
 #[cfg(test)]
 pub(crate) mod counted {
     use std::cell::Cell;
@@ -85,6 +85,8 @@ pub(crate) mod counted {
         pub(crate) static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
         /// (clock-plane, data-shard) lock pairs a `Cluster` took.
         pub(crate) static LOCK_PAIRS: Cell<u64> = const { Cell::new(0) };
+        /// Member-register sibling decodes (in a node's gossip round).
+        pub(crate) static REGISTER_DECODES: Cell<u64> = const { Cell::new(0) };
     }
 }
 
