@@ -278,9 +278,8 @@ fn parent_main(args: &[String]) -> i32 {
     let keys: Vec<String> = (0..knobs.keys).map(|k| format!("key-{k}")).collect();
     let mut workload = Workload::default();
     let mut rng = knobs.seed ^ 0xC0FF_EE00;
-    // Root each key exactly once, before any fault can run: a key rooted
-    // at two nodes at once can lose a first write (a known defect,
-    // ROADMAP item 4).
+    // Root each key at one node, before any fault can run (`node_sim`
+    // first-touches keys at two cores at once).
     for (k, key) in keys.iter().enumerate() {
         workload.session(&nodes[k % nodes.len()].real_addr, key, splitmix(&mut rng));
     }

@@ -23,10 +23,13 @@ use vstamp_store::{
 
 /// The harness's cadence: a gossip round every 25 ms, eviction after
 /// 1.2 s of suspicion, one client session every 20 ms, over four keys.
+/// Unlike the harness, every key is first-touched at two cores at once —
+/// the four at setup, and a fresh one every 500 ms until a crash.
 const GOSSIP_MS: u64 = 25;
 const GRACE_MS: u64 = 1_200;
 const SESSION_MS: u64 = 20;
 const KEYS: usize = 4;
+const FRESH_MS: u64 = 500;
 /// The faulty nemesis's drop rate, per mille, rolled for every request
 /// between cores and again for its reply.
 const DROP_PER_MILLE: u64 = 20;
@@ -163,7 +166,7 @@ impl Sim {
                 blocked: None,
             },
             rng: seed ^ 0xC0FF_EE00,
-            oracles: (0..KEYS).map(|_| KeyOracle::default()).collect(),
+            oracles: Vec::new(),
             acked: BTreeSet::new(),
             false_concurrency: 0,
         };
@@ -260,15 +263,41 @@ impl Sim {
         self.acked.insert(id);
     }
 
-    fn random_session(&mut self) {
-        let writable: Vec<usize> = (0..self.members.len())
+    /// A fresh key, first-touched by a session at each of `cores` before
+    /// either has gossiped it: the key is rooted twice, and both first
+    /// writes must survive as siblings.
+    fn fresh_key(&mut self, cores: [usize; 2]) {
+        let key = self.oracles.len();
+        self.oracles.push(KeyOracle::default());
+        for index in cores {
+            self.session(index, key);
+        }
+    }
+
+    fn writable(&self) -> Vec<usize> {
+        (0..self.members.len())
             .filter(|&i| self.members[i].writable && self.members[i].core.is_some())
-            .collect();
+            .collect()
+    }
+
+    fn random_fresh_key(&mut self) {
+        let writable = self.writable();
+        if writable.len() < 2 {
+            return;
+        }
+        let n = writable.len() as u64;
+        let first = splitmix(&mut self.rng) % n;
+        let second = (first + 1 + splitmix(&mut self.rng) % (n - 1)) % n;
+        self.fresh_key([writable[first as usize], writable[second as usize]]);
+    }
+
+    fn random_session(&mut self) {
+        let writable = self.writable();
         if writable.is_empty() {
             return;
         }
         let index = writable[(splitmix(&mut self.rng) % writable.len() as u64) as usize];
-        let key = (splitmix(&mut self.rng) % KEYS as u64) as usize;
+        let key = (splitmix(&mut self.rng) % self.oracles.len() as u64) as usize;
         self.session(index, key);
     }
 
@@ -292,10 +321,8 @@ struct Verdict {
 fn run(seed: u64, timeline: &[(Duration, FaultAction)], faulty: bool) -> Verdict {
     let mut sim = Sim::new(seed, faulty);
     let mut failures = Vec::new();
-    // Root each key exactly once, before any fault can run: a key rooted
-    // at two cores at once can lose a first write (ROADMAP item 4).
     for key in 0..KEYS {
-        sim.session(key % 3, key);
+        sim.fresh_key([key % 3, (key + 1) % 3]);
     }
     let settled = sim.run_until(SETTLE_MS, |sim| {
         sim.converged() && sim.statuses().iter().all(|s| s.active_members == 3)
@@ -319,17 +346,20 @@ fn run(seed: u64, timeline: &[(Duration, FaultAction)], faulty: bool) -> Verdict
                     // on only where gossip already shipped them.
                     sim.members[i].core = None;
                 }
-                FaultAction::Restart => {
-                    // A brand-new member at a new port; it never writes (a
-                    // re-rooting write before it has pulled the keys would
-                    // race the keys' first touch).
-                    sim.spawn();
-                    sim.members.last_mut().expect("just spawned").writable = false;
-                }
+                // A brand-new member at a new port, written to like any
+                // other: a write to a key it has not pulled yet roots the
+                // key a second time.
+                FaultAction::Restart => sim.spawn(),
             }
             next += 1;
         }
         if (sim.now - start) % SESSION_MS == 0 {
+            // No fresh key once a core drains for its crash: a survivor
+            // that retires and then first-touches a key lends again, which
+            // would hide the shrink the retirement gate measures.
+            if (sim.now - start) % FRESH_MS == 0 && sim.members.iter().all(|m| m.writable) {
+                sim.random_fresh_key();
+            }
             sim.random_session();
             sim.track_peaks();
         }

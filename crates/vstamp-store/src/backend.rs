@@ -300,10 +300,29 @@ pub struct VstampKeyState {
     /// check only on hash hits.
     pins: Vec<(u64, PackedName, u32)>,
     merges_since_gc: u32,
+    /// The root floor: a prefix of the element that no collapse truncates
+    /// above. `ε` for a key born in process, the root string for a key a
+    /// node rooted — the pins see only this process's share of the key, so
+    /// a second root of the key (another node's first touch) is outside
+    /// the evidence and must stay outside the element. It follows the
+    /// element into a half granted from another root ([`absorb`]). It is a
+    /// prefix, not a length: a length would let an element that moved into
+    /// a deeper foreign root truncate above that root.
+    ///
+    /// [`absorb`]: StoreBackend::absorb
+    floor: BitString,
     degraded: bool,
 }
 
 impl VstampKeyState {
+    /// Wire bits of a one-string `element` below the floor — what the bits
+    /// watermark counts, so a floored key collapses on the schedule of an
+    /// `ε`-rooted one. Each string bit is a `Node` tag (two wire bits) and
+    /// its `Empty` sibling (one).
+    fn bits_below_floor(&self, element: &PackedName) -> u32 {
+        element.encoded_bits().saturating_sub(3 * self.floor.len()) as u32
+    }
+
     /// Pins a name by reference; the owned copy is made only when a new
     /// table entry is actually inserted (refcount bumps are clone-free).
     fn pin(&mut self, name: &PackedName) {
@@ -380,7 +399,8 @@ impl VstampBackend {
     /// Runs the evidence-gated collapse on a one-string element `{s}`: the
     /// frontier-evidence collapse of `vstamp_core::gc` reduces, for a
     /// one-string id, to *truncating `s` at the shallowest prefix no pinned
-    /// name dominates* — one trie descent per pin, no set-form conversion.
+    /// name dominates* — one trie descent per pin, no set-form conversion —
+    /// and never above the key's floor.
     ///
     /// Every element of a key whose evidence is complete is one string: the
     /// fork tree, rooting, writes, detaches and absorbs all keep it so.
@@ -406,7 +426,7 @@ impl VstampBackend {
                 }
             }
         }
-        let new_len = blocked.map_or(0, |len| len + 1);
+        let new_len = blocked.map_or(0, |len| len + 1).max(state.floor.len());
         if new_len >= s.len() {
             return element.clone();
         }
@@ -420,7 +440,7 @@ impl VstampBackend {
             return None;
         }
         (state.merges_since_gc >= watermarks.merge_interval
-            || element.encoded_bits() as u32 >= watermarks.element_bits)
+            || state.bits_below_floor(element) >= watermarks.element_bits)
             .then_some(())
     }
 }
@@ -446,15 +466,15 @@ impl StoreBackend for VstampBackend {
     /// is shrunk to its shallowest string first, so every element of the
     /// key is one string from the start. Dropping id strings is sound: an
     /// id carries no event markers. The empty id owns nothing to mint from
-    /// and roots nothing.
+    /// and roots nothing. The root string is the key's floor.
     fn new_key_rooted(
         &self,
         replicas: usize,
         root: &Self::Element,
     ) -> Option<(Self::KeyState, Vec<Self::Element>)> {
-        let root = PackedName::singleton(&root.shallowest_string()?);
-        let elements = fork_tree(root, replicas);
-        let mut state = VstampKeyState::default();
+        let floor = root.shallowest_string()?;
+        let elements = fork_tree(PackedName::singleton(&floor), replicas);
+        let mut state = VstampKeyState { floor, ..VstampKeyState::default() };
         for element in &elements {
             state.pin(element);
         }
@@ -494,7 +514,7 @@ impl StoreBackend for VstampBackend {
         // evidence frees them).
         let collapsed;
         let element =
-            if self.gc.as_ref().is_some_and(|w| element.encoded_bits() as u32 >= w.element_bits)
+            if self.gc.as_ref().is_some_and(|w| state.bits_below_floor(element) >= w.element_bits)
                 && !state.degraded
             {
                 state.unpin(element);
@@ -562,6 +582,11 @@ impl StoreBackend for VstampBackend {
         // below is amortized.
         let joined = local.join(shipped);
         let s = joined.collapsed_shallowest().expect("joined live ids are non-empty");
+        // A string off the floor lies in a half granted from another root
+        // of the key: the element moved there, and the floor follows it.
+        if !state.floor.is_prefix_of(&s) {
+            state.floor = s.clone();
+        }
         let mut result = PackedName::singleton(&s);
         state.merges_since_gc += 1;
         if self.collapse_due(state, &result).is_some() {
@@ -623,11 +648,13 @@ impl StoreBackend for VstampBackend {
         // replica). The fresh universe re-mints the elements as a fork tree
         // and the surviving version's clock as {ε}, which every future
         // write strictly dominates — the bounded-timestamp recycling
-        // discipline, per key.
+        // discipline, per key. The re-mint stays under the key's floor.
         if stored_clocks.len() != 1 {
             return None;
         }
-        let (fresh_state, fresh) = self.new_key(elements.len());
+        let (fresh_state, fresh) = self
+            .new_key_rooted(elements.len(), &PackedName::singleton(&state.floor))
+            .expect("a floor is a live id");
         *state = fresh_state;
         let fresh_clock = PackedName::epsilon();
         // One pin per replica storing the surviving version.
@@ -1002,6 +1029,87 @@ mod tests {
             assert!(!state_a.is_degraded());
             if watermarks == GcWatermarks::default() {
                 assert!(deepest < 16, "the bits watermark never collapsed: depth {deepest}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_floor_follows_an_element_into_a_granted_half() {
+        /// One process's share of the key: its pin pool and its element.
+        type Share = (VstampKeyState, PackedName);
+
+        /// `from` ships a fork half to `to`, whose pool learns of the half
+        /// first, as it would if exchanges carried pin evidence. Over
+        /// today's exchange the absorb misses that pin and degrades the
+        /// key, so no collapse runs after a move at all.
+        fn grant(backend: &VstampBackend, from: &mut Share, to: &mut Share) {
+            let (kept, shipped) = backend.detach(&mut from.0, &from.1);
+            from.1 = kept;
+            to.0.pin(&shipped);
+            to.1 = backend.absorb(&mut to.0, &to.1, &shipped);
+        }
+
+        /// A write whose version stays stored; returns its clock and dot.
+        fn write(
+            backend: &VstampBackend,
+            at: &mut Share,
+            context: Option<&PackedName>,
+        ) -> (PackedName, PackedName) {
+            let (next, clock, dot) = backend.write(&mut at.0, &at.1, context);
+            backend.retain_clock(&mut at.0, &clock);
+            at.1 = next;
+            (clock, dot)
+        }
+
+        // One key rooted at once by two processes: `shallow` at a 2-bit
+        // string, `deep` at a 30-bit one. A causal chain of 40 writes
+        // deepens `shallow`'s element to 42 bits, so `deep`'s grant, 32
+        // bits deep, becomes its element. From then on a collapse at
+        // `shallow` must stay inside that half: a length floor would take
+        // it to 2 bits, above `deep`'s root, and re-mint `deep`'s dots.
+        let backend = VstampBackend::gc();
+        let deep_root: BitString = "10".repeat(15).parse().expect("a bit string");
+        let [mut shallow, mut deep] =
+            ["01".parse().expect("a bit string"), deep_root.clone()].map(|root| {
+                let root = PackedName::singleton(&root);
+                let (state, elements) = backend.new_key_rooted(1, &root).expect("roots");
+                (state, elements[0].clone())
+            });
+        let mut dots = Vec::new();
+        let mut context: Option<PackedName> = None;
+        for _ in 0..40 {
+            let (clock, dot) = write(&backend, &mut shallow, context.as_ref());
+            if let Some(superseded) = context.replace(clock) {
+                backend.release_clock(&mut shallow.0, &superseded);
+            }
+            dots.push(dot);
+        }
+        assert_eq!(shallow.1.bit_size(), 42);
+        dots.push(write(&backend, &mut deep, None).1);
+        grant(&backend, &mut deep, &mut shallow);
+        let string = |share: &Share| share.1.shallowest_string().expect("a live element");
+        let mut region = string(&shallow);
+        assert!(deep_root.is_prefix_of(&region) && region.len() == 32, "moved to {region}");
+        for step in 0..16 {
+            match step % 4 {
+                0 => grant(&backend, &mut shallow, &mut deep),
+                1 => dots.push(write(&backend, &mut shallow, None).1),
+                2 => dots.push(write(&backend, &mut deep, None).1),
+                _ => grant(&backend, &mut deep, &mut shallow),
+            }
+            let (ours, theirs) = (string(&shallow), string(&deep));
+            assert!(ours.is_incomparable_with(&theirs), "step {step}: {ours} and {theirs} overlap");
+            assert!(!ours.is_strict_prefix_of(&region), "step {step}: {ours} rose above {region}");
+            if !region.is_prefix_of(&ours) {
+                region = ours;
+            }
+        }
+        assert!(!shallow.0.is_degraded() && !deep.0.is_degraded());
+        let dots: Vec<BitString> =
+            dots.iter().map(|dot| dot.shallowest_string().expect("a dot")).collect();
+        for (i, dot) in dots.iter().enumerate() {
+            for other in &dots[i + 1..] {
+                assert!(dot.is_incomparable_with(other), "dots {dot} and {other} overlap");
             }
         }
     }

@@ -524,15 +524,15 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// Creates `key`'s universe rooted at `root` — the decentralized
-    /// creation path. Multi-process nodes call this with the id of a fork
-    /// half of their membership stamp before their first write of an
-    /// unknown key. Returns `false` (leaving the plane untouched) when the
-    /// key already exists or the backend cannot root universes without
-    /// coordination.
+    /// creation path. Multi-process nodes call this with their rooting
+    /// lend, one fork half of their membership stamp, before their first
+    /// write of an unknown key. Returns `false` (leaving the plane
+    /// untouched) when the key already exists or the backend cannot root
+    /// universes without coordination.
     ///
-    /// Rooting one key at two nodes at once is not safe yet: once the
-    /// roots reach the GC's bits watermark, both first writes can mint the
-    /// same dot and one of them is lost (ROADMAP item 4).
+    /// Two stores may root one key at disjoint roots: the backend's root
+    /// floor keeps every collapse below the root, so both first writes
+    /// mint disjoint dots.
     pub fn create_key_rooted(&self, key: &str, root: &B::Element) -> bool {
         let shard_index = self.shards.index(key);
         let mut plane = self.plane[shard_index].lock();
@@ -1188,7 +1188,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
-    use vstamp_core::{PackedName, VersionStamp};
+    use vstamp_core::{BitString, PackedName, VersionStamp};
 
     fn full_sweep<B: StoreBackend>(cluster: &Cluster<B>) {
         let n = cluster.replica_count();
@@ -1866,9 +1866,9 @@ mod tests {
         }
 
         let nodes: Vec<_> = (0..NODES).map(|_| Cluster::new(VstampBackend::gc(), 1, 4)).collect();
-        // Node 0 roots every key from its membership stamp, as
-        // `Node::ensure_key` does. The last two come off a fragmented
-        // stamp, so their lends have two strings.
+        // Node 0 roots every key at a fork half of its membership stamp.
+        // The last two come off a fragmented stamp, so their lends have
+        // two strings.
         let mut membership = VersionStamp::seed();
         for key in 0..KEYS {
             if key == KEYS - 2 {
@@ -1886,8 +1886,8 @@ mod tests {
         }
         oracle.check(&nodes, 0, false);
         // Nodes 1 and 2 write a key only once they adopted it: a node that
-        // writes a key it lacks roots it a second time (see
-        // `a_double_rooted_key_keeps_both_first_writes`).
+        // writes a key it lacks roots it a second time, which
+        // `a_double_rooted_key_keeps_both_first_writes` covers.
         let mut cursors = [[PullCursor::default(); NODES]; NODES];
         let mut rng = StdRng::seed_from_u64(29);
         for step in 1..=240 {
@@ -1942,15 +1942,12 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 4: a key rooted at two nodes at once loses a write once its roots \
-                reach the 16-bit GC watermark"]
     fn a_double_rooted_key_keeps_both_first_writes() {
         // Two nodes root the same key at once, each from its own half of
-        // the seed, deepened `depth` times as rooting other keys deepens
-        // a membership stamp. At depth 0 (8-bit roots) both first writes
-        // survive. From depth 4 on, the write-side bits watermark collapses
-        // each node's un-shipped root to {ε}, both writes mint the same dot
-        // and the exchange keeps one value.
+        // the seed, deepened `depth` times. From depth 4 on the roots pass
+        // the 16-bit watermark: without the root floor, the write-side
+        // collapse takes each node's un-shipped root to {ε}, both writes
+        // mint the same dot and the exchange keeps one value.
         let (left, right) = VersionStamp::seed().fork();
         for depth in [0usize, 4, 8, 16, 64] {
             let nodes = [(left.clone(), b"left"), (right.clone(), b"rght")].map(
@@ -1972,6 +1969,94 @@ mod tests {
             for node in &nodes {
                 assert_eq!(node.get(0, "k").values().len(), 2, "roots {depth} forks deep");
             }
+        }
+    }
+
+    #[test]
+    fn the_root_floor_follows_an_element_into_another_root() {
+        // One key rooted at a 2-bit string on `shallow` and at a 30-bit one
+        // on `deep`, as when two nodes first-touch it at once. A causal
+        // chain of 40 writes deepens the shallow-rooted element to 42 bits,
+        // so the first pull moves it into the 32-bit half `deep` grants.
+        // That half is all `shallow` knows of `deep`'s root: a collapse
+        // above it would take in `deep`'s own element and re-mint its dots.
+        // Over this exchange the granted half is not in `shallow`'s pin
+        // pool, so the move degrades the key and no collapse runs after it;
+        // `backend::tests::the_floor_follows_an_element_into_a_granted_half`
+        // runs the collapse with that evidence in the pool.
+        let deep_root: BitString = "10".repeat(15).parse().expect("a bit string");
+        let stores = ["01".parse().expect("a bit string"), deep_root.clone()].map(|root| {
+            let store = Cluster::new(VstampBackend::gc(), 1, 4);
+            assert!(store.create_key_rooted("k", &PackedName::singleton(&root)));
+            store
+        });
+        let [shallow, deep] = &stores;
+        let element = |store: &Cluster<VstampBackend>| {
+            node_elements(store)[0].1.shallowest_string().expect("a live element")
+        };
+        // The two elements stay disjoint, and `shallow`'s never rises above
+        // the last region it moved into.
+        let check = |region: &mut BitString, step: &str| {
+            let (ours, theirs) = (element(shallow), element(deep));
+            assert!(ours.is_incomparable_with(&theirs), "{step}: {ours} and {theirs} overlap");
+            assert!(!ours.is_strict_prefix_of(region), "{step}: {ours} rose above {region}");
+            if !region.is_prefix_of(&ours) {
+                *region = ours;
+            }
+        };
+        let mut context = None;
+        for id in 1000..1040u32 {
+            context = Some(shallow.put(0, "k", id.to_le_bytes().to_vec(), context.as_ref()));
+        }
+        assert_eq!(element(shallow).len(), 42);
+        let mut live = vec![1039u32];
+        let mut dots: Vec<BitString> = Vec::new();
+        let mut blind_write = |store: &Cluster<VstampBackend>| {
+            let id = live.len() as u32;
+            let dot = store.put(0, "k", id.to_le_bytes().to_vec(), None);
+            dots.push(dot.shallowest_string().expect("a dot"));
+            live.push(id);
+        };
+        blind_write(deep);
+        let mut cursors = [PullCursor::default(); 2];
+        node_pull(shallow, deep, &mut cursors[0]);
+        let mut region = element(shallow);
+        assert!(deep_root.is_prefix_of(&region) && region.len() == 32, "moved to {region}");
+        assert!(shallow.plane[shallow.shards.index("k")].lock()["k"].state.is_degraded());
+        node_pull(deep, shallow, &mut cursors[1]);
+        check(&mut region, "after the move");
+        for step in 0..12 {
+            blind_write(if step % 2 == 0 { shallow } else { deep });
+            check(&mut region, &format!("write {step}"));
+            if step % 3 == 2 {
+                node_pull(shallow, deep, &mut cursors[0]);
+                check(&mut region, &format!("pull {step}"));
+                node_pull(deep, shallow, &mut cursors[1]);
+                check(&mut region, &format!("push {step}"));
+            }
+        }
+        for (i, dot) in dots.iter().enumerate() {
+            for other in &dots[i + 1..] {
+                assert!(dot.is_incomparable_with(other), "dots {dot} and {other} overlap");
+            }
+        }
+        for sweep in 0.. {
+            if shallow.digest_root(0) == deep.digest_root(0) {
+                break;
+            }
+            assert!(sweep < 8, "no common root after {sweep} sweeps");
+            node_pull(shallow, deep, &mut cursors[0]);
+            node_pull(deep, shallow, &mut cursors[1]);
+        }
+        live.sort_unstable();
+        for store in &stores {
+            let mut shown: Vec<u32> = store
+                .get(0, "k")
+                .iter_values()
+                .map(|value| u32::from_le_bytes(value.try_into().expect("4-byte ids")))
+                .collect();
+            shown.sort_unstable();
+            assert_eq!(shown, live);
         }
     }
 }

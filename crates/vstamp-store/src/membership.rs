@@ -211,9 +211,8 @@ impl MemberTable {
     /// own key, so overlap between reclaimed membership space and a dead
     /// member's key roots is harmless. The one residual hazard — rooting
     /// an *existing* key a second time from reclaimed space before its
-    /// data has gossiped over — is the double-rooting defect of the node
-    /// docs: it can lose a write (ROADMAP item 4), and the workload
-    /// discipline that avoids concurrent first touches avoids it too.
+    /// data has gossiped over — is the exposure the node docs keep: the
+    /// two roots can overlap, which the root floor does not cover.
     ///
     /// Id and spent ride as *separate* names: `Name::join` keeps only
     /// ⊑-maximal strings, which must not erase a block.

@@ -27,13 +27,19 @@
 //! * A joiner dials any live member with [`MessageKind::Join`]; the
 //!   sponsor **forks its own membership stamp** and hands one half back —
 //!   the paper's decentralized creation. No allocator exists anywhere.
-//! * A key universe root is **never** the membership id itself: first
-//!   touch of a key forks the membership stamp, keeps one half, and roots
-//!   the key's universe at the *id* of the other — key elements are ids
-//!   cut from the membership stamp, never stamps — and records the lent
-//!   id in the member entry's `spent` footprint. Later joiners therefore
-//!   always land *outside* every existing key universe. The member
-//!   register itself is rooted this way at bootstrap.
+//! * A key universe root is **never** the membership id itself. The
+//!   node's first first touch forks the membership stamp **once**, keeps
+//!   one half and records the *id* of the other — its *rooting lend* — in
+//!   the member entry's `spent` footprint; every key the node first-touches
+//!   is rooted at that one lend (key elements are ids, never stamps).
+//!   Rooting a key therefore costs no fork, no `spent` growth and no
+//!   member-table change. Sharing one root is sound because clocks are
+//!   only ever compared within one key: two keys rooted at the same string
+//!   never meet in a comparison. What must stay disjoint are the roots of
+//!   *one* key at *two* nodes, and each lend is a fork half of its owner's
+//!   membership stamp, so it is disjoint from every other member's id and
+//!   `spent` (I1). Later joiners likewise land *outside* every lend. The
+//!   member register itself is rooted this way at bootstrap.
 //! * When the failure detector evicts a member,
 //!   [`vstamp_core::retire_identity`] collapses the
 //!   survivor's membership stamp against the table's evidence: every
@@ -44,20 +50,19 @@
 //!   is sound because clocks are only ever compared *within* one key's
 //!   universe — a dead member's keys live on through adopted elements,
 //!   and overlap between reclaimed membership space and those universes
-//!   is never observed by any comparison.
+//!   is never observed by any comparison. A retirement that changes the
+//!   identity drops the rooting lend (it may have been reabsorbed); the
+//!   next first touch forks a fresh one off the retired identity.
 //!
-//! One known defect of coordination-free key creation: rooting the *same
-//! key twice* — two nodes concurrently first-touching a key before either
-//! has gossiped it, or a key re-rooted from reclaimed space before its
-//! data arrives — can lose a write. The two roots are disjoint, but once
-//! a root reaches the GC's 16-bit watermark, the first write collapses the
-//! un-shipped root to `{ε}` at both nodes, both first writes mint the same
-//! dot, and the exchange keeps one value. Each rooted key deepens the
-//! membership stamp by one bit, so a node's lends pass 16 bits after a
-//! handful of keys. Workloads that create each key through one node and
-//! let it replicate before another node writes it (the harness and the
-//! benchmark do) never hit this. ROADMAP item 4 tracks the fix, and
-//! `a_double_rooted_key_keeps_both_first_writes` reproduces the loss.
+//! Two nodes may first-touch the *same* key before either has gossiped it.
+//! Their roots are disjoint lends, and each key's collapse is bounded by
+//! a **root floor** (see `VstampKeyState`): no collapse truncates an
+//! element above its root, so the two first writes mint disjoint dots and
+//! both survive as siblings. The floor follows an element into a half
+//! granted from the other root. One exposure remains: retirement reclaims
+//! the survivor's own lends and the evicted member's, and a joiner
+//! sponsored from that space can still first-touch a key rooted there
+//! before the key has reached the joiner.
 //!
 //! ## The member register has one writer
 //!
@@ -216,6 +221,9 @@ impl NodeStatus {
 struct NodeState {
     identity: VersionStamp,
     spent: PackedName,
+    /// The id every key this node first-touches is rooted at: one fork
+    /// half of the identity, lent once and cleared by a retirement.
+    rooting: Option<PackedName>,
     table: MemberTable,
     /// The table is ahead of the register: the next gossip round writes.
     dirty: bool,
@@ -360,20 +368,25 @@ impl NodeCore {
         self.sweep_failures(now_ms);
     }
 
-    /// First local touch of `key`: fork a root off the membership stamp
-    /// and record it as spent. No-op if the key already exists (locally
-    /// created or adopted from a peer's delta).
+    /// First local touch of `key`: root it at the rooting lend, which the
+    /// first first touch forks off the membership stamp and records as
+    /// spent. No-op if the key already exists (locally created or adopted
+    /// from a peer's delta).
     fn ensure_key(&self, key: &str) {
         if self.cluster.has_key(key) {
             return;
         }
         let mut state = self.state.lock();
-        let (keep, lend) = state.identity.fork();
-        if self.cluster.create_key_rooted(key, lend.id_name()) {
-            state.identity = keep;
-            state.spent = state.spent.join(lend.id_name());
-            state.dirty = true;
-        }
+        let NodeState { identity, spent, rooting, dirty, .. } = &mut *state;
+        let lend = rooting.get_or_insert_with(|| {
+            let (keep, lend) = identity.fork();
+            let (_, lend) = lend.into_parts();
+            *identity = keep;
+            *spent = spent.join(&lend);
+            *dirty = true;
+            lend
+        });
+        self.cluster.create_key_rooted(key, lend);
     }
 
     /// Rewrites this node's own table entry from the current identity and
@@ -433,11 +446,14 @@ impl NodeCore {
     }
 
     /// Recomputes the membership stamp against the table's retirement
-    /// evidence; on any shrink, adopts it and marks the own entry dirty.
+    /// evidence; on any shrink, adopts it, marks the own entry dirty and
+    /// drops the rooting lend: the retired identity may have reabsorbed
+    /// it, and a later join could lend that space out.
     fn maybe_retire(&self, state: &mut NodeState) {
         let retired = retire_identity(&state.identity, &state.table.evidence_for(&self.addr));
         if retired != state.identity {
             state.identity = retired;
+            state.rooting = None;
             state.retirements += 1;
             state.dirty = true;
         }
@@ -890,8 +906,13 @@ mod tests {
         }
     }
 
-    /// A client `Put` straight into `core`; whether it was acked.
-    fn put(core: &NodeCore, key: &str, value: &[u8], context: Option<&PackedName>) -> bool {
+    /// A client `Put` straight into `core`; the acked clock, if acked.
+    fn put(
+        core: &NodeCore,
+        key: &str,
+        value: &[u8],
+        context: Option<&PackedName>,
+    ) -> Option<PackedName> {
         let mut payload = Vec::new();
         write_frame(&mut payload, key.as_bytes());
         write_frame(&mut payload, value);
@@ -901,8 +922,28 @@ mod tests {
             core.cluster.backend().encode_clock(context, &mut clock);
             write_frame(&mut payload, &clock);
         }
-        core.handle(Envelope { kind: MessageKind::Put, from: 0, payload }, 0)
-            .is_some_and(|reply| reply.kind == MessageKind::PutOk)
+        let reply = core
+            .handle(Envelope { kind: MessageKind::Put, from: 0, payload }, 0)
+            .filter(|reply| reply.kind == MessageKind::PutOk)?;
+        let frame = read_frame(&mut reply.payload.as_slice()).ok()?;
+        core.cluster.backend().decode_clock(frame).ok()
+    }
+
+    /// `count` gossip rounds of every core, 10 ms of `now` apart.
+    fn rounds(cores: &[&NodeCore], now: &mut u64, count: usize) {
+        for _ in 0..count {
+            *now += 10;
+            for core in cores {
+                core.gossip_round(*now, wired(cores, *now));
+            }
+        }
+    }
+
+    /// Whether no string of `a` is a prefix of a string of `b`, or the
+    /// other way round: invariant I1 between two ids.
+    fn disjoint(a: &PackedName, b: &PackedName) -> bool {
+        let theirs = b.strings();
+        a.strings().iter().all(|s| theirs.iter().all(|t| s.is_incomparable_with(t)))
     }
 
     fn register(core: &NodeCore) -> Option<Arc<KeySnapshot<VstampBackend>>> {
@@ -1050,40 +1091,150 @@ mod tests {
         .expect("join");
         // At a joiner that has not adopted the register, a write would
         // root a second, {ε}-rooted register universe.
-        assert!(!put(&joiner, MEMBERS_KEY, b"bogus", None));
+        assert!(put(&joiner, MEMBERS_KEY, b"bogus", None).is_none());
         assert!(!joiner.cluster.has_key(MEMBERS_KEY));
         // At the sponsor, a write carrying the register's own context
         // would replace the table with client bytes.
         let before = register(&sponsor).expect("bootstrap wrote the register");
-        assert!(!put(&sponsor, MEMBERS_KEY, b"bogus", Some(before.context())));
+        assert!(put(&sponsor, MEMBERS_KEY, b"bogus", Some(before.context())).is_none());
         assert!(Arc::ptr_eq(&before, &register(&sponsor).expect("register")));
     }
 
     #[test]
-    fn rooting_keys_between_rounds_writes_the_register_once() {
-        let core = NodeCore::bootstrap(quick_config(7), "127.0.0.1:40000".into());
-        core.gossip_round(0, |_, _| Err(invalid("alone")));
-        let before = register(&core).expect("the first round writes the register");
-        let mut identity = core.state.lock().identity.clone();
-        let mut lends = PackedName::empty();
-        for k in 0..100 {
-            assert!(put(&core, &format!("key-{k}"), b"v", None));
-            let (keep, lend) = identity.fork();
-            lends = lends.join(lend.id_name());
-            identity = keep;
+    fn rooting_keys_forks_the_membership_stamp_once() {
+        // `one` roots a single key, `core` a thousand: both end with the
+        // same identity, spent footprint and member table.
+        let [one, core] = [7, 7].map(|seed| {
+            let core = NodeCore::bootstrap(quick_config(seed), "127.0.0.1:40000".into());
+            assert!(put(&core, "key-0", b"v", None).is_some());
+            core
+        });
+        let id_bits = core.status().id_bits;
+        let mut dots = Vec::new();
+        for k in 1..1000 {
+            dots.push(put(&core, &format!("key-{k}"), b"v", None).expect("acked"));
         }
-        assert!(Arc::ptr_eq(&before, &register(&core).expect("register")), "a key wrote it");
+        assert_eq!(core.status().id_bits, id_bits);
+        // The bootstrap rooted the member register at the lend and marked
+        // the own entry dirty; a thousand keys later the next round writes
+        // the register once.
         let (_, pairs) = decodes_and_lock_pairs();
         core.gossip_round(1, |_, _| Err(invalid("alone")));
         let (_, after) = decodes_and_lock_pairs();
         assert_eq!(after - pairs, 1, "one round, one register write");
+        one.gossip_round(1, |_, _| Err(invalid("alone")));
         let status = core.status();
+        assert_eq!(status.table, one.status().table, "the keys changed the table");
+        // One fork: the identity kept its half, `spent` is the lent half,
+        // one string, and every key's first dot lies under it.
+        let (keep, lend) = VersionStamp::seed().fork();
+        assert_eq!(core.state.lock().identity, keep);
         let own = status.table.entry("127.0.0.1:40000").expect("own entry");
-        assert_eq!(&own.id, identity.id_name());
-        assert!(lends.leq(&own.spent), "spent {:?} misses lends {lends:?}", own.spent);
+        assert_eq!(&own.spent, lend.id_name());
+        let root = own.spent.shallowest_string().expect("one string");
+        for dot in &dots {
+            let dot = dot.shallowest_string().expect("a dot");
+            assert!(root.is_prefix_of(&dot), "dot {dot} outside the lend {root}");
+        }
         let read = core.cluster.get(0, MEMBERS_KEY);
         let published: Vec<_> = read.iter_values().map(MemberTable::decode).collect();
         assert_eq!(published, vec![Ok(status.table)]);
+        let (_, pairs) = decodes_and_lock_pairs();
+        core.gossip_round(2, |_, _| Err(invalid("alone")));
+        assert_eq!(decodes_and_lock_pairs().1, pairs, "a clean round wrote the register");
+    }
+
+    /// Three cores: the bootstrap at port 40000 and two joiners it
+    /// sponsors, at 40001 and 40002.
+    fn three_cores(seed: u64) -> [NodeCore; 3] {
+        let a = NodeCore::bootstrap(quick_config(seed), "127.0.0.1:40000".into());
+        let [b, c] = [1, 2].map(|index| {
+            let addr = format!("127.0.0.1:{}", 40_000 + index);
+            NodeCore::join(quick_config(seed + index), addr, "127.0.0.1:40000", wired(&[&a], 0))
+                .expect("join")
+        });
+        [a, b, c]
+    }
+
+    #[test]
+    fn a_key_first_touched_at_two_cores_keeps_both_first_writes() {
+        let [a, b, c] = three_cores(10);
+        let cores = [&a, &b, &c];
+        let mut now = 0;
+        rounds(&cores, &mut now, 50);
+        assert!(cores.iter().all(|core| core.status().table == a.status().table));
+        // Each key is rooted at a's lend and at b's, before either gossips.
+        let keys: Vec<String> = (0..200).map(|k| format!("fresh-{k}")).collect();
+        for key in &keys {
+            assert!(put(&a, key, b"a", None).is_some());
+            assert!(put(&b, key, b"b", None).is_some());
+        }
+        rounds(&cores, &mut now, 20);
+        for core in cores {
+            for key in &keys {
+                let mut values = core.cluster.get(0, key).values();
+                values.sort();
+                assert_eq!(values, [b"a".to_vec(), b"b".to_vec()], "{key} at {}", core.addr);
+            }
+        }
+    }
+
+    #[test]
+    fn a_retirement_drops_the_lend_and_the_next_lend_is_disjoint_from_every_member() {
+        let [a, b, c] = three_cores(13);
+        assert!(put(&b, "b-key", b"v", None).is_some());
+        let mut now = 0;
+        rounds(&[&a, &b, &c], &mut now, 50);
+        let before = a.state.lock().rooting.clone().expect("the register took a's lend");
+        // c dies: a evicts it once the grace period is over and retires
+        // the space that frees up.
+        while a.status().retirements == 0 {
+            assert!(now < 10_000, "a never retired");
+            rounds(&[&a, &b], &mut now, 1);
+        }
+        let retired = {
+            let state = a.state.lock();
+            assert_eq!(state.rooting, None, "the retirement kept the lend");
+            state.identity.clone()
+        };
+        assert!(put(&a, "a-key", b"v", None).is_some());
+        let (keep, lend) = retired.fork();
+        let state = a.state.lock();
+        assert_eq!(state.identity, keep);
+        assert_eq!(state.rooting.as_ref(), Some(lend.id_name()));
+        assert_ne!(lend.id_name(), &before);
+        // I1 across the live cores: the lend is disjoint from b's id and
+        // lend, and from a's own id.
+        let peer = b.state.lock();
+        for other in [peer.identity.id_name(), &peer.spent, state.identity.id_name()] {
+            assert!(disjoint(lend.id_name(), other), "{} overlaps {other}", lend.id_name());
+        }
+    }
+
+    #[test]
+    #[ignore = "release: cargo test --release -p vstamp-store --lib -- --ignored rooting_cost_is_flat"]
+    fn rooting_cost_is_flat_in_the_key_count() {
+        const KEYS: usize = 100_000;
+        const WINDOW: usize = 10_000;
+        let core = NodeCore::bootstrap(quick_config(16), "127.0.0.1:40000".into());
+        let sizes = |core: &NodeCore| {
+            core.gossip_round(0, |_, _| Err(invalid("alone")));
+            let status = core.status();
+            (status.id_bits, status.table.encode().len())
+        };
+        assert!(put(&core, "key-0", b"v", None).is_some());
+        let first = sizes(&core);
+        let costs: Vec<Duration> = (1..=KEYS)
+            .map(|k| {
+                let started = Instant::now();
+                assert!(put(&core, &format!("key-{k}"), b"v", None).is_some());
+                started.elapsed()
+            })
+            .collect();
+        assert_eq!(sizes(&core), first, "(id bits, table bytes) after one key and after all");
+        let mean = |window: &[Duration]| window.iter().sum::<Duration>() / WINDOW as u32;
+        let (early, late) = (mean(&costs[..WINDOW]), mean(&costs[KEYS - WINDOW..]));
+        assert!(late <= 2 * early, "roots cost {early:?} early, {late:?} late");
     }
 
     #[test]
@@ -1098,25 +1249,17 @@ mod tests {
         .expect("join");
         let cores = [&a, &b];
         let mut now = 0;
-        let mut rounds = |count: usize| {
-            for _ in 0..count {
-                now += 10;
-                for core in cores {
-                    core.gossip_round(now, wired(&cores, now));
-                }
-            }
-        };
-        rounds(50);
+        rounds(&cores, &mut now, 50);
         assert_eq!(a.status().table, b.status().table);
         assert_eq!(a.status().digest_root, b.status().digest_root);
         let (decodes, _) = decodes_and_lock_pairs();
-        rounds(20);
+        rounds(&cores, &mut now, 20);
         assert_eq!(decodes_and_lock_pairs().0, decodes, "an idle round decoded the register");
-        // A member change at b — a key b roots — is in b's register write
-        // on b's next round; a pulls it in its round after and merges it in
-        // the one after that.
-        assert!(put(&b, "b-key", b"v", None));
-        rounds(3);
+        // A member change at b — the lend b's first key forks — is in b's
+        // register write on b's next round; a pulls it in its round after
+        // and merges it in the one after that.
+        assert!(put(&b, "b-key", b"v", None).is_some());
+        rounds(&cores, &mut now, 3);
         let entry = a.status().table.entry("127.0.0.1:40001").cloned().expect("b's entry");
         assert_eq!(entry.spent, b.state.lock().spent);
         assert!(decodes_and_lock_pairs().0 > decodes);
