@@ -12,13 +12,11 @@ use std::collections::BTreeSet;
 use std::io;
 use std::time::Duration;
 
-use vstamp_core::codec::{read_frame, read_varint, write_frame};
 use vstamp_core::PackedName;
 use vstamp_sim::nemesis::{FaultAction, FaultPlan};
 use vstamp_sim::{decode_id, encode_id, KeyOracle};
 use vstamp_store::{
-    Envelope, MemberStatus, MessageKind, NodeConfig, NodeCore, NodeStatus, PhiConfig, StoreBackend,
-    VstampBackend,
+    client_get, client_put, Envelope, MemberStatus, NodeConfig, NodeCore, NodeStatus, PhiConfig,
 };
 
 /// The harness's cadence: a gossip round every 25 ms, eviction after
@@ -103,42 +101,20 @@ impl Net {
     }
 }
 
+/// `core.handle` at `now` as a client's transport.
+fn via(core: &NodeCore, now: u64) -> impl FnOnce(Envelope) -> io::Result<Envelope> + '_ {
+    move |request| core.handle(request, now).ok_or_else(|| io::ErrorKind::InvalidData.into())
+}
+
 /// A causal read through `handle`: the sibling ids and the context.
 fn get(core: &NodeCore, key: &str, now: u64) -> (Vec<u64>, Option<PackedName>) {
-    let mut payload = Vec::new();
-    write_frame(&mut payload, key.as_bytes());
-    let request = Envelope { kind: MessageKind::Get, from: 0, payload };
-    let reply = core.handle(request, now).expect("a core answers a Get");
-    let mut input = reply.payload.as_slice();
-    let count = read_varint(&mut input).expect("GetOk count");
-    let ids = (0..count).map(|_| decode_id(read_frame(&mut input).expect("GetOk value"))).collect();
-    let context = match input.split_first() {
-        Some((1, mut rest)) => {
-            let frame = read_frame(&mut rest).expect("GetOk clock");
-            Some(VstampBackend::gc().decode_clock(frame).expect("GetOk clock decodes"))
-        }
-        _ => None,
-    };
-    (ids, context)
+    let (values, context) = client_get(key, via(core, now)).expect("a core answers a Get");
+    (values.iter().map(|value| decode_id(value)).collect(), context)
 }
 
 /// A causal write through `handle`, superseding `context`.
 fn put(core: &NodeCore, key: &str, id: u64, context: Option<&PackedName>, now: u64) {
-    let mut payload = Vec::new();
-    write_frame(&mut payload, key.as_bytes());
-    write_frame(&mut payload, &encode_id(id));
-    match context {
-        Some(clock) => {
-            payload.push(1);
-            let mut bytes = Vec::new();
-            VstampBackend::gc().encode_clock(clock, &mut bytes);
-            write_frame(&mut payload, &bytes);
-        }
-        None => payload.push(0),
-    }
-    let request = Envelope { kind: MessageKind::Put, from: 0, payload };
-    let reply = core.handle(request, now).expect("a core acks a Put");
-    assert_eq!(reply.kind, MessageKind::PutOk);
+    client_put(key, &encode_id(id), context, via(core, now)).expect("a core acks a Put");
 }
 
 struct Sim {

@@ -72,9 +72,9 @@ pub use cluster::{
     Cluster, ClusterConfig, CompactionStats, ExchangeStats, PullCursor, StoreMetrics,
 };
 pub use failure::{PhiAccrual, PhiConfig};
-pub use membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
-pub use node::{Node, NodeClient, NodeConfig, NodeCore, NodeStatus};
-pub use store::{DeltaOrigin, GetResult, Key, KeySnapshot, StoredVersion, Value, Version};
+pub use membership::{MemberEntry, MemberStatus, MemberTable};
+pub use node::{client_get, client_put, Node, NodeClient, NodeConfig, NodeCore, NodeStatus};
+pub use store::{DeltaOrigin, GetResult, Key, StoredVersion, Value, Version};
 pub use transport::{recv_envelope, send_envelope, Backoff, PeerLink, TransportConfig};
 pub use wire::{
     decode_envelope, encode_envelope, envelope_len, DeltaEncodeStats, DeltaPolicy, DigestEntry,

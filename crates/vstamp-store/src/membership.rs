@@ -1,15 +1,14 @@
-//! Cluster membership as a stamp-versioned replicated register.
+//! Cluster membership as a join-semilattice carried by the exchange.
 //!
 //! There is no coordinator, no identifier allocator, no config service:
 //! a joining process dials any live member and receives a forked half of
 //! that member's *membership stamp* as its identity — the paper's
-//! decentralized creation, applied to the member set itself. The set is
-//! stored under a reserved key ([`MEMBERS_KEY`]) in every node's own
-//! store and replicates by the same anti-entropy as user data; concurrent
-//! membership changes surface as siblings and merge with
+//! decentralized creation, applied to the member set itself. Each node
+//! holds the set as a [`MemberTable`] outside its store; tables travel on
+//! the gossip Probe (see [`node`](crate::node)) and merge with
 //! [`MemberTable::merge`], which is commutative, associative and
 //! idempotent (a join semilattice), so every node converges on the same
-//! table without coordination.
+//! table without coordination and without causal versioning.
 //!
 //! Each entry records, besides liveness, the member's identity
 //! **footprint**: its membership id plus every fork half it has *spent*
@@ -25,9 +24,7 @@ use std::collections::BTreeMap;
 use vstamp_core::codec::{read_frame, read_varint, write_frame, write_varint};
 use vstamp_core::{DecodeError, Name, PackedName, StampCodec, VarintCodec};
 
-/// The reserved store key the member table replicates under. The leading
-/// NUL keeps it out of any plausible user keyspace.
-pub const MEMBERS_KEY: &str = "\u{0}cluster/members";
+use crate::store::fnv1a;
 
 /// Liveness of one member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,6 +253,12 @@ impl MemberTable {
         out
     }
 
+    /// FNV-1a over [`MemberTable::encode`]: equal tables give equal
+    /// digests, so a Probe carries 8 bytes instead of the table.
+    pub(crate) fn digest(&self) -> u64 {
+        fnv1a(&self.encode())
+    }
+
     /// Decodes a table encoded by [`MemberTable::encode`].
     ///
     /// # Errors
@@ -315,6 +318,16 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(MemberTable::decode(&trailing), Err(DecodeError::TrailingData));
+    }
+
+    #[test]
+    fn the_digest_is_fnv1a_over_the_encoding() {
+        // The empty table encodes as one zero byte (no entries).
+        assert_eq!(MemberTable::new().digest(), 0xaf63_bd4c_8601_b7df);
+        let mut table = MemberTable::new();
+        table.upsert(entry("127.0.0.1:1000", "{0}", 3));
+        assert_ne!(table.digest(), MemberTable::new().digest());
+        assert_eq!(MemberTable::decode(&table.encode()).unwrap().digest(), table.digest());
     }
 
     #[test]

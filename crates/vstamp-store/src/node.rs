@@ -38,8 +38,7 @@
 //!   never meet in a comparison. What must stay disjoint are the roots of
 //!   *one* key at *two* nodes, and each lend is a fork half of its owner's
 //!   membership stamp, so it is disjoint from every other member's id and
-//!   `spent` (I1). Later joiners likewise land *outside* every lend. The
-//!   member register itself is rooted this way at bootstrap.
+//!   `spent` (I1). Later joiners likewise land *outside* every lend.
 //! * When the failure detector evicts a member,
 //!   [`vstamp_core::retire_identity`] collapses the
 //!   survivor's membership stamp against the table's evidence: every
@@ -64,14 +63,16 @@
 //! sponsored from that space can still first-touch a key rooted there
 //! before the key has reached the joiner.
 //!
-//! ## The member register has one writer
+//! ## The member table rides the Probe
 //!
-//! The table replicates under the reserved [`MEMBERS_KEY`], which clients
-//! cannot write. Rooting a key, sponsoring a join, evicting a member and
-//! retiring an identity only change the in-memory table and mark the own
-//! entry dirty. [`NodeCore::gossip_round`] alone refreshes the own entry,
-//! writes the register (at most once a round) and decodes it (only when
-//! its snapshot changed or the table is dirty: an idle node decodes none).
+//! The [`MemberTable`] lives beside the store. A node appends its table's
+//! 8-byte digest to the engine's Probe; the reply opens with a frame that
+//! is empty when the digests match and holds the responder's table
+//! otherwise, which the requester merges. The engine sees neither. The
+//! table is a join semilattice ([`MemberTable::merge`]): any two tables
+//! merge, so it needs no causal versioning, siblings or write-back. The
+//! owner rewrites its own entry where it changes (first lend, sponsored
+//! fork, retirement); only [`NodeCore::gossip_round`] merges and retires.
 //!
 //! ## Failure model
 //!
@@ -100,10 +101,8 @@ use vstamp_core::{
 use crate::backend::{StoreBackend, VstampBackend};
 use crate::cluster::{invalid, Cluster, PullCursor};
 use crate::failure::{PhiAccrual, PhiConfig};
-use crate::membership::{MemberEntry, MemberStatus, MemberTable, MEMBERS_KEY};
-#[cfg(test)]
-use crate::store::counted;
-use crate::store::{KeySnapshot, Value};
+use crate::membership::{MemberEntry, MemberStatus, MemberTable};
+use crate::store::Value;
 use crate::transport::{recv_envelope, send_envelope, splitmix64, PeerLink, TransportConfig};
 use crate::wire::{Envelope, MessageKind};
 
@@ -151,8 +150,9 @@ impl Default for NodeConfig {
 pub struct NodeStatus {
     /// The node's advertised address.
     pub addr: String,
-    /// Order-insensitive digest over the whole store — equal roots on
-    /// two nodes mean their stores converged.
+    /// The store's order-insensitive digest root XOR the member table's
+    /// digest — equal roots on two nodes mean their stores and their
+    /// member tables converged.
     pub digest_root: u64,
     /// Active members in this node's view.
     pub active_members: usize,
@@ -225,8 +225,6 @@ struct NodeState {
     /// half of the identity, lent once and cleared by a retirement.
     rooting: Option<PackedName>,
     table: MemberTable,
-    /// The table is ahead of the register: the next gossip round writes.
-    dirty: bool,
     detectors: HashMap<String, PhiAccrual>,
     suspected_since: HashMap<String, u64>,
     gen: u64,
@@ -235,13 +233,12 @@ struct NodeState {
 }
 
 /// What only [`NodeCore::gossip_round`] touches — the peer-selection
-/// stream, a pull cursor per active member and the register snapshot the
-/// table last merged or wrote; its lock also keeps rounds from overlapping.
+/// stream and a pull cursor per active member; its lock also keeps rounds
+/// from overlapping.
 #[derive(Debug, Default)]
 struct Gossip {
     rng: u64,
     cursors: HashMap<String, PullCursor>,
-    register: Option<Arc<KeySnapshot<VstampBackend>>>,
 }
 
 /// Everything one cluster member decides, with no sockets, threads or
@@ -263,22 +260,19 @@ fn port_of(addr: &str) -> u16 {
 
 impl NodeCore {
     /// The first member of a fresh cluster, advertised as `addr`: its
-    /// identity is the seed stamp, and it roots the member register like
-    /// any key, so every later joiner replicates it like ordinary data.
+    /// identity is the seed stamp and its table holds itself alone.
     #[must_use]
     pub fn bootstrap(config: NodeConfig, addr: String) -> NodeCore {
         let identity = VersionStamp::seed();
         let mut table = MemberTable::new();
         table.put_entry(MemberEntry::active(addr.clone(), identity.id_name().clone()));
-        let core = NodeCore::new(config, addr, identity, table);
-        core.ensure_key(MEMBERS_KEY);
-        core
+        NodeCore::new(config, addr, identity, table)
     }
 
     /// Joins as `addr` by a [`MessageKind::Join`] to `sponsor` over `dial`:
     /// the sponsor forks its membership stamp and this core adopts the
-    /// returned half as its identity. The register and all data then
-    /// arrive through ordinary gossip.
+    /// returned half as its identity, and the sponsor's table as its own.
+    /// Later table changes and all data arrive through ordinary gossip.
     ///
     /// # Errors
     ///
@@ -329,7 +323,7 @@ impl NodeCore {
         let active = state.table.entries().filter(|e| e.status == MemberStatus::Active).count();
         NodeStatus {
             addr: self.addr.clone(),
-            digest_root,
+            digest_root: digest_root ^ state.table.digest(),
             active_members: active,
             evicted_members: state.table.len() - active,
             id_strings: state.identity.string_count(),
@@ -340,18 +334,20 @@ impl NodeCore {
         }
     }
 
-    /// One gossip round at `now_ms`: sync the table with the register (its
-    /// one writer), pull from one live peer over `dial` under that peer's
-    /// cursor, then sweep for failures.
+    /// One gossip round at `now_ms`: pull from one live peer over `dial`
+    /// under that peer's cursor, merging the peer's member table when its
+    /// Probe reply carries one, then sweep for failures.
     pub fn gossip_round(
         &self,
         now_ms: u64,
         mut dial: impl FnMut(&str, Envelope) -> io::Result<Envelope>,
     ) {
         let mut gossip = self.gossip.lock();
-        let Gossip { rng, cursors, register } = &mut *gossip;
-        self.sync_membership(register);
-        let peers = self.state.lock().table.live_peers(&self.addr);
+        let Gossip { rng, cursors } = &mut *gossip;
+        let (peers, digest) = {
+            let state = self.state.lock();
+            (state.table.live_peers(&self.addr), state.table.digest())
+        };
         cursors.retain(|peer, _| peers.contains(peer));
         if !peers.is_empty() {
             let peer = &peers[(splitmix64(rng) % peers.len() as u64) as usize];
@@ -359,8 +355,24 @@ impl NodeCore {
             // Peers read the sender's port out of `from` (the heartbeat
             // source); the engine knows only replica 0.
             let from = self.port as usize;
-            let pulled =
-                self.cluster.pull(0, cursor, |request| dial(peer, Envelope { from, ..request }));
+            let pulled = self.cluster.pull(0, cursor, |mut request| {
+                let probe = request.kind == MessageKind::Probe;
+                if probe {
+                    request.payload.extend_from_slice(&digest.to_le_bytes());
+                }
+                let mut reply = dial(peer, Envelope { from, ..request })?;
+                if probe {
+                    let mut input = reply.payload.as_slice();
+                    let table = read_frame(&mut input).map_err(|_| invalid("no member frame"))?;
+                    if !table.is_empty() {
+                        self.merge_table(
+                            &MemberTable::decode(table).map_err(|_| invalid("bad member table"))?,
+                        );
+                    }
+                    reply.payload = input.to_vec();
+                }
+                Ok(reply)
+            });
             if pulled.is_ok() {
                 self.feed_heartbeat(peer, now_ms);
             }
@@ -377,16 +389,15 @@ impl NodeCore {
             return;
         }
         let mut state = self.state.lock();
-        let NodeState { identity, spent, rooting, dirty, .. } = &mut *state;
-        let lend = rooting.get_or_insert_with(|| {
-            let (keep, lend) = identity.fork();
+        if state.rooting.is_none() {
+            let (keep, lend) = state.identity.fork();
             let (_, lend) = lend.into_parts();
-            *identity = keep;
-            *spent = spent.join(&lend);
-            *dirty = true;
-            lend
-        });
-        self.cluster.create_key_rooted(key, lend);
+            state.identity = keep;
+            state.spent = state.spent.join(&lend);
+            state.rooting = Some(lend);
+            self.refresh_own_entry(&mut state);
+        }
+        self.cluster.create_key_rooted(key, state.rooting.as_ref().expect("lent above"));
     }
 
     /// Rewrites this node's own table entry from the current identity and
@@ -404,49 +415,22 @@ impl NodeCore {
         state.table.put_entry(entry);
     }
 
-    /// Unless the register is the snapshot `seen` last and the table is
-    /// clean: merges the register's siblings into the table, retires space
-    /// freed by newly seen evictions, and writes the table back if the
-    /// register lacks it.
-    fn sync_membership(&self, seen: &mut Option<Arc<KeySnapshot<VstampBackend>>>) {
-        let read = self.cluster.get(0, MEMBERS_KEY);
-        let fresh = read.snapshot().map(Arc::as_ptr) != seen.as_ref().map(Arc::as_ptr);
-        if !fresh && !self.state.lock().dirty {
-            return;
-        }
-        *seen = read.snapshot().cloned();
-        #[cfg(test)]
-        counted::REGISTER_DECODES.with(|n| n.set(n.get() + read.live_len() as u64));
-        let siblings: Vec<MemberTable> =
-            read.iter_values().filter_map(|value| MemberTable::decode(value).ok()).collect();
+    /// Lattice-merges a peer's table into this node's, and retires the
+    /// space freed by any eviction the merge adds.
+    fn merge_table(&self, peer: &MemberTable) {
         let mut state = self.state.lock();
         let evicted = state.table.evicted().len();
-        for sibling in &siblings {
-            state.table.merge(sibling);
-        }
+        state.table.merge(peer);
         if state.table.evicted().len() > evicted {
             // Retirement runs only on eviction events: each pass also
             // reabsorbs the caller's own lent-out key roots, so running
             // it eagerly would churn the member table for no gain.
             self.maybe_retire(&mut state);
         }
-        if std::mem::take(&mut state.dirty) {
-            self.refresh_own_entry(&mut state);
-        }
-        // Settled once some sibling carries the whole table: writing to
-        // *collapse* equal-content siblings would ping-pong forever (each
-        // collapse write races the peer's), and readers merge them anyway.
-        // A joiner that has not adopted the register yet must not write:
-        // its write would root a second register.
-        if siblings.contains(&state.table) || !self.cluster.has_key(MEMBERS_KEY) {
-            return;
-        }
-        self.cluster.put(0, MEMBERS_KEY, state.table.encode(), read.context());
-        *seen = self.cluster.get(0, MEMBERS_KEY).snapshot().cloned();
     }
 
     /// Recomputes the membership stamp against the table's retirement
-    /// evidence; on any shrink, adopts it, marks the own entry dirty and
+    /// evidence; on any shrink, adopts it, rewrites the own entry and
     /// drops the rooting lend: the retired identity may have reabsorbed
     /// it, and a later join could lend that space out.
     fn maybe_retire(&self, state: &mut NodeState) {
@@ -455,7 +439,7 @@ impl NodeCore {
             state.identity = retired;
             state.rooting = None;
             state.retirements += 1;
-            state.dirty = true;
+            self.refresh_own_entry(state);
         }
     }
 
@@ -512,15 +496,14 @@ impl NodeCore {
             }
         }
         if evicted_any {
-            state.dirty = true;
             self.maybe_retire(&mut state);
         }
     }
 
     /// Answers one request received at `now_ms`, a member's (`from` ≠ 0)
     /// doubling as its heartbeat. `None` drops the connection: a malformed
-    /// request, a response kind, or a client write to [`MEMBERS_KEY`].
-    pub fn handle(&self, request: Envelope, now_ms: u64) -> Option<Envelope> {
+    /// request or a response kind.
+    pub fn handle(&self, mut request: Envelope, now_ms: u64) -> Option<Envelope> {
         if request.from != 0 {
             // Clients send from = 0 and stay out of the failure detector.
             self.feed_heartbeat(&format!("127.0.0.1:{}", request.from), now_ms);
@@ -528,9 +511,24 @@ impl NodeCore {
         let from = self.port as usize;
         let reply = |kind: MessageKind, payload: Vec<u8>| Envelope { kind, from, payload };
         match request.kind {
-            MessageKind::Probe | MessageKind::Want | MessageKind::Nak => {
-                let (reply, _) = self.cluster.serve(0, &request)?;
-                Some(Envelope { from, ..reply })
+            MessageKind::Probe => {
+                // The requester's table digest trails the engine's probe.
+                let split = request.payload.len().checked_sub(8)?;
+                let digest = u64::from_le_bytes(request.payload[split..].try_into().ok()?);
+                request.payload.truncate(split);
+                let (served, _) = self.cluster.serve(0, &request)?;
+                let table = {
+                    let state = self.state.lock();
+                    (state.table.digest() != digest).then(|| state.table.encode())
+                };
+                let mut payload = Vec::new();
+                write_frame(&mut payload, table.as_deref().unwrap_or_default());
+                payload.extend_from_slice(&served.payload);
+                Some(reply(served.kind, payload))
+            }
+            MessageKind::Want | MessageKind::Nak => {
+                let (served, _) = self.cluster.serve(0, &request)?;
+                Some(Envelope { from, ..served })
             }
             MessageKind::Join => {
                 let mut input = request.payload.as_slice();
@@ -538,7 +536,7 @@ impl NodeCore {
                 let mut state = self.state.lock();
                 let (keep, give) = state.identity.fork();
                 state.identity = keep;
-                state.dirty = true;
+                self.refresh_own_entry(&mut state);
                 state.table.put_entry(MemberEntry::active(joiner, give.id_name().clone()));
                 let mut payload = Vec::new();
                 write_frame(&mut payload, &VarintCodec.encode_stamp(&give));
@@ -550,36 +548,18 @@ impl NodeCore {
                 let key = String::from_utf8(read_frame(&mut input).ok()?.to_vec()).ok()?;
                 let read = self.cluster.get(0, &key);
                 let mut payload = Vec::new();
-                let values = read.values();
-                write_varint(&mut payload, values.len() as u64);
-                for value in &values {
+                write_varint(&mut payload, read.live_len() as u64);
+                for value in read.iter_values() {
                     write_frame(&mut payload, value);
                 }
-                match read.context() {
-                    Some(context) => {
-                        payload.push(1);
-                        let mut scratch = Vec::new();
-                        self.cluster.backend().encode_clock(context, &mut scratch);
-                        write_frame(&mut payload, &scratch);
-                    }
-                    None => payload.push(0),
-                }
+                write_context(&mut payload, read.context());
                 Some(reply(MessageKind::GetOk, payload))
             }
             MessageKind::Put => {
                 let mut input = request.payload.as_slice();
                 let key = String::from_utf8(read_frame(&mut input).ok()?.to_vec()).ok()?;
-                if key == MEMBERS_KEY {
-                    return None;
-                }
                 let value = read_frame(&mut input).ok()?.to_vec();
-                let (flag, mut rest) = input.split_first()?;
-                let context = if *flag == 1 {
-                    let frame = read_frame(&mut rest).ok()?;
-                    Some(self.cluster.backend().decode_clock(frame).ok()?)
-                } else {
-                    None
-                };
+                let context = read_context(&mut input)?;
                 self.ensure_key(&key);
                 let clock = self.cluster.put(0, &key, value, context.as_ref());
                 let mut payload = Vec::new();
@@ -779,60 +759,103 @@ fn serve_connection(core: &NodeCore, mut stream: TcpStream, shutdown: &AtomicBoo
     }
 }
 
+/// Appends an optional causal context: a flag byte, then the clock's frame.
+fn write_context(out: &mut Vec<u8>, context: Option<&PackedName>) {
+    out.push(u8::from(context.is_some()));
+    if let Some(context) = context {
+        let mut clock = Vec::new();
+        VstampBackend::gc().encode_clock(context, &mut clock);
+        write_frame(out, &clock);
+    }
+}
+
+/// Reads what [`write_context`] wrote; `None` if it does not decode.
+fn read_context(input: &mut &[u8]) -> Option<Option<PackedName>> {
+    let (flag, rest) = input.split_first()?;
+    *input = rest;
+    match flag {
+        0 => Some(None),
+        1 => Some(Some(VstampBackend::gc().decode_clock(read_frame(input).ok()?).ok()?)),
+        _ => None,
+    }
+}
+
+/// A causal read over any transport `request` ([`NodeCore::handle`] in a
+/// test driver): the sibling values and, when the key exists, the context
+/// to pass to a superseding [`client_put`].
+///
+/// # Errors
+///
+/// Whatever `request` fails with, or `InvalidData` for a malformed reply.
+pub fn client_get(
+    key: &str,
+    request: impl FnOnce(Envelope) -> io::Result<Envelope>,
+) -> io::Result<(Vec<Value>, Option<PackedName>)> {
+    let mut payload = Vec::new();
+    write_frame(&mut payload, key.as_bytes());
+    let reply = request(Envelope { kind: MessageKind::Get, from: 0, payload })?;
+    if reply.kind != MessageKind::GetOk {
+        return Err(invalid("get reply was not GetOk"));
+    }
+    let mut input = reply.payload.as_slice();
+    let count = read_varint(&mut input).map_err(|_| invalid("short GetOk"))?;
+    let mut values = Vec::with_capacity(count.min(1 << 16) as usize);
+    for _ in 0..count {
+        values.push(read_frame(&mut input).map_err(|_| invalid("short GetOk"))?.to_vec());
+    }
+    let context = read_context(&mut input).ok_or_else(|| invalid("bad GetOk context"))?;
+    Ok((values, context))
+}
+
+/// A causal write over any transport `request`, superseding `context`;
+/// returns the write's clock (the ack the oracle records).
+///
+/// # Errors
+///
+/// Whatever `request` fails with, or `InvalidData` for a malformed reply.
+pub fn client_put(
+    key: &str,
+    value: &[u8],
+    context: Option<&PackedName>,
+    request: impl FnOnce(Envelope) -> io::Result<Envelope>,
+) -> io::Result<PackedName> {
+    let mut payload = Vec::new();
+    write_frame(&mut payload, key.as_bytes());
+    write_frame(&mut payload, value);
+    write_context(&mut payload, context);
+    let reply = request(Envelope { kind: MessageKind::Put, from: 0, payload })?;
+    if reply.kind != MessageKind::PutOk {
+        return Err(invalid("put reply was not PutOk"));
+    }
+    let frame = read_frame(&mut reply.payload.as_slice()).map_err(|_| invalid("short PutOk"))?;
+    VstampBackend::gc().decode_clock(frame).map_err(|_| invalid("bad PutOk clock"))
+}
+
 /// A causal client for one node: `get` returns the sibling set plus a
 /// causal context, `put` with that context supersedes what was read.
 /// Clients identify as `from = 0`, keeping them out of failure detection.
 #[derive(Debug)]
 pub struct NodeClient {
     link: PeerLink,
-    backend: VstampBackend,
 }
 
 impl NodeClient {
     /// A client for the node at `addr`.
     #[must_use]
     pub fn connect(addr: impl Into<String>, transport: TransportConfig, seed: u64) -> NodeClient {
-        NodeClient {
-            link: PeerLink::new(addr.into(), transport, seed),
-            backend: VstampBackend::gc(),
-        }
+        NodeClient { link: PeerLink::new(addr.into(), transport, seed) }
     }
 
-    fn request(&mut self, kind: MessageKind, payload: Vec<u8>) -> io::Result<Envelope> {
-        self.link.request(&Envelope { kind, from: 0, payload })
-    }
-
-    /// Causal read: the current sibling values and, when the key exists,
-    /// the context to pass to a superseding [`NodeClient::put`].
+    /// Causal read ([`client_get`] over this client's connection).
     ///
     /// # Errors
     ///
     /// Fails on connection loss, timeouts or a malformed reply.
     pub fn get(&mut self, key: &str) -> io::Result<(Vec<Value>, Option<PackedName>)> {
-        let mut payload = Vec::new();
-        write_frame(&mut payload, key.as_bytes());
-        let reply = self.request(MessageKind::Get, payload)?;
-        if reply.kind != MessageKind::GetOk {
-            return Err(invalid("get reply was not GetOk"));
-        }
-        let mut input = reply.payload.as_slice();
-        let count = read_varint(&mut input).map_err(|_| invalid("short GetOk"))?;
-        let mut values = Vec::with_capacity(count.min(1 << 16) as usize);
-        for _ in 0..count {
-            values.push(read_frame(&mut input).map_err(|_| invalid("short GetOk"))?.to_vec());
-        }
-        let (flag, mut rest) = input.split_first().ok_or_else(|| invalid("short GetOk"))?;
-        let context = if *flag == 1 {
-            let frame = read_frame(&mut rest).map_err(|_| invalid("short GetOk"))?;
-            Some(self.backend.decode_clock(frame).map_err(|_| invalid("bad GetOk clock"))?)
-        } else {
-            None
-        };
-        Ok((values, context))
+        client_get(key, |request| self.link.request(&request))
     }
 
-    /// Causal write; returns the write's clock (the ack the oracle
-    /// records).
+    /// Causal write ([`client_put`] over this client's connection).
     ///
     /// # Errors
     ///
@@ -843,25 +866,7 @@ impl NodeClient {
         value: Value,
         context: Option<&PackedName>,
     ) -> io::Result<PackedName> {
-        let mut payload = Vec::new();
-        write_frame(&mut payload, key.as_bytes());
-        write_frame(&mut payload, &value);
-        match context {
-            Some(clock) => {
-                payload.push(1);
-                let mut scratch = Vec::new();
-                self.backend.encode_clock(clock, &mut scratch);
-                write_frame(&mut payload, &scratch);
-            }
-            None => payload.push(0),
-        }
-        let reply = self.request(MessageKind::Put, payload)?;
-        if reply.kind != MessageKind::PutOk {
-            return Err(invalid("put reply was not PutOk"));
-        }
-        let mut input = reply.payload.as_slice();
-        let frame = read_frame(&mut input).map_err(|_| invalid("short PutOk"))?;
-        self.backend.decode_clock(frame).map_err(|_| invalid("bad PutOk clock"))
+        client_put(key, &value, context, |request| self.link.request(&request))
     }
 
     /// Fetches the node's [`NodeStatus`].
@@ -870,7 +875,8 @@ impl NodeClient {
     ///
     /// Fails on connection loss, timeouts or a malformed reply.
     pub fn status(&mut self) -> io::Result<NodeStatus> {
-        let reply = self.request(MessageKind::Status, Vec::new())?;
+        let request = Envelope { kind: MessageKind::Status, from: 0, payload: Vec::new() };
+        let reply = self.link.request(&request)?;
         if reply.kind != MessageKind::StatusOk {
             return Err(invalid("status reply was not StatusOk"));
         }
@@ -881,7 +887,7 @@ impl NodeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use crate::wire::encode_probe;
 
     fn quick_config(seed: u64) -> NodeConfig {
         NodeConfig {
@@ -913,20 +919,10 @@ mod tests {
         value: &[u8],
         context: Option<&PackedName>,
     ) -> Option<PackedName> {
-        let mut payload = Vec::new();
-        write_frame(&mut payload, key.as_bytes());
-        write_frame(&mut payload, value);
-        payload.push(u8::from(context.is_some()));
-        if let Some(context) = context {
-            let mut clock = Vec::new();
-            core.cluster.backend().encode_clock(context, &mut clock);
-            write_frame(&mut payload, &clock);
-        }
-        let reply = core
-            .handle(Envelope { kind: MessageKind::Put, from: 0, payload }, 0)
-            .filter(|reply| reply.kind == MessageKind::PutOk)?;
-        let frame = read_frame(&mut reply.payload.as_slice()).ok()?;
-        core.cluster.backend().decode_clock(frame).ok()
+        client_put(key, value, context, |request| {
+            core.handle(request, 0).ok_or_else(|| invalid("refused"))
+        })
+        .ok()
     }
 
     /// `count` gossip rounds of every core, 10 ms of `now` apart.
@@ -944,14 +940,6 @@ mod tests {
     fn disjoint(a: &PackedName, b: &PackedName) -> bool {
         let theirs = b.strings();
         a.strings().iter().all(|s| theirs.iter().all(|t| s.is_incomparable_with(t)))
-    }
-
-    fn register(core: &NodeCore) -> Option<Arc<KeySnapshot<VstampBackend>>> {
-        core.cluster.get(0, MEMBERS_KEY).snapshot().cloned()
-    }
-
-    fn decodes_and_lock_pairs() -> (u64, u64) {
-        (counted::REGISTER_DECODES.with(Cell::get), counted::LOCK_PAIRS.with(Cell::get))
     }
 
     #[test]
@@ -1079,28 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn a_client_put_to_the_member_register_is_refused() {
-        let sponsor = NodeCore::bootstrap(quick_config(5), "127.0.0.1:40000".into());
-        sponsor.gossip_round(0, |_, _| Err(invalid("alone")));
-        let joiner = NodeCore::join(
-            quick_config(6),
-            "127.0.0.1:40001".into(),
-            "127.0.0.1:40000",
-            wired(&[&sponsor], 0),
-        )
-        .expect("join");
-        // At a joiner that has not adopted the register, a write would
-        // root a second, {ε}-rooted register universe.
-        assert!(put(&joiner, MEMBERS_KEY, b"bogus", None).is_none());
-        assert!(!joiner.cluster.has_key(MEMBERS_KEY));
-        // At the sponsor, a write carrying the register's own context
-        // would replace the table with client bytes.
-        let before = register(&sponsor).expect("bootstrap wrote the register");
-        assert!(put(&sponsor, MEMBERS_KEY, b"bogus", Some(before.context())).is_none());
-        assert!(Arc::ptr_eq(&before, &register(&sponsor).expect("register")));
-    }
-
-    #[test]
     fn rooting_keys_forks_the_membership_stamp_once() {
         // `one` roots a single key, `core` a thousand: both end with the
         // same identity, spent footprint and member table.
@@ -1115,14 +1081,6 @@ mod tests {
             dots.push(put(&core, &format!("key-{k}"), b"v", None).expect("acked"));
         }
         assert_eq!(core.status().id_bits, id_bits);
-        // The bootstrap rooted the member register at the lend and marked
-        // the own entry dirty; a thousand keys later the next round writes
-        // the register once.
-        let (_, pairs) = decodes_and_lock_pairs();
-        core.gossip_round(1, |_, _| Err(invalid("alone")));
-        let (_, after) = decodes_and_lock_pairs();
-        assert_eq!(after - pairs, 1, "one round, one register write");
-        one.gossip_round(1, |_, _| Err(invalid("alone")));
         let status = core.status();
         assert_eq!(status.table, one.status().table, "the keys changed the table");
         // One fork: the identity kept its half, `spent` is the lent half,
@@ -1136,24 +1094,44 @@ mod tests {
             let dot = dot.shallowest_string().expect("a dot");
             assert!(root.is_prefix_of(&dot), "dot {dot} outside the lend {root}");
         }
-        let read = core.cluster.get(0, MEMBERS_KEY);
-        let published: Vec<_> = read.iter_values().map(MemberTable::decode).collect();
-        assert_eq!(published, vec![Ok(status.table)]);
-        let (_, pairs) = decodes_and_lock_pairs();
-        core.gossip_round(2, |_, _| Err(invalid("alone")));
-        assert_eq!(decodes_and_lock_pairs().1, pairs, "a clean round wrote the register");
     }
 
-    /// Three cores: the bootstrap at port 40000 and two joiners it
-    /// sponsors, at 40001 and 40002.
-    fn three_cores(seed: u64) -> [NodeCore; 3] {
+    /// A core at port `40000 + index` that `sponsor` let join.
+    fn joined(sponsor: &NodeCore, seed: u64, index: u64) -> NodeCore {
+        let addr = format!("127.0.0.1:{}", 40_000 + index);
+        NodeCore::join(quick_config(seed + index), addr, &sponsor.addr, wired(&[sponsor], 0))
+            .expect("join")
+    }
+
+    /// The bootstrap at port 40000 and a joiner it sponsors, at 40001.
+    fn two_cores(seed: u64) -> [NodeCore; 2] {
         let a = NodeCore::bootstrap(quick_config(seed), "127.0.0.1:40000".into());
-        let [b, c] = [1, 2].map(|index| {
-            let addr = format!("127.0.0.1:{}", 40_000 + index);
-            NodeCore::join(quick_config(seed + index), addr, "127.0.0.1:40000", wired(&[&a], 0))
-                .expect("join")
-        });
+        let b = joined(&a, seed, 1);
+        [a, b]
+    }
+
+    /// [`two_cores`] and a second joiner the bootstrap sponsors, at 40002.
+    fn three_cores(seed: u64) -> [NodeCore; 3] {
+        let [a, b] = two_cores(seed);
+        let c = joined(&a, seed, 2);
         [a, b, c]
+    }
+
+    #[test]
+    fn a_join_converges_the_table_on_three_cores_in_one_round() {
+        for seed in 0..20 {
+            let [a, b, c] = three_cores(100 * seed);
+            let cores = [&a, &b, &c];
+            // b's JoinAck predates c's join: b alone does not know c yet.
+            assert_eq!(b.status().active_members, 2);
+            let mut now = 0;
+            rounds(&cores, &mut now, 1);
+            for core in cores {
+                let status = core.status();
+                assert_eq!(status.table, a.status().table, "seed {seed} at {}", core.addr);
+                assert_eq!(status.active_members, 3, "seed {seed} at {}", core.addr);
+            }
+        }
     }
 
     #[test]
@@ -1182,10 +1160,11 @@ mod tests {
     #[test]
     fn a_retirement_drops_the_lend_and_the_next_lend_is_disjoint_from_every_member() {
         let [a, b, c] = three_cores(13);
+        assert!(put(&a, "a-first", b"v", None).is_some());
         assert!(put(&b, "b-key", b"v", None).is_some());
         let mut now = 0;
         rounds(&[&a, &b, &c], &mut now, 50);
-        let before = a.state.lock().rooting.clone().expect("the register took a's lend");
+        let before = a.state.lock().rooting.clone().expect("a-first took a's lend");
         // c dies: a evicts it once the grace period is over and retires
         // the space that frees up.
         while a.status().retirements == 0 {
@@ -1238,30 +1217,74 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_carries_the_table_digest_and_its_reply_the_table_only_on_a_mismatch() {
+        let [a, b] = two_cores(14);
+        // One round of b against a, keeping the Probe and a's reply to it.
+        let probe_round = |now: u64| {
+            let mut exchange = None;
+            b.gossip_round(now, |_, request| {
+                let reply = a.handle(request.clone(), now).ok_or_else(|| invalid("refused"))?;
+                if request.kind == MessageKind::Probe {
+                    exchange = Some((request.payload, reply.kind, reply.payload.clone()));
+                }
+                Ok(reply)
+            });
+            exchange.expect("b probed a")
+        };
+        // The JoinAck carried a's table, so the tables match; both stores
+        // are empty, so the engine answers Ack with an empty payload.
+        let digest = b.state.lock().table.digest();
+        assert_eq!(digest, a.state.lock().table.digest());
+        let engine_probe = encode_probe(b.cluster.digest_root(0), 0);
+        let (sent, kind, reply) = probe_round(10);
+        assert_eq!(sent, [engine_probe.as_slice(), &digest.to_le_bytes()].concat());
+        assert_eq!(sent.len(), 8 + 1 + 8, "root, since, table digest");
+        assert_eq!((kind, reply), (MessageKind::Ack, vec![0x00]));
+        // a's first lend rewrites its entry: the reply now opens with a's
+        // table, and the engine's Offer follows it untouched.
+        assert!(put(&a, "a-key", b"v", None).is_some());
+        let table = a.state.lock().table.encode();
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &table);
+        let engine_probe = encode_probe(b.cluster.digest_root(0), 0);
+        let (offered, _) = a
+            .cluster
+            .serve(0, &Envelope { kind: MessageKind::Probe, from: 0, payload: engine_probe })
+            .expect("a serves b's engine probe");
+        let (_, kind, reply) = probe_round(20);
+        assert_eq!((kind, reply), (MessageKind::Offer, [framed, offered.payload].concat()));
+        assert_eq!(b.status().table, a.status().table, "b merged a's table");
+        // A Probe too short to carry a digest drops the connection.
+        let short = Envelope { kind: MessageKind::Probe, from: 0, payload: vec![0; 7] };
+        assert!(a.handle(short, 30).is_none());
+    }
+
+    #[test]
     fn an_idle_converged_core_decodes_nothing_until_a_peer_changes_the_table() {
-        let a = NodeCore::bootstrap(quick_config(8), "127.0.0.1:40000".into());
-        let b = NodeCore::join(
-            quick_config(9),
-            "127.0.0.1:40001".into(),
-            "127.0.0.1:40000",
-            wired(&[&a], 0),
-        )
-        .expect("join");
+        let [a, b] = two_cores(8);
         let cores = [&a, &b];
         let mut now = 0;
         rounds(&cores, &mut now, 50);
         assert_eq!(a.status().table, b.status().table);
         assert_eq!(a.status().digest_root, b.status().digest_root);
-        let (decodes, _) = decodes_and_lock_pairs();
-        rounds(&cores, &mut now, 20);
-        assert_eq!(decodes_and_lock_pairs().0, decodes, "an idle round decoded the register");
-        // A member change at b — the lend b's first key forks — is in b's
-        // register write on b's next round; a pulls it in its round after
-        // and merges it in the one after that.
+        // Every Probe reply between converged cores is the empty member
+        // frame and the engine's empty Ack.
+        for _ in 0..20 {
+            now += 10;
+            for core in cores {
+                core.gossip_round(now, |peer, request| {
+                    let probe = request.kind == MessageKind::Probe;
+                    let reply = wired(&cores, now)(peer, request)?;
+                    assert!(!probe || reply.payload == [0x00], "{reply:?}");
+                    Ok(reply)
+                });
+            }
+        }
+        // A member change at b — the lend b's first key forks — reaches a
+        // in a's next pull.
         assert!(put(&b, "b-key", b"v", None).is_some());
-        rounds(&cores, &mut now, 3);
+        rounds(&cores, &mut now, 1);
         let entry = a.status().table.entry("127.0.0.1:40001").cloned().expect("b's entry");
         assert_eq!(entry.spent, b.state.lock().spent);
-        assert!(decodes_and_lock_pairs().0 > decodes);
     }
 }

@@ -33,7 +33,7 @@
 //!   other relations known (`Concurrent`), and a `put` whose context
 //!   equals the cached set context supersedes every sibling with **zero**
 //!   relation checks (its fresh dot makes the domination strict);
-//! * the whole set is published as an **`Arc`-swapped [`KeySnapshot`]**,
+//! * the whole set is published as an **`Arc`-swapped `KeySnapshot`**,
 //!   so a causal `get` under concurrency is one `Arc` clone under a
 //!   briefly-held shard read lock — contention-free against writers on
 //!   other keys of the shard and copy-free always.
@@ -85,8 +85,6 @@ pub(crate) mod counted {
         pub(crate) static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
         /// (clock-plane, data-shard) lock pairs a `Cluster` took.
         pub(crate) static LOCK_PAIRS: Cell<u64> = const { Cell::new(0) };
-        /// Member-register sibling decodes (in a node's gossip round).
-        pub(crate) static REGISTER_DECODES: Cell<u64> = const { Cell::new(0) };
     }
 }
 
@@ -260,29 +258,13 @@ fn version_hash(clock_bytes: &[u8], value: Option<&[u8]>) -> u64 {
 /// takes a write lock, folds a context, or clones a version, and the view
 /// it returns stays coherent however many writes land afterwards.
 #[derive(Debug)]
-pub struct KeySnapshot<B: StoreBackend> {
+pub(crate) struct KeySnapshot<B: StoreBackend> {
     versions: Vec<StoredVersion<B>>,
     context: B::Clock,
 }
 
-impl<B: StoreBackend> KeySnapshot<B> {
-    /// Every stored version of the key at snapshot time, tombstones
-    /// included.
-    #[must_use]
-    pub fn versions(&self) -> &[StoredVersion<B>] {
-        &self.versions
-    }
-
-    /// The joined context clock of the whole set (what a follow-up `put`
-    /// carries to supersede it).
-    #[must_use]
-    pub fn context(&self) -> &B::Clock {
-        &self.context
-    }
-}
-
-/// The outcome of a causal `get`: a shared [`KeySnapshot`] of the sibling
-/// set, or nothing when the key is absent at this replica.
+/// The outcome of a causal `get`: a shared snapshot of the sibling set,
+/// or nothing when the key is absent at this replica.
 #[derive(Debug)]
 pub struct GetResult<B: StoreBackend> {
     snapshot: Option<Arc<KeySnapshot<B>>>,
@@ -291,12 +273,6 @@ pub struct GetResult<B: StoreBackend> {
 impl<B: StoreBackend> GetResult<B> {
     pub(crate) fn new(snapshot: Option<Arc<KeySnapshot<B>>>) -> Self {
         GetResult { snapshot }
-    }
-
-    /// The underlying shared snapshot (`None` when the key is absent).
-    #[must_use]
-    pub fn snapshot(&self) -> Option<&Arc<KeySnapshot<B>>> {
-        self.snapshot.as_ref()
     }
 
     /// Live (non-tombstone) sibling values, one per concurrent write.
@@ -1073,10 +1049,7 @@ mod tests {
         });
         assert_eq!(counted::CTX_REBUILDS.with(Cell::get) - rebuilds, 1);
         assert_eq!(siblings(&shard).context(), Some(&c3));
-        assert_eq!(
-            siblings(&shard).snapshot().map(|snapshot| snapshot.context().clone()),
-            Some(c3)
-        );
+        assert_eq!(siblings(&shard).snapshot().map(|snapshot| snapshot.context.clone()), Some(c3));
     }
 
     /// One step of the upkeep property: `(what, replica, pick, value)`.
@@ -1145,15 +1118,15 @@ mod tests {
             let data = shard.get("k").expect("inserted");
             let versions: Vec<_> = data.siblings.iter().cloned().collect();
             let snapshot = data.siblings.snapshot().expect("a step stores a version");
-            assert!(snapshot.versions() == versions, "step {step}: snapshot versions");
-            assert_eq!(data.siblings.context(), Some(snapshot.context()), "step {step}: context");
+            assert!(snapshot.versions == versions, "step {step}: snapshot versions");
+            assert_eq!(data.siblings.context(), Some(&snapshot.context), "step {step}: context");
             // Compared in joined form: a dynamic-VV write clock joined with
             // itself changes form (its dot folds into the vector), not
             // meaning.
             let joined = backend.join_clock_set(versions.iter().map(StoredVersion::clock));
             let joined = joined.expect("non-empty");
             assert_eq!(
-                backend.join_clocks(snapshot.context(), snapshot.context()),
+                backend.join_clocks(&snapshot.context, &snapshot.context),
                 backend.join_clocks(&joined, &joined),
                 "step {step}: context against the join"
             );
