@@ -23,6 +23,28 @@
 //! [`NameLike`](crate::NameLike) as [`VersionStamp`](crate::VersionStamp) /
 //! [`VersionStampMechanism`](crate::VersionStampMechanism).
 //!
+//! # Two orders: names and clocks
+//!
+//! [`PackedName::leq`], [`join`](PackedName::join),
+//! [`relation`](PackedName::relation) and
+//! [`join_many`](PackedName::join_many) are Definition 4.1's order on
+//! **names**: `n₁ ⊑ n₂` when every string of `n₁` is a *prefix* of one in
+//! `n₂`. The paper's stamps and the fork/join/update mechanism use it.
+//!
+//! A store **clock** is something else: the set of dots a version has
+//! seen, each dot a string whose whole subtree it spends. Its order is
+//! region inclusion, the *cover order*: `a ≤ b` when every string of `a`
+//! *has* a prefix in `b` ([`PackedName::cover_leq`],
+//! [`cover_relation`](PackedName::cover_relation),
+//! [`cover_join`](PackedName::cover_join),
+//! [`cover_join_many`](PackedName::cover_join_many)). Under it `{ε}` is the
+//! top and `{}` the bottom, and two sibling dots `s·0`, `s·1` merge into
+//! `s`; Definition 4.1 would rank that merged `{s}` *below* `{s·0}`. A
+//! clock is kept cover-canonical ([`PackedName::is_cover_canonical`]), so
+//! equal clocks are byte-equal. For clocks whose dots are disjoint and
+//! never merged, the two orders agree. [`PackedName::mint_dot`] spends dots
+//! so that one writer's dots merge.
+//!
 //! # Examples
 //!
 //! ```
@@ -103,8 +125,9 @@ fn recycle_buf(mut buf: Vec<u8>) {
 
 /// Growable 2-bit tag array with a 16-byte (64-tag) inline buffer.
 ///
-/// Invariant: tags are only ever appended, so the unused bits of the last
-/// byte are always zero and equality/hashing can compare raw bytes.
+/// Invariant: the unused bits of the last byte are always zero (tags are
+/// appended, and [`TagVec::truncate`] clears what it drops), so
+/// equality/hashing can compare raw bytes.
 ///
 /// Heap-spilled buffers are arena-pooled per thread ([`TAG_BUF_POOL`]):
 /// `Drop` recycles them and every spilling path (`with_tag_capacity`, the
@@ -180,6 +203,24 @@ impl TagVec {
         }
         self.heap[byte] |= tag << shift;
         self.len += 1;
+    }
+
+    /// Drops every tag from `len` on, zeroing the freed lanes. A heap
+    /// buffer keeps at least one byte, so it never reads as inline; after
+    /// `truncate(0)` the next append must be a `push` (the sibling merge's
+    /// only use of it).
+    fn truncate(&mut self, len: usize) {
+        debug_assert!(len <= self.len());
+        let (old, keep) = (self.byte_len(), len.div_ceil(TAGS_PER_BYTE));
+        let bytes: &mut [u8] = if self.heap.is_empty() { &mut self.inline } else { &mut self.heap };
+        if len % TAGS_PER_BYTE != 0 {
+            bytes[len / TAGS_PER_BYTE] &= (1u8 << ((len % TAGS_PER_BYTE) * 2)) - 1;
+        }
+        bytes[keep..old].fill(0);
+        if !self.heap.is_empty() {
+            self.heap.truncate(keep.max(1));
+        }
+        self.len = len as u32;
     }
 
     /// Appends the tag range `[start, end)` of `src` — the bulk-copy fast
@@ -627,7 +668,8 @@ impl PackedName {
         PackedName { tags, strings, bits }
     }
 
-    /// The order `⊑` on names: down-set inclusion.
+    /// The order `⊑` on names: down-set inclusion (Definition 4.1). Store
+    /// clocks use the cover order instead ([`PackedName::cover_leq`]).
     ///
     /// A single lockstep scan of the two tag arrays — no recursion and no
     /// allocation of any kind.
@@ -937,6 +979,479 @@ impl PackedName {
             frames.push((zero_start as u32, nodes as u32));
         }
         PackedName::from_tags(out)
+    }
+
+    /// The cover order on **clocks**: `self ≤ other` iff every string of
+    /// `self` has a prefix in `other`, i.e. the region (the subtrees)
+    /// under `self` lies inside the region under `other`.
+    ///
+    /// A clock is a set of spent dots, and dots are pairwise disjoint
+    /// regions, so region inclusion is exactly dot-set inclusion. This is
+    /// *not* Definition 4.1's order on names ([`PackedName::leq`]), under
+    /// which `{0} ⊑ {00}`: a clock `{0}` that merged the dots `00` and `01`
+    /// would rank below a clock holding only `00`. Both inputs must be
+    /// cover-canonical ([`PackedName::is_cover_canonical`]); for clocks of
+    /// pairwise-disjoint dots that never merged, the two orders agree.
+    ///
+    /// One lockstep walk of the two tag arrays, the mirror of `leq`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vstamp_core::PackedName;
+    /// let merged: PackedName = "{0}".parse().unwrap();
+    /// let half: PackedName = "{00}".parse().unwrap();
+    /// assert!(half.cover_leq(&merged));
+    /// assert!(!merged.cover_leq(&half));
+    /// assert!(merged.leq(&half), "Definition 4.1 says the opposite");
+    /// ```
+    #[must_use]
+    pub fn cover_leq(&self, other: &PackedName) -> bool {
+        self.cover_walk(other, true).0
+    }
+
+    /// Classifies two cover-canonical clocks under
+    /// [`PackedName::cover_leq`], in one walk.
+    #[must_use]
+    pub fn cover_relation(&self, other: &PackedName) -> Relation {
+        let (le, ge) = self.cover_walk(other, false);
+        Relation::from_leq(le, ge)
+    }
+
+    /// `(self ≤ other, other ≤ self)` under the cover order. Stops once
+    /// the first is false when `only_le`, or once both are.
+    fn cover_walk(&self, other: &PackedName, only_le: bool) -> (bool, bool) {
+        if self.tags == other.tags {
+            return (true, true);
+        }
+        let a = self.tags.view();
+        let b = other.tags.view();
+        let (mut le, mut ge) = (true, true);
+        let (mut ia, mut ib) = (0usize, 0usize);
+        let mut pending = 1usize;
+        while pending > 0 {
+            // Where the two arrays hold the same tags the walk descends in
+            // lockstep and classifies nothing (a clock and its join with a
+            // dot share everything off the dot's path). Compare up to 32
+            // tags at once from each cursor, whatever its alignment, and
+            // consume the identical run. The walk ends only at the end of
+            // `a`, so a run that reaches it ends the walk.
+            let rem = (a.len - ia).min(b.len - ib);
+            let lanes = rem.min(32 - (ia & 3)).min(32 - (ib & 3));
+            let va = tag_word_padded(a.bytes, ia >> 2) >> ((ia & 3) * 2);
+            let vb = tag_word_padded(b.bytes, ib >> 2) >> ((ib & 3) * 2);
+            let diff = (va ^ vb) & (lane_mask(lanes) | (lane_mask(lanes) << 1));
+            let same = if diff == 0 { lanes } else { diff.trailing_zeros() as usize / 2 };
+            if same > 0 {
+                if same == a.len - ia {
+                    return (le, ge);
+                }
+                let run = va & (lane_mask(same) | (lane_mask(same) << 1));
+                let nodes = ((run >> 1) & !run & LANE_LO).count_ones() as usize;
+                pending = pending + 2 * nodes - same;
+                ia += same;
+                ib += same;
+                if same == lanes {
+                    continue;
+                }
+            }
+            // The tags differ here.
+            match (a.tag(ia), b.tag(ib)) {
+                // `b` has strings where `a` has none.
+                (EMPTY, _) => {
+                    ge = false;
+                    ia += 1;
+                    ib = b.subtree_end(ib);
+                }
+                (_, EMPTY) => {
+                    le = false;
+                    ia = a.subtree_end(ia);
+                    ib += 1;
+                }
+                // An element covers the other side's interior subtree, and a
+                // canonical interior subtree never covers a whole element.
+                (ELEM, _) => {
+                    le = false;
+                    ia += 1;
+                    ib = b.subtree_end(ib);
+                }
+                _ => {
+                    ge = false;
+                    ia = a.subtree_end(ia);
+                    ib += 1;
+                }
+            }
+            pending -= 1;
+            if !le && (only_le || !ge) {
+                break;
+            }
+        }
+        (le, ge)
+    }
+
+    /// The join of two clocks under the cover order: the union of their
+    /// regions, in cover-canonical form — a string covered by a shorter
+    /// one drops out, and two sibling strings `s·0`, `s·1` merge into `s`,
+    /// repeatedly on the way up (the sibling rule of `reduce_pair(c, c)`).
+    ///
+    /// One lockstep merge of the two tag arrays, the mirror of `join`; a
+    /// merge only ever rewrites the last three output tags.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vstamp_core::PackedName;
+    /// let a: PackedName = "{00, 1}".parse().unwrap();
+    /// let b: PackedName = "{01, 111}".parse().unwrap();
+    /// assert_eq!(a.cover_join(&b), PackedName::epsilon());
+    /// ```
+    #[must_use]
+    pub fn cover_join(&self, other: &PackedName) -> PackedName {
+        let a = self.tags.view();
+        let b = other.tags.view();
+        let mut out = TagVec::with_tag_capacity(self.tags.len().max(other.tags.len()));
+        // Open output nodes: (index, children still missing).
+        let mut open: Vec<(usize, u8)> = Vec::new();
+        let (mut ia, mut ib) = (0usize, 0usize);
+        loop {
+            match (a.tag(ia), b.tag(ib)) {
+                (NODE, NODE) => {
+                    open.push((out.len(), 2));
+                    out.push(NODE);
+                    ia += 1;
+                    ib += 1;
+                    continue;
+                }
+                (EMPTY, _) => {
+                    ia += 1;
+                    ib = Self::copy_subtree(b, ib, &mut out);
+                }
+                (_, EMPTY) => {
+                    ib += 1;
+                    ia = Self::copy_subtree(a, ia, &mut out);
+                }
+                // An element on either side covers the other subtree.
+                _ => {
+                    out.push(ELEM);
+                    ia = a.subtree_end(ia);
+                    ib = b.subtree_end(ib);
+                }
+            }
+            // A subtree is complete: close the nodes it completes.
+            loop {
+                let Some(frame) = open.last_mut() else {
+                    return PackedName::from_tags(out);
+                };
+                frame.1 -= 1;
+                if frame.1 > 0 {
+                    break;
+                }
+                let at = frame.0;
+                open.pop();
+                Self::merge_full_node(&mut out, at);
+            }
+        }
+    }
+
+    /// Rewrites a just-completed output node at `at` whose two children are
+    /// both elements into one element (the cover-canonical sibling merge).
+    fn merge_full_node(out: &mut TagVec, at: usize) {
+        if out.len() == at + 3 && out.get(at + 1) == ELEM && out.get(at + 2) == ELEM {
+            out.truncate(at);
+            out.push(ELEM);
+        }
+    }
+
+    /// The k-way [`PackedName::cover_join`]: one multi-cursor merge of the
+    /// tag arrays, the mirror of [`PackedName::join_many`] (the store's
+    /// sibling-set context rebuild).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vstamp_core::PackedName;
+    /// let clocks: Vec<PackedName> =
+    ///     ["{00}", "{010, 1}", "{011}"].iter().map(|s| s.parse().unwrap()).collect();
+    /// assert_eq!(PackedName::cover_join_many(&clocks), PackedName::epsilon());
+    /// ```
+    #[must_use]
+    pub fn cover_join_many<'a, I>(names: I) -> PackedName
+    where
+        I: IntoIterator<Item = &'a PackedName>,
+    {
+        let inputs: Vec<&PackedName> = names.into_iter().filter(|name| !name.is_empty()).collect();
+        match inputs.len() {
+            0 => return PackedName::empty(),
+            1 => return inputs[0].clone(),
+            2 => return inputs[0].cover_join(inputs[1]),
+            _ => {}
+        }
+        JOIN_MANY_SCRATCH.with(|cell| Self::cover_join_many_with(&inputs, &mut cell.borrow_mut()))
+    }
+
+    /// [`PackedName::cover_join_many`] against caller-owned scratch;
+    /// `inputs` are non-empty and at least three. A frame whose start is
+    /// [`CLOSE_FRAME`] closes the output node at its `len`.
+    fn cover_join_many_with(inputs: &[&PackedName], scratch: &mut JoinManyScratch) -> PackedName {
+        let views: Vec<TagsView<'_>> = inputs.iter().map(|name| name.tags.view()).collect();
+        let JoinManyScratch { ends, open, cursors, frames } = scratch;
+        if ends.len() < views.len() {
+            ends.resize_with(views.len(), Vec::new);
+        }
+        for (view, table) in views.iter().zip(ends.iter_mut()) {
+            view.subtree_ends_into(table, open);
+        }
+        let mut out =
+            TagVec::with_tag_capacity(inputs.iter().map(|name| name.tags.len()).max().unwrap_or(1));
+        cursors.clear();
+        frames.clear();
+        for index in 0..views.len() {
+            cursors.push((index as u32, 0u32));
+        }
+        frames.push((0u32, views.len() as u32));
+        while let Some((start, len)) = frames.pop() {
+            if start == CLOSE_FRAME {
+                Self::merge_full_node(&mut out, len as usize);
+                continue;
+            }
+            let (start, len) = (start as usize, len as usize);
+            let mut nodes = 0usize;
+            let mut last_node = (0u32, 0u32);
+            let mut elems = 0usize;
+            for &(name, pos) in &cursors[start..start + len] {
+                match views[name as usize].tag(pos as usize) {
+                    NODE => {
+                        nodes += 1;
+                        last_node = (name, pos);
+                    }
+                    ELEM => elems += 1,
+                    _ => {}
+                }
+            }
+            if elems > 0 || nodes == 0 {
+                // An element covers every co-located subtree.
+                out.push(if elems > 0 { ELEM } else { EMPTY });
+                continue;
+            }
+            if nodes == 1 {
+                let (name, pos) = last_node;
+                let end = ends[name as usize][pos as usize] as usize;
+                out.extend_tags(views[name as usize], pos as usize, end);
+                continue;
+            }
+            frames.push((CLOSE_FRAME, out.len() as u32));
+            out.push(NODE);
+            let zero_start = cursors.len();
+            for slot in start..start + len {
+                let (name, pos) = cursors[slot];
+                if views[name as usize].tag(pos as usize) == NODE {
+                    cursors.push((name, pos + 1));
+                }
+            }
+            let one_start = cursors.len();
+            for slot in start..start + len {
+                let (name, pos) = cursors[slot];
+                if views[name as usize].tag(pos as usize) == NODE {
+                    cursors.push((name, ends[name as usize][pos as usize + 1]));
+                }
+            }
+            frames.push((one_start as u32, nodes as u32));
+            frames.push((zero_start as u32, nodes as u32));
+        }
+        PackedName::from_tags(out)
+    }
+
+    /// Whether the name is a cover-canonical clock: no interior node has two
+    /// element children. With the trie's own canonical form (no empty
+    /// interior node, no string below another) this makes the region a
+    /// clock denotes determine its bytes, so equal clocks are byte-equal.
+    ///
+    /// One scan: an element is a one-tag subtree, so a node's two element
+    /// children are exactly the tag run `Node, Elem, Elem`. The scan looks
+    /// for that run at 28 lanes per `u64` word, in windows 7 bytes apart
+    /// that overlap by the run's two trailing lanes (padding lanes read as
+    /// `Empty` and match nothing).
+    #[must_use]
+    pub fn is_cover_canonical(&self) -> bool {
+        let bytes = self.tags.bytes();
+        (0..bytes.len()).step_by(7).all(|byte| {
+            let word = tag_word_padded(bytes, byte);
+            let nodes = (word >> 1) & !word & LANE_LO;
+            let elems = word & !(word >> 1) & LANE_LO;
+            nodes & (elems >> 2) & (elems >> 4) & lane_mask(28) == 0
+        })
+    }
+
+    /// The counter-shaped dot mint: returns `(kept, dot)`, where `dot` is a
+    /// single string the element spends and `kept` is the rest of it.
+    ///
+    /// The leftmost string `l` of the element is split down to the
+    /// element's deepest level, and its leftmost leaf `l·0…0` is the dot;
+    /// the right siblings along the split path stay in `kept`. When `l` is
+    /// already at the deepest level of a several-string element, `l`
+    /// itself is the dot. A one-string element `{s}` is split as many
+    /// levels deep as `s` ends in one bits, and at least one: a run of
+    /// writes that spends a whole `{s}` leaves `{s·1}`, so each completed
+    /// run splits the next one a level deeper — the carry of a binary
+    /// counter. (Splitting `|s|` levels deep gives the same run from `ε`,
+    /// but an element deepened by exchanges would then mint dots twice its
+    /// depth, and a run an exchange cuts short leaves that whole depth in
+    /// the clock.)
+    ///
+    /// A run of mints from one element therefore spends a left-to-right
+    /// interval of leaves, so the canonical union of the spent dots
+    /// ([`PackedName::cover_join`]) and the element that remains each stay
+    /// O(depth) strings — where [`PackedName::fork_dot`] spends
+    /// `e·1, e·01, e·001, …`, no two of them siblings. The dot is disjoint
+    /// from `kept`, and `kept ∪ {dot}` is the element's region, so a dot
+    /// overlaps no other live id (I2).
+    ///
+    /// Returns `(empty, empty)` for the empty name, mirroring `fork_dot`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vstamp_core::PackedName;
+    /// let one: PackedName = "{11}".parse().unwrap();
+    /// let (kept, dot) = one.mint_dot();
+    /// assert_eq!(dot, "{1100}".parse().unwrap());
+    /// assert_eq!(kept, "{1101, 111}".parse().unwrap());
+    /// let (kept, dot) = kept.mint_dot();
+    /// assert_eq!(dot, "{1101}".parse().unwrap());
+    /// assert_eq!(kept, "{111}".parse().unwrap());
+    /// ```
+    #[must_use]
+    pub fn mint_dot(&self) -> (PackedName, PackedName) {
+        if self.is_empty() {
+            return (PackedName::empty(), PackedName::empty());
+        }
+        let view = self.tags.view();
+        // The leftmost string `l`: a canonical node's zero child is empty
+        // only when its one child holds the strings, so the walk down is
+        // "zero unless the zero child is empty". `starts[k]` is the index
+        // of the subtree at `l[..k]`.
+        let mut l = BitString::empty();
+        let mut starts = vec![0usize];
+        let mut i = 0usize;
+        let mut ones = 0usize;
+        while view.tag(i) == NODE {
+            i = if view.tag(i + 1) == EMPTY {
+                l.push(Bit::One);
+                ones += 1;
+                i + 2
+            } else {
+                l.push(Bit::Zero);
+                ones = 0;
+                i + 1
+            };
+            starts.push(i);
+        }
+        let len = l.len() as u32;
+        let levels = if self.strings == 1 { ones.max(1) } else { self.depth() - l.len() };
+        let mut out = TagVec::with_tag_capacity(self.tags.len() + 2 * levels + 1);
+        if levels == 0 {
+            // `l` is spent whole: cut the largest subtree on its path that
+            // holds no other string (a one-bit step's zero child is empty,
+            // a zero-bit step's one child follows the subtree) to `Empty`.
+            let (mut k, mut end) = (l.len(), i + 1);
+            while l.get(k - 1) == Some(Bit::One) || view.tag(end) == EMPTY {
+                if l.get(k - 1) == Some(Bit::Zero) {
+                    end += 1;
+                }
+                k -= 1;
+            }
+            out.extend_tags(view, 0, starts[k]);
+            out.push(EMPTY);
+            out.extend_tags(view, end, view.len);
+            let kept = PackedName { tags: out, strings: self.strings - 1, bits: self.bits - len };
+            return (kept, PackedName::singleton(&l));
+        }
+        // `l` becomes the split path: `levels` nodes, the spent leaf, then
+        // the kept one child of every node on the path, deepest first.
+        out.extend_tags(view, 0, i);
+        for _ in 0..levels {
+            out.push(NODE);
+        }
+        out.push(EMPTY);
+        for _ in 0..levels {
+            out.push(ELEM);
+        }
+        out.extend_tags(view, i + 1, view.len);
+        let levels32 = levels as u32;
+        let kept = PackedName {
+            tags: out,
+            strings: self.strings - 1 + levels32,
+            bits: self.bits - len + levels32 * len + levels32 * (levels32 + 1) / 2,
+        };
+        let mut dot = l;
+        for _ in 0..levels {
+            dot.push(Bit::Zero);
+        }
+        (kept, PackedName::singleton(&dot))
+    }
+
+    /// Splits off the rightmost string: `(rest, {last})`, or `None` when
+    /// the name has fewer than two strings. For an element the dot mint
+    /// has been spending, the rightmost string is the one farthest from
+    /// the spent dots (and the shallowest).
+    ///
+    /// One walk down the rightmost path, the mirror of the leftmost walk
+    /// of [`PackedName::mint_dot`], then one copy of the tags around the
+    /// largest subtree on that path that holds no other string.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vstamp_core::PackedName;
+    /// let run: PackedName = "{11010, 11011, 111}".parse().unwrap();
+    /// let (rest, last) = run.split_last().unwrap();
+    /// assert_eq!((rest, last), ("{11010, 11011}".parse().unwrap(), "{111}".parse().unwrap()));
+    /// assert!("{0}".parse::<PackedName>().unwrap().split_last().is_none());
+    /// ```
+    #[must_use]
+    pub fn split_last(&self) -> Option<(PackedName, PackedName)> {
+        if self.strings < 2 {
+            return None;
+        }
+        let view = self.tags.view();
+        // The rightmost string `r`: "one unless the one child is empty".
+        // `steps` holds, per bit, the index of the node it leaves and the
+        // bit; the subtree of a node on the path ends where the subtree
+        // below it ends, plus the empty one child a zero step skips.
+        let mut r = BitString::empty();
+        let mut steps: Vec<(usize, Bit)> = Vec::new();
+        let mut i = 0usize;
+        while view.tag(i) == NODE {
+            let one = view.subtree_end(i + 1);
+            let bit = if view.tag(one) == EMPTY { Bit::Zero } else { Bit::One };
+            steps.push((i, bit));
+            r.push(bit);
+            i = if bit == Bit::Zero { i + 1 } else { one };
+        }
+        // Climb while the node's other child is empty: that subtree holds
+        // `r` alone and is cut to `Empty` whole.
+        let (mut start, mut end) = (i, i + 1);
+        while let Some(&(node, bit)) = steps.last() {
+            let alone = match bit {
+                Bit::Zero => true,
+                Bit::One => view.tag(node + 1) == EMPTY,
+            };
+            if !alone {
+                break;
+            }
+            if bit == Bit::Zero {
+                end += 1;
+            }
+            start = node;
+            steps.pop();
+        }
+        let mut out = TagVec::with_tag_capacity(view.len);
+        out.extend_tags(view, 0, start);
+        out.push(EMPTY);
+        out.extend_tags(view, end, view.len);
+        let rest =
+            PackedName { tags: out, strings: self.strings - 1, bits: self.bits - r.len() as u32 };
+        Some((rest, PackedName::singleton(&r)))
     }
 
     /// Appends `bit` to every string of the name — the lifted concatenation
@@ -1581,8 +2096,13 @@ struct JoinManyScratch {
     ends: Vec<Vec<u32>>,
     open: Vec<(u32, u8)>,
     cursors: Vec<(u32, u32)>,
+    /// `(cursor range start, length)`; a start of [`CLOSE_FRAME`] is a
+    /// pending node close of the cover merge, at output index `length`.
     frames: Vec<(u32, u32)>,
 }
+
+/// The frame start marking a node close in [`JoinManyScratch::frames`].
+const CLOSE_FRAME: u32 = u32::MAX;
 
 thread_local! {
     static REDUCE_SCRATCH: core::cell::RefCell<ReduceScratch> =
@@ -1659,6 +2179,8 @@ impl FromStr for PackedName {
 mod tests {
     use super::*;
     use crate::name_like::NameLike;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn name(s: &str) -> Name {
         s.parse().expect("valid name literal")
@@ -2138,6 +2660,171 @@ mod tests {
         }
     }
 
+    /// The region a name covers, as its set of strings of length `depth`
+    /// (exact for names no deeper than `depth`).
+    fn region(n: &Name, depth: usize) -> BTreeSet<BitString> {
+        (0..1u32 << depth)
+            .map(|leaf| (0..depth).map(|k| Bit::from(leaf >> (depth - 1 - k) & 1 == 1)).collect())
+            .filter(|leaf: &BitString| n.iter().any(|s| s.is_prefix_of(leaf)))
+            .collect()
+    }
+
+    /// The reference cover-canonical clock of a region: a fully covered
+    /// subtree is one string, an uncovered one none.
+    fn canonical_cover(leaves: &BTreeSet<BitString>, depth: usize) -> Name {
+        fn walk(leaves: &BTreeSet<BitString>, prefix: BitString, depth: usize, out: &mut Name) {
+            let under = leaves.iter().filter(|leaf| prefix.is_prefix_of(leaf)).count();
+            if under == 1 << (depth - prefix.len()) {
+                out.insert(prefix);
+            } else if under > 0 {
+                walk(leaves, prefix.child(Bit::Zero), depth, out);
+                walk(leaves, prefix.child(Bit::One), depth, out);
+            }
+        }
+        let mut out = Name::empty();
+        walk(leaves, BitString::empty(), depth, &mut out);
+        out
+    }
+
+    /// Depth of the reference regions: one more than the deepest string
+    /// the cover tests build (a mint splits a 3-bit string 3 levels).
+    const COVER_DEPTH: usize = 8;
+
+    fn cover(lit: &str) -> PackedName {
+        PackedName::from_name(&canonical_cover(&region(&name(lit), COVER_DEPTH), COVER_DEPTH))
+    }
+
+    #[test]
+    fn cover_operations_agree_with_regions_on_samples() {
+        for a in SAMPLES {
+            for b in SAMPLES {
+                let (pa, pb) = (cover(a), cover(b));
+                let (ra, rb) =
+                    (region(&pa.to_name(), COVER_DEPTH), region(&pb.to_name(), COVER_DEPTH));
+                assert_eq!(pa.cover_leq(&pb), ra.is_subset(&rb), "cover_leq {a} vs {b}");
+                let union: BTreeSet<BitString> = ra.union(&rb).cloned().collect();
+                let joined = pa.cover_join(&pb);
+                assert_eq!(joined.to_name(), canonical_cover(&union, COVER_DEPTH), "{a} ∨ {b}");
+                assert!(joined.is_cover_canonical());
+            }
+        }
+        // Merged siblings: the case Definition 4.1 orders backwards.
+        let (half, merged) = (packed("{00}"), packed("{00}").cover_join(&packed("{01}")));
+        assert_eq!(merged, packed("{0}"));
+        assert_eq!(half.cover_relation(&merged), Relation::Dominated);
+        assert_eq!(half.relation(&merged), Relation::Dominates);
+        assert_eq!(PackedName::empty().cover_relation(&half), Relation::Dominated);
+        assert_eq!(PackedName::epsilon().cover_relation(&merged), Relation::Dominates);
+        assert!(!packed("{0, 1}").is_cover_canonical());
+        assert!(!packed("{10, 110, 111}").is_cover_canonical());
+        assert!(packed("{10, 111}").is_cover_canonical());
+    }
+
+    #[test]
+    fn cover_join_merges_up_through_spilled_buffers() {
+        // 128 sibling leaves at depth 7 spill past the inline buffer, and
+        // their union cascades all the way to ε.
+        let leaves: Vec<PackedName> = (0..128u32)
+            .map(|leaf| {
+                PackedName::singleton(
+                    &(0..7).map(|k| Bit::from(leaf >> (6 - k) & 1 == 1)).collect(),
+                )
+            })
+            .collect();
+        let (evens, odds): (Vec<_>, Vec<_>) = leaves
+            .iter()
+            .partition(|l| l.shallowest_string().expect("a leaf").last() == Some(Bit::Zero));
+        let (evens, odds) = (PackedName::cover_join_many(evens), PackedName::cover_join_many(odds));
+        assert!(evens.node_count() > INLINE_TAGS);
+        assert_eq!(evens.cover_join(&odds), PackedName::epsilon());
+        assert_eq!(PackedName::cover_join_many(&leaves), PackedName::epsilon());
+        let mut folded = PackedName::empty();
+        for leaf in &leaves {
+            folded = folded.cover_join(leaf);
+            assert!(folded.is_cover_canonical());
+        }
+        // Every fourth leaf has no sibling; adding leaf 4k+1 makes one
+        // sibling pair, at a tag offset that moves through every scan
+        // window of the canonical check and across its boundaries.
+        let sparse = |extra: Option<usize>| {
+            PackedName::from_name(&Name::from_strings(
+                leaves
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i % 4 == 0 || Some(i) == extra)
+                    .map(|(_, leaf)| leaf.shallowest_string().expect("a leaf")),
+            ))
+        };
+        assert!(sparse(None).node_count() > INLINE_TAGS);
+        assert!(sparse(None).is_cover_canonical());
+        for k in 0..32 {
+            assert!(!sparse(Some(4 * k + 1)).is_cover_canonical(), "pair {k}");
+            assert!(sparse(Some(4 * k + 2)).is_cover_canonical(), "no pair {k}");
+        }
+        assert_eq!(folded, PackedName::epsilon());
+    }
+
+    #[test]
+    fn cover_walk_word_loop_agrees_with_the_join_on_large_clocks() {
+        // Long write chains from two forked elements, with the second
+        // chain reading the first now and then: clocks of hundreds of tags
+        // that share long identical prefixes, so the walk's word-at-a-time
+        // lockstep runs, and stops at every size and alignment boundary.
+        // `a ≤ b` iff `a ∨ b = b` is the reference.
+        let mut elements =
+            [PackedName::from_name(&name("{0}")), PackedName::from_name(&name("{1}"))];
+        let mut chains = [PackedName::empty(), PackedName::empty()];
+        let mut clocks = Vec::new();
+        for step in 0..600usize {
+            let at = step % 2;
+            let (kept, dot) = elements[at].mint_dot();
+            elements[at] = kept;
+            let mut clock = chains[at].cover_join(&dot);
+            if step % 7 == 0 {
+                clock = clock.cover_join(&chains[1 - at]);
+            }
+            chains[at] = clock.clone();
+            clocks.push(clock);
+        }
+        assert!(clocks.iter().any(|clock| clock.node_count() > 2 * INLINE_TAGS));
+        for (i, a) in clocks.iter().enumerate().step_by(7) {
+            for b in clocks.iter().skip(i % 5).step_by(5) {
+                let (le, ge) = (a.cover_join(b) == *b, b.cover_join(a) == *a);
+                assert_eq!(a.cover_leq(b), le, "{a} ≤ {b}");
+                assert_eq!(a.cover_relation(b), Relation::from_leq(le, ge));
+            }
+        }
+    }
+
+    /// The first 8 dots a write chain mints from `{ε}`, and the canonical
+    /// clock (the cover join of the dots so far) after each, with its
+    /// byte-aligned wire bytes.
+    #[test]
+    fn mint_dot_golden_chain_from_epsilon() {
+        use crate::codec::{StampCodec, VarintCodec};
+        let golden: [(&str, &str, &[u8]); 8] = [
+            ("0", "{0}", &[0x03, 0x06]),
+            ("10", "{0, 10}", &[0x05, 0x66, 0x00]),
+            ("1100", "{0, 10, 1100}", &[0x09, 0x66, 0x1a, 0x00]),
+            ("1101", "{0, 10, 110}", &[0x07, 0x66, 0x06]),
+            ("111000", "{0, 10, 110, 111000}", &[0x0d, 0x66, 0xa6, 0x06, 0x00]),
+            ("111001", "{0, 10, 110, 11100}", &[0x0b, 0x66, 0xa6, 0x01]),
+            ("11101", "{0, 10, 110, 1110}", &[0x09, 0x66, 0x66, 0x00]),
+            ("11110000", "{0, 10, 110, 1110, 11110000}", &[0x11, 0x66, 0x66, 0xaa, 0x01, 0x00]),
+        ];
+        let mut element = PackedName::epsilon();
+        let mut clock = PackedName::empty();
+        for (step, (dot_lit, clock_lit, bytes)) in golden.iter().enumerate() {
+            let (kept, dot) = element.mint_dot();
+            assert_eq!(dot.to_string(), format!("{{{dot_lit}}}"), "dot {step}");
+            clock = clock.cover_join(&dot);
+            assert_eq!(clock, packed(clock_lit), "clock {step}");
+            assert_eq!(&StampCodec::<PackedName>::encode_name(&VarintCodec, &clock), bytes);
+            element = kept;
+        }
+        assert_eq!(element, packed("{11110001, 1111001, 111101, 11111}"));
+    }
+
     #[test]
     fn hash_and_eq_are_structural() {
         use std::collections::hash_map::DefaultHasher;
@@ -2151,6 +2838,121 @@ mod tests {
             a.hash(&mut ha);
             b.hash(&mut hb);
             assert_eq!(ha.finish(), hb.finish(), "hash mismatch for {lit}");
+        }
+    }
+
+    /// Strategy: a cover-canonical clock no deeper than 6 bits, built from
+    /// arbitrary strings through the reference normal form.
+    fn clock() -> impl Strategy<Value = PackedName> {
+        prop::collection::vec(prop::collection::vec(any::<bool>(), 0..=6), 0..=7).prop_map(
+            |strings| {
+                let n = Name::from_strings(
+                    strings.into_iter().map(|bits| bits.into_iter().map(Bit::from).collect()),
+                );
+                PackedName::from_name(&canonical_cover(&region(&n, COVER_DEPTH), COVER_DEPTH))
+            },
+        )
+    }
+
+    /// Strategy: an arbitrary (Definition 4.1 canonical) element no deeper
+    /// than 4 bits, so a mint stays inside the reference depth.
+    fn element() -> impl Strategy<Value = PackedName> {
+        prop::collection::vec(prop::collection::vec(any::<bool>(), 0..=4), 1..=5).prop_map(
+            |strings| {
+                PackedName::from_name(&Name::from_strings(
+                    strings.into_iter().map(|bits| bits.into_iter().map(Bit::from).collect()),
+                ))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `cover_leq`, `cover_relation`, `cover_join`, `cover_join_many`
+        /// and `is_cover_canonical` agree with regions of `Name` strings.
+        #[test]
+        fn cover_operations_agree_with_the_region_reference(
+            a in clock(), b in clock(), c in clock()
+        ) {
+            let [ra, rb, rc] = [&a, &b, &c].map(|x| region(&x.to_name(), COVER_DEPTH));
+            prop_assert!(a.is_cover_canonical());
+            prop_assert_eq!(a.cover_leq(&b), ra.is_subset(&rb));
+            let expected = Relation::from_leq(ra.is_subset(&rb), rb.is_subset(&ra));
+            prop_assert_eq!(a.cover_relation(&b), expected);
+            let ab: BTreeSet<BitString> = ra.union(&rb).cloned().collect();
+            let joined = a.cover_join(&b);
+            prop_assert_eq!(joined.to_name(), canonical_cover(&ab, COVER_DEPTH));
+            prop_assert_eq!(
+                (joined.string_count(), joined.bit_size()),
+                (joined.to_name().len(), joined.to_name().bit_size())
+            );
+            let abc: BTreeSet<BitString> = ab.union(&rc).cloned().collect();
+            let all = PackedName::cover_join_many([&a, &b, &c]);
+            prop_assert_eq!(all.to_name(), canonical_cover(&abc, COVER_DEPTH));
+            prop_assert_eq!(all, joined.cover_join(&c));
+            // Equal regions are equal bytes.
+            prop_assert_eq!(ra == rb, a == b);
+        }
+
+        /// `split_last` removes exactly the last string in preorder.
+        #[test]
+        fn split_last_removes_the_rightmost_string(e in element()) {
+            let mut strings = e.strings();
+            match e.split_last() {
+                None => prop_assert!(strings.len() < 2),
+                Some((rest, last)) => {
+                    let expected = strings.pop().expect("two strings or more");
+                    prop_assert_eq!(last, PackedName::singleton(&expected));
+                    prop_assert_eq!(&rest, &PackedName::from_name(&Name::from_strings(strings)));
+                    prop_assert_eq!(
+                        (rest.string_count(), rest.bit_size()),
+                        (rest.to_name().len(), rest.to_name().bit_size())
+                    );
+                }
+            }
+        }
+
+        /// A cover-canonical name never has sibling elements; any other
+        /// name with a full sibling pair is refused.
+        #[test]
+        fn is_cover_canonical_matches_the_reference(n in element()) {
+            let canonical = canonical_cover(&region(&n.to_name(), COVER_DEPTH), COVER_DEPTH);
+            prop_assert_eq!(n.is_cover_canonical(), n.to_name() == canonical);
+        }
+
+        /// A mint spends one string of the element: the dot and the kept
+        /// part are disjoint, their union is the element's region, the
+        /// cached metrics are exact, and the split depth is the one the
+        /// mint documents.
+        #[test]
+        fn mint_dot_splits_the_element_into_kept_and_dot(e in element()) {
+            let (kept, dot) = e.mint_dot();
+            prop_assert_eq!(dot.string_count(), 1);
+            let (re, rk, rd) = (
+                region(&e.to_name(), COVER_DEPTH),
+                region(&kept.to_name(), COVER_DEPTH),
+                region(&dot.to_name(), COVER_DEPTH),
+            );
+            prop_assert!(rk.is_disjoint(&rd));
+            prop_assert_eq!(rk.union(&rd).cloned().collect::<BTreeSet<_>>(), re);
+            let d = dot.shallowest_string().expect("a dot");
+            prop_assert!(kept.strings().iter().all(|s| s.is_incomparable_with(&d)));
+            prop_assert_eq!(PackedName::from_name(&kept.to_name()), kept.clone());
+            prop_assert_eq!(
+                (kept.string_count(), kept.bit_size()),
+                (kept.to_name().len(), kept.to_name().bit_size())
+            );
+            let leftmost = e.strings()[0].clone();
+            prop_assert!(leftmost.is_prefix_of(&d));
+            prop_assert!(d.iter().skip(leftmost.len()).all(|bit| bit == Bit::Zero));
+            let ones = leftmost.iter().fold(0, |run, bit| if bit == Bit::One { run + 1 } else { 0 });
+            let expected_depth = if e.string_count() == 1 {
+                leftmost.len() + ones.max(1)
+            } else {
+                e.depth()
+            };
+            prop_assert_eq!(d.len(), expected_depth);
         }
     }
 }

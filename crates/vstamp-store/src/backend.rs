@@ -9,13 +9,25 @@
 //!   paper's mechanism. Each key is its own identity universe, and a
 //!   replica element is an **id** ([`PackedName`]): the leaves of a fork
 //!   tree of `{ε}` (or of a root id a node cut from its membership stamp).
-//!   A write spends one fork half of the id as the version's dot, shipping
-//!   state in anti-entropy is a `fork` (sender keeps one half, the other
-//!   rides the delta) and merging is a `join` of ids — the decentralized
-//!   encoding of gossip in the fork/join/update transition system, with
-//!   **no identifiers and no counters anywhere**. Causal knowledge lives
-//!   only in the version clocks (context ⊔ dot, as in Dotted Version
-//!   Vectors), so an element never carries an update component. With GC
+//!   A write spends one string of the id as the version's dot
+//!   ([`PackedName::mint_dot`]), shipping state in anti-entropy splits the
+//!   id (sender keeps one part, the other rides the delta) and merging is
+//!   a `join` of ids — the decentralized encoding of gossip in the
+//!   fork/join/update transition system, with **no identifiers and no
+//!   counters anywhere**. Causal knowledge lives only in the version clocks
+//!   (context ⊔ dot, as in Dotted Version Vectors), so an element never
+//!   carries an update component.
+//!
+//!   A clock is the set of dots it has seen, and dots are pairwise
+//!   disjoint regions (subtrees), so a clock is ordered by region
+//!   inclusion — the *cover order* of [`PackedName::cover_leq`], not
+//!   Definition 4.1's order on names — and kept in cover-canonical form,
+//!   where two sibling dots merge into their parent. The mint is
+//!   counter-shaped: one writer's successive dots fill a left-to-right run
+//!   of leaves, so their union stays a few strings, the way a version
+//!   vector entry folds a replica's contiguous counters into one number.
+//!   Canonical clocks are unique, so equal clocks are byte-equal, and
+//!   [`StoreBackend::decode_clock`] refuses any other form. With GC
 //!   enabled, merges apply the frontier-evidence collapse **amortized
 //!   behind [`GcWatermarks`]**: every merge still shrinks the element to
 //!   one string (bounded size), but the evidence-gated collapse that
@@ -243,8 +255,9 @@ fn fork_tree(root: PackedName, replicas: usize) -> Vec<PackedName> {
 /// evidence-gated collapse when **either** watermark is crossed — after
 /// `merge_interval` element merges since the last collapse, or as soon as
 /// the element's wire size reaches `element_bits`. Between collapses every
-/// merge still cover-shrinks the element (one identity string), so only
-/// the string's *depth* drifts until the next collapse re-anchors it.
+/// merge still shrinks the element to one identity string (which writes
+/// split again), so only the element's *depth* drifts until the next
+/// collapse re-anchors it.
 ///
 /// Lower watermarks spend CPU to keep dots shallow (smaller clocks);
 /// higher watermarks trade a few bits of per-key metadata for write/merge
@@ -315,10 +328,11 @@ pub struct VstampKeyState {
 }
 
 impl VstampKeyState {
-    /// Wire bits of a one-string `element` below the floor — what the bits
-    /// watermark counts, so a floored key collapses on the schedule of an
-    /// `ε`-rooted one. Each string bit is a `Node` tag (two wire bits) and
-    /// its `Empty` sibling (one).
+    /// Wire bits of `element` below the floor — what the bits watermark
+    /// counts, so a floored key collapses on the schedule of an `ε`-rooted
+    /// one. Every string of the element counts; the floor's path is shared
+    /// by all of them and counted once: each floor bit is a `Node` tag (two
+    /// wire bits) and its `Empty` sibling (one).
     fn bits_below_floor(&self, element: &PackedName) -> u32 {
         element.encoded_bits().saturating_sub(3 * self.floor.len()) as u32
     }
@@ -360,6 +374,12 @@ impl VstampKeyState {
         }
     }
 
+    /// The key's root floor (see the field).
+    #[cfg(test)]
+    pub(crate) fn floor(&self) -> &BitString {
+        &self.floor
+    }
+
     /// Whether evidence tracking lost sync and GC is disabled for this key.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
@@ -396,41 +416,61 @@ impl VstampBackend {
         VstampBackend { gc: Some(watermarks) }
     }
 
-    /// Runs the evidence-gated collapse on a one-string element `{s}`: the
-    /// frontier-evidence collapse of `vstamp_core::gc` reduces, for a
-    /// one-string id, to *truncating `s` at the shallowest prefix no pinned
-    /// name dominates* — one trie descent per pin, no set-form conversion —
-    /// and never above the key's floor.
+    /// Runs the evidence-gated collapse on an element: the frontier-
+    /// evidence collapse of `vstamp_core::gc` reduces, per id string `s`,
+    /// to *truncating `s` at the shallowest prefix that no pinned name and
+    /// no other string of the element dominates* — one trie descent per
+    /// pin, no set-form conversion — and never above the key's floor.
     ///
-    /// Every element of a key whose evidence is complete is one string: the
-    /// fork tree, rooting, writes, detaches and absorbs all keep it so.
-    /// Only adopted elements can carry several, and their keys never
-    /// collapse.
+    /// An absorb leaves a one-string element; writes split it into several
+    /// (the dot mint keeps the right siblings of the spent leaf). The
+    /// truncated strings stay pairwise disjoint, and their union is
+    /// brought back to canonical form, so sibling strings merge.
     fn collapse_element(&self, state: &mut VstampKeyState, element: &PackedName) -> PackedName {
-        debug_assert_eq!(element.string_count(), 1, "collapse runs on one-string ids");
         state.merges_since_gc = 0;
-        let s = element.shallowest_string().expect("live elements own at least one string");
-        // Longest prefix of `s` the rest of the frontier still pins; one
-        // deeper is the shallowest legal re-anchor point. Scanned in
-        // reverse: the most recently pinned names (the latest spent dots,
-        // which block at depth − 1 until their version is superseded
-        // everywhere) sit at the back, so a futile attempt — re-anchor
-        // point at or below the current depth — is proven by a single
-        // descent instead of a full pin sweep.
-        let mut blocked: Option<usize> = None;
-        for (_, pin, _) in state.pins.iter().rev() {
-            if let Some(len) = pin.dominated_prefix_len(&s) {
-                blocked = Some(blocked.map_or(len, |b| b.max(len)));
-                if len + 1 >= s.len() {
-                    break;
+        let strings = element.strings();
+        // Strings come in preorder, which is lexicographic for an antichain,
+        // so the longest prefix a string shares with any other string of
+        // the element is the one it shares with a neighbour.
+        let shared = |at: usize, with: Option<&BitString>| {
+            with.map(|other| {
+                strings[at].iter().zip(other.iter()).take_while(|(a, b)| a == b).count()
+            })
+        };
+        let lens: Vec<usize> = strings
+            .iter()
+            .enumerate()
+            .map(|(at, s)| {
+                // Longest prefix of `s` the rest of the frontier still pins;
+                // one deeper is the shallowest legal re-anchor point.
+                // Scanned in reverse: the most recently pinned names (the
+                // latest spent dots, which block at depth − 1 until their
+                // version is superseded everywhere) sit at the back, so a
+                // futile attempt — re-anchor point at or below the current
+                // depth — is proven by a single descent instead of a full
+                // pin sweep.
+                let before = at.checked_sub(1).map(|before| &strings[before]);
+                let mut blocked = shared(at, before).max(shared(at, strings.get(at + 1)));
+                for (_, pin, _) in state.pins.iter().rev() {
+                    if blocked.is_some_and(|len| len + 1 >= s.len()) {
+                        break;
+                    }
+                    if let Some(len) = pin.dominated_prefix_len(s) {
+                        blocked = Some(blocked.map_or(len, |b| b.max(len)));
+                    }
                 }
-            }
-        }
-        let new_len = blocked.map_or(0, |len| len + 1).max(state.floor.len());
-        if new_len >= s.len() {
+                blocked.map_or(0, |len| len + 1).max(state.floor.len()).min(s.len())
+            })
+            .collect();
+        if strings.iter().zip(&lens).all(|(s, &len)| len == s.len()) {
             return element.clone();
         }
-        PackedName::singleton(&BitString::from_bits(s.iter().take(new_len)))
+        let truncated: Vec<PackedName> = strings
+            .iter()
+            .zip(lens)
+            .map(|(s, len)| PackedName::singleton(&BitString::from_bits(s.iter().take(len))))
+            .collect();
+        PackedName::cover_join_many(&truncated)
     }
 
     /// Whether the amortized-GC cost model says this key is due a collapse.
@@ -504,10 +544,10 @@ impl StoreBackend for VstampBackend {
         element: &Self::Element,
         context: Option<&Self::Clock>,
     ) -> (Self::Element, Self::Clock, Self::Clock) {
-        // Bits-watermark check *before* forking: a deep element would mint
+        // Bits-watermark check *before* minting: a deep element would mint
         // an equally deep dot into the version's clock, where deferred
         // depth becomes persistent metadata. Collapsing here is sound —
-        // the element has not forked yet, so no in-flight marker of this
+        // the element has not minted yet, so no in-flight marker of this
         // write exists for the collapse to re-mint (the absorb-side
         // collapse has the same property: it runs before the result is
         // pinned and never touches unpinned markers' subtrees only when
@@ -524,21 +564,18 @@ impl StoreBackend for VstampBackend {
             } else {
                 element
             };
-        // Every write *spends* one fork half of the element's identity on
-        // the version: the dot is globally unique (no two writes ever mint
-        // the same one, Invariant I2), the version's clock is the client's
-        // read context joined with the dot, and evicting the version later
-        // releases its pin so the collapse pool reclaims the spent half —
-        // identity lending instead of counters. The fused mint produces
-        // the spent half directly in dot form (the decentralized stand-in
-        // for DVV's `(replica, counter)` pair): one tag pass builds the
-        // kept id and tracks the shallowest string, so the spent full name
-        // is never materialised.
-        let (kept, marker) = element.fork_dot();
-        let clock = match context {
-            Some(context) => context.join(&marker),
-            None => marker.clone(),
-        };
+        // Every write *spends* one string of the element's identity on the
+        // version: the dot is globally unique (no two writes ever mint the
+        // same one, Invariant I2), the version's clock is the client's read
+        // context joined with the dot, and evicting the version later
+        // releases its pin so the collapse pool reclaims the spent space —
+        // identity lending instead of counters. The mint is counter-shaped
+        // (the decentralized stand-in for DVV's `(replica, counter)` pair):
+        // a writer's successive dots fill a left-to-right run of leaves, so
+        // in the clock they merge into O(depth) strings, the way a version
+        // vector entry folds contiguous counters into one number.
+        let (kept, marker) = element.mint_dot();
+        let clock = self.rebuild_clock(context, &marker);
         state.unpin(element);
         state.pin(&kept);
         (kept, clock, marker)
@@ -546,7 +583,7 @@ impl StoreBackend for VstampBackend {
 
     fn rebuild_clock(&self, context: Option<&Self::Clock>, dot: &Self::Clock) -> Self::Clock {
         match context {
-            Some(context) => context.join(dot),
+            Some(context) => context.cover_join(dot),
             None => dot.clone(),
         }
     }
@@ -556,7 +593,15 @@ impl StoreBackend for VstampBackend {
         state: &mut Self::KeyState,
         element: &Self::Element,
     ) -> (Self::Element, Self::Element) {
-        let (kept, shipped) = (element.append(Bit::Zero), element.append(Bit::One));
+        // A several-string element is a run the dot mint spends from the
+        // left: ship its rightmost (shallowest) string, the one farthest
+        // from the spent dots, so what stays is still one run next to them
+        // and their clock strings can still merge. Halving every string
+        // instead would leave shipped space between every pair of future
+        // dots. A one-string element forks in halves.
+        let (kept, shipped) = element
+            .split_last()
+            .unwrap_or_else(|| (element.append(Bit::Zero), element.append(Bit::One)));
         state.unpin(element);
         state.pin(&kept);
         state.pin(&shipped);
@@ -610,12 +655,14 @@ impl StoreBackend for VstampBackend {
         (&rewritten != element).then_some(rewritten)
     }
 
+    /// Clocks are ordered by the cover order (region inclusion), not by
+    /// Definition 4.1: merged sibling dots must rank above each half.
     fn relation(&self, left: &Self::Clock, right: &Self::Clock) -> Relation {
-        left.relation(right)
+        left.cover_relation(right)
     }
 
     fn join_clocks(&self, left: &Self::Clock, right: &Self::Clock) -> Self::Clock {
-        left.join(right)
+        left.cover_join(right)
     }
 
     fn join_clock_set<'a, I>(&self, clocks: I) -> Option<Self::Clock>
@@ -626,7 +673,7 @@ impl StoreBackend for VstampBackend {
         // single output build instead of j − 1 intermediate names.
         let mut clocks = clocks.into_iter().peekable();
         clocks.peek()?;
-        Some(PackedName::join_many(clocks))
+        Some(PackedName::cover_join_many(clocks))
     }
 
     fn retain_clock(&self, state: &mut Self::KeyState, clock: &Self::Clock) {
@@ -646,9 +693,11 @@ impl StoreBackend for VstampBackend {
         // Only the fully-settled shape recycles: a single surviving version
         // cluster-wide (the caller has verified it is identical on every
         // replica). The fresh universe re-mints the elements as a fork tree
-        // and the surviving version's clock as {ε}, which every future
-        // write strictly dominates — the bounded-timestamp recycling
-        // discipline, per key. The re-mint stays under the key's floor.
+        // and the surviving version's clock as the empty clock, the bottom
+        // of the cover order, which every future write strictly dominates —
+        // the bounded-timestamp recycling discipline, per key. (`{ε}` is
+        // the top: it would dominate every later write.) The re-mint stays
+        // under the key's floor.
         if stored_clocks.len() != 1 {
             return None;
         }
@@ -656,7 +705,7 @@ impl StoreBackend for VstampBackend {
             .new_key_rooted(elements.len(), &PackedName::singleton(&state.floor))
             .expect("a floor is a live id");
         *state = fresh_state;
-        let fresh_clock = PackedName::epsilon();
+        let fresh_clock = PackedName::empty();
         // One pin per replica storing the surviving version.
         for _ in elements {
             state.pin(&fresh_clock);
@@ -668,8 +717,14 @@ impl StoreBackend for VstampBackend {
         VarintCodec.encode_name_into(clock, out);
     }
 
+    /// Refuses a clock that is not cover-canonical: a peer's `{s·0, s·1}`
+    /// where this process holds `{s}` would compare as a different clock.
     fn decode_clock(&self, bytes: &[u8]) -> Result<Self::Clock, DecodeError> {
-        VarintCodec.decode_name(bytes)
+        let clock: PackedName = VarintCodec.decode_name(bytes)?;
+        if !clock.is_cover_canonical() {
+            return Err(DecodeError::Malformed("a clock leaves two sibling strings unmerged"));
+        }
+        Ok(clock)
     }
 
     fn encode_element(&self, element: &Self::Element, out: &mut Vec<u8>) {
@@ -950,6 +1005,22 @@ mod tests {
     }
 
     #[test]
+    fn detach_ships_the_rightmost_string_of_a_several_string_element() {
+        let backend = VstampBackend::gc();
+        let root: PackedName = "{11}".parse().expect("a name");
+        let (mut state, elements) = backend.new_key_rooted(1, &root).expect("vstamp roots keys");
+        // `11` ends in two one bits: the write splits it two levels deep.
+        let (element, _, dot) = backend.write(&mut state, &elements[0], None);
+        assert_eq!((element.to_string(), dot.to_string()), ("{1101, 111}".into(), "{1100}".into()));
+        // The kept part stays next to the spent dot; one string forks.
+        let (kept, shipped) = backend.detach(&mut state, &element);
+        assert_eq!((kept.to_string(), shipped.to_string()), ("{1101}".into(), "{111}".into()));
+        let (kept, shipped) = backend.detach(&mut state, &kept);
+        assert_eq!((kept.to_string(), shipped.to_string()), ("{11010}".into(), "{11011}".into()));
+        assert!(!state.is_degraded());
+    }
+
+    #[test]
     fn vstamp_backend_detach_absorb_roundtrip_reduces() {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
@@ -1062,11 +1133,12 @@ mod tests {
         }
 
         // One key rooted at once by two processes: `shallow` at a 2-bit
-        // string, `deep` at a 30-bit one. A causal chain of 40 writes
-        // deepens `shallow`'s element to 42 bits, so `deep`'s grant, 32
-        // bits deep, becomes its element. From then on a collapse at
-        // `shallow` must stay inside that half: a length floor would take
-        // it to 2 bits, above `deep`'s root, and re-mint `deep`'s dots.
+        // string, `deep` at a 30-bit one. A causal chain of writes deepens
+        // `shallow`'s shallowest element string to 33 bits, so `deep`'s
+        // grant, 32 bits deep, becomes its element. From then on a
+        // collapse at `shallow` must stay inside that half: a length floor
+        // would take it to 2 bits, above `deep`'s root, and re-mint `deep`'s
+        // dots.
         let backend = VstampBackend::gc();
         let deep_root: BitString = "10".repeat(15).parse().expect("a bit string");
         let [mut shallow, mut deep] =
@@ -1075,19 +1147,19 @@ mod tests {
                 let (state, elements) = backend.new_key_rooted(1, &root).expect("roots");
                 (state, elements[0].clone())
             });
+        let string = |share: &Share| share.1.shallowest_string().expect("a live element");
         let mut dots = Vec::new();
         let mut context: Option<PackedName> = None;
-        for _ in 0..40 {
+        while string(&shallow).len() <= 32 {
             let (clock, dot) = write(&backend, &mut shallow, context.as_ref());
             if let Some(superseded) = context.replace(clock) {
                 backend.release_clock(&mut shallow.0, &superseded);
             }
             dots.push(dot);
         }
-        assert_eq!(shallow.1.bit_size(), 42);
+        assert_eq!(string(&shallow).len(), 33);
         dots.push(write(&backend, &mut deep, None).1);
         grant(&backend, &mut deep, &mut shallow);
-        let string = |share: &Share| share.1.shallowest_string().expect("a live element");
         let mut region = string(&shallow);
         assert!(deep_root.is_prefix_of(&region) && region.len() == 32, "moved to {region}");
         for step in 0..16 {
@@ -1097,8 +1169,13 @@ mod tests {
                 2 => dots.push(write(&backend, &mut deep, None).1),
                 _ => grant(&backend, &mut deep, &mut shallow),
             }
-            let (ours, theirs) = (string(&shallow), string(&deep));
-            assert!(ours.is_incomparable_with(&theirs), "step {step}: {ours} and {theirs} overlap");
+            let ours = string(&shallow);
+            let overlap = shallow
+                .1
+                .strings()
+                .iter()
+                .any(|s| deep.1.strings().iter().any(|t| !s.is_incomparable_with(t)));
+            assert!(!overlap, "step {step}: {} and {} overlap", shallow.1, deep.1);
             assert!(!ours.is_strict_prefix_of(&region), "step {step}: {ours} rose above {region}");
             if !region.is_prefix_of(&ours) {
                 region = ours;
@@ -1182,7 +1259,8 @@ mod tests {
             backend.compact_quiescent(&mut state, &elements, std::slice::from_ref(&clock));
         let (fresh, fresh_clock) = compacted.expect("quiescent key compacts");
         assert_eq!(fresh.len(), 2);
-        assert!(fresh_clock.is_epsilon());
+        // The empty clock is the bottom: every later write dominates it.
+        assert!(fresh_clock.is_empty());
         // Concurrent siblings block compaction.
         let (mut state, elements) = backend.new_key(2);
         let (_, c0, _) = backend.write(&mut state, &elements[0], None);

@@ -42,7 +42,7 @@
 //! fails the exchange (`Err` / `None`), it never panics, and because every
 //! version merge is idempotent a failed exchange cannot damage the store —
 //! the next pull simply starts over. One thing is *not* idempotent: a Delta
-//! reply carries a fork half of the responder's element, good for one
+//! reply carries a part split off the responder's element, good for one
 //! join. A transport must not hand `pull` a Delta from an earlier exchange;
 //! nothing on the wire lets the engine tell (ROADMAP item 2a).
 //!
@@ -1340,6 +1340,24 @@ mod tests {
     }
 
     #[test]
+    fn a_blind_put_after_compaction_replaces_the_survivor() {
+        // The re-minted survivor's clock is the empty clock, the bottom of
+        // the cover order: a write that read nothing still dominates it.
+        // (`{ε}`, the top, would rank every later write below it.)
+        let mut cluster = Cluster::new(VstampBackend::gc(), 3, 2);
+        let context = cluster.put(0, "k", b"v1".to_vec(), None);
+        cluster.put(1, "k", b"v2".to_vec(), Some(&context));
+        full_sweep(&cluster);
+        assert_eq!(cluster.compact().keys_recycled, 1);
+        assert!(cluster.get(0, "k").context().is_some_and(PackedName::is_empty));
+        cluster.put(2, "k", b"blind".to_vec(), None);
+        full_sweep(&cluster);
+        for replica in 0..3 {
+            assert_eq!(cluster.get(replica, "k").values(), vec![b"blind".to_vec()]);
+        }
+    }
+
+    #[test]
     fn deferred_gc_debt_is_flushed_at_the_compaction_boundary() {
         // Watermarks that never fire on their own: every collapse is debt
         // owed to the forced pass in `compact`.
@@ -1789,7 +1807,7 @@ mod tests {
     }
 
     #[test]
-    fn node_rooted_keys_keep_every_write_and_one_string_elements() {
+    fn node_rooted_keys_keep_every_write_and_elements_within_the_mint_bound() {
         const NODES: usize = 3;
         const KEYS: usize = 6;
 
@@ -1834,17 +1852,21 @@ mod tests {
                 self.origin.push((at, key));
             }
 
-            /// Every element is one id string, no node shows a write next
-            /// to one that covers it or loses a write it took, and once
-            /// `settled`, every node shows exactly the uncovered writes.
+            /// Every element holds no more strings than its deepest string
+            /// has bits below the key's floor (the dot mint's bound; at
+            /// least one), no node shows a write next to one that covers it
+            /// or loses a write it took, and once `settled`, every node
+            /// shows exactly the uncovered writes.
             fn check(&self, nodes: &[Cluster<VstampBackend>], step: usize, settled: bool) {
                 let covered: HashSet<u32> = self.covers.iter().flatten().copied().collect();
                 for (at, node) in nodes.iter().enumerate() {
                     for (key, id) in node_elements(node) {
-                        assert_eq!(
-                            id.string_count(),
-                            1,
-                            "step {step}: node {at} has {id} at {key}"
+                        let floor =
+                            node.plane[node.shards.index(&key)].lock()[&key].state.floor().len();
+                        let below = id.depth().saturating_sub(floor).max(1);
+                        assert!(
+                            id.string_count() <= below,
+                            "step {step}: node {at} has {id} at {key}, floor {floor}"
                         );
                     }
                     for key in 0..KEYS {
@@ -1983,8 +2005,10 @@ mod tests {
     fn the_root_floor_follows_an_element_into_another_root() {
         // One key rooted at a 2-bit string on `shallow` and at a 30-bit one
         // on `deep`, as when two nodes first-touch it at once. A causal
-        // chain of 40 writes deepens the shallow-rooted element to 42 bits,
-        // so the first pull moves it into the 32-bit half `deep` grants.
+        // chain of writes deepens the shallow-rooted element's shallowest
+        // string to 33 bits (the dot mint deepens it one bit per run of
+        // leaves), so the first pull moves it into the 32-bit half `deep`
+        // grants.
         // That half is all `shallow` knows of `deep`'s root: a collapse
         // above it would take in `deep`'s own element and re-mint its dots.
         // Over this exchange the granted half is not in `shallow`'s pin
@@ -2012,11 +2036,16 @@ mod tests {
             }
         };
         let mut context = None;
-        for id in 1000..1040u32 {
+        let mut id = 1000u32;
+        loop {
             context = Some(shallow.put(0, "k", id.to_le_bytes().to_vec(), context.as_ref()));
+            id += 1;
+            if element(shallow).len() > 32 {
+                break;
+            }
         }
-        assert_eq!(element(shallow).len(), 42);
-        let mut live = vec![1039u32];
+        assert_eq!(element(shallow).len(), 33);
+        let mut live = vec![id - 1];
         let mut dots: Vec<BitString> = Vec::new();
         let mut blind_write = |store: &Cluster<VstampBackend>| {
             let id = live.len() as u32;

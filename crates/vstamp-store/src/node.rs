@@ -925,6 +925,14 @@ mod tests {
         .ok()
     }
 
+    /// The bytes of a clock frame written the long way: `{00, 01}` is the
+    /// region of the canonical `{0}`.
+    fn non_canonical_clock() -> Vec<u8> {
+        let mut clock = Vec::new();
+        VstampBackend::gc().encode_clock(&"{00, 01}".parse().expect("a name"), &mut clock);
+        clock
+    }
+
     /// `count` gossip rounds of every core, 10 ms of `now` apart.
     fn rounds(cores: &[&NodeCore], now: &mut u64, count: usize) {
         for _ in 0..count {
@@ -940,6 +948,39 @@ mod tests {
     fn disjoint(a: &PackedName, b: &PackedName) -> bool {
         let theirs = b.strings();
         a.strings().iter().all(|s| theirs.iter().all(|t| s.is_incomparable_with(t)))
+    }
+
+    #[test]
+    fn a_put_with_a_non_canonical_context_is_refused() {
+        let core = NodeCore::bootstrap(quick_config(5), "127.0.0.1:40000".into());
+        let request = |context: &[u8]| {
+            let mut payload = Vec::new();
+            write_frame(&mut payload, b"k");
+            write_frame(&mut payload, b"v");
+            payload.push(1);
+            write_frame(&mut payload, context);
+            Envelope { kind: MessageKind::Put, from: 0, payload }
+        };
+        let mut canonical = Vec::new();
+        VstampBackend::gc().encode_clock(&"{0}".parse().expect("a name"), &mut canonical);
+        assert_eq!(core.handle(request(&canonical), 0).expect("acked").kind, MessageKind::PutOk);
+        assert!(core.handle(request(&non_canonical_clock()), 0).is_none());
+    }
+
+    #[test]
+    fn a_put_ok_with_a_non_canonical_clock_is_refused() {
+        let reply = |clock: Vec<u8>| {
+            move |_| {
+                let mut payload = Vec::new();
+                write_frame(&mut payload, &clock);
+                Ok(Envelope { kind: MessageKind::PutOk, from: 1, payload })
+            }
+        };
+        let mut canonical = Vec::new();
+        VstampBackend::gc().encode_clock(&"{0}".parse().expect("a name"), &mut canonical);
+        assert!(client_put("k", b"v", None, reply(canonical)).is_ok());
+        let refused = client_put("k", b"v", None, reply(non_canonical_clock()));
+        assert_eq!(refused.expect_err("refused").kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -998,4 +998,24 @@ mod tests {
         assert_eq!(rebuilt.clock(), &c1);
         assert_eq!(rebuilt.clock_bytes(), v1.clock_bytes());
     }
+
+    #[test]
+    fn a_full_frame_with_a_non_canonical_clock_is_refused() {
+        // `{00, 01}` is the region `{0}` written the long way: a receiver
+        // holding `{0}` would rank it differently, so it is malformed.
+        let vs = VstampBackend::gc();
+        let frame = |clock: &str| {
+            let version =
+                Version { clock: clock.parse().expect("a name"), value: Some(b"v".to_vec()) };
+            let deltas = vec![KeyDelta {
+                key: "k".into(),
+                element: vstamp_core::PackedName::epsilon(),
+                versions: vec![StoredVersion::new(&vs, version)],
+                assumed_fp: 0,
+            }];
+            encode_delta(&vs, &deltas, DeltaPolicy::ADAPTIVE).0
+        };
+        assert!(decode_delta(&vs, &frame("{0}")).is_ok());
+        assert!(matches!(decode_delta(&vs, &frame("{00, 01}")), Err(DecodeError::Malformed(_))));
+    }
 }
