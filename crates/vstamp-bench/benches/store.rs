@@ -1,6 +1,6 @@
 //! Store read/write-path microbenchmarks per backend at 1 / 4 / 16
 //! siblings, without the full simulation around it — so a regression in
-//! the backend write, sibling merge, GC or read-snapshot path is visible
+//! the backend write, sibling merge or read-snapshot path is visible
 //! directly.
 //!
 //! Two groups:
@@ -19,8 +19,7 @@
 //!    version, the rest become concurrent siblings, leaving exactly `k`;
 //! 2. `get` — read the `k` siblings and the cached context;
 //! 3. `put` with that context — the write path under measurement: it mints
-//!    a clock, evicts all `k` siblings (matched-context fast path) and
-//!    releases their pins;
+//!    a clock and evicts all `k` siblings (matched-context fast path);
 //! 4. `compact` — re-mints the now-settled key so identity depth cannot
 //!    drift across iterations (one key, O(1) work).
 //!
@@ -32,7 +31,7 @@
 //! under `VSTAMP_BENCH_SMOKE=1` (fewer samples, same coverage).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use vstamp_store::{Cluster, DynamicVvBackend, GcWatermarks, StoreBackend, VstampBackend};
+use vstamp_store::{Cluster, DynamicVvBackend, StoreBackend, VstampBackend};
 
 const KEY: &str = "bench-key";
 
@@ -87,7 +86,7 @@ fn bench_get(c: &mut Criterion) {
     let mut group = c.benchmark_group("store-read");
     group.sample_size(if smoke { 5 } else { 15 });
     for siblings in [1usize, 4, 16] {
-        bench_read_backend(&mut group, "version-stamps-gc", VstampBackend::gc(), siblings);
+        bench_read_backend(&mut group, "version-stamps", VstampBackend::gc(), siblings);
         bench_read_backend(&mut group, "dynamic-vv", DynamicVvBackend::new(), siblings);
     }
     group.finish();
@@ -118,14 +117,7 @@ fn bench_put_with_context(c: &mut Criterion) {
     let mut group = c.benchmark_group("store-write");
     group.sample_size(if smoke { 5 } else { 15 });
     for siblings in [1usize, 4, 16] {
-        bench_backend(&mut group, "version-stamps-gc", VstampBackend::gc(), siblings);
-        bench_backend(
-            &mut group,
-            "version-stamps-gc-lazy",
-            VstampBackend::gc_with(GcWatermarks::lazy()),
-            siblings,
-        );
-        bench_backend(&mut group, "version-stamps", VstampBackend::eager(), siblings);
+        bench_backend(&mut group, "version-stamps", VstampBackend::gc(), siblings);
         bench_backend(&mut group, "dynamic-vv", DynamicVvBackend::new(), siblings);
     }
     group.finish();

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use vstamp_sim::store_sim::{run_store_sim, StoreSimSpec};
-use vstamp_store::{Cluster, ClusterConfig, DynamicVvBackend, GcWatermarks, VstampBackend};
+use vstamp_store::{Cluster, ClusterConfig, DynamicVvBackend, VstampBackend};
 
 fn assert_exact(report: &vstamp_sim::store_sim::StoreSimReport, what: &str) {
     assert!(
@@ -33,7 +33,6 @@ fn assert_exact(report: &vstamp_sim::store_sim::StoreSimReport, what: &str) {
 fn concurrent_partition_heal_is_exact_for_every_backend() {
     let spec = StoreSimSpec::partition_heal(6, 6, 2026).with_threads(4);
     assert_exact(&run_store_sim(VstampBackend::gc(), &spec), "partition-heal");
-    assert_exact(&run_store_sim(VstampBackend::eager(), &spec), "partition-heal");
     assert_exact(&run_store_sim(DynamicVvBackend::new(), &spec), "partition-heal");
 }
 
@@ -41,17 +40,14 @@ fn concurrent_partition_heal_is_exact_for_every_backend() {
 fn concurrent_churn_is_exact_for_every_backend() {
     let spec = StoreSimSpec::churn(4, 8, 77).with_threads(3);
     assert_exact(&run_store_sim(VstampBackend::gc(), &spec), "churn");
-    assert_exact(&run_store_sim(VstampBackend::eager(), &spec), "churn");
     assert_exact(&run_store_sim(DynamicVvBackend::new(), &spec), "churn");
 }
 
 #[test]
-fn concurrent_runs_report_sessions_and_stay_exact_under_lazy_gc() {
-    // Deferred collapse under parallel interleavings: the amortization must
-    // not trade causal exactness when threads race the watermark.
+fn concurrent_runs_report_sessions_and_stay_exact() {
     let spec = StoreSimSpec::churn(4, 6, 9).with_threads(4);
-    let report = run_store_sim(VstampBackend::gc_with(GcWatermarks::lazy()), &spec);
-    assert_exact(&report, "lazy-gc churn");
+    let report = run_store_sim(VstampBackend::gc(), &spec);
+    assert_exact(&report, "churn");
     assert_eq!(report.sessions, spec.rounds * spec.ops_per_round);
     assert_eq!(report.writes, report.sessions);
     assert_eq!(report.metadata_curve.len(), spec.rounds);

@@ -41,10 +41,14 @@
 //! whatever arrives defensively: an undecodable or out-of-order frame
 //! fails the exchange (`Err` / `None`), it never panics, and because every
 //! version merge is idempotent a failed exchange cannot damage the store —
-//! the next pull simply starts over. One thing is *not* idempotent: a Delta
-//! reply carries a part split off the responder's element, good for one
-//! join. A transport must not hand `pull` a Delta from an earlier exchange;
-//! nothing on the wire lets the engine tell (ROADMAP item 2a).
+//! the next pull simply starts over. A Delta from an earlier exchange —
+//! duplicated, late or replayed — is harmless too. Its versions re-merge
+//! idempotently, and its only other content, an element part, is cut only
+//! for a Want line saying the requester lacks the key (`ctx_fp` 0) and is
+//! used only while the requester still lacks it: the first copy to arrive
+//! roots the key, and every later copy meets a held key and is ignored.
+//! The responder never uses a part it cut again, so no part is ever used
+//! twice.
 //!
 //! Each end counts its half of an exchange in one [`ExchangeStats`], and
 //! the cluster keeps one running sum of every half it recorded
@@ -64,12 +68,13 @@
 //!
 //! # Coordination caveat
 //!
-//! The clock plane is shared cluster state: for the version-stamp backend
-//! it carries the per-key GC evidence pins, for the baseline the per-key
-//! identifier allocator. A real deployment would piggyback the evidence on
-//! the anti-entropy protocol itself (and the baseline would need a real
-//! identifier service); the in-process plane stands in for both, exactly
-//! as the `FrontierGc` mirror does in `vstamp-core` (see its module docs).
+//! The clock plane is shared cluster state: per key, the backend's
+//! coordination state and the initial elements replicas have not claimed
+//! yet. For the version-stamp backend that state is only the key's root,
+//! which quiescent compaction re-mints under; an element only ever
+//! shrinks, so no replica needs evidence of what another holds. For the
+//! baseline it is the per-key identifier allocator, the identifier service
+//! a real deployment would need and the in-process plane stands in for.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
@@ -242,8 +247,6 @@ pub struct CompactionStats {
     pub keys_recycled: usize,
     /// Fully-deleted keys dropped from every replica.
     pub keys_dropped: usize,
-    /// `(key, replica)` elements rewritten by the forced GC pass.
-    pub elements_flushed: usize,
 }
 
 /// Construction parameters of a [`Cluster`]: replica count and the data/
@@ -469,13 +472,13 @@ impl<B: StoreBackend> Cluster<B> {
         if !shard.contains_key(key) {
             let element =
                 entry.unclaimed[replica].take().expect("initial element claimed exactly once");
-            shard.insert(key.to_owned(), KeyData::new(&self.backend, element));
+            shard.insert(key.to_owned(), KeyData::new(element));
         }
         shard
             .edit(&self.backend, key, |data| {
                 let (advanced, clock, dot) =
                     self.backend.write(&mut entry.state, data.element(), context);
-                data.set_element(&self.backend, advanced);
+                data.set_element(advanced);
                 // Memoized-order fast path: a context that equals the
                 // sibling set's cached context supersedes every sibling
                 // without a single relation check (the fresh dot makes each
@@ -498,17 +501,10 @@ impl<B: StoreBackend> Cluster<B> {
                     Version { clock: clock.clone(), value },
                     origin,
                 );
-                let (stored, evicted) = if matched {
-                    (true, data.siblings.replace_all(&self.backend, incoming))
+                if matched {
+                    data.siblings.replace_all(&self.backend, incoming);
                 } else {
-                    let outcome = data.siblings.merge_version(&self.backend, incoming, true);
-                    (outcome.stored, outcome.evicted)
-                };
-                if stored {
-                    self.backend.retain_clock(&mut entry.state, &clock);
-                }
-                for evicted in &evicted {
-                    self.backend.release_clock(&mut entry.state, evicted.clock());
+                    data.siblings.merge_version(&self.backend, incoming, true);
                 }
                 clock
             })
@@ -529,9 +525,9 @@ impl<B: StoreBackend> Cluster<B> {
     /// untouched) when the key already exists or the backend cannot root
     /// universes without coordination.
     ///
-    /// Two stores may root one key at disjoint roots: the backend's root
-    /// floor keeps every collapse below the root, so both first writes
-    /// mint disjoint dots.
+    /// Two stores may root one key at disjoint roots: nothing ever joins
+    /// space into an element, so each store's dots stay under its own root
+    /// and both first writes mint disjoint dots.
     pub fn create_key_rooted(&self, key: &str, root: &B::Element) -> bool {
         let shard_index = self.shards.index(key);
         let mut plane = self.plane[shard_index].lock();
@@ -574,8 +570,8 @@ impl<B: StoreBackend> Cluster<B> {
 
     /// Builds the responder's delta for a requester digest: every key the
     /// responder holds whose fingerprint differs (or which the requester
-    /// lacks) is shipped — forked element plus the shared sibling set
-    /// (`Arc` bumps, no value copies).
+    /// lacks) is shipped — the shared sibling set (`Arc` bumps, no value
+    /// copies), plus an element part for a key the requester lacks.
     #[must_use]
     pub fn respond_delta(
         &self,
@@ -589,16 +585,16 @@ impl<B: StoreBackend> Cluster<B> {
         let mut deltas = Vec::new();
         let mut skipped = 0usize;
         for shard_index in 0..self.shards.count() {
-            let keys: Vec<(Key, u64)> = {
+            let keys: Vec<(Key, Option<u64>)> = {
                 let shard = self.replicas[responder].shard(shard_index).read();
                 shard
                     .iter()
                     .filter_map(|(key, data)| match requested.get(key.as_str()) {
                         Some(fingerprint) if *fingerprint == data.fingerprint() => None,
-                        Some(_) => Some((key.clone(), assumed[key.as_str()])),
+                        Some(_) => Some((key.clone(), Some(assumed[key.as_str()]))),
                         // The requester lacks the key: its sibling set is
                         // empty, whose hash is 0.
-                        None => Some((key.clone(), 0)),
+                        None => Some((key.clone(), Some(0))),
                     })
                     .collect()
             };
@@ -615,25 +611,25 @@ impl<B: StoreBackend> Cluster<B> {
         (deltas, skipped)
     }
 
-    /// Forks the responder's element for `key` and ships its sibling set
-    /// (`Arc` bumps, no value copies), minus any version the requester
-    /// provably already holds — reshipping those would be pure redundancy.
-    /// Which versions those are is inferred from `assumed_fp` alone (see
-    /// [`known_subset`]), so dedup costs zero extra digest bytes. Returns
-    /// the delta plus the number of versions skipped that way. The element
-    /// always ships (fingerprint mismatches can be element-only).
+    /// Ships `key`'s sibling set (`Arc` bumps, no value copies) minus any
+    /// version the requester provably already holds — reshipping those
+    /// would be pure redundancy. Which versions those are is inferred from
+    /// the requester's sibling-set hash `assumed_fp` alone (see
+    /// [`known_subset`]), so dedup costs zero extra digest bytes. A hash of
+    /// `Some(0)` says the requester lacks the key: only then is a part
+    /// split off the responder's element and shipped too, for the requester
+    /// to root its copy of the key at. `None` is a NAK refetch, which ships
+    /// versions only. Returns the delta plus the number of versions
+    /// skipped.
     fn ship_key(
         &self,
         responder: usize,
         shard_index: usize,
         key: &Key,
-        assumed_fp: u64,
+        assumed_fp: Option<u64>,
     ) -> Option<(KeyDelta<B>, usize)> {
-        let (mut plane, mut shard) = self.lock_pair(responder, shard_index);
-        let entry = plane.get_mut(key)?;
-        shard.edit(&self.backend, key, |data| {
-            let (kept, shipped) = self.backend.detach(&mut entry.state, data.element());
-            data.set_element(&self.backend, kept);
+        let ship = |data: &KeyData<B>, element| {
+            let assumed_fp = assumed_fp.unwrap_or(0);
             let hashes: Vec<u64> = data.siblings.iter().map(StoredVersion::content_hash).collect();
             let known = known_subset(&hashes, assumed_fp);
             let versions: Vec<_> = data
@@ -644,17 +640,29 @@ impl<B: StoreBackend> Cluster<B> {
                 .map(|(_, version)| version.clone())
                 .collect();
             let skipped = known.count_ones() as usize;
-            (KeyDelta { key: key.clone(), element: shipped, versions, assumed_fp }, skipped)
+            (KeyDelta { key: key.clone(), element, versions, assumed_fp }, skipped)
+        };
+        if assumed_fp != Some(0) {
+            let shard = self.replicas[responder].shard(shard_index).read();
+            return Some(ship(shard.get(key)?, None));
+        }
+        let (mut plane, mut shard) = self.lock_pair(responder, shard_index);
+        let entry = plane.get_mut(key)?;
+        shard.edit(&self.backend, key, |data| {
+            let (kept, shipped) = self.backend.detach(&mut entry.state, data.element());
+            data.set_element(kept);
+            ship(data, Some(shipped))
         })
     }
 
     /// Ships exactly the named keys, each against the requester's
-    /// sibling-set hash for it; returns the deltas (sorted by key) and the
+    /// sibling-set hash for it (`None` for a refetch, see
+    /// [`Cluster::ship_key`]); returns the deltas (sorted by key) and the
     /// number of versions the subset-sum dedup left out.
     fn ship_keys<'k>(
         &self,
         responder: usize,
-        wanted: impl Iterator<Item = (&'k Key, u64)>,
+        wanted: impl Iterator<Item = (&'k Key, Option<u64>)>,
     ) -> (Vec<KeyDelta<B>>, usize) {
         let mut skipped = 0;
         let mut deltas: Vec<KeyDelta<B>> = wanted
@@ -670,21 +678,22 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// Builds the full-frames refetch for a NAK: the responder re-ships
-    /// exactly the missed keys (`assumed_fp` of 0 is irrelevant — the
-    /// refetch is encoded with [`DeltaPolicy::FULL_ONLY`]).
+    /// exactly the missed keys' versions (the refetch is encoded with
+    /// [`DeltaPolicy::FULL_ONLY`]). A missed key is one the requester
+    /// holds, so no element part ships.
     #[must_use]
     pub fn respond_nak(&self, responder: usize, keys: &[Key]) -> Vec<KeyDelta<B>> {
-        self.ship_keys(responder, keys.iter().map(|key| (key, 0))).0
+        self.ship_keys(responder, keys.iter().map(|key| (key, None))).0
     }
 
     /// Applies a delta at the requester, one lock pair per key — the
     /// per-key reference that [`Cluster::apply_delta_batch`] (what
     /// exchanges use) is tested and benchmarked against; the two differ in
-    /// nothing else. Element `join` (with the backend's merge-time GC) plus
-    /// sibling merges. Delta-frame versions whose context fingerprint
-    /// matches the local sibling set are reconstructed as `context ⊔ dot`;
-    /// the rest are **missed** — the returned keys need a NAK/full-frame
-    /// refetch round.
+    /// nothing else. Sibling merges, after rooting a key this store lacked
+    /// at its shipped element part (single-replica stores). Delta-frame
+    /// versions whose context fingerprint matches the local sibling set
+    /// are reconstructed as `context ⊔ dot`; the rest are **missed** — the
+    /// returned keys need a NAK/full-frame refetch round.
     pub fn apply_delta(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         for delta in deltas {
@@ -726,9 +735,8 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// Applies one key's wire delta under already-held shard locks, in one
-    /// `Shard::edit`: element absorb (one watermark-gated collapse check),
-    /// then every version merge. Returns the key on a delta-frame
-    /// fingerprint miss (it needs a NAK/full-frame refetch).
+    /// `Shard::edit` of every version merge. Returns the key on a
+    /// delta-frame fingerprint miss (it needs a NAK/full-frame refetch).
     fn apply_key_delta(
         &self,
         requester: usize,
@@ -738,36 +746,31 @@ impl<B: StoreBackend> Cluster<B> {
     ) -> Option<Key> {
         let WireKeyDelta { key, element, versions } = delta;
         // A key this cluster has never seen: a multi-process node learning
-        // it from a peer. Adopt the shipped element as the local replica's
-        // first element — never mint a fresh universe here, that would
-        // collide with the sender's. Single-replica clusters only (the
-        // node topology); elsewhere, and for backends that cannot adopt
-        // foreign elements, the key is skipped as before.
-        let adopted = if plane.contains_key(&key) {
-            false
-        } else {
+        // it from a peer. Root it at the part the peer split off its own
+        // element for this requester — never at a fresh universe, which
+        // would collide with the sender's. Single-replica clusters only
+        // (the node topology); elsewhere, without a shipped part, and for
+        // backends that cannot root keys, the key is skipped. For a key
+        // the cluster holds, a shipped part is ignored: its element only
+        // ever shrinks, and nothing the peer's id could teach lives in it.
+        if !plane.contains_key(&key) {
             if self.replicas.len() != 1 {
                 return None;
             }
-            let state = self.backend.adopt_key(&element)?;
-            plane.insert(key.clone(), KeyPlane { state, unclaimed: vec![None] });
-            shard.insert(key.clone(), KeyData::new(&self.backend, element.clone()));
-            true
-        };
-        let entry = plane.get_mut(&key).expect("present or just adopted");
+            let (state, elements) = self.backend.new_key_rooted(1, &element?)?;
+            plane.insert(
+                key.clone(),
+                KeyPlane { state, unclaimed: elements.into_iter().map(Some).collect() },
+            );
+        }
         if !shard.contains_key(&key) {
+            let entry = plane.get_mut(&key).expect("present or just rooted");
             let claimed =
                 entry.unclaimed[requester].take().expect("initial element claimed exactly once");
-            shard.insert(key.clone(), KeyData::new(&self.backend, claimed));
+            shard.insert(key.clone(), KeyData::new(claimed));
         }
         let key_missed = shard
             .edit(&self.backend, &key, |data| {
-                // An adopted element was consumed as the local element;
-                // there is nothing separate to absorb.
-                if !adopted {
-                    let absorbed = self.backend.absorb(&mut entry.state, data.element(), &element);
-                    data.set_element(&self.backend, absorbed);
-                }
                 // Every delta frame of this batch was minted against one
                 // sibling-set state, so the base context and its hash are
                 // captured once, *before* any merge of the batch mutates
@@ -798,14 +801,7 @@ impl<B: StoreBackend> Cluster<B> {
                             )
                         }
                     };
-                    let clock = incoming.clock().clone();
-                    let outcome = data.siblings.merge_version(&self.backend, incoming, false);
-                    if outcome.stored {
-                        self.backend.retain_clock(&mut entry.state, &clock);
-                    }
-                    for evicted in &outcome.evicted {
-                        self.backend.release_clock(&mut entry.state, evicted.clock());
-                    }
+                    data.siblings.merge_version(&self.backend, incoming, false);
                 }
                 key_missed
             })
@@ -972,8 +968,8 @@ impl<B: StoreBackend> Cluster<B> {
             }
             MessageKind::Want => {
                 let wanted = decode_want(&request.payload).ok()?;
-                let (deltas, skipped) =
-                    self.ship_keys(replica, wanted.iter().map(|(key, ctx_fp)| (key, *ctx_fp)));
+                let (deltas, skipped) = self
+                    .ship_keys(replica, wanted.iter().map(|(key, ctx_fp)| (key, Some(*ctx_fp))));
                 let (payload, frames) = encode_delta(&self.backend, &deltas, self.policy);
                 stats.keys_shipped = deltas.len();
                 stats.versions_skipped = skipped;
@@ -1035,16 +1031,10 @@ impl<B: StoreBackend> Cluster<B> {
         snapshot
     }
 
-    /// Quiescent-point compaction, shard by shard. Two passes per key:
-    ///
-    /// 1. a **forced GC flush** of every replica element — the amortized
-    ///    GC's deferred collapses all land here, so a compaction boundary
-    ///    leaves no watermark debt behind;
-    /// 2. for every key whose sibling set has converged to a single
-    ///    version on every replica and whose elements have reached equal
-    ///    knowledge, the backend re-mints the whole per-key identity
-    ///    universe; keys whose sole surviving version is a tombstone are
-    ///    dropped outright.
+    /// Quiescent-point compaction, shard by shard: for every key whose
+    /// sibling set has converged to a single version on every replica, the
+    /// backend re-mints the whole per-key identity universe; keys whose
+    /// sole surviving version is a tombstone are dropped outright.
     ///
     /// Takes `&mut self`: compaction rewrites clocks wholesale, so it must
     /// run at a true quiescent point (no concurrent clients or gossip) —
@@ -1056,19 +1046,6 @@ impl<B: StoreBackend> Cluster<B> {
             let keys: Vec<Key> = plane.keys().cloned().collect();
             for key in keys {
                 let entry = plane.get_mut(&key).expect("listed key");
-                // Forced GC pass: clear any deferred collapse debt.
-                for replica in &self.replicas {
-                    let flushed =
-                        replica.shard(shard_index).write().edit(&self.backend, &key, |data| {
-                            let flushed =
-                                self.backend.flush_gc(&mut entry.state, data.element())?;
-                            data.set_element(&self.backend, flushed);
-                            Some(())
-                        });
-                    if flushed.flatten().is_some() {
-                        stats.elements_flushed += 1;
-                    }
-                }
                 // Gather every replica's element and its single version.
                 let mut elements = Vec::with_capacity(self.replicas.len());
                 let mut versions: Vec<StoredVersion<B>> = Vec::with_capacity(self.replicas.len());
@@ -1120,7 +1097,7 @@ impl<B: StoreBackend> Cluster<B> {
                             .shard(shard_index)
                             .write()
                             .edit(&self.backend, &key, |data| {
-                                data.set_element(&self.backend, fresh);
+                                data.set_element(fresh);
                                 data.siblings.remint(&self.backend, fresh_clock.clone());
                             })
                             .expect("eligibility checked");
@@ -1181,7 +1158,7 @@ impl<B: StoreBackend> Cluster<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DynamicVvBackend, GcWatermarks, VstampBackend};
+    use crate::backend::{DynamicVvBackend, VstampBackend};
     use crate::store::{fnv1a, fnv1a_extend, root_term};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1285,7 +1262,7 @@ mod tests {
             assert_eq!(odd.get(1, &format!("key-{i}")).values(), vec![vec![i as u8]]);
         }
         // Degenerate configs clamp instead of panicking.
-        let tiny = Cluster::with_config(VstampBackend::eager(), ClusterConfig::new(0, 0));
+        let tiny = Cluster::with_config(VstampBackend::gc(), ClusterConfig::new(0, 0));
         assert_eq!(tiny.replica_count(), 1);
         assert_eq!(tiny.shard_count(), 1);
     }
@@ -1358,36 +1335,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_gc_debt_is_flushed_at_the_compaction_boundary() {
-        // Watermarks that never fire on their own: every collapse is debt
-        // owed to the forced pass in `compact`.
-        let never = GcWatermarks { merge_interval: u32::MAX, element_bits: u32::MAX };
-        let mut cluster = Cluster::new(VstampBackend::gc_with(never), 3, 2);
-        for round in 0..30u8 {
-            for replica in 0..3 {
-                let read = cluster.get(replica, "k");
-                cluster.put(replica, "k", vec![round, replica as u8], read.context());
-            }
-            cluster.anti_entropy(usize::from(round) % 3, (usize::from(round) + 1) % 3);
-        }
-        // Leave genuine siblings behind so the key cannot re-mint and the
-        // flush pass is the only collapse route.
-        cluster.put(0, "k", b"left".to_vec(), None);
-        cluster.put(1, "k", b"right".to_vec(), None);
-        full_sweep(&cluster);
-        let before = cluster.metrics().element_bits_total;
-        let stats = cluster.compact();
-        assert_eq!(stats.keys_recycled, 0);
-        assert!(stats.elements_flushed > 0, "deferred collapse debt must flush");
-        assert!(cluster.metrics().element_bits_total < before);
-        // Causality is intact afterwards.
-        let read = cluster.get(0, "k");
-        cluster.put(0, "k", b"final".to_vec(), read.context());
-        full_sweep(&cluster);
-        assert_eq!(cluster.get(2, "k").values(), vec![b"final".to_vec()]);
-    }
-
-    #[test]
     fn dynamic_vv_backend_supports_the_same_protocol() {
         let cluster = Cluster::new(DynamicVvBackend::new(), 3, 2);
         cluster.put(0, "k", b"a".to_vec(), None);
@@ -1439,30 +1386,33 @@ mod tests {
 
     #[test]
     fn delta_frames_flow_and_perturbed_fingerprints_fall_back() {
-        // One replica writes, the other pulls after every write, so the
-        // receiver is always exactly one version behind the writer — the
-        // delta-frame sweet spot. The dynamic-vv clock grows a vector
-        // entry per write, so full frames quickly outgrow dot +
-        // fingerprint and the adaptive encoder switches over.
+        // Every replica in turn writes over the set it read, and every
+        // other replica then pulls from the writer, so each pull is exactly
+        // one version behind — the delta-frame sweet spot. Once all eight
+        // incarnations wrote, a dynamic-vv clock carries eight vector
+        // entries, full frames outgrow dot + fingerprint and the adaptive
+        // encoder switches over.
+        const REPLICAS: usize = 8;
         let run = |config: ClusterConfig| {
             let cluster = Cluster::with_config(DynamicVvBackend::new(), config);
-            cluster.put(0, "hot", b"seed".to_vec(), None);
-            cluster.anti_entropy(1, 0);
-            for round in 0..12u8 {
-                let read = cluster.get(0, "hot");
-                cluster.put(0, "hot", vec![round], read.context());
-                cluster.anti_entropy(1, 0);
+            for round in 0..24u8 {
+                let writer = usize::from(round) % REPLICAS;
+                let read = cluster.get(writer, "hot");
+                cluster.put(writer, "hot", vec![round], read.context());
+                for requester in (0..REPLICAS).filter(|&requester| requester != writer) {
+                    cluster.anti_entropy(requester, writer);
+                }
             }
             full_sweep(&cluster);
             assert!(cluster.converged(), "workload must converge");
             assert_eq!(
                 cluster.get(1, "hot").values(),
-                vec![vec![11u8]],
+                vec![vec![23u8]],
                 "the last write must win everywhere"
             );
             cluster.gossip_stats()
         };
-        let adaptive = run(ClusterConfig::new(2, 4));
+        let adaptive = run(ClusterConfig::new(REPLICAS, 4));
         assert!(adaptive.delta_frames > 0, "one-behind pulls must ship delta frames");
         assert!(adaptive.wire_bytes_saved > 0, "delta frames must undercut their full frames");
         assert_eq!(adaptive.nak_refetches, 0, "serial exchanges never miss");
@@ -1470,7 +1420,7 @@ mod tests {
         // Perturbed fingerprints force every delta frame to miss: the
         // NAK/full-frame fallback carries the exchange and the cluster
         // still converges to the same state (asserted inside `run`).
-        let perturbed = run(ClusterConfig::new(2, 4).with_perturbed_fingerprints());
+        let perturbed = run(ClusterConfig::new(REPLICAS, 4).with_perturbed_fingerprints());
         assert!(perturbed.nak_refetches > 0, "perturbation must exercise the NAK path");
         assert!(perturbed.delta_bytes > adaptive.delta_bytes, "misses cost an extra round");
     }
@@ -1853,7 +1803,7 @@ mod tests {
             }
 
             /// Every element holds no more strings than its deepest string
-            /// has bits below the key's floor (the dot mint's bound; at
+            /// has bits below the key's root (the dot mint's bound; at
             /// least one), no node shows a write next to one that covers it
             /// or loses a write it took, and once `settled`, every node
             /// shows exactly the uncovered writes.
@@ -1861,12 +1811,12 @@ mod tests {
                 let covered: HashSet<u32> = self.covers.iter().flatten().copied().collect();
                 for (at, node) in nodes.iter().enumerate() {
                     for (key, id) in node_elements(node) {
-                        let floor =
-                            node.plane[node.shards.index(&key)].lock()[&key].state.floor().len();
-                        let below = id.depth().saturating_sub(floor).max(1);
+                        let root =
+                            node.plane[node.shards.index(&key)].lock()[&key].state.root().len();
+                        let below = id.depth().saturating_sub(root).max(1);
                         assert!(
                             id.string_count() <= below,
-                            "step {step}: node {at} has {id} at {key}, floor {floor}"
+                            "step {step}: node {at} has {id} at {key}, root {root}"
                         );
                     }
                     for key in 0..KEYS {
@@ -1952,31 +1902,99 @@ mod tests {
         }
     }
 
+    /// One key's delta as a requester decodes it: `element` as the
+    /// shipped part, `versions` as full frames.
+    fn wire_delta(
+        node: &Cluster<VstampBackend>,
+        element: Option<&str>,
+        versions: Vec<StoredVersion<VstampBackend>>,
+    ) -> Vec<WireKeyDelta<VstampBackend>> {
+        let element = element.map(|element| element.parse().expect("a name"));
+        let deltas = [KeyDelta { key: "k".into(), element, versions, assumed_fp: 0 }];
+        let (payload, _) = encode_delta(node.backend(), &deltas, DeltaPolicy::FULL_ONLY);
+        decode_delta(node.backend(), &payload).expect("decodes")
+    }
+
     #[test]
-    fn a_multi_string_foreign_element_is_adopted_then_absorbed_into_one_string() {
+    fn a_multi_string_foreign_element_roots_the_key_once_and_a_second_is_ignored() {
         let node = Cluster::new(VstampBackend::gc(), 1, 4);
-        let delta = |element: &str| {
-            let element = element.parse().expect("a name");
-            let deltas =
-                [KeyDelta { key: "k".into(), element, versions: Vec::new(), assumed_fp: 0 }];
-            let (payload, _) = encode_delta(node.backend(), &deltas, DeltaPolicy::ADAPTIVE);
-            decode_delta(node.backend(), &payload).expect("a two-string id decodes")
-        };
-        assert!(node.apply_delta_batch(0, delta("{001, 11}")).is_empty());
-        assert_eq!(node_elements(&node)[0].1.string_count(), 2, "adopted as shipped");
+        assert!(node.apply_delta_batch(0, wire_delta(&node, None, Vec::new())).is_empty());
+        assert!(!node.has_key("k"), "a key is never rooted without a shipped part");
+        // A two-string part roots the key at its shallowest string.
+        assert!(node
+            .apply_delta_batch(0, wire_delta(&node, Some("{001, 11}"), Vec::new()))
+            .is_empty());
+        assert_eq!(node_elements(&node)[0].1.to_string(), "{11}");
         node.put(0, "k", vec![1], None);
-        assert!(node.apply_delta_batch(0, delta("{0001, 101}")).is_empty());
-        assert_eq!(node_elements(&node)[0].1.string_count(), 1, "{:?}", node_elements(&node));
+        let element = node_elements(&node)[0].1.clone();
+        // A second adopting delta for the key — another peer's part, or a
+        // late copy of the first — meets a held key and is ignored.
+        for part in ["{0001, 101}", "{001, 11}"] {
+            assert!(node
+                .apply_delta_batch(0, wire_delta(&node, Some(part), Vec::new()))
+                .is_empty());
+            assert_eq!(node_elements(&node)[0].1, element, "{part} reached the element");
+        }
         assert_eq!(node.get(0, "k").values(), vec![vec![1]]);
+    }
+
+    #[test]
+    fn a_want_for_a_held_key_gets_an_empty_element_frame() {
+        // Two nodes; `b` adopts the key on its first pull, and from then on
+        // every Delta `a` sends it carries an empty element frame, neither
+        // end's element moves, and the versions still flow.
+        let a = Cluster::new(VstampBackend::gc(), 1, 4);
+        let b = Cluster::new(VstampBackend::gc(), 1, 4);
+        let (_, lend) = VersionStamp::seed().fork();
+        assert!(a.create_key_rooted("k", lend.id_name()));
+        a.put(0, "k", b"v1".to_vec(), None);
+        node_pull(&b, &a, &mut PullCursor::default());
+        assert_eq!(b.get(0, "k").values(), vec![b"v1".to_vec()]);
+        let (a_element, b_element) = (node_elements(&a), node_elements(&b));
+        let read = a.get(0, "k");
+        a.put(0, "k", b"v2".to_vec(), read.context());
+        // The want `b`'s engine would send: the key, held under its own
+        // sibling-set hash.
+        let wanted = b.pick_wanted(0, &a.build_digest(0));
+        assert!(wanted.iter().all(|(_, ctx_fp)| *ctx_fp != 0), "{wanted:?}");
+        let request = Envelope { from: 0, kind: MessageKind::Want, payload: encode_want(&wanted) };
+        let (reply, _) = a.serve(0, &request).expect("an honest want");
+        let decoded = decode_delta(b.backend(), &reply.payload).expect("decodes");
+        assert!(decoded.iter().all(|delta| delta.element.is_none()), "a held key got a part");
+        assert!(b.apply_delta_batch(0, decoded).is_empty());
+        assert_eq!(b.get(0, "k").values(), vec![b"v2".to_vec()]);
+        // The responder's element only spent the write's dot: nothing was
+        // split off it for a requester that holds the key.
+        assert_eq!(node_elements(&a)[0].1, a_element[0].1.mint_dot().0);
+        assert_eq!(node_elements(&b), b_element, "the requester's element moved");
+    }
+
+    #[test]
+    fn a_forged_or_late_element_for_a_held_key_changes_nothing() {
+        let node = Cluster::new(VstampBackend::gc(), 1, 4);
+        let (_, lend) = VersionStamp::seed().fork();
+        assert!(node.create_key_rooted("k", lend.id_name()));
+        node.put(0, "k", b"mine".to_vec(), None);
+        let elements = node_elements(&node);
+        let (root, digest) = (node.digest_root(0), node.build_digest(0));
+        // A part covering the whole space (forged), and one inside the
+        // node's own element (a replay of a part it was once granted).
+        for part in ["{ε}", "{1}", "{11}"] {
+            assert!(node
+                .apply_delta_batch(0, wire_delta(&node, Some(part), Vec::new()))
+                .is_empty());
+            assert_eq!(node_elements(&node), elements, "{part}");
+            assert_eq!((node.digest_root(0), node.build_digest(0)), (root, digest.clone()));
+        }
+        assert_eq!(node.get(0, "k").values(), vec![b"mine".to_vec()]);
     }
 
     #[test]
     fn a_double_rooted_key_keeps_both_first_writes() {
         // Two nodes root the same key at once, each from its own half of
-        // the seed, deepened `depth` times. From depth 4 on the roots pass
-        // the 16-bit watermark: without the root floor, the write-side
-        // collapse takes each node's un-shipped root to {ε}, both writes
-        // mint the same dot and the exchange keeps one value.
+        // the seed, deepened `depth` times. Nothing ever joins space into
+        // an element, so each node's first write mints a dot under its own
+        // root and the exchange keeps both values.
         let (left, right) = VersionStamp::seed().fork();
         for depth in [0usize, 4, 8, 16, 64] {
             let nodes = [(left.clone(), b"left"), (right.clone(), b"rght")].map(
@@ -2002,37 +2020,32 @@ mod tests {
     }
 
     #[test]
-    fn the_root_floor_follows_an_element_into_another_root() {
+    fn two_roots_of_one_key_keep_disjoint_elements_and_every_write() {
         // One key rooted at a 2-bit string on `shallow` and at a 30-bit one
         // on `deep`, as when two nodes first-touch it at once. A causal
-        // chain of writes deepens the shallow-rooted element's shallowest
-        // string to 33 bits (the dot mint deepens it one bit per run of
-        // leaves), so the first pull moves it into the 32-bit half `deep`
-        // grants.
-        // That half is all `shallow` knows of `deep`'s root: a collapse
-        // above it would take in `deep`'s own element and re-mint its dots.
-        // Over this exchange the granted half is not in `shallow`'s pin
-        // pool, so the move degrades the key and no collapse runs after it;
-        // `backend::tests::the_floor_follows_an_element_into_a_granted_half`
-        // runs the collapse with that evidence in the pool.
-        let deep_root: BitString = "10".repeat(15).parse().expect("a bit string");
-        let stores = ["01".parse().expect("a bit string"), deep_root.clone()].map(|root| {
+        // chain of writes deepens `shallow`'s element past 32 bits, below
+        // `deep`'s root depth; then both write blind and exchange. Each
+        // element stays under its own root, the two stay disjoint, every
+        // dot is disjoint from every other, and no write is lost.
+        let roots: [BitString; 2] =
+            ["01".parse().expect("a bit string"), "10".repeat(15).parse().expect("a bit string")];
+        let stores = roots.clone().map(|root| {
             let store = Cluster::new(VstampBackend::gc(), 1, 4);
             assert!(store.create_key_rooted("k", &PackedName::singleton(&root)));
             store
         });
         let [shallow, deep] = &stores;
-        let element = |store: &Cluster<VstampBackend>| {
-            node_elements(store)[0].1.shallowest_string().expect("a live element")
-        };
-        // The two elements stay disjoint, and `shallow`'s never rises above
-        // the last region it moved into.
-        let check = |region: &mut BitString, step: &str| {
-            let (ours, theirs) = (element(shallow), element(deep));
-            assert!(ours.is_incomparable_with(&theirs), "{step}: {ours} and {theirs} overlap");
-            assert!(!ours.is_strict_prefix_of(region), "{step}: {ours} rose above {region}");
-            if !region.is_prefix_of(&ours) {
-                *region = ours;
+        let element = |store: &Cluster<VstampBackend>| node_elements(store)[0].1.clone();
+        let check = |step: &str| {
+            for (store, root) in stores.iter().zip(&roots) {
+                for s in element(store).strings() {
+                    assert!(root.is_prefix_of(&s), "{step}: {s} left its root {root}");
+                }
+            }
+            for s in element(shallow).strings() {
+                for t in element(deep).strings() {
+                    assert!(s.is_incomparable_with(&t), "{step}: {s} and {t} overlap");
+                }
             }
         };
         let mut context = None;
@@ -2040,11 +2053,10 @@ mod tests {
         loop {
             context = Some(shallow.put(0, "k", id.to_le_bytes().to_vec(), context.as_ref()));
             id += 1;
-            if element(shallow).len() > 32 {
+            if element(shallow).depth() > 32 {
                 break;
             }
         }
-        assert_eq!(element(shallow).len(), 33);
         let mut live = vec![id - 1];
         let mut dots: Vec<BitString> = Vec::new();
         let mut blind_write = |store: &Cluster<VstampBackend>| {
@@ -2056,19 +2068,15 @@ mod tests {
         blind_write(deep);
         let mut cursors = [PullCursor::default(); 2];
         node_pull(shallow, deep, &mut cursors[0]);
-        let mut region = element(shallow);
-        assert!(deep_root.is_prefix_of(&region) && region.len() == 32, "moved to {region}");
-        assert!(shallow.plane[shallow.shards.index("k")].lock()["k"].state.is_degraded());
         node_pull(deep, shallow, &mut cursors[1]);
-        check(&mut region, "after the move");
+        check("after the first exchange");
         for step in 0..12 {
             blind_write(if step % 2 == 0 { shallow } else { deep });
-            check(&mut region, &format!("write {step}"));
+            check(&format!("write {step}"));
             if step % 3 == 2 {
                 node_pull(shallow, deep, &mut cursors[0]);
-                check(&mut region, &format!("pull {step}"));
                 node_pull(deep, shallow, &mut cursors[1]);
-                check(&mut region, &format!("push {step}"));
+                check(&format!("exchange {step}"));
             }
         }
         for (i, dot) in dots.iter().enumerate() {

@@ -8,14 +8,13 @@
 //! batched anti-entropy — with the clock mechanism swapped behind a seam:
 //!
 //! * [`VstampBackend`] — **version stamps**. Each key is its own
-//!   fork/join/update universe: no replica identifiers, no counters, and
-//!   (with [`VstampBackend::gc`]) the PR 2 frontier-evidence GC amortized
-//!   behind [`GcWatermarks`] — every merge cover-shrinks the element, the
-//!   evidence-gated collapse runs when a key's merge count or element
-//!   size crosses its watermark (plus a forced pass at the compaction
-//!   boundary) — and quiescent-point compaction per shard, so per-key
-//!   metadata adapts to the live frontier instead of the operation
-//!   history.
+//!   fork/join/update universe: no replica identifiers, no counters. A
+//!   replica's element for a key is an id that only shrinks — a write
+//!   spends a dot off it, and a replica that lacks the key roots its copy
+//!   at a part split off a holder's element — so dots stay unique with no
+//!   GC and no evidence bookkeeping, and quiescent-point compaction per
+//!   shard re-mints a settled key's universe, so per-key metadata adapts
+//!   to the live frontier instead of the operation history.
 //! * [`DynamicVvBackend`] — the dynamic version-vector baseline the paper
 //!   argues against: exact, but every incarnation burns a fresh
 //!   globally-allocated identifier and retired entries accumulate.
@@ -39,7 +38,7 @@
 //! ```
 //! use vstamp_store::{Cluster, VstampBackend};
 //!
-//! // Three replicas, four shards each, version-stamp clocks with GC.
+//! // Three replicas, four shards each, version-stamp clocks.
 //! let cluster = Cluster::new(VstampBackend::gc(), 3, 4);
 //!
 //! // Concurrent writes at different replicas become siblings…
@@ -67,7 +66,7 @@ pub mod store;
 pub mod transport;
 pub mod wire;
 
-pub use backend::{DvvClock, DynamicVvBackend, GcWatermarks, StoreBackend, VstampBackend};
+pub use backend::{DvvClock, DynamicVvBackend, StoreBackend, VstampBackend};
 pub use cluster::{
     Cluster, ClusterConfig, CompactionStats, ExchangeStats, PullCursor, StoreMetrics,
 };

@@ -14,10 +14,18 @@
 //! **footprint**: its membership id plus every fork half it has *spent*
 //! rooting key universes. The footprints are exactly the evidence
 //! [`retire_identity`](vstamp_core::retire_identity) needs — when a member
-//! is marked [`MemberStatus::Evicted`], its id stops contributing and
-//! every survivor's next retirement pass reabsorbs the evicted subtree
-//! (spent roots stay quarantined: versions minted under them may still be
-//! stored, so that space is never re-lent).
+//! is marked [`MemberStatus::Evicted`], its whole footprint, id *and*
+//! spent roots, stops contributing, and every survivor's next retirement
+//! pass reabsorbs it ([`MemberTable::evidence_for`]); a survivor's own
+//! spent roots never defend against its own retirement either. Spent
+//! roots are not quarantined: versions minted under them may still be
+//! stored, and the reclaimed space can be lent again. That is sound as
+//! long as clocks are compared only within one key and the key has reached
+//! every node before anyone first-touches it again. The one exposure left
+//! is a joiner sponsored from reclaimed space that first-touches a key
+//! rooted there before the key has reached it: its root can overlap the
+//! old one, and it could mint a dot that a stored clock already holds. No
+//! test reproduces it yet.
 
 use std::collections::BTreeMap;
 
@@ -31,9 +39,10 @@ use crate::store::fnv1a;
 pub enum MemberStatus {
     /// In the cluster: its identity footprint blocks retirement.
     Active,
-    /// Evicted: its membership id no longer defends its subtree (spent
-    /// key roots remain quarantined). Sticky — eviction survives any
-    /// merge.
+    /// Evicted: neither its membership id nor its spent key roots defend
+    /// their space any more, so survivors reclaim both (see the
+    /// [module docs](self) for the exposure that leaves). Sticky —
+    /// eviction survives any merge.
     Evicted,
 }
 
@@ -209,7 +218,7 @@ impl MemberTable {
     /// member's key roots is harmless. The one residual hazard — rooting
     /// an *existing* key a second time from reclaimed space before its
     /// data has gossiped over — is the exposure the node docs keep: the
-    /// two roots can overlap, which the root floor does not cover.
+    /// two roots can overlap.
     ///
     /// Id and spent ride as *separate* names: `Name::join` keeps only
     /// ⊑-maximal strings, which must not erase a block.

@@ -53,15 +53,16 @@
 //!   identity drops the rooting lend (it may have been reabsorbed); the
 //!   next first touch forks a fresh one off the retired identity.
 //!
-//! Two nodes may first-touch the *same* key before either has gossiped it.
-//! Their roots are disjoint lends, and each key's collapse is bounded by
-//! a **root floor** (see `VstampKeyState`): no collapse truncates an
-//! element above its root, so the two first writes mint disjoint dots and
-//! both survive as siblings. The floor follows an element into a half
-//! granted from the other root. One exposure remains: retirement reclaims
-//! the survivor's own lends and the evicted member's, and a joiner
-//! sponsored from that space can still first-touch a key rooted there
-//! before the key has reached the joiner.
+//! A key the node learns from a peer is rooted at the element part the
+//! peer split off for it (the Delta carries one only for a key the
+//! requester lacks), and a key it already holds never takes a peer's
+//! part: an element only shrinks. Two nodes may first-touch the *same* key
+//! before either has gossiped it. Their roots are disjoint lends, and
+//! nothing ever joins space into an element, so the two first writes mint
+//! disjoint dots and both survive as siblings. One exposure remains:
+//! retirement reclaims the survivor's own lends and the evicted member's,
+//! and a joiner sponsored from that space can still first-touch a key
+//! rooted there before the key has reached the joiner.
 //!
 //! ## The member table rides the Probe
 //!

@@ -413,8 +413,7 @@ impl<B: StoreBackend> SiblingSet<B> {
     }
 
     /// Order-independent hash of the stored versions, maintained in O(1)
-    /// per mutation; the anti-entropy fingerprint mixes it with the
-    /// element knowledge.
+    /// per mutation; the anti-entropy fingerprint is read off it.
     pub(crate) fn versions_hash(&self) -> u64 {
         self.versions_hash
     }
@@ -446,17 +445,12 @@ impl<B: StoreBackend> SiblingSet<B> {
     /// Sound because every stored clock is ≤ the set context the caller
     /// proved it read, and the incoming clock is that context joined with
     /// a *fresh* dot, so the domination is strict for every sibling.
-    pub(crate) fn replace_all(
-        &mut self,
-        backend: &B,
-        incoming: StoredVersion<B>,
-    ) -> Vec<StoredVersion<B>> {
-        let evicted = std::mem::take(&mut self.versions);
+    pub(crate) fn replace_all(&mut self, backend: &B, incoming: StoredVersion<B>) {
+        self.versions.clear();
         self.versions_hash = 0;
         self.context = None;
         self.context_stale = false;
         self.push(backend, incoming);
-        evicted
     }
 
     /// Merges `incoming` into the sibling set.
@@ -470,7 +464,7 @@ impl<B: StoreBackend> SiblingSet<B> {
         backend: &B,
         incoming: StoredVersion<B>,
         local_write: bool,
-    ) -> MergeOutcome<B> {
+    ) {
         // Memoized fast path: byte-identical clock bytes mean the same
         // causal position (the codec is canonical), and the antichain
         // invariant pins its relation to every *other* sibling at
@@ -480,16 +474,16 @@ impl<B: StoreBackend> SiblingSet<B> {
         {
             return self.resolve_equal(backend, incoming, index, local_write);
         }
-        let mut evicted = Vec::new();
-        let mut store_incoming = true;
+        let mut evicted = false;
         let mut index = 0;
         while index < self.versions.len() {
             match backend.relation(self.versions[index].clock(), incoming.clock()) {
                 // The stored version is causally included in the incoming
                 // write: evict it.
                 Relation::Dominated => {
-                    evicted.push(self.remove(index));
+                    self.remove(index);
                     self.context_stale = true;
+                    evicted = true;
                 }
                 Relation::Equal => {
                     // Same causal position reached through different wire
@@ -497,23 +491,19 @@ impl<B: StoreBackend> SiblingSet<B> {
                     // byte-equal fast path. No eviction can have preceded
                     // this (a sibling dominated by `incoming` would be
                     // comparable with its equal).
-                    debug_assert!(evicted.is_empty(), "antichain rules out prior evictions");
+                    debug_assert!(!evicted, "antichain rules out prior evictions");
                     return self.resolve_equal(backend, incoming, index, local_write);
                 }
                 Relation::Dominates => {
                     // A stored dominator: the antichain invariant rules out
                     // any stored sibling being dominated by `incoming`
                     // (it would be comparable with the dominator).
-                    store_incoming = false;
-                    break;
+                    return;
                 }
                 Relation::Concurrent => index += 1,
             }
         }
-        if store_incoming {
-            self.push(backend, incoming);
-        }
-        MergeOutcome { stored: store_incoming, evicted }
+        self.push(backend, incoming);
     }
 
     /// Resolves an incoming version against the clock-equal stored sibling
@@ -524,7 +514,7 @@ impl<B: StoreBackend> SiblingSet<B> {
         incoming: StoredVersion<B>,
         index: usize,
         local_write: bool,
-    ) -> MergeOutcome<B> {
+    ) {
         if local_write || incoming.version.value > self.versions[index].version.value {
             let evicted = self.remove(index);
             // Byte-identical clocks leave the cached context exact; an
@@ -532,9 +522,6 @@ impl<B: StoreBackend> SiblingSet<B> {
             // identifier backends) conservatively marks it for a rebuild.
             self.context_stale |= evicted.clock_bytes != incoming.clock_bytes;
             self.push(backend, incoming);
-            MergeOutcome { stored: true, evicted: vec![evicted] }
-        } else {
-            MergeOutcome { stored: false, evicted: Vec::new() }
         }
     }
 
@@ -554,50 +541,30 @@ impl<B: StoreBackend> SiblingSet<B> {
 pub(crate) struct KeyData<B: StoreBackend> {
     /// The replica's element in this key's fork/join/update universe.
     element: B::Element,
-    /// Cached wire bytes of the element's knowledge (the digest
-    /// ingredient); refreshed whenever the element changes.
-    knowledge: Vec<u8>,
     /// The sibling set: pairwise-concurrent versions.
     pub(crate) siblings: SiblingSet<B>,
 }
 
-/// The outcome of merging one incoming version into a sibling set.
-pub(crate) struct MergeOutcome<B: StoreBackend> {
-    /// Whether the incoming version was stored.
-    pub stored: bool,
-    /// Previously-stored versions the merge evicted (their evidence pins
-    /// must be released).
-    pub evicted: Vec<StoredVersion<B>>,
-}
-
 impl<B: StoreBackend> KeyData<B> {
-    pub(crate) fn new(backend: &B, element: B::Element) -> Self {
-        let mut knowledge = Vec::new();
-        backend.encode_element_knowledge(&element, &mut knowledge);
-        KeyData { element, knowledge, siblings: SiblingSet::new() }
+    pub(crate) fn new(element: B::Element) -> Self {
+        KeyData { element, siblings: SiblingSet::new() }
     }
 
     pub(crate) fn element(&self) -> &B::Element {
         &self.element
     }
 
-    /// Replaces the element, refreshing the cached knowledge bytes.
-    pub(crate) fn set_element(&mut self, backend: &B, element: B::Element) {
-        self.knowledge.clear();
-        backend.encode_element_knowledge(&element, &mut self.knowledge);
+    pub(crate) fn set_element(&mut self, element: B::Element) {
         self.element = element;
     }
 
-    /// Fingerprint of this key's state: the order-independent sibling hash
-    /// mixed with the element's knowledge. Constant-size hashing per call —
-    /// the per-version work was paid once, when each version entered the
-    /// set. Identical fingerprints let an exchange skip the key;
-    /// crucially the fingerprint covers the element's *knowledge*, so
-    /// exchanges keep flowing until element knowledge — not just data —
-    /// has converged, which is what arms quiescent-point compaction.
+    /// Fingerprint of this key's state: a hash of the order-independent
+    /// sibling hash alone — the per-version work was paid once, when each
+    /// version entered the set. Identical fingerprints let an exchange skip
+    /// the key. The element stays out: it is this replica's identity, not
+    /// knowledge, and no exchange ever changes a held key's element.
     pub(crate) fn fingerprint(&self) -> u64 {
-        let hash = fnv1a_extend(FNV_OFFSET, &self.siblings.versions_hash().to_le_bytes());
-        fnv1a_extend(hash, &self.knowledge)
+        fnv1a_extend(FNV_OFFSET, &self.siblings.versions_hash().to_le_bytes())
     }
 }
 
@@ -754,8 +721,8 @@ impl<B: StoreBackend> Shard<B> {
     }
 
     /// Adds a key the shard does not hold yet. A key with no versions
-    /// still has a fingerprint (its element's knowledge), so it counts
-    /// into the root and the change order from here on.
+    /// still has a fingerprint (the empty set's), so it counts into the
+    /// root and the change order from here on.
     pub(crate) fn insert(&mut self, key: Key, data: KeyData<B>) {
         debug_assert!(!self.keys.contains_key(&key), "insert is for absent keys");
         let fingerprint = data.fingerprint();
@@ -949,28 +916,22 @@ mod tests {
     fn merge_keeps_concurrent_and_evicts_dominated() {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
-        let mut data = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
+        let mut data = KeyData::<VstampBackend>::new(elements[0].clone());
         let (e0, c0, _) = backend.write(&mut state, &elements[0], None);
-        let outcome =
-            data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"v0")), true);
-        assert!(outcome.stored && outcome.evicted.is_empty());
-        data.set_element(&backend, e0);
+        data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"v0")), true);
+        assert_eq!(data.siblings.len(), 1);
+        data.set_element(e0);
 
         // A concurrent write from the other replica becomes a sibling.
         let (_, c1, _) = backend.write(&mut state, &elements[1], None);
-        let outcome =
-            data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"v1")), false);
-        assert!(outcome.stored && outcome.evicted.is_empty());
+        data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"v1")), false);
         assert_eq!(data.siblings.len(), 2);
         assert_eq!(data.siblings.live_values().len(), 2);
 
         // A write with the joined context evicts both.
         let context = data.siblings.context().cloned().unwrap();
         let (_, c2, _) = backend.write(&mut state, data.element(), Some(&context));
-        let outcome =
-            data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"merged")), true);
-        assert!(outcome.stored);
-        assert_eq!(outcome.evicted.len(), 2);
+        data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"merged")), true);
         assert_eq!(data.siblings.live_values(), vec![b"merged".to_vec()]);
     }
 
@@ -979,8 +940,8 @@ mod tests {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(1);
         let (_, clock, _) = backend.write(&mut state, &elements[0], None);
-        let mut left = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
-        let mut right = KeyData::<VstampBackend>::new(&backend, elements[0].clone());
+        let mut left = KeyData::<VstampBackend>::new(elements[0].clone());
+        let mut right = KeyData::<VstampBackend>::new(elements[0].clone());
         let a = stored(&backend, clock.clone(), Some(b"aaa"));
         let b = stored(&backend, clock, Some(b"zzz"));
         left.siblings.merge_version(&backend, a.clone(), false);
@@ -1001,11 +962,9 @@ mod tests {
         let (_, c1, _) = backend.write(&mut state, &elements[0], None);
         let (e2, c2, _) = backend.write(&mut state, &elements[1], Some(&c1));
         assert_eq!(backend.relation(&c1, &c2), Relation::Dominated);
-        let mut data = KeyData::<VstampBackend>::new(&backend, e2);
+        let mut data = KeyData::<VstampBackend>::new(e2);
         data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"new")), true);
-        let outcome =
-            data.siblings.merge_version(&backend, stored(&backend, c1, Some(b"old")), false);
-        assert!(!outcome.stored);
+        data.siblings.merge_version(&backend, stored(&backend, c1, Some(b"old")), false);
         assert_eq!(data.siblings.live_values(), vec![b"new".to_vec()]);
     }
 
@@ -1018,7 +977,7 @@ mod tests {
         let backend = VstampBackend::gc();
         let (mut state, elements) = backend.new_key(2);
         let mut shard = Shard::new(Arc::default());
-        shard.insert("k".into(), KeyData::new(&backend, elements[0].clone()));
+        shard.insert("k".into(), KeyData::new(elements[0].clone()));
         assert!(siblings(&shard).matches_context(None));
         let (_, c0, _) = backend.write(&mut state, &elements[0], None);
         let (_, c1, _) = backend.write(&mut state, &elements[1], None);
@@ -1033,10 +992,10 @@ mod tests {
         assert!(!siblings(&shard).matches_context(Some(&c0)));
         // The matched-context fast path supersedes everything.
         let (element, c2, _) = backend.write(&mut state, &elements[0], Some(&expected));
-        let evicted = shard.edit(&backend, "k", |data| {
-            data.siblings.replace_all(&backend, stored(&backend, c2.clone(), Some(b"m")))
+        assert_eq!(siblings(&shard).len(), 2);
+        shard.edit(&backend, "k", |data| {
+            data.siblings.replace_all(&backend, stored(&backend, c2.clone(), Some(b"m")));
         });
-        assert_eq!(evicted.map(|evicted| evicted.len()), Some(2));
         assert_eq!(siblings(&shard).context(), Some(&c2));
         assert_eq!(siblings(&shard).live_values(), vec![b"m".to_vec()]);
         // Eviction through the slow path: the edit's close rebuilds the
@@ -1061,7 +1020,7 @@ mod tests {
     fn run_upkeep_steps<B: StoreBackend>(backend: B, steps: &[Step]) {
         let (mut state, mut elements) = backend.new_key(3);
         let mut shard = Shard::new(Arc::default());
-        shard.insert("k".into(), KeyData::new(&backend, elements[0].clone()));
+        shard.insert("k".into(), KeyData::new(elements[0].clone()));
         // Every version ever written, for stale contexts and re-deliveries.
         let mut history: Vec<Version<B>> = Vec::new();
         for (step, &(what, replica, pick, value)) in steps.iter().enumerate() {
@@ -1084,7 +1043,8 @@ mod tests {
                 }
                 // A clock-equal merge: a stored clock under another value.
                 3 => {
-                    let versions: Vec<_> = siblings(&shard).iter().cloned().collect();
+                    let versions: Vec<StoredVersion<B>> =
+                        siblings(&shard).iter().cloned().collect();
                     let Some(index) = picked(versions.len()) else { continue };
                     let clock = versions[index].clock().clone();
                     (Version { clock, value: Some(vec![value]) }, false, false)
@@ -1098,19 +1058,11 @@ mod tests {
             };
             let rebuilds = counted::CTX_REBUILDS.with(Cell::get);
             shard.edit(&backend, "k", |data| {
-                let clock = incoming.clock.clone();
                 let incoming = StoredVersion::new(&backend, incoming);
-                let (stored, evicted) = if replace {
-                    (true, data.siblings.replace_all(&backend, incoming))
+                if replace {
+                    data.siblings.replace_all(&backend, incoming);
                 } else {
-                    let outcome = data.siblings.merge_version(&backend, incoming, local_write);
-                    (outcome.stored, outcome.evicted)
-                };
-                if stored {
-                    backend.retain_clock(&mut state, &clock);
-                }
-                for evicted in &evicted {
-                    backend.release_clock(&mut state, evicted.clock());
+                    data.siblings.merge_version(&backend, incoming, local_write);
                 }
             });
             assert!(counted::CTX_REBUILDS.with(Cell::get) - rebuilds <= 1, "step {step}");
@@ -1135,10 +1087,7 @@ mod tests {
                 backend.encode_clock(version.clock(), &mut bytes);
                 hash.wrapping_add(version_hash(&bytes, version.version().value.as_deref()))
             });
-            let mut knowledge = Vec::new();
-            backend.encode_element_knowledge(data.element(), &mut knowledge);
-            let fingerprint =
-                fnv1a_extend(fnv1a_extend(FNV_OFFSET, &hash.to_le_bytes()), &knowledge);
+            let fingerprint = fnv1a_extend(FNV_OFFSET, &hash.to_le_bytes());
             let lines: Vec<DigestEntry> = shard.changed_since(0).collect();
             assert_eq!(
                 lines,

@@ -7,19 +7,24 @@
 //!    the responder's change sequence its last proven pull reached;
 //! 2. the responder answers **ack** when the roots match, otherwise an
 //!    **offer** — one digest line `(key, fingerprint, ctx_fp)` per key it
-//!    changed after that point, where the fingerprint hashes the sibling
-//!    clock set and the element's knowledge, and `ctx_fp` is the sibling
-//!    set's own order-independent hash;
+//!    changed after that point, where `ctx_fp` is the sibling set's
+//!    order-independent hash and the fingerprint a hash of `ctx_fp`;
 //! 3. the requester answers with a **want** — the offered keys it lacks or
 //!    holds under another fingerprint, each with its own `ctx_fp` (the
 //!    context fingerprint delta frames are gated on);
-//! 4. the responder ships a **delta** — for every wanted key its
-//!    freshly-forked element plus the sibling versions the requester does
-//!    not provably hold. Each version rides either a *full* clock frame
-//!    (the canonical encoding) or, when the version's mint-time context
-//!    fingerprint equals the requester's `ctx_fp`, a *delta* frame: just
-//!    the minting dot plus that fingerprint ([`DeltaFrame`]);
-//! 5. the requester absorbs the delta: element `join` plus sibling merge.
+//! 4. the responder ships a **delta** — for every wanted key the sibling
+//!    versions the requester does not provably hold, and, only for a key
+//!    the requester lacks (`ctx_fp` 0), an element part split off the
+//!    responder's own; for a held key the element frame is empty. Each
+//!    version rides either a *full* clock frame (the canonical encoding)
+//!    or, when the version's mint-time context fingerprint equals the
+//!    requester's `ctx_fp`, a *delta* frame: just the minting dot plus
+//!    that fingerprint ([`DeltaFrame`]);
+//! 5. the requester merges the versions into its sibling sets. A key it
+//!    lacked is first rooted at the shipped element part (a single-replica
+//!    store; a multi-replica one claims the key's initial element); a
+//!    shipped element for a key it holds is ignored, so a duplicated,
+//!    late or replayed delta only re-merges versions, which is idempotent.
 //!    A delta frame whose fingerprint still matches the local sibling set
 //!    reconstructs its clock as `context ⊔ dot` — one join instead of a
 //!    full clock on the wire. A mismatch (the set changed between want and
@@ -58,7 +63,7 @@ use crate::store::{DeltaOrigin, Key, StoredVersion, Value, Version};
 pub struct DigestEntry {
     /// The key.
     pub key: Key,
-    /// FNV-1a over the sibling-set hash and the element knowledge; equal
+    /// FNV-1a over the sibling-set hash, so a function of `ctx_fp`; equal
     /// fingerprints mean the exchange can skip the key.
     pub fingerprint: u64,
     /// The sibling set's order-independent hash on its own — the wrapping
@@ -76,9 +81,10 @@ pub struct DigestEntry {
 pub struct KeyDelta<B: StoreBackend> {
     /// The key being shipped.
     pub key: Key,
-    /// The responder's element half, forked off for this send and consumed
-    /// by the requester's `absorb`.
-    pub element: B::Element,
+    /// The part of the responder's element split off for a requester that
+    /// lacks the key, which roots its copy of the key at it; `None` (an
+    /// empty frame on the wire) for a requester that holds the key.
+    pub element: Option<B::Element>,
     /// The responder's full sibling set for the key (shared, not copied).
     pub versions: Vec<StoredVersion<B>>,
     /// The requester's context fingerprint from its want or digest (`0`,
@@ -148,8 +154,9 @@ impl<B: StoreBackend> PartialEq for WireVersion<B> {
 pub struct WireKeyDelta<B: StoreBackend> {
     /// The key being shipped.
     pub key: Key,
-    /// The responder's forked element half.
-    pub element: B::Element,
+    /// The shipped element part, `None` when the frame was empty (see
+    /// [`KeyDelta::element`]).
+    pub element: Option<B::Element>,
     /// The shipped versions, full or delta.
     pub versions: Vec<WireVersion<B>>,
 }
@@ -564,7 +571,9 @@ pub fn encode_delta<B: StoreBackend>(
     for delta in deltas {
         write_frame(&mut out, delta.key.as_bytes());
         scratch.clear();
-        backend.encode_element(&delta.element, &mut scratch);
+        if let Some(element) = &delta.element {
+            backend.encode_element(element, &mut scratch);
+        }
         write_frame(&mut out, &scratch);
         write_varint(&mut out, delta.versions.len() as u64);
         for version in &delta.versions {
@@ -624,7 +633,10 @@ pub fn decode_delta<B: StoreBackend>(
     let mut deltas = Vec::with_capacity(count.min(1 << 16) as usize);
     for _ in 0..count {
         let key = read_key(&mut input)?;
-        let element = backend.decode_element(read_frame(&mut input)?)?;
+        let element = match read_frame(&mut input)? {
+            [] => None,
+            frame => Some(backend.decode_element(frame)?),
+        };
         let version_count = read_varint(&mut input)?;
         let mut versions = Vec::with_capacity(version_count.min(1 << 16) as usize);
         for _ in 0..version_count {
@@ -802,7 +814,7 @@ mod tests {
         let (element, clock, _) = backend.write(&mut state, &elements[0], None);
         let deltas = vec![KeyDelta::<VstampBackend> {
             key: "k".into(),
-            element,
+            element: Some(element),
             versions: vec![
                 StoredVersion::new(
                     &backend,
@@ -835,7 +847,7 @@ mod tests {
         let (element, clock, _) = dv.write(&mut state, &elements[1], None);
         let deltas = vec![KeyDelta::<DynamicVvBackend> {
             key: "vv".into(),
-            element,
+            element: Some(element),
             versions: vec![StoredVersion::new(&dv, Version { clock, value: Some(vec![1, 2, 3]) })],
             assumed_fp: 0,
         }];
@@ -851,7 +863,7 @@ mod tests {
         let backend = VstampBackend::gc();
         let deltas = [KeyDelta::<VstampBackend> {
             key: "k".into(),
-            element: vstamp_core::PackedName::empty(),
+            element: Some(vstamp_core::PackedName::empty()),
             versions: Vec::new(),
             assumed_fp: 0,
         }];
@@ -860,99 +872,141 @@ mod tests {
     }
 
     #[test]
+    fn a_two_key_delta_payload_has_pinned_bytes() {
+        // Key `a` is one the requester lacks: it carries the element part
+        // `{1}` it will root its copy at. Key `b` it holds: an empty
+        // element frame. Each ships one full-frame version.
+        let backend = VstampBackend::gc();
+        let version = |clock: &str, value: Option<&[u8]>| {
+            let clock = clock.parse().expect("a name");
+            StoredVersion::new(&backend, Version { clock, value: value.map(<[u8]>::to_vec) })
+        };
+        let deltas = [
+            KeyDelta {
+                key: "a".into(),
+                element: Some("{1}".parse().expect("a name")),
+                versions: vec![version("{0}", Some(b"x"))],
+                assumed_fp: 0,
+            },
+            KeyDelta {
+                key: "b".into(),
+                element: None,
+                versions: vec![version("{01}", None)],
+                assumed_fp: 5,
+            },
+        ];
+        let (bytes, _) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
+        #[rustfmt::skip]
+        let golden = [
+            0x02, // two keys
+            0x01, b'a', // key `a`
+            0x02, 0x03, 0x12, // element frame: the id `{1}`
+            0x01, // one version
+            0x00, 0x02, 0x03, 0x06, // full clock frame: `{0}`
+            0x01, 0x01, b'x', // a value
+            0x01, b'b', // key `b`
+            0x00, // empty element frame: the requester holds `b`
+            0x01, // one version
+            0x00, 0x03, 0x05, 0x4a, 0x00, // full clock frame: `{01}`
+            0x00, // a tombstone
+        ];
+        assert_eq!(bytes, golden);
+        let decoded = decode_delta(&backend, &bytes).expect("decodes");
+        assert_eq!(decoded[0].element, deltas[0].element);
+        assert_eq!(decoded[1].element, None);
+    }
+
+    #[test]
     fn delta_frames_ride_when_fingerprints_match_and_rebuild_byte_equal() {
-        for (label, backend) in
-            [("stamps-gc", VstampBackend::gc()), ("stamps-eager", VstampBackend::eager())]
-        {
-            let (mut state, elements) = backend.new_key(2);
-            // Seed version minted against an empty (None) context.
-            let (_, c0, d0) = backend.write(&mut state, &elements[0], None);
-            let mut d0_bytes = Vec::new();
-            backend.encode_clock(&d0, &mut d0_bytes);
-            let v0 = StoredVersion::new_with_origin(
-                &backend,
-                Version { clock: c0.clone(), value: Some(b"x".to_vec()) },
-                Some(DeltaOrigin { dot_bytes: d0_bytes.into(), ctx_fp: 7 }),
-            );
-            let deltas = vec![KeyDelta {
-                key: "k".into(),
-                element: elements[1].clone(),
-                versions: vec![v0.clone()],
-                assumed_fp: 7,
-            }];
-            let (bytes, stats) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
-            // A singleton dot equals its clock here, so the delta frame (dot
-            // + 8-byte fp) is *larger* than the full frame and the adaptive
-            // size check keeps the full form — verify that, then check the
-            // genuinely-smaller case below with a joined clock.
-            assert_eq!(stats.delta_frames + stats.full_frames, 1, "{label}");
+        let (label, backend) = ("stamps", VstampBackend::gc());
+        let (mut state, elements) = backend.new_key(2);
+        // Seed version minted against an empty (None) context.
+        let (_, c0, d0) = backend.write(&mut state, &elements[0], None);
+        let mut d0_bytes = Vec::new();
+        backend.encode_clock(&d0, &mut d0_bytes);
+        let v0 = StoredVersion::new_with_origin(
+            &backend,
+            Version { clock: c0.clone(), value: Some(b"x".to_vec()) },
+            Some(DeltaOrigin { dot_bytes: d0_bytes.into(), ctx_fp: 7 }),
+        );
+        let deltas = vec![KeyDelta {
+            key: "k".into(),
+            element: None,
+            versions: vec![v0.clone()],
+            assumed_fp: 7,
+        }];
+        let (bytes, stats) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
+        // A singleton dot equals its clock here, so the delta frame (dot
+        // + 8-byte fp) is *larger* than the full frame and the adaptive
+        // size check keeps the full form — verify that, then check the
+        // genuinely-smaller case below with a joined clock.
+        assert_eq!(stats.delta_frames + stats.full_frames, 1, "{label}");
+        let decoded = decode_delta(&backend, &bytes).unwrap();
+        assert_eq!(decoded[0].versions.len(), 1, "{label}");
+
+        // Second write against the first as context: the clock is a
+        // join, the dot a singleton — delta frame strictly smaller once
+        // the clock outgrows dot + fingerprint.
+        let (_, c1, d1) = backend.write(&mut state, &elements[0], Some(&c0));
+        let mut d1_bytes = Vec::new();
+        backend.encode_clock(&d1, &mut d1_bytes);
+        let v1 = StoredVersion::new_with_origin(
+            &backend,
+            Version { clock: c1.clone(), value: Some(b"y".to_vec()) },
+            Some(DeltaOrigin { dot_bytes: d1_bytes.into(), ctx_fp: 9 }),
+        );
+        let deltas = vec![KeyDelta {
+            key: "k".into(),
+            element: None,
+            versions: vec![v1.clone()],
+            assumed_fp: 9,
+        }];
+        let (bytes, stats) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
+        if stats.delta_frames == 1 {
+            assert!(stats.bytes_saved > 0, "{label}: adaptive check implies savings");
             let decoded = decode_delta(&backend, &bytes).unwrap();
-            assert_eq!(decoded[0].versions.len(), 1, "{label}");
-
-            // Second write against the first as context: the clock is a
-            // join, the dot a singleton — delta frame strictly smaller once
-            // the clock outgrows dot + fingerprint.
-            let (_, c1, d1) = backend.write(&mut state, &elements[0], Some(&c0));
-            let mut d1_bytes = Vec::new();
-            backend.encode_clock(&d1, &mut d1_bytes);
-            let v1 = StoredVersion::new_with_origin(
+            let WireVersion::Delta { dot, dot_bytes, ctx_fp, value } = &decoded[0].versions[0]
+            else {
+                panic!("{label}: expected delta frame");
+            };
+            assert_eq!(*ctx_fp, 9, "{label}");
+            // Reconstruction against the mint context is byte-equal.
+            let rebuilt = rebuild_wire_version(
                 &backend,
-                Version { clock: c1.clone(), value: Some(b"y".to_vec()) },
-                Some(DeltaOrigin { dot_bytes: d1_bytes.into(), ctx_fp: 9 }),
+                Some(&c0),
+                dot,
+                Arc::clone(dot_bytes),
+                *ctx_fp,
+                value.clone(),
             );
-            let deltas = vec![KeyDelta {
-                key: "k".into(),
-                element: elements[1].clone(),
-                versions: vec![v1.clone()],
-                assumed_fp: 9,
-            }];
-            let (bytes, stats) = encode_delta(&backend, &deltas, DeltaPolicy::ADAPTIVE);
-            if stats.delta_frames == 1 {
-                assert!(stats.bytes_saved > 0, "{label}: adaptive check implies savings");
-                let decoded = decode_delta(&backend, &bytes).unwrap();
-                let WireVersion::Delta { dot, dot_bytes, ctx_fp, value } = &decoded[0].versions[0]
-                else {
-                    panic!("{label}: expected delta frame");
-                };
-                assert_eq!(*ctx_fp, 9, "{label}");
-                // Reconstruction against the mint context is byte-equal.
-                let rebuilt = rebuild_wire_version(
-                    &backend,
-                    Some(&c0),
-                    dot,
-                    Arc::clone(dot_bytes),
-                    *ctx_fp,
-                    value.clone(),
-                );
-                assert_eq!(rebuilt.clock_bytes(), v1.clock_bytes(), "{label}");
-                assert_eq!(rebuilt.clock(), &c1, "{label}");
-            }
+            assert_eq!(rebuilt.clock_bytes(), v1.clock_bytes(), "{label}");
+            assert_eq!(rebuilt.clock(), &c1, "{label}");
+        }
 
-            // Mismatched assumed_fp: falls back to a full frame.
-            let mut missed = deltas.clone();
-            missed[0].assumed_fp = 8;
-            let (_, missed_stats) = encode_delta(&backend, &missed, DeltaPolicy::ADAPTIVE);
-            assert_eq!(missed_stats.delta_frames, 0, "{label}");
-            assert_eq!(missed_stats.full_frames, 1, "{label}");
+        // Mismatched assumed_fp: falls back to a full frame.
+        let mut missed = deltas.clone();
+        missed[0].assumed_fp = 8;
+        let (_, missed_stats) = encode_delta(&backend, &missed, DeltaPolicy::ADAPTIVE);
+        assert_eq!(missed_stats.delta_frames, 0, "{label}");
+        assert_eq!(missed_stats.full_frames, 1, "{label}");
 
-            // FULL_ONLY policy: never a delta frame.
-            let (_, full_stats) = encode_delta(&backend, &deltas, DeltaPolicy::FULL_ONLY);
-            assert_eq!(full_stats.delta_frames, 0, "{label}");
+        // FULL_ONLY policy: never a delta frame.
+        let (_, full_stats) = encode_delta(&backend, &deltas, DeltaPolicy::FULL_ONLY);
+        assert_eq!(full_stats.delta_frames, 0, "{label}");
 
-            // Perturbed fingerprints still emit delta frames (when the size
-            // check allows), but carry a flipped fp the receiver will miss.
-            let (bytes, perturbed_stats) = encode_delta(
-                &backend,
-                &deltas,
-                DeltaPolicy { delta_frames: true, perturb_fingerprints: true },
-            );
-            if perturbed_stats.delta_frames == 1 {
-                let decoded = decode_delta(&backend, &bytes).unwrap();
-                let WireVersion::Delta { ctx_fp, .. } = &decoded[0].versions[0] else {
-                    panic!("{label}: expected delta frame");
-                };
-                assert_ne!(*ctx_fp, 9, "{label}: perturbation must change the fp");
-            }
+        // Perturbed fingerprints still emit delta frames (when the size
+        // check allows), but carry a flipped fp the receiver will miss.
+        let (bytes, perturbed_stats) = encode_delta(
+            &backend,
+            &deltas,
+            DeltaPolicy { delta_frames: true, perturb_fingerprints: true },
+        );
+        if perturbed_stats.delta_frames == 1 {
+            let decoded = decode_delta(&backend, &bytes).unwrap();
+            let WireVersion::Delta { ctx_fp, .. } = &decoded[0].versions[0] else {
+                panic!("{label}: expected delta frame");
+            };
+            assert_ne!(*ctx_fp, 9, "{label}: perturbation must change the fp");
         }
     }
 
@@ -977,7 +1031,7 @@ mod tests {
         );
         let deltas = vec![KeyDelta {
             key: "k".into(),
-            element: elements[0].clone(),
+            element: None,
             versions: vec![v1.clone()],
             assumed_fp: 3,
         }];
@@ -1009,7 +1063,7 @@ mod tests {
                 Version { clock: clock.parse().expect("a name"), value: Some(b"v".to_vec()) };
             let deltas = vec![KeyDelta {
                 key: "k".into(),
-                element: vstamp_core::PackedName::epsilon(),
+                element: None,
                 versions: vec![StoredVersion::new(&vs, version)],
                 assumed_fp: 0,
             }];

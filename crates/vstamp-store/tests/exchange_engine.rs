@@ -6,6 +6,7 @@
 
 use std::collections::HashSet;
 use std::io;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,24 +133,23 @@ fn clean_pull<B: StoreBackend>(
 /// a Want names other keys or fingerprints, or neither decodes — then the
 /// responder drops it, as a node drops the connection).
 ///
-/// A replay hands back the previous reply *of this exchange*. A delta from
-/// an earlier exchange is a different matter, and out of this engine's
-/// hands: it carries a fork half of the responder's identity, and a fork
-/// half is good for one join. Replayed after the requester has forked for
-/// somebody else, it grants identity twice and a later write is lost
-/// (6 of 240 seeds on this driver's plan as of PR 21, when the replayed
-/// reply is kept across pulls of one pair). Closing that takes an exchange
-/// nonce on the wire — ROADMAP item 2a. A replayed *Offer* is no such hole:
-/// its lines are stale but its `upto` was true when it was sent.
+/// A replay hands back the link's previous reply, of this exchange or of
+/// an earlier pull on the link: `replayed` is the link's slot, kept across
+/// its pulls. A Delta from an earlier pull is harmless. Its versions
+/// re-merge idempotently, and an element part in it was cut only for a key
+/// the requester lacked then: it meets a held key and is ignored, or roots
+/// a key the requester still lacks, which the responder cut it for and
+/// never uses again. A replayed *Offer* is no hole either: its lines are
+/// stale but its `upto` was true when it was sent.
 fn faulty_pull<B: StoreBackend>(
     cluster: &Cluster<B>,
     requester: usize,
     responder: usize,
     cursor: &mut PullCursor,
+    replayed: &mut Option<Envelope>,
     rng: &mut StdRng,
 ) -> io::Result<ExchangeStats> {
     let lost = || io::Error::new(io::ErrorKind::ConnectionReset, "scripted fault");
-    let mut replayed: Option<Envelope> = None;
     cluster.pull(requester, cursor, |mut request| {
         let fault = rng.gen_range(0..18u32);
         match fault {
@@ -190,7 +190,7 @@ fn faulty_pull<B: StoreBackend>(
             }
             _ => {}
         }
-        replayed = Some(reply.clone());
+        *replayed = Some(reply.clone());
         Ok(reply)
     })
 }
@@ -202,8 +202,10 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
     let (mut failed, mut completed) = (0, 0);
     // One cursor per (requester, responder) link, kept across the faulty
     // pulls *and* the clean sweeps: a cursor that a fault moved past a
-    // change nobody delivered would keep that change hidden for good.
+    // change nobody delivered would keep that change hidden for good. And
+    // one replay slot per link, kept across its faulty pulls.
     let mut cursors = [[PullCursor::default(); REPLICAS]; REPLICAS];
+    let mut replayed: [[Option<Envelope>; REPLICAS]; REPLICAS] = Default::default();
     for _ in 0..40 {
         for _ in 0..1 + rng.gen_range(0..4u32) {
             let (replica, key) = (rng.gen_range(0..REPLICAS), rng.gen_range(0..KEYS));
@@ -212,8 +214,9 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
         }
         let requester = rng.gen_range(0..REPLICAS);
         let responder = (requester + 1 + rng.gen_range(0..REPLICAS - 1)) % REPLICAS;
-        let cursor = &mut cursors[requester][responder];
-        match faulty_pull(&cluster, requester, responder, cursor, &mut rng) {
+        let (cursor, slot) =
+            (&mut cursors[requester][responder], &mut replayed[requester][responder]);
+        match faulty_pull(&cluster, requester, responder, cursor, slot, &mut rng) {
             Ok(_) => completed += 1,
             Err(_) => failed += 1,
         }
@@ -240,35 +243,46 @@ fn run_fault_seed<B: StoreBackend>(backend: B, config: ClusterConfig, seed: u64)
     (failed, completed)
 }
 
-#[test]
-fn scripted_transport_faults_never_panic_or_corrupt_and_heal() {
+/// Runs [`run_fault_seed`] over `seeds`, honest and forced-miss fingerprints
+/// alternating in pairs of seeds; returns the failed and completed pulls.
+fn fault_sweep(seeds: Range<u64>) -> (usize, usize) {
     let (mut failed, mut completed) = (0, 0);
-    for seed in 0..240u64 {
-        // Honest and forced-miss fingerprints, each under both backends.
+    for seed in seeds {
         let config = if seed / 2 % 2 == 0 {
             ClusterConfig::new(REPLICAS, 4)
         } else {
             ClusterConfig::new(REPLICAS, 4).with_perturbed_fingerprints()
         };
-        // The version-stamp backend under both reduction policies. The
-        // dynamic-VV baseline is left out on purpose: a miss applies a
-        // key's full frames and defers the missed ones to the NAK round,
-        // and when that round fails the key is left with part of the
-        // peer's sibling set. Stamps compare exactly whatever subset they
-        // see; a version vector takes "dot n+1 of this id" to cover dot n,
-        // so a later causal write silently supersedes the sibling that
-        // never arrived (1 of 200 perturbed seeds) — ROADMAP item 2c.
-        let (f, c) = if seed % 2 == 0 {
-            run_fault_seed(VstampBackend::gc(), config, seed)
-        } else {
-            run_fault_seed(VstampBackend::eager(), config, seed)
-        };
+        // The version-stamp backend only. The dynamic-VV baseline is left
+        // out on purpose: a miss applies a key's full frames and defers
+        // the missed ones to the NAK round, and when that round fails the
+        // key is left with part of the peer's sibling set. Stamps compare
+        // exactly whatever subset they see; a version vector takes "dot
+        // n+1 of this id" to cover dot n, so a later causal write silently
+        // supersedes the sibling that never arrived (1 of 200 perturbed
+        // seeds).
+        let (f, c) = run_fault_seed(VstampBackend::gc(), config, seed);
         failed += f;
         completed += c;
     }
+    (failed, completed)
+}
+
+#[test]
+fn scripted_transport_faults_never_panic_or_corrupt_and_heal() {
+    let (failed, completed) = fault_sweep(0..240);
     // The plan must actually bite, and must not starve the protocol.
     assert!(failed > 1000, "only {failed} exchanges failed");
     assert!(completed > 1000, "only {completed} exchanges completed");
+}
+
+/// The same sweep over ten times the seeds (about 5 s in release).
+#[test]
+#[ignore = "release-only sweep; run with --release -- --ignored"]
+fn scripted_transport_faults_heal_over_2400_seeds() {
+    let (failed, completed) = fault_sweep(0..2400);
+    assert!(failed > 10_000, "only {failed} exchanges failed");
+    assert!(completed > 10_000, "only {completed} exchanges completed");
 }
 
 #[test]
@@ -302,18 +316,24 @@ fn corrupted_delta_replies_fail_the_pull_without_a_panic() {
 /// under a cursor that has not pulled yet. Returns the whole exchange's
 /// stats.
 fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> ExchangeStats {
-    // Replica 1 trails replica 0 by one version of a hot key whose clock
-    // grows with every write — where delta frames pay.
+    // Replica 1 trails replica 0 by one version of a hot key that every
+    // other replica wrote in turn, each over the write before: the
+    // dynamic-VV clock carries a vector entry per writing incarnation, so
+    // it outgrows dot + fingerprint and delta frames pay.
     let build = || {
         let cluster = Cluster::with_config(DynamicVvBackend::new(), config);
-        let mut cursor = PullCursor::default();
-        for round in 0..12u8 {
-            clean_pull(&cluster, 1, 0, &mut cursor);
-            let read = cluster.get(0, "hot");
-            cluster.put(0, "hot", vec![round], read.context());
+        let mut previous = None;
+        for (round, writer) in [2, 3, 4, 5, 6, 7, 0].into_iter().cycle().take(14).enumerate() {
+            if let Some(previous) = previous {
+                clean_pull(&cluster, writer, previous, &mut PullCursor::default());
+                clean_pull(&cluster, 1, previous, &mut PullCursor::default());
+            }
+            let read = cluster.get(writer, "hot");
+            cluster.put(writer, "hot", vec![round as u8], read.context());
+            previous = Some(writer);
         }
         if settled {
-            clean_pull(&cluster, 1, 0, &mut cursor);
+            clean_pull(&cluster, 1, 0, &mut PullCursor::default());
         }
         cluster
     };
@@ -356,7 +376,7 @@ fn assert_halves_sum(config: ClusterConfig, settled: bool, what: &str) -> Exchan
 
 #[test]
 fn anti_entropy_stats_are_the_pull_and_serve_halves_summed() {
-    let config = ClusterConfig::new(2, 4);
+    let config = ClusterConfig::new(8, 4);
     // The shapes really differ: a probe hit, an offer/want round with delta
     // frames, and the same plus a NAK round.
     let hit = assert_halves_sum(config, true, "hit");

@@ -52,6 +52,6 @@ pub use vstamp_core::{BitTrieCodec, StampCodec, VarintCodec};
 pub use vstamp_itc::ItcStamp;
 pub use vstamp_panasync::{FileCopy, Reconciliation, Workspace};
 pub use vstamp_store::{
-    Cluster, DynamicVvBackend, GcWatermarks, Node, NodeClient, NodeConfig, NodeStatus, PhiConfig,
-    StoreBackend, StoredVersion, TransportConfig, VstampBackend,
+    Cluster, DynamicVvBackend, Node, NodeClient, NodeConfig, NodeStatus, PhiConfig, StoreBackend,
+    StoredVersion, TransportConfig, VstampBackend,
 };
