@@ -25,9 +25,8 @@
 //!
 //! # Two orders: names and clocks
 //!
-//! [`PackedName::leq`], [`join`](PackedName::join),
-//! [`relation`](PackedName::relation) and
-//! [`join_many`](PackedName::join_many) are Definition 4.1's order on
+//! [`PackedName::leq`], [`join`](PackedName::join) and
+//! [`relation`](PackedName::relation) are Definition 4.1's order on
 //! **names**: `n₁ ⊑ n₂` when every string of `n₁` is a *prefix* of one in
 //! `n₂`. The paper's stamps and the fork/join/update mechanism use it.
 //!
@@ -87,7 +86,7 @@ const POOL_BYTE_CAP: usize = 1 << 16;
 thread_local! {
     /// Arena pool of spilled tag buffers: every heap-backed [`TagVec`]
     /// returns its allocation here on drop and every spilling constructor
-    /// draws from it, so after warm-up the `join`/`append`/`join_many`
+    /// draws from it, so after warm-up the `join`/`append`/`cover_join_many`
     /// element hot path allocates nothing even for names past
     /// [`INLINE_TAGS`].
     static TAG_BUF_POOL: core::cell::RefCell<Vec<Vec<u8>>> =
@@ -571,20 +570,6 @@ impl PackedName {
         self.tags.len() + non_empty as usize
     }
 
-    /// A cheap 64-bit structural hash — FNV-1a over the packed tag bytes —
-    /// for hash-prefiltered lookup tables (e.g. the store's GC pin table)
-    /// that want equality candidates without a general-purpose hasher.
-    /// Equal names always hash equal (equality is byte equality).
-    #[must_use]
-    pub fn quick_hash(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ u64::from(self.tags.len);
-        for &byte in self.tags.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     /// Raw tag accessor for the encoder; `0 = Empty`, `1 = Elem`, `2 = Node`.
     pub(crate) fn tag(&self, index: usize) -> u8 {
         self.tags.get(index)
@@ -869,118 +854,6 @@ impl PackedName {
         PackedName::from_tags(out)
     }
 
-    /// The k-way semilattice join `⊔` over any number of names, built as
-    /// **one** output instead of a pairwise fold: a join of `j` names costs
-    /// a single multi-cursor merge of the tag arrays (plus one recount of
-    /// the result), where the fold pays `j − 1` intermediate allocations
-    /// and re-merges early inputs once per later step.
-    ///
-    /// This is the workhorse of sibling-set context rebuilds, GC evidence
-    /// joins and delta absorption in `vstamp-store`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vstamp_core::{Name, PackedName};
-    /// let names: Vec<PackedName> =
-    ///     ["{00}", "{01, 1}", "{000}"].iter().map(|s| s.parse().unwrap()).collect();
-    /// let expected: PackedName = "{000, 01, 1}".parse().unwrap();
-    /// assert_eq!(PackedName::join_many(&names), expected);
-    /// ```
-    #[must_use]
-    pub fn join_many<'a, I>(names: I) -> PackedName
-    where
-        I: IntoIterator<Item = &'a PackedName>,
-    {
-        // Empty names are identities of ⊔ and drop out up front.
-        let inputs: Vec<&PackedName> = names.into_iter().filter(|name| !name.is_empty()).collect();
-        match inputs.len() {
-            0 => return PackedName::empty(),
-            1 => return inputs[0].clone(),
-            2 => return inputs[0].join(inputs[1]),
-            _ => {}
-        }
-        JOIN_MANY_SCRATCH.with(|cell| Self::join_many_with(&inputs, &mut cell.borrow_mut()))
-    }
-
-    /// [`PackedName::join_many`] against caller-owned scratch (the
-    /// thread-local pool is a wrapper around this). `inputs` are non-empty
-    /// and at least three.
-    fn join_many_with(inputs: &[&PackedName], scratch: &mut JoinManyScratch) -> PackedName {
-        let views: Vec<TagsView<'_>> = inputs.iter().map(|name| name.tags.view()).collect();
-        let JoinManyScratch { ends, open, cursors, frames } = scratch;
-        // Every input's subtree-end table, one forward pass each, so a
-        // cursor's one-child position is an O(1) lookup during the merge.
-        if ends.len() < views.len() {
-            ends.resize_with(views.len(), Vec::new);
-        }
-        for (view, table) in views.iter().zip(ends.iter_mut()) {
-            view.subtree_ends_into(table, open);
-        }
-        let mut out =
-            TagVec::with_tag_capacity(inputs.iter().map(|name| name.tags.len()).max().unwrap_or(1));
-        cursors.clear();
-        frames.clear();
-        for index in 0..views.len() {
-            cursors.push((index as u32, 0u32));
-        }
-        frames.push((0u32, views.len() as u32));
-        // Preorder merge: each frame is the set of input subtrees rooted at
-        // one output position (a range of the cursor arena; the arena is
-        // append-only within a call, so ranges stay valid).
-        while let Some((start, len)) = frames.pop() {
-            let (start, len) = (start as usize, len as usize);
-            let mut nodes = 0usize;
-            let mut last_node = (0u32, 0u32);
-            let mut elems = 0usize;
-            for &(name, pos) in &cursors[start..start + len] {
-                match views[name as usize].tag(pos as usize) {
-                    NODE => {
-                        nodes += 1;
-                        last_node = (name, pos);
-                    }
-                    ELEM => elems += 1,
-                    _ => {}
-                }
-            }
-            if nodes == 0 {
-                // Leaves only: the join holds an element iff any input does.
-                out.push(if elems > 0 { ELEM } else { EMPTY });
-                continue;
-            }
-            if nodes == 1 {
-                // A single interior subtree absorbs co-located elements
-                // ({prefix} ⊔ n = n for non-empty n): bulk-copy it.
-                let (name, pos) = last_node;
-                let end = ends[name as usize][pos as usize] as usize;
-                out.extend_tags(views[name as usize], pos as usize, end);
-                continue;
-            }
-            // Two or more interior nodes: emit the node, merge the children
-            // pairlists. Each contributing node has a non-empty child, so
-            // the merged node stays canonical.
-            out.push(NODE);
-            let zero_start = cursors.len();
-            for slot in start..start + len {
-                let (name, pos) = cursors[slot];
-                if views[name as usize].tag(pos as usize) == NODE {
-                    cursors.push((name, pos + 1));
-                }
-            }
-            let one_start = cursors.len();
-            for slot in start..start + len {
-                let (name, pos) = cursors[slot];
-                if views[name as usize].tag(pos as usize) == NODE {
-                    cursors.push((name, ends[name as usize][pos as usize + 1]));
-                }
-            }
-            // Pushed one-child first so the zero child pops first: preorder.
-            frames.push((one_start as u32, nodes as u32));
-            frames.push((zero_start as u32, nodes as u32));
-        }
-        PackedName::from_tags(out)
-    }
-
     /// The cover order on **clocks**: `self ≤ other` iff every string of
     /// `self` has a prefix in `other`, i.e. the region (the subtrees)
     /// under `self` lies inside the region under `other`.
@@ -1163,8 +1036,9 @@ impl PackedName {
     }
 
     /// The k-way [`PackedName::cover_join`]: one multi-cursor merge of the
-    /// tag arrays, the mirror of [`PackedName::join_many`] (the store's
-    /// sibling-set context rebuild).
+    /// tag arrays instead of a pairwise fold, which pays `j − 1`
+    /// intermediate names for `j` inputs (the store's sibling-set context
+    /// rebuild).
     ///
     /// # Examples
     ///
@@ -1696,100 +1570,6 @@ impl PackedName {
         best
     }
 
-    /// The shallowest string surviving empty-update Section-6 reduction of
-    /// this name (ties broken towards the preorder-first string), or `None`
-    /// when the name is empty.
-    ///
-    /// With an empty update component, the reduction rule collapses every
-    /// *full* subtree — one whose leaves are all elements — to an element
-    /// at its root, recursively. This computes the shallowest element of
-    /// that normal form directly: one postorder fullness pass plus one
-    /// preorder walk that treats maximal full subtrees as elements, instead
-    /// of running the general `reduce_pair` stack machine and then
-    /// searching its output. It is the fused hot path of element (id)
-    /// absorption in `vstamp-store` (`join` + reduce + shrink in a
-    /// single scan of the joined tags).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vstamp_core::PackedName;
-    /// // {00, 01, 1} reduces to {ε}: everything collapses to the root.
-    /// let n: PackedName = "{00, 01, 1}".parse().unwrap();
-    /// assert_eq!(n.collapsed_shallowest(), Some("ε".parse().unwrap()));
-    /// // {00, 01, 11} reduces to {0, 11}: the shallowest survivor is 0.
-    /// let n: PackedName = "{00, 01, 11}".parse().unwrap();
-    /// assert_eq!(n.collapsed_shallowest(), Some("0".parse().unwrap()));
-    /// ```
-    #[must_use]
-    pub fn collapsed_shallowest(&self) -> Option<BitString> {
-        if self.is_empty() {
-            return None;
-        }
-        if self.strings == 1 {
-            return self.shallowest_string();
-        }
-        let view = self.tags.view();
-        COLLAPSE_SCRATCH.with(|cell| {
-            let (full, open) = &mut *cell.borrow_mut();
-            // Pass 1, postorder: `full[i]` ⇔ every leaf under `i` is an
-            // element (the subtree reduces to an element at `i`).
-            full.clear();
-            full.resize(view.len, 0u8);
-            open.clear();
-            for i in 0..view.len {
-                if view.tag(i) == NODE {
-                    open.push((i as u32, 2, 1));
-                    continue;
-                }
-                let mut is_full = u8::from(view.tag(i) == ELEM);
-                full[i] = is_full;
-                while let Some(frame) = open.last_mut() {
-                    frame.2 &= is_full;
-                    frame.1 -= 1;
-                    if frame.1 > 0 {
-                        break;
-                    }
-                    is_full = frame.2;
-                    full[frame.0 as usize] = is_full;
-                    open.pop();
-                }
-            }
-            // Pass 2, preorder: the shallowest element of the normal form —
-            // a maximal full subtree reads as an element at its root.
-            let mut best: Option<BitString> = None;
-            let mut prefix = BitString::empty();
-            let mut branches: Vec<bool> = Vec::new();
-            let mut i = 0usize;
-            while i < view.len {
-                let tag = view.tag(i);
-                if tag == NODE && full[i] == 0 {
-                    branches.push(false);
-                    prefix.push(Bit::Zero);
-                    i += 1;
-                    continue;
-                }
-                let is_elem = tag == ELEM || tag == NODE;
-                if is_elem && !best.as_ref().is_some_and(|b| b.len() <= prefix.len()) {
-                    best = Some(prefix.clone());
-                }
-                i = if tag == NODE { view.subtree_end(i) } else { i + 1 };
-                while let Some(in_one) = branches.last_mut() {
-                    if *in_one {
-                        branches.pop();
-                        prefix.pop();
-                    } else {
-                        *in_one = true;
-                        prefix.pop();
-                        prefix.push(Bit::One);
-                        break;
-                    }
-                }
-            }
-            best
-        })
-    }
-
     /// The name `{s}`: a single-string antichain, built directly in tag
     /// form (no intermediate [`Name`]).
     ///
@@ -2087,7 +1867,7 @@ struct ReduceScratch {
 /// open-node stack [`TagsView::subtree_ends_into`] fills it with.
 type LocateScratch = (Vec<u32>, Vec<(u32, u8)>);
 
-/// The working vectors of the k-way merge of [`PackedName::join_many`],
+/// The working vectors of the k-way merge of [`PackedName::cover_join_many`],
 /// pooled per thread: per-input subtree-end tables, the shared open-node
 /// stack, the cursor arena (`(input, position)` pairs) and the frame stack
 /// (ranges of the arena). Cleared, never shrunk.
@@ -2111,15 +1891,9 @@ thread_local! {
     /// (the skip index is rebuilt per query but its buffers are reused).
     static LOCATE_SCRATCH: core::cell::RefCell<LocateScratch> =
         const { core::cell::RefCell::new((Vec::new(), Vec::new())) };
-    /// Pooled merge state of [`PackedName::join_many`].
+    /// Pooled merge state of [`PackedName::cover_join_many`].
     static JOIN_MANY_SCRATCH: core::cell::RefCell<JoinManyScratch> =
         core::cell::RefCell::new(JoinManyScratch::default());
-    /// Pooled fullness table and open-node stack of
-    /// [`PackedName::collapsed_shallowest`]: `(index, children left,
-    /// all-full so far)` frames.
-    #[allow(clippy::type_complexity)]
-    static COLLAPSE_SCRATCH: core::cell::RefCell<(Vec<u8>, Vec<(u32, u8, u8)>)> =
-        const { core::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 enum CombineKind {
@@ -2419,61 +2193,6 @@ mod tests {
     }
 
     #[test]
-    fn join_many_agrees_with_pairwise_fold() {
-        // Every triple and quadruple of samples: the one-pass k-way merge
-        // must equal the pairwise fold exactly (same lattice join).
-        for a in SAMPLES {
-            for b in SAMPLES {
-                for c in SAMPLES {
-                    let inputs = [packed(a), packed(b), packed(c)];
-                    let folded = inputs[0].join(&inputs[1]).join(&inputs[2]);
-                    assert_eq!(
-                        PackedName::join_many(&inputs),
-                        folded,
-                        "join_many mismatch {a} ⊔ {b} ⊔ {c}"
-                    );
-                }
-            }
-        }
-        let quad = [packed("{00, 011}"), packed("{000, 01, 1}"), packed("{}"), packed("{10}")];
-        let folded = quad.iter().fold(PackedName::empty(), |acc, n| acc.join(n));
-        assert_eq!(PackedName::join_many(&quad), folded);
-        // Degenerate arities.
-        assert_eq!(PackedName::join_many(core::iter::empty()), PackedName::empty());
-        assert_eq!(PackedName::join_many([&packed("{01}")]), packed("{01}"));
-        assert_eq!(PackedName::join_many([&packed("{0}"), &packed("{1}")]), packed("{0, 1}"));
-        // Cached aggregates of the merged output stay exact.
-        let joined = PackedName::join_many(&quad);
-        let expected = joined.to_name();
-        assert_eq!(joined.string_count(), expected.len());
-        assert_eq!(joined.bit_size(), expected.bit_size());
-    }
-
-    #[test]
-    fn join_many_matches_fold_on_large_spilled_names() {
-        // Wide deep inputs push every cursor list past the inline buffer
-        // and through the bulk-copy fast path.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut inputs = Vec::new();
-        for _ in 0..6 {
-            let mut n = Name::empty();
-            for _ in 0..40 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let mut s = BitString::empty();
-                for bit in 0..20 {
-                    s.push(Bit::from((state >> (bit % 64)) & 1 == 1));
-                }
-                n.insert(s);
-            }
-            inputs.push(PackedName::from_name(&n));
-        }
-        let folded = inputs.iter().fold(PackedName::empty(), |acc, n| acc.join(n));
-        assert_eq!(PackedName::join_many(&inputs), folded);
-    }
-
-    #[test]
     fn leq_padded_tail_handles_every_size_boundary() {
         // Names sized around the 32-tag word boundary (the padded byte-tail
         // regime) and across the inline/heap spill: the wide-word loop must
@@ -2505,37 +2224,6 @@ mod tests {
             assert!(pa.leq(&joined) && pc.leq(&joined), "join bound broken at len {len}");
             assert_eq!(joined.to_name(), na.join(&nc));
         }
-    }
-
-    #[test]
-    fn collapsed_shallowest_matches_the_reduction_reference() {
-        // Reference: run the general empty-update reduction, then take the
-        // shallowest string of the normal form. The fused one-pass method
-        // must agree on every sample and every pairwise join of samples.
-        let reference = |name: &PackedName| {
-            let (_, reduced) = PackedName::reduce_pair(&PackedName::empty(), name);
-            reduced.shallowest_string()
-        };
-        for a in SAMPLES {
-            for b in SAMPLES {
-                let joined = packed(a).join(&packed(b));
-                assert_eq!(
-                    joined.collapsed_shallowest(),
-                    reference(&joined),
-                    "collapsed_shallowest mismatch for {a} ⊔ {b}"
-                );
-            }
-        }
-        // Deep fork frontiers: every leaf pair collapses back to the seed.
-        let mut frontier = vec![PackedName::epsilon()];
-        for _ in 0..5 {
-            frontier =
-                frontier.iter().flat_map(|n| [n.append(Bit::Zero), n.append(Bit::One)]).collect();
-        }
-        let rejoined = PackedName::join_many(&frontier);
-        assert_eq!(rejoined.collapsed_shallowest(), Some(BitString::empty()));
-        assert_eq!(rejoined.collapsed_shallowest(), reference(&rejoined));
-        assert_eq!(PackedName::empty().collapsed_shallowest(), None);
     }
 
     #[test]

@@ -682,43 +682,56 @@ mod tests {
     use super::*;
     use vstamp_store::{DynamicVvBackend, VstampBackend};
 
-    #[test]
-    fn partition_heal_is_exact_for_every_backend() {
-        let spec = StoreSimSpec::partition_heal(6, 10, 42);
-        for report in [
-            run_store_sim(VstampBackend::gc(), &spec),
-            run_store_sim(DynamicVvBackend::new(), &spec),
-        ] {
+    /// Seeds every exactness scenario runs in tier-1.
+    const SEEDS: std::ops::Range<u64> = 0..10;
+
+    /// Runs `spec` under both backends and asserts each run exact.
+    fn assert_exact_for_every_backend(spec: &StoreSimSpec) -> [StoreSimReport; 2] {
+        let reports = [
+            run_store_sim(VstampBackend::gc(), spec),
+            run_store_sim(DynamicVvBackend::new(), spec),
+        ];
+        for report in &reports {
             assert!(
                 report.is_exact(),
-                "{}: lost={} false_conc={} resurrect={} converged={}",
+                "{} (seed {}): lost={} false_conc={} resurrect={} converged={}",
                 report.backend,
+                spec.seed,
                 report.lost_updates,
                 report.false_concurrency,
                 report.resurrections,
                 report.converged
             );
-            assert!(report.writes > 0);
-            assert_eq!(report.metadata_curve.len(), 10);
+        }
+        reports
+    }
+
+    #[test]
+    fn partition_heal_is_exact_for_every_backend() {
+        for seed in SEEDS {
+            for report in assert_exact_for_every_backend(&StoreSimSpec::partition_heal(6, 10, seed))
+            {
+                assert!(report.writes > 0);
+                assert_eq!(report.metadata_curve.len(), 10);
+            }
         }
     }
 
     #[test]
     fn churn_is_exact_for_every_backend() {
-        let spec = StoreSimSpec::churn(4, 12, 7);
-        for report in [
-            run_store_sim(VstampBackend::gc(), &spec),
-            run_store_sim(DynamicVvBackend::new(), &spec),
-        ] {
-            assert!(
-                report.is_exact(),
-                "{}: lost={} false_conc={} resurrect={} converged={}",
-                report.backend,
-                report.lost_updates,
-                report.false_concurrency,
-                report.resurrections,
-                report.converged
-            );
+        for seed in SEEDS {
+            assert_exact_for_every_backend(&StoreSimSpec::churn(4, 12, seed));
+        }
+    }
+
+    /// The two scenarios above over 1 000 seeds each, both backends, honest
+    /// fingerprints (~20 s in release).
+    #[test]
+    #[ignore = "release: cargo test --release -p vstamp-sim --lib -- --ignored exact_over_a_thousand_seeds"]
+    fn every_scenario_is_exact_over_a_thousand_seeds() {
+        for seed in 0..1000 {
+            assert_exact_for_every_backend(&StoreSimSpec::partition_heal(6, 10, seed));
+            assert_exact_for_every_backend(&StoreSimSpec::churn(4, 12, seed));
         }
     }
 

@@ -2,18 +2,25 @@
 //! machinery — replica elements, per-version clocks, merge and compaction —
 //! while the store itself only manages shards, sibling sets and transport.
 //!
+//! Every replica roots the keys it first-touches at its own *rooting lend*
+//! ([`StoreBackend::Lend`]), an id space no other replica mints from: in
+//! one process the lends are split once per [`Cluster`](crate::Cluster)
+//! ([`StoreBackend::lends`]); on a [`Node`](crate::Node) the lend is a fork
+//! half of its membership stamp. A replica that learns a key from a peer
+//! roots its copy at the part the holder split off its own element for it
+//! ([`StoreBackend::detach`]). No state is shared between replicas: a
+//! key's backend state is one `(state, element)` pair per replica, kept in
+//! that replica's data shard.
+//!
 //! Two backends ship, selected by mechanism label exactly as in the
 //! simulator's comparison tables:
 //!
 //! * [`VstampBackend`] (`version-stamps`) — the paper's mechanism. Each
 //!   key is its own identity universe, and a replica element is an **id**
-//!   ([`PackedName`]): a leaf of a fork tree of `{ε}`, or of a root id a
-//!   node cut from its membership stamp. A write spends one string of the
-//!   id as the version's dot ([`PackedName::mint_dot`]), and a replica
-//!   that lacks a key gets its own id for it as a part split off a
-//!   holder's element ([`StoreBackend::detach`]), which it roots its copy
-//!   of the key at — the decentralized encoding of fork in the
-//!   fork/join/update transition system, with **no identifiers and no
+//!   ([`PackedName`]): a part of its replica's lend, or of a part a holder
+//!   shipped. A write spends one string of the id as the version's dot
+//!   ([`PackedName::mint_dot`]) — the decentralized encoding of fork in
+//!   the fork/join/update transition system, with **no identifiers and no
 //!   counters anywhere**. Causal knowledge lives only in the version clocks
 //!   (context ⊔ dot, as in Dotted Version Vectors), so an element never
 //!   carries an update component, and a replica that already holds a key
@@ -35,11 +42,12 @@
 //!   unique, so equal clocks are byte-equal, and
 //!   [`StoreBackend::decode_clock`] refuses any other form.
 //! * [`DynamicVvBackend`] (`dynamic-vv`) — dotted-version-vector-style
-//!   sibling resolution over the dynamic version-vector baseline: every
-//!   incarnation takes a fresh globally-unique identifier from a per-key
-//!   allocator. This is the mechanism the paper positions version stamps
-//!   against; [`Cluster::metrics`](crate::Cluster::metrics) reports the
-//!   per-key metadata of either.
+//!   sibling resolution over dynamic version vectors: every incarnation
+//!   takes a fresh identifier, which its replica mints from its own
+//!   stripe of the key's id space ([`DynamicVvKeyState`]). This is the
+//!   mechanism the paper positions version stamps against;
+//!   [`Cluster::metrics`](crate::Cluster::metrics) reports the per-key
+//!   metadata of either.
 //!
 //! Version clocks are *names* (for stamps) or *vectors* (for the baseline):
 //! a written version's clock is the join of the client's read context with
@@ -49,17 +57,19 @@
 use core::fmt;
 
 use vstamp_core::codec::{self, StampCodec, VarintCodec};
-use vstamp_core::{Bit, BitString, DecodeError, PackedName, Relation};
+use vstamp_core::{Bit, DecodeError, PackedName, Relation};
 
-use vstamp_baselines::{DynamicVersionVectorMechanism, DynamicVvElement, ReplicaId, VersionVector};
-use vstamp_core::Mechanism as _;
+use vstamp_baselines::{DynamicVvElement, ReplicaId, VersionVector};
 
 /// Per-key causal machinery the store is generic over. See the
 /// [module docs](self) for the two shipped implementations.
 pub trait StoreBackend: Send + Sync + 'static {
-    /// Cluster-shared per-key coordination state (a key's root, id
-    /// allocators). Lives in the cluster's clock plane, one per key.
-    type KeyState: Send + fmt::Debug;
+    /// A replica's rooting lend: the id space it roots the keys it
+    /// first-touches at. Lends of different replicas never overlap.
+    type Lend: Clone + Send + Sync + fmt::Debug;
+    /// Per-`(key, replica)` state kept beside the element in the replica's
+    /// data shard (the baseline's id counter; nothing for stamps).
+    type KeyState: Send + Sync + fmt::Debug;
     /// Per-`(key, replica)` element driving the fork/join/update lifecycle:
     /// the replica's identity in the key's universe (an id for stamps, an
     /// incarnation plus its vector for the baseline).
@@ -71,29 +81,24 @@ pub trait StoreBackend: Send + Sync + 'static {
     /// (`version-stamps`, `dynamic-vv`).
     fn label(&self) -> &'static str;
 
-    /// Creates a fresh key universe: the coordination state plus one
-    /// element per replica.
-    fn new_key(&self, replicas: usize) -> (Self::KeyState, Vec<Self::Element>);
+    /// Splits the whole id space into the disjoint lends of `replicas`
+    /// replicas (at least one) — once, when a cluster is built.
+    fn lends(&self, replicas: usize) -> Vec<Self::Lend>;
 
-    /// Creates a key universe rooted at a caller-supplied element instead
-    /// of the seed — the *decentralized creation* path of multi-process
-    /// serving, where a node's first write of a key anchors the key's
-    /// identity space under an id cut from the node's own membership
-    /// stamp, so first-writes of different keys at different nodes never
-    /// share identity space. A node that learns a key from a peer roots
-    /// it the same way, at the element half the peer shipped for it.
-    ///
-    /// Returns `None` when the backend cannot root a universe without
-    /// coordination (identifier-allocating backends would need their
-    /// central allocator consulted — exactly the dependency the paper's
-    /// mechanism removes).
+    /// Roots a key the replica holding `lend` first-touches: its state and
+    /// its element, cut from the lend alone, so first writes of one key at
+    /// two replicas never share identity space.
+    fn new_key(&self, lend: &Self::Lend) -> (Self::KeyState, Self::Element);
+
+    /// Roots a key the replica holding `lend` learns from a peer at `part`,
+    /// the element part the holder split off for it
+    /// ([`StoreBackend::detach`]). `None` when the part owns nothing to
+    /// mint from.
     fn new_key_rooted(
         &self,
-        _replicas: usize,
-        _root: &Self::Element,
-    ) -> Option<(Self::KeyState, Vec<Self::Element>)> {
-        None
-    }
+        lend: &Self::Lend,
+        part: &Self::Element,
+    ) -> Option<(Self::KeyState, Self::Element)>;
 
     /// A local write: advances the replica's element and mints the clock of
     /// the written version from the client's read context plus a fresh dot
@@ -147,17 +152,12 @@ pub trait StoreBackend: Send + Sync + 'static {
         Some(clocks.fold(first, |acc, clock| self.join_clocks(&acc, clock)))
     }
 
-    /// Attempts quiescent-point compaction of the key universe: when
-    /// exactly one version clock is stored cluster-wide, re-mints the
-    /// whole identity space. Returns the
-    /// fresh elements (one per entry of `elements`) and the fresh clock for
-    /// the surviving version, or `None` when compaction does not apply.
-    fn compact_quiescent(
-        &self,
-        state: &mut Self::KeyState,
-        elements: &[Self::Element],
-        stored_clocks: &[Self::Clock],
-    ) -> Option<(Vec<Self::Element>, Self::Clock)>;
+    /// Quiescent-point compaction of a key whose one surviving version is
+    /// identical on every replica: the clock that version is re-minted at,
+    /// while every replica's element is re-rooted at its lend
+    /// ([`StoreBackend::new_key`]). `None` when the backend cannot recycle
+    /// a key's identity space.
+    fn compact_quiescent(&self) -> Option<Self::Clock>;
 
     /// Appends the wire encoding of a clock to `out`.
     fn encode_clock(&self, clock: &Self::Clock, out: &mut Vec<u8>);
@@ -187,37 +187,26 @@ pub trait StoreBackend: Send + Sync + 'static {
     fn element_bits(&self, element: &Self::Element) -> usize;
 }
 
-/// Builds the balanced fork tree under `root` whose leaves are the initial
-/// replica elements of a key: `{ε}` for a fresh universe or the quiescent
-/// re-mint, an id cut from a node's membership stamp for a rooted key, a
-/// peer's shipped part for an adopted one. Elements are ids only — causal
+/// The balanced fork tree of `{ε}` whose leaves are the rooting lends of
+/// an in-process cluster's replicas. Lends are ids only — causal
 /// knowledge lives in the version clocks.
-fn fork_tree(root: PackedName, replicas: usize) -> Vec<PackedName> {
-    let mut elements = vec![root];
-    while elements.len() < replicas.max(1) {
-        let victim = elements.remove(0);
-        elements.push(victim.append(Bit::Zero));
-        elements.push(victim.append(Bit::One));
+fn fork_tree(replicas: usize) -> Vec<PackedName> {
+    let mut lends = vec![PackedName::epsilon()];
+    while lends.len() < replicas.max(1) {
+        let victim = lends.remove(0);
+        lends.push(victim.append(Bit::Zero));
+        lends.push(victim.append(Bit::One));
     }
-    elements
+    lends
 }
 
-/// Per-key coordination state of [`VstampBackend`]: the string the key's
-/// universe is rooted at, which [`StoreBackend::compact_quiescent`]
-/// re-mints under. Elements only ever shrink (a write spends a dot, a
-/// detach gives a part away), so the key needs no evidence of who holds
-/// what.
-#[derive(Debug, Default)]
-pub struct VstampKeyState {
-    root: BitString,
-}
-
-impl VstampKeyState {
-    /// The string the key is rooted at.
-    #[cfg(test)]
-    pub(crate) fn root(&self) -> &BitString {
-        &self.root
-    }
+/// The element a key is rooted at inside `id`: its shallowest string, so
+/// every element of a key is one string from the start. A several-string
+/// id is a lend off a fragmented membership stamp or a shipped part of a
+/// several-string element; dropping id strings is sound because an id
+/// carries no event markers. The empty id owns nothing to mint from.
+fn rooted_at(id: &PackedName) -> Option<PackedName> {
+    id.shallowest_string().map(|root| PackedName::singleton(&root))
 }
 
 /// The version-stamp backend; see the [module docs](self). Clocks and
@@ -235,7 +224,8 @@ impl VstampBackend {
 }
 
 impl StoreBackend for VstampBackend {
-    type KeyState = VstampKeyState;
+    type Lend = PackedName;
+    type KeyState = ();
     type Element = PackedName;
     type Clock = PackedName;
 
@@ -243,23 +233,20 @@ impl StoreBackend for VstampBackend {
         "version-stamps"
     }
 
-    fn new_key(&self, replicas: usize) -> (Self::KeyState, Vec<Self::Element>) {
-        self.new_key_rooted(replicas, &PackedName::epsilon()).expect("{ε} is a live id")
+    fn lends(&self, replicas: usize) -> Vec<Self::Lend> {
+        fork_tree(replicas)
     }
 
-    /// A root with several strings (a lend off a fragmented membership id,
-    /// or a shipped half of a several-string element) is shrunk to its
-    /// shallowest string first, so every element of the key is one string
-    /// from the start. Dropping id strings is sound: an id carries no event
-    /// markers. The empty id owns nothing to mint from and roots nothing.
+    fn new_key(&self, lend: &Self::Lend) -> (Self::KeyState, Self::Element) {
+        ((), rooted_at(lend).expect("a lend owns id space"))
+    }
+
     fn new_key_rooted(
         &self,
-        replicas: usize,
-        root: &Self::Element,
-    ) -> Option<(Self::KeyState, Vec<Self::Element>)> {
-        let root = root.shallowest_string()?;
-        let elements = fork_tree(PackedName::singleton(&root), replicas);
-        Some((VstampKeyState { root }, elements))
+        _lend: &Self::Lend,
+        part: &Self::Element,
+    ) -> Option<(Self::KeyState, Self::Element)> {
+        Some(((), rooted_at(part)?))
     }
 
     fn write(
@@ -327,28 +314,12 @@ impl StoreBackend for VstampBackend {
         Some(PackedName::cover_join_many(clocks))
     }
 
-    fn compact_quiescent(
-        &self,
-        state: &mut Self::KeyState,
-        elements: &[Self::Element],
-        stored_clocks: &[Self::Clock],
-    ) -> Option<(Vec<Self::Element>, Self::Clock)> {
-        // Only the fully-settled shape recycles: a single surviving version
-        // cluster-wide (the caller has verified it is identical on every
-        // replica). The fresh universe re-mints the elements as a fork tree
-        // under the key's root and the surviving version's clock as the
-        // empty clock, the bottom of the cover order, which every future
-        // write strictly dominates — the bounded-timestamp recycling
-        // discipline, per key. (`{ε}` is the top: it would dominate every
-        // later write.)
-        if stored_clocks.len() != 1 {
-            return None;
-        }
-        let root = PackedName::singleton(&state.root);
-        let (fresh_state, fresh) =
-            self.new_key_rooted(elements.len(), &root).expect("a root is a live id");
-        *state = fresh_state;
-        Some((fresh, PackedName::empty()))
+    /// The survivor's clock becomes the empty clock, the bottom of the
+    /// cover order, which every future write strictly dominates — the
+    /// bounded-timestamp recycling discipline, per key. (`{ε}` is the top:
+    /// it would dominate every later write.)
+    fn compact_quiescent(&self) -> Option<Self::Clock> {
+        Some(PackedName::empty())
     }
 
     fn encode_clock(&self, clock: &Self::Clock, out: &mut Vec<u8>) {
@@ -388,19 +359,22 @@ impl StoreBackend for VstampBackend {
     }
 }
 
-/// Per-key coordination state of [`DynamicVvBackend`]: the per-key
-/// incarnation-identifier allocator (the global service the paper removes).
-#[derive(Debug, Default)]
+/// A replica's stripe of one key's incarnation ids, the lend and the
+/// per-`(key, replica)` state of [`DynamicVvBackend`]: replica r of N mints
+/// r, r + N, r + 2N, … for each key it holds, so ids stay unique per key
+/// and about as small as one shared allocator's, with no allocator shared
+/// between replicas.
+#[derive(Debug, Clone)]
 pub struct DynamicVvKeyState {
-    mechanism: DynamicVersionVectorMechanism,
+    next: u64,
+    stride: u64,
 }
 
 impl DynamicVvKeyState {
-    /// Incarnation identifiers handed out for this key so far — the
-    /// unbounded quantity the version-stamp backend does without.
-    #[must_use]
-    pub fn incarnations_allocated(&self) -> u64 {
-        self.mechanism.incarnations_allocated()
+    fn fresh(&mut self) -> ReplicaId {
+        let id = ReplicaId::new(self.next);
+        self.next += self.stride;
+        id
     }
 }
 
@@ -464,9 +438,11 @@ fn encode_vector(vector: &VersionVector, out: &mut Vec<u8>) {
     }
 }
 
+/// Refuses an implausible width, and one the remaining bytes cannot hold
+/// (an entry takes at least two), before anything is allocated for it.
 fn decode_vector(input: &mut &[u8]) -> Result<VersionVector, DecodeError> {
     let entries = codec::read_varint(input)?;
-    if entries > 1 << 20 {
+    if entries > 1 << 20 || entries > input.len() as u64 / 2 {
         return Err(DecodeError::Malformed("implausible vector width"));
     }
     let mut pairs = Vec::with_capacity(entries as usize);
@@ -479,6 +455,7 @@ fn decode_vector(input: &mut &[u8]) -> Result<VersionVector, DecodeError> {
 }
 
 impl StoreBackend for DynamicVvBackend {
+    type Lend = DynamicVvKeyState;
     type KeyState = DynamicVvKeyState;
     type Element = DynamicVvElement;
     type Clock = DvvClock;
@@ -487,42 +464,53 @@ impl StoreBackend for DynamicVvBackend {
         "dynamic-vv"
     }
 
-    fn new_key(&self, replicas: usize) -> (Self::KeyState, Vec<Self::Element>) {
-        let mut state = DynamicVvKeyState::default();
-        let mut elements = vec![state.mechanism.initial()];
-        while elements.len() < replicas.max(1) {
-            let victim = elements.remove(0);
-            let (left, right) = state.mechanism.fork(&victim);
-            elements.push(left);
-            elements.push(right);
-        }
-        (state, elements)
+    fn lends(&self, replicas: usize) -> Vec<Self::Lend> {
+        let stride = replicas.max(1) as u64;
+        (0..stride).map(|next| DynamicVvKeyState { next, stride }).collect()
+    }
+
+    fn new_key(&self, lend: &Self::Lend) -> (Self::KeyState, Self::Element) {
+        let mut state = lend.clone();
+        let incarnation = state.fresh();
+        (state, DynamicVvElement { incarnation, vector: VersionVector::new() })
+    }
+
+    fn new_key_rooted(
+        &self,
+        lend: &Self::Lend,
+        part: &Self::Element,
+    ) -> Option<(Self::KeyState, Self::Element)> {
+        Some((lend.clone(), part.clone()))
     }
 
     fn write(
         &self,
-        state: &mut Self::KeyState,
+        _state: &mut Self::KeyState,
         element: &Self::Element,
         context: Option<&Self::Clock>,
     ) -> (Self::Element, Self::Clock, Self::Clock) {
-        let advanced = state.mechanism.update(element);
-        let dot = (advanced.incarnation, advanced.vector.get(advanced.incarnation));
+        let mut vector = element.vector.clone();
+        let counter = vector.increment(element.incarnation);
+        let dot = (element.incarnation, counter);
         let clock =
             DvvClock { dot: Some(dot), ctx: context.map(DvvClock::effective).unwrap_or_default() };
         let dot_clock = DvvClock { dot: Some(dot), ctx: VersionVector::default() };
-        (advanced, clock, dot_clock)
+        (DynamicVvElement { incarnation: element.incarnation, vector }, clock, dot_clock)
     }
 
     fn rebuild_clock(&self, context: Option<&Self::Clock>, dot: &Self::Clock) -> Self::Clock {
         DvvClock { dot: dot.dot, ctx: context.map(DvvClock::effective).unwrap_or_default() }
     }
 
+    /// Both halves are new incarnations, minted from the holder's stripe.
     fn detach(
         &self,
         state: &mut Self::KeyState,
         element: &Self::Element,
     ) -> (Self::Element, Self::Element) {
-        state.mechanism.fork(element)
+        let mut half =
+            || DynamicVvElement { incarnation: state.fresh(), vector: element.vector.clone() };
+        (half(), half())
     }
 
     fn relation(&self, left: &Self::Clock, right: &Self::Clock) -> Relation {
@@ -537,14 +525,9 @@ impl StoreBackend for DynamicVvBackend {
         DvvClock { dot: None, ctx: left.effective().merged(&right.effective()) }
     }
 
-    fn compact_quiescent(
-        &self,
-        _state: &mut Self::KeyState,
-        _elements: &[Self::Element],
-        _stored_clocks: &[Self::Clock],
-    ) -> Option<(Vec<Self::Element>, Self::Clock)> {
-        // Identifier-based vectors never shed retired incarnations — this
-        // is precisely the contrast the benchmark measures.
+    /// Identifier-based vectors never shed retired incarnations — this is
+    /// precisely the contrast the benchmark measures.
+    fn compact_quiescent(&self) -> Option<Self::Clock> {
         None
     }
 
@@ -607,16 +590,27 @@ impl StoreBackend for DynamicVvBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vstamp_core::VersionStamp;
+    use crate::Cluster;
+    use std::collections::HashSet;
+    use vstamp_core::{BitString, VersionStamp};
+
+    /// The elements each replica of a fresh `replicas`-replica cluster
+    /// roots a key it first-touches at: its lend.
+    fn first_touches<B: StoreBackend>(
+        backend: &B,
+        replicas: usize,
+    ) -> Vec<(B::KeyState, B::Element)> {
+        backend.lends(replicas).iter().map(|lend| backend.new_key(lend)).collect()
+    }
 
     #[test]
     fn vstamp_backend_write_chain_dominates_context() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(3);
-        let (_, clock_a, _) = backend.write(&mut state, &elements[0], None);
-        let (_, clock_b, _) = backend.write(&mut state, &elements[1], Some(&clock_a));
+        let elements = backend.lends(3);
+        let (_, clock_a, _) = backend.write(&mut (), &elements[0], None);
+        let (_, clock_b, _) = backend.write(&mut (), &elements[1], Some(&clock_a));
         assert_eq!(backend.relation(&clock_b, &clock_a), Relation::Dominates);
-        let (_, clock_c, _) = backend.write(&mut state, &elements[2], None);
+        let (_, clock_c, _) = backend.write(&mut (), &elements[2], None);
         assert_eq!(backend.relation(&clock_c, &clock_a), Relation::Concurrent);
     }
 
@@ -624,38 +618,38 @@ mod tests {
     fn detach_ships_the_rightmost_string_of_a_several_string_element() {
         let backend = VstampBackend::gc();
         let root: PackedName = "{11}".parse().expect("a name");
-        let (mut state, elements) = backend.new_key_rooted(1, &root).expect("vstamp roots keys");
+        let ((), element) = backend.new_key(&root);
         // `11` ends in two one bits: the write splits it two levels deep.
-        let (element, _, dot) = backend.write(&mut state, &elements[0], None);
+        let (element, _, dot) = backend.write(&mut (), &element, None);
         assert_eq!((element.to_string(), dot.to_string()), ("{1101, 111}".into(), "{1100}".into()));
         // The kept part stays next to the spent dot; one string forks.
-        let (kept, shipped) = backend.detach(&mut state, &element);
+        let (kept, shipped) = backend.detach(&mut (), &element);
         assert_eq!((kept.to_string(), shipped.to_string()), ("{1101}".into(), "{111}".into()));
-        let (kept, shipped) = backend.detach(&mut state, &kept);
+        let (kept, shipped) = backend.detach(&mut (), &kept);
         assert_eq!((kept.to_string(), shipped.to_string()), ("{11010}".into(), "{11011}".into()));
     }
 
     #[test]
     fn adopted_key_state_never_collapses_on_one_sided_evidence() {
-        // Three separate processes. A roots the key and ships parts to B
+        // Three replicas. A roots the key at its lend and ships parts to B
         // and C, which root their copies at them; neither hears of the
         // other's writes. No clock C mints may dominate (or equal) B's:
         // that would evict B's sibling sight-unseen during anti-entropy.
         let backend = VstampBackend::gc();
-        let (mut state_a, elements) = backend.new_key(1);
-        let (element_a, clock_root, _) = backend.write(&mut state_a, &elements[0], None);
-        let adopt = |shipped: &PackedName| {
-            let (state, elements) = backend.new_key_rooted(1, shipped).expect("vstamp adopts");
-            (state, elements[0].clone())
+        let lends = backend.lends(3);
+        let ((), element_a) = backend.new_key(&lends[0]);
+        let (element_a, clock_root, _) = backend.write(&mut (), &element_a, None);
+        let adopt = |lend: &PackedName, shipped: &PackedName| {
+            backend.new_key_rooted(lend, shipped).expect("vstamp adopts").1
         };
-        let (element_a, to_b) = backend.detach(&mut state_a, &element_a);
-        let (mut state_b, element_b) = adopt(&to_b);
-        let (_, clock_b, _) = backend.write(&mut state_b, &element_b, Some(&clock_root));
-        let (_, to_c) = backend.detach(&mut state_a, &element_a);
-        let (mut state_c, mut element_c) = adopt(&to_c);
+        let (element_a, to_b) = backend.detach(&mut (), &element_a);
+        let element_b = adopt(&lends[1], &to_b);
+        let (_, clock_b, _) = backend.write(&mut (), &element_b, Some(&clock_root));
+        let (_, to_c) = backend.detach(&mut (), &element_a);
+        let mut element_c = adopt(&lends[2], &to_c);
         let mut context = clock_root;
         for _ in 0..24 {
-            let (next_c, clock_c, _) = backend.write(&mut state_c, &element_c, Some(&context));
+            let (next_c, clock_c, _) = backend.write(&mut (), &element_c, Some(&context));
             assert_eq!(
                 backend.relation(&clock_b, &clock_c),
                 Relation::Concurrent,
@@ -674,20 +668,29 @@ mod tests {
         // them is dominated by B's write.
         let backend = VstampBackend::gc();
         let (_, lend) = VersionStamp::seed().fork();
-        let (mut state_a, elements) =
-            backend.new_key_rooted(1, lend.id_name()).expect("vstamp roots keys");
-        let (element_a, clock_root, _) = backend.write(&mut state_a, &elements[0], None);
-        let (mut element_a, to_b) = backend.detach(&mut state_a, &element_a);
-        let (mut state_b, elements_b) = backend.new_key_rooted(1, &to_b).expect("vstamp adopts");
-        let (_, clock_b, _) = backend.write(&mut state_b, &elements_b[0], Some(&clock_root));
+        let ((), element_a) = backend.new_key(lend.id_name());
+        let (element_a, clock_root, _) = backend.write(&mut (), &element_a, None);
+        let (mut element_a, to_b) = backend.detach(&mut (), &element_a);
+        let (_, element_b) = backend.new_key_rooted(lend.id_name(), &to_b).expect("vstamp adopts");
+        let (_, clock_b, _) = backend.write(&mut (), &element_b, Some(&clock_root));
         for _ in 0..24 {
-            let (next_a, clock_a, _) = backend.write(&mut state_a, &element_a, None);
+            let (next_a, clock_a, _) = backend.write(&mut (), &element_a, None);
             assert_eq!(
                 backend.relation(&clock_b, &clock_a),
                 Relation::Concurrent,
                 "a write inside a shipped half must stay concurrent"
             );
             element_a = next_a;
+        }
+    }
+
+    /// A xorshift stream of indices below `bound`.
+    fn picker(mut rng: u64) -> impl FnMut(usize) -> usize {
+        move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
         }
     }
 
@@ -698,24 +701,18 @@ mod tests {
         // such history every dot and every live element string is disjoint
         // from every other (Invariant I2), with no bookkeeping at all.
         let backend = VstampBackend::gc();
-        let mut rng = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = |bound: usize| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % bound as u64) as usize
-        };
-        let (mut state, mut live) = backend.new_key(2);
+        let mut next = picker(0x2545_F491_4F6C_DD1D);
+        let mut live = backend.lends(2);
         let mut dots: Vec<BitString> = Vec::new();
         for step in 0..400 {
             let at = next(live.len());
             if next(4) == 0 && live.len() < 12 {
-                let (kept, shipped) = backend.detach(&mut state, &live[at]);
+                let (kept, shipped) = backend.detach(&mut (), &live[at]);
                 live[at] = kept;
-                let (_, adopted) = backend.new_key_rooted(1, &shipped).expect("a live part");
-                live.extend(adopted);
+                let (_, adopted) = backend.new_key_rooted(&live[0], &shipped).expect("a live part");
+                live.push(adopted);
             } else {
-                let (kept, _, dot) = backend.write(&mut state, &live[at], None);
+                let (kept, _, dot) = backend.write(&mut (), &live[at], None);
                 live[at] = kept;
                 dots.extend(dot.strings());
             }
@@ -733,38 +730,94 @@ mod tests {
     }
 
     #[test]
+    fn dvv_incarnations_stay_pairwise_distinct_per_key() {
+        // The baseline twin of the test above. Per key, three replicas
+        // each either first-touch it at their own stripe or adopt a part
+        // a holder detached for them, and write at random. Every
+        // incarnation any of them ever holds is born once, and so is every
+        // dot, with no allocator shared between the replicas.
+        let backend = DynamicVvBackend::new();
+        let lends = backend.lends(3);
+        let mut next = picker(0x9E37_79B9_7F4A_7C15);
+        for key in 0..200 {
+            let mut holders: Vec<Option<(DynamicVvKeyState, DynamicVvElement)>> = vec![None; 3];
+            let mut born: HashSet<ReplicaId> = HashSet::new();
+            let mut dots: HashSet<(ReplicaId, u64)> = HashSet::new();
+            let birth = |element: &DynamicVvElement, born: &mut HashSet<ReplicaId>| {
+                assert!(born.insert(element.incarnation), "key {key}: {element} born twice");
+            };
+            for _ in 0..24 {
+                let at = next(3);
+                let held: Vec<usize> = (0..3).filter(|&r| holders[r].is_some()).collect();
+                match holders[at].take() {
+                    Some((mut state, element)) if next(3) > 0 || held.len() == 3 => {
+                        let (element, _, dot) = backend.write(&mut state, &element, None);
+                        let dot = dot.dot.expect("a write's dot");
+                        assert!(dots.insert(dot), "key {key}: dot {dot:?} minted twice");
+                        holders[at] = Some((state, element));
+                    }
+                    Some(holder) => {
+                        // Detach a part for a replica that lacks the key.
+                        let (mut state, element) = holder;
+                        let to = (0..3).find(|r| holders[*r].is_none() && *r != at).expect("one");
+                        let (kept, shipped) = backend.detach(&mut state, &element);
+                        birth(&kept, &mut born);
+                        birth(&shipped, &mut born);
+                        holders[at] = Some((state, kept));
+                        holders[to] = backend.new_key_rooted(&lends[to], &shipped);
+                    }
+                    None => {
+                        let (state, element) = backend.new_key(&lends[at]);
+                        birth(&element, &mut born);
+                        holders[at] = Some((state, element));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn vstamp_compaction_requires_quiescence() {
-        let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(2);
-        let (_, clock, _) = backend.write(&mut state, &elements[0], None);
-        // One surviving version cluster-wide: the universe recycles.
-        let compacted =
-            backend.compact_quiescent(&mut state, &elements, std::slice::from_ref(&clock));
-        let (fresh, fresh_clock) = compacted.expect("quiescent key compacts");
-        assert_eq!(fresh.len(), 2);
-        // The empty clock is the bottom: every later write dominates it.
-        assert!(fresh_clock.is_empty());
+        let mut cluster = Cluster::new(VstampBackend::gc(), 2, 1);
+        cluster.put(0, "k", b"v".to_vec(), None);
         // Concurrent siblings block compaction.
-        let (mut state, elements) = backend.new_key(2);
-        let (_, c0, _) = backend.write(&mut state, &elements[0], None);
-        let (_, c1, _) = backend.write(&mut state, &elements[1], None);
-        assert!(backend.compact_quiescent(&mut state, &elements, &[c0, c1]).is_none());
+        cluster.put(1, "k", b"w".to_vec(), None);
+        cluster.anti_entropy(0, 1);
+        cluster.anti_entropy(1, 0);
+        assert_eq!(cluster.compact().keys_recycled, 0);
+        // One surviving version cluster-wide: the universe recycles.
+        let read = cluster.get(0, "k");
+        cluster.put(0, "k", b"x".to_vec(), read.context());
+        cluster.anti_entropy(1, 0);
+        assert_eq!(cluster.compact().keys_recycled, 1);
+        // The empty clock is the bottom: every later write dominates it.
+        let fresh = cluster.get(1, "k").context().cloned().expect("a survivor");
+        assert!(fresh.is_empty());
+        let later = cluster.put(1, "k", b"y".to_vec(), None);
+        assert_eq!(cluster.backend().relation(&later, &fresh), Relation::Dominates);
+        assert_eq!(DynamicVvBackend::new().compact_quiescent(), None);
     }
 
     #[test]
     fn dynamic_vv_backend_allocates_identifiers_forever() {
+        // Every detach mints two incarnations from the holder's stripe, and
+        // the stripe never hands one out again.
         let backend = DynamicVvBackend::new();
-        let (mut state, elements) = backend.new_key(2);
-        let before = state.incarnations_allocated();
-        let _ = backend.detach(&mut state, &elements[0]);
-        assert!(state.incarnations_allocated() > before);
+        let mut roots = first_touches(&backend, 2);
+        let (state, element) = &mut roots[1];
+        let mut seen = HashSet::from([element.incarnation]);
+        for _ in 0..8 {
+            let (kept, shipped) = backend.detach(state, element);
+            assert!(seen.insert(kept.incarnation) && seen.insert(shipped.incarnation));
+            assert!(kept.incarnation.raw() % 2 == 1 && shipped.incarnation.raw() % 2 == 1);
+            *element = kept;
+        }
     }
 
     #[test]
     fn both_backends_roundtrip_wire_encodings() {
         let vs = VstampBackend::gc();
-        let (mut state, elements) = vs.new_key(3);
-        let (element, clock, _) = vs.write(&mut state, &elements[2], None);
+        let (element, clock, _) = vs.write(&mut (), &vs.lends(3)[2], None);
         let mut bytes = Vec::new();
         vs.encode_clock(&clock, &mut bytes);
         assert_eq!(vs.decode_clock(&bytes).unwrap(), clock);
@@ -778,8 +831,8 @@ mod tests {
         assert!(vs.element_bits(&element) > 0);
 
         let dv = DynamicVvBackend::new();
-        let (mut state, elements) = dv.new_key(3);
-        let (element, clock, _) = dv.write(&mut state, &elements[1], None);
+        let (mut state, element) = first_touches(&dv, 3).swap_remove(1);
+        let (element, clock, _) = dv.write(&mut state, &element, None);
         bytes.clear();
         dv.encode_clock(&clock, &mut bytes);
         assert_eq!(dv.decode_clock(&bytes).unwrap(), clock);
@@ -788,5 +841,21 @@ mod tests {
         assert_eq!(dv.decode_element(&bytes).unwrap(), element);
         assert!(dv.decode_element(&bytes[..bytes.len() - 1]).is_err());
         assert!(dv.clock_bits(&clock) > 0);
+    }
+
+    #[test]
+    fn a_vector_width_its_bytes_cannot_hold_is_refused() {
+        // A 3-byte varint claiming 2^20 entries, with nothing after it: the
+        // decoders refuse it before reserving room for a single entry.
+        let dv = DynamicVvBackend::new();
+        // The clock's "no dot" flag, or the element's incarnation 0, then
+        // the claim.
+        let bytes = [0x00, 0x80, 0x80, 0x40];
+        assert!(matches!(dv.decode_clock(&bytes), Err(DecodeError::Malformed(_))));
+        assert!(matches!(dv.decode_element(&bytes), Err(DecodeError::Malformed(_))));
+        // A width the bytes do hold still decodes.
+        let mut bytes = vec![0x00];
+        encode_vector(&VersionVector::from_entries([(ReplicaId::new(1), 2)]), &mut bytes);
+        assert!(dv.decode_element(&bytes).is_ok());
     }
 }

@@ -1,6 +1,12 @@
-//! The replicated store cluster: N replicas, each a sharded data plane,
-//! plus the cluster-shared clock plane (per-key coordination state of the
-//! backend), the pull-exchange engine and quiescent-point compaction.
+//! The replicated store cluster: N replicas, each a sharded data plane
+//! with its own rooting lend, plus the pull-exchange engine and
+//! quiescent-point compaction.
+//!
+//! A replica roots a key it first-touches at its lend and a key it learns
+//! at the element part the holder shipped for it (see
+//! [`crate::backend`]), in process exactly as on a [`Node`](crate::Node):
+//! no state is shared between replicas, and a key's backend state lives
+//! in each replica's data shard beside its sibling set.
 //!
 //! # The exchange engine
 //!
@@ -56,31 +62,20 @@
 //!
 //! # Concurrency
 //!
-//! Every lock is per shard. An operation touching a key takes at most two
-//! locks, always in the same order — the clock-plane shard first, then one
-//! data-plane shard — so client traffic and concurrent exchanges never
-//! deadlock. Reads (`get`, the root, listing changes) take only a data
-//! shard read lock, and `get` has one path: the key's published snapshot at
-//! the asked replica. Every mutation of a key — write, one key of a delta,
-//! a shipped fork, a compaction step — is one `Shard::edit`, which closes
-//! the key's read cache once before the write lock drops (see
-//! [`crate::store`]).
-//!
-//! # Coordination caveat
-//!
-//! The clock plane is shared cluster state: per key, the backend's
-//! coordination state and the initial elements replicas have not claimed
-//! yet. For the version-stamp backend that state is only the key's root,
-//! which quiescent compaction re-mints under; an element only ever
-//! shrinks, so no replica needs evidence of what another holds. For the
-//! baseline it is the per-key identifier allocator, the identifier service
-//! a real deployment would need and the in-process plane stands in for.
+//! Every lock is per shard. A mutation of a key takes one lock, the write
+//! lock of one data shard of one replica, so client traffic and concurrent
+//! exchanges never deadlock. Reads (`get`, the root, listing changes) take
+//! only a data shard read lock, and `get` has one path: the key's
+//! published snapshot at the asked replica. Every mutation of a key —
+//! write, one key of a delta, a shipped part, a compaction step — is one
+//! `Shard::edit`, which closes the key's read cache once before the write
+//! lock drops (see [`crate::store`]).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::io;
 
-use parking_lot::{Mutex, MutexGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLockWriteGuard};
 use vstamp_core::Relation;
 
 use crate::backend::StoreBackend;
@@ -96,17 +91,6 @@ use crate::wire::{
     DeltaPolicy, DigestEntry, Envelope, KeyDelta, MessageKind, Offer, WireKeyDelta, WireVersion,
     PERTURB_MASK,
 };
-
-/// Per-key entry of the clock plane: the backend's coordination state plus
-/// the initial elements replicas have not yet claimed.
-#[derive(Debug)]
-struct KeyPlane<B: StoreBackend> {
-    state: B::KeyState,
-    unclaimed: Vec<Option<B::Element>>,
-}
-
-/// One stripe of the clock plane: the keys of one shard index.
-type PlaneStripe<B> = HashMap<Key, KeyPlane<B>>;
 
 /// Bound on NAK rounds within one pull. A refetch ships full frames, which
 /// cannot miss, so an honest responder needs one round; the bound stops a
@@ -249,21 +233,19 @@ pub struct CompactionStats {
     pub keys_dropped: usize,
 }
 
-/// Construction parameters of a [`Cluster`]: replica count and the data/
-/// clock-plane shard count.
+/// Construction parameters of a [`Cluster`]: replica count and the
+/// per-replica shard count.
 ///
 /// The shard count is the concurrency grain of the whole store — every
-/// data-shard lock *and* every clock-plane stripe is per shard — so it
-/// should comfortably exceed the expected number of concurrently-writing
-/// threads. The default (16, a power of two) keeps the key→shard dispatch
+/// lock is one data shard's — so it should comfortably exceed the expected
+/// number of concurrently-writing threads. The default (16, a power of two) keeps the key→shard dispatch
 /// on the mask fast path; non-power-of-two counts work and fall back to a
 /// modulo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of replicas (at least 1).
     pub replicas: usize,
-    /// Number of hash-partitioned shards per replica, also the stripe
-    /// count of the cluster-shared clock plane (at least 1).
+    /// Number of hash-partitioned shards per replica (at least 1).
     pub shards: usize,
     /// Deliberately perturb emitted delta-frame fingerprints so every
     /// delta frame misses and takes the NAK/refetch fallback — a
@@ -304,7 +286,8 @@ impl ClusterConfig {
 pub struct Cluster<B: StoreBackend> {
     backend: B,
     replicas: Vec<DataPlane<B>>,
-    plane: Vec<Mutex<PlaneStripe<B>>>,
+    /// Each replica's rooting lend, at its index.
+    lends: Vec<B::Lend>,
     shards: ShardIndexer,
     policy: DeltaPolicy,
     /// Every exchange half this cluster recorded, summed.
@@ -350,7 +333,8 @@ fn known_subset(hashes: &[u64], ctx_fp: u64) -> u32 {
 
 impl<B: StoreBackend> Cluster<B> {
     /// Builds a cluster of `replicas` nodes, each with `shard_count`
-    /// hash-partitioned shards.
+    /// hash-partitioned shards and its own rooting lend, split once off the
+    /// whole id space ([`StoreBackend::lends`]).
     #[must_use]
     pub fn new(backend: B, replicas: usize, shard_count: usize) -> Self {
         Self::with_config(backend, ClusterConfig::new(replicas, shard_count))
@@ -362,15 +346,15 @@ impl<B: StoreBackend> Cluster<B> {
         let replicas = config.replicas.max(1);
         let shards = ShardIndexer::new(config.shards);
         Cluster {
-            backend,
             replicas: (0..replicas)
                 .map(|_| DataPlane::new(shards.count(), fresh_instance()))
                 .collect(),
-            plane: (0..shards.count()).map(|_| Mutex::new(HashMap::new())).collect(),
+            lends: backend.lends(replicas),
             shards,
             policy: config.policy(),
             wire: Mutex::new(ExchangeStats::default()),
             cursors: (0..replicas * replicas).map(|_| Mutex::new(PullCursor::default())).collect(),
+            backend,
         }
     }
 
@@ -417,16 +401,16 @@ impl<B: StoreBackend> Cluster<B> {
         GetResult::new(shard.get(key).and_then(|data| data.siblings.snapshot()))
     }
 
-    /// The two locks of every mutation, in the one order the module docs
-    /// fix: the clock-plane stripe, then `replica`'s data shard.
-    fn lock_pair(
-        &self,
-        replica: usize,
-        shard_index: usize,
-    ) -> (MutexGuard<'_, PlaneStripe<B>>, RwLockWriteGuard<'_, Shard<B>>) {
+    /// Whether `replica` holds `key`.
+    pub(crate) fn holds(&self, replica: usize, key: &str) -> bool {
+        self.replicas[replica].shard(self.shards.index(key)).read().contains_key(key)
+    }
+
+    /// The one lock of every mutation: `replica`'s data shard.
+    fn lock_shard(&self, replica: usize, shard_index: usize) -> RwLockWriteGuard<'_, Shard<B>> {
         #[cfg(test)]
-        counted::LOCK_PAIRS.with(|pairs| pairs.set(pairs.get() + 1));
-        (self.plane[shard_index].lock(), self.replicas[replica].shard(shard_index).write())
+        counted::SHARD_LOCKS.with(|locks| locks.set(locks.get() + 1));
+        self.replicas[replica].shard(shard_index).write()
     }
 
     /// Causal write at one replica. The new version's clock dominates
@@ -440,14 +424,28 @@ impl<B: StoreBackend> Cluster<B> {
         value: Value,
         context: Option<&B::Clock>,
     ) -> B::Clock {
-        self.write(replica, key, Some(value), context)
+        self.write(replica, key, Some(value), context, &self.lends[replica])
+    }
+
+    /// [`Cluster::put`], rooting a key `replica` lacks at `lend` instead of
+    /// at the replica's own lend: a node roots the keys it first-touches at
+    /// a fork half of its membership stamp.
+    pub(crate) fn put_rooted(
+        &self,
+        replica: usize,
+        key: &str,
+        value: Value,
+        context: Option<&B::Clock>,
+        lend: &B::Lend,
+    ) -> B::Clock {
+        self.write(replica, key, Some(value), context, lend)
     }
 
     /// Causal delete at one replica: a tombstone write. The key is fully
     /// dropped later, by [`Cluster::compact`], once the tombstone is the
     /// sole version everywhere.
     pub fn delete(&self, replica: usize, key: &str, context: Option<&B::Clock>) -> B::Clock {
-        self.write(replica, key, None, context)
+        self.write(replica, key, None, context, &self.lends[replica])
     }
 
     fn write(
@@ -456,29 +454,17 @@ impl<B: StoreBackend> Cluster<B> {
         key: &str,
         value: Option<Value>,
         context: Option<&B::Clock>,
+        lend: &B::Lend,
     ) -> B::Clock {
-        let shard_index = self.shards.index(key);
-        let (mut plane, mut shard) = self.lock_pair(replica, shard_index);
-        // The common case is an already-known key: probe before allocating
-        // an owned copy for the map entry.
-        if !plane.contains_key(key) {
-            let (state, elements) = self.backend.new_key(self.replicas.len());
-            plane.insert(
-                key.to_owned(),
-                KeyPlane { state, unclaimed: elements.into_iter().map(Some).collect() },
-            );
-        }
-        let entry = plane.get_mut(key).expect("inserted above");
+        let mut shard = self.lock_shard(replica, self.shards.index(key));
+        // A first touch roots the key at `lend`, in the same lock section
+        // as its first write.
         if !shard.contains_key(key) {
-            let element =
-                entry.unclaimed[replica].take().expect("initial element claimed exactly once");
-            shard.insert(key.to_owned(), KeyData::new(element));
+            shard.insert(key.to_owned(), KeyData::new(self.backend.new_key(lend)));
         }
         shard
             .edit(&self.backend, key, |data| {
-                let (advanced, clock, dot) =
-                    self.backend.write(&mut entry.state, data.element(), context);
-                data.set_element(advanced);
+                let (clock, dot) = data.mint(&self.backend, context);
                 // Memoized-order fast path: a context that equals the
                 // sibling set's cached context supersedes every sibling
                 // without a single relation check (the fresh dot makes each
@@ -509,39 +495,6 @@ impl<B: StoreBackend> Cluster<B> {
                 clock
             })
             .expect("inserted above")
-    }
-
-    /// Whether `key`'s universe exists anywhere in the cluster's clock
-    /// plane.
-    #[must_use]
-    pub fn has_key(&self, key: &str) -> bool {
-        self.plane[self.shards.index(key)].lock().contains_key(key)
-    }
-
-    /// Creates `key`'s universe rooted at `root` — the decentralized
-    /// creation path. Multi-process nodes call this with their rooting
-    /// lend, one fork half of their membership stamp, before their first
-    /// write of an unknown key. Returns `false` (leaving the plane
-    /// untouched) when the key already exists or the backend cannot root
-    /// universes without coordination.
-    ///
-    /// Two stores may root one key at disjoint roots: nothing ever joins
-    /// space into an element, so each store's dots stay under its own root
-    /// and both first writes mint disjoint dots.
-    pub fn create_key_rooted(&self, key: &str, root: &B::Element) -> bool {
-        let shard_index = self.shards.index(key);
-        let mut plane = self.plane[shard_index].lock();
-        if plane.contains_key(key) {
-            return false;
-        }
-        let Some((state, elements)) = self.backend.new_key_rooted(self.replicas.len(), root) else {
-            return false;
-        };
-        plane.insert(
-            key.to_owned(),
-            KeyPlane { state, unclaimed: elements.into_iter().map(Some).collect() },
-        );
-        true
     }
 
     /// The digest of one replica's whole data plane, sorted by key: every
@@ -646,11 +599,8 @@ impl<B: StoreBackend> Cluster<B> {
             let shard = self.replicas[responder].shard(shard_index).read();
             return Some(ship(shard.get(key)?, None));
         }
-        let (mut plane, mut shard) = self.lock_pair(responder, shard_index);
-        let entry = plane.get_mut(key)?;
-        shard.edit(&self.backend, key, |data| {
-            let (kept, shipped) = self.backend.detach(&mut entry.state, data.element());
-            data.set_element(kept);
+        self.lock_shard(responder, shard_index).edit(&self.backend, key, |data| {
+            let shipped = data.detach(&self.backend);
             ship(data, Some(shipped))
         })
     }
@@ -686,20 +636,19 @@ impl<B: StoreBackend> Cluster<B> {
         self.ship_keys(responder, keys.iter().map(|key| (key, None))).0
     }
 
-    /// Applies a delta at the requester, one lock pair per key — the
+    /// Applies a delta at the requester, one shard lock per key — the
     /// per-key reference that [`Cluster::apply_delta_batch`] (what
     /// exchanges use) is tested and benchmarked against; the two differ in
-    /// nothing else. Sibling merges, after rooting a key this store lacked
-    /// at its shipped element part (single-replica stores). Delta-frame
+    /// nothing else. Sibling merges, after rooting a key the requester
+    /// lacked at its shipped element part. Delta-frame
     /// versions whose context fingerprint matches the local sibling set
     /// are reconstructed as `context ⊔ dot`; the rest are **missed** — the
     /// returned keys need a NAK/full-frame refetch round.
     pub fn apply_delta(&self, requester: usize, deltas: Vec<WireKeyDelta<B>>) -> Vec<Key> {
         let mut misses = Vec::new();
         for delta in deltas {
-            let shard_index = self.shards.index(&delta.key);
-            let (mut plane, mut shard) = self.lock_pair(requester, shard_index);
-            if let Some(miss) = self.apply_key_delta(requester, &mut plane, &mut shard, delta) {
+            let mut shard = self.lock_shard(requester, self.shards.index(&delta.key));
+            if let Some(miss) = self.apply_key_delta(requester, &mut shard, delta) {
                 misses.push(miss);
             }
         }
@@ -707,8 +656,8 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// The batched form of [`Cluster::apply_delta`]: frames are grouped by
-    /// destination shard and the (clock-plane, data-shard) lock pair is
-    /// taken **once per shard** instead of once per key. Each key is one
+    /// destination shard and the shard's lock is taken **once per shard**
+    /// instead of once per key. Each key is one
     /// `Shard::edit`, so its sibling cache closes once after all of its
     /// versions merged, as on every other mutation path. This is the apply
     /// path of [`Cluster::pull`], in process and on a node alike.
@@ -722,11 +671,11 @@ impl<B: StoreBackend> Cluster<B> {
         grouped.sort_by_key(|(shard_index, _)| *shard_index);
         let mut grouped = grouped.into_iter().peekable();
         while let Some(&(shard_index, _)) = grouped.peek() {
-            let (mut plane, mut shard) = self.lock_pair(requester, shard_index);
+            let mut shard = self.lock_shard(requester, shard_index);
             while let Some((_, delta)) =
                 grouped.next_if(|&(next_shard, _)| next_shard == shard_index)
             {
-                if let Some(miss) = self.apply_key_delta(requester, &mut plane, &mut shard, delta) {
+                if let Some(miss) = self.apply_key_delta(requester, &mut shard, delta) {
                     misses.push(miss);
                 }
             }
@@ -734,40 +683,25 @@ impl<B: StoreBackend> Cluster<B> {
         misses
     }
 
-    /// Applies one key's wire delta under already-held shard locks, in one
-    /// `Shard::edit` of every version merge. Returns the key on a
+    /// Applies one key's wire delta under the already-held shard lock, in
+    /// one `Shard::edit` of every version merge. Returns the key on a
     /// delta-frame fingerprint miss (it needs a NAK/full-frame refetch).
     fn apply_key_delta(
         &self,
         requester: usize,
-        plane: &mut PlaneStripe<B>,
         shard: &mut Shard<B>,
         delta: WireKeyDelta<B>,
     ) -> Option<Key> {
         let WireKeyDelta { key, element, versions } = delta;
-        // A key this cluster has never seen: a multi-process node learning
-        // it from a peer. Root it at the part the peer split off its own
-        // element for this requester — never at a fresh universe, which
-        // would collide with the sender's. Single-replica clusters only
-        // (the node topology); elsewhere, without a shipped part, and for
-        // backends that cannot root keys, the key is skipped. For a key
-        // the cluster holds, a shipped part is ignored: its element only
-        // ever shrinks, and nothing the peer's id could teach lives in it.
-        if !plane.contains_key(&key) {
-            if self.replicas.len() != 1 {
-                return None;
-            }
-            let (state, elements) = self.backend.new_key_rooted(1, &element?)?;
-            plane.insert(
-                key.clone(),
-                KeyPlane { state, unclaimed: elements.into_iter().map(Some).collect() },
-            );
-        }
+        // A key the requester lacks is rooted at the part the holder split
+        // off its own element for it, which no other replica mints from.
+        // Without a part, or with a part that owns nothing, the key is
+        // skipped. For a key the requester holds, a shipped part is
+        // ignored: its element only ever shrinks, and nothing the peer's
+        // id could teach lives in it.
         if !shard.contains_key(&key) {
-            let entry = plane.get_mut(&key).expect("present or just rooted");
-            let claimed =
-                entry.unclaimed[requester].take().expect("initial element claimed exactly once");
-            shard.insert(key.clone(), KeyData::new(claimed));
+            let rooted = self.backend.new_key_rooted(&self.lends[requester], &element?)?;
+            shard.insert(key.clone(), KeyData::new(rooted));
         }
         let key_missed = shard
             .edit(&self.backend, &key, |data| {
@@ -1033,38 +967,38 @@ impl<B: StoreBackend> Cluster<B> {
 
     /// Quiescent-point compaction, shard by shard: for every key whose
     /// sibling set has converged to a single version on every replica, the
-    /// backend re-mints the whole per-key identity universe; keys whose
-    /// sole surviving version is a tombstone are dropped outright.
+    /// backend re-mints the surviving version's clock and every replica's
+    /// element is re-rooted at its lend; keys whose sole surviving version
+    /// is a tombstone are dropped outright.
     ///
     /// Takes `&mut self`: compaction rewrites clocks wholesale, so it must
     /// run at a true quiescent point (no concurrent clients or gossip) —
-    /// the exclusive borrow enforces exactly that.
+    /// the exclusive borrow enforces exactly that. It also needs this
+    /// cluster's replicas to be the key's only holders: a store that
+    /// exchanges with other stores (a [`Node`](crate::Node)) never
+    /// compacts.
     pub fn compact(&mut self) -> CompactionStats {
         let mut stats = CompactionStats::default();
         for shard_index in 0..self.shards.count() {
-            let plane = self.plane[shard_index].get_mut();
-            let keys: Vec<Key> = plane.keys().cloned().collect();
+            // A key every replica holds is one replica 0 holds.
+            let keys: Vec<Key> = self.replicas[0]
+                .shard(shard_index)
+                .read()
+                .iter()
+                .map(|(key, _)| key.clone())
+                .collect();
             for key in keys {
-                let entry = plane.get_mut(&key).expect("listed key");
-                // Gather every replica's element and its single version.
-                let mut elements = Vec::with_capacity(self.replicas.len());
+                // Gather every replica's single version.
                 let mut versions: Vec<StoredVersion<B>> = Vec::with_capacity(self.replicas.len());
-                let mut eligible = true;
                 for replica in &self.replicas {
                     let shard = replica.shard(shard_index).read();
                     match shard.get(&key) {
-                        Some(data) if data.siblings.len() == 1 => {
-                            elements.push(data.element().clone());
-                            versions
-                                .push(data.siblings.iter().next().expect("length checked").clone());
-                        }
-                        _ => {
-                            eligible = false;
-                            break;
-                        }
+                        Some(data) if data.siblings.len() == 1 => versions
+                            .push(data.siblings.iter().next().expect("length checked").clone()),
+                        _ => break,
                     }
                 }
-                if !eligible || versions.is_empty() {
+                if versions.len() != self.replicas.len() {
                     continue;
                 }
                 let same = versions[1..].iter().all(|version| {
@@ -1083,27 +1017,21 @@ impl<B: StoreBackend> Cluster<B> {
                     for replica in &self.replicas {
                         replica.shard(shard_index).write().remove(&key);
                     }
-                    plane.remove(&key);
                     stats.keys_dropped += 1;
                     continue;
                 }
-                if let Some((fresh_elements, fresh_clock)) = self.backend.compact_quiescent(
-                    &mut entry.state,
-                    &elements,
-                    std::slice::from_ref(versions[0].clock()),
-                ) {
-                    for (replica, fresh) in self.replicas.iter().zip(fresh_elements) {
-                        replica
-                            .shard(shard_index)
-                            .write()
-                            .edit(&self.backend, &key, |data| {
-                                data.set_element(fresh);
-                                data.siblings.remint(&self.backend, fresh_clock.clone());
-                            })
-                            .expect("eligibility checked");
-                    }
-                    stats.keys_recycled += 1;
+                let Some(fresh_clock) = self.backend.compact_quiescent() else { continue };
+                for (replica, lend) in self.replicas.iter().zip(&self.lends) {
+                    replica
+                        .shard(shard_index)
+                        .write()
+                        .edit(&self.backend, &key, |data| {
+                            data.reroot(self.backend.new_key(lend));
+                            data.siblings.remint(&self.backend, fresh_clock.clone());
+                        })
+                        .expect("eligibility checked");
                 }
+                stats.keys_recycled += 1;
             }
         }
         stats
@@ -1198,8 +1126,14 @@ mod tests {
     #[test]
     fn concurrent_writes_surface_as_siblings_and_merge() {
         let cluster = Cluster::new(VstampBackend::gc(), 2, 2);
-        cluster.put(0, "k", b"left".to_vec(), None);
-        cluster.put(1, "k", b"right".to_vec(), None);
+        let left = cluster.put(0, "k", b"left".to_vec(), None);
+        let right = cluster.put(1, "k", b"right".to_vec(), None);
+        // A first write's clock is its dot, which lies under its own
+        // replica's lend (`{0}` and `{1}`) and outside the other's.
+        for (replica, dot) in [&left, &right].into_iter().enumerate() {
+            assert!(dot.cover_leq(&cluster.lends[replica]), "{dot} left lend {replica}");
+            assert!(!dot.cover_leq(&cluster.lends[1 - replica]), "{dot} in lend {}", 1 - replica);
+        }
         cluster.anti_entropy(0, 1);
         let read = cluster.get(0, "k");
         assert_eq!(read.values().len(), 2, "concurrent writes must both survive");
@@ -1210,6 +1144,40 @@ mod tests {
         full_sweep(&cluster);
         assert!(cluster.converged());
         assert_eq!(cluster.get(1, "k").values(), vec![b"merged".to_vec()]);
+    }
+
+    #[test]
+    fn a_replica_that_learns_a_key_roots_it_at_the_shipped_part() {
+        let cluster = Cluster::new(VstampBackend::gc(), 3, 4);
+        cluster.put(0, "k", b"v".to_vec(), None);
+        let element = |replica: usize| {
+            let shard = cluster.replicas[replica].shard(cluster.shards.index("k")).read();
+            shard.get("k").map(|data| data.element().clone())
+        };
+        let held = element(0).expect("replica 0 wrote k");
+        // The split the responder's detach makes, computed on a copy.
+        let (kept, part) = cluster.backend().detach(&mut (), &held);
+        cluster.anti_entropy(1, 0);
+        assert_eq!(cluster.get(1, "k").values(), vec![b"v".to_vec()]);
+        assert_eq!(element(1), Some(part.clone()), "the learner roots k at the shipped part");
+        assert_eq!(element(0), Some(kept.clone()), "the holder keeps the rest");
+        // As regions: kept and part are disjoint and together the old id.
+        assert_eq!(kept.cover_join(&part), held, "the holder lost exactly the shipped part");
+        for (s, t) in
+            kept.strings().iter().flat_map(|s| part.strings().into_iter().map(move |t| (s, t)))
+        {
+            assert!(s.is_incomparable_with(&t), "{s} and {t} overlap");
+        }
+        assert_eq!(element(2), None, "nothing is cut for a replica that never asked");
+        // A second adopting delta — replica 0 splits again for a requester
+        // it believes lacks the key — meets a held key and is ignored.
+        let (deltas, _) = cluster.respond_delta(0, &[]);
+        assert!(deltas[0].element.is_some());
+        let (payload, _) = encode_delta(cluster.backend(), &deltas, DeltaPolicy::FULL_ONLY);
+        let root = cluster.digest_root(1);
+        let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
+        assert!(cluster.apply_delta_batch(1, decoded).is_empty());
+        assert_eq!((element(1), cluster.digest_root(1)), (Some(part), root));
     }
 
     #[test]
@@ -1499,13 +1467,13 @@ mod tests {
         let decoded = decode_delta(cluster.backend(), &payload).expect("decodes");
         // Counted on this test's thread only: nothing else runs on it
         // between the two readings.
-        let read = || (counted::LOCK_PAIRS.with(Cell::get), counted::CTX_REBUILDS.with(Cell::get));
+        let read = || (counted::SHARD_LOCKS.with(Cell::get), counted::CTX_REBUILDS.with(Cell::get));
         let (locks_before, rebuilds_before) = read();
         let misses = cluster.apply_delta_batch(1, decoded);
         assert!(misses.is_empty());
         let (locks_after, rebuilds_after) = read();
-        // One lock pair per touched shard — not one per key — plus at
-        // most one context rebuild per key.
+        // One data-shard lock per touched shard — not one per key, and no
+        // other lock — plus at most one context rebuild per key.
         assert_eq!(locks_after - locks_before, shards_touched.len() as u64);
         assert!(rebuilds_after - rebuilds_before <= deltas.len() as u64);
         assert_eq!(cluster.get(1, "a").values(), vec![b"a".to_vec()]);
@@ -1767,6 +1735,8 @@ mod tests {
         struct Oracle {
             covers: Vec<HashSet<u32>>,
             origin: Vec<(usize, usize)>,
+            /// The length of the string each node rooted each key at.
+            roots: HashMap<(usize, Key), usize>,
         }
 
         fn visible(node: &Cluster<VstampBackend>, key: usize) -> Vec<u32> {
@@ -1780,12 +1750,14 @@ mod tests {
         }
 
         impl Oracle {
+            /// A write at node `at`, rooting a key it lacks at `lend`.
             fn write(
                 &mut self,
                 node: &Cluster<VstampBackend>,
                 at: usize,
                 key: usize,
                 causal: bool,
+                lend: &PackedName,
             ) {
                 let id = self.covers.len() as u32;
                 let name = format!("k{key}");
@@ -1797,7 +1769,8 @@ mod tests {
                         covered.extend(&self.covers[seen as usize]);
                     }
                 }
-                node.put(0, &name, id.to_le_bytes().to_vec(), read.context().filter(|_| causal));
+                let value = id.to_le_bytes().to_vec();
+                node.put_rooted(0, &name, value, read.context().filter(|_| causal), lend);
                 self.covers.push(covered);
                 self.origin.push((at, key));
             }
@@ -1806,13 +1779,13 @@ mod tests {
             /// has bits below the key's root (the dot mint's bound; at
             /// least one), no node shows a write next to one that covers it
             /// or loses a write it took, and once `settled`, every node
-            /// shows exactly the uncovered writes.
-            fn check(&self, nodes: &[Cluster<VstampBackend>], step: usize, settled: bool) {
+            /// shows exactly the uncovered writes. A node that adopted a
+            /// key is first seen holding the one string it rooted it at.
+            fn check(&mut self, nodes: &[Cluster<VstampBackend>], step: usize, settled: bool) {
                 let covered: HashSet<u32> = self.covers.iter().flatten().copied().collect();
                 for (at, node) in nodes.iter().enumerate() {
                     for (key, id) in node_elements(node) {
-                        let root =
-                            node.plane[node.shards.index(&key)].lock()[&key].state.root().len();
+                        let root = *self.roots.entry((at, key.clone())).or_insert(id.depth());
                         let below = id.depth().saturating_sub(root).max(1);
                         assert!(
                             id.string_count() <= below,
@@ -1848,6 +1821,7 @@ mod tests {
         // Node 0 roots every key at a fork half of its membership stamp.
         // The last two come off a fragmented stamp, so their lends have
         // two strings.
+        let mut oracle = Oracle::default();
         let mut membership = VersionStamp::seed();
         for key in 0..KEYS {
             if key == KEYS - 2 {
@@ -1856,12 +1830,10 @@ mod tests {
                     .expect("{ε} ⊑ {00, 1}");
             }
             let (keep, lend) = membership.fork();
-            assert!(nodes[0].create_key_rooted(&format!("k{key}"), lend.id_name()));
+            let root = lend.id_name().shallowest_string().expect("a lend owns id space");
+            oracle.roots.insert((0, format!("k{key}")), root.len());
+            oracle.write(&nodes[0], 0, key, false, lend.id_name());
             membership = keep;
-        }
-        let mut oracle = Oracle::default();
-        for key in 0..KEYS {
-            oracle.write(&nodes[0], 0, key, false);
         }
         oracle.check(&nodes, 0, false);
         // Nodes 1 and 2 write a key only once they adopted it: a node that
@@ -1873,8 +1845,9 @@ mod tests {
             let at = rng.gen_range(0..NODES);
             let key = rng.gen_range(0..KEYS);
             if rng.gen_bool(0.5) {
-                if nodes[at].has_key(&format!("k{key}")) {
-                    oracle.write(&nodes[at], at, key, rng.gen_range(0..10u32) < 7);
+                if nodes[at].holds(0, &format!("k{key}")) {
+                    let causal = rng.gen_range(0..10u32) < 7;
+                    oracle.write(&nodes[at], at, key, causal, &PackedName::empty());
                 }
             } else {
                 let from = (at + 1 + rng.gen_range(0..NODES - 1)) % NODES;
@@ -1919,7 +1892,7 @@ mod tests {
     fn a_multi_string_foreign_element_roots_the_key_once_and_a_second_is_ignored() {
         let node = Cluster::new(VstampBackend::gc(), 1, 4);
         assert!(node.apply_delta_batch(0, wire_delta(&node, None, Vec::new())).is_empty());
-        assert!(!node.has_key("k"), "a key is never rooted without a shipped part");
+        assert!(!node.holds(0, "k"), "a key is never rooted without a shipped part");
         // A two-string part roots the key at its shallowest string.
         assert!(node
             .apply_delta_batch(0, wire_delta(&node, Some("{001, 11}"), Vec::new()))
@@ -1946,8 +1919,7 @@ mod tests {
         let a = Cluster::new(VstampBackend::gc(), 1, 4);
         let b = Cluster::new(VstampBackend::gc(), 1, 4);
         let (_, lend) = VersionStamp::seed().fork();
-        assert!(a.create_key_rooted("k", lend.id_name()));
-        a.put(0, "k", b"v1".to_vec(), None);
+        a.put_rooted(0, "k", b"v1".to_vec(), None, lend.id_name());
         node_pull(&b, &a, &mut PullCursor::default());
         assert_eq!(b.get(0, "k").values(), vec![b"v1".to_vec()]);
         let (a_element, b_element) = (node_elements(&a), node_elements(&b));
@@ -1973,8 +1945,7 @@ mod tests {
     fn a_forged_or_late_element_for_a_held_key_changes_nothing() {
         let node = Cluster::new(VstampBackend::gc(), 1, 4);
         let (_, lend) = VersionStamp::seed().fork();
-        assert!(node.create_key_rooted("k", lend.id_name()));
-        node.put(0, "k", b"mine".to_vec(), None);
+        node.put_rooted(0, "k", b"mine".to_vec(), None, lend.id_name());
         let elements = node_elements(&node);
         let (root, digest) = (node.digest_root(0), node.build_digest(0));
         // A part covering the whole space (forged), and one inside the
@@ -2003,8 +1974,7 @@ mod tests {
                         membership = membership.fork().0;
                     }
                     let node = Cluster::new(VstampBackend::gc(), 1, 4);
-                    assert!(node.create_key_rooted("k", membership.fork().1.id_name()));
-                    node.put(0, "k", value.to_vec(), None);
+                    node.put_rooted(0, "k", value.to_vec(), None, membership.fork().1.id_name());
                     node
                 },
             );
@@ -2029,11 +1999,12 @@ mod tests {
         // dot is disjoint from every other, and no write is lost.
         let roots: [BitString; 2] =
             ["01".parse().expect("a bit string"), "10".repeat(15).parse().expect("a bit string")];
-        let stores = roots.clone().map(|root| {
-            let store = Cluster::new(VstampBackend::gc(), 1, 4);
-            assert!(store.create_key_rooted("k", &PackedName::singleton(&root)));
-            store
-        });
+        let lends = roots.clone().map(|root| PackedName::singleton(&root));
+        let stores = [(); 2].map(|()| Cluster::new(VstampBackend::gc(), 1, 4));
+        // A write at store `which`, rooting the key there at its lend first.
+        let put = |which: usize, id: u32, context: Option<&PackedName>| {
+            stores[which].put_rooted(0, "k", id.to_le_bytes().to_vec(), context, &lends[which])
+        };
         let [shallow, deep] = &stores;
         let element = |store: &Cluster<VstampBackend>| node_elements(store)[0].1.clone();
         let check = |step: &str| {
@@ -2051,7 +2022,7 @@ mod tests {
         let mut context = None;
         let mut id = 1000u32;
         loop {
-            context = Some(shallow.put(0, "k", id.to_le_bytes().to_vec(), context.as_ref()));
+            context = Some(put(0, id, context.as_ref()));
             id += 1;
             if element(shallow).depth() > 32 {
                 break;
@@ -2059,19 +2030,19 @@ mod tests {
         }
         let mut live = vec![id - 1];
         let mut dots: Vec<BitString> = Vec::new();
-        let mut blind_write = |store: &Cluster<VstampBackend>| {
+        let mut blind_write = |which: usize| {
             let id = live.len() as u32;
-            let dot = store.put(0, "k", id.to_le_bytes().to_vec(), None);
+            let dot = put(which, id, None);
             dots.push(dot.shallowest_string().expect("a dot"));
             live.push(id);
         };
-        blind_write(deep);
+        blind_write(1);
         let mut cursors = [PullCursor::default(); 2];
         node_pull(shallow, deep, &mut cursors[0]);
         node_pull(deep, shallow, &mut cursors[1]);
         check("after the first exchange");
         for step in 0..12 {
-            blind_write(if step % 2 == 0 { shallow } else { deep });
+            blind_write(step % 2);
             check(&format!("write {step}"));
             if step % 3 == 2 {
                 node_pull(shallow, deep, &mut cursors[0]);

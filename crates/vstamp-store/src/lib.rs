@@ -17,7 +17,8 @@
 //!   to the live frontier instead of the operation history.
 //! * [`DynamicVvBackend`] — the dynamic version-vector baseline the paper
 //!   argues against: exact, but every incarnation burns a fresh
-//!   globally-allocated identifier and retired entries accumulate.
+//!   identifier (from its replica's stripe of the key's id space) and
+//!   retired entries accumulate.
 //!
 //! Replication traffic flows through the codec seam of
 //! [`vstamp_core::codec`]: digests and missing-key deltas are

@@ -381,13 +381,13 @@ impl NodeCore {
         self.sweep_failures(now_ms);
     }
 
-    /// First local touch of `key`: root it at the rooting lend, which the
-    /// first first touch forks off the membership stamp and records as
-    /// spent. No-op if the key already exists (locally created or adopted
-    /// from a peer's delta).
-    fn ensure_key(&self, key: &str) {
-        if self.cluster.has_key(key) {
-            return;
+    /// The lend a first local touch of `key` roots it at: the rooting
+    /// lend, which the first first touch forks off the membership stamp
+    /// and records as spent. `None` if the key already exists (locally
+    /// created or adopted from a peer's delta).
+    fn lend_for(&self, key: &str) -> Option<PackedName> {
+        if self.cluster.holds(0, key) {
+            return None;
         }
         let mut state = self.state.lock();
         if state.rooting.is_none() {
@@ -398,7 +398,7 @@ impl NodeCore {
             state.rooting = Some(lend);
             self.refresh_own_entry(&mut state);
         }
-        self.cluster.create_key_rooted(key, state.rooting.as_ref().expect("lent above"));
+        state.rooting.clone()
     }
 
     /// Rewrites this node's own table entry from the current identity and
@@ -561,8 +561,13 @@ impl NodeCore {
                 let key = String::from_utf8(read_frame(&mut input).ok()?.to_vec()).ok()?;
                 let value = read_frame(&mut input).ok()?.to_vec();
                 let context = read_context(&mut input)?;
-                self.ensure_key(&key);
-                let clock = self.cluster.put(0, &key, value, context.as_ref());
+                // A held key never leaves a node's store (a node never
+                // compacts), so `put` never roots a key at the store's
+                // own lend, `{ε}`.
+                let clock = match self.lend_for(&key) {
+                    Some(lend) => self.cluster.put_rooted(0, &key, value, context.as_ref(), &lend),
+                    None => self.cluster.put(0, &key, value, context.as_ref()),
+                };
                 let mut payload = Vec::new();
                 let mut scratch = Vec::new();
                 self.cluster.backend().encode_clock(&clock, &mut scratch);

@@ -83,8 +83,8 @@ pub(crate) mod counted {
     thread_local! {
         /// k-way context rebuilds (in `SiblingSet::close`).
         pub(crate) static CTX_REBUILDS: Cell<u64> = const { Cell::new(0) };
-        /// (clock-plane, data-shard) lock pairs a `Cluster` took.
-        pub(crate) static LOCK_PAIRS: Cell<u64> = const { Cell::new(0) };
+        /// Data-shard write locks a `Cluster` mutation took.
+        pub(crate) static SHARD_LOCKS: Cell<u64> = const { Cell::new(0) };
     }
 }
 
@@ -539,6 +539,8 @@ impl<B: StoreBackend> SiblingSet<B> {
 /// Per-key state held by one replica's data plane.
 #[derive(Debug)]
 pub(crate) struct KeyData<B: StoreBackend> {
+    /// The backend's state for this key at this replica.
+    state: B::KeyState,
     /// The replica's element in this key's fork/join/update universe.
     element: B::Element,
     /// The sibling set: pairwise-concurrent versions.
@@ -546,16 +548,33 @@ pub(crate) struct KeyData<B: StoreBackend> {
 }
 
 impl<B: StoreBackend> KeyData<B> {
-    pub(crate) fn new(element: B::Element) -> Self {
-        KeyData { element, siblings: SiblingSet::new() }
+    /// A key rooted at `(state, element)`, with no versions yet.
+    pub(crate) fn new((state, element): (B::KeyState, B::Element)) -> Self {
+        KeyData { state, element, siblings: SiblingSet::new() }
     }
 
     pub(crate) fn element(&self) -> &B::Element {
         &self.element
     }
 
-    pub(crate) fn set_element(&mut self, element: B::Element) {
-        self.element = element;
+    /// Spends a fresh dot off the element: the written version's clock
+    /// and its dot (see [`StoreBackend::write`]).
+    pub(crate) fn mint(&mut self, backend: &B, context: Option<&B::Clock>) -> (B::Clock, B::Clock) {
+        let (advanced, clock, dot) = backend.write(&mut self.state, &self.element, context);
+        self.element = advanced;
+        (clock, dot)
+    }
+
+    /// Splits off the part a requester that lacks the key roots it at.
+    pub(crate) fn detach(&mut self, backend: &B) -> B::Element {
+        let (kept, shipped) = backend.detach(&mut self.state, &self.element);
+        self.element = kept;
+        shipped
+    }
+
+    /// Re-roots the key (quiescent compaction).
+    pub(crate) fn reroot(&mut self, (state, element): (B::KeyState, B::Element)) {
+        (self.state, self.element) = (state, element);
     }
 
     /// Fingerprint of this key's state: a hash of the order-independent
@@ -915,22 +934,22 @@ mod tests {
     #[test]
     fn merge_keeps_concurrent_and_evicts_dominated() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(2);
-        let mut data = KeyData::<VstampBackend>::new(elements[0].clone());
-        let (e0, c0, _) = backend.write(&mut state, &elements[0], None);
+        let elements = backend.lends(2);
+        let mut data = KeyData::<VstampBackend>::new(((), elements[0].clone()));
+        let (e0, c0, _) = backend.write(&mut (), &elements[0], None);
         data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"v0")), true);
         assert_eq!(data.siblings.len(), 1);
-        data.set_element(e0);
+        data.reroot(((), e0));
 
         // A concurrent write from the other replica becomes a sibling.
-        let (_, c1, _) = backend.write(&mut state, &elements[1], None);
+        let (_, c1, _) = backend.write(&mut (), &elements[1], None);
         data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"v1")), false);
         assert_eq!(data.siblings.len(), 2);
         assert_eq!(data.siblings.live_values().len(), 2);
 
         // A write with the joined context evicts both.
         let context = data.siblings.context().cloned().unwrap();
-        let (_, c2, _) = backend.write(&mut state, data.element(), Some(&context));
+        let (_, c2, _) = backend.write(&mut (), data.element(), Some(&context));
         data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"merged")), true);
         assert_eq!(data.siblings.live_values(), vec![b"merged".to_vec()]);
     }
@@ -938,10 +957,10 @@ mod tests {
     #[test]
     fn equal_clock_merges_converge_on_the_larger_value() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(1);
-        let (_, clock, _) = backend.write(&mut state, &elements[0], None);
-        let mut left = KeyData::<VstampBackend>::new(elements[0].clone());
-        let mut right = KeyData::<VstampBackend>::new(elements[0].clone());
+        let elements = backend.lends(1);
+        let (_, clock, _) = backend.write(&mut (), &elements[0], None);
+        let mut left = KeyData::<VstampBackend>::new(((), elements[0].clone()));
+        let mut right = KeyData::<VstampBackend>::new(((), elements[0].clone()));
         let a = stored(&backend, clock.clone(), Some(b"aaa"));
         let b = stored(&backend, clock, Some(b"zzz"));
         left.siblings.merge_version(&backend, a.clone(), false);
@@ -956,13 +975,13 @@ mod tests {
     #[test]
     fn obsolete_incoming_is_dropped() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(2);
+        let elements = backend.lends(2);
         // Replica 0 writes, replica 1 writes causally after it (context):
         // the second clock strictly dominates the first.
-        let (_, c1, _) = backend.write(&mut state, &elements[0], None);
-        let (e2, c2, _) = backend.write(&mut state, &elements[1], Some(&c1));
+        let (_, c1, _) = backend.write(&mut (), &elements[0], None);
+        let (e2, c2, _) = backend.write(&mut (), &elements[1], Some(&c1));
         assert_eq!(backend.relation(&c1, &c2), Relation::Dominated);
-        let mut data = KeyData::<VstampBackend>::new(e2);
+        let mut data = KeyData::<VstampBackend>::new(((), e2));
         data.siblings.merge_version(&backend, stored(&backend, c2, Some(b"new")), true);
         data.siblings.merge_version(&backend, stored(&backend, c1, Some(b"old")), false);
         assert_eq!(data.siblings.live_values(), vec![b"new".to_vec()]);
@@ -975,12 +994,12 @@ mod tests {
     #[test]
     fn cached_context_tracks_merges_and_evictions() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(2);
+        let elements = backend.lends(2);
         let mut shard = Shard::new(Arc::default());
-        shard.insert("k".into(), KeyData::new(elements[0].clone()));
+        shard.insert("k".into(), KeyData::new(((), elements[0].clone())));
         assert!(siblings(&shard).matches_context(None));
-        let (_, c0, _) = backend.write(&mut state, &elements[0], None);
-        let (_, c1, _) = backend.write(&mut state, &elements[1], None);
+        let (_, c0, _) = backend.write(&mut (), &elements[0], None);
+        let (_, c1, _) = backend.write(&mut (), &elements[1], None);
         shard.edit(&backend, "k", |data| {
             data.siblings.merge_version(&backend, stored(&backend, c0.clone(), Some(b"a")), true);
             data.siblings.merge_version(&backend, stored(&backend, c1.clone(), Some(b"b")), false);
@@ -991,7 +1010,7 @@ mod tests {
         assert!(siblings(&shard).matches_context(Some(&expected)));
         assert!(!siblings(&shard).matches_context(Some(&c0)));
         // The matched-context fast path supersedes everything.
-        let (element, c2, _) = backend.write(&mut state, &elements[0], Some(&expected));
+        let (element, c2, _) = backend.write(&mut (), &elements[0], Some(&expected));
         assert_eq!(siblings(&shard).len(), 2);
         shard.edit(&backend, "k", |data| {
             data.siblings.replace_all(&backend, stored(&backend, c2.clone(), Some(b"m")));
@@ -1000,7 +1019,7 @@ mod tests {
         assert_eq!(siblings(&shard).live_values(), vec![b"m".to_vec()]);
         // Eviction through the slow path: the edit's close rebuilds the
         // context once and publishes it.
-        let (_, c3, _) = backend.write(&mut state, &element, Some(&c2));
+        let (_, c3, _) = backend.write(&mut (), &element, Some(&c2));
         assert_eq!(backend.relation(&c2, &c3), Relation::Dominated);
         let rebuilds = counted::CTX_REBUILDS.with(Cell::get);
         shard.edit(&backend, "k", |data| {
@@ -1018,9 +1037,10 @@ mod tests {
     /// `Shard::edit`, and holds the closed read cache against a
     /// recomputation after every step.
     fn run_upkeep_steps<B: StoreBackend>(backend: B, steps: &[Step]) {
-        let (mut state, mut elements) = backend.new_key(3);
+        let lends = backend.lends(3);
+        let mut roots: Vec<_> = lends.iter().map(|lend| backend.new_key(lend)).collect();
         let mut shard = Shard::new(Arc::default());
-        shard.insert("k".into(), KeyData::new(elements[0].clone()));
+        shard.insert("k".into(), KeyData::new(backend.new_key(&lends[0])));
         // Every version ever written, for stale contexts and re-deliveries.
         let mut history: Vec<Version<B>> = Vec::new();
         for (step, &(what, replica, pick, value)) in steps.iter().enumerate() {
@@ -1034,9 +1054,9 @@ mod tests {
                         2 => picked(history.len()).map(|index| history[index].clock.clone()),
                         _ => current,
                     };
-                    let (advanced, clock, _) =
-                        backend.write(&mut state, &elements[replica], context.as_ref());
-                    elements[replica] = advanced;
+                    let (state, element) = &mut roots[replica];
+                    let (advanced, clock, _) = backend.write(state, element, context.as_ref());
+                    *element = advanced;
                     let version = Version { clock, value: Some(vec![value]) };
                     history.push(version.clone());
                     (version, replica == 0, what == 1)

@@ -21,9 +21,8 @@
 //!    requester's `ctx_fp`, a *delta* frame: just the minting dot plus
 //!    that fingerprint ([`DeltaFrame`]);
 //! 5. the requester merges the versions into its sibling sets. A key it
-//!    lacked is first rooted at the shipped element part (a single-replica
-//!    store; a multi-replica one claims the key's initial element); a
-//!    shipped element for a key it holds is ignored, so a duplicated,
+//!    lacked is first rooted at the shipped element part; a shipped
+//!    element for a key it holds is ignored, so a duplicated,
 //!    late or replayed delta only re-merges versions, which is idempotent.
 //!    A delta frame whose fingerprint still matches the local sibling set
 //!    reconstructs its clock as `context ⊔ dot` — one join instead of a
@@ -810,8 +809,8 @@ mod tests {
     #[test]
     fn delta_roundtrip_both_backends_full_frames() {
         let backend = VstampBackend::gc();
-        let (mut state, elements) = backend.new_key(2);
-        let (element, clock, _) = backend.write(&mut state, &elements[0], None);
+        let elements = backend.lends(2);
+        let (element, clock, _) = backend.write(&mut (), &elements[0], None);
         let deltas = vec![KeyDelta::<VstampBackend> {
             key: "k".into(),
             element: Some(element),
@@ -843,8 +842,8 @@ mod tests {
         }
 
         let dv = DynamicVvBackend::new();
-        let (mut state, elements) = dv.new_key(2);
-        let (element, clock, _) = dv.write(&mut state, &elements[1], None);
+        let (mut state, element) = dv.new_key(&dv.lends(2)[1]);
+        let (element, clock, _) = dv.write(&mut state, &element, None);
         let deltas = vec![KeyDelta::<DynamicVvBackend> {
             key: "vv".into(),
             element: Some(element),
@@ -919,9 +918,9 @@ mod tests {
     #[test]
     fn delta_frames_ride_when_fingerprints_match_and_rebuild_byte_equal() {
         let (label, backend) = ("stamps", VstampBackend::gc());
-        let (mut state, elements) = backend.new_key(2);
+        let elements = backend.lends(2);
         // Seed version minted against an empty (None) context.
-        let (_, c0, d0) = backend.write(&mut state, &elements[0], None);
+        let (_, c0, d0) = backend.write(&mut (), &elements[0], None);
         let mut d0_bytes = Vec::new();
         backend.encode_clock(&d0, &mut d0_bytes);
         let v0 = StoredVersion::new_with_origin(
@@ -947,7 +946,7 @@ mod tests {
         // Second write against the first as context: the clock is a
         // join, the dot a singleton — delta frame strictly smaller once
         // the clock outgrows dot + fingerprint.
-        let (_, c1, d1) = backend.write(&mut state, &elements[0], Some(&c0));
+        let (_, c1, d1) = backend.write(&mut (), &elements[0], Some(&c0));
         let mut d1_bytes = Vec::new();
         backend.encode_clock(&d1, &mut d1_bytes);
         let v1 = StoredVersion::new_with_origin(
@@ -1013,15 +1012,17 @@ mod tests {
     #[test]
     fn dvv_delta_frames_rebuild_value_equal() {
         let dv = DynamicVvBackend::new();
-        let (mut state, elements) = dv.new_key(8);
+        let mut roots: Vec<_> = dv.lends(8).iter().map(|lend| dv.new_key(lend)).collect();
         // Grow the context across distinct actors so the full clock (dot +
         // multi-entry vector) is strictly larger than dot + fingerprint.
-        let (_, mut c0, _) = dv.write(&mut state, &elements[0], None);
-        for element in &elements[1..7] {
-            let (_, next, _) = dv.write(&mut state, element, Some(&c0));
+        let (state, element) = &mut roots[0];
+        let (_, mut c0, _) = dv.write(state, element, None);
+        for (state, element) in &mut roots[1..7] {
+            let (_, next, _) = dv.write(state, element, Some(&c0));
             c0 = next;
         }
-        let (_, c1, d1) = dv.write(&mut state, &elements[7], Some(&c0));
+        let (state, element) = &mut roots[7];
+        let (_, c1, d1) = dv.write(state, element, Some(&c0));
         let mut d1_bytes = Vec::new();
         dv.encode_clock(&d1, &mut d1_bytes);
         let v1 = StoredVersion::new_with_origin(
