@@ -61,6 +61,8 @@ use vstamp_core::{Bit, DecodeError, PackedName, Relation};
 
 use vstamp_baselines::{DynamicVvElement, ReplicaId, VersionVector};
 
+use crate::wire::read_count;
+
 /// Per-key causal machinery the store is generic over. See the
 /// [module docs](self) for the two shipped implementations.
 pub trait StoreBackend: Send + Sync + 'static {
@@ -438,14 +440,11 @@ fn encode_vector(vector: &VersionVector, out: &mut Vec<u8>) {
     }
 }
 
-/// Refuses an implausible width, and one the remaining bytes cannot hold
-/// (an entry takes at least two), before anything is allocated for it.
+/// Refuses a width the remaining bytes cannot hold (an entry takes at
+/// least two) before anything is allocated for it.
 fn decode_vector(input: &mut &[u8]) -> Result<VersionVector, DecodeError> {
-    let entries = codec::read_varint(input)?;
-    if entries > 1 << 20 || entries > input.len() as u64 / 2 {
-        return Err(DecodeError::Malformed("implausible vector width"));
-    }
-    let mut pairs = Vec::with_capacity(entries as usize);
+    let entries = read_count(input, 2)?;
+    let mut pairs = Vec::with_capacity(entries);
     for _ in 0..entries {
         let replica = codec::read_varint(input)?;
         let counter = codec::read_varint(input)?;
@@ -845,14 +844,17 @@ mod tests {
 
     #[test]
     fn a_vector_width_its_bytes_cannot_hold_is_refused() {
-        // A 3-byte varint claiming 2^20 entries, with nothing after it: the
-        // decoders refuse it before reserving room for a single entry.
+        // A varint claiming 2^20 or 2^40 entries, with nothing after it:
+        // the decoders refuse it before reserving room for a single entry.
         let dv = DynamicVvBackend::new();
-        // The clock's "no dot" flag, or the element's incarnation 0, then
-        // the claim.
-        let bytes = [0x00, 0x80, 0x80, 0x40];
-        assert!(matches!(dv.decode_clock(&bytes), Err(DecodeError::Malformed(_))));
-        assert!(matches!(dv.decode_element(&bytes), Err(DecodeError::Malformed(_))));
+        for claim in [1 << 20, 1 << 40] {
+            // The clock's "no dot" flag, or the element's incarnation 0,
+            // then the claim.
+            let mut bytes = vec![0x00];
+            codec::write_varint(&mut bytes, claim);
+            assert!(matches!(dv.decode_clock(&bytes), Err(DecodeError::Malformed(_))));
+            assert!(matches!(dv.decode_element(&bytes), Err(DecodeError::Malformed(_))));
+        }
         // A width the bytes do hold still decodes.
         let mut bytes = vec![0x00];
         encode_vector(&VersionVector::from_entries([(ReplicaId::new(1), 2)]), &mut bytes);

@@ -22,15 +22,15 @@
 //!
 //! Neither end recomputes what a round needs. The data plane maintains,
 //! where a key is mutated, an order-insensitive **root** over every
-//! `(key, fingerprint)` and a per-replica **change sequence** with an
+//! `(key, sibling-set hash)` and a per-replica **change sequence** with an
 //! index of each key's latest change (see [`crate::store`]). The Probe
 //! carries the requester's root and its [`PullCursor`] for this responder;
 //! equal roots end the exchange in ~16 bytes, otherwise the Offer lists
 //! the digest lines of the keys the responder changed after the cursor —
 //! all of them at cursor 0, which is first contact, a restarted peer and a
 //! late joiner alike — and the requester Wants the ones it lacks or holds
-//! under another fingerprint. Keys only the *requester* changed are never
-//! listed, so nothing is shipped back to the side that is ahead.
+//! under another sibling-set hash. Keys only the *requester* changed are
+//! never listed, so nothing is shipped back to the side that is ahead.
 //!
 //! The cursor is the one piece of state between pulls, and the requester
 //! owns it: it moves to the Offer's `upto` only when that pull proved it
@@ -128,7 +128,7 @@ pub struct PullCursor {
 /// not just encoded bodies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
-    /// Keys the responder shipped (fingerprint mismatch or missing).
+    /// Keys the responder shipped (sibling-set hash mismatch or missing).
     pub keys_shipped: usize,
     /// Bytes of everything that is not a delta — probe, probe answer
     /// (ack or offer), want — envelopes included.
@@ -309,7 +309,7 @@ fn fresh_instance() -> u64 {
 /// requester's set is a subset of the responder's — the common case, since
 /// anti-entropy pulls make sets grow toward each other — exactly one
 /// subset of the responder's hashes sums to it (up to 64-bit collisions,
-/// the trust model the whole-key fingerprint skip already accepts).
+/// the trust model the whole-key hash skip already accepts).
 /// Sibling sets are small, so the `2^n` scan is trivial; oversized sets
 /// and the empty-set hash (`0`) skip dedup and ship everything. Returns
 /// the matched subset as a bitmask over `hashes`, preferring the largest.
@@ -498,8 +498,8 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// The digest of one replica's whole data plane, sorted by key: every
-    /// key "changed since 0", read off the fingerprints the shards maintain
-    /// — nothing is hashed or encoded here.
+    /// key "changed since 0" with its sibling-set hash, read off the lines
+    /// the shards maintain — nothing is hashed or encoded here.
     #[must_use]
     pub fn build_digest(&self, replica: usize) -> Vec<DigestEntry> {
         let mut entries = self.replicas[replica].changed_since(0);
@@ -508,23 +508,23 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// An O(1)-sized root fingerprint of one replica's whole digest: the
-    /// order-insensitive sum of one mixed term per `(key, fingerprint)`,
+    /// order-insensitive sum of one mixed term per `(key, sibling-set hash)`,
     /// which each shard keeps current where a key is mutated — reading it
     /// is one addition per shard, whatever the key count. Equal roots mean
     /// equal digests mean nothing to exchange — the adaptive wire opens
     /// every exchange with this 8-byte probe and skips the offer/delta flow
     /// entirely on a hit. Correctness never depends on it: a miss just
     /// runs the exchange, and a 64-bit collision is the same trust model as
-    /// the per-key fingerprint skip.
+    /// the per-key hash skip.
     #[must_use]
     pub fn digest_root(&self, replica: usize) -> u64 {
         self.replicas[replica].root()
     }
 
     /// Builds the responder's delta for a requester digest: every key the
-    /// responder holds whose fingerprint differs (or which the requester
-    /// lacks) is shipped — the shared sibling set (`Arc` bumps, no value
-    /// copies), plus an element part for a key the requester lacks.
+    /// responder holds whose sibling-set hash differs (or which the
+    /// requester lacks) is shipped — the shared sibling set (`Arc` bumps, no
+    /// value copies), plus an element part for a key the requester lacks.
     #[must_use]
     pub fn respond_delta(
         &self,
@@ -532,8 +532,6 @@ impl<B: StoreBackend> Cluster<B> {
         digest: &[DigestEntry],
     ) -> (Vec<KeyDelta<B>>, usize) {
         let requested: HashMap<&str, u64> =
-            digest.iter().map(|entry| (entry.key.as_str(), entry.fingerprint)).collect();
-        let assumed: HashMap<&str, u64> =
             digest.iter().map(|entry| (entry.key.as_str(), entry.ctx_fp)).collect();
         let mut deltas = Vec::new();
         let mut skipped = 0usize;
@@ -543,8 +541,8 @@ impl<B: StoreBackend> Cluster<B> {
                 shard
                     .iter()
                     .filter_map(|(key, data)| match requested.get(key.as_str()) {
-                        Some(fingerprint) if *fingerprint == data.fingerprint() => None,
-                        Some(_) => Some((key.clone(), Some(assumed[key.as_str()]))),
+                        Some(&hash) if hash == data.siblings.versions_hash() => None,
+                        Some(&hash) => Some((key.clone(), Some(hash))),
                         // The requester lacks the key: its sibling set is
                         // empty, whose hash is 0.
                         None => Some((key.clone(), Some(0))),
@@ -857,14 +855,14 @@ impl<B: StoreBackend> Cluster<B> {
     }
 
     /// The offered keys this replica lacks or holds under another
-    /// fingerprint, each with its own sibling-set hash (`0` when lacking).
+    /// sibling-set hash, each with its own (`0` when lacking).
     fn pick_wanted(&self, replica: usize, offered: &[DigestEntry]) -> Vec<(Key, u64)> {
         offered
             .iter()
             .filter_map(|line| {
                 let shard = self.replicas[replica].shard(self.shards.index(&line.key)).read();
                 match shard.get(&line.key) {
-                    Some(data) if data.fingerprint() == line.fingerprint => None,
+                    Some(data) if data.siblings.versions_hash() == line.ctx_fp => None,
                     Some(data) => Some((line.key.clone(), data.siblings.versions_hash())),
                     None => Some((line.key.clone(), 0)),
                 }
@@ -1238,7 +1236,36 @@ mod tests {
     #[test]
     fn exchanges_skip_in_sync_keys() {
         let cluster = Cluster::new(VstampBackend::gc(), 2, 2);
+        let hash = |replica: usize, key: &str| {
+            let shard = cluster.replicas[replica].shard(cluster.shards.index(key)).read();
+            shard.get(key).map(|data| data.siblings.versions_hash())
+        };
         cluster.put(0, "a", b"1".to_vec(), None);
+        let context = cluster.put(0, "b", b"1".to_vec(), None);
+        full_sweep(&cluster);
+        // `a` stays in sync, `b` moves on at replica 0, `c` is new there
+        // and `d` exists only at replica 1.
+        cluster.put(0, "b", b"2".to_vec(), Some(&context));
+        cluster.put(0, "c", b"1".to_vec(), None);
+        cluster.put(1, "d", b"1".to_vec(), None);
+        let probe = Envelope { from: 1, kind: MessageKind::Probe, payload: encode_probe(0, 0) };
+        let (reply, _) = cluster.serve(0, &probe).expect("an honest probe");
+        let offer = decode_offer(&reply.payload).expect("an offer");
+        // Each line carries the responder's sibling-set hash and nothing
+        // else of the key's state.
+        let mut offered: Vec<&str> = offer.lines.iter().map(|line| line.key.as_str()).collect();
+        offered.sort_unstable();
+        assert_eq!(offered, ["a", "b", "c"]);
+        for line in &offer.lines {
+            assert_eq!(Some(line.ctx_fp), hash(0, &line.key), "{}", line.key);
+        }
+        // The Want lists exactly the keys whose hash differs, each with the
+        // requester's own hash, and 0 for the one it lacks.
+        let mut wanted = cluster.pick_wanted(1, &offer.lines);
+        wanted.sort();
+        let b_hash = hash(1, "b").expect("held");
+        assert_ne!(Some(b_hash), hash(0, "b"));
+        assert_eq!(wanted, [("b".to_owned(), b_hash), ("c".to_owned(), 0)]);
         full_sweep(&cluster);
         // Everything in sync: a further exchange ships nothing.
         let stats = cluster.anti_entropy(1, 0);
@@ -1507,15 +1534,15 @@ mod tests {
         for shard_index in 0..cluster.shards.count() {
             let shard = cluster.replicas[replica].shard(shard_index).read();
             for (key, data) in shard.iter() {
-                lines.push((key.clone(), data.fingerprint()));
+                lines.push((key.clone(), data.siblings.versions_hash()));
             }
         }
         lines.sort_by(|a, b| a.0.cmp(&b.0));
         let mut root = fnv1a(b"digest-root");
-        for (key, fingerprint) in &lines {
+        for (key, hash) in &lines {
             root = fnv1a_extend(root, &(key.len() as u64).to_le_bytes());
             root = fnv1a_extend(root, key.as_bytes());
-            root = fnv1a_extend(root, &fingerprint.to_le_bytes());
+            root = fnv1a_extend(root, &hash.to_le_bytes());
         }
         root
     }
@@ -1529,14 +1556,10 @@ mod tests {
             for shard_index in 0..cluster.shards.count() {
                 let shard = cluster.replicas[replica].shard(shard_index).read();
                 for (key, data) in shard.iter() {
-                    let fingerprint = data.fingerprint();
+                    let ctx_fp = data.siblings.versions_hash();
                     expected_root =
-                        expected_root.wrapping_add(root_term(fnv1a(key.as_bytes()), fingerprint));
-                    expected_lines.push(DigestEntry {
-                        key: key.clone(),
-                        fingerprint,
-                        ctx_fp: data.siblings.versions_hash(),
-                    });
+                        expected_root.wrapping_add(root_term(fnv1a(key.as_bytes()), ctx_fp));
+                    expected_lines.push(DigestEntry { key: key.clone(), ctx_fp });
                 }
             }
             expected_lines.sort_by(|a, b| a.key.cmp(&b.key));

@@ -105,7 +105,7 @@ use crate::failure::{PhiAccrual, PhiConfig};
 use crate::membership::{MemberEntry, MemberStatus, MemberTable};
 use crate::store::Value;
 use crate::transport::{recv_envelope, send_envelope, splitmix64, PeerLink, TransportConfig};
-use crate::wire::{Envelope, MessageKind};
+use crate::wire::{read_count, Envelope, MessageKind};
 
 /// Tuning of one [`Node`].
 #[derive(Debug, Clone)]
@@ -804,8 +804,8 @@ pub fn client_get(
         return Err(invalid("get reply was not GetOk"));
     }
     let mut input = reply.payload.as_slice();
-    let count = read_varint(&mut input).map_err(|_| invalid("short GetOk"))?;
-    let mut values = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = read_count(&mut input, 1).map_err(|_| invalid("bad GetOk count"))?;
+    let mut values = Vec::with_capacity(count);
     for _ in 0..count {
         values.push(read_frame(&mut input).map_err(|_| invalid("short GetOk"))?.to_vec());
     }
@@ -987,6 +987,16 @@ mod tests {
         assert!(client_put("k", b"v", None, reply(canonical)).is_ok());
         let refused = client_put("k", b"v", None, reply(non_canonical_clock()));
         assert_eq!(refused.expect_err("refused").kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_get_ok_claiming_more_values_than_it_carries_is_refused() {
+        let mut payload = Vec::new();
+        write_varint(&mut payload, 1 << 40);
+        let reply = Envelope { kind: MessageKind::GetOk, from: 1, payload };
+        let refused = client_get("k", |_| Ok(reply)).expect_err("refused");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(refused.to_string(), "bad GetOk count");
     }
 
     #[test]

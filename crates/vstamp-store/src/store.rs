@@ -24,8 +24,8 @@
 //! * each version's **canonical clock bytes** are encoded exactly once;
 //!   digests, deltas and the convergence snapshot borrow them;
 //! * the per-set **order-independent hash** of those bytes is maintained
-//!   in O(1) per mutation, making the anti-entropy fingerprint a constant
-//!   amount of hashing per key instead of a re-encode of every sibling;
+//!   in O(1) per mutation and is the key's one anti-entropy fingerprint —
+//!   a constant amount of hashing per key, not a re-encode of every sibling;
 //! * the **pairwise partial order** of stored siblings is an invariant,
 //!   not a cache: the merge rule keeps the set an antichain (all pairs
 //!   concurrent), so the dominance matrix degenerates to two memoized
@@ -50,13 +50,13 @@
 //!
 //! # Maintained convergence state
 //!
-//! `Shard::edit` also compares the key's fingerprint before and after the
-//! mutation. When it moved, the same critical section updates the two
+//! `Shard::edit` also compares the key's sibling-set hash before and after
+//! the mutation. When it moved, the same critical section updates the two
 //! things a gossip round asks for, so neither is ever recomputed:
 //!
 //! * the shard's **root** — a wrapping sum of one mixed term per
-//!   `(key, fingerprint)`, order-insensitive by construction; a replica's
-//!   digest root is the sum of its shard roots;
+//!   `(key, sibling-set hash)`, order-insensitive by construction; a
+//!   replica's digest root is the sum of its shard roots;
 //! * the key's **change sequence number** — drawn from a per-replica
 //!   monotone counter under the shard write lock — and the shard's
 //!   `seq → digest line` index, which holds every key exactly once, in
@@ -413,7 +413,8 @@ impl<B: StoreBackend> SiblingSet<B> {
     }
 
     /// Order-independent hash of the stored versions, maintained in O(1)
-    /// per mutation; the anti-entropy fingerprint is read off it.
+    /// per mutation: the key's anti-entropy fingerprint. The element stays
+    /// out: it is this replica's identity, not knowledge.
     pub(crate) fn versions_hash(&self) -> u64 {
         self.versions_hash
     }
@@ -576,33 +577,23 @@ impl<B: StoreBackend> KeyData<B> {
     pub(crate) fn reroot(&mut self, (state, element): (B::KeyState, B::Element)) {
         (self.state, self.element) = (state, element);
     }
-
-    /// Fingerprint of this key's state: a hash of the order-independent
-    /// sibling hash alone — the per-version work was paid once, when each
-    /// version entered the set. Identical fingerprints let an exchange skip
-    /// the key. The element stays out: it is this replica's identity, not
-    /// knowledge, and no exchange ever changes a held key's element.
-    pub(crate) fn fingerprint(&self) -> u64 {
-        fnv1a_extend(FNV_OFFSET, &self.siblings.versions_hash().to_le_bytes())
-    }
 }
 
-/// A key's state plus what the shard maintains about it: the fingerprint
-/// its root term was built from and its place in the change order.
+/// A key's state plus its place in the shard's change order, whose line
+/// holds the sibling-set hash the key's root term was built from.
 #[derive(Debug)]
 struct Tracked<B: StoreBackend> {
     data: KeyData<B>,
-    fingerprint: u64,
     /// This key's link in the shard's [`ChangeOrder`].
     slot: u32,
 }
 
 /// One key's term of a shard root. The sum over keys must not cancel when
-/// two keys trade fingerprints or one fingerprint moves by what another
+/// two keys trade sibling-set hashes or one hash moves by what another
 /// moved back, so the pair is hashed together and run through the
 /// splitmix64 finalizer before it is added.
-pub(crate) fn root_term(key_hash: u64, fingerprint: u64) -> u64 {
-    let mut z = fnv1a_extend(key_hash, &fingerprint.to_le_bytes());
+pub(crate) fn root_term(key_hash: u64, versions_hash: u64) -> u64 {
+    let mut z = fnv1a_extend(key_hash, &versions_hash.to_le_bytes());
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -674,9 +665,14 @@ impl ChangeOrder {
         }
     }
 
-    /// Records that the key at `slot` changed again: new numbers, newest
-    /// place.
-    fn touch(&mut self, slot: u32, seq: u64, fingerprint: u64, ctx_fp: u64) {
+    /// The sibling-set hash on the line of the key at `slot`.
+    fn hash(&self, slot: u32) -> u64 {
+        self.links[slot as usize].line.ctx_fp
+    }
+
+    /// Records that the key at `slot` changed again: new sequence number
+    /// and hash, newest place.
+    fn touch(&mut self, slot: u32, seq: u64, ctx_fp: u64) {
         if self.newest != slot {
             self.unlink(slot);
             self.links[self.newest as usize].newer = slot;
@@ -685,7 +681,7 @@ impl ChangeOrder {
             (link.older, link.newer) = (newest, NIL);
         }
         let link = &mut self.links[slot as usize];
-        (link.seq, link.line.fingerprint, link.line.ctx_fp) = (seq, fingerprint, ctx_fp);
+        (link.seq, link.line.ctx_fp) = (seq, ctx_fp);
     }
 
     fn remove(&mut self, slot: u32) {
@@ -740,21 +736,20 @@ impl<B: StoreBackend> Shard<B> {
     }
 
     /// Adds a key the shard does not hold yet. A key with no versions
-    /// still has a fingerprint (the empty set's), so it counts into the
-    /// root and the change order from here on.
+    /// still has a sibling-set hash (the empty set's), so it counts into
+    /// the root and the change order from here on.
     pub(crate) fn insert(&mut self, key: Key, data: KeyData<B>) {
         debug_assert!(!self.keys.contains_key(&key), "insert is for absent keys");
-        let fingerprint = data.fingerprint();
-        self.root = self.root.wrapping_add(root_term(fnv1a(key.as_bytes()), fingerprint));
-        let line =
-            DigestEntry { key: key.clone(), fingerprint, ctx_fp: data.siblings.versions_hash() };
-        let slot = self.changes.push(next_seq(&self.seqs), line);
-        self.keys.insert(key, Tracked { data, fingerprint, slot });
+        let ctx_fp = data.siblings.versions_hash();
+        self.root = self.root.wrapping_add(root_term(fnv1a(key.as_bytes()), ctx_fp));
+        let slot =
+            self.changes.push(next_seq(&self.seqs), DigestEntry { key: key.clone(), ctx_fp });
+        self.keys.insert(key, Tracked { data, slot });
     }
 
     /// The one way to mutate a stored key: runs `edit` on it, closes the
     /// sibling set's read cache (see the [module docs](self)) and, when the
-    /// key's fingerprint moved, swaps its root term and moves it to the
+    /// key's sibling-set hash moved, swaps its root term and moves it to the
     /// newest end of the change order under a fresh sequence number.
     /// `None` when the shard lacks the key.
     pub(crate) fn edit<R>(
@@ -766,16 +761,15 @@ impl<B: StoreBackend> Shard<B> {
         let tracked = self.keys.get_mut(key)?;
         let result = edit(&mut tracked.data);
         tracked.data.siblings.close(backend);
-        let fingerprint = tracked.data.fingerprint();
-        if fingerprint != tracked.fingerprint {
+        let (before, after) =
+            (self.changes.hash(tracked.slot), tracked.data.siblings.versions_hash());
+        if after != before {
             let key_hash = fnv1a(key.as_bytes());
             self.root = self
                 .root
-                .wrapping_sub(root_term(key_hash, tracked.fingerprint))
-                .wrapping_add(root_term(key_hash, fingerprint));
-            tracked.fingerprint = fingerprint;
-            let ctx_fp = tracked.data.siblings.versions_hash();
-            self.changes.touch(tracked.slot, next_seq(&self.seqs), fingerprint, ctx_fp);
+                .wrapping_sub(root_term(key_hash, before))
+                .wrapping_add(root_term(key_hash, after));
+            self.changes.touch(tracked.slot, next_seq(&self.seqs), after);
         }
         Some(result)
     }
@@ -783,8 +777,8 @@ impl<B: StoreBackend> Shard<B> {
     /// Drops a key (compaction of a settled tombstone).
     pub(crate) fn remove(&mut self, key: &str) {
         if let Some(tracked) = self.keys.remove(key) {
-            self.root =
-                self.root.wrapping_sub(root_term(fnv1a(key.as_bytes()), tracked.fingerprint));
+            let hash = self.changes.hash(tracked.slot);
+            self.root = self.root.wrapping_sub(root_term(fnv1a(key.as_bytes()), hash));
             self.changes.remove(tracked.slot);
         }
     }
@@ -834,8 +828,8 @@ impl<B: StoreBackend> DataPlane<B> {
         self.instance
     }
 
-    /// The order-insensitive root over every `(key, fingerprint)` of the
-    /// replica: the sum of the shard roots.
+    /// The order-insensitive root over every `(key, sibling-set hash)` of
+    /// the replica: the sum of the shard roots.
     pub(crate) fn root(&self) -> u64 {
         self.shards.iter().fold(0, |root, shard| root.wrapping_add(shard.read().root))
     }
@@ -859,8 +853,8 @@ impl<B: StoreBackend> DataPlane<B> {
     }
 }
 
-/// FNV-1a offset basis — every store hash (sharding, version hashes,
-/// fingerprints) is the same hash family, built on [`fnv1a_extend`].
+/// FNV-1a offset basis — every store hash (sharding, version hashes, root
+/// terms) is the same hash family, built on [`fnv1a_extend`].
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Streams `bytes` into a running FNV-1a state.
@@ -969,7 +963,7 @@ mod tests {
         right.siblings.merge_version(&backend, a, false);
         assert_eq!(left.siblings.live_values(), right.siblings.live_values());
         assert_eq!(left.siblings.live_values(), vec![b"zzz".to_vec()]);
-        assert_eq!(left.fingerprint(), right.fingerprint());
+        assert_eq!(left.siblings.versions_hash(), right.siblings.versions_hash());
     }
 
     #[test]
@@ -1107,11 +1101,10 @@ mod tests {
                 backend.encode_clock(version.clock(), &mut bytes);
                 hash.wrapping_add(version_hash(&bytes, version.version().value.as_deref()))
             });
-            let fingerprint = fnv1a_extend(FNV_OFFSET, &hash.to_le_bytes());
             let lines: Vec<DigestEntry> = shard.changed_since(0).collect();
             assert_eq!(
                 lines,
-                vec![DigestEntry { key: "k".into(), fingerprint, ctx_fp: hash }],
+                vec![DigestEntry { key: "k".into(), ctx_fp: hash }],
                 "step {step}: change-order line"
             );
         }

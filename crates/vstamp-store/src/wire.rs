@@ -6,11 +6,11 @@
 //! 1. the requester sends a **probe** — its digest root and how far into
 //!    the responder's change sequence its last proven pull reached;
 //! 2. the responder answers **ack** when the roots match, otherwise an
-//!    **offer** — one digest line `(key, fingerprint, ctx_fp)` per key it
-//!    changed after that point, where `ctx_fp` is the sibling set's
-//!    order-independent hash and the fingerprint a hash of `ctx_fp`;
+//!    **offer** — one digest line `(key, ctx_fp)` per key it changed after
+//!    that point, where `ctx_fp` is the sibling set's order-independent
+//!    hash;
 //! 3. the requester answers with a **want** — the offered keys it lacks or
-//!    holds under another fingerprint, each with its own `ctx_fp` (the
+//!    holds under another `ctx_fp`, each with its own `ctx_fp` (the
 //!    context fingerprint delta frames are gated on);
 //! 4. the responder ships a **delta** — for every wanted key the sibling
 //!    versions the requester does not provably hold, and, only for a key
@@ -56,22 +56,20 @@ use vstamp_core::DecodeError;
 use crate::backend::StoreBackend;
 use crate::store::{DeltaOrigin, Key, StoredVersion, Value, Version};
 
-/// One digest line: a key and the fingerprints of the sender's state for
-/// it — the requester's in a digest, the responder's in an offer.
+/// One digest line: a key and the sender's sibling-set hash for it — the
+/// requester's in a digest, the responder's in an offer. On the wire it is
+/// the key frame followed by the hash as 8 little-endian bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestEntry {
     /// The key.
     pub key: Key,
-    /// FNV-1a over the sibling-set hash, so a function of `ctx_fp`; equal
-    /// fingerprints mean the exchange can skip the key.
-    pub fingerprint: u64,
-    /// The sibling set's order-independent hash on its own — the wrapping
-    /// sum of the sender's per-version content hashes. Given the
-    /// requester's (in a digest or a want), the responder gates delta
-    /// frames on it (a version whose mint-time context hash equals this can
-    /// ship as dot + fingerprint) and runs subset-sum over its own
-    /// versions' hashes against it to infer which versions the requester
-    /// already holds, skipping those.
+    /// The sibling set's order-independent hash: the wrapping sum of the
+    /// sender's per-version content hashes. Equal hashes mean the exchange
+    /// can skip the key. Given the requester's (in a digest or a want), the
+    /// responder gates delta frames on it (a version whose mint-time
+    /// context hash equals this can ship as dot + fingerprint) and runs
+    /// subset-sum over its own versions' hashes against it to infer which
+    /// versions the requester already holds, skipping those.
     pub ctx_fp: u64,
 }
 
@@ -170,7 +168,7 @@ impl<B: StoreBackend> PartialEq for WireKeyDelta<B> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
     /// An O(1) convergence probe (payload: the requester's digest root —
-    /// the order-insensitive sum over its per-key fingerprints — and the
+    /// the order-insensitive sum over its keys' sibling-set hashes — and the
     /// sequence number its pull cursor for this responder stands at, `0`
     /// on first contact). Answered with [`MessageKind::Ack`] when the
     /// responder's root matches (nothing to exchange) or
@@ -190,8 +188,8 @@ pub enum MessageKind {
     /// with a full-frames-only delta.
     Nak,
     /// The requester's pick from an offer (payload: `(key, ctx_fp)` per
-    /// offered key it lacks or holds under another fingerprint, `ctx_fp`
-    /// being its own sibling-set hash, `0` for a key it lacks). Answered
+    /// offered key it lacks or holds under another sibling-set hash,
+    /// `ctx_fp` being its own, `0` for a key it lacks). Answered
     /// with [`MessageKind::Delta`].
     Want,
     /// A membership join request (payload: the joiner's advertised
@@ -379,6 +377,16 @@ fn read_key(input: &mut &[u8]) -> Result<Key, DecodeError> {
         .map_err(|_| DecodeError::Malformed("key is not valid UTF-8"))
 }
 
+/// Reads a list's entry count, refusing as `Malformed` one that the rest of
+/// `input` cannot hold at `min_entry_bytes` per entry.
+pub(crate) fn read_count(input: &mut &[u8], min_entry_bytes: usize) -> Result<usize, DecodeError> {
+    let count = read_varint(input)?;
+    if count > (input.len() / min_entry_bytes) as u64 {
+        return Err(DecodeError::Malformed("entry count exceeds the payload"));
+    }
+    Ok(count as usize)
+}
+
 /// Splits a fixed-width little-endian `u64` off the front of `input`.
 fn read_u64(input: &mut &[u8]) -> Result<u64, DecodeError> {
     if input.len() < 8 {
@@ -475,8 +483,8 @@ pub fn encode_want(wanted: &[(Key, u64)]) -> Vec<u8> {
 /// Returns a [`DecodeError`] on truncated or malformed input.
 pub fn decode_want(bytes: &[u8]) -> Result<Vec<(Key, u64)>, DecodeError> {
     let mut input = bytes;
-    let count = read_varint(&mut input)?;
-    let mut wanted = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = read_count(&mut input, 9)?; // a key frame, an 8-byte hash
+    let mut wanted = Vec::with_capacity(count);
     for _ in 0..count {
         let key = read_key(&mut input)?;
         wanted.push((key, read_u64(&mut input)?));
@@ -487,14 +495,13 @@ pub fn decode_want(bytes: &[u8]) -> Result<Vec<(Key, u64)>, DecodeError> {
     Ok(wanted)
 }
 
-/// Encodes a digest message payload.
+/// Encodes a digest payload: per line a key frame and the 8-byte hash.
 #[must_use]
 pub fn encode_digest(entries: &[DigestEntry]) -> Vec<u8> {
     let mut out = Vec::new();
     write_varint(&mut out, entries.len() as u64);
     for entry in entries {
         write_frame(&mut out, entry.key.as_bytes());
-        write_varint(&mut out, entry.fingerprint);
         out.extend_from_slice(&entry.ctx_fp.to_le_bytes());
     }
     out
@@ -507,13 +514,11 @@ pub fn encode_digest(entries: &[DigestEntry]) -> Vec<u8> {
 /// Returns a [`DecodeError`] on truncated or malformed input.
 pub fn decode_digest(bytes: &[u8]) -> Result<Vec<DigestEntry>, DecodeError> {
     let mut input = bytes;
-    let count = read_varint(&mut input)?;
-    let mut entries = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = read_count(&mut input, 9)?; // a key frame, an 8-byte hash
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let key = read_key(&mut input)?;
-        let fingerprint = read_varint(&mut input)?;
-        let ctx_fp = read_u64(&mut input)?;
-        entries.push(DigestEntry { key, fingerprint, ctx_fp });
+        entries.push(DigestEntry { key, ctx_fp: read_u64(&mut input)? });
     }
     if !input.is_empty() {
         return Err(DecodeError::TrailingData);
@@ -539,8 +544,8 @@ pub fn encode_nak(keys: &[Key]) -> Vec<u8> {
 /// Returns a [`DecodeError`] on truncated or malformed input.
 pub fn decode_nak(bytes: &[u8]) -> Result<Vec<Key>, DecodeError> {
     let mut input = bytes;
-    let count = read_varint(&mut input)?;
-    let mut keys = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = read_count(&mut input, 1)?;
+    let mut keys = Vec::with_capacity(count);
     for _ in 0..count {
         keys.push(read_key(&mut input)?);
     }
@@ -628,16 +633,16 @@ pub fn decode_delta<B: StoreBackend>(
     bytes: &[u8],
 ) -> Result<Vec<WireKeyDelta<B>>, DecodeError> {
     let mut input = bytes;
-    let count = read_varint(&mut input)?;
-    let mut deltas = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = read_count(&mut input, 3)?; // key and element frames, version count
+    let mut deltas = Vec::with_capacity(count);
     for _ in 0..count {
         let key = read_key(&mut input)?;
         let element = match read_frame(&mut input)? {
             [] => None,
             frame => Some(backend.decode_element(frame)?),
         };
-        let version_count = read_varint(&mut input)?;
-        let mut versions = Vec::with_capacity(version_count.min(1 << 16) as usize);
+        let version_count = read_count(&mut input, 3)?; // frame kind, clock frame, value flag
+        let mut versions = Vec::with_capacity(version_count);
         for _ in 0..version_count {
             let frame = read_delta_frame(&mut input)?;
             let version = match frame {
@@ -706,9 +711,9 @@ mod tests {
     #[test]
     fn digest_roundtrip_and_rejections() {
         let entries = vec![
-            DigestEntry { key: "cart:alice".into(), fingerprint: 0xDEAD_BEEF, ctx_fp: 42 },
-            DigestEntry { key: "π-keys".into(), fingerprint: u64::MAX, ctx_fp: u64::MAX },
-            DigestEntry { key: String::new(), fingerprint: 0, ctx_fp: 0 },
+            DigestEntry { key: "cart:alice".into(), ctx_fp: 42 },
+            DigestEntry { key: "π-keys".into(), ctx_fp: u64::MAX },
+            DigestEntry { key: String::new(), ctx_fp: 0 },
         ];
         let bytes = encode_digest(&entries);
         assert_eq!(decode_digest(&bytes).unwrap(), entries);
@@ -771,8 +776,8 @@ mod tests {
             since: 17,
             upto: 1 << 40,
             lines: vec![
-                DigestEntry { key: "a".into(), fingerprint: 1, ctx_fp: 2 },
-                DigestEntry { key: "π".into(), fingerprint: u64::MAX, ctx_fp: 0 },
+                DigestEntry { key: "a".into(), ctx_fp: 2 },
+                DigestEntry { key: "π".into(), ctx_fp: 0 },
             ],
         };
         let bytes = encode_offer(&offer);
@@ -793,6 +798,64 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(decode_want(&trailing), Err(DecodeError::TrailingData));
+    }
+
+    #[test]
+    fn a_two_line_offer_has_pinned_bytes() {
+        // A line is the key frame and the 8-byte sibling-set hash, nothing
+        // else: here an empty key and a two-byte UTF-8 one.
+        let offer = Offer {
+            instance: 0x0102_0304_0506_0708,
+            since: 5,
+            upto: 300,
+            lines: vec![
+                DigestEntry { key: String::new(), ctx_fp: 0x1122_3344_5566_7788 },
+                DigestEntry { key: "π".into(), ctx_fp: 1 },
+            ],
+        };
+        let bytes = encode_offer(&offer);
+        #[rustfmt::skip]
+        let golden = [
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // instance
+            0x05, // since
+            0xac, 0x02, // upto
+            0x02, // two lines
+            0x00, // the empty key
+            0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // its hash
+            0x02, 0xcf, 0x80, // key `π`
+            0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // its hash
+        ];
+        assert_eq!(bytes, golden);
+        assert_eq!(decode_offer(&bytes), Ok(offer.clone()));
+        // The same lines in the two-hash layout, with a varint of FNV-1a
+        // over each hash between the key frame and the hash, do not decode.
+        let mut two_hash = golden[..12].to_vec();
+        for line in &offer.lines {
+            write_frame(&mut two_hash, line.key.as_bytes());
+            write_varint(&mut two_hash, crate::store::fnv1a(&line.ctx_fp.to_le_bytes()));
+            two_hash.extend_from_slice(&line.ctx_fp.to_le_bytes());
+        }
+        assert!(decode_offer(&two_hash).is_err());
+    }
+
+    #[test]
+    fn a_count_the_payload_cannot_hold_is_malformed() {
+        // 2^40 entries claimed in a few bytes are refused before anything
+        // is allocated for them.
+        let mut claim = Vec::new();
+        write_varint(&mut claim, 1 << 40);
+        let malformed = DecodeError::Malformed("entry count exceeds the payload");
+        assert_eq!(decode_want(&claim), Err(malformed.clone()));
+        assert_eq!(decode_digest(&claim), Err(malformed.clone()));
+        assert_eq!(decode_nak(&claim), Err(malformed.clone()));
+        let backend = VstampBackend::gc();
+        assert_eq!(decode_delta(&backend, &claim), Err(malformed.clone()));
+        // One key `k` with an empty element frame, then 2^40 versions.
+        let mut versions = vec![0x01, 0x01, b'k', 0x00];
+        write_varint(&mut versions, 1 << 40);
+        assert!(versions.len() <= 16);
+        assert_eq!(decode_delta(&backend, &versions), Err(malformed.clone()));
+        assert_eq!(decode_delta(&DynamicVvBackend::new(), &versions), Err(malformed));
     }
 
     #[test]
