@@ -27,7 +27,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vstamp_sim::nemesis::{FaultAction, FaultPlan, NemesisConfig, Proxy};
+use vstamp_sim::nemesis::{Dice, FaultAction, FaultPlan, NemesisConfig, Proxy};
 use vstamp_sim::{decode_id, encode_id, KeyOracle};
 use vstamp_store::{
     MemberStatus, Node, NodeClient, NodeConfig, NodeStatus, PhiConfig, TransportConfig,
@@ -180,14 +180,6 @@ fn status_of(node: &NodeProc, seed: u64) -> Option<NodeStatus> {
     client(&node.real_addr, seed).status().ok()
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Everything the oracle needs about the workload so far.
 #[derive(Default)]
 struct Workload {
@@ -277,17 +269,17 @@ fn parent_main(args: &[String]) -> i32 {
     }
     let keys: Vec<String> = (0..knobs.keys).map(|k| format!("key-{k}")).collect();
     let mut workload = Workload::default();
-    let mut rng = knobs.seed ^ 0xC0FF_EE00;
+    let mut rng = Dice::new(knobs.seed ^ 0xC0FF_EE00);
     // Root each key at one node, before any fault can run (`node_sim`
     // first-touches keys at two cores at once).
     for (k, key) in keys.iter().enumerate() {
-        workload.session(&nodes[k % nodes.len()].real_addr, key, splitmix(&mut rng));
+        workload.session(&nodes[k % nodes.len()].real_addr, key, rng.next_u64());
     }
     assert_eq!(workload.put_failures, 0, "key rooting must succeed");
     let setup_deadline = Instant::now() + Duration::from_secs(30);
     let settled = wait_for(setup_deadline, || {
         let statuses: Vec<NodeStatus> =
-            nodes.iter().filter_map(|n| status_of(n, splitmix(&mut rng))).collect();
+            nodes.iter().filter_map(|n| status_of(n, rng.next_u64())).collect();
         statuses.len() == nodes.len()
             && statuses.iter().all(|s| s.active_members == 3)
             && statuses.windows(2).all(|p| p[0].digest_root == p[1].digest_root)
@@ -319,12 +311,12 @@ fn parent_main(args: &[String]) -> i32 {
 }
 
 /// Fault-free workload window (control runs).
-fn run_workload_only(workload: &mut Workload, nodes: &[NodeProc], keys: &[String], rng: &mut u64) {
+fn run_workload_only(workload: &mut Workload, nodes: &[NodeProc], keys: &[String], rng: &mut Dice) {
     let until = Instant::now() + Duration::from_millis(2500);
     while Instant::now() < until {
-        let node = &nodes[(splitmix(rng) % nodes.len() as u64) as usize];
-        let key = &keys[(splitmix(rng) % keys.len() as u64) as usize];
-        workload.session(&node.real_addr, key, splitmix(rng));
+        let node = &nodes[rng.pick(nodes.len())];
+        let key = &keys[rng.pick(keys.len())];
+        workload.session(&node.real_addr, key, rng.next_u64());
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -337,7 +329,7 @@ fn run_fault_phase(
     nodes: &mut Vec<NodeProc>,
     keys: &[String],
     workload: &mut Workload,
-    rng: &mut u64,
+    rng: &mut Dice,
     nemesis: NemesisConfig,
 ) -> Option<String> {
     let plan = FaultPlan::generate(knobs.seed, 3);
@@ -378,13 +370,13 @@ fn run_fault_phase(
         let writable: Vec<usize> =
             (0..nodes.len()).filter(|&i| nodes[i].alive && nodes[i].writable).collect();
         if !writable.is_empty() {
-            let node = &nodes[writable[(splitmix(rng) % writable.len() as u64) as usize]];
-            let key = &keys[(splitmix(rng) % keys.len() as u64) as usize];
-            workload.session(&node.real_addr, key, splitmix(rng));
+            let node = &nodes[writable[rng.pick(writable.len())]];
+            let key = &keys[rng.pick(keys.len())];
+            workload.session(&node.real_addr, key, rng.next_u64());
         }
         // Track each node's peak membership-stamp size for the shrink gate.
         for node in nodes.iter_mut() {
-            if let Some(status) = status_of(node, splitmix(rng)) {
+            if let Some(status) = status_of(node, rng.next_u64()) {
                 node.peak_id_bits = node.peak_id_bits.max(status.id_bits);
             }
         }
@@ -401,12 +393,12 @@ fn verify_membership(
     dead_advertised: Option<&str>,
     deadline: Instant,
     gates: &mut Vec<Gate>,
-    rng: &mut u64,
+    rng: &mut Dice,
 ) {
     if knobs.control {
         let mut detail = String::new();
         let clean = nodes.iter().all(|node| {
-            status_of(node, splitmix(rng)).is_some_and(|s| {
+            status_of(node, rng.next_u64()).is_some_and(|s| {
                 let ok = s.evicted_members == 0 && s.retirements == 0;
                 if !ok {
                     detail = format!(
@@ -423,7 +415,7 @@ fn verify_membership(
     let dead = dead_advertised.expect("faulty runs always kill one node");
     let evicted_everywhere = wait_for(deadline, || {
         nodes.iter().filter(|n| n.alive).all(|node| {
-            status_of(node, splitmix(rng)).is_some_and(|s| {
+            status_of(node, rng.next_u64()).is_some_and(|s| {
                 s.table.entry(dead).is_some_and(|e| e.status == MemberStatus::Evicted)
             })
         })
@@ -437,7 +429,7 @@ fn verify_membership(
         nodes
             .iter()
             .filter(|n| n.alive)
-            .filter_map(|n| status_of(n, splitmix(rng)))
+            .filter_map(|n| status_of(n, rng.next_u64()))
             .map(|s| s.retirements)
             .sum::<usize>()
             >= 1
@@ -452,7 +444,7 @@ fn verify_membership(
     let mut shrink_detail = String::new();
     let shrunk = wait_for(deadline, || {
         nodes.iter().filter(|n| n.alive && n.peak_id_bits > 0).any(|node| {
-            status_of(node, splitmix(rng)).is_some_and(|s| {
+            status_of(node, rng.next_u64()).is_some_and(|s| {
                 if s.id_bits < node.peak_id_bits {
                     shrink_detail = format!(
                         "{}: {} bits, peak {}",
@@ -475,17 +467,17 @@ fn verify_oracle(
     workload: &Workload,
     deadline: Instant,
     gates: &mut Vec<Gate>,
-    rng: &mut u64,
+    rng: &mut Dice,
 ) {
     let converged = wait_for(deadline, || {
         let statuses: Vec<NodeStatus> =
-            nodes.iter().filter(|n| n.alive).filter_map(|n| status_of(n, splitmix(rng))).collect();
+            nodes.iter().filter(|n| n.alive).filter_map(|n| status_of(n, rng.next_u64())).collect();
         statuses.len() == nodes.iter().filter(|n| n.alive).count()
             && statuses.windows(2).all(|p| p[0].digest_root == p[1].digest_root)
     });
     if !converged {
         for node in nodes.iter().filter(|n| n.alive) {
-            match status_of(node, splitmix(rng)) {
+            match status_of(node, rng.next_u64()) {
                 Some(s) => eprintln!(
                     "diverged: {} root={:016x} active={} evicted={} retirements={}",
                     node.advertised,
@@ -497,7 +489,7 @@ fn verify_oracle(
                 None => eprintln!("diverged: {} unreachable", node.advertised),
             }
             for key in keys {
-                let ids = client(&node.real_addr, splitmix(rng))
+                let ids = client(&node.real_addr, rng.next_u64())
                     .get(key)
                     .map(|(values, _)| values.iter().map(|v| decode_id(v)).collect::<Vec<_>>());
                 eprintln!("  {} {key} -> {ids:?}", node.advertised);
@@ -517,7 +509,7 @@ fn verify_oracle(
     for key in keys {
         let mut per_node: Vec<BTreeSet<u64>> = Vec::new();
         for node in nodes.iter().filter(|n| n.alive) {
-            match client(&node.real_addr, splitmix(rng)).get(key) {
+            match client(&node.real_addr, rng.next_u64()).get(key) {
                 Ok((values, _)) => {
                     per_node.push(values.iter().map(|v| decode_id(v)).collect());
                 }

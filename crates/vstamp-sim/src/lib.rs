@@ -16,15 +16,22 @@
 //!   (experiments E7/E9/E10);
 //! * [`runner`] — a parallel comparison runner covering every mechanism in
 //!   the workspace;
-//! * [`store_sim`] — the `vstamp-store` scenario: N store replicas under
-//!   partition/heal and churn, checked against a causal oracle built from
-//!   the session structure (lost updates, false concurrency);
+//! * [`driver`] — one seeded cluster driver: `NodeCore`s or the replicas
+//!   of an in-process `Cluster` behind one `Member` seam, under one
+//!   schedule loop, fault vocabulary (partitions, drains, kills and
+//!   restarts, plus lost, cut, flipped, shortened and replayed messages)
+//!   and causal-oracle glue; serial and bit-for-bit replayable, or
+//!   threaded;
+//! * [`store_sim`] — the `vstamp-store` scenarios on that driver: N store
+//!   replicas under partition/heal and churn, checked against a causal
+//!   oracle built from the session structure (lost updates, false
+//!   concurrency), and the oracle itself ([`KeyOracle`]);
 //! * [`nemesis`] — socket-level fault injection for the real-TCP cluster:
 //!   frame-parsing proxies that drop/delay/duplicate frames or black-hole
-//!   a node's inbound side, plus a seeded fault plan and its action
-//!   timeline (used by the `cluster_harness` binary against multi-process
-//!   clusters, and by the `node_sim` test against `NodeCore`s under a
-//!   virtual clock).
+//!   a node's inbound side, a seeded fault plan and its action timeline
+//!   (run by the `cluster_harness` binary against multi-process clusters,
+//!   and by the driver against `NodeCore`s under a virtual clock), and the
+//!   crate's one random stream, [`Dice`](nemesis::Dice).
 //!
 //! ```
 //! use vstamp_sim::workload::{generate, WorkloadSpec};
@@ -40,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod driver;
 pub mod metrics;
 pub mod nemesis;
 pub mod oracle;
@@ -53,9 +61,7 @@ pub use nemesis::{FaultEvent, FaultPlan, NemesisConfig, Proxy};
 pub use oracle::{check_against_oracle, AgreementReport, Disagreement};
 pub use runner::{compare_mechanisms, MechanismSet};
 pub use scenario::{figure1, figure2, figure3, figure4, stamp_walkthrough, Scenario};
-pub use store_sim::{
-    decode_id, encode_id, run_store_sim, KeyOracle, StoreSimReport, StoreSimSpec, WireReport,
-};
+pub use store_sim::{decode_id, encode_id, run_store_sim, KeyOracle, StoreSimReport, StoreSimSpec};
 pub use workload::{
     generate, generate_fixed_population, generate_partition_heal, OperationMix, WorkloadSpec,
 };

@@ -178,18 +178,24 @@ impl FaultPlan {
     }
 }
 
-/// Seeded splitmix64 dice.
+/// Seeded splitmix64 dice: the one random stream of this crate's drivers
+/// (the fault plan, the proxies, [`crate::driver`] and `cluster_harness`).
+/// A seed names its stream: `Dice::new(s).next_u64()` is splitmix64 stepped
+/// once from state `s`.
 #[derive(Debug, Clone)]
-struct Dice {
+pub struct Dice {
     state: u64,
 }
 
 impl Dice {
-    fn new(seed: u64) -> Self {
+    /// The stream that starts at state `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
         Dice { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -197,14 +203,21 @@ impl Dice {
         z ^ (z >> 31)
     }
 
-    fn roll(&mut self, bound: u64) -> u64 {
+    /// Uniform in `0..bound` (`0` for a zero bound).
+    pub fn roll(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             return 0;
         }
-        self.next() % bound
+        self.next_u64() % bound
     }
 
-    fn chance(&mut self, per_mille: u16) -> bool {
+    /// A uniform index into a collection of `len` items (`0` when empty).
+    pub fn pick(&mut self, len: usize) -> usize {
+        self.roll(len as u64) as usize
+    }
+
+    /// True with probability `per_mille` / 1000.
+    pub(crate) fn chance(&mut self, per_mille: u16) -> bool {
         self.roll(1000) < u64::from(per_mille)
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Two layers of stress, both sized to stay within a few seconds:
 //!
-//! * the sim's concurrent driver (`StoreSimSpec::with_threads`) over
+//! * the sim's driver on several threads (`Schedule::threads`) over
 //!   reduced partition/heal and churn grids, for all three backends —
 //!   the first time the PR 3/4 store stack runs against real parallel
 //!   interleavings with the oracle watching every read;
@@ -14,43 +14,42 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use vstamp_sim::store_sim::{run_store_sim, StoreSimSpec};
+use vstamp_sim::nemesis::Dice;
+use vstamp_sim::store_sim::{run_store_sim, StoreSimReport, StoreSimSpec};
 use vstamp_store::{Cluster, ClusterConfig, DynamicVvBackend, VstampBackend};
 
-fn assert_exact(report: &vstamp_sim::store_sim::StoreSimReport, what: &str) {
-    assert!(
-        report.is_exact(),
-        "{what} [{}]: lost={} false_conc={} resurrect={} converged={}",
-        report.backend,
-        report.lost_updates,
-        report.false_concurrency,
-        report.resurrections,
-        report.converged
-    );
+fn assert_exact(report: &StoreSimReport, what: &str) {
+    assert!(report.verdict.is_exact(), "{what} [{}]: {:?}", report.backend, report.verdict);
+}
+
+fn threaded(mut spec: StoreSimSpec, threads: usize) -> StoreSimSpec {
+    spec.schedule.threads = threads;
+    spec
 }
 
 #[test]
 fn concurrent_partition_heal_is_exact_for_every_backend() {
-    let spec = StoreSimSpec::partition_heal(6, 6, 2026).with_threads(4);
+    let spec = threaded(StoreSimSpec::partition_heal(6, 6, 2026), 4);
     assert_exact(&run_store_sim(VstampBackend::gc(), &spec), "partition-heal");
     assert_exact(&run_store_sim(DynamicVvBackend::new(), &spec), "partition-heal");
 }
 
 #[test]
 fn concurrent_churn_is_exact_for_every_backend() {
-    let spec = StoreSimSpec::churn(4, 8, 77).with_threads(3);
+    let spec = threaded(StoreSimSpec::churn(4, 8, 77), 3);
     assert_exact(&run_store_sim(VstampBackend::gc(), &spec), "churn");
     assert_exact(&run_store_sim(DynamicVvBackend::new(), &spec), "churn");
 }
 
 #[test]
 fn concurrent_runs_report_sessions_and_stay_exact() {
-    let spec = StoreSimSpec::churn(4, 6, 9).with_threads(4);
+    let spec = threaded(StoreSimSpec::churn(4, 6, 9), 4);
     let report = run_store_sim(VstampBackend::gc(), &spec);
     assert_exact(&report, "churn");
-    assert_eq!(report.sessions, spec.rounds * spec.ops_per_round);
-    assert_eq!(report.writes, report.sessions);
-    assert_eq!(report.metadata_curve.len(), spec.rounds);
+    let schedule = &spec.schedule;
+    assert_eq!(report.verdict.sessions, schedule.epochs * schedule.sessions);
+    assert_eq!(report.verdict.writes, report.verdict.sessions);
+    assert_eq!(report.metadata_curve.len(), schedule.epochs);
 }
 
 /// N writer threads + M reader threads + a gossip worker over a small key
@@ -91,13 +90,9 @@ fn raw_writer_reader_gossip_scope_is_causally_sound() {
             let (cluster, keys, oracle, next_id) = (&cluster, &keys, &oracle, &next_id);
             let check_read = &check_read;
             scope.spawn(move || {
-                let mut state = 0x1234_5678_9abc_def0u64 ^ (w as u64) << 17;
+                let mut dice = Dice::new(0x1234_5678_9abc_def0 ^ (w as u64) << 17);
                 for _ in 0..WRITES_PER_WRITER {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let key_index = (state >> 8) as usize % KEYS;
-                    let replica = (state >> 24) as usize % 3;
+                    let (key_index, replica) = (dice.pick(KEYS), dice.pick(3));
                     let read = cluster.get(replica, &keys[key_index]);
                     let ids: Vec<u64> = read.iter_values().map(decode).collect();
                     check_read(key_index, &ids);
@@ -113,12 +108,8 @@ fn raw_writer_reader_gossip_scope_is_causally_sound() {
                         }
                         closures.insert(id, closure);
                     }
-                    cluster.put(
-                        replica,
-                        &keys[key_index],
-                        id.to_le_bytes().to_vec(),
-                        read.context(),
-                    );
+                    let value = id.to_le_bytes().to_vec();
+                    cluster.put(replica, &keys[key_index], value, read.context());
                 }
             });
         }
@@ -126,13 +117,9 @@ fn raw_writer_reader_gossip_scope_is_causally_sound() {
             let (cluster, keys, done) = (&cluster, &keys, &done);
             let check_read = &check_read;
             scope.spawn(move || {
-                let mut state = 0xfeed_face_cafe_beefu64 ^ (r as u64) << 29;
+                let mut dice = Dice::new(0xfeed_face_cafe_beef ^ (r as u64) << 29);
                 while !done.load(Ordering::Acquire) {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let key_index = (state >> 11) as usize % KEYS;
-                    let replica = (state >> 31) as usize % 3;
+                    let (key_index, replica) = (dice.pick(KEYS), dice.pick(3));
                     let read = cluster.get(replica, &keys[key_index]);
                     let ids: Vec<u64> = read.iter_values().map(decode).collect();
                     check_read(key_index, &ids);

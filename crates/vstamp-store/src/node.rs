@@ -4,7 +4,8 @@
 //! A node is two layers. [`NodeCore`] makes every decision and does no
 //! I/O: it learns the time only as a `now_ms` argument and reaches a peer
 //! only through a `dial(peer, envelope) -> reply` closure, so `vstamp-sim`'s
-//! `node_sim` test runs whole clusters of cores under a virtual clock.
+//! seeded cluster driver (`vstamp_sim::driver`, run by its `node_sim`
+//! test) runs whole clusters of cores under a virtual clock.
 //! [`Node`] is the socket shell: it owns the listener, the threads, one
 //! [`PeerLink`] per peer and the clock, and its loops are `recv → handle →
 //! send` per connection and `sleep → gossip_round`.
