@@ -1,13 +1,9 @@
 //! Parallel experiment runner: measures several mechanisms over the same
 //! trace, one thread per mechanism.
 //!
-//! The benchmark harness uses this to regenerate the comparison tables of
-//! experiments E7/E9/E10 quickly; results are deterministic because each
+//! `vstamp-bench`'s `space_growth` bin uses this to print the comparison
+//! tables of experiments E7/E9/E10; results are deterministic because each
 //! mechanism replays the identical trace regardless of scheduling.
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use vstamp_baselines::{
     DottedMechanism, DynamicVersionVectorMechanism, FixedVersionVectorMechanism,
@@ -41,58 +37,45 @@ pub enum MechanismSet {
     AllReducing,
 }
 
-fn measurement_jobs(
-    set: MechanismSet,
-    trace: &Trace,
-) -> Vec<Box<dyn FnOnce() -> SpaceReport + Send>> {
-    let mut jobs: Vec<Box<dyn FnOnce() -> SpaceReport + Send>> = Vec::new();
-    let t = trace.clone();
-    jobs.push(Box::new(move || measure_space(VersionStampMechanism::reducing(), &t)));
+/// One measurement: a mechanism replaying the shared trace.
+type Job = fn(&Trace) -> SpaceReport;
+
+fn measurement_jobs(set: MechanismSet) -> Vec<Job> {
+    let mut jobs: Vec<Job> = Vec::new();
+    jobs.push(|t| measure_space(VersionStampMechanism::reducing(), t));
     match set {
         MechanismSet::StampsOnly => {
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(VersionStampMechanism::non_reducing(), &t)));
+            jobs.push(|t| measure_space(VersionStampMechanism::non_reducing(), t));
         }
         MechanismSet::Representations => {
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(SetStampMechanism::reducing(), &t)));
+            jobs.push(|t| measure_space(SetStampMechanism::reducing(), t));
         }
         MechanismSet::Policies => {
-            let t = trace.clone();
-            jobs.push(Box::new(move || {
+            jobs.push(|t| {
                 measure_space(
                     vstamp_core::StampMechanism::<vstamp_core::PackedName, _>::with_policy(
                         vstamp_core::Deferred::default(),
                     ),
-                    &t,
+                    t,
                 )
-            }));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(VersionStampMechanism::frontier_gc(), &t)));
+            });
+            jobs.push(|t| measure_space(VersionStampMechanism::frontier_gc(), t));
         }
         MechanismSet::All | MechanismSet::AllReducing => {
             if set == MechanismSet::All {
-                let t = trace.clone();
-                jobs.push(Box::new(move || {
-                    measure_space(VersionStampMechanism::non_reducing(), &t)
-                }));
+                jobs.push(|t| measure_space(VersionStampMechanism::non_reducing(), t));
             }
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(VersionStampMechanism::frontier_gc(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(FixedVersionVectorMechanism::new(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(DynamicVersionVectorMechanism::new(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(VectorClockMechanism::new(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(DottedMechanism::new(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(CausalMechanism::new(), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(RandomIdCausalMechanism::with_seed(0), &t)));
-            let t = trace.clone();
-            jobs.push(Box::new(move || measure_space(ItcMechanism::new(), &t)));
+            let rest: [Job; 8] = [
+                |t| measure_space(VersionStampMechanism::frontier_gc(), t),
+                |t| measure_space(FixedVersionVectorMechanism::new(), t),
+                |t| measure_space(DynamicVersionVectorMechanism::new(), t),
+                |t| measure_space(VectorClockMechanism::new(), t),
+                |t| measure_space(DottedMechanism::new(), t),
+                |t| measure_space(CausalMechanism::new(), t),
+                |t| measure_space(RandomIdCausalMechanism::with_seed(0), t),
+                |t| measure_space(ItcMechanism::new(), t),
+            ];
+            jobs.extend(rest);
         }
     }
     jobs
@@ -102,26 +85,14 @@ fn measurement_jobs(
 /// running one worker thread per mechanism.
 #[must_use]
 pub fn compare_mechanisms(set: MechanismSet, trace: &Trace) -> ComparisonTable {
-    let jobs = measurement_jobs(set, trace);
-    let results: Arc<Mutex<Vec<(usize, SpaceReport)>>> = Arc::new(Mutex::new(Vec::new()));
-
-    crossbeam::scope(|scope| {
-        for (index, job) in jobs.into_iter().enumerate() {
-            let results = Arc::clone(&results);
-            scope.spawn(move |_| {
-                let report = job();
-                results.lock().push((index, report));
-            });
-        }
-    })
-    .expect("measurement workers do not panic");
-
-    let mut collected = Arc::try_unwrap(results).expect("all workers joined").into_inner();
-    collected.sort_by_key(|(index, _)| *index);
     let mut table = ComparisonTable::new();
-    for (_, report) in collected {
-        table.push(report);
-    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            measurement_jobs(set).into_iter().map(|job| scope.spawn(move || job(trace))).collect();
+        for worker in workers {
+            table.push(worker.join().expect("measurement workers do not panic"));
+        }
+    });
     table
 }
 

@@ -1,8 +1,8 @@
 //! The worked examples of the paper, as executable scenarios.
 //!
 //! Each figure of the paper is encoded as a concrete trace plus the values
-//! the paper shows, so the benchmark harness can regenerate the figure and
-//! `EXPERIMENTS.md` can record paper-vs-measured:
+//! the paper shows, so `vstamp-bench`'s `figure1`–`figure4` bins can
+//! regenerate each figure and check the values the paper shows:
 //!
 //! * [`figure1`] — fixed version vectors tracking updates among three
 //!   replicas A, B, C;

@@ -3,13 +3,13 @@
 //! The paper motivates version stamps with mobile and ad-hoc deployments but
 //! measures nothing; this module is the executable substitute. Every
 //! generator takes an explicit seed and produces a [`Trace`] that can be
-//! replayed against any [`Mechanism`](vstamp_core::Mechanism), so every
-//! number in `EXPERIMENTS.md` is reproducible from a `(workload, seed)`
-//! pair.
+//! replayed against any [`Mechanism`], so every number that `vstamp-bench`'s
+//! report bins print from a generated trace is reproducible from a
+//! `(workload, seed)` pair.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vstamp_core::{Configuration, ElementId, Operation, Relation, Trace};
+use vstamp_core::{Applied, Configuration, ElementId, Mechanism, Operation, Relation, Trace};
 
 /// How the generator chooses the next operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,35 +93,90 @@ impl Default for WorkloadSpec {
     }
 }
 
+/// The mechanism the generators track live ids with. Its element is `()`:
+/// [`Configuration`] hands out ids in a fixed order, so a trace names the
+/// same elements whatever mechanism later replays it.
+#[derive(Debug)]
+struct Ids;
+
+impl Mechanism for Ids {
+    type Element = ();
+
+    fn mechanism_name(&self) -> &'static str {
+        "ids"
+    }
+
+    fn initial(&mut self) {}
+
+    fn update(&mut self, _: &()) {}
+
+    fn fork(&mut self, _: &()) -> ((), ()) {
+        ((), ())
+    }
+
+    fn join(&mut self, _: &(), _: &()) {}
+
+    fn relation(&self, _: &(), _: &()) -> Relation {
+        unreachable!("ids carry no causality to compare")
+    }
+
+    fn size_bits(&self, _: &()) -> usize {
+        0
+    }
+}
+
+/// A trace being written, and the live ids its next operation may name.
+struct Recorder {
+    live: Configuration<Ids>,
+    trace: Trace,
+}
+
+impl Recorder {
+    fn new() -> Self {
+        Recorder { live: Configuration::new(Ids), trace: Trace::new() }
+    }
+
+    fn apply(&mut self, op: Operation) -> Applied {
+        let applied = self.live.apply(op).expect("generated operations name live elements");
+        self.trace.push(op);
+        applied
+    }
+
+    fn fork(&mut self, id: ElementId) -> (ElementId, ElementId) {
+        match self.apply(Operation::Fork(id)) {
+            Applied::Forked(a, b) => (a, b),
+            other => unreachable!("a fork gave {other:?}"),
+        }
+    }
+
+    /// Records an update or a join and returns the one id it produced.
+    fn replace(&mut self, op: Operation) -> ElementId {
+        match self.apply(op) {
+            Applied::Updated(id) | Applied::Joined(id) => id,
+            other => unreachable!("{op} gave {other:?}"),
+        }
+    }
+}
+
 /// Generates a random trace according to `spec`.
 ///
-/// The generator drives a throw-away configuration (of the stateless
-/// version-stamp mechanism) so that it always names live elements; the
-/// returned trace replays cleanly against any mechanism because element
-/// identifiers are allocated deterministically by
-/// [`Configuration`].
+/// The generator tracks the live element ids so that every operation names
+/// live elements. Ids are allocated deterministically by
+/// [`Configuration`], so the trace replays cleanly against any mechanism.
 #[must_use]
 pub fn generate(spec: &WorkloadSpec) -> Trace {
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut config = Configuration::new(vstamp_core::VersionStampMechanism::reducing());
-    let mut trace = Trace::new();
+    let mut recorder = Recorder::new();
     for _ in 0..spec.operations {
-        let ids = config.ids();
-        let width = ids.len();
-        let op = next_operation(&mut rng, &ids, width, spec);
-        config.apply(op).expect("generated operation targets live elements");
-        trace.push(op);
+        let op = next_operation(&mut rng, &recorder.live.ids(), spec);
+        recorder.apply(op);
     }
-    trace
+    recorder.trace
 }
 
-fn next_operation(
-    rng: &mut StdRng,
-    ids: &[ElementId],
-    width: usize,
-    spec: &WorkloadSpec,
-) -> Operation {
+fn next_operation(rng: &mut StdRng, ids: &[ElementId], spec: &WorkloadSpec) -> Operation {
     let mix = spec.mix;
+    let width = ids.len();
     let pick = |rng: &mut StdRng| ids[rng.gen_range(0..ids.len())];
     let roll = rng.gen_range(0..mix.total().max(1));
     let wants_fork = roll >= mix.update && roll < mix.update + mix.fork;
@@ -156,28 +211,15 @@ pub fn generate_partition_heal(
     seed: u64,
 ) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut config = Configuration::new(vstamp_core::VersionStampMechanism::reducing());
-    let mut trace = Trace::new();
-    let apply = |config: &mut Configuration<vstamp_core::VersionStampMechanism>,
-                 trace: &mut Trace,
-                 op: Operation| {
-        let applied = config.apply(op).expect("workload operations target live elements");
-        trace.push(op);
-        applied
-    };
+    let mut recorder = Recorder::new();
 
     // Build the initial population by forking the seed element.
     let target = (islands * replicas_per_island).max(1);
-    let mut population: Vec<ElementId> = vec![config.ids()[0]];
+    let mut population: Vec<ElementId> = recorder.live.ids();
     while population.len() < target {
         let victim = population.remove(rng.gen_range(0..population.len()));
-        match apply(&mut config, &mut trace, Operation::Fork(victim)) {
-            vstamp_core::Applied::Forked(a, b) => {
-                population.push(a);
-                population.push(b);
-            }
-            _ => unreachable!("fork produces two elements"),
-        }
+        let (a, b) = recorder.fork(victim);
+        population.extend([a, b]);
     }
 
     // Assign replicas to islands round-robin.
@@ -198,24 +240,12 @@ pub fn generate_partition_heal(
                 // intra-island synchronization: join then fork
                 let a = members.remove(rng.gen_range(0..members.len()));
                 let b = members.remove(rng.gen_range(0..members.len()));
-                let joined = match apply(&mut config, &mut trace, Operation::Join(a, b)) {
-                    vstamp_core::Applied::Joined(id) => id,
-                    _ => unreachable!(),
-                };
-                match apply(&mut config, &mut trace, Operation::Fork(joined)) {
-                    vstamp_core::Applied::Forked(x, y) => {
-                        members.push(x);
-                        members.push(y);
-                    }
-                    _ => unreachable!(),
-                }
+                let joined = recorder.replace(Operation::Join(a, b));
+                let (x, y) = recorder.fork(joined);
+                members.extend([x, y]);
             } else {
                 let slot = rng.gen_range(0..members.len());
-                let target = members[slot];
-                match apply(&mut config, &mut trace, Operation::Update(target)) {
-                    vstamp_core::Applied::Updated(id) => members[slot] = id,
-                    _ => unreachable!(),
-                }
+                members[slot] = recorder.replace(Operation::Update(members[slot]));
             }
         }
         // Heal: merge two islands (if more than one remains).
@@ -225,7 +255,7 @@ pub fn generate_partition_heal(
             island_members[receiver].extend(absorbed);
         }
     }
-    trace
+    recorder.trace
 }
 
 /// A trace that encodes the fixed three-replica run of Figure 1 / Figure 3
@@ -234,54 +264,27 @@ pub fn generate_partition_heal(
 #[must_use]
 pub fn generate_fixed_population(replicas: usize, rounds: usize, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut config = Configuration::new(vstamp_core::VersionStampMechanism::reducing());
-    let mut trace = Trace::new();
-    let apply = |config: &mut Configuration<vstamp_core::VersionStampMechanism>,
-                 trace: &mut Trace,
-                 op: Operation| {
-        let applied = config.apply(op).expect("live elements");
-        trace.push(op);
-        applied
-    };
+    let mut recorder = Recorder::new();
 
-    let mut lines: Vec<ElementId> = vec![config.ids()[0]];
+    let mut lines: Vec<ElementId> = recorder.live.ids();
     while lines.len() < replicas.max(1) {
         let victim = lines.remove(0);
-        match apply(&mut config, &mut trace, Operation::Fork(victim)) {
-            vstamp_core::Applied::Forked(a, b) => {
-                lines.push(a);
-                lines.push(b);
-            }
-            _ => unreachable!(),
-        }
+        let (a, b) = recorder.fork(victim);
+        lines.extend([a, b]);
     }
 
     for _ in 0..rounds {
         // one replica updates…
         let writer = rng.gen_range(0..lines.len());
-        match apply(&mut config, &mut trace, Operation::Update(lines[writer])) {
-            vstamp_core::Applied::Updated(id) => lines[writer] = id,
-            _ => unreachable!(),
-        }
+        lines[writer] = recorder.replace(Operation::Update(lines[writer]));
         // …and synchronizes with a neighbour, like the arrows of Figure 1.
         let reader = (writer + 1) % lines.len();
         if reader != writer {
-            let joined =
-                match apply(&mut config, &mut trace, Operation::Join(lines[writer], lines[reader]))
-                {
-                    vstamp_core::Applied::Joined(id) => id,
-                    _ => unreachable!(),
-                };
-            match apply(&mut config, &mut trace, Operation::Fork(joined)) {
-                vstamp_core::Applied::Forked(a, b) => {
-                    lines[writer] = a;
-                    lines[reader] = b;
-                }
-                _ => unreachable!(),
-            }
+            let joined = recorder.replace(Operation::Join(lines[writer], lines[reader]));
+            (lines[writer], lines[reader]) = recorder.fork(joined);
         }
     }
-    trace
+    recorder.trace
 }
 
 /// Frontier width statistics observed while replaying a trace; used to
@@ -292,26 +295,18 @@ pub struct FrontierStats {
     pub max_width: usize,
     /// Final number of coexisting replicas.
     pub final_width: usize,
-    /// Number of pairwise-concurrent pairs in the final frontier.
-    pub final_conflicts: usize,
 }
 
-/// Replays a trace against the version-stamp mechanism and reports frontier
-/// statistics.
+/// Replays a trace's element ids and reports frontier statistics.
 #[must_use]
 pub fn frontier_stats(trace: &Trace) -> FrontierStats {
-    let mut config = Configuration::new(vstamp_core::VersionStampMechanism::reducing());
-    let mut max_width = config.len();
+    let mut live = Configuration::new(Ids);
+    let mut max_width = live.len();
     for op in trace {
-        config.apply(*op).expect("trace replays cleanly");
-        max_width = max_width.max(config.len());
+        live.apply(*op).expect("trace replays cleanly");
+        max_width = max_width.max(live.len());
     }
-    let final_conflicts = config
-        .pairwise_relations()
-        .into_iter()
-        .filter(|(_, _, r)| *r == Relation::Concurrent)
-        .count();
-    FrontierStats { max_width, final_width: config.len(), final_conflicts }
+    FrontierStats { max_width, final_width: live.len() }
 }
 
 #[cfg(test)]
@@ -389,6 +384,58 @@ mod tests {
         assert!(stats.max_width <= 4);
         let deterministic = generate_fixed_population(3, 10, 5);
         assert_eq!(trace, deterministic);
+    }
+
+    /// FNV-1a 64 over each operation's kind and raw input ids. Written out
+    /// by hand so that the pinned digests below do not move with a Rust
+    /// release, as `DefaultHasher`'s output may.
+    fn trace_digest(trace: &Trace) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for op in trace {
+            eat(op.kind().as_bytes());
+            for id in op.inputs() {
+                eat(&id.raw().to_le_bytes());
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_traces_match_their_golden_digests() {
+        let churn = OperationMix::churn_heavy();
+        // (trace, digest, max width, final width)
+        let cases = [
+            (generate(&WorkloadSpec::new(400, 9, 11).with_mix(churn)), 0xcf6b_c45b_2d3e_bdd4, 9, 3),
+            (generate(&WorkloadSpec::new(400, 2, 11).with_mix(churn)), 0x23d8_3051_28b0_84c5, 2, 2),
+            (generate(&WorkloadSpec::new(200, 8, 42)), 0x75d1_0e60_5f9e_a366, 8, 3),
+            (
+                generate(&WorkloadSpec::new(500, 8, 3).with_mix(OperationMix::update_heavy())),
+                0x5527_d41f_9347_7afd,
+                8,
+                7,
+            ),
+            (
+                generate(&WorkloadSpec::new(300, 6, 5).with_mix(OperationMix::sync_heavy())),
+                0x9d61_382e_55a2_6e82,
+                6,
+                4,
+            ),
+            (generate_partition_heal(4, 3, 5, 20, 9), 0x3739_95e5_fef4_5fcb, 12, 12),
+            (generate_fixed_population(3, 10, 5), 0x1c4a_5693_d38d_18a2, 3, 3),
+        ];
+        for (case, (trace, digest, max_width, final_width)) in cases.iter().enumerate() {
+            let stats = frontier_stats(trace);
+            assert_eq!(
+                (trace_digest(trace), stats.max_width, stats.final_width),
+                (*digest, *max_width, *final_width),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

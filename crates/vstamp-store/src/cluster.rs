@@ -2044,12 +2044,15 @@ mod tests {
         };
         let mut context = None;
         let mut id = 1000u32;
-        loop {
+        for writes in 1.. {
             context = Some(put(0, id, context.as_ref()));
             id += 1;
-            if element(shallow).depth() > 32 {
+            let depth = element(shallow).depth();
+            if depth > 32 {
                 break;
             }
+            // 121 writes reach 33 bits; a cap far above that fails, not spins.
+            assert!(writes < 1_000, "{writes} causal writes left the element {depth} bits deep");
         }
         let mut live = vec![id - 1];
         let mut dots: Vec<BitString> = Vec::new();
