@@ -1,19 +1,19 @@
 //! Experiment E5 — invariants I1–I3 audited over long randomized runs, for
 //! the eager, non-reducing and frontier-GC stamp lifecycles.
 
-use vstamp_bench::{header, non_reducing_ops, seed_from_args};
+use vstamp_bench::{header, seed_from_args, NON_REDUCING_OPS};
 use vstamp_core::{
-    audit_configuration, Configuration, Mechanism, NameLike, PackedName, Reduction, Stamp,
-    StampMechanism, Trace, VersionStampMechanism,
+    audit_configuration, Configuration, GcStampMechanism, Mechanism, NameLike, Stamp, Trace,
+    VersionStampMechanism,
 };
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
 
 /// Replays the trace, auditing every `stride`-th configuration; returns
 /// `(configurations audited, violations found)`.
-fn audit_run<N, P>(mechanism: StampMechanism<N, P>, trace: &Trace, stride: usize) -> (usize, usize)
+fn audit_run<N, M>(mechanism: M, trace: &Trace, stride: usize) -> (usize, usize)
 where
     N: NameLike,
-    StampMechanism<N, P>: Mechanism<Element = Stamp<N>>,
+    M: Mechanism<Element = Stamp<N>>,
 {
     let mut config = Configuration::new(mechanism);
     let mut audited = 0usize;
@@ -52,25 +52,28 @@ fn main() {
                 (true, _) => 400,
                 (false, "sync-heavy") => 30,
                 (false, "churn-heavy") => 40,
-                (false, _) => non_reducing_ops(),
+                (false, _) => NON_REDUCING_OPS,
             };
             // Auditing materializes every identity string, so sample the
             // reducing sweep instead of auditing all 400 configurations.
             let audit_stride = if reducing { 8 } else { 1 };
             let trace = generate(&WorkloadSpec::new(ops, 8, seed).with_mix(mix));
-            let flag = if reducing { Reduction::Reducing } else { Reduction::NonReducing };
-            let mechanism = StampMechanism::<PackedName>::with_reduction(flag);
+            let mechanism = if reducing {
+                VersionStampMechanism::reducing()
+            } else {
+                VersionStampMechanism::non_reducing()
+            };
             let (audited, violations) = audit_run(mechanism, &trace, audit_stride);
             println!(
                 "  {label:<13} {name:<13}: {audited} configurations audited, {violations} violations"
             );
         }
     }
-    // The frontier-GC policy rewrites identities beyond Section 6; audit it
+    // The frontier GC rewrites identities beyond Section 6; audit it
     // over the full reducing-scale traces to confirm I1–I3 still hold.
     for (name, mix) in mixes {
         let trace = generate(&WorkloadSpec::new(400, 8, seed).with_mix(mix));
-        let (audited, violations) = audit_run(VersionStampMechanism::frontier_gc(), &trace, 8);
+        let (audited, violations) = audit_run(GcStampMechanism::new(), &trace, 8);
         println!(
             "  {:<13} {name:<13}: {audited} configurations audited, {violations} violations",
             "frontier-gc"

@@ -3,7 +3,7 @@
 //! space.
 
 use vstamp_bench::{header, seed_from_args};
-use vstamp_core::VersionStampMechanism;
+use vstamp_core::{GcStampMechanism, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 use vstamp_sim::metrics::measure_space;
 use vstamp_sim::oracle::check_against_oracle;
@@ -39,7 +39,7 @@ fn main() {
             let ops = 1_000;
             let trace = generate(&WorkloadSpec::new(ops, max_replicas, seed).with_mix(mix));
             let stamps_space = measure_space(VersionStampMechanism::reducing(), &trace);
-            let gc_space = measure_space(VersionStampMechanism::frontier_gc(), &trace);
+            let gc_space = measure_space(GcStampMechanism::new(), &trace);
             let itc_space = measure_space(ItcMechanism::new(), &trace);
             let stamps_ok =
                 check_against_oracle(VersionStampMechanism::reducing(), &trace).is_exact();

@@ -2,8 +2,8 @@
 //! non-reducing versus eager reduction versus frontier-GC across workload
 //! mixes.
 
-use vstamp_bench::{header, non_reducing_ops, seed_from_args};
-use vstamp_core::VersionStampMechanism;
+use vstamp_bench::{header, seed_from_args, NON_REDUCING_OPS};
+use vstamp_core::{GcStampMechanism, VersionStampMechanism};
 use vstamp_sim::metrics::measure_space;
 use vstamp_sim::workload::{generate, OperationMix, WorkloadSpec};
 
@@ -23,9 +23,8 @@ fn main() {
     ];
     // Short traces by necessity: the non-reducing side grows its identities
     // exponentially with sync cycles (the point this experiment
-    // quantifies). The per-mix lengths scale with the non-reducing cap, so
-    // `VSTAMP_NON_REDUCING_OPS` pushes the whole sweep further.
-    let base = non_reducing_ops();
+    // quantifies). The per-mix lengths scale with the non-reducing cap.
+    let base = NON_REDUCING_OPS;
     for (name, mix) in mixes {
         for max_replicas in [4usize, 8] {
             let ops = match name {
@@ -36,7 +35,7 @@ fn main() {
             let trace = generate(&WorkloadSpec::new(ops, max_replicas, seed).with_mix(mix));
             let reducing = measure_space(VersionStampMechanism::reducing(), &trace);
             let plain = measure_space(VersionStampMechanism::non_reducing(), &trace);
-            let gc = measure_space(VersionStampMechanism::frontier_gc(), &trace);
+            let gc = measure_space(GcStampMechanism::new(), &trace);
             let ratio = if reducing.mean_element_bits > 0.0 {
                 plain.mean_element_bits / reducing.mean_element_bits
             } else {

@@ -49,11 +49,6 @@ fn main() {
         print!("{}", compare_mechanisms(MechanismSet::AllReducing, &trace));
     }
 
-    header("E7d — reduction-policy ablation on the heaviest churn trace");
-    let spec = WorkloadSpec::new(if smoke { 120 } else { 800 }, 8, seed)
-        .with_mix(OperationMix::churn_heavy());
-    print!("{}", compare_mechanisms(MechanismSet::Policies, &generate(&spec)));
-
     println!("\nRESULT: version-stamp identities adapt to the live frontier, so their size tracks");
     println!("the frontier width; per-incarnation mechanisms (dynamic version vectors, random-id");
     println!("causal sets) grow with the total number of operations ever performed.");

@@ -1,8 +1,8 @@
 //! # vstamp-bench — figure-regeneration binaries and criterion benches
 //!
 //! Every artefact of the paper's presentation (Figures 1–4) and every
-//! quantitative experiment added by this reproduction (E5–E10 in DESIGN.md)
-//! has a regeneration target here:
+//! quantitative experiment added by this reproduction (E5–E10, listed in
+//! the README's "Experiments" section) has a regeneration target here:
 //!
 //! | Experiment | Regenerate with |
 //! |------------|-----------------|
@@ -55,24 +55,8 @@ pub fn header(title: &str) {
 /// reports by default: without the Section-6 rule its identities gain one
 /// string per fork *forever*, so sync-heavy traces grow them exponentially
 /// (a 120-op trace already reaches ~10⁷ strings — see ROADMAP "Open
-/// items"). Override per run with the `VSTAMP_NON_REDUCING_OPS` environment
-/// variable (see [`non_reducing_ops`]).
+/// items").
 pub const NON_REDUCING_OPS: usize = 60;
-
-/// The non-reducing trace cap in force: [`NON_REDUCING_OPS`] unless the
-/// `VSTAMP_NON_REDUCING_OPS` environment variable overrides it.
-///
-/// CI stays fast on the default; local runs can push the exponential
-/// mechanism further, e.g.
-/// `VSTAMP_NON_REDUCING_OPS=90 cargo run --release -p vstamp-bench --bin
-/// simplification`.
-#[must_use]
-pub fn non_reducing_ops() -> usize {
-    std::env::var("VSTAMP_NON_REDUCING_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(NON_REDUCING_OPS)
-}
 
 /// `true` when `VSTAMP_BENCH_SMOKE` is set (non-empty, not `0`): report
 /// binaries shrink their grids to seconds-scale so CI can smoke-test them
@@ -166,19 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn non_reducing_cap_env_override() {
-        // No other test touches these variables, so mutating the process
-        // environment here is race-free. Clear them first: the suite must
-        // pass even when the invoking shell exports the documented
-        // overrides.
-        std::env::remove_var("VSTAMP_NON_REDUCING_OPS");
-        assert_eq!(non_reducing_ops(), NON_REDUCING_OPS);
-        std::env::set_var("VSTAMP_NON_REDUCING_OPS", "123");
-        assert_eq!(non_reducing_ops(), 123);
-        std::env::set_var("VSTAMP_NON_REDUCING_OPS", "not-a-number");
-        assert_eq!(non_reducing_ops(), NON_REDUCING_OPS);
-        std::env::remove_var("VSTAMP_NON_REDUCING_OPS");
-
+    fn smoke_mode_follows_its_env_var() {
+        // No other test touches this variable, so mutating the process
+        // environment here is race-free. Clear it first: the suite must
+        // pass even when the invoking shell exports it.
         std::env::remove_var("VSTAMP_BENCH_SMOKE");
         assert!(!smoke_mode());
         std::env::set_var("VSTAMP_BENCH_SMOKE", "1");

@@ -56,18 +56,19 @@
 //! like the causal-history oracle and satisfy I1–I3.
 //!
 //! **What is traded.** The evidence is frontier-wide, so this is a
-//! *coordinated* policy: [`FrontierGc`] mirrors the live frontier inside
-//! the mechanism (allowed by [`Mechanism`](crate::Mechanism) — baselines
-//! keep global state too), where the paper's mechanism is fully
+//! *coordinated* mechanism: [`FrontierGc`] mirrors the live frontier in
+//! its own state (allowed by [`Mechanism`] — baselines keep global state
+//! too), where the paper's mechanism is fully
 //! decentralized. A deployment would piggyback the evidence on its
 //! anti-entropy protocol; the simulator uses the mirror. The payoff: the
 //! 10⁵-string fragmentation wall becomes a bounded curve on the same
 //! traces.
 
 use crate::bitstring::{Bit, BitString};
+use crate::mechanism::Mechanism;
 use crate::name::Name;
 use crate::name_like::NameLike;
-use crate::policy::ReductionPolicy;
+use crate::relation::Relation;
 use crate::stamp::{Reduction, Stamp};
 
 /// Evidence about the rest of the frontier: the joined footprint of every
@@ -328,23 +329,34 @@ impl<N: NameLike> LiveStamp<N> {
     }
 }
 
-/// The frontier-evidence GC policy: eager Section-6 reduction after every
-/// join, followed by an identity [`collapse`] justified by a mirror of the
-/// live frontier, followed by [`shrink_to_covers`].
+/// The frontier-evidence GC mechanism: eager Section-6 reduction after
+/// every join, followed by an identity [`collapse`] justified by a mirror
+/// of the live frontier, followed by [`shrink_to_covers`].
 ///
-/// The mirror is maintained through the
-/// [`ReductionPolicy`] lifecycle hooks, so
-/// the policy is exact when the mechanism is driven through a
-/// [`Configuration`](crate::Configuration) (every element passes through
-/// `initial`/`update`/`fork`/`join`). If the mechanism is fed elements it
-/// never produced, the mirror cannot match; the policy then *degrades* to
-/// plain eager reduction rather than collapse on bad evidence.
+/// The mirror is kept by the mechanism's own `initial`/`update`/`fork`/
+/// `join` transitions, so it is exact when the mechanism is driven through
+/// a [`Configuration`](crate::Configuration), which passes every element
+/// through them. If the mechanism is fed elements it never produced, the
+/// mirror cannot match; the mechanism then *degrades* to plain eager
+/// reduction rather than collapse on bad evidence.
 ///
 /// The mirror caches each element's evidence footprint incrementally (one
 /// representation conversion and join per element *lifetime*); a join only
 /// joins the cached footprints of the surviving elements instead of
 /// rebuilding the evidence from raw stamps (the ROADMAP
 /// `FrontierEvidence::from_stamps`-per-join hot spot).
+///
+/// # Examples
+///
+/// ```
+/// use vstamp_core::{GcStampMechanism, Mechanism};
+///
+/// let mut gc = GcStampMechanism::new();
+/// assert_eq!(gc.mechanism_name(), "version-stamps-gc");
+/// let root = gc.initial();
+/// let (a, b) = gc.fork(&root);
+/// assert!(gc.join(&a, &b).is_seed_identity());
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrontierGc<N: NameLike> {
     live: Vec<LiveStamp<N>>,
@@ -358,7 +370,7 @@ impl<N: NameLike> Default for FrontierGc<N> {
 }
 
 impl<N: NameLike> FrontierGc<N> {
-    /// A fresh GC policy with an empty frontier mirror.
+    /// A fresh GC mechanism with an empty frontier mirror.
     #[must_use]
     pub fn new() -> Self {
         FrontierGc { live: Vec::new(), degraded: false }
@@ -370,14 +382,14 @@ impl<N: NameLike> FrontierGc<N> {
     }
 
     /// Returns `true` when the mirror lost track of the frontier and the
-    /// policy fell back to plain eager reduction.
+    /// mechanism fell back to plain eager reduction.
     #[must_use]
     pub fn is_degraded(&self) -> bool {
         self.degraded
     }
 
     /// Removes one occurrence of `stamp` from the mirror; degrades the
-    /// policy if it is not there. Live stamps are pairwise distinct (their
+    /// mechanism if it is not there. Live stamps are pairwise distinct (their
     /// ids are non-empty and disjoint by I2), so value identity is exact.
     fn retire(&mut self, stamp: &Stamp<N>) {
         match self.live.iter().position(|entry| &entry.stamp == stamp) {
@@ -389,26 +401,38 @@ impl<N: NameLike> FrontierGc<N> {
     }
 }
 
-impl<N: NameLike> ReductionPolicy<N> for FrontierGc<N> {
-    fn policy_name(&self) -> &'static str {
-        "frontier-gc"
+impl<N: NameLike> Mechanism for FrontierGc<N> {
+    type Element = Stamp<N>;
+
+    fn mechanism_name(&self) -> &'static str {
+        if N::REPR_NAME == "set" {
+            "version-stamps-set-gc"
+        } else {
+            "version-stamps-gc"
+        }
     }
 
-    fn on_initial(&mut self, seed: &Stamp<N>) {
+    fn initial(&mut self) -> Stamp<N> {
+        let seed = Stamp::seed();
         self.live.clear();
-        self.live.push(LiveStamp::new(seed));
+        self.live.push(LiveStamp::new(&seed));
         self.degraded = false;
+        seed
     }
 
-    fn on_update(&mut self, old: &Stamp<N>, new: &Stamp<N>) {
-        self.retire(old);
-        self.live.push(LiveStamp::new(new));
+    fn update(&mut self, element: &Stamp<N>) -> Stamp<N> {
+        let updated = element.update();
+        self.retire(element);
+        self.live.push(LiveStamp::new(&updated));
+        updated
     }
 
-    fn on_fork(&mut self, old: &Stamp<N>, left: &Stamp<N>, right: &Stamp<N>) {
-        self.retire(old);
-        self.live.push(LiveStamp::new(left));
-        self.live.push(LiveStamp::new(right));
+    fn fork(&mut self, element: &Stamp<N>) -> (Stamp<N>, Stamp<N>) {
+        let (left, right) = element.fork();
+        self.retire(element);
+        self.live.push(LiveStamp::new(&left));
+        self.live.push(LiveStamp::new(&right));
+        (left, right)
     }
 
     fn join(&mut self, left: &Stamp<N>, right: &Stamp<N>) -> Stamp<N> {
@@ -424,6 +448,14 @@ impl<N: NameLike> ReductionPolicy<N> for FrontierGc<N> {
         };
         self.live.push(LiveStamp::new(&result));
         result
+    }
+
+    fn relation(&self, left: &Stamp<N>, right: &Stamp<N>) -> Relation {
+        left.relation(right)
+    }
+
+    fn size_bits(&self, element: &Stamp<N>) -> usize {
+        element.encoded_bits()
     }
 }
 
@@ -554,14 +586,14 @@ mod tests {
     #[test]
     fn gc_policy_tracks_lifecycle_and_collapses_final_join() {
         let mut gc: FrontierGc<Name> = FrontierGc::new();
-        let seed = SetStamp::seed();
-        gc.on_initial(&seed);
-        let (a, b) = seed.fork();
-        gc.on_fork(&seed, &a, &b);
-        let a1 = a.update();
-        gc.on_update(&a, &a1);
+        let seed = gc.initial();
+        assert_eq!(seed, SetStamp::seed());
+        let (a, b) = gc.fork(&seed);
+        assert_eq!((a.clone(), b.clone()), seed.fork());
+        let a1 = gc.update(&a);
+        assert_eq!(a1, a.update());
         assert_eq!(gc.live().len(), 2);
-        let joined = ReductionPolicy::join(&mut gc, &a1, &b);
+        let joined = gc.join(&a1, &b);
         assert!(joined.is_seed_identity());
         assert_eq!(gc.live().len(), 1);
         assert!(!gc.is_degraded());
@@ -570,13 +602,13 @@ mod tests {
     #[test]
     fn gc_policy_degrades_on_untracked_elements() {
         let mut gc: FrontierGc<Name> = FrontierGc::new();
-        gc.on_initial(&SetStamp::seed());
+        gc.initial();
         let (a, b) = stamp("{}", "{0}").fork();
-        // a and b never passed through the policy: it must degrade, not
+        // a and b never passed through the mechanism: it must degrade, not
         // collapse on bogus evidence.
-        let joined = ReductionPolicy::join(&mut gc, &a, &b);
+        let joined = gc.join(&a, &b);
         assert!(gc.is_degraded());
         assert_eq!(joined, a.join(&b));
-        assert_eq!(ReductionPolicy::<Name>::policy_name(&gc), "frontier-gc");
+        assert_eq!(gc.mechanism_name(), "version-stamps-set-gc");
     }
 }

@@ -20,7 +20,7 @@
 use core::fmt;
 
 use crate::config::{Configuration, ElementId};
-use crate::mechanism::{Mechanism, StampMechanism};
+use crate::mechanism::Mechanism;
 use crate::name::Name;
 use crate::name_like::NameLike;
 use crate::stamp::Stamp;
@@ -274,14 +274,12 @@ where
     InvariantReport { violations }
 }
 
-/// Audits the frontier of a stamp [`Configuration`], under any reduction
-/// policy.
+/// Audits the frontier of a stamp [`Configuration`], under any stamp
+/// mechanism (either [`Reduction`](crate::Reduction), or the frontier GC).
 #[must_use]
-pub fn audit_configuration<N: NameLike, P>(
-    config: &Configuration<StampMechanism<N, P>>,
-) -> InvariantReport
+pub fn audit_configuration<N: NameLike, M>(config: &Configuration<M>) -> InvariantReport
 where
-    StampMechanism<N, P>: Mechanism<Element = Stamp<N>>,
+    M: Mechanism<Element = Stamp<N>>,
 {
     audit_frontier(config.iter())
 }

@@ -44,10 +44,9 @@
 //! | [`packed`] | §4/§6 | flat preorder tag-array representation (hot paths) |
 //! | [`stamp`] | §4 (Def. 4.3), §6 | version stamps and their operations |
 //! | [`simplify`] | §6 | the rewriting rule, normal forms, confluence helpers |
-//! | [`policy`] | §4 vs §6 | the reduction-policy seam (eager / none / deferred / GC) |
-//! | [`gc`] | beyond §6 | frontier-evidence identity garbage collection |
+//! | [`gc`] | beyond §6 | frontier-evidence identity garbage collection, the GC mechanism |
 //! | [`causal`] | §2 (Def. 2.1) | causal-history reference model (global view) |
-//! | [`mechanism`], [`config`] | §2/§4 | the transition system and the mechanism seam |
+//! | [`mechanism`], [`config`] | §2/§4 | the transition system and the mechanism seam; the stamp mechanism under a §4 or §6 [`Reduction`] |
 //! | [`invariants`] | §4 (I1–I3) | executable invariants and the frontier auditor |
 //! | [`relation`] | §2 | equivalent / obsolete / concurrent classification |
 //! | [`codec`] | §4/§6 | the paper's bit-trie encoding + the byte-aligned varint wire format, framing |
@@ -82,7 +81,6 @@ pub mod mechanism;
 pub mod name;
 pub mod name_like;
 pub mod packed;
-pub mod policy;
 pub mod relation;
 pub mod simplify;
 pub mod stamp;
@@ -100,7 +98,6 @@ pub use mechanism::{
 pub use name::{Name, ParseNameError};
 pub use name_like::NameLike;
 pub use packed::PackedName;
-pub use policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 pub use relation::Relation;
 pub use stamp::{Reduction, SetStamp, Stamp, VersionStamp};
 

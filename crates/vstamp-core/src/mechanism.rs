@@ -8,16 +8,17 @@
 //! and every experiment in the benchmark harness are generic over it.
 //!
 //! The version-stamp mechanism itself, [`StampMechanism`], is generic over
-//! two seams: the name representation ([`NameLike`]) and the stamp lifecycle
-//! ([`ReductionPolicy`]) — every (representation × policy) cell of the
-//! ablation grid is one concrete instantiation.
+//! the name representation ([`NameLike`]) and holds the paper's one
+//! lifecycle choice, a [`Reduction`]: the four (representation × reduction)
+//! cells are its four names. The frontier-evidence GC, which keeps a mirror
+//! of the live frontier, implements [`Mechanism`] on its own
+//! ([`FrontierGc`](crate::gc::FrontierGc)).
 
 use core::fmt;
 
 use crate::name::Name;
 use crate::name_like::NameLike;
 use crate::packed::PackedName;
-use crate::policy::{Deferred, Eager, NoReduce, ReductionPolicy};
 use crate::relation::Relation;
 use crate::stamp::{Reduction, Stamp};
 
@@ -25,9 +26,9 @@ use crate::stamp::{Reduction, Stamp};
 ///
 /// Implementations may keep private global state (`&mut self`) — the
 /// causal-history oracle allocates globally unique event identifiers, the
-/// version-vector baselines allocate replica identifiers, the frontier-GC
-/// policy mirrors the live frontier. The plain version-stamp policies need
-/// none, which is the paper's point.
+/// version-vector baselines allocate replica identifiers, the frontier GC
+/// mirrors the live frontier. The plain version-stamp mechanism needs none,
+/// which is the paper's point.
 pub trait Mechanism {
     /// The per-element payload (a stamp, a version vector, a causal
     /// history…).
@@ -67,7 +68,13 @@ pub trait Mechanism {
 }
 
 /// The version-stamp mechanism of the paper, generic over the name
-/// representation `N` and the lifecycle [`ReductionPolicy`] `P`.
+/// representation `N`: the stamp operations themselves, joined under the
+/// [`Reduction`] it holds (Section 4's non-reducing model or Section 6's
+/// reduce-after-every-join).
+///
+/// It keeps no other state. The coordinated frontier GC, which mirrors the
+/// live frontier, is a mechanism of its own:
+/// [`FrontierGc`](crate::gc::FrontierGc).
 ///
 /// # Examples
 ///
@@ -80,137 +87,68 @@ pub trait Mechanism {
 /// let a = mech.update(&a);
 /// assert_eq!(mech.relation(&a, &b), Relation::Dominates);
 /// assert_eq!(mech.mechanism_name(), "version-stamps");
-/// ```
 ///
-/// Selecting a policy:
-///
+/// let mut plain = VersionStampMechanism::non_reducing();
+/// assert_eq!(plain.mechanism_name(), "version-stamps-nonreducing");
+/// assert!(!plain.join(&a, &b).is_reduced());
 /// ```
-/// use vstamp_core::gc::FrontierGc;
-/// use vstamp_core::{Mechanism, PackedName, StampMechanism};
-///
-/// let mut gc = StampMechanism::<PackedName, FrontierGc<PackedName>>::new();
-/// assert_eq!(gc.mechanism_name(), "version-stamps-gc");
-/// let root = gc.initial();
-/// let (a, b) = gc.fork(&root);
-/// assert!(gc.join(&a, &b).is_seed_identity());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StampMechanism<N = PackedName, P = Eager> {
-    policy: P,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StampMechanism<N = PackedName> {
+    reduction: Reduction,
     _marker: core::marker::PhantomData<N>,
 }
 
-impl<N: NameLike, P: ReductionPolicy<N>> StampMechanism<N, P> {
-    /// A mechanism with the policy's default configuration.
-    #[must_use]
-    pub fn new() -> Self
-    where
-        P: Default,
-    {
-        StampMechanism { policy: P::default(), _marker: core::marker::PhantomData }
-    }
-
-    /// A mechanism with an explicit policy value.
-    #[must_use]
-    pub fn with_policy(policy: P) -> Self {
-        StampMechanism { policy, _marker: core::marker::PhantomData }
-    }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-}
-
-impl<N: NameLike> StampMechanism<N, Eager> {
+impl<N: NameLike> StampMechanism<N> {
     /// A mechanism that simplifies after every join (Section 6) — the
-    /// practical configuration.
+    /// practical configuration, and the [`Default`].
     #[must_use]
     pub fn reducing() -> Self {
-        StampMechanism::with_policy(Eager)
+        StampMechanism { reduction: Reduction::Reducing, _marker: core::marker::PhantomData }
     }
 
     /// The non-reducing model of Section 4, used as the proof baseline and
     /// in the E9 ablation.
-    ///
-    /// Note the policy is part of the type: this constructor is callable
-    /// through any `StampMechanism<N, _>` alias but returns the
-    /// [`NoReduce`]-typed mechanism.
     #[must_use]
-    pub fn non_reducing() -> StampMechanism<N, NoReduce> {
-        StampMechanism::with_policy(NoReduce)
-    }
-
-    /// Batched reduction with the given id-string threshold (see
-    /// [`Deferred`]).
-    #[must_use]
-    pub fn deferred(max_id_strings: usize) -> StampMechanism<N, Deferred> {
-        StampMechanism::with_policy(Deferred::new(max_id_strings))
-    }
-
-    /// Frontier-evidence identity GC (see [`crate::gc`]).
-    #[must_use]
-    pub fn frontier_gc() -> StampMechanism<N, crate::gc::FrontierGc<N>> {
-        StampMechanism::with_policy(crate::gc::FrontierGc::new())
-    }
-
-    /// A mechanism selecting reducing/non-reducing from a runtime
-    /// [`Reduction`] flag (one mechanism type for both).
-    #[must_use]
-    pub fn with_reduction(reduction: Reduction) -> StampMechanism<N, Reduction> {
-        StampMechanism::with_policy(reduction)
+    pub fn non_reducing() -> Self {
+        StampMechanism { reduction: Reduction::NonReducing, _marker: core::marker::PhantomData }
     }
 }
 
-impl<N: NameLike> StampMechanism<N, Reduction> {
-    /// The reduction flag in force.
-    #[must_use]
-    pub fn reduction(&self) -> Reduction {
-        self.policy
+impl<N: NameLike> Default for StampMechanism<N> {
+    fn default() -> Self {
+        StampMechanism::reducing()
     }
 }
 
-impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
+impl<N: NameLike> Mechanism for StampMechanism<N> {
     type Element = Stamp<N>;
 
     fn mechanism_name(&self) -> &'static str {
         // The default representation (packed) keeps the unsuffixed names;
         // the set-backed specification is labelled so reports stay
         // unambiguous.
-        match (N::REPR_NAME, self.policy.policy_name()) {
-            ("packed", "eager") => "version-stamps",
-            ("packed", "none") => "version-stamps-nonreducing",
-            ("packed", "deferred") => "version-stamps-deferred",
-            ("packed", "frontier-gc") => "version-stamps-gc",
-            ("set", "eager") => "version-stamps-set",
-            ("set", "none") => "version-stamps-set-nonreducing",
-            ("set", "deferred") => "version-stamps-set-deferred",
-            ("set", "frontier-gc") => "version-stamps-set-gc",
-            _ => unreachable!("NameLike and the shipped policies are a closed set"),
+        match (N::REPR_NAME == "set", self.reduction) {
+            (false, Reduction::Reducing) => "version-stamps",
+            (false, Reduction::NonReducing) => "version-stamps-nonreducing",
+            (true, Reduction::Reducing) => "version-stamps-set",
+            (true, Reduction::NonReducing) => "version-stamps-set-nonreducing",
         }
     }
 
     fn initial(&mut self) -> Self::Element {
-        let seed = Stamp::seed();
-        self.policy.on_initial(&seed);
-        seed
+        Stamp::seed()
     }
 
     fn update(&mut self, element: &Self::Element) -> Self::Element {
-        let updated = element.update();
-        self.policy.on_update(element, &updated);
-        updated
+        element.update()
     }
 
     fn fork(&mut self, element: &Self::Element) -> (Self::Element, Self::Element) {
-        let (left, right) = element.fork();
-        self.policy.on_fork(element, &left, &right);
-        (left, right)
+        element.fork()
     }
 
     fn join(&mut self, left: &Self::Element, right: &Self::Element) -> Self::Element {
-        self.policy.join(left, right)
+        left.join_with(right, self.reduction)
     }
 
     fn relation(&self, left: &Self::Element, right: &Self::Element) -> Relation {
@@ -226,24 +164,26 @@ impl<N: NameLike, P: ReductionPolicy<N>> Mechanism for StampMechanism<N, P> {
 
 /// Version-stamp mechanism over the flat tag-array representation with
 /// eager reduction — the workspace default.
-pub type VersionStampMechanism = StampMechanism<PackedName, Eager>;
+pub type VersionStampMechanism = StampMechanism<PackedName>;
 
 /// Version-stamp mechanism over the literal antichain representation, the
 /// executable specification the reference checks run against.
-pub type SetStampMechanism = StampMechanism<Name, Eager>;
+pub type SetStampMechanism = StampMechanism<Name>;
 
-/// The default mechanism with the frontier-evidence GC policy.
-pub type GcStampMechanism = StampMechanism<PackedName, crate::gc::FrontierGc<PackedName>>;
+/// The frontier-evidence GC mechanism over the default representation.
+pub type GcStampMechanism = crate::gc::FrontierGc<PackedName>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gc::FrontierGc;
+    use crate::stamp::VersionStamp;
 
     #[test]
     fn stamp_mechanism_constructors() {
         let reducing: SetStampMechanism = StampMechanism::reducing();
         assert_eq!(reducing.mechanism_name(), "version-stamps-set");
-        assert_eq!(ReductionPolicy::<Name>::policy_name(reducing.policy()), "eager");
+        assert_eq!(reducing.reduction, Reduction::Reducing);
 
         let packed: VersionStampMechanism = StampMechanism::reducing();
         assert_eq!(packed.mechanism_name(), "version-stamps");
@@ -251,26 +191,48 @@ mod tests {
             VersionStampMechanism::non_reducing().mechanism_name(),
             "version-stamps-nonreducing"
         );
-        assert_eq!(VersionStampMechanism::deferred(8).mechanism_name(), "version-stamps-deferred");
-        assert_eq!(VersionStampMechanism::frontier_gc().mechanism_name(), "version-stamps-gc");
+        assert_eq!(GcStampMechanism::new().mechanism_name(), "version-stamps-gc");
         assert_eq!(SetStampMechanism::reducing().mechanism_name(), "version-stamps-set");
         assert_eq!(
             SetStampMechanism::non_reducing().mechanism_name(),
             "version-stamps-set-nonreducing"
         );
-        assert_eq!(SetStampMechanism::deferred(4).mechanism_name(), "version-stamps-set-deferred");
-        assert_eq!(SetStampMechanism::frontier_gc().mechanism_name(), "version-stamps-set-gc");
+        assert_eq!(FrontierGc::<Name>::new().mechanism_name(), "version-stamps-set-gc");
 
-        let explicit = SetStampMechanism::with_reduction(Reduction::Reducing);
-        assert_eq!(explicit.reduction(), Reduction::Reducing);
+        let explicit = SetStampMechanism::reducing();
+        assert_eq!(explicit.reduction, Reduction::Reducing);
         assert_eq!(explicit.mechanism_name(), "version-stamps-set");
-        let flag = VersionStampMechanism::with_reduction(Reduction::NonReducing);
-        assert_eq!(flag.reduction(), Reduction::NonReducing);
+        let flag = VersionStampMechanism::non_reducing();
+        assert_eq!(flag.reduction, Reduction::NonReducing);
         assert_eq!(flag.mechanism_name(), "version-stamps-nonreducing");
 
         let default: VersionStampMechanism = StampMechanism::default();
-        assert_eq!(default, StampMechanism::new());
+        assert_eq!(default, StampMechanism::reducing());
         assert_eq!(default.mechanism_name(), "version-stamps");
+    }
+
+    #[test]
+    fn eager_reduces_and_none_does_not() {
+        let (a, b) = VersionStamp::seed().fork();
+        let mut eager = VersionStampMechanism::reducing();
+        let mut none = VersionStampMechanism::non_reducing();
+        assert_eq!(eager.join(&a, &b), VersionStamp::seed());
+        let raw = none.join(&a, &b);
+        assert_ne!(raw, VersionStamp::seed());
+        assert_eq!(raw.reduce(), VersionStamp::seed());
+        assert_eq!(eager.mechanism_name(), "version-stamps");
+        assert_eq!(none.mechanism_name(), "version-stamps-nonreducing");
+    }
+
+    #[test]
+    fn reduction_flag_acts_as_runtime_policy() {
+        let (a, b) = VersionStamp::seed().fork();
+        let mut reducing = VersionStampMechanism::reducing();
+        let mut plain = VersionStampMechanism::non_reducing();
+        assert_eq!(reducing.join(&a, &b), a.join(&b));
+        assert_eq!(plain.join(&a, &b), a.join_non_reducing(&b));
+        assert_eq!(reducing.join(&a, &b), a.join_with(&b, reducing.reduction));
+        assert_eq!(plain.join(&a, &b), a.join_with(&b, plain.reduction));
     }
 
     #[test]
@@ -302,24 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn deferred_mechanism_reduces_past_threshold() {
-        let mut lazy = VersionStampMechanism::deferred(2);
-        let root = lazy.initial();
-        let (a, rest) = lazy.fork(&root);
-        let (a0, a1) = lazy.fork(&a);
-        // id strings after joining the two sub-forks: {00, 01} — exactly at
-        // the threshold, the sibling pair stays unreduced.
-        let ab = lazy.join(&a0, &a1);
-        assert!(!ab.is_reduced());
-        // joining in the sibling crosses the threshold: one batched pass
-        // collapses everything back to the seed.
-        let all = lazy.join(&ab, &rest);
-        assert!(all.is_seed_identity());
-    }
-
-    #[test]
     fn gc_mechanism_replays_like_eager_on_relations() {
-        let mut gc = VersionStampMechanism::frontier_gc();
+        let mut gc = GcStampMechanism::new();
         let mut eager: VersionStampMechanism = StampMechanism::reducing();
         let g0 = gc.initial();
         let e0 = eager.initial();
@@ -332,7 +278,7 @@ mod tests {
         let ej = eager.join(&ea, &eb);
         // The GC'd stamp is never larger than the eagerly reduced one.
         assert!(gc.size_bits(&gj) <= eager.size_bits(&ej));
-        assert!(!gc.policy().is_degraded());
+        assert!(!gc.is_degraded());
     }
 
     #[test]

@@ -69,14 +69,6 @@ pub enum Reduction {
     NonReducing,
 }
 
-impl Reduction {
-    /// Returns `true` for [`Reduction::Reducing`].
-    #[must_use]
-    pub fn is_reducing(self) -> bool {
-        matches!(self, Reduction::Reducing)
-    }
-}
-
 impl fmt::Display for Reduction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -598,6 +590,6 @@ mod tests {
         assert_eq!(format!("{joined:?}"), "Stamp[{0} | {0, 1}]");
         assert_eq!(Reduction::Reducing.to_string(), "reducing");
         assert_eq!(Reduction::NonReducing.to_string(), "non-reducing");
-        assert!(Reduction::default().is_reducing());
+        assert_eq!(Reduction::default(), Reduction::Reducing);
     }
 }

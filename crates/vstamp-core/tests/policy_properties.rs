@@ -1,18 +1,18 @@
-//! Property tests for the reduction-policy seam: over random fork/join/
-//! update traces, **every** policy — eager (Section 6), none (Section 4),
-//! deferred/batched, and frontier-evidence GC — yields stamps whose pairwise
+//! Property tests for the stamp lifecycles: over random fork/join/update
+//! traces, **every** stamp mechanism — eager (Section 6), non-reducing
+//! (Section 4) and frontier-evidence GC — yields stamps whose pairwise
 //! `relation()` classifications are identical to the causal-history oracle
 //! and to each other, after every single operation; and the GC'd frontiers
 //! still satisfy the invariants I1–I3.
 //!
 //! This is the executable form of the soundness argument in the
 //! [`gc`](vstamp_core::gc) module docs, and the acceptance gate for
-//! replacing eager reduction by the GC policy in the space experiments.
+//! replacing eager reduction by the GC mechanism in the space experiments.
 
 use proptest::prelude::*;
 use vstamp_core::causal::CausalMechanism;
 use vstamp_core::{
-    audit_configuration, Configuration, Mechanism, NameLike, Operation, Stamp, StampMechanism,
+    audit_configuration, Configuration, GcStampMechanism, Mechanism, NameLike, Operation, Stamp,
     Trace, VersionStampMechanism,
 };
 
@@ -55,13 +55,10 @@ fn concretize(script: &Script) -> Trace {
 /// Replays `trace` against a stamp mechanism and the causal oracle in
 /// lockstep, asserting after **every** operation that all pairwise
 /// relations agree. Returns the final configuration.
-fn assert_oracle_lockstep<N, P>(
-    mechanism: StampMechanism<N, P>,
-    trace: &Trace,
-) -> Configuration<StampMechanism<N, P>>
+fn assert_oracle_lockstep<N, M>(mechanism: M, trace: &Trace) -> Configuration<M>
 where
     N: NameLike,
-    StampMechanism<N, P>: Mechanism<Element = Stamp<N>>,
+    M: Mechanism<Element = Stamp<N>>,
 {
     let mut subject = Configuration::new(mechanism);
     let mut oracle = Configuration::new(CausalMechanism::new());
@@ -74,7 +71,7 @@ where
             assert_eq!(
                 actual,
                 expected,
-                "policy {} disagrees with the oracle on ({a}, {b}) after {op}",
+                "mechanism {} disagrees with the oracle on ({a}, {b}) after {op}",
                 subject.mechanism().mechanism_name()
             );
         }
@@ -85,37 +82,30 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The frontier-GC policy classifies exactly like the causal oracle
+    /// The frontier-GC mechanism classifies exactly like the causal oracle
     /// after every operation, and its frontiers satisfy I1–I3 throughout.
     #[test]
     fn frontier_gc_matches_oracle_and_invariants(script in script(45)) {
         let trace = concretize(&script);
-        let mut subject = Configuration::new(VersionStampMechanism::frontier_gc());
+        let mut subject = Configuration::new(GcStampMechanism::new());
         let mut oracle = Configuration::new(CausalMechanism::new());
         for op in &trace {
             subject.apply(*op).expect("replays");
             oracle.apply(*op).expect("replays");
             for (a, b, expected) in oracle.pairwise_relations() {
                 prop_assert_eq!(subject.relation(a, b).expect("same ids"), expected,
-                    "GC policy disagrees with the oracle on ({}, {}) after {}", a, b, op);
+                    "GC mechanism disagrees with the oracle on ({}, {}) after {}", a, b, op);
             }
             let report = audit_configuration(&subject);
             prop_assert!(report.is_ok(), "invariant violation after {}: {}", op, report);
         }
-        prop_assert!(!subject.mechanism().policy().is_degraded(),
+        prop_assert!(!subject.mechanism().is_degraded(),
             "configuration-driven lifecycles must keep the mirror exact");
     }
 
-    /// The deferred (batched) policy classifies exactly like the oracle
-    /// after every operation, for several batching thresholds.
-    #[test]
-    fn deferred_matches_oracle(script in script(40), threshold in 0usize..24) {
-        let trace = concretize(&script);
-        assert_oracle_lockstep(VersionStampMechanism::deferred(threshold), &trace);
-    }
-
-    /// Eager and non-reducing classify exactly like the oracle (Corollary
-    /// 5.2 and its Section-6 extension), on the packed default.
+    /// The eager and non-reducing mechanisms classify exactly like the
+    /// oracle (Corollary 5.2 and its Section-6 extension), on the packed
+    /// default.
     #[test]
     fn eager_and_none_match_oracle(script in script(35)) {
         let trace = concretize(&script);
@@ -123,8 +113,8 @@ proptest! {
         assert_oracle_lockstep(VersionStampMechanism::non_reducing(), &trace);
     }
 
-    /// All policies agree with each other on every frontier of the trace
-    /// (they all induce the same classification, so pairwise agreement
+    /// All stamp mechanisms agree with each other on every frontier of the
+    /// trace (they all induce the same classification, so pairwise agreement
     /// follows from oracle agreement — this checks it directly, including
     /// on frontiers where the oracle comparison might be coarse).
     #[test]
@@ -132,16 +122,13 @@ proptest! {
         let trace = concretize(&script);
         let mut eager = Configuration::new(VersionStampMechanism::reducing());
         let mut none = Configuration::new(VersionStampMechanism::non_reducing());
-        let mut lazy = Configuration::new(VersionStampMechanism::deferred(4));
-        let mut gc = Configuration::new(VersionStampMechanism::frontier_gc());
+        let mut gc = Configuration::new(GcStampMechanism::new());
         for op in &trace {
             eager.apply(*op).expect("replays");
             none.apply(*op).expect("replays");
-            lazy.apply(*op).expect("replays");
             gc.apply(*op).expect("replays");
             for (a, b, expected) in eager.pairwise_relations() {
                 prop_assert_eq!(none.relation(a, b).expect("same ids"), expected);
-                prop_assert_eq!(lazy.relation(a, b).expect("same ids"), expected);
                 prop_assert_eq!(gc.relation(a, b).expect("same ids"), expected);
             }
         }
@@ -154,7 +141,7 @@ proptest! {
     fn gc_never_costs_space(script in script(40)) {
         let trace = concretize(&script);
         let mut eager = Configuration::new(VersionStampMechanism::reducing());
-        let mut gc = Configuration::new(VersionStampMechanism::frontier_gc());
+        let mut gc = Configuration::new(GcStampMechanism::new());
         for op in &trace {
             eager.apply(*op).expect("replays");
             gc.apply(*op).expect("replays");
@@ -174,7 +161,7 @@ proptest! {
     #[test]
     fn gc_total_join_recovers_seed(script in script(30)) {
         let trace = concretize(&script);
-        let mut gc = Configuration::new(VersionStampMechanism::frontier_gc());
+        let mut gc = Configuration::new(GcStampMechanism::new());
         gc.apply_trace(&trace).expect("replays");
         while gc.len() > 1 {
             let ids = gc.ids();

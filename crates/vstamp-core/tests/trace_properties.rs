@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use vstamp_core::causal::CausalMechanism;
 use vstamp_core::{
     audit_configuration, Applied, BitTrieCodec, Configuration, ElementId, Mechanism, Name,
-    NameLike, Operation, PackedName, Reduction, SetStampMechanism, StampCodec, StampMechanism,
-    Trace, VersionStampMechanism,
+    NameLike, Operation, PackedName, SetStampMechanism, StampCodec, Trace, VersionStampMechanism,
 };
 
 /// A raw "script" of choices that is interpreted against the evolving
@@ -61,13 +60,11 @@ fn replay<M: Mechanism>(mechanism: M, trace: &Trace) -> Configuration<M> {
 }
 
 /// Checks Corollary 5.2: pairwise relations from stamps match those from
-/// causal histories on the same frontier (any reduction policy).
-fn assert_corollary_5_2<N, P>(
-    stamps: &Configuration<StampMechanism<N, P>>,
-    causal: &Configuration<CausalMechanism>,
-) where
+/// causal histories on the same frontier (either reduction).
+fn assert_corollary_5_2<N, M>(stamps: &Configuration<M>, causal: &Configuration<CausalMechanism>)
+where
     N: NameLike,
-    StampMechanism<N, P>: Mechanism<Element = vstamp_core::Stamp<N>>,
+    M: Mechanism<Element = vstamp_core::Stamp<N>>,
 {
     assert_eq!(stamps.ids(), causal.ids(), "domains must coincide");
     for (a, b, expected) in causal.pairwise_relations() {
@@ -78,12 +75,10 @@ fn assert_corollary_5_2<N, P>(
 
 /// Checks the stronger Proposition 5.1: for every element `x` and non-empty
 /// subset `S` of the frontier, `C(x) ⊆ ⋃C[S] ⟺ fst(V(x)) ⊑ ⊔fst[V[S]]`.
-fn assert_proposition_5_1<N, P>(
-    stamps: &Configuration<StampMechanism<N, P>>,
-    causal: &Configuration<CausalMechanism>,
-) where
+fn assert_proposition_5_1<N, M>(stamps: &Configuration<M>, causal: &Configuration<CausalMechanism>)
+where
     N: NameLike,
-    StampMechanism<N, P>: Mechanism<Element = vstamp_core::Stamp<N>>,
+    M: Mechanism<Element = vstamp_core::Stamp<N>>,
 {
     let ids = causal.ids();
     // Cap the exhaustive subset enumeration to keep the test fast; the
@@ -299,11 +294,11 @@ proptest! {
         prop_assert!(as_name.leq(&Name::epsilon()));
     }
 
-    /// Reduction policy never affects element identifiers or frontier size.
+    /// The reduction never affects element identifiers or frontier size.
     #[test]
     fn policies_share_frontier_shape(script in script(30)) {
-        let (reducing, trace) = run_script(VersionStampMechanism::with_reduction(Reduction::Reducing), &script);
-        let non_reducing = replay(VersionStampMechanism::with_reduction(Reduction::NonReducing), &trace);
+        let (reducing, trace) = run_script(VersionStampMechanism::reducing(), &script);
+        let non_reducing = replay(VersionStampMechanism::non_reducing(), &trace);
         prop_assert_eq!(reducing.len(), non_reducing.len());
         prop_assert_eq!(reducing.ids(), non_reducing.ids());
     }

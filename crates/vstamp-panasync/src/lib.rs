@@ -6,7 +6,7 @@
 //! reproduces that application on an in-memory file model: the original
 //! project's C++/STL library and command-line tools operated on real files,
 //! but the causality-tracking behaviour is identical — only the storage
-//! layer is simulated (see DESIGN.md, substitutions).
+//! layer is simulated.
 //!
 //! A [`FileCopy`] is a piece of content plus a [`VersionStamp`]. Copies are
 //! created by [`FileCopy::duplicate`] (fork), edited in place

@@ -51,6 +51,9 @@ pub trait Member: Sync {
     fn root(&self) -> u64;
     /// A causal read: the sibling ids and the context.
     fn get(&self, key: &str, now: u64) -> (Vec<u64>, Option<Self::Context>);
+    /// The sibling ids the member's store holds for `key`, read from the
+    /// store itself with no client request (the mid-fault check's read).
+    fn shown(&self, key: &str) -> Vec<u64>;
     /// A causal write of `id`, superseding `context`.
     fn put(&self, key: &str, id: u64, context: Option<&Self::Context>, now: u64);
     /// Whether the member has a causal Delete; a driver refuses a schedule
@@ -67,7 +70,8 @@ pub fn node_addr(index: usize) -> String {
     format!("127.0.0.1:{}", NODE_PORT + index)
 }
 
-/// The client ops go through `client_get` / `client_put` over `handle`.
+/// The client ops go through `client_get` / `client_put` over `handle`;
+/// `shown` reads the core's store.
 impl Member for NodeCore {
     type Context = PackedName;
 
@@ -95,6 +99,10 @@ impl Member for NodeCore {
         let via = |request| self.handle(request, now).ok_or(io::ErrorKind::InvalidData.into());
         let (values, context) = client_get(key, via).expect("a core answers a Get");
         (values.iter().map(|value| decode_id(value)).collect(), context)
+    }
+
+    fn shown(&self, key: &str) -> Vec<u64> {
+        self.cluster().get(0, key).iter_values().map(decode_id).collect()
     }
 
     fn put(&self, key: &str, id: u64, context: Option<&PackedName>, now: u64) {
@@ -154,6 +162,10 @@ impl<B: StoreBackend> Member for Replica<'_, B> {
     fn get(&self, key: &str, _: u64) -> (Vec<u64>, Option<B::Clock>) {
         let read = self.cluster.get(self.index, key);
         (read.iter_values().map(decode_id).collect(), read.context().cloned())
+    }
+
+    fn shown(&self, key: &str) -> Vec<u64> {
+        self.cluster.get(self.index, key).iter_values().map(decode_id).collect()
     }
 
     fn put(&self, key: &str, id: u64, context: Option<&B::Clock>, _: u64) {
@@ -456,7 +468,7 @@ impl<'a, M: Member> Driver<'a, M> {
                 let completed = member.gossip_round(now, &mut dial);
                 self.tally.lock().pulls[usize::from(completed)] += 1;
                 if delta && self.faults > 0 {
-                    self.check(index, member, now);
+                    self.check(index, member);
                 }
             }
         }
@@ -513,12 +525,12 @@ impl<'a, M: Member> Driver<'a, M> {
 
     /// The mid-fault check at member `index`: it shows an antichain of
     /// every key, and keeps each of its writes (see [`KeyOracle::kept`]).
-    fn check(&self, index: usize, member: &M, now: u64) {
+    fn check(&self, index: usize, member: &M) {
         for (key, entry) in self.oracles.iter().enumerate() {
             // Listed before this read, so landed before it.
             let mine: Vec<u64> =
                 entry.lock().1.iter().filter(|w| w.0 == index).map(|w| w.1).collect();
-            let shown = member.get(&key_name(key), now).0;
+            let shown = member.shown(&key_name(key));
             let (oracle, _) = &*entry.lock();
             let mut tally = self.tally.lock();
             tally.own_writes_lost += mine.iter().filter(|&&id| !oracle.kept(id, &shown)).count();

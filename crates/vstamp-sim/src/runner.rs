@@ -10,7 +10,7 @@ use vstamp_baselines::{
     RandomIdCausalMechanism, VectorClockMechanism,
 };
 use vstamp_core::causal::CausalMechanism;
-use vstamp_core::{SetStampMechanism, Trace, VersionStampMechanism};
+use vstamp_core::{GcStampMechanism, SetStampMechanism, Trace, VersionStampMechanism};
 use vstamp_itc::ItcMechanism;
 
 use crate::metrics::{measure_space, ComparisonTable, SpaceReport};
@@ -23,12 +23,7 @@ pub enum MechanismSet {
     /// The two name representations (set specification / packed tags),
     /// both reducing.
     Representations,
-    /// The reduction-policy ablation over the default representation:
-    /// eager (Section 6), deferred/batched, and frontier-evidence GC.
-    /// (The non-reducing policy is omitted — use
-    /// [`MechanismSet::StampsOnly`] on a capped trace for it.)
-    Policies,
-    /// Version stamps (eager and GC policies), every baseline, and ITC —
+    /// Version stamps (eager, non-reducing and GC), every baseline, and ITC —
     /// the full E7/E10 table.
     All,
     /// [`MechanismSet::All`] without the non-reducing stamps, for long
@@ -50,23 +45,12 @@ fn measurement_jobs(set: MechanismSet) -> Vec<Job> {
         MechanismSet::Representations => {
             jobs.push(|t| measure_space(SetStampMechanism::reducing(), t));
         }
-        MechanismSet::Policies => {
-            jobs.push(|t| {
-                measure_space(
-                    vstamp_core::StampMechanism::<vstamp_core::PackedName, _>::with_policy(
-                        vstamp_core::Deferred::default(),
-                    ),
-                    t,
-                )
-            });
-            jobs.push(|t| measure_space(VersionStampMechanism::frontier_gc(), t));
-        }
         MechanismSet::All | MechanismSet::AllReducing => {
             if set == MechanismSet::All {
                 jobs.push(|t| measure_space(VersionStampMechanism::non_reducing(), t));
             }
             let rest: [Job; 8] = [
-                |t| measure_space(VersionStampMechanism::frontier_gc(), t),
+                |t| measure_space(GcStampMechanism::new(), t),
                 |t| measure_space(FixedVersionVectorMechanism::new(), t),
                 |t| measure_space(DynamicVersionVectorMechanism::new(), t),
                 |t| measure_space(VectorClockMechanism::new(), t),
@@ -99,7 +83,8 @@ pub fn compare_mechanisms(set: MechanismSet, trace: &Trace) -> ComparisonTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{generate, OperationMix, WorkloadSpec};
+    use crate::workload::{generate, generate_partition_heal, OperationMix, WorkloadSpec};
+    use vstamp_core::{FrontierGc, Name};
 
     // Trace sizes here are deliberately modest: the non-reducing mechanism's
     // identities grow exponentially with the number of sync (join + fork)
@@ -131,15 +116,12 @@ mod tests {
     #[test]
     fn policy_comparison_keeps_gc_at_or_below_eager() {
         let trace = generate(&WorkloadSpec::new(120, 6, 6).with_mix(OperationMix::churn_heavy()));
-        let table = compare_mechanisms(MechanismSet::Policies, &trace);
-        assert_eq!(table.rows().len(), 3);
+        let table = compare_mechanisms(MechanismSet::AllReducing, &trace);
+        assert_eq!(table.rows().len(), 9);
         let eager = table.row("version-stamps").expect("eager row");
-        let deferred = table.row("version-stamps-deferred").expect("deferred row");
         let gc = table.row("version-stamps-gc").expect("gc row");
         assert!(gc.max_element_bits <= eager.max_element_bits);
         assert!(gc.final_frontier_bits <= eager.final_frontier_bits);
-        // Deferred trades space for time: never smaller than eager.
-        assert!(deferred.max_element_bits >= eager.max_element_bits);
     }
 
     #[test]
@@ -166,5 +148,54 @@ mod tests {
         for (a, b) in table.rows().iter().zip(again.rows()) {
             assert_eq!(a, b);
         }
+    }
+
+    /// One stamp row's space figures, exactly: mean element bits (as the
+    /// `f64`'s bit pattern), max element bits, final frontier bits and max
+    /// frontier width.
+    type Figures = (u64, usize, usize, usize);
+
+    fn figures(report: &SpaceReport) -> Figures {
+        (
+            report.mean_element_bits.to_bits(),
+            report.max_element_bits,
+            report.final_frontier_bits,
+            report.max_frontier,
+        )
+    }
+
+    #[test]
+    fn stamp_rows_match_their_golden_figures() {
+        // Golden figures of the packed rows, which the set representation
+        // must repeat bit for bit. On the update-heavy trace the GC finds
+        // nothing to collapse and repeats the eager row; the partition/heal
+        // trace fragments identities, and there it does collapse.
+        const EAGER: Figures = (0x4046_0d73_03b5_cc0f, 169, 646, 5);
+        const NON_REDUCING: Figures = (0x4067_0f6b_981d_ae60, 688, 2644, 5);
+        const HEAL_EAGER: Figures = (0x4060_23cb_7cb7_cb7d, 688, 2794, 6);
+        const HEAL_GC: Figures = (0x404a_b9d8_9d89_d89e, 262, 1107, 6);
+
+        let trace = generate(&WorkloadSpec::new(80, 6, 6).with_mix(OperationMix::update_heavy()));
+        let table = compare_mechanisms(MechanismSet::All, &trace);
+        let heal = generate_partition_heal(2, 3, 3, 12, 6);
+        let healed = compare_mechanisms(MechanismSet::AllReducing, &heal);
+        let row = |table: &ComparisonTable, name: &str| {
+            figures(table.row(name).unwrap_or_else(|| panic!("missing row for {name}")))
+        };
+        assert_eq!(row(&table, "version-stamps"), EAGER);
+        assert_eq!(row(&table, "version-stamps-nonreducing"), NON_REDUCING);
+        assert_eq!(row(&table, "version-stamps-gc"), EAGER);
+        assert_eq!(row(&healed, "version-stamps"), HEAL_EAGER);
+        assert_eq!(row(&healed, "version-stamps-gc"), HEAL_GC);
+
+        let set_gc = FrontierGc::<Name>::new;
+        assert_eq!(figures(&measure_space(SetStampMechanism::reducing(), &trace)), EAGER);
+        assert_eq!(
+            figures(&measure_space(SetStampMechanism::non_reducing(), &trace)),
+            NON_REDUCING
+        );
+        assert_eq!(figures(&measure_space(set_gc(), &trace)), EAGER);
+        assert_eq!(figures(&measure_space(SetStampMechanism::reducing(), &heal)), HEAL_EAGER);
+        assert_eq!(figures(&measure_space(set_gc(), &heal)), HEAL_GC);
     }
 }

@@ -315,7 +315,7 @@ pub fn figure2_causal_histories() -> Vec<(String, String)> {
 mod tests {
     use super::*;
     use vstamp_baselines::DynamicVersionVectorMechanism;
-    use vstamp_core::SetStampMechanism;
+    use vstamp_core::{GcStampMechanism, SetStampMechanism};
     use vstamp_itc::ItcMechanism;
 
     #[test]
@@ -338,7 +338,7 @@ mod tests {
     fn figure1_relations_hold_for_every_mechanism() {
         verify_figure1_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure1_relations(VersionStampMechanism::non_reducing()).unwrap();
-        verify_figure1_relations(VersionStampMechanism::frontier_gc()).unwrap();
+        verify_figure1_relations(GcStampMechanism::new()).unwrap();
         verify_figure1_relations(SetStampMechanism::reducing()).unwrap();
         verify_figure1_relations(FixedVersionVectorMechanism::new()).unwrap();
         verify_figure1_relations(DynamicVersionVectorMechanism::new()).unwrap();
@@ -350,7 +350,7 @@ mod tests {
     fn figure2_relations_hold_for_every_mechanism() {
         verify_figure2_relations(VersionStampMechanism::reducing()).unwrap();
         verify_figure2_relations(VersionStampMechanism::non_reducing()).unwrap();
-        verify_figure2_relations(VersionStampMechanism::frontier_gc()).unwrap();
+        verify_figure2_relations(GcStampMechanism::new()).unwrap();
         verify_figure2_relations(SetStampMechanism::reducing()).unwrap();
         verify_figure2_relations(FixedVersionVectorMechanism::new()).unwrap();
         verify_figure2_relations(CausalMechanism::new()).unwrap();

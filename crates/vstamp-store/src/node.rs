@@ -316,6 +316,12 @@ impl NodeCore {
         }
     }
 
+    /// The core's store (replica 0), read directly by in-process checks.
+    #[must_use]
+    pub fn cluster(&self) -> &Cluster<VstampBackend> {
+        &self.cluster
+    }
+
     /// A status snapshot — what a [`MessageKind::Status`] request returns.
     #[must_use]
     pub fn status(&self) -> NodeStatus {

@@ -6,7 +6,9 @@
 //! single crate:
 //!
 //! * [`core`] (`vstamp-core`) — the version-stamp mechanism itself: names,
-//!   stamps, causal histories, frontier ordering, invariants, encoding;
+//!   stamps, the mechanism seam (stamps under either of the paper's two
+//!   reductions, and the frontier-GC mechanism), causal histories,
+//!   frontier ordering, invariants, encoding;
 //! * [`baselines`] (`vstamp-baselines`) — version vectors (fixed and
 //!   dynamic), vector clocks, dotted version vectors, random-id causal sets;
 //! * [`itc`] (`vstamp-itc`) — Interval Tree Clocks, the successor mechanism;
@@ -43,10 +45,9 @@ pub use vstamp_store as store;
 
 pub use vstamp_baselines::{DottedVersionVector, ReplicaId, VectorClock, VersionVector};
 pub use vstamp_core::{
-    Bit, BitString, CausalHistory, Configuration, Deferred, Eager, ElementId, FrontierEvidence,
-    FrontierGc, GcStampMechanism, Mechanism, Name, NoReduce, Operation, PackedName, Reduction,
-    ReductionPolicy, Relation, SetStamp, SetStampMechanism, Stamp, StampMechanism, Trace,
-    VersionStamp, VersionStampMechanism,
+    Bit, BitString, CausalHistory, Configuration, ElementId, FrontierEvidence, FrontierGc,
+    GcStampMechanism, Mechanism, Name, Operation, PackedName, Reduction, Relation, SetStamp,
+    SetStampMechanism, Stamp, StampMechanism, Trace, VersionStamp, VersionStampMechanism,
 };
 pub use vstamp_core::{BitTrieCodec, StampCodec, VarintCodec};
 pub use vstamp_itc::ItcStamp;

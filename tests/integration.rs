@@ -10,7 +10,8 @@ use vstamp::{
 };
 use vstamp_baselines::{DynamicVersionVectorMechanism, FixedVersionVectorMechanism};
 use vstamp_core::{
-    audit_configuration, causal::CausalMechanism, BitTrieCodec, StampCodec, VersionStampMechanism,
+    audit_configuration, causal::CausalMechanism, BitTrieCodec, GcStampMechanism, StampCodec,
+    VersionStampMechanism,
 };
 use vstamp_itc::ItcMechanism;
 
@@ -35,9 +36,9 @@ fn random_workloads_preserve_equivalence_and_invariants_end_to_end() {
         let trace =
             generate(&WorkloadSpec::new(400, 10, seed).with_mix(OperationMix::churn_heavy()));
         // equivalence with the causal oracle through the facade — for the
-        // default policy and the frontier-GC policy
+        // default mechanism and the frontier-GC mechanism
         assert!(check_against_oracle(VersionStampMechanism::reducing(), &trace).is_exact());
-        assert!(check_against_oracle(VersionStampMechanism::frontier_gc(), &trace).is_exact());
+        assert!(check_against_oracle(GcStampMechanism::new(), &trace).is_exact());
         assert!(check_against_oracle(ItcMechanism::new(), &trace).is_exact());
         assert!(check_against_oracle(DynamicVersionVectorMechanism::new(), &trace).is_exact());
         // invariants audited on the final configuration
@@ -55,7 +56,7 @@ fn partition_heal_workload_runs_through_the_comparison_runner() {
     let trace = generate_partition_heal(3, 3, 3, 24, 99);
     let table = compare_mechanisms(MechanismSet::All, &trace);
     assert_eq!(table.rows().len(), 10);
-    // The GC policy must never report more space than eager reduction —
+    // The GC mechanism must never report more space than eager reduction —
     // same trace, strictly fewer identity strings.
     let eager_row = table.row("version-stamps").expect("eager (default) row");
     let gc_row = table.row("version-stamps-gc").expect("gc row");
