@@ -1,8 +1,9 @@
-//! # vstamp-bench — figure-regeneration binaries and criterion benches
+//! # vstamp-bench — figure-regeneration and report binaries
 //!
 //! Every artefact of the paper's presentation (Figures 1–4) and every
 //! quantitative experiment added by this reproduction (E5–E10, listed in
-//! the README's "Experiments" section) has a regeneration target here:
+//! the README's "Experiments" section) has a regeneration target here or
+//! in the benchmark:
 //!
 //! | Experiment | Regenerate with |
 //! |------------|-----------------|
@@ -12,12 +13,10 @@
 //! | E4 / Figure 4 | `cargo run -p vstamp-bench --bin figure4` |
 //! | E5 invariants | `cargo run -p vstamp-bench --bin invariants_report` |
 //! | E6 equivalence | `cargo run -p vstamp-bench --bin equivalence_report` |
-//! | E7 space growth | `cargo run -p vstamp-bench --bin space_growth`, `cargo bench -p vstamp-bench --bench space` |
-//! | E8 operation latency | `cargo bench -p vstamp-bench --bench ops`, `--bench mechanisms` |
-//! | E9 simplification | `cargo run -p vstamp-bench --bin simplification`, `cargo bench -p vstamp-bench --bench simplify` |
+//! | E7 space growth | `cargo run -p vstamp-bench --bin space_growth` |
+//! | E8 operation latency | the benchmark's `core.*` and `wire.clock_codec_ns` rows (`benchmark/README.md`) |
+//! | E9 simplification | `cargo run -p vstamp-bench --bin simplification` |
 //! | E10 ITC comparison | `cargo run -p vstamp-bench --bin itc_comparison` |
-//! | repr ablation | `cargo bench -p vstamp-bench --bench repr` |
-//! | store backends | `cargo bench -p vstamp-bench --bench store` |
 //!
 //! The library part holds the small amount of shared code the binaries use
 //! (deterministic seeds and table formatting), so their output is stable
@@ -51,8 +50,8 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Longest trace the non-reducing mechanism is given in benches and
-/// reports by default: without the Section-6 rule its identities gain one
+/// Longest trace the non-reducing mechanism is given in reports by
+/// default: without the Section-6 rule its identities gain one
 /// string per fork *forever*, so sync-heavy traces grow them exponentially
 /// (a 120-op trace already reaches ~10⁷ strings — see ROADMAP "Open
 /// items").
@@ -75,58 +74,6 @@ pub fn truncated(trace: &Trace, ops: usize) -> Trace {
         out.push(*op);
     }
     out
-}
-
-/// A name with `strings` deterministic pseudo-random strings of the given
-/// depth (xorshift-generated, reproducible across runs), for the `repr`
-/// bench.
-#[must_use]
-pub fn wide_name(strings: usize, depth: usize, seed: u64) -> vstamp_core::Name {
-    use vstamp_core::{Bit, BitString, Name};
-    let mut out = Name::empty();
-    let mut state = seed;
-    while out.len() < strings {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let mut s = BitString::empty();
-        for bit in 0..depth {
-            s.push(Bit::from((state >> (bit % 64)) & 1 == 1));
-        }
-        out.insert(s);
-    }
-    out
-}
-
-/// The identities of two replicas at the bottom of a fork chain `depth`
-/// levels deep: each keeps the deep string `0…0` plus the sibling markers
-/// `0…01` it collected on alternating levels. Joining the pair interleaves
-/// the two spines — the worst case for a pointer-chasing representation.
-#[must_use]
-pub fn deep_chain_pair(depth: usize) -> (vstamp_core::Name, vstamp_core::Name) {
-    use vstamp_core::{Bit, BitString, Name};
-    let spine_string = |ones_at: usize| {
-        let mut s = BitString::empty();
-        for _ in 0..ones_at {
-            s.push(Bit::Zero);
-        }
-        s.push(Bit::One);
-        s
-    };
-    let mut deep = BitString::empty();
-    for _ in 0..depth {
-        deep.push(Bit::Zero);
-    }
-    let mut a = Name::from_string(deep.clone());
-    let mut b = Name::from_string(deep);
-    for level in 0..depth {
-        if level % 2 == 0 {
-            a.insert(spine_string(level));
-        } else {
-            b.insert(spine_string(level));
-        }
-    }
-    (a, b)
 }
 
 /// Replays a trace against a mechanism and renders every pairwise relation

@@ -110,8 +110,7 @@ impl FrontierEvidence {
     /// This is the incremental path [`FrontierGc`] uses: each element's
     /// footprint is converted and joined **once**, when the element enters
     /// the frontier, instead of twice per element on *every* join as
-    /// [`FrontierEvidence::from_stamps`] does (the `gc-evidence` criterion
-    /// group in `vstamp-bench` records the delta).
+    /// [`FrontierEvidence::from_stamps`] does.
     pub fn from_footprints<'a, I>(others: I) -> Self
     where
         I: IntoIterator<Item = &'a Name>,

@@ -1498,38 +1498,6 @@ impl PackedName {
         matches!(self.locate(s), Some(tag) if tag != EMPTY)
     }
 
-    /// Length of the longest prefix of `s` this antichain dominates
-    /// (`{prefix} ⊑ self`), or `None` when the name is empty (it dominates
-    /// no string at all, `ε` included).
-    ///
-    /// One descent of the trie along `s` — the batched form of calling
-    /// [`PackedName::dominates_string`] on every prefix of `s`, used by
-    /// the store's single-string identity collapse to find the shallowest
-    /// evidence-free re-anchor point without materialising any name.
-    #[must_use]
-    pub fn dominated_prefix_len(&self, s: &BitString) -> Option<usize> {
-        let view = self.tags.view();
-        if view.tag(0) == EMPTY {
-            return None;
-        }
-        let mut i = 0usize;
-        let mut len = 0usize;
-        for bit in s.iter() {
-            if view.tag(i) != NODE {
-                break;
-            }
-            i = match bit {
-                Bit::Zero => i + 1,
-                Bit::One => view.subtree_end(i + 1),
-            };
-            if view.tag(i) == EMPTY {
-                break;
-            }
-            len += 1;
-        }
-        Some(len)
-    }
-
     /// The shallowest string of the antichain (ties broken towards the
     /// preorder-first, i.e. lexicographically smallest, string), or `None`
     /// when the name is empty.
@@ -1697,8 +1665,7 @@ impl PackedName {
     pub fn reduce_pair(update: &PackedName, id: &PackedName) -> (PackedName, PackedName) {
         // The scratch buffers are arena-pooled per thread: `reduce_pair`
         // runs after every reducing join, and rebuilding its six working
-        // vectors from scratch dominated the small-stamp hot path (see the
-        // `reduce-scratch` criterion group in `vstamp-bench`).
+        // vectors from scratch dominated the small-stamp hot path.
         REDUCE_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             PackedName::reduce_pair_with(update, id, &mut scratch)
@@ -2267,36 +2234,6 @@ mod tests {
             assert_eq!(single.string_count(), 1);
             assert_eq!(single.bit_size(), bs.len());
             assert_eq!(single.shallowest_string(), Some(bs));
-        }
-    }
-
-    #[test]
-    fn dominated_prefix_len_agrees_with_per_prefix_domination() {
-        let queries: Vec<BitString> =
-            ["ε", "0", "1", "01", "011", "0110", "110", "111111", "000111"]
-                .iter()
-                .map(|s| s.parse().unwrap())
-                .collect();
-        for lit in SAMPLES {
-            let (n, p) = (name(lit), packed(lit));
-            for s in &queries {
-                let expected = if n.is_empty() {
-                    None
-                } else {
-                    // Longest dominated prefix by brute force.
-                    Some(
-                        (0..=s.len())
-                            .rev()
-                            .find(|&l| n.dominates_string(&BitString::from_bits(s.iter().take(l))))
-                            .expect("non-empty names dominate ε"),
-                    )
-                };
-                assert_eq!(
-                    p.dominated_prefix_len(s),
-                    expected,
-                    "dominated_prefix_len mismatch {lit} / {s}"
-                );
-            }
         }
     }
 

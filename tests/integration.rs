@@ -56,12 +56,13 @@ fn partition_heal_workload_runs_through_the_comparison_runner() {
     let trace = generate_partition_heal(3, 3, 3, 24, 99);
     let table = compare_mechanisms(MechanismSet::All, &trace);
     assert_eq!(table.rows().len(), 10);
-    // The GC mechanism must never report more space than eager reduction —
-    // same trace, strictly fewer identity strings.
+    // The GC mechanism collapses what eager reduction cannot: same trace,
+    // strictly fewer element bits (100 against 360 mean, 706 against 4 402
+    // max on this seed), so a GC that never collapses fails here.
     let eager_row = table.row("version-stamps").expect("eager (default) row");
     let gc_row = table.row("version-stamps-gc").expect("gc row");
-    assert!(gc_row.mean_element_bits <= eager_row.mean_element_bits);
-    assert!(gc_row.max_element_bits <= eager_row.max_element_bits);
+    assert!(gc_row.mean_element_bits < eager_row.mean_element_bits);
+    assert!(gc_row.max_element_bits < eager_row.max_element_bits);
     let stamps = table.row("version-stamps").expect("stamps row");
     let dynamic = table.row("dynamic-version-vectors").expect("dynamic vv row");
     // The qualitative claim of the evaluation: stamp size stays below the
