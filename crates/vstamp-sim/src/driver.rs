@@ -1,10 +1,13 @@
 //! One seeded cluster driver: members behind one [`Member`] seam — a
-//! [`NodeCore`], or a [`Replica`] of a shared in-process [`Cluster`] —
+//! [`NodeCore`], a [`Replica`] of a shared in-process [`Cluster`], or (in
+//! the `cluster_harness` binary) a node process behind its nemesis proxy —
 //! under one schedule loop, one [`Dice`] stream, one fault vocabulary and
 //! one oracle glue around [`KeyOracle`]. An epoch of virtual time opens
 //! with the timeline's due [`Event`]s and the client sessions, then ticks
 //! [`EPOCH_MS`] milliseconds, each running every member whose gossip pause
-//! is over. Threads split an epoch's sessions and members; one thread
+//! is over; members that gossip on their own threads and clock
+//! ([`Member::WALL_CLOCK`]) make an epoch last at least as long in wall
+//! time. Threads split an epoch's sessions and members; one thread
 //! replays a seed bit for bit. A request between members may meet a
 //! partition, or, while the timeline's link-fault rate is above zero, a
 //! link fault: a lost, cut or bit-flipped request, a Want that lost its
@@ -12,16 +15,23 @@
 //! previous reply. Under link faults every round that took a Delta is
 //! followed by the mid-fault check: the member shows an antichain of every
 //! key and keeps its own writes.
+//!
+//! [`harness`] is the one membership scenario every node substrate runs:
+//! join by fork, a partition and a crash-restart from a
+//! [`fault_plan`](crate::nemesis::fault_plan), and the eviction,
+//! retirement, id-bit and oracle gates.
 
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use vstamp_core::PackedName;
 use vstamp_store::wire::{decode_want, encode_want};
 use vstamp_store::{
-    client_get, client_put, Cluster, Envelope, MessageKind, NodeCore, PullCursor, StoreBackend,
+    client_get, client_put, Cluster, Envelope, MemberStatus, MessageKind, NodeConfig, NodeCore,
+    NodeStatus, PhiConfig, PullCursor, StoreBackend, TransportConfig,
 };
 
 use crate::nemesis::{Dice, FaultAction};
@@ -62,6 +72,13 @@ pub trait Member: Sync {
     /// A causal delete superseding `context`; called only if
     /// [`Member::DELETES`].
     fn delete(&self, key: &str, context: Option<&Self::Context>, now: u64);
+    /// Whether the member gossips on its own threads and clock: the driver
+    /// then runs no rounds, and an epoch takes at least [`EPOCH_MS`] of
+    /// wall time.
+    const WALL_CLOCK: bool = false;
+    /// Black-holes (or heals) the member's inbound side in a net of its
+    /// own, besides the driver's; none by default.
+    fn block(&self, _blocked: bool) {}
 }
 
 /// Node member `index`'s advertised address.
@@ -181,8 +198,8 @@ impl<B: StoreBackend> Member for Replica<'_, B> {
 /// One timeline step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A [`FaultPlan`](crate::FaultPlan) action: a directed partition, a
-    /// drain, or (node members only) a kill or a restart.
+    /// A [`fault_plan`](crate::nemesis::fault_plan) action: a directed
+    /// partition, a drain, or (node members only) a kill or a restart.
     Fault(FaultAction),
     /// Member `i` reaches only members of island `islands[i]` (members
     /// past the end are on island 0; empty heals everything).
@@ -368,8 +385,8 @@ impl<'a, M: Member> Driver<'a, M> {
         for epoch in 0..=self.schedule.epochs {
             while let Some((_, event)) = timeline.next_if(|(at, _)| start + at <= self.now) {
                 match event {
-                    Event::Fault(FaultAction::Block(i)) => self.blocked = Some(i),
-                    Event::Fault(FaultAction::Unblock(_)) => self.blocked = None,
+                    Event::Fault(FaultAction::Block(i)) => self.partition(Some(i)),
+                    Event::Fault(FaultAction::Unblock(_)) => self.partition(None),
                     Event::Fault(FaultAction::Drain(i)) => self.slots[i].writable = false,
                     // Dropping the member drops its store: acked writes
                     // live on only where gossip already shipped them.
@@ -391,7 +408,8 @@ impl<'a, M: Member> Driver<'a, M> {
     /// link-fault rate in force, until `done` holds (true) or `epochs` ran
     /// (false).
     pub fn settle(&mut self, epochs: usize, done: impl Fn(&Self) -> bool) -> bool {
-        (self.blocked, self.islands) = (None, Vec::new());
+        self.partition(None);
+        self.islands = Vec::new();
         for _ in 0..epochs {
             if done(self) {
                 return true;
@@ -422,6 +440,17 @@ impl<'a, M: Member> Driver<'a, M> {
         verdict
     }
 
+    /// Moves the directed partition to `blocked`, in the members' own nets
+    /// too.
+    fn partition(&mut self, blocked: Option<usize>) {
+        for (index, on) in [(self.blocked, false), (blocked, true)] {
+            if let Some(member) = index.and_then(|i| self.slots[i].member.as_ref()) {
+                member.block(on);
+            }
+        }
+        self.blocked = blocked;
+    }
+
     fn writable(&self) -> Vec<usize> {
         let writable = |i: &usize| self.slots[*i].writable && self.slots[*i].member.is_some();
         (0..self.slots.len()).filter(writable).collect()
@@ -429,6 +458,7 @@ impl<'a, M: Member> Driver<'a, M> {
 
     /// One epoch with `sessions` client sessions, on the schedule's threads.
     fn epoch(&mut self, sessions: usize) {
+        let started = Instant::now();
         let threads = self.pools.len();
         let dice: Vec<Dice> = (0..threads).map(|_| Dice::new(self.dice.next_u64())).collect();
         let mut pools = std::mem::take(&mut self.pools);
@@ -437,7 +467,9 @@ impl<'a, M: Member> Driver<'a, M> {
             for _ in 0..sessions / threads + usize::from(t < sessions % threads) {
                 this.random_session(pool, &mut dice);
             }
-            this.ticks(t, threads, &mut dice);
+            if !M::WALL_CLOCK {
+                this.ticks(t, threads, &mut dice);
+            }
         };
         // Share 0 runs on this thread: a serial run spawns none.
         std::thread::scope(|scope| {
@@ -448,6 +480,9 @@ impl<'a, M: Member> Driver<'a, M> {
         });
         self.pools = pools;
         self.now += EPOCH_MS;
+        if M::WALL_CLOCK {
+            std::thread::sleep(Duration::from_millis(EPOCH_MS).saturating_sub(started.elapsed()));
+        }
     }
 
     /// The epoch's ticks for the members of thread `t`: each whose pause is
@@ -592,4 +627,193 @@ impl<'a, M: Member> Driver<'a, M> {
 
 fn key_name(key: usize) -> String {
     format!("key-{key}")
+}
+
+/// The harness's eviction grace, and its setup key count.
+const GRACE_MS: u64 = 1_200;
+const KEYS: usize = 4;
+/// A fresh key every this many ms of the workload, until a drain.
+const FRESH_MS: u64 = 500;
+/// The link-fault rate of fault runs, per mille of messages between
+/// members the driver delivers.
+const FAULT_PER_MILLE: u16 = 100;
+/// Virtual time a run may take to settle after setup, and after the
+/// last fault.
+const SETTLE_MS: u64 = 30_000;
+const VERIFY_MS: u64 = 60_000;
+
+/// The harness's node configuration; member `i` of a run with seed `s`
+/// gets seed `s + 1000 i + 7`.
+#[must_use]
+pub fn node_config(seed: u64) -> NodeConfig {
+    // Gossip stalls are heartbeat silence: a dropped frame blocks a
+    // socket node's serial gossip loop for one io_timeout, so the
+    // transport must fail fast (loopback replies arrive in microseconds)
+    // and the eviction grace must dominate a worst-case run of stalls.
+    let io_timeout = Duration::from_millis(250);
+    NodeConfig {
+        gossip_interval: Duration::from_millis(GOSSIP_MS),
+        eviction_grace: Duration::from_millis(GRACE_MS),
+        transport: TransportConfig { connect_timeout: io_timeout, io_timeout },
+        phi: PhiConfig { threshold: 8.0, ..PhiConfig::default() },
+        seed,
+        ..NodeConfig::default()
+    }
+}
+
+/// One harness run: the gates that failed, every live member's final
+/// status, and the oracle's verdict.
+#[derive(Debug)]
+pub struct Outcome {
+    /// One line per failed gate; empty when the run passed.
+    pub failures: Vec<String>,
+    /// Every live member's status at the end.
+    pub statuses: Vec<NodeStatus>,
+    /// The final reads' verdict.
+    pub verdict: Verdict,
+}
+
+fn epochs(ms: u64) -> usize {
+    (ms / EPOCH_MS) as usize
+}
+
+/// The harness scenario, on any node substrate: a bootstrap and two
+/// joiners (`spawn` gets each member's index and [`node_config`]; index 3
+/// is a crash's replacement), every key first-touched at two members at
+/// once, the workload through `timeline` (empty for a control run) with a
+/// fresh key every 500 ms until a drain, then heal and check the
+/// gates; `status` reads a member's [`NodeStatus`]. `faulty` adds the
+/// driver's link faults from the workload's start to the end. A run that
+/// fails a gate prints every live member's status and sibling ids.
+///
+/// # Panics
+///
+/// If the setup never converges.
+pub fn harness<M: Member>(
+    seed: u64,
+    timeline: &[(u64, FaultAction)],
+    faulty: bool,
+    mut spawn: impl FnMut(usize, NodeConfig, &mut Dial<'_>) -> M + Sync,
+    status: impl Fn(&M) -> NodeStatus,
+) -> Outcome {
+    let end = timeline.last().map_or(2_500, |(last, _)| last + 1_500);
+    // No fresh key once a member drains for its crash: a survivor that
+    // retires and then first-touches a key lends again, which would hide
+    // the shrink the retirement gate measures.
+    let drain = timeline.iter().find(|(_, action)| matches!(action, FaultAction::Drain(_)));
+    let mut events: Vec<_> =
+        timeline.iter().map(|(at, action)| (*at, Event::Fault(*action))).collect();
+    let fresh = (0..drain.map_or(end, |(at, _)| *at)).step_by(FRESH_MS as usize);
+    events.extend(fresh.map(|at| (at, Event::FreshKey)));
+    if faulty {
+        events.push((0, Event::LinkFaults(FAULT_PER_MILLE)));
+    }
+    events.sort_by_key(|(at, _)| *at);
+    let schedule = Schedule {
+        seed,
+        epochs: epochs(end),
+        sessions: 1,
+        timeline: events,
+        ..Schedule::default()
+    };
+    let mut driver = Driver::new(schedule, 3, move |index, dial| {
+        spawn(index, node_config(seed.wrapping_add(index as u64 * 1000 + 7)), dial)
+    });
+    let statuses = |d: &Driver<M>| d.members().map(&status).collect::<Vec<_>>();
+    for _ in 0..KEYS {
+        driver.fresh_key();
+    }
+    let setup = |d: &Driver<M>| {
+        d.converged() && statuses(d).iter().all(|status| status.active_members == 3)
+    };
+    assert!(driver.settle(epochs(SETTLE_MS), setup), "seed {seed}: the setup never converged");
+    // Every member is live, in index order.
+    let addrs: Vec<String> = statuses(&driver).into_iter().map(|status| status.addr).collect();
+
+    let mut peaks = HashMap::new();
+    driver.workload(|d| {
+        for status in statuses(d) {
+            let peak = peaks.entry(status.addr).or_insert(0);
+            *peak = status.id_bits.max(*peak);
+        }
+    });
+    let mut failures = Vec::new();
+    let dead = timeline.iter().find_map(|(_, action)| match action {
+        FaultAction::Kill(index) => Some(&addrs[*index]),
+        _ => None,
+    });
+    match dead {
+        None => {
+            if !driver.settle(epochs(VERIFY_MS), Driver::converged) {
+                failures.push("live members never reached one digest root".to_owned());
+            }
+            for status in statuses(&driver) {
+                if status.evicted_members != 0 || status.retirements != 0 {
+                    failures.push(format!(
+                        "false suspicion at {}: {} evicted, {} retirements",
+                        status.addr, status.evicted_members, status.retirements
+                    ));
+                }
+            }
+        }
+        Some(dead) => {
+            let evicted = |d: &Driver<M>| {
+                statuses(d)
+                    .iter()
+                    .all(|s| s.table.entry(dead).is_some_and(|e| e.status == MemberStatus::Evicted))
+            };
+            let retired = |d: &Driver<M>| {
+                statuses(d).iter().map(|status| status.retirements).sum::<usize>() >= 1
+            };
+            let shrunk = |d: &Driver<M>| {
+                statuses(d).iter().any(|s| peaks.get(&s.addr).is_some_and(|&p| s.id_bits < p))
+            };
+            let all = |d: &Driver<M>| evicted(d) && retired(d) && shrunk(d) && d.converged();
+            if !driver.settle(epochs(VERIFY_MS), all) {
+                for (gate, held) in [
+                    ("killed incarnation evicted on every live member", evicted(&driver)),
+                    ("at least one retirement", retired(&driver)),
+                    ("id bits below their peak", shrunk(&driver)),
+                    ("one digest root after heal", driver.converged()),
+                ] {
+                    if !held {
+                        failures.push(format!("{gate}: never held ({dead} killed)"));
+                    }
+                }
+            }
+        }
+    }
+
+    let verdict = driver.verdict();
+    if !verdict.converged {
+        failures.push("live members read different sibling sets".to_owned());
+    }
+    for (count, what) in [
+        (verdict.lost_updates, "lost acked writes"),
+        (verdict.resurrections, "resurrections"),
+        (verdict.false_concurrency, "false concurrency"),
+        (verdict.own_writes_lost, "own writes lost mid-fault"),
+    ] {
+        if count != 0 {
+            failures.push(format!("{count} {what}"));
+        }
+    }
+    let statuses = statuses(&driver);
+    if !failures.is_empty() {
+        for (member, s) in driver.members().zip(&statuses) {
+            eprintln!(
+                "seed {seed}: {} root {:016x}, {} active, {} evicted, {} retirements, {} id bits",
+                s.addr,
+                s.digest_root,
+                s.active_members,
+                s.evicted_members,
+                s.retirements,
+                s.id_bits
+            );
+            for key in (0..driver.oracles.len()).map(key_name) {
+                eprintln!("  {key} {:?}", member.shown(&key));
+            }
+        }
+    }
+    Outcome { failures, statuses, verdict }
 }

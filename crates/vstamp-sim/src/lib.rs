@@ -16,22 +16,24 @@
 //!   (experiments E7/E9/E10);
 //! * [`runner`] — a parallel comparison runner covering every mechanism in
 //!   the workspace;
-//! * [`driver`] — one seeded cluster driver: `NodeCore`s or the replicas
-//!   of an in-process `Cluster` behind one `Member` seam, under one
-//!   schedule loop, fault vocabulary (partitions, drains, kills and
-//!   restarts, plus lost, cut, flipped, shortened and replayed messages)
-//!   and causal-oracle glue; serial and bit-for-bit replayable, or
-//!   threaded;
+//! * [`driver`] — one seeded cluster driver: `NodeCore`s, the replicas
+//!   of an in-process `Cluster`, or node processes behind one `Member`
+//!   seam, under one schedule loop, fault vocabulary (partitions, drains,
+//!   kills and restarts, plus lost, cut, flipped, shortened and replayed
+//!   messages) and causal-oracle glue; serial and bit-for-bit replayable,
+//!   or threaded. Its `harness` scenario (join by fork, eviction and
+//!   identity retirement under a seeded fault plan) runs on `NodeCore`s
+//!   in `tests/node_sim.rs` and on processes in the `cluster_harness`
+//!   binary;
 //! * [`store_sim`] — the `vstamp-store` scenarios on that driver: N store
 //!   replicas under partition/heal and churn, checked against a causal
 //!   oracle built from the session structure (lost updates, false
 //!   concurrency), and the oracle itself ([`KeyOracle`]);
 //! * [`nemesis`] — socket-level fault injection for the real-TCP cluster:
 //!   frame-parsing proxies that drop/delay/duplicate frames or black-hole
-//!   a node's inbound side, a seeded fault plan and its action timeline
-//!   (run by the `cluster_harness` binary against multi-process clusters,
-//!   and by the driver against `NodeCore`s under a virtual clock), and the
-//!   crate's one random stream, [`Dice`](nemesis::Dice).
+//!   a node's inbound side, the seeded fault plan (a timeline of actions
+//!   the driver applies to any node substrate), and the crate's one
+//!   random stream, [`Dice`](nemesis::Dice).
 //!
 //! ```
 //! use vstamp_sim::workload::{generate, WorkloadSpec};
@@ -57,7 +59,7 @@ pub mod store_sim;
 pub mod workload;
 
 pub use metrics::{measure_space, ComparisonTable, SpaceReport};
-pub use nemesis::{FaultEvent, FaultPlan, NemesisConfig, Proxy};
+pub use nemesis::{fault_plan, NemesisConfig, Proxy};
 pub use oracle::{check_against_oracle, AgreementReport, Disagreement};
 pub use runner::{compare_mechanisms, MechanismSet};
 pub use scenario::{figure1, figure2, figure3, figure4, stamp_walkthrough, Scenario};

@@ -13,11 +13,17 @@
 //! when, for how long) and every per-frame dice roll derive from one
 //! seed via splitmix64. Socket scheduling itself remains real — the
 //! nemesis makes fault *injection* reproducible, not thread interleaving.
+//! The plan is a timeline in the driver's virtual milliseconds
+//! ([`fault_plan`]); [`crate::driver`] applies it to every node
+//! substrate, and reaches a process's proxy through `Member::block` for
+//! the directed partition. The proxy's drop / delay / duplicate faults
+//! are the socket substrate's link faults; the driver's own link-fault
+//! vocabulary does not reach the proxy.
 //!
-//! Crash/restart is not a proxy concern: the harness SIGKILLs the node
-//! process and later starts a fresh one that joins as a *new* member
-//! behind a new proxy, which is exactly what decentralized creation
-//! promises to make cheap.
+//! Crash/restart is not a proxy concern: the driver drops the member,
+//! which SIGKILLs the node process, and later starts a fresh one that
+//! joins as a *new* member behind a new proxy, which is exactly what
+//! decentralized creation promises to make cheap.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -66,120 +72,62 @@ impl NemesisConfig {
     }
 }
 
-/// One scheduled fault in a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEvent {
-    /// Black-hole the node's inbound proxy for `duration` starting at
-    /// `at` (relative to the start of the fault phase). Peers stop being
-    /// able to pull from the node; the node itself keeps pulling, so the
-    /// failure is a *directed* cut — and, because its outbound requests
-    /// keep feeding peer heartbeats, a partitioned node is never
-    /// mistaken for a dead one.
-    Partition {
-        /// Index of the partitioned node.
-        node: usize,
-        /// Offset from the start of the fault phase.
-        at: Duration,
-        /// How long the inbound side stays black-holed.
-        duration: Duration,
-    },
-    /// SIGKILL the node's process at `at`, wait `downtime`, then start a
-    /// fresh process that joins as a new member. The killed incarnation
-    /// must end up evicted with its identity retired.
-    CrashRestart {
-        /// Index of the crashed node.
-        node: usize,
-        /// Offset from the start of the fault phase.
-        at: Duration,
-        /// Gap between the kill and the replacement's join.
-        downtime: Duration,
-    },
-}
-
-/// Writes to a doomed node stop this long before its crash so its acked
+/// Writes to a doomed node stop this many ms before its crash so its acked
 /// writes replicate out (the store is in-memory; an ack only outlives the
 /// process once gossip has shipped the write).
-pub const DRAIN: Duration = Duration::from_millis(600);
+const DRAIN_MS: u64 = 600;
 
-/// One step of a [`FaultPlan::timeline`].
+/// One step of a [`fault_plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Black-hole the node's inbound side.
+    /// Black-hole the node's inbound side. Peers stop being able to pull
+    /// from the node; the node itself keeps pulling, so the failure is a
+    /// *directed* cut — and, because its outbound requests keep feeding
+    /// peer heartbeats, a partitioned node is never mistaken for a dead
+    /// one.
     Block(usize),
     /// Heal it.
     Unblock(usize),
-    /// Stop writing to the node: it crashes [`DRAIN`] later.
+    /// Stop writing to the node: it crashes `DRAIN_MS` later.
     Drain(usize),
-    /// Crash the node.
+    /// Crash the node. The killed incarnation must end up evicted with
+    /// its identity retired.
     Kill(usize),
     /// Start the crashed node's replacement, a new member.
     Restart,
 }
 
-/// The seeded fault schedule for one harness run.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// Events ordered by their `at` offset.
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// Derives the schedule from a seed: one directed partition and one
-    /// crash-restart, hitting two *different* non-bootstrap nodes, with
-    /// seed-jittered times. `nodes` must be at least 3 so the bootstrap
-    /// (index 0) is never the victim.
-    #[must_use]
-    pub fn generate(seed: u64, nodes: usize) -> FaultPlan {
-        assert!(nodes >= 3, "fault plan needs a bootstrap plus two victims");
-        let mut rng = Dice::new(seed ^ 0xFEED_FACE_CAFE_BEEF);
-        let victims = nodes - 1;
-        let partitioned = 1 + (rng.roll(victims as u64) as usize);
-        // A different victim for the crash, chosen among the rest.
-        let mut crashed = 1 + (rng.roll((victims - 1) as u64) as usize);
-        if crashed >= partitioned {
-            crashed += 1;
-        }
-        let partition_at = Duration::from_millis(200 + rng.roll(300));
-        let partition_for = Duration::from_millis(600 + rng.roll(500));
-        let crash_at = partition_at + partition_for + Duration::from_millis(700 + rng.roll(300));
-        let downtime = Duration::from_millis(800 + rng.roll(400));
-        FaultPlan {
-            events: vec![
-                FaultEvent::Partition {
-                    node: partitioned,
-                    at: partition_at,
-                    duration: partition_for,
-                },
-                FaultEvent::CrashRestart { node: crashed, at: crash_at, downtime },
-            ],
-        }
+/// The seeded fault plan of one harness run, as actions in order of their
+/// offset in ms from the workload's start: one directed partition and one
+/// crash-restart, hitting two *different* non-bootstrap nodes, with
+/// seed-jittered times. The last action ends the last fault. `nodes` must
+/// be at least 3 so the bootstrap (index 0) is never the victim.
+#[must_use]
+pub fn fault_plan(seed: u64, nodes: usize) -> Vec<(u64, FaultAction)> {
+    assert!(nodes >= 3, "fault plan needs a bootstrap plus two victims");
+    let mut rng = Dice::new(seed ^ 0xFEED_FACE_CAFE_BEEF);
+    let victims = nodes - 1;
+    let partitioned = 1 + rng.pick(victims);
+    // A different victim for the crash, chosen among the rest.
+    let mut crashed = 1 + rng.pick(victims - 1);
+    if crashed >= partitioned {
+        crashed += 1;
     }
-
-    /// The plan as actions ordered by their offset from the start of the
-    /// fault phase; the last one ends the last fault.
-    #[must_use]
-    pub fn timeline(&self) -> Vec<(Duration, FaultAction)> {
-        let mut timeline = Vec::new();
-        for event in &self.events {
-            match *event {
-                FaultEvent::Partition { node, at, duration } => {
-                    timeline.push((at, FaultAction::Block(node)));
-                    timeline.push((at + duration, FaultAction::Unblock(node)));
-                }
-                FaultEvent::CrashRestart { node, at, downtime } => {
-                    timeline.push((at.saturating_sub(DRAIN), FaultAction::Drain(node)));
-                    timeline.push((at, FaultAction::Kill(node)));
-                    timeline.push((at + downtime, FaultAction::Restart));
-                }
-            }
-        }
-        timeline.sort_by_key(|(at, _)| *at);
-        timeline
-    }
+    let partition_at = 200 + rng.roll(300);
+    let healed_at = partition_at + 600 + rng.roll(500);
+    let crash_at = healed_at + 700 + rng.roll(300);
+    let downtime = 800 + rng.roll(400);
+    vec![
+        (partition_at, FaultAction::Block(partitioned)),
+        (healed_at, FaultAction::Unblock(partitioned)),
+        (crash_at - DRAIN_MS, FaultAction::Drain(crashed)),
+        (crash_at, FaultAction::Kill(crashed)),
+        (crash_at + downtime, FaultAction::Restart),
+    ]
 }
 
 /// Seeded splitmix64 dice: the one random stream of this crate's drivers
-/// (the fault plan, the proxies, [`crate::driver`] and `cluster_harness`).
+/// (the fault plan, the proxies and [`crate::driver`]).
 /// A seed names its stream: `Dice::new(s).next_u64()` is splitmix64 stepped
 /// once from state `s`.
 #[derive(Debug, Clone)]
@@ -437,32 +385,24 @@ mod tests {
 
     #[test]
     fn fault_plan_is_deterministic_and_picks_distinct_victims() {
-        let a = FaultPlan::generate(7, 3);
-        let b = FaultPlan::generate(7, 3);
-        assert_eq!(a.events, b.events);
-        let FaultEvent::Partition { node: partitioned, .. } = a.events[0] else {
-            panic!("first event must be the partition");
+        use FaultAction::{Block, Drain, Kill, Unblock};
+        let plan = fault_plan(7, 3);
+        assert_eq!(plan, fault_plan(7, 3));
+        let actions: Vec<FaultAction> = plan.iter().map(|(_, action)| *action).collect();
+        let [Block(partitioned), Unblock(healed), Drain(drained), Kill(crashed), last] =
+            actions[..]
+        else {
+            panic!("a partition, then a crash: {plan:?}");
         };
-        let FaultEvent::CrashRestart { node: crashed, .. } = a.events[1] else {
-            panic!("second event must be the crash");
-        };
+        assert_eq!((partitioned, drained), (healed, crashed), "{plan:?}");
         assert_ne!(partitioned, 0, "bootstrap is never a victim");
         assert_ne!(crashed, 0, "bootstrap is never a victim");
         assert_ne!(partitioned, crashed, "victims must differ");
-        let timeline = a.timeline();
-        assert_eq!(timeline.len(), 5);
-        assert!(timeline.windows(2).all(|pair| pair[0].0 <= pair[1].0), "{timeline:?}");
-        let at = |action| timeline.iter().find(|(_, a)| *a == action).map(|(at, _)| *at);
-        assert_eq!(
-            at(FaultAction::Kill(crashed)),
-            at(FaultAction::Drain(crashed)).map(|t| t + DRAIN)
-        );
-        assert_eq!(timeline.last().map(|(_, action)| *action), Some(FaultAction::Restart));
-        assert_ne!(
-            FaultPlan::generate(8, 3).events,
-            a.events,
-            "different seeds give different plans"
-        );
+        assert!(plan.windows(2).all(|pair| pair[0].0 <= pair[1].0), "{plan:?}");
+        let at = |action| plan.iter().find(|(_, a)| *a == action).map(|(at, _)| *at);
+        assert_eq!(at(Kill(crashed)), at(Drain(crashed)).map(|t| t + DRAIN_MS));
+        assert_eq!(last, FaultAction::Restart);
+        assert_ne!(fault_plan(8, 3), plan, "different seeds give different plans");
     }
 
     #[test]

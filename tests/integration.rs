@@ -160,8 +160,9 @@ fn trace_type_is_usable_from_downstream_code() {
 
 #[test]
 fn every_target_the_docs_name_exists() {
-    // `--bin X`, `--bench X` and `--example X` in the documents people and
-    // CI copy commands from must name a target file that is still there.
+    // `--bin X`, `--bench X`, `--test X` and `--example X` in the documents
+    // people and CI copy commands from must name a target file that is
+    // still there.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let crates: Vec<_> = std::fs::read_dir(root.join("crates"))
         .expect("crates/ lists")
@@ -171,9 +172,10 @@ fn every_target_the_docs_name_exists() {
         let file = format!("{name}.rs");
         match flag {
             "--bin" => crates.iter().any(|krate| krate.join("src/bin").join(&file).is_file()),
-            "--bench" => {
-                root.join("benches").join(&file).is_file()
-                    || crates.iter().any(|krate| krate.join("benches").join(&file).is_file())
+            "--bench" | "--test" => {
+                let dir = if flag == "--bench" { "benches" } else { "tests" };
+                root.join(dir).join(&file).is_file()
+                    || crates.iter().any(|krate| krate.join(dir).join(&file).is_file())
             }
             _ => root.join("examples").join(&file).is_file(),
         }
@@ -186,12 +188,13 @@ fn every_target_the_docs_name_exists() {
         "crates/vstamp-sim/src/lib.rs",
     ] {
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
-        for flag in ["--bin", "--bench", "--example"] {
+        for flag in ["--bin", "--bench", "--test", "--example"] {
             for (at, _) in text.match_indices(flag) {
                 let rest = text[at + flag.len()..].strip_prefix([' ', '=']).unwrap_or("");
                 let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'));
                 let name = &rest[..end.unwrap_or(rest.len())];
-                // `--bin <name>` is a placeholder, `--benches` another flag.
+                // `--bin <name>` is a placeholder; `--benches`, `--tests`
+                // and `--test-threads` are other flags.
                 assert!(name.is_empty() || exists(flag, name), "{doc}: `{flag} {name}` is gone");
             }
         }
